@@ -15,6 +15,12 @@ polynomials follow the three-term recursion
     chi_{q,n+1} = eps chi_{q,n} + (q^n - q^-n)^2 chi_{q,n-1},
 
 with eps-derivatives propagated through the same recursion (forward mode).
+One series kernel sums the series for several arguments at once: they share
+the recursion and a cached table of the q-only factors, so the Wronskian
+
+    W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
+
+costs one pass, not four.
 
 Also here: the involution partner chi-check(u) = u^-1 chi(1/u), the dual
 solution chi_{q^-1} = chi-check / W, the ratio G = chi / chi-check, and the
@@ -23,6 +29,7 @@ multiplication-rule checker for the polynomial family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -51,15 +58,59 @@ class ChiPolySeq:
     dvalues: tuple
 
 
+class _QTable:
+    """The q-only factors of the chi series at one working precision.
+
+    c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused);
+    f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the series prefactor, built
+    as f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}).  Both lists grow on
+    demand with the same operations, in the same order, as the incremental
+    loops they replace, so every value is bit-identical to recomputing it.
+    """
+
+    def __init__(self, q, bits: int):
+        self.q = q
+        self.bits = bits
+        self.c = [None]
+        self.f = [mp.mpf(1)]
+        with mp.workprec(bits):
+            self._q2 = q * q
+        self._q2p = mp.mpf(1)
+
+    def grow_c(self, n: int) -> None:
+        q = self.q
+        with mp.workprec(self.bits):
+            for k in range(len(self.c), n + 1):
+                self.c.append((q ** k - q ** -k) ** 2)
+
+    def grow_f(self, n: int) -> None:
+        f, q2 = self.f, self._q2
+        with mp.workprec(self.bits):
+            while len(f) <= n:
+                self._q2p *= q2
+                f.append(f[-1] * (-self._q2p / (1 - self._q2p)))
+
+
+@functools.lru_cache(maxsize=16)  # a job uses q and its dual at one or two precisions
+def _qtable(q, bits: int) -> _QTable:
+    """The shared q-table for nome q at `bits` of working precision."""
+    return _QTable(q, bits)
+
+
 def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
-    """Yield (chi_n, dchi_n/deps) for n = 0, 1, 2, ... by the recursion."""
+    """Yield (chi_n, dchi_n/deps) for n = 0, 1, 2, ... by the recursion,
+    at the current working precision."""
+    tab = _qtable(q, mp.prec)
+    c = tab.c
     chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
     yield chi_prev, dchi_prev
     chi_cur, dchi_cur = eps, mp.mpf(1)
     yield chi_cur, dchi_cur
     n = 1
     while True:
-        cn = (q ** n - q ** -n) ** 2
+        if n >= len(c):
+            tab.grow_c(n)
+        cn = c[n]
         chi_next = eps * chi_cur + cn * chi_prev
         dchi_next = chi_cur + eps * dchi_cur + cn * dchi_prev
         yield chi_next, dchi_next
@@ -89,56 +140,65 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx) -> ChiPolySeq:
                       values=tuple(values), dvalues=tuple(dvalues))
 
 
-def chi_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """chi_q(u, eps) and d chi / d eps, adaptively truncated.
+def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
+    """[(chi_q(u, eps), d chi / d eps) for u in us], adaptively truncated.
 
-    Uses the second series form: term_n = f_n chi_n(eps) u^n with
-    f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}), f_0 = 1.  Stops when the
-    last three term magnitudes sum below tol relative to the running scale
-    (partial sum or largest term, whichever is bigger -- the sum itself can
-    cross zero).
+    Uses the second series form: term_n = f_n chi_n(eps) u^n.  All arguments
+    share one chi_n/dchi_n recursion and the cached q-table; each keeps its
+    own partial sum and stops when its last three term magnitudes sum below
+    tol relative to its running scale (partial sum or largest term, whichever
+    is bigger -- the sum itself can cross zero).
     """
     with ctx.workprec():
-        u = mp.mpmathify(u)
+        us = [mp.mpmathify(u) for u in us]
         eps = mp.mpmathify(eps)
         q = mpar.q
         if not abs(q) < 1:
             raise ValueError(f"chi series needs |q| < 1, got |q| = {abs(q)}")
-        if u == 0:
-            return mp.mpf(1), mp.mpf(0)
+        out = [(mp.mpf(1), mp.mpf(0)) if u == 0 else None for u in us]
+        # per argument: [index, u, s, ds, u^n, tmax, previous two |term|]
+        live = [[i, u, mp.mpc(0), mp.mpc(0), mp.mpf(1), mp.mpf(0), 0, 0]
+                for i, u in enumerate(us) if u != 0]
+        if not live:
+            return out
         tol = mp.mpf(ctx.tol)
-        q2 = q * q
-        gen = _poly_pairs(eps, q)
-        s = mp.mpc(0)
-        ds = mp.mpc(0)
-        f = mp.mpf(1)
-        up = mp.mpf(1)
-        q2p = mp.mpf(1)
-        tmax = mp.mpf(0)
-        w0 = w1 = w2 = mp.mpf(0)  # last three |term|
-        for n in range(ctx.max_terms):
-            chi_n, dchi_n = next(gen)
+        tab = _qtable(q, ctx.precision_bits)
+        f = tab.f
+        for n, (chi_n, dchi_n) in zip(range(ctx.max_terms), _poly_pairs(eps, q)):
             if not mp.isfinite(chi_n):
                 raise PrecisionExceeded(
                     "chi polynomial overflow; raise the working precision"
                 )
-            coeff = f * up
-            t = coeff * chi_n
-            s += t
-            ds += coeff * dchi_n
-            at = abs(t)
-            if at > tmax:
-                tmax = at
-            w0, w1, w2 = w1, w2, at
-            if n >= 2 and w0 + w1 + w2 < tol * max(abs(s), tmax):
-                return s, ds
-            up *= u
-            q2p *= q2
-            f *= -q2p / (1 - q2p)
+            if n >= len(f):
+                tab.grow_f(n)
+            fn = f[n]
+            going = []
+            for st in live:
+                i, u, s, ds, up, tmax, w1, w2 = st
+                coeff = fn * up
+                t = coeff * chi_n
+                s += t
+                ds += coeff * dchi_n
+                at = abs(t)
+                if at > tmax:
+                    tmax = at
+                if n >= 2 and w1 + w2 + at < tol * max(abs(s), tmax):
+                    out[i] = (s, ds)
+                    continue
+                st[2:] = s, ds, up * u, tmax, w2, at
+                going.append(st)
+            live = going
+            if not live:
+                return out
         raise PrecisionExceeded(
             f"chi series did not reach tol within {ctx.max_terms} terms "
-            f"(|u| = {abs(u)}); raise max_terms or precision"
+            f"(|u| = {abs(live[0][1])}); raise max_terms or precision"
         )
+
+
+def chi_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
+    """chi_q(u, eps) and d chi / d eps, adaptively truncated."""
+    return _chi_series((u,), eps, mpar, ctx)[0]
 
 
 def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -151,27 +211,25 @@ def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         return v / u
 
 
-def _chi_check_with_d(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(chi-check(u), d chi-check / d eps); internal, for Wronskian columns."""
+def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
+    """(W, dW/deps, scale) of W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u),
+    with the scale set by the two products; one series pass for all four
+    factors."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
-            raise ValueError("chi-check is defined on u != 0")
-        v, dv = chi_eval(1 / u, eps, mpar, ctx)
-        return v / u, dv / u
-
-
-def _wronskian_value(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(W(u), local scale): W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)."""
-    with ctx.workprec():
+            raise ValueError("Wronskian is defined on u != 0")
         q2 = mpar.q * mpar.q
-        a, _ = chi_eval(u / q2, eps, mpar, ctx)
-        b = chi_check_eval(u, eps, mpar, ctx)
-        c = chi_check_eval(u / q2, eps, mpar, ctx)
-        d, _ = chi_eval(u, eps, mpar, ctx)
+        uq = u / q2
+        (a, da), (vb, dvb), (vc, dvc), (d, dd) = _chi_series(
+            (uq, 1 / u, 1 / uq, u), eps, mpar, ctx)
+        b, db = vb / u, dvb / u
+        c, dc = vc / uq, dvc / uq
         t1 = a * b
         t2 = c * d
-        return t1 - t2, max(abs(t1), abs(t2))
+        w = t1 - t2
+        dw = da * b + a * db - dc * d - c * dd
+        return w, dw, max(abs(t1), abs(t2))
 
 
 def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -184,7 +242,7 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("chi_dual is defined on u != 0")
-        w, scale = _wronskian_value(u, eps, mpar, ctx)
+        w, _, scale = _wronskian_parts(u, eps, mpar, ctx)
         if abs(w) < ZERO_FLOOR * mp.mpf(ctx.tol) * max(scale, mp.mpf(1)):
             raise PoleSignal(
                 f"Wronskian zero at u = {mp.nstr(u, 8)}: dual solution pole"

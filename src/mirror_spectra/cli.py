@@ -310,6 +310,8 @@ def cmd_selfdual(cfg: JobConfig) -> int:
 
 # ── verify ────────────────────────────────────────────────────────────────
 
+_VERIFY_THETA = "pi/4"  # the coupling every verify check runs at
+
 
 def _check_chi_functional_equation(ctx, mpar, rng, tol, fault):
     q2 = mpar.q * mpar.q
@@ -406,6 +408,8 @@ def _check_limit_classification(ctx, mpar, rng, tol, fault):
     # check always runs at >= 192 bits; quick mode just draws fewer orbits.
     cctx = ctx if ctx.precision_bits >= 192 else make_context(192, 1e-40)
     draws = 2 if ctx.precision_bits >= 192 else 1
+    if mpar.precision_bits < cctx.precision_bits:
+        mpar = ModularParam.from_theta(_VERIFY_THETA, cctx)
     bad = 0
     for _ in range(draws):
         with cctx.workprec():
@@ -477,7 +481,7 @@ def cmd_verify(cfg: JobConfig) -> int:
           + (" fault=1" if cfg.fault else ""))
     failures = 0
     with ctx.workprec():
-        mpar = ModularParam.from_theta("pi/4", ctx)
+        mpar = ModularParam.from_theta(_VERIFY_THETA, ctx)
         tol = mp.mpf(ctx.tol)
         for name, check in _VERIFY_CHECKS:
             try:

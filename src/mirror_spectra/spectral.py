@@ -19,7 +19,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .chi import _chi_check_with_d, chi_eval, G_eval
+from .chi import ZERO_FLOOR, G_eval, _wronskian_parts
 from .precision import (
     ModularParam,
     PrecCtx,
@@ -27,8 +27,6 @@ from .precision import (
     pochhammer_q,
     theta1,
 )
-
-ZERO_FLOOR = 1e3  # |W| below ZERO_FLOOR * tol * scale counts as a zero
 
 _MAX_NEWTON = 80
 _MAX_HALVINGS = 24
@@ -65,24 +63,6 @@ class Orbit:
 
 
 # ── Wronskian ─────────────────────────────────────────────────────────────
-
-
-def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(W, dW/deps, scale) with the scale set by the two products."""
-    with ctx.workprec():
-        u = mp.mpmathify(u)
-        if u == 0:
-            raise ValueError("Wronskian is defined on u != 0")
-        q2 = mpar.q * mpar.q
-        a, da = chi_eval(u / q2, eps, mpar, ctx)
-        b, db = _chi_check_with_d(u, eps, mpar, ctx)
-        c, dc = _chi_check_with_d(u / q2, eps, mpar, ctx)
-        d, dd = chi_eval(u, eps, mpar, ctx)
-        t1 = a * b
-        t2 = c * d
-        w = t1 - t2
-        dw = da * b + a * db - dc * d - c * dd
-        return w, dw, max(abs(t1), abs(t2))
 
 
 def wronskian_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -301,6 +281,7 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
     if parity not in (+1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     with ctx.workprec():
+        tol = mp.mpf(ctx.tol)
         sth = sin_theta(mpar)
         inner = orbit.samples[1:-1]
         vals = [
@@ -339,7 +320,7 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
                 eps1 = solve_eps(s2, eps1, mpar, ctx)
                 f2 = _parity_indicator(s2, eps1, parity, mpar, ctx)
                 s0, f0, s1, f1 = s1, f1, s2, f2
-                if abs(s1 - s0) <= mp.mpf("1e-34") * max(sth, 1):
+                if abs(s1 - s0) <= tol * max(sth, 1):
                     break
             sigma_star = s1
             # simplicity guard: on real sigma the lattice +-q^Z meets the

@@ -8,7 +8,10 @@ import pytest
 
 from mirror_spectra.chi import (
     G_eval,
+    _chi_series,
     _poly_pairs,
+    _qtable,
+    _wronskian_parts,
     chi_check_eval,
     chi_dual_eval,
     chi_eval,
@@ -22,6 +25,7 @@ from mirror_spectra.precision import (
     make_context,
     pochhammer_q,
 )
+from mirror_spectra.transfer import chi_via_Minf
 
 
 def _newton_eps(F, x0, ctx, iters=60):
@@ -203,8 +207,15 @@ def test_chi_series_term_cap(mpar_pi4):
     ctx16 = make_context(192, 1e-40, 16)
     with ctx16.workprec():
         u = mp.exp(10 * mp.pi)
+        small = mp.mpf("0.1")
     with pytest.raises(PrecisionExceeded):
         chi_eval(u, mp.mpf(2), mpar_pi4, ctx16)
+    # one argument past the cap fails the whole batch, and so the Wronskian
+    assert len(_chi_series((small, 0), mp.mpf(2), mpar_pi4, ctx16)) == 2
+    with pytest.raises(PrecisionExceeded, match="within 16 terms"):
+        _chi_series((small, u, 0), mp.mpf(2), mpar_pi4, ctx16)
+    with pytest.raises(PrecisionExceeded):
+        _wronskian_parts(u, mp.mpf(2), mpar_pi4, ctx16)
 
 
 # ── second solution and G ─────────────────────────────────────────────────
@@ -334,3 +345,131 @@ def test_mult_rule_residuals(ctx192, mpar_pi4):
 def test_mult_rule_guards(ctx192, mpar_pi4):
     with pytest.raises(ValueError):
         chi_mult_check(13, 1, mp.mpf(1), mpar_pi4, ctx192)
+
+
+# ── batched series kernel ─────────────────────────────────────────────────
+
+
+def _chi_incremental(u, eps, mpar, ctx):
+    # the one-argument loop with every q-factor recomputed in place, as the
+    # series was summed before the shared q-table; returns (chi, dchi, terms)
+    with ctx.workprec():
+        u = mp.mpmathify(u)
+        eps = mp.mpmathify(eps)
+        if u == 0:
+            return mp.mpf(1), mp.mpf(0), 0
+        q = mpar.q
+        q2 = q * q
+        tol = mp.mpf(ctx.tol)
+        chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
+        chi_cur, dchi_cur = eps, mp.mpf(1)
+        s = ds = mp.mpc(0)
+        f = up = q2p = mp.mpf(1)
+        tmax = w0 = w1 = w2 = mp.mpf(0)
+        for n in range(ctx.max_terms):
+            if n == 0:
+                chi_n, dchi_n = chi_prev, dchi_prev
+            elif n == 1:
+                chi_n, dchi_n = chi_cur, dchi_cur
+            else:
+                cn = (q ** (n - 1) - q ** -(n - 1)) ** 2
+                chi_n = eps * chi_cur + cn * chi_prev
+                dchi_n = chi_cur + eps * dchi_cur + cn * dchi_prev
+                chi_prev, chi_cur = chi_cur, chi_n
+                dchi_prev, dchi_cur = dchi_cur, dchi_n
+            coeff = f * up
+            t = coeff * chi_n
+            s += t
+            ds += coeff * dchi_n
+            tmax = max(tmax, abs(t))
+            w0, w1, w2 = w1, w2, abs(t)
+            if n >= 2 and w0 + w1 + w2 < tol * max(abs(s), tmax):
+                return s, ds, n
+            up *= u
+            q2p *= q2
+            f *= -q2p / (1 - q2p)
+        raise AssertionError("reference series did not converge")
+
+
+_KERNEL_CONTEXTS = ((128, 1e-27), (192, 1e-40), (256, 1e-60))
+_KERNEL_THETAS = ("pi/4", "3*pi/8", "pi/6")
+
+
+@pytest.mark.parametrize("bits,tol", _KERNEL_CONTEXTS)
+@pytest.mark.parametrize("theta", _KERNEL_THETAS)
+def test_series_kernel_batch_is_bitwise(bits, tol, theta):
+    # one batched pass == one call per argument == the in-place loop, bit
+    # for bit, with u = 0 and arguments whose series stop at different n
+    ctx = make_context(bits, tol)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        eps = mp.mpc("3.7", "-12.5")
+        us = (mp.mpf(0), mp.mpf("1e-9"), mp.mpc("0.3", "-0.2"),
+              mp.mpc("-1.7", "0.4"), mp.mpc("2.6", "-1.9"), mp.mpc(0, 40))
+        batch = _chi_series(us, eps, mpar, ctx)
+        stops = set()
+        for u, got in zip(us, batch):
+            v, dv, n = _chi_incremental(u, eps, mpar, ctx)
+            stops.add(n)
+            assert got == chi_eval(u, eps, mpar, ctx) == (v, dv)
+    assert len(stops) >= 4
+
+
+@pytest.mark.parametrize("bits,tol", _KERNEL_CONTEXTS)
+def test_wronskian_parts_bitwise_per_argument(bits, tol, rng):
+    # the one-pass Wronskian reproduces the four separate series calls
+    ctx = make_context(bits, tol)
+    for theta in _KERNEL_THETAS:
+        mpar = ModularParam.from_theta(theta, ctx)
+        with ctx.workprec():
+            q2 = mpar.q * mpar.q
+            for _ in range(4):
+                u = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                eps = mp.mpc(rng.uniform(-50, 50), rng.uniform(-50, 50))
+                a, da = chi_eval(u / q2, eps, mpar, ctx)
+                vb, dvb = chi_eval(1 / u, eps, mpar, ctx)
+                vc, dvc = chi_eval(1 / (u / q2), eps, mpar, ctx)
+                d, dd = chi_eval(u, eps, mpar, ctx)
+                b, db = vb / u, dvb / u
+                c, dc = vc / (u / q2), dvc / (u / q2)
+                t1, t2 = a * b, c * d
+                want = (t1 - t2, da * b + a * db - dc * d - c * dd,
+                        max(abs(t1), abs(t2)))
+                assert _wronskian_parts(u, eps, mpar, ctx) == want
+                assert chi_check_eval(u, eps, mpar, ctx) == b
+
+
+def test_series_kernel_cache_isolated_by_precision():
+    # a q-table filled at 128 bits must not leak into a 256-bit evaluation
+    ctx128 = make_context(128, 1e-27)
+    ctx256 = make_context(256, 1e-60)
+    mpar = ModularParam.from_theta("3*pi/8", ctx256)
+    with ctx256.workprec():
+        us = (mp.mpc("0.7", "0.2"), mp.mpc("-2.1", "1.3"))
+        eps = mp.mpc("-4.2", "6.1")
+    _qtable.cache_clear()
+    cold = _chi_series(us, eps, mpar, ctx256)
+    cold_w = _wronskian_parts(us[0], eps, mpar, ctx256)
+    _qtable.cache_clear()
+    low = _chi_series(us, eps, mpar, ctx128)
+    assert _chi_series(us, eps, mpar, ctx256) == cold
+    assert _wronskian_parts(us[0], eps, mpar, ctx256) == cold_w
+    assert low != cold
+
+
+def test_wronskian_matches_transfer_oracle(ctx192, rng):
+    # W from the series kernel against W assembled from the independent
+    # matrix-product route: chi_via_Minf(v) = (chi(v), chi(v/q^2))
+    tol = mp.mpf(ctx192.tol)
+    for theta in _KERNEL_THETAS:
+        mpar = ModularParam.from_theta(theta, ctx192)
+        with ctx192.workprec():
+            q2 = mpar.q * mpar.q
+            for _ in range(4):
+                u = mp.mpc(rng.uniform(0.4, 1.4), rng.uniform(-0.6, 0.6))
+                eps = mp.mpc(rng.uniform(-4, 4), rng.uniform(-3, 3))
+                chi_u, chi_uq = chi_via_Minf(u, eps, mpar, ctx192)
+                chi_q2u, chi_inv = chi_via_Minf(q2 / u, eps, mpar, ctx192)
+                oracle = chi_uq * chi_inv / u - chi_q2u * (q2 / u) * chi_u
+                w, _, scale = _wronskian_parts(u, eps, mpar, ctx192)
+                assert abs(w - oracle) <= 1000 * tol * max(scale, 1)

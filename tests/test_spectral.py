@@ -8,6 +8,7 @@ from mirror_spectra.chi import G_eval
 from mirror_spectra.precision import ModularParam, SolverError, make_context
 from mirror_spectra.spectral import (
     Orbit,
+    _parity_indicator,
     _sigma_to_s,
     _solve_eps_counted,
     _wronskian_parts,
@@ -227,6 +228,41 @@ def test_quantize_sheet1_odd(ctx, mpar, orbit1):
         ref = mp.mpc("-13.8783047780366906", "6.161296243244348685")
         assert abs(p.eps - ref) <= mp.mpf("1e-15") * abs(ref)
         assert p.parity == -1
+
+
+@pytest.fixture(scope="module")
+def coarse_orbit1():
+    ctx128 = make_context(128, 1e-27)
+    return trace_orbit(1, 16, ModularParam.from_theta("pi/4", ctx128), ctx128)
+
+
+@pytest.mark.parametrize("parity,target", ((-1, "0.6121173716461672675"),
+                                           (+1, "0.3535533905932737622")))
+def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
+    # the secant stop follows ctx.tol, so at 256 bits (tol 1e-60) the
+    # sheet-1 ground states are polished until their indicator is below tol.
+    # A short orbit keeps this cheap: a 128-bit trace locates the two grid
+    # nodes around the state, and only those two are re-solved at 256 bits
+    # (quantize reads the inner samples only).
+    ctx256 = make_context(256, 1e-60)
+    mpar256 = ModularParam.from_theta("pi/4", ctx256)
+    with ctx256.workprec():
+        target = mp.mpf(target)
+        samples = coarse_orbit1.samples
+        i = next(k for k, (sig, _) in enumerate(samples) if sig > target)
+        inner = tuple(
+            (sig, solve_eps(sig, eps, mpar256, ctx256))
+            for sig, eps in samples[i - 1:i + 1]
+        )
+        orbit = Orbit(
+            sheet=1,
+            samples=(samples[0],) + inner + (samples[-1],),
+            step=coarse_orbit1.step,
+        )
+        (p,) = quantize(orbit, parity, mpar256, ctx256)
+        assert abs(p.sigma - target) <= mp.mpf("1e-17")
+        indicator = _parity_indicator(p.sigma, p.eps, parity, mpar256, ctx256)
+        assert abs(indicator) <= mp.mpf(ctx256.tol)
 
 
 def test_quantize_interior_only(ctx, mpar, orbit1):
