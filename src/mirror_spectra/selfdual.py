@@ -33,9 +33,9 @@ _GL_CACHE = {}
 _LEG_STEPS = 192           # y-continuation march resolution per unit length
 _NEAR_ZERO = 1e-6          # |sin(2 pi y)| below this: removable endpoint
 _RICHARDSON_H = ("1e-8", "1e-9")
-_SCAN_LO = "4.01"
-_SCAN_HI = "1e6"
-_SCAN_RATIO = "1.35"
+_BRACKET_LO = "4.01"
+_BRACKET_HI = "1e6"
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -198,76 +198,85 @@ def period_integrals(eps, ctx: PrecCtx):
 # ── quantization ──────────────────────────────────────────────────────────
 
 
+def _level_newton(eps, ctx):
+    """(f, eps f'(eps), periods) for the level function f = A lambda - Atilde.
+
+    The slope needs no extra quadrature: Legendre's relation (DLMF 19.7)
+    fixes the Wronskian A'B - AB' = 16/(pi eps (eps^2 - 16)), and with
+    dAtilde/deps = A/(4 pi), dBtilde/deps = B/(4 pi) this gives
+    f'(eps) = lambda (A'B - AB')/B.
+    """
+    A, At, B, Bt = periods = period_integrals(eps, ctx)
+    with ctx.workprec():
+        f = (A * Bt - B * At) / B
+        slope = 16 * (Bt / B) / (mp.pi * (eps * eps - 16) * B)
+        return f, slope, periods
+
+
 def _level_value(eps, ctx):
     """A lambda - Atilde = (A Btilde - B Atilde)/B, the level function."""
-    A, At, B, Bt = period_integrals(eps, ctx)
-    with ctx.workprec():
-        return (A * Bt - B * At) / B
+    return _level_newton(eps, ctx)[0]
 
 
 def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     """Level-n self-dual state: the root of A lambda - Atilde = n + 1.
 
-    Brackets on a geometric eps scan at reduced precision, then polishes
-    with a full-precision secant iteration.
+    Newton's method on the level function f, whose slope comes free with
+    the periods (see ``_level_newton``).  A coarse stage at 96 bits runs
+    Newton in log eps from the large-eps asymptote f ~ (log eps)^2/pi^2,
+    safeguarded by bisection inside eps in [4.01, 1e6]; a level whose root
+    lies outside that bracket raises SolverError as soon as an evaluation at
+    the bracket end shows it.  A polish stage runs plain Newton at ctx
+    precision until |f - (n+1)| <= tol (n+1) or the relative step is below
+    tol.  The record carries the periods of the last evaluation, at its eps.
     """
     if int(n) != n or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n}")
     n = int(n)
     target = n + 1
-    scan_ctx = make_context(96, 1e-18)
+    coarse_ctx = make_context(96, 1e-18)
 
-    with scan_ctx.workprec():
-        lo = mp.mpf(_SCAN_LO)
-        hi = mp.mpf(_SCAN_HI)
-        ratio = mp.mpf(_SCAN_RATIO)
-        prev_e, prev_f = None, None
-        bracket = None
-        e = lo
-        while e <= hi:
-            fe = _level_value(e, scan_ctx) - target
-            if prev_f is not None and mp.sign(prev_f) != mp.sign(fe):
-                bracket = (prev_e, prev_f, e, fe)
-                break
-            prev_e, prev_f = e, fe
-            e *= ratio
-        if bracket is None:
-            raise SolverError(
-                f"no sign change of the level function for n = {n} with eps "
-                f"scanned over [{_SCAN_LO}, {_SCAN_HI}]"
-            )
-        # cheap bisection before switching to full precision
-        e0, f0, e1, f1 = bracket
-        for _ in range(40):
-            m = (e0 + e1) / 2
-            fm = _level_value(m, scan_ctx) - target
-            if mp.sign(fm) == mp.sign(f0):
-                e0, f0 = m, fm
+    with coarse_ctx.workprec():
+        lo = mp.log(mp.mpf(_BRACKET_LO))
+        hi = mp.log(mp.mpf(_BRACKET_HI))
+        x = min(max(mp.pi * mp.sqrt(target), lo), hi)
+        for _ in range(_NEWTON_STEPS):
+            f, slope, _ = _level_newton(mp.exp(x), coarse_ctx)
+            r = f - target
+            if r < 0:
+                lo = x
             else:
-                e1, f1 = m, fm
-
-    with ctx.workprec():
-        e0, e1 = mp.mpf(e0), mp.mpf(e1)
-        f0 = _level_value(e0, ctx) - target
-        f1 = _level_value(e1, ctx) - target
-        eps_star, f_star = e1, f1
-        for _ in range(64):
-            if f1 == f0:
-                break
-            e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
-            f2 = _level_value(e2, ctx) - target
-            e0, f0, e1, f1 = e1, f1, e2, f2
-            eps_star, f_star = e2, f2
-            if abs(f2) <= ctx.tol * target or abs(e1 - e0) <= ctx.tol * abs(e1):
+                hi = x
+            if lo == hi:   # x is a bracket end and the root lies beyond it
+                raise SolverError(
+                    f"no sign change of the level function for n = {n} with "
+                    f"eps in [{_BRACKET_LO}, {_BRACKET_HI}]"
+                )
+            step = r / slope
+            x -= step
+            if not lo < x < hi:
+                x = (lo + hi) / 2
+            if abs(step) <= coarse_ctx.tol or abs(r) <= coarse_ctx.tol * target:
                 break
         else:
-            raise SolverError(f"secant polish for level {n} did not settle")
-        if abs(f_star) > 1000 * ctx.tol * target:
+            raise ConvergenceError(f"coarse Newton for level {n} did not settle")
+
+    with ctx.workprec():
+        eps_star = mp.exp(mp.mpf(x))
+        for _ in range(_NEWTON_STEPS):
+            f, slope, (A, At, B, Bt) = _level_newton(eps_star, ctx)
+            r = f - target
+            step = eps_star * r / slope
+            if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol * eps_star:
+                break
+            eps_star -= step
+        else:
+            raise ConvergenceError(f"Newton polish for level {n} did not settle")
+        if abs(r) > 1000 * ctx.tol * target:
             raise SolverError(
-                f"level-{n} root residual {mp.nstr(abs(f_star), 5)} above tolerance"
+                f"level-{n} root residual {mp.nstr(abs(r), 5)} above tolerance"
             )
 
-        A, At, B, Bt = period_integrals(eps_star, ctx)
         lam = Bt / B
         alpha, beta = alpha_beta(eps_star, ctx)
         if not (0 < alpha < beta):
@@ -373,7 +382,9 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_sign=1,
         T = mp.re(mp.mpmathify(T))
         x0 = 1j * T
         w0 = eps / 2 - mp.cos(2 * mp.pi * x0)
-        if abs(mp.cos(2 * mp.pi * y0) - w0) > mp.mpf("1e-20") * max(1, abs(w0)):
+        # 2^(16 - bits): the finest tolerance PrecCtx accepts at this precision
+        on_curve = mp.mpf(2) ** (16 - ctx.precision_bits) * max(1, abs(w0))
+        if abs(mp.cos(2 * mp.pi * y0) - w0) > on_curve:
             raise SolverError("leg start is off the spectral curve")
         if tau == 0:
             return mp.mpf(0), y0

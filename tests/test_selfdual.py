@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 from mpmath import mp
 
+from mirror_spectra import selfdual
 from mirror_spectra.precision import SolverError, make_context
 from mirror_spectra.selfdual import (
     alpha_beta,
@@ -173,6 +174,21 @@ def test_period_integrals_against_mpmath_quad(spec0, ctx192):
         assert abs(B - qB) <= tol and abs(Bt - qBt) <= tol
 
 
+@pytest.mark.parametrize("bits, tol", [(128, 1e-33), (256, 1e-70)])
+def test_period_integrals_match_closed_form(bits, tol):
+    # B = 4K(k)/(pi eps) and A = 8K(k')/(pi eps), k = 4/eps, k'^2 = 1 - k^2;
+    # mpmath's ellipk takes the parameter m = k^2.  Quadrature must meet
+    # period_integrals' absolute budget tol against the AGM values.
+    ctx = make_context(bits, tol)
+    with ctx.workprec():
+        for e in ("4.5", "10", "137.2", "1000"):
+            eps = mp.mpf(e)
+            m = (4 / eps) ** 2
+            A, _, B, _ = period_integrals(eps, ctx)
+            assert abs(B - 4 * mp.ellipk(m) / (mp.pi * eps)) <= ctx.tol
+            assert abs(A - 8 * mp.ellipk(1 - m) / (mp.pi * eps)) <= ctx.tol
+
+
 # ── quantization ──────────────────────────────────────────────────────────
 
 
@@ -196,6 +212,8 @@ def test_quantized_record_invariants(spec0, spec1, ctx192):
             assert spec.A * spec.Btilde - spec.B * spec.Atilde > 0
             assert abs(spec.lam - spec.Btilde / spec.B) <= mp.mpf("1e-50")
             assert abs(spec.A * spec.lam - spec.Atilde - target) <= 1000 * ctx.tol * target
+            # the periods are the quadrature at the record's own eps
+            assert period_integrals(spec.eps, ctx) == (spec.A, spec.Atilde, spec.B, spec.Btilde)
         assert spec1.eps > spec0.eps
 
 
@@ -221,6 +239,59 @@ def test_level_function_single_sign_change():
             signs = [mp.sign(v - (n + 1)) for v in vals]
             changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
             assert changes == 1
+
+
+def test_level_slope_matches_central_difference():
+    # f is analytic in eps with its nearest singularity at eps = 4, so a
+    # central difference with step h = d (eps - 4) has truncation error of
+    # order d^2 |f'|; each f carries at most tol (1 + lam)(1 + A/B) from the
+    # four quadratures, which adds tol (1 + lam)(1 + A/B)/h.
+    from mirror_spectra.selfdual import _level_newton, _level_value
+
+    ctx = make_context(128, 1e-27)
+    d = mp.mpf("1e-8")
+    with ctx.workprec():
+        for e in ("4.5", "10", "137.2", "1000"):
+            eps = mp.mpf(e)
+            f, slope, (A, _, B, Bt) = _level_newton(eps, ctx)
+            assert f == _level_value(eps, ctx)
+            fprime = slope / eps
+            h = d * (eps - 4)
+            fd = (_level_value(eps + h, ctx) - _level_value(eps - h, ctx)) / (2 * h)
+            noise = ctx.tol * (1 + Bt / B) * (1 + A / B) / h
+            assert abs(fd - fprime) <= d ** 2 * abs(fprime) + noise
+
+
+def _count_periods(monkeypatch):
+    calls = {}
+    original = selfdual.period_integrals
+
+    def counted(eps, ctx):
+        calls[ctx.precision_bits] = calls.get(ctx.precision_bits, 0) + 1
+        return original(eps, ctx)
+
+    monkeypatch.setattr(selfdual, "period_integrals", counted)
+    return calls
+
+
+def test_quantize_work_count(monkeypatch):
+    # Newton from the asymptotic seed: a handful of 96-bit evaluations and
+    # at most three at the working precision, per level
+    calls = _count_periods(monkeypatch)
+    ctx = make_context(256, 1e-54)
+    for n in range(4):
+        calls.clear()
+        quantize_selfdual(n, ctx)
+        assert calls.get(256, 0) <= 3 and calls.get(96, 0) <= 10, (n, calls)
+
+
+def test_quantize_rejects_level_beyond_bracket(monkeypatch):
+    # f(1e6) ~ 19.5 < 20: level 19 has no root in the eps bracket, and the
+    # solver must say so after a few coarse evaluations, not a full scan
+    calls = _count_periods(monkeypatch)
+    with pytest.raises(SolverError, match="n = 19"):
+        quantize_selfdual(19, make_context(256, 1e-54))
+    assert calls.get(96, 0) <= 3 and 256 not in calls, calls
 
 
 # ── canonical paths ───────────────────────────────────────────────────────
@@ -371,6 +442,18 @@ def test_phi_finite_at_base_and_turning_points(spec0, ctx192):
         v1 = phi_eval(1j * (spec0.alpha + mp.mpf("1e-4")), spec0, ctx)
         v2 = phi_eval(1j * (spec0.alpha + mp.mpf("2e-4")), spec0, ctx)
         assert abs(va - (2 * v1 - v2)) <= mp.mpf("1e-5") * abs(va)
+
+
+def test_phi_eval_at_64_bits(spec0, ctx192):
+    # the leg's on-curve check scales with the working precision: a 64-bit
+    # record evaluates off the imaginary axis and agrees with the 192-bit one
+    ctx = make_context(64, 1e-10)
+    spec = quantize_selfdual(0, ctx)
+    for x in ("0.15", "0.3", "0.462", "0.8", "0.3+0.2j"):
+        v = phi_eval(mp.mpmathify(x), spec, ctx)
+        with ctx192.workprec():
+            w = phi_eval(mp.mpmathify(x), spec0, ctx192)
+            assert abs(v - w) <= 1000 * ctx.tol * abs(w)
 
 
 def test_phi_parity(spec0, spec1, ctx192):
