@@ -19,19 +19,19 @@ from typing import Optional
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, G_eval, _wronskian_parts
+from .chi import ZERO_FLOOR, G_eval, _poly_pairs, _qtable, _wronskian_parts
 from .precision import (
     ModularParam,
     PrecCtx,
+    PrecisionExceeded,
     SolverError,
-    pochhammer_q,
     theta1,
 )
 
 _MAX_NEWTON = 80
 _MAX_HALVINGS = 24
 _FAST_NEWTON = 5          # continuation halves its step above this
-_BISECT_FRAC = 1e-6       # bisection width target, relative to sin(theta)
+_MAX_FALSE_POSITION = 64  # quantize gives up on a bracket after this many trials
 
 
 # ── containers ────────────────────────────────────────────────────────────
@@ -76,33 +76,37 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
 
     sum_m (chi_m(eps)/(q^-2;q^-2)_m)^2 (q^{-2m} - q^{2m+2}).
 
+    1/(q^-2;q^-2)_m is the series prefactor f_m = (-1)^m q^{m(m+1)}/(q^2;q^2)_m
+    of the shared q-table, and chi_m comes from the same recursion as the
+    chi series; the powers of q are carried from term to term.
+
     For real eps and 0 < q < 1 this is >= 1 - q^2 > 0: the two solutions
     never degenerate on the real axis.
     """
-    from .chi import chi_poly_seq
-
     with ctx.workprec():
+        eps = mp.mpmathify(eps)
         q = mpar.q
-        qm2 = 1 / (q * q)
+        q2 = q * q
         tol = mp.mpf(ctx.tol)
+        tab = _qtable(q, ctx.precision_bits)
+        f = tab.f
+        qlo, qhi = mp.mpf(1), q2  # q^{-2m}, q^{2m+2}
         s = mp.mpc(0)
-        m = 0
-        seq = chi_poly_seq(eps, mpar, 16, ctx)
-        values = list(seq.values)
-        gen = None
         small = 0
-        while m < ctx.max_terms:
-            if m >= len(values):
-                seq = chi_poly_seq(eps, mpar, 2 * len(values), ctx)
-                values = list(seq.values)
-            term = (values[m] / pochhammer_q(qm2, qm2, m, ctx)) ** 2 * (
-                q ** (-2 * m) - q ** (2 * m + 2)
-            )
+        for m, (chi_m, _) in zip(range(ctx.max_terms), _poly_pairs(eps, q)):
+            if not mp.isfinite(chi_m):
+                raise PrecisionExceeded(
+                    "chi polynomial overflow; raise the working precision"
+                )
+            if m >= len(f):
+                tab.grow_f(m)
+            term = (chi_m * f[m]) ** 2 * (qlo - qhi)
             s += term
             small = small + 1 if abs(term) <= tol * max(abs(s), 1) else 0
             if small >= 3:
                 return s
-            m += 1
+            qlo /= q2
+            qhi *= q2
         raise SolverError("residue series did not converge")
 
 
@@ -114,15 +118,22 @@ def _sigma_to_s(sigma, mpar: ModularParam):
 
 
 def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
-    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, iterations)."""
+    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, iterations).
+
+    Stops when both the residual |W| <= tol * scale and the Newton
+    correction |W / W_eps| <= tol * max(|eps|, 1) are met: a small residual
+    alone leaves eps loose where W_eps is small.  The returned eps has that
+    last correction applied, which costs no Wronskian pass.
+    """
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
         eps = mp.mpmathify(eps0)
         tol = mp.mpf(ctx.tol)
         w, dw, scale = _wronskian_parts(s, eps, mpar, ctx)
         for it in range(_MAX_NEWTON):
-            if abs(w) <= tol * max(scale, 1):
-                return eps, it
+            if (abs(w) <= tol * max(scale, 1)
+                    and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
+                return (eps - w / dw if w else eps), it
             if abs(dw) <= tol * max(abs(w), 1):
                 raise SolverError(
                     f"dW/deps underflow at sigma = {mp.nstr(mp.mpmathify(sigma), 8)}: "
@@ -148,7 +159,8 @@ def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
 
 
 def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
-    """eps with |W(e^{2 pi b sigma}, eps)| < tol * scale, seeded at eps0."""
+    """Root eps of W(e^{2 pi b sigma}, eps), seeded at eps0: Newton stops
+    once |W| <= tol * scale and |W / W_eps| <= tol * max(|eps|, 1)."""
     eps, _ = _solve_eps_counted(sigma, eps0, mpar, ctx)
     return eps
 
@@ -205,20 +217,30 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
 # ── sigma-continuation ────────────────────────────────────────────────────
 
 
-def _advance(sigma, target, eps, sheet: int, mpar: ModularParam, ctx: PrecCtx):
-    """Continue eps from sigma to target with adaptive sub-stepping.
+def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
+             ctx: PrecCtx):
+    """Continue eps from sigma to target; returns (eps, slope) at target.
+
+    Each sub-step of length h is a predictor-corrector step: Newton at
+    sigma + h is seeded with the secant extrapolation eps + h * slope, where
+    slope = d eps / d sigma of the last accepted sub-step (None on the first
+    step of an orbit, which keeps the zero-order seed eps).  The prediction
+    costs no Wronskian evaluation.
 
     Slow Newton (more than _FAST_NEWTON iterations) halves the sub-step;
-    once the halving floor is reached a converged-but-slow step is accepted
-    (near-degenerate sheet pairs keep Newton slow at any step size).  Only
-    an actual Newton failure at the floor aborts the continuation.
+    once the halving floor (a 4096th of the span) is reached a
+    converged-but-slow step is accepted (near-degenerate sheet pairs keep
+    Newton slow at any step size).  Only an actual Newton failure at the
+    floor aborts the continuation, and so does a jump of eps by more than
+    half its size in one sub-step.
     """
     floor = (target - sigma) / 4096
     while sigma < target:
         h = target - sigma
         while True:
+            seed = eps if slope is None else eps + h * slope
             try:
-                cand, iters = _solve_eps_counted(sigma + h, eps, mpar, ctx)
+                cand, iters = _solve_eps_counted(sigma + h, seed, mpar, ctx)
             except SolverError:
                 cand, iters = None, None
             if cand is not None and (iters <= _FAST_NEWTON or h <= floor):
@@ -234,17 +256,19 @@ def _advance(sigma, target, eps, sheet: int, mpar: ModularParam, ctx: PrecCtx):
                 f"continuation jump on sheet {sheet} at sigma = "
                 f"{mp.nstr(sigma + h, 8)}: |d eps| = {mp.nstr(abs(cand - eps), 4)}"
             )
+        slope = (cand - eps) / h
         sigma = sigma + h
         eps = cand
-    return eps
+    return eps, slope
 
 
 def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit:
     """Continue eps_k(sigma) from sigma = 0 to sin(theta) on a uniform grid.
 
-    Each grid node is Newton-polished with the previous eps as seed;
-    between nodes _advance sub-steps adaptively, so branch-point slowdowns
-    never knock the samples off the uniform grid.
+    The root at sigma = 0 is Newton-polished from the sheet seed; each
+    later grid node is reached by _advance, whose secant slope is carried
+    from one grid interval to the next.  Sub-stepping between nodes keeps
+    branch-point slowdowns from knocking the samples off the uniform grid.
     """
     if npoints < 16:
         raise ValueError(f"npoints must be >= 16, got {npoints}")
@@ -252,10 +276,11 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
         sth = sin_theta(mpar)
         step = sth / (npoints - 1)
         eps = solve_eps(0, sheet_seed(k, 0, mpar, ctx), mpar, ctx)
+        slope = None
         samples = [(mp.mpf(0), eps)]
         for i in range(1, npoints):
             target = sth if i == npoints - 1 else i * step
-            eps = _advance(samples[-1][0], target, eps, k, mpar, ctx)
+            eps, slope = _advance(samples[-1][0], target, eps, slope, k, mpar, ctx)
             samples.append((target, eps))
         return Orbit(sheet=k, samples=tuple(samples), step=step)
 
@@ -270,59 +295,65 @@ def _parity_indicator(sigma, eps, parity: int, mpar: ModularParam, ctx: PrecCtx)
     return g.real if parity == 1 else g.imag
 
 
+def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
+                    ctx: PrecCtx):
+    """Illinois false position in sigma for an indicator zero in [lo, hi].
+
+    lo and hi are grid samples (sigma, eps, indicator) whose indicators have
+    opposite signs.  Each trial sigma is the secant zero of the two bracket
+    ends, and its eps is Newton-solved from the linear interpolation of the
+    ends' eps.  An end kept twice in a row has its indicator halved (the
+    Illinois rule), so both ends close in on the root.  Returns the trial
+    (sigma, eps) once successive trials differ by at most
+    tol * max(sin(theta), 1) and its indicator is at most tol: the indicator
+    can be steep in sigma, so a short step alone does not bound it.
+    """
+    tol = mp.mpf(ctx.tol)
+    stop = tol * max(sin_theta(mpar), 1)
+    (a, ea, fa), (b, eb, fb) = lo, hi  # b: the latest trial
+    for _ in range(_MAX_FALSE_POSITION):
+        c = b - fb * (b - a) / (fb - fa)
+        ec = solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
+        fc = _parity_indicator(c, ec, parity, mpar, ctx)
+        if fc == 0 or (abs(c - b) <= stop and abs(fc) <= tol):
+            return c, ec
+        if mp.sign(fc) == mp.sign(fb):
+            fa /= 2
+        else:
+            a, ea, fa = b, eb, fb
+        b, eb, fb = c, ec, fc
+    raise SolverError(
+        f"false position did not converge in {_MAX_FALSE_POSITION} steps on "
+        f"sheet {sheet}, parity {parity:+d}, sigma in "
+        f"[{mp.nstr(lo[0], 10)}, {mp.nstr(hi[0], 10)}]"
+    )
+
+
 def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
     """All interior quantized states of the given parity along the orbit.
 
     Even states (parity +1) are the interior zeros of Re G/|G|, odd states
-    (parity -1) those of Im G/|G|.  The endpoints are never eligible: G is
-    exactly +-1 there (double-pole cases, excluded from the spectrum), which
-    also makes the odd indicator vanish identically at both ends.
+    (parity -1) those of Im G/|G|.  The indicator is evaluated at the inner
+    grid nodes of the orbit; each sign change between neighbouring nodes is
+    refined by _false_position on that grid bracket, with eps re-solved at
+    every trial sigma.  The endpoints are never eligible: G is exactly +-1
+    there (double-pole cases, excluded from the spectrum), which also makes
+    the odd indicator vanish identically at both ends.
     """
     if parity not in (+1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     with ctx.workprec():
-        tol = mp.mpf(ctx.tol)
         sth = sin_theta(mpar)
-        inner = orbit.samples[1:-1]
-        vals = [
-            _parity_indicator(sig, eps, parity, mpar, ctx) for sig, eps in inner
+        inner = [
+            (sig, eps, _parity_indicator(sig, eps, parity, mpar, ctx))
+            for sig, eps in orbit.samples[1:-1]
         ]
         points = []
-        for i in range(len(inner) - 1):
-            if vals[i] == 0 or mp.sign(vals[i]) == mp.sign(vals[i + 1]):
+        for lo, hi in zip(inner, inner[1:]):
+            if lo[2] == 0 or mp.sign(lo[2]) == mp.sign(hi[2]):
                 continue
-            (a, ea), (b, eb) = inner[i], inner[i + 1]
-            fa = vals[i]
-            eps = ea
-            # bisection down to a narrow bracket
-            while b - a > _BISECT_FRAC * sth:
-                mid = (a + b) / 2
-                eps = solve_eps(mid, eps, mpar, ctx)
-                fm = _parity_indicator(mid, eps, parity, mpar, ctx)
-                if fm == 0:
-                    a = b = mid
-                    break
-                if mp.sign(fm) == mp.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            # secant polish on sigma (eps re-solved at every trial sigma)
-            s0, s1 = a, b if b != a else a + _BISECT_FRAC * sth / 2
-            f0 = _parity_indicator(s0, solve_eps(s0, eps, mpar, ctx), parity, mpar, ctx)
-            eps1 = solve_eps(s1, eps, mpar, ctx)
-            f1 = _parity_indicator(s1, eps1, parity, mpar, ctx)
-            for _ in range(64):
-                if f1 == f0:
-                    break
-                s2 = s1 - f1 * (s1 - s0) / (f1 - f0)
-                if not (0 < s2 < sth):
-                    s2 = (s0 + s1) / 2
-                eps1 = solve_eps(s2, eps1, mpar, ctx)
-                f2 = _parity_indicator(s2, eps1, parity, mpar, ctx)
-                s0, f0, s1, f1 = s1, f1, s2, f2
-                if abs(s1 - s0) <= tol * max(sth, 1):
-                    break
-            sigma_star = s1
+            sigma_star, eps_star = _false_position(
+                lo, hi, parity, orbit.sheet, mpar, ctx)
             # simplicity guard: on real sigma the lattice +-q^Z meets the
             # ray s(sigma) only at integer multiples of sin(theta)
             if abs(sigma_star / sth - mp.nint(sigma_star / sth)) < mp.mpf("1e-10"):
@@ -332,7 +363,7 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
                 )
             points.append(
                 SpectralPoint(
-                    sheet=orbit.sheet, sigma=sigma_star, eps=eps1, parity=parity
+                    sheet=orbit.sheet, sigma=sigma_star, eps=eps_star, parity=parity
                 )
             )
         return points

@@ -4,8 +4,14 @@ continuation, quantization, and the theta-function factorization."""
 import pytest
 from mpmath import mp
 
-from mirror_spectra.chi import G_eval
-from mirror_spectra.precision import ModularParam, SolverError, make_context
+from mirror_spectra import spectral
+from mirror_spectra.chi import G_eval, chi_poly_seq
+from mirror_spectra.precision import (
+    ModularParam,
+    SolverError,
+    make_context,
+    pochhammer_q,
+)
 from mirror_spectra.spectral import (
     Orbit,
     _parity_indicator,
@@ -96,6 +102,37 @@ def test_residue_positivity_bound(ctx, mpar):
             r = wronskian_residue(eps, mpar, ctx)
             assert abs(r.imag) <= mp.mpf("1e-38")
             assert r.real >= bound
+
+
+def _residue_by_pochhammer(eps, mpar, ctx):
+    # the series summed term by term with a finite q-Pochhammer and explicit
+    # powers of q, as the residue was computed before it read the q-table
+    with ctx.workprec():
+        q = mpar.q
+        qm2 = 1 / (q * q)
+        tol = mp.mpf(ctx.tol)
+        values = chi_poly_seq(eps, mpar, 256, ctx).values
+        s, small = mp.mpc(0), 0
+        for m in range(len(values)):
+            term = (values[m] / pochhammer_q(qm2, qm2, m, ctx)) ** 2 * (
+                q ** (-2 * m) - q ** (2 * m + 2)
+            )
+            s += term
+            small = small + 1 if abs(term) <= tol * max(abs(s), 1) else 0
+            if small >= 3:
+                return s
+        raise AssertionError("reference residue series did not converge")
+
+
+@pytest.mark.parametrize("bits,tol", ((128, 1e-27), (192, 1e-40), (256, 1e-54)))
+def test_residue_matches_pochhammer_series(bits, tol):
+    ctx = make_context(bits, tol)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        for eps in (mp.mpf("2.7"), mp.mpf(-5), mp.mpc("3.1", "1.2"), mp.mpf(40)):
+            want = _residue_by_pochhammer(eps, mpar, ctx)
+            got = wronskian_residue(eps, mpar, ctx)
+            assert abs(got - want) <= 1000 * mp.mpf(tol) * max(abs(want), 1)
 
 
 # ── Newton in eps ─────────────────────────────────────────────────────────
@@ -199,6 +236,63 @@ def test_orbit_backward_continuation_matches(ctx, mpar, orbit1):
             assert abs(eps - eps_fwd) <= mp.mpf("1e-30") * max(abs(eps), 1)
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    original = spectral._solve_eps_counted
+
+    def counted(sigma, eps0, mpar, ctx):
+        calls.append(sigma)
+        return original(sigma, eps0, mpar, ctx)
+
+    monkeypatch.setattr(spectral, "_solve_eps_counted", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sheet2_128():
+    # sheet 2 at the CLI's 128-bit default, with the Newton solves counted
+    ctx128 = make_context(128, 1e-27)
+    mpar128 = ModularParam.from_theta("pi/4", ctx128)
+    with pytest.MonkeyPatch.context() as mpatch:
+        calls = _count_solves(mpatch)
+        orbit = trace_orbit(2, 48, mpar128, ctx128)
+    return ctx128, mpar128, orbit, len(calls)
+
+
+@pytest.fixture(scope="module")
+def sheet3_192(ctx, mpar):
+    with pytest.MonkeyPatch.context() as mpatch:
+        calls = _count_solves(mpatch)
+        orbit = trace_orbit(3, 16, mpar, ctx)
+    return orbit, len(calls)
+
+
+def test_trace_orbit_work_count_sheet2(sheet2_128):
+    # the secant predictor seeds each sub-step; the zero-order seed took 161
+    _, _, _, solves = sheet2_128
+    assert solves <= 80, solves
+
+
+def test_trace_orbit_work_count_sheet3(sheet3_192):
+    # the zero-order seed took 2,208 solves here, halving near branch points
+    _, solves = sheet3_192
+    assert solves <= 150, solves
+
+
+def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
+    # every node is converged in eps, not only in |W|: the Newton correction
+    # there is below tol, and the real endpoint eps_3(sin theta) comes back
+    # real to tol
+    orbit, _ = sheet3_192
+    with ctx.workprec():
+        tol = mp.mpf(ctx.tol)
+        for sig, eps in orbit.samples:
+            w, dw, _ = _wronskian_parts(_sigma_to_s(sig, mpar), eps, mpar, ctx)
+            assert abs(w / dw) <= tol * max(abs(eps), 1), sig
+        end = orbit.samples[-1][1]
+        assert abs(mp.im(end)) <= tol * abs(end)
+
+
 def test_orbit_guards(ctx, mpar):
     with pytest.raises(ValueError):
         trace_orbit(1, 8, mpar, ctx)
@@ -281,6 +375,38 @@ def test_quantize_interior_only(ctx, mpar, orbit1):
 def test_quantize_parity_guard(ctx, mpar, orbit1):
     with pytest.raises(ValueError):
         quantize(orbit1, 0, mpar, ctx)
+
+
+def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
+    # false position on each grid bracket: a handful of solves per state
+    # (bisection then secant took about 20), each state polished until its
+    # indicator is below tol
+    ctx128, mpar128, orbit, _ = sheet2_128
+    calls = _count_solves(monkeypatch)
+    for parity in (-1, +1):
+        calls.clear()
+        pts = quantize(orbit, parity, mpar128, ctx128)
+        assert len(pts) == 3
+        assert len(calls) <= 10 * len(pts), (parity, len(calls))
+        with ctx128.workprec():
+            for p in pts:
+                ind = _parity_indicator(p.sigma, p.eps, parity, mpar128, ctx128)
+                assert abs(ind) <= mp.mpf(ctx128.tol), (parity, p.sigma)
+
+
+def test_quantize_indicator_at_tolerance_floor():
+    # at the finest tol 64 bits allow, a short sigma step can still leave the
+    # indicator above tol on steep states; the stop also asks for |indicator|
+    ctx64 = make_context(64, 4e-15)
+    mpar64 = ModularParam.from_theta("pi/4", ctx64)
+    orbit = trace_orbit(2, 48, mpar64, ctx64)
+    with ctx64.workprec():
+        for parity in (-1, +1):
+            pts = quantize(orbit, parity, mpar64, ctx64)
+            assert len(pts) == 3
+            for p in pts:
+                ind = _parity_indicator(p.sigma, p.eps, parity, mpar64, ctx64)
+                assert abs(ind) <= mp.mpf(ctx64.tol), (parity, p.sigma)
 
 
 def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
