@@ -149,6 +149,10 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
     tol relative to its running scale (partial sum or largest term, whichever
     is bigger -- the sum itself can cross zero).
     """
+    if mpar.precision_bits < ctx.precision_bits:
+        raise ValueError(
+            f"ModularParam built at {mpar.precision_bits} bits is coarser than "
+            f"the {ctx.precision_bits}-bit context; rebuild it at that precision")
     with ctx.workprec():
         us = [mp.mpmathify(u) for u in us]
         eps = mp.mpmathify(eps)

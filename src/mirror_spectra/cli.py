@@ -7,6 +7,10 @@ Subcommands
     selfdual   quantize the self-dual level n and print its record
     verify     run the invariant suites of every module, PASS/FAIL table
 
+verify runs the entries of ``invariants.INVARIANTS``, the registry that the
+acceptance gate (criteria 7a-7h) also runs: verify on the first draws of
+each sample, the gate on all of them.
+
 All numeric output is rounded half-even at --digits significant digits
 (default 18).  Output files carry '#'-prefixed provenance headers naming
 theta, precision, tolerance and the tool version; written CSV re-parses to
@@ -22,23 +26,22 @@ import os
 import sys
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from typing import Optional
 
 from mpmath import mp
 
 from . import __version__
-from .chi import chi_dual_eval, chi_eval, chi_check_eval, chi_mult_check, chi_poly_seq
-from .eigenfunction import make_params, pole_cancellation_check, psi_eval, psi_residual
-from .precision import ModularParam, PrecCtx, SolverError, make_context, theta1
+from .eigenfunction import make_params, pole_cancellation_check, psi_residual
+from .precision import ModularParam, PrecCtx, SolverError, make_context
+from .precision import default_tol as _default_tol
 from .selfdual import quantize_selfdual
-from .spectral import quantize, trace_orbit, wronskian_eval, wronskian_residue
-from .transfer import R_orbit, chi_via_Minf, classify_r_orbit
+from .spectral import quantize, trace_orbit
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_NUMERIC = 2
 EXIT_CONFIG = 3
 
-_SEED = 20260814
 _SVG_W, _SVG_H = 640, 480
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
@@ -62,12 +65,7 @@ class JobConfig:
     quick: bool = False
     log_scale: bool = False
     fault: bool = False
-    seed: int = _SEED
-
-
-def _default_tol(bits: int) -> float:
-    digits = int(bits * 0.30103)
-    return 10.0 ** -(digits - max(8, (3 * digits) // 10))
+    seed: Optional[int] = None  # None -> the invariant registry's SEED
 
 
 def _context(cfg: JobConfig) -> PrecCtx:
@@ -313,186 +311,26 @@ def cmd_selfdual(cfg: JobConfig) -> int:
 _VERIFY_THETA = "pi/4"  # the coupling every verify check runs at
 
 
-def _check_chi_functional_equation(ctx, mpar, rng, tol, fault):
-    q2 = mpar.q * mpar.q
-    worst = mp.mpf(0)
-    for _ in range(6):
-        u = mp.mpc(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        if abs(u) < 0.1:
-            u += mp.mpf("0.3")
-        eps = mp.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        coeff = 1 - eps * u + u * u
-        for f in (lambda v: chi_eval(v, eps, mpar, ctx)[0],
-                  lambda v: chi_check_eval(v, eps, mpar, ctx)):
-            lhs = f(u / q2) + q2 * u * u * f(q2 * u)
-            rhs = coeff * f(u)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1))
-    return worst, 10 * tol
-
-
-def _check_crochet_mirror_equation(ctx, mpar, rng, tol, fault):
-    q2 = mpar.q * mpar.q
-    worst = mp.mpf(0)
-    for _ in range(4):
-        u = mp.mpc(rng.uniform(0.3, 1.2), rng.uniform(-0.6, 0.6))
-        eps = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        f = lambda v: chi_dual_eval(v, eps, mpar, ctx)
-        lhs = f(q2 * u) + (u * u / q2) * f(u / q2)
-        rhs = (1 - eps * u + u * u) * f(u)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1))
-    return worst, 10 * tol
-
-
-def _check_transfer_oracle(ctx, mpar, rng, tol, fault):
-    q2 = mpar.q * mpar.q
-    eps = mp.mpc("1.3", "-0.4")
-    worst = mp.mpf(0)
-    for i in range(3):
-        for j in range(3):
-            u = mp.mpf("0.25") * (i + 1) * mp.expjpi(mp.mpf(2 * j + 1) / 7)
-            a, b = chi_via_Minf(u, eps, mpar, ctx)
-            worst = max(worst, abs(a - chi_eval(u, eps, mpar, ctx)[0]) / max(abs(a), 1))
-            worst = max(worst, abs(b - chi_eval(u / q2, eps, mpar, ctx)[0]) / max(abs(b), 1))
-    return worst, 10 * tol
-
-
-def _check_theta_identities(ctx, mpar, rng, tol, fault):
-    q, lq = mpar.q, mpar.log_q
-    worst = mp.mpf(0)
-    for _ in range(5):
-        w = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        t0 = theta1(w, q, ctx)
-        scale = max(1, abs(t0))
-        worst = max(worst, abs(theta1(-w, q, ctx) + t0) / scale)
-        lhs = theta1(w + 2 * lq, q, ctx)
-        rhs = -mp.exp(-lq - w) * t0
-        worst = max(worst, abs(lhs - rhs) / max(scale, abs(rhs)))
-    for xr in ("0.1", "-0.35", "0.7"):
-        x = mp.mpf(xr)
-        direct = theta1(2 * mp.pi * mpar.b * x, mpar.q, ctx)
-        lhs = -theta1(2 * mp.pi * x / mpar.b, mpar.qbar, ctx)
-        worst = max(worst, abs(lhs - mp.conj(direct)) / max(1, abs(direct)))
-    return worst, 10 * tol
-
-
-def _check_wronskian(ctx, mpar, rng, tol, fault):
-    q2 = mpar.q * mpar.q
-    eps = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-    worst = mp.mpf(0)
-    for _ in range(4):
-        u = mp.mpc(rng.uniform(0.3, 1.3), rng.uniform(-0.5, 0.5))
-        w0 = wronskian_eval(u, eps, mpar, ctx)[0]
-        w1 = wronskian_eval(q2 * u, eps, mpar, ctx)[0]
-        worst = max(worst, abs(w1 * q2 * u * u - w0) / max(abs(w0), 1))
-    bound = 1 - (q2).real
-    for e in (mp.mpf("-11"), mp.mpf(2), mp.mpf(40)):
-        r = wronskian_residue(e, mpar, ctx)
-        if r.real < bound:
-            worst = max(worst, bound - r.real)
-    return worst, 10 * tol
-
-
-def _check_mult_rule(ctx, mpar, rng, tol, fault):
-    eps = mp.mpc("1.7", "0.3")
-    worst = mp.mpf(0)
-    for m, n in ((2, 3), (3, 4)):
-        seq = chi_poly_seq(eps, mpar, m + n, ctx)
-        scale = abs(seq.values[m] * seq.values[n])
-        worst = max(worst, chi_mult_check(m, n, eps, mpar, ctx) / scale)
-    return worst, 10 * tol
-
-
-def _check_limit_classification(ctx, mpar, rng, tol, fault):
-    # Reaching the classifier margin takes ~4 steps, and the repulsion
-    # amplifies the seed error by ~ e^{32 pi} over those steps, so the
-    # check always runs at >= 192 bits; quick mode just draws fewer orbits.
-    cctx = ctx if ctx.precision_bits >= 192 else make_context(192, 1e-40)
-    draws = 2 if ctx.precision_bits >= 192 else 1
-    if mpar.precision_bits < cctx.precision_bits:
-        mpar = ModularParam.from_theta(_VERIFY_THETA, cctx)
-    bad = 0
-    for _ in range(draws):
-        with cctx.workprec():
-            q2 = mpar.q * mpar.q
-            z = mp.mpc(rng.uniform(0.5, 1.0), rng.uniform(-0.3, 0.3))
-            eps = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            r0 = chi_eval(z / q2, eps, mpar, cctx)[0] / chi_eval(z, eps, mpar, cctx)[0]
-            if classify_r_orbit(R_orbit(z, r0, 4, eps, mpar, cctx), cctx) != "one":
-                bad += 1
-            seq = R_orbit(z, r0 * mp.mpf("1.3"), 4, eps, mpar, cctx)
-            if classify_r_orbit(seq, cctx) == "one":
-                bad += 1
-    return mp.mpf(bad), mp.mpf("0.5")
-
-
-def _check_eigenfunction(ctx, mpar, rng, tol, fault):
-    npoints = 16 if ctx.precision_bits < 160 else 33
-    orbit = trace_orbit(1, npoints, mpar, ctx)
-    worst = mp.mpf(0)
-    for xi in (1, -1):
-        pts = quantize(orbit, xi, mpar, ctx)
-        par = make_params(pts[0], mpar, ctx)
-        x = mp.mpf("0.7")
-        v = psi_eval(x, par, ctx)
-        worst = max(worst, abs(psi_eval(-x, par, ctx) - xi * v) / abs(v))
-        worst = max(worst, abs(mp.conj(v) - psi_eval(x, par, ctx)) / abs(v))
-        if abs(mp.log(abs(psi_eval(3, par, ctx))) + 6 * mp.pi * par.eta) > 10:
-            worst = max(worst, mp.mpf(1))
-        r1, r2 = psi_residual(mp.mpf("0.3"), par, ctx)
-        worst = max(worst, r1, r2)
-        if fault:
-            bad_pt = dataclasses.replace(pts[0], eps=pts[0].eps + mp.mpf("1e-4"))
-            par = dataclasses.replace(par, point=bad_pt, rho=None)
-        rep = pole_cancellation_check(par, ctx)
-        worst = max(worst, rep.max_normalized)
-    return worst, 1000 * tol
-
-
-def _check_selfdual_cycles(ctx, mpar, rng, tol, fault):
-    spec = quantize_selfdual(0, ctx)
-    worst = max(abs(spec.A * spec.lam - spec.Atilde - 1),
-                abs(spec.Btilde - spec.lam * spec.B))
-    return worst, 1000 * tol
-
-
-_VERIFY_CHECKS = (
-    ("chi functional equation", _check_chi_functional_equation),
-    ("crochet mirror equation", _check_crochet_mirror_equation),
-    ("transfer oracle equivalence", _check_transfer_oracle),
-    ("theta identities", _check_theta_identities),
-    ("wronskian relations", _check_wronskian),
-    ("multiplication rule", _check_mult_rule),
-    ("limit classification", _check_limit_classification),
-    ("eigenfunction invariants", _check_eigenfunction),
-    ("selfdual cycle integrality", _check_selfdual_cycles),
-)
-
-
 def cmd_verify(cfg: JobConfig) -> int:
-    import random
+    from .invariants import INVARIANTS, SEED, run
 
-    if cfg.quick:
-        ctx = make_context(64, 1e-10)
-    else:
-        ctx = _context(cfg)
-    rng = random.Random(cfg.seed)
+    ctx = make_context(64, 1e-10) if cfg.quick else _context(cfg)
+    seed = SEED if cfg.seed is None else cfg.seed
     print(f"# tool=mirror-spectra {__version__}")
-    print(f"# precision_bits={ctx.precision_bits} tol={ctx.tol} seed={cfg.seed}"
+    print(f"# precision_bits={ctx.precision_bits} tol={ctx.tol} seed={seed}"
           + (" fault=1" if cfg.fault else ""))
+    mpar = ModularParam.from_theta(_VERIFY_THETA, ctx)
     failures = 0
-    with ctx.workprec():
-        mpar = ModularParam.from_theta(_VERIFY_THETA, ctx)
-        tol = mp.mpf(ctx.tol)
-        for name, check in _VERIFY_CHECKS:
-            try:
-                worst, threshold = check(ctx, mpar, rng, tol, cfg.fault)
-                ok = worst <= threshold
-                detail = f"residual {mp.nstr(worst, 3)} vs {mp.nstr(threshold, 3)}"
-            except (SolverError, ValueError) as exc:
-                ok, detail = False, f"solver failure: {exc}"
-            status = "PASS" if ok else "FAIL"
-            print(f"{status}  {name:<32} {detail}")
-            failures += 0 if ok else 1
+    for name, _, check in INVARIANTS:
+        try:
+            worst, threshold = run(check, ctx, mpar, seed, False, cfg.fault)
+            ok = worst <= threshold
+            detail = f"residual {mp.nstr(worst, 3)} vs {mp.nstr(threshold, 3)}"
+        except (SolverError, ValueError) as exc:
+            ok, detail = False, f"solver failure: {exc}"
+        status = "PASS" if ok else "FAIL"
+        print(f"{status}  {name:<32} {detail}")
+        failures += 0 if ok else 1
     return EXIT_OK if failures == 0 else EXIT_CHECK
 
 
@@ -547,7 +385,8 @@ def _build_parser() -> _Parser:
                     help="64-bit, tol 1e-10: finishes in seconds")
     sp.add_argument("--fault", action="store_true",
                     help="inject an eps perturbation (negative control)")
-    sp.add_argument("--seed", type=int, default=_SEED)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the random draws (default: the registry's)")
     return p
 
 
@@ -584,7 +423,7 @@ def _config_from_args(args) -> JobConfig:
         quick=getattr(args, "quick", False),
         log_scale=getattr(args, "log_scale", False),
         fault=getattr(args, "fault", False),
-        seed=getattr(args, "seed", _SEED),
+        seed=getattr(args, "seed", None),
     )
 
 

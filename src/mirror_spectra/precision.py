@@ -77,6 +77,13 @@ def make_context(precision_bits: int = 192, tol: float = 1e-40,
                    max_terms=int(max_terms))
 
 
+def default_tol(bits: int) -> float:
+    """The tolerance a context of ``bits`` gets when none is given: 30 % of
+    its decimal digits (at least 8) are kept as guard digits."""
+    digits = int(bits * 0.30103)
+    return 10.0 ** -(digits - max(8, (3 * digits) // 10))
+
+
 # ── modular parameters ──────────────────────────────────────────────────────
 
 _PI_FRACTION = re.compile(

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from mirror_spectra import ModularParam, make_context
-
-RNG_SEED = 20260814
+from mirror_spectra.invariants import SEED as RNG_SEED
 
 
 @pytest.fixture(scope="session")

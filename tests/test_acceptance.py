@@ -1,39 +1,20 @@
 """Acceptance gate: one test per contract criterion, each printing a single
 PASS/FAIL line and enforcing the stated tolerance.  Golden values are the
-reference-table records; property criteria run seeded random sweeps."""
+reference-table records; property criteria 7a-7h run the invariant registry
+that ``mirror-spectra verify`` runs, on the full seeded samples."""
 
-import random
 import time
 from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-from mirror_spectra.chi import (
-    chi_check_eval,
-    chi_dual_eval,
-    chi_eval,
-    chi_mult_check,
-    chi_poly_seq,
-)
-from mirror_spectra.eigenfunction import (
-    make_params,
-    pole_cancellation_check,
-    psi_eval,
-    psi_residual,
-)
-from mirror_spectra.precision import ModularParam, make_context, theta1
-from mirror_spectra.selfdual import phi_eval, quantize_selfdual
-from mirror_spectra.spectral import (
-    quantize,
-    sin_theta,
-    trace_orbit,
-    wronskian_eval,
-    wronskian_residue,
-)
-from mirror_spectra.transfer import PoleSignal, R_orbit, chi_via_Minf, classify_r_orbit
+from mirror_spectra import invariants
+from mirror_spectra.precision import ModularParam, make_context
+from mirror_spectra.selfdual import quantize_selfdual
+from mirror_spectra.spectral import quantize, sin_theta, trace_orbit
 
-_SEED = 20260814
+_SEED = invariants.SEED
 
 # sheet-2 records: (sigma, eps) strings as printed
 SHEET2_ODD = (
@@ -196,166 +177,43 @@ def test_criterion_6_selfdual_ground():
 # ── 7: property acceptance (no golden values) ─────────────────────────────
 
 
+def _gate_registry(criterion: str, label: str, ctx, mpar) -> None:
+    """Gate every registry entry of one criterion on the full sample."""
+    for _, crit, check in invariants.INVARIANTS:
+        if crit == criterion:
+            _gate(label, *invariants.run(check, ctx, mpar, _SEED, True))
+
+
 def test_criterion_7a_functional_equations(ctx, mpar):
-    rng = random.Random(_SEED)
-    with ctx.workprec():
-        q2, tol = mpar.q ** 2, mp.mpf(ctx.tol)
-        worst = mp.mpf(0)
-        for _ in range(100):
-            u = mp.mpc(rng.uniform(0.3, 1.2), 0) * mp.expjpi(rng.uniform(-1, 1))
-            eps = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            coeff = 1 - eps * u + u * u
-            for f in (lambda v: chi_eval(v, eps, mpar, ctx)[0],
-                      lambda v: chi_check_eval(v, eps, mpar, ctx)):
-                lhs = f(u / q2) + q2 * u * u * f(q2 * u)
-                rhs = coeff * f(u)
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1))
-            g = lambda v: chi_dual_eval(v, eps, mpar, ctx)
-            lhs = g(q2 * u) + (u * u / q2) * g(u / q2)
-            rhs = coeff * g(u)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1))
-        bound = 10 * tol
-    _gate("criterion 7a: chi/check/dual functional equations", worst, bound)
+    _gate_registry("7a", "criterion 7a: chi/check/dual functional equations", ctx, mpar)
 
 
 def test_criterion_7b_oracle_grid(ctx, mpar):
-    with ctx.workprec():
-        q2, tol = mpar.q ** 2, mp.mpf(ctx.tol)
-        worst = mp.mpf(0)
-        for i in range(20):
-            u = (mp.mpf("0.06") + mp.mpf("0.05") * i) * mp.expjpi(mp.mpf(2 * i + 1) / 21)
-            for j in range(20):
-                eps = mp.mpc(mp.mpf(j - 10) / 3, mp.mpf(j % 5) / 4)
-                a, b = chi_via_Minf(u, eps, mpar, ctx)
-                worst = max(worst,
-                            abs(a - chi_eval(u, eps, mpar, ctx)[0]) / max(abs(a), 1),
-                            abs(b - chi_eval(u / q2, eps, mpar, ctx)[0]) / max(abs(b), 1))
-        bound = 10 * tol
-    _gate("criterion 7b: transfer oracle on 20x20 grid", worst, bound)
+    _gate_registry("7b", "criterion 7b: transfer oracle on 20x20 grid", ctx, mpar)
 
 
 def test_criterion_7c_mult_rule(ctx, mpar):
-    with ctx.workprec():
-        eps = mp.mpc("1.7", "0.3")
-        tol = mp.mpf(ctx.tol)
-        seq = chi_poly_seq(eps, mpar, 20, ctx)
-        worst = mp.mpf(0)
-        for m in range(1, 11):
-            for n in range(m, 11):
-                scale = max(abs(seq.values[m] * seq.values[n]), mp.mpf(1))
-                worst = max(worst, chi_mult_check(m, n, eps, mpar, ctx) / scale)
-        bound = 10 * tol
-    _gate("criterion 7c: multiplication rule m,n <= 10", worst, bound)
+    _gate_registry("7c", "criterion 7c: multiplication rule m,n <= 10", ctx, mpar)
 
 
 def test_criterion_7d_wronskian(ctx, mpar):
-    rng = random.Random(_SEED)
-    with ctx.workprec():
-        q2, tol = mpar.q ** 2, mp.mpf(ctx.tol)
-        worst = mp.mpf(0)
-        for _ in range(12):
-            u = mp.mpc(rng.uniform(0.3, 1.3), rng.uniform(-0.5, 0.5))
-            eps = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            w0 = wronskian_eval(u, eps, mpar, ctx)[0]
-            w1 = wronskian_eval(q2 * u, eps, mpar, ctx)[0]
-            worst = max(worst, abs(w1 * q2 * u * u - w0) / max(abs(w0), 1))
-        bound = 1 - q2.real
-        for i in range(16):
-            e = mp.mpf(-30) + 5 * i
-            r = wronskian_residue(e, mpar, ctx)
-            if r.real < bound - 10 * tol:
-                worst = max(worst, bound - r.real)
-        out = worst
-    _gate("criterion 7d: Wronskian relation and residue bound", out, 10 * tol)
+    _gate_registry("7d", "criterion 7d: Wronskian relation and residue bound", ctx, mpar)
 
 
 def test_criterion_7e_theta_identities(ctx, mpar):
-    rng = random.Random(_SEED)
-    with ctx.workprec():
-        q, lq, tol = mpar.q, mpar.log_q, mp.mpf(ctx.tol)
-        worst = mp.mpf(0)
-        for _ in range(20):
-            w = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            t0 = theta1(w, q, ctx)
-            scale = max(1, abs(t0))
-            worst = max(worst, abs(theta1(-w, q, ctx) + t0) / scale)
-            lhs = theta1(w + 2 * lq, q, ctx)
-            rhs = -mp.exp(-lq - w) * t0
-            worst = max(worst, abs(lhs - rhs) / max(scale, abs(rhs)))
-        for _ in range(8):
-            x = mp.mpf(rng.uniform(-1, 1))
-            direct = theta1(2 * mp.pi * mpar.b * x, mpar.q, ctx)
-            lhs = -theta1(2 * mp.pi * x / mpar.b, mpar.qbar, ctx)
-            worst = max(worst, abs(lhs - mp.conj(direct)) / max(1, abs(direct)))
-        bound = 10 * tol
-    _gate("criterion 7e: theta identities and modular relation", worst, bound)
+    _gate_registry("7e", "criterion 7e: theta identities and modular relation", ctx, mpar)
 
 
 def test_criterion_7f_limit_classification(ctx, mpar):
-    rng = random.Random(_SEED)
-    bad = 0
-    with ctx.workprec():
-        q2 = mpar.q * mpar.q
-        done = 0
-        while done < 50:
-            z = mp.mpc(rng.uniform(0.4, 1.1), rng.uniform(-0.3, 0.3))
-            eps = mp.mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            try:
-                r0 = chi_eval(z / q2, eps, mpar, ctx)[0] / chi_eval(z, eps, mpar, ctx)[0]
-                one = classify_r_orbit(R_orbit(z, r0, 4, eps, mpar, ctx), ctx)
-                zero = classify_r_orbit(
-                    R_orbit(z, r0 * mp.mpf("1.3"), 4, eps, mpar, ctx), ctx)
-            except PoleSignal:
-                continue            # measure-zero pole hit: redraw
-            done += 1
-            if one != "one" or zero != "zero":
-                bad += 1
-    _gate("criterion 7f: limit classification on 50 trajectories", bad, 0)
+    _gate_registry("7f", "criterion 7f: limit classification on 50 trajectories", ctx, mpar)
 
 
-def test_criterion_7g_eigenfunction_all_states(ctx, mpar, orbit1, orbit2):
-    states = []
-    for orbit in (orbit1, orbit2):
-        for xi in (+1, -1):
-            states.extend(quantize(orbit, xi, mpar, ctx))
-    assert len(states) == 8
-    with ctx.workprec():
-        tol = mp.mpf(ctx.tol)
-        bound = 1000 * tol
-        worst = mp.mpf(0)
-        for pt in states:
-            par = make_params(pt, mpar, ctx)
-            x = mp.mpf("0.7")
-            v = psi_eval(x, par, ctx)
-            worst = max(worst, abs(psi_eval(-x, par, ctx) - pt.parity * v) / abs(v))
-            worst = max(worst, abs(mp.conj(v) - v) / abs(v))
-            decay = mp.log(abs(psi_eval(3, par, ctx))) + 6 * mp.pi * par.eta
-            if abs(decay) > 10:
-                worst = max(worst, abs(decay))
-            r1, r2 = psi_residual(mp.mpf("0.3"), par, ctx)
-            rep = pole_cancellation_check(par, ctx)
-            worst = max(worst, r1, r2, rep.max_normalized)
-    _gate("criterion 7g: eigenfunction invariants, all 8 states", worst, bound)
+def test_criterion_7g_eigenfunction_all_states(ctx, mpar):
+    _gate_registry("7g", "criterion 7g: eigenfunction invariants, all 8 states", ctx, mpar)
 
 
-def test_criterion_7h_selfdual_cycles(ctx):
-    worst = mp.mpf(0)
-    harper = mp.mpf(0)
-    with ctx.workprec():
-        tol = mp.mpf(ctx.tol)
-        for n in (0, 1):
-            spec = quantize_selfdual(n, ctx)
-            worst = max(worst,
-                        abs(spec.A * spec.lam - spec.Atilde - (n + 1)),
-                        abs(spec.Btilde - spec.lam * spec.B))
-            for xs in ("0.15", "0.30", "0.462", "0.80"):
-                x = mp.mpf(xs)
-                num = (phi_eval(x - 1, spec, ctx) + phi_eval(x + 1, spec, ctx)
-                       + (2 * mp.cos(2 * mp.pi * x) - spec.eps) * phi_eval(x, spec, ctx))
-                den = max(abs(spec.eps * phi_eval(x, spec, ctx)), mp.mpf(1))
-                harper = max(harper, abs(num) / den)
-        worst = max(worst / (10 * tol), harper / mp.mpf("1e-20"))
-    _gate("criterion 7h: self-dual cycles and Harper residual", worst, 1)
+def test_criterion_7h_selfdual_cycles(ctx, mpar):
+    _gate_registry("7h", "criterion 7h: self-dual cycles and Harper residual", ctx, mpar)
 
 
 # ── 8: documented exclusions ──────────────────────────────────────────────

@@ -218,6 +218,14 @@ def test_chi_series_term_cap(mpar_pi4):
         _wronskian_parts(u, mp.mpf(2), mpar_pi4, ctx16)
 
 
+def test_chi_series_rejects_coarse_modular_param(ctx192, ctx64):
+    # nome data rounded to 64 bits would cap every 192-bit sum at 64 bits
+    coarse = ModularParam.from_theta("pi/4", ctx64)
+    with pytest.raises(ValueError, match="built at 64 bits .* the 192-bit context"):
+        chi_eval(mp.mpf("0.5"), mp.mpf(1), coarse, ctx192)
+    chi_eval(mp.mpf("0.5"), mp.mpf(1), coarse, ctx64)
+
+
 # ── second solution and G ─────────────────────────────────────────────────
 
 

@@ -17,7 +17,7 @@ except ModuleNotFoundError:     # Python 3.10; pytest itself requires tomli ther
     import tomli as tomllib
 
 import mirror_spectra
-from mirror_spectra import cli
+from mirror_spectra import invariants
 from mirror_spectra.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -290,13 +290,13 @@ def test_verify_quick_classifies_at_check_precision(capsys, monkeypatch):
     # the limit-classification check runs at >= 192 bits even in quick mode,
     # so the coupling data it hands to R_orbit must carry that precision too
     seen = []
-    real = cli.R_orbit
+    real = invariants.R_orbit
 
     def spy(z, R0, steps, eps, mpar, ctx):
         seen.append((mpar.precision_bits, ctx.precision_bits))
         return real(z, R0, steps, eps, mpar, ctx)
 
-    monkeypatch.setattr(cli, "R_orbit", spy)
+    monkeypatch.setattr(invariants, "R_orbit", spy)
     rc = main(["verify", "--quick"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.count("PASS") == 9
