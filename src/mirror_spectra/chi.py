@@ -30,6 +30,7 @@ multiplication-rule checker for the polynomial family.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -99,7 +100,7 @@ def _qtable(q, bits: int) -> _QTable:
 
 def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
     """Yield (chi_n, dchi_n/deps) for n = 0, 1, 2, ... by the recursion,
-    at the current working precision."""
+    at the current working precision; PrecisionExceeded on overflow."""
     tab = _qtable(q, mp.prec)
     c = tab.c
     chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
@@ -112,6 +113,9 @@ def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
             tab.grow_c(n)
         cn = c[n]
         chi_next = eps * chi_cur + cn * chi_prev
+        if not mp.isfinite(chi_next):
+            raise PrecisionExceeded(
+                "chi polynomial overflow; raise the working precision")
         dchi_next = chi_cur + eps * dchi_cur + cn * dchi_prev
         yield chi_next, dchi_next
         chi_prev, chi_cur = chi_cur, chi_next
@@ -125,19 +129,8 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx) -> ChiPolySeq:
         raise ValueError(f"N must be >= 2, got {N}")
     with ctx.workprec():
         eps = mp.mpmathify(eps)
-        gen = _poly_pairs(eps, mpar.q)
-        values = []
-        dvalues = []
-        for _ in range(N + 1):
-            v, dv = next(gen)
-            if not mp.isfinite(v):
-                raise PrecisionExceeded(
-                    "chi polynomial overflow; raise the working precision"
-                )
-            values.append(v)
-            dvalues.append(dv)
-    return ChiPolySeq(eps=eps, q=mpar.q, N=N,
-                      values=tuple(values), dvalues=tuple(dvalues))
+        values, dvalues = zip(*itertools.islice(_poly_pairs(eps, mpar.q), N + 1))
+    return ChiPolySeq(eps=eps, q=mpar.q, N=N, values=values, dvalues=dvalues)
 
 
 def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -169,10 +162,6 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
         tab = _qtable(q, ctx.precision_bits)
         f = tab.f
         for n, (chi_n, dchi_n) in zip(range(ctx.max_terms), _poly_pairs(eps, q)):
-            if not mp.isfinite(chi_n):
-                raise PrecisionExceeded(
-                    "chi polynomial overflow; raise the working precision"
-                )
             if n >= len(f):
                 tab.grow_f(n)
             fn = f[n]

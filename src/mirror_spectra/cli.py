@@ -7,6 +7,10 @@ Subcommands
     selfdual   quantize the self-dual level n and print its record
     verify     run the invariant suites of every module, PASS/FAIL table
 
+Each subparser binds its command function as ``run``; the parsed
+``argparse.Namespace`` is the command's whole configuration, so every run is
+a pure function of it (plus MIRROR_SPECTRA_PRECISION, applied by ``main``).
+
 verify runs the entries of ``invariants.INVARIANTS``, the registry that the
 acceptance gate (criteria 7a-7h) also runs: verify on the first draws of
 each sample, the gate on all of them.
@@ -20,13 +24,10 @@ overrides --precision-bits.  Exit codes: 0 success, 1 check failure,
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
-from typing import Optional
 
 from mpmath import mp
 
@@ -46,31 +47,9 @@ _SVG_W, _SVG_H = 640, 480
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """One command's full configuration; every run is a pure function of it."""
-
-    command: str
-    theta: str = "pi/4"
-    precision_bits: int = 192
-    tol: float = 0.0            # 0 -> derived from precision_bits
-    digits: int = 18
-    fmt: str = "csv"
-    out: str = ""
-    sheets: tuple = (1,)
-    parity: str = "both"
-    level: int = 0
-    npoints: int = 48
-    verify: bool = False
-    quick: bool = False
-    log_scale: bool = False
-    fault: bool = False
-    seed: Optional[int] = None  # None -> the invariant registry's SEED
-
-
-def _context(cfg: JobConfig) -> PrecCtx:
-    tol = cfg.tol if cfg.tol else _default_tol(cfg.precision_bits)
-    return make_context(cfg.precision_bits, tol)
+def _context(args) -> PrecCtx:
+    tol = args.tol if args.tol else _default_tol(args.precision_bits)
+    return make_context(args.precision_bits, tol)
 
 
 # ── numeric printing ──────────────────────────────────────────────────────
@@ -116,10 +95,10 @@ def fmt_complex(z, digits: int) -> str:
 # ── output writers ────────────────────────────────────────────────────────
 
 
-def _meta(cfg: JobConfig, ctx: PrecCtx, **extra) -> dict:
+def _meta(args, ctx: PrecCtx, **extra) -> dict:
     meta = {
         "tool": f"mirror-spectra {__version__}",
-        "theta": cfg.theta,
+        "theta": args.theta,
         "precision_bits": ctx.precision_bits,
         "tol": ctx.tol,
     }
@@ -127,8 +106,8 @@ def _meta(cfg: JobConfig, ctx: PrecCtx, **extra) -> dict:
     return meta
 
 
-def _emit_table(fp, cfg: JobConfig, meta: dict, header, rows):
-    if cfg.fmt == "json":
+def _emit_table(fp, args, meta: dict, header, rows):
+    if args.fmt == "json":
         doc = {"meta": {k: str(v) for k, v in meta.items()},
                "rows": [dict(zip(header, row)) for row in rows]}
         fp.write(json.dumps(doc, indent=2) + "\n")
@@ -140,12 +119,12 @@ def _emit_table(fp, cfg: JobConfig, meta: dict, header, rows):
         fp.write(",".join(str(c) for c in row) + "\n")
 
 
-def _write_out(cfg: JobConfig, meta: dict, header, rows):
-    if cfg.out:
-        with open(cfg.out, "w") as fp:
-            _emit_table(fp, cfg, meta, header, rows)
+def _write_out(args, meta: dict, header, rows):
+    if args.out:
+        with open(args.out, "w") as fp:
+            _emit_table(fp, args, meta, header, rows)
     else:
-        _emit_table(sys.stdout, cfg, meta, header, rows)
+        _emit_table(sys.stdout, args, meta, header, rows)
 
 
 def _svg_plot(path: str, curves, labels, meta: dict):
@@ -187,39 +166,41 @@ def _svg_plot(path: str, curves, labels, meta: dict):
 # ── spectrum ──────────────────────────────────────────────────────────────
 
 
-def _spectrum_mpar(cfg: JobConfig, ctx: PrecCtx) -> ModularParam:
-    mpar = ModularParam.from_theta(cfg.theta, ctx)
+def _spectrum_mpar(args, ctx: PrecCtx) -> ModularParam:
+    mpar = ModularParam.from_theta(args.theta, ctx)
     with ctx.workprec():
         degenerate = not (0 < mp.re(mpar.theta) < mp.pi / 2) or abs(mpar.q) >= 1
     if degenerate:
         raise _ConfigError(
-            f"theta = {cfg.theta} outside (0, pi/2): |q| >= 1, series diverge")
+            f"theta = {args.theta} outside (0, pi/2): |q| >= 1, series diverge")
     if not mpar.in_supported_range:
         # accepted but flagged: |q| -> 1 as theta -> 0 and convergence slows
-        print(f"mirror-spectra: warning: theta = {cfg.theta} outside the "
+        print(f"mirror-spectra: warning: theta = {args.theta} outside the "
               f"supported window [pi/8, pi/2)", file=sys.stderr)
     return mpar
 
 
-class _ConfigError(Exception):
+class _ConfigError(ValueError):
     pass
 
 
-def cmd_spectrum(cfg: JobConfig) -> int:
-    ctx = _context(cfg)
-    mpar = _spectrum_mpar(cfg, ctx)
-    parities = {"even": (1,), "odd": (-1,), "both": (1, -1)}[cfg.parity]
-    sheet = cfg.sheets[0]
+def cmd_spectrum(args) -> int:
+    sheet = args.sheet
+    if sheet < 1:
+        raise _ConfigError(f"sheets must be positive integers: {sheet!r}")
+    ctx = _context(args)
+    mpar = _spectrum_mpar(args, ctx)
+    parities = {"even": (1,), "odd": (-1,), "both": (1, -1)}[args.parity]
     rows = []
     with ctx.workprec():
-        orbit = trace_orbit(sheet, cfg.npoints, mpar, ctx)
+        orbit = trace_orbit(sheet, args.npoints, mpar, ctx)
         for xi in parities:
             for pt in quantize(orbit, xi, mpar, ctx):
                 row = [sheet, "even" if xi == 1 else "odd",
-                       fmt_real(pt.sigma, cfg.digits),
-                       fmt_real(mp.re(pt.eps), cfg.digits),
-                       fmt_real(mp.im(pt.eps), cfg.digits)]
-                if cfg.verify:
+                       fmt_real(pt.sigma, args.digits),
+                       fmt_real(mp.re(pt.eps), args.digits),
+                       fmt_real(mp.im(pt.eps), args.digits)]
+                if args.verify:
                     par = make_params(pt, mpar, ctx)
                     r1, r2 = psi_residual(mp.mpf("0.3"), par, ctx)
                     rep = pole_cancellation_check(par, ctx)
@@ -228,31 +209,37 @@ def cmd_spectrum(cfg: JobConfig) -> int:
                 rows.append(row)
     rows.sort(key=lambda r: (r[1], Decimal(r[2])))
     header = ["sheet", "parity", "sigma", "re_eps", "im_eps"]
-    if cfg.verify:
+    if args.verify:
         header += ["psi_residual", "pole_residual"]
-    meta = _meta(cfg, ctx, sheet=sheet, parity=cfg.parity, npoints=cfg.npoints)
-    _write_out(cfg, meta, header, rows)
+    meta = _meta(args, ctx, sheet=sheet, parity=args.parity, npoints=args.npoints)
+    _write_out(args, meta, header, rows)
     return EXIT_OK
 
 
 # ── orbit ─────────────────────────────────────────────────────────────────
 
 
-def cmd_orbit(cfg: JobConfig) -> int:
-    ctx = _context(cfg)
-    mpar = _spectrum_mpar(cfg, ctx)
+def cmd_orbit(args) -> int:
+    try:
+        sheets = [int(s) for s in args.sheet.split(",")]
+    except ValueError:
+        raise _ConfigError(f"bad sheet list: {args.sheet!r}")
+    if any(k < 1 for k in sheets):
+        raise _ConfigError(f"sheets must be positive integers: {args.sheet!r}")
+    ctx = _context(args)
+    mpar = _spectrum_mpar(args, ctx)
     rows, curves, labels = [], [], []
-    meta = _meta(cfg, ctx, sheets=",".join(str(k) for k in cfg.sheets),
-                 npoints=cfg.npoints, log_scale=cfg.log_scale)
+    meta = _meta(args, ctx, sheets=",".join(str(k) for k in sheets),
+                 npoints=args.npoints, log_scale=args.log_scale)
     with ctx.workprec():
-        for i, k in enumerate(cfg.sheets):
-            orbit = trace_orbit(k, cfg.npoints, mpar, ctx)
+        for i, k in enumerate(sheets):
+            orbit = trace_orbit(k, args.npoints, mpar, ctx)
             pts = []
             for sigma, eps in orbit.samples:
-                rows.append([k, fmt_real(sigma, cfg.digits),
-                             fmt_real(mp.re(eps), cfg.digits),
-                             fmt_real(mp.im(eps), cfg.digits)])
-                if cfg.log_scale:
+                rows.append([k, fmt_real(sigma, args.digits),
+                             fmt_real(mp.re(eps), args.digits),
+                             fmt_real(mp.im(eps), args.digits)])
+                if args.log_scale:
                     w = mp.log(1 + abs(eps))
                     z = w * mp.sign(eps) if eps != 0 else mp.mpc(0)
                 else:
@@ -263,44 +250,43 @@ def cmd_orbit(cfg: JobConfig) -> int:
                     ("0", orbit.samples[0], pts[0]),
                     ("max", orbit.samples[-1], pts[-1])):
                 text = f"eps_{k}({'0' if tag == '0' else 'sin theta'}) = " \
-                       f"{fmt_complex(eps, cfg.digits)}"
+                       f"{fmt_complex(eps, args.digits)}"
                 labels.append((x, y, text))
-                meta[f"endpoint_sheet{k}_sigma{tag}"] = fmt_complex(eps, cfg.digits)
-    out_csv = cfg.out or "orbit.csv"
-    cfg_csv = dataclasses.replace(cfg, out=out_csv)
-    _write_out(cfg_csv, meta, ["sheet", "sigma", "re_eps", "im_eps"], rows)
-    svg_path = os.path.splitext(out_csv)[0] + ".svg"
+                meta[f"endpoint_sheet{k}_sigma{tag}"] = fmt_complex(eps, args.digits)
+    args.out = args.out or "orbit.csv"
+    _write_out(args, meta, ["sheet", "sigma", "re_eps", "im_eps"], rows)
+    svg_path = os.path.splitext(args.out)[0] + ".svg"
     _svg_plot(svg_path, curves, labels, meta)
-    print(f"wrote {out_csv} and {svg_path}")
+    print(f"wrote {args.out} and {svg_path}")
     return EXIT_OK
 
 
 # ── selfdual ──────────────────────────────────────────────────────────────
 
 
-def cmd_selfdual(cfg: JobConfig) -> int:
-    ctx = _context(cfg)
-    spec = quantize_selfdual(cfg.level, ctx)
+def cmd_selfdual(args) -> int:
+    ctx = _context(args)
+    spec = quantize_selfdual(args.level, ctx)
     with ctx.workprec():
         residual = spec.A * spec.lam - spec.Atilde - (spec.n + 1)
         fields = [
             ("n", str(spec.n)),
-            ("eps", fmt_real(spec.eps, cfg.digits)),
-            ("log_eps", fmt_real(mp.log(spec.eps), cfg.digits)),
-            ("alpha", fmt_real(spec.alpha, cfg.digits)),
-            ("beta", fmt_real(spec.beta, cfg.digits)),
-            ("lambda", fmt_real(spec.lam, cfg.digits)),
-            ("A", fmt_real(spec.A, cfg.digits)),
-            ("Atilde", fmt_real(spec.Atilde, cfg.digits)),
-            ("B", fmt_real(spec.B, cfg.digits)),
-            ("Btilde", fmt_real(spec.Btilde, cfg.digits)),
+            ("eps", fmt_real(spec.eps, args.digits)),
+            ("log_eps", fmt_real(mp.log(spec.eps), args.digits)),
+            ("alpha", fmt_real(spec.alpha, args.digits)),
+            ("beta", fmt_real(spec.beta, args.digits)),
+            ("lambda", fmt_real(spec.lam, args.digits)),
+            ("A", fmt_real(spec.A, args.digits)),
+            ("Atilde", fmt_real(spec.Atilde, args.digits)),
+            ("B", fmt_real(spec.B, args.digits)),
+            ("Btilde", fmt_real(spec.Btilde, args.digits)),
             ("residual", fmt_real(residual, 3)),
         ]
-    meta = _meta(cfg, ctx, level=cfg.level)
+    meta = _meta(args, ctx, level=args.level)
     meta.pop("theta")       # the self-dual problem has no coupling angle
-    if cfg.out or cfg.fmt == "json":
-        _write_out(cfg, meta, [k for k, _ in fields], [[v for _, v in fields]])
-    if not cfg.out:
+    if args.out or args.fmt == "json":
+        _write_out(args, meta, [k for k, _ in fields], [[v for _, v in fields]])
+    if not args.out:
         for k, v in fields:
             print(f"{k} = {v}")
     return EXIT_OK
@@ -311,19 +297,19 @@ def cmd_selfdual(cfg: JobConfig) -> int:
 _VERIFY_THETA = "pi/4"  # the coupling every verify check runs at
 
 
-def cmd_verify(cfg: JobConfig) -> int:
+def cmd_verify(args) -> int:
     from .invariants import INVARIANTS, SEED, run
 
-    ctx = make_context(64, 1e-10) if cfg.quick else _context(cfg)
-    seed = SEED if cfg.seed is None else cfg.seed
+    ctx = make_context(64, 1e-10) if args.quick else _context(args)
+    seed = SEED if args.seed is None else args.seed
     print(f"# tool=mirror-spectra {__version__}")
     print(f"# precision_bits={ctx.precision_bits} tol={ctx.tol} seed={seed}"
-          + (" fault=1" if cfg.fault else ""))
+          + (" fault=1" if args.fault else ""))
     mpar = ModularParam.from_theta(_VERIFY_THETA, ctx)
     failures = 0
     for name, _, check in INVARIANTS:
         try:
-            worst, threshold = run(check, ctx, mpar, seed, False, cfg.fault)
+            worst, threshold = run(check, ctx, mpar, seed, False, args.fault)
             ok = worst <= threshold
             detail = f"residual {mp.nstr(worst, 3)} vs {mp.nstr(threshold, 3)}"
         except (SolverError, ValueError) as exc:
@@ -347,7 +333,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, run, help):
+        """A subparser bound to `run`, with the flags every command takes."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--theta", default="pi/4",
                         help="coupling angle (radians or 'pi/4' style)")
         sp.add_argument("--precision-bits", type=int, default=192)
@@ -358,29 +347,26 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", default="", help="output path (default stdout)")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default="csv")
+        return sp
 
-    sp = sub.add_parser("spectrum", help="quantized states on one sheet")
-    common(sp)
+    sp = command("spectrum", cmd_spectrum, "quantized states on one sheet")
     sp.add_argument("--sheet", type=int, default=1)
     sp.add_argument("--parity", choices=("even", "odd", "both"), default="both")
     sp.add_argument("--npoints", type=int, default=48)
     sp.add_argument("--verify", action="store_true",
                     help="append eigenfunction residual columns")
 
-    sp = sub.add_parser("orbit", help="trace eps_k(sigma), write CSV + SVG")
-    common(sp)
+    sp = command("orbit", cmd_orbit, "trace eps_k(sigma), write CSV + SVG")
     sp.add_argument("--sheet", default="1",
                     help="sheet number, or comma list for a joint plot")
     sp.add_argument("--npoints", type=int, default=48)
     sp.add_argument("--log-scale", action="store_true",
                     help="plot log(1+|eps|) e^{i arg eps} instead of eps")
 
-    sp = sub.add_parser("selfdual", help="quantize the self-dual level n")
-    common(sp)
+    sp = command("selfdual", cmd_selfdual, "quantize the self-dual level n")
     sp.add_argument("--n", dest="level", type=int, default=0)
 
-    sp = sub.add_parser("verify", help="run all invariant suites")
-    common(sp)
+    sp = command("verify", cmd_verify, "run all invariant suites")
     sp.add_argument("--quick", action="store_true",
                     help="64-bit, tol 1e-10: finishes in seconds")
     sp.add_argument("--fault", action="store_true",
@@ -390,62 +376,20 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _config_from_args(args) -> JobConfig:
-    bits = args.precision_bits
-    env = os.environ.get("MIRROR_SPECTRA_PRECISION")
-    if env is not None:
-        try:
-            bits = int(env)
-        except ValueError:
-            raise _ConfigError(
-                f"MIRROR_SPECTRA_PRECISION must be an integer, got {env!r}")
-    sheets = (1,)
-    if hasattr(args, "sheet"):
-        try:
-            sheets = tuple(int(s) for s in str(args.sheet).split(","))
-        except ValueError:
-            raise _ConfigError(f"bad sheet list: {args.sheet!r}")
-        if not sheets or any(k < 1 for k in sheets):
-            raise _ConfigError(f"sheets must be positive integers: {args.sheet!r}")
-    return JobConfig(
-        command=args.command,
-        theta=args.theta,
-        precision_bits=bits,
-        tol=args.tol,
-        digits=args.digits,
-        fmt=args.fmt,
-        out=args.out,
-        sheets=sheets,
-        parity=getattr(args, "parity", "both"),
-        level=getattr(args, "level", 0),
-        npoints=getattr(args, "npoints", 48),
-        verify=getattr(args, "verify", False),
-        quick=getattr(args, "quick", False),
-        log_scale=getattr(args, "log_scale", False),
-        fault=getattr(args, "fault", False),
-        seed=getattr(args, "seed", None),
-    )
-
-
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "orbit": cmd_orbit,
-    "selfdual": cmd_selfdual,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.digits < 2 or cfg.digits > 50:
-            raise _ConfigError(f"digits must be in [2, 50], got {cfg.digits}")
-        return _COMMANDS[cfg.command](cfg)
-    except _ConfigError as exc:
-        print(f"mirror-spectra: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        env = os.environ.get("MIRROR_SPECTRA_PRECISION")
+        if env is not None:
+            try:
+                args.precision_bits = int(env)
+            except ValueError:
+                raise _ConfigError(
+                    f"MIRROR_SPECTRA_PRECISION must be an integer, got {env!r}")
+        if args.digits < 2 or args.digits > 50:
+            raise _ConfigError(f"digits must be in [2, 50], got {args.digits}")
+        return args.run(args)
+    except ValueError as exc:           # _ConfigError included
         print(f"mirror-spectra: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -78,23 +78,27 @@ def _lattice_distance(w, lq):
     return best
 
 
+def _numerator_terms(u, ubar, eps, p: EigenfunctionParams, ctx: PrecCtx):
+    """(chk(u) barchi(ubar), chi(u) barchk(ubar)), the two products of the
+    ansatz numerator; the barred factors use the conjugated data."""
+    eps_c = mp.conj(eps)
+    return (chi_check_eval(u, eps, p.mpar, ctx)
+            * chi_eval(ubar, eps_c, p.mpar_conj, ctx)[0],
+            chi_eval(u, eps, p.mpar, ctx)[0]
+            * chi_check_eval(ubar, eps_c, p.mpar_conj, ctx))
+
+
 def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
     """The ansatz at a point where the denominator is comfortably nonzero."""
-    mpar, mpar_c = p.mpar, p.mpar_conj
+    mpar = p.mpar
     pt = p.point
     xi = pt.parity if pt.parity in (+1, -1) else 1
     b = mpar.b
     sigma = mp.mpmathify(pt.sigma)
-    eps = pt.eps
     u = mp.exp(2 * mp.pi * b * x)
     ubar = mp.exp(2 * mp.pi * x / b)
-    num = (
-        chi_check_eval(u, eps, mpar, ctx)
-        * chi_eval(ubar, mp.conj(eps), mpar_c, ctx)[0]
-        + xi
-        * chi_eval(u, eps, mpar, ctx)[0]
-        * chi_check_eval(ubar, mp.conj(eps), mpar_c, ctx)
-    )
+    t1, t2 = _numerator_terms(u, ubar, pt.eps, p, ctx)
+    num = t1 + xi * t2
     den = theta1(2 * mp.pi * b * (x + sigma), mpar.q, ctx) * theta1(
         2 * mp.pi * b * (x - sigma), mpar.q, ctx
     )
@@ -175,21 +179,15 @@ def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancell
     with ctx.workprec():
         pt = p.point
         xi = pt.parity if pt.parity in (+1, -1) else 1
-        mpar, mpar_c = p.mpar, p.mpar_conj
+        mpar = p.mpar
         b = mpar.b
         sigma = mp.mpmathify(pt.sigma)
-        eps = pt.eps
         q2 = mpar.q * mpar.q
         s = mp.exp(2 * mp.pi * b * sigma)
         sbar = mp.exp(2 * mp.pi * sigma / b)
         vals = []
         for u, ubar in ((s, sbar), (q2 * s, sbar), (1 / s, 1 / sbar)):
-            t1 = chi_check_eval(u, eps, mpar, ctx) * chi_eval(
-                ubar, mp.conj(eps), mpar_c, ctx
-            )[0]
-            t2 = chi_eval(u, eps, mpar, ctx)[0] * chi_check_eval(
-                ubar, mp.conj(eps), mpar_c, ctx
-            )
+            t1, t2 = _numerator_terms(u, ubar, pt.eps, p, ctx)
             vals.append(abs(t1 + xi * t2) / max(abs(t1), abs(t2), mp.mpf(1)))
         return PoleCancellationReport(
             at_s=vals[0],

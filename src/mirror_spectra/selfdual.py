@@ -347,15 +347,15 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
 
 
 def _nearest_y(x, guess, eps):
-    """The y-branch of cos(2 pi y) = eps/2 - cos(2 pi x) closest to guess."""
+    """The y-branch of cos(2 pi y) = eps/2 - cos(2 pi x) closest to guess.
+
+    The branches are +-y0 + k; for each sign the nearest k rounds the real
+    part of guess -+ y0, and the nearer of the two candidates wins.
+    """
     w = eps / 2 - mp.cos(2 * mp.pi * x)
     y0 = mp.acos(w) / (2 * mp.pi)
-    best = None
-    for k in range(-2, 3):
-        for cand in (y0 + k, -y0 + k):
-            if best is None or abs(cand - guess) < abs(best - guess):
-                best = cand
-    return best
+    a, b = (s * y0 + mp.nint(mp.re(guess - s * y0)) for s in (1, -1))
+    return a if abs(a - guess) <= abs(b - guess) else b
 
 
 def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_sign=1,

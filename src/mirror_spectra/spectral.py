@@ -94,10 +94,6 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
         s = mp.mpc(0)
         small = 0
         for m, (chi_m, _) in zip(range(ctx.max_terms), _poly_pairs(eps, q)):
-            if not mp.isfinite(chi_m):
-                raise PrecisionExceeded(
-                    "chi polynomial overflow; raise the working precision"
-                )
             if m >= len(f):
                 tab.grow_f(m)
             term = (chi_m * f[m]) ** 2 * (qlo - qhi)
@@ -107,7 +103,9 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
                 return s
             qlo /= q2
             qhi *= q2
-        raise SolverError("residue series did not converge")
+        raise PrecisionExceeded(
+            f"residue series at eps = {mp.nstr(eps, 8)} did not reach tol = "
+            f"{ctx.tol} within {ctx.max_terms} terms; raise max_terms or precision")
 
 
 # ── Newton in eps at fixed sigma ──────────────────────────────────────────

@@ -8,6 +8,7 @@ from mirror_spectra import spectral
 from mirror_spectra.chi import G_eval, chi_poly_seq
 from mirror_spectra.precision import (
     ModularParam,
+    PrecisionExceeded,
     SolverError,
     make_context,
     pochhammer_q,
@@ -133,6 +134,16 @@ def test_residue_matches_pochhammer_series(bits, tol):
             want = _residue_by_pochhammer(eps, mpar, ctx)
             got = wronskian_residue(eps, mpar, ctx)
             assert abs(got - want) <= 1000 * mp.mpf(tol) * max(abs(want), 1)
+
+
+def test_residue_term_budget_is_typed(mpar):
+    # at eps = 1e30 the series needs more than 16 terms: the cap raises the
+    # typed error naming the budget, while the default budget converges
+    eps = mp.mpf("1e30")
+    short = make_context(192, 1e-40, max_terms=16)
+    with pytest.raises(PrecisionExceeded, match="within 16 terms"):
+        wronskian_residue(eps, mpar, short)
+    assert mp.isfinite(wronskian_residue(eps, mpar, make_context(192, 1e-40)))
 
 
 # ── Newton in eps ─────────────────────────────────────────────────────────
