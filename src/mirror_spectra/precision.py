@@ -5,8 +5,11 @@ Foundation layer for everything else in the package:
   * ``PrecCtx``        -- working precision + tolerance + series caps;
   * ``ModularParam``   -- the coupling data (theta, b, q, qbar) with exact
                           logarithms of the nomes;
-  * ``pochhammer_q``   -- finite and infinite q-Pochhammer products;
-  * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates.
+  * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
+                          for the infinite one;
+  * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, by
+                          mpmath's ``jtheta``; both series raise
+                          PrecisionExceeded past ``max_terms``.
 
 All functions are pure: they take immutable inputs, enter an mpmath
 ``workprec`` block sized by the context, and return mpmath scalars.
@@ -100,6 +103,8 @@ def _parse_pi_fraction(theta) -> "object | None":
         return None
     num = int(m.group("num") or 1)
     den = int(m.group("den") or 1)
+    if den == 0:
+        raise ValueError(f"theta {theta!r} divides by zero")
     return mp.mpf(num) / den
 
 @dataclass(frozen=True)
@@ -174,42 +179,29 @@ class ModularParam:
 
 def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
     """(x; q)_n = prod_{i=0}^{n-1} (1 - x q^i), with n a non-negative integer
-    or infinity (requires |q| < 1)."""
+    or infinity (requires |q| < 1 and |x q^k| < tol within max_terms)."""
     infinite = n == mp.inf or (isinstance(n, float) and math.isinf(n))
     with ctx.workprec():
         x = mp.mpmathify(x)
         q = mp.mpmathify(q)
         if not infinite:
-            n = int(n)
-            if n < 0:
-                raise ValueError(f"n must be >= 0 or infinite, got {n}")
+            if n < 0 or n != int(n):
+                raise ValueError(f"n must be an integer >= 0 or infinite, got {n}")
             prod = mp.mpf(1)
             qk = mp.mpf(1)
-            for _ in range(n):
+            for _ in range(int(n)):
                 prod *= 1 - x * qk
                 qk *= q
             return prod
-        # infinite product
         if not abs(q) < 1:
             raise ValueError(f"infinite product needs |q| < 1, got |q| = {abs(q)}")
-        prod = mp.mpf(1)
-        qk = mp.mpf(1)
         tol = mp.mpf(ctx.tol)
-        small = 0
-        for _ in range(ctx.max_terms):
-            factor_dev = x * qk
-            prod *= 1 - factor_dev
-            qk *= q
-            if abs(factor_dev) < tol:
-                small += 1
-                if small >= 3:
-                    return prod
-            else:
-                small = 0
-        raise PrecisionExceeded(
-            f"(x;q)_inf did not stabilize within {ctx.max_terms} factors "
-            f"(|q| = {abs(q)})"
-        )
+        if abs(x) >= tol and mp.log(tol / abs(x)) / mp.log(abs(q)) > ctx.max_terms:
+            raise PrecisionExceeded(
+                f"(x;q)_inf needs more than {ctx.max_terms} factors "
+                f"(|q| = {abs(q)})"
+            )
+        return mp.qp(x, q)
 
 
 # ── Jacobi theta_1 in log coordinates ───────────────────────────────────────
@@ -219,41 +211,20 @@ def theta1(x_log, q, ctx: PrecCtx):
     with u = e^{x_log} and u^{n+1/2} := e^{x_log (n+1/2)}.
 
     The caller supplies the exponent ``x_log``, never u itself: that pins the
-    half-integer powers to one branch.  Pairing n with -n-1 gives the real
-    form -2i sum_{n>=0} (-1)^n q^{(n+1/2)^2} sinh((n+1/2) x_log).
+    half-integer powers to one branch.  It is jtheta(1, -i x_log / 2, q),
+    with q^{1/4} on the principal branch.
     """
     with ctx.workprec():
         w = mp.mpmathify(x_log)
         q = mp.mpmathify(q)
         if not abs(q) < 1:
             raise ValueError(f"theta1 needs |q| < 1, got |q| = {abs(q)}")
-        lq = mp.log(q)
-        aq = abs(q)
-        arew = abs(mp.re(w))
-        tol = mp.mpf(ctx.tol)
-        s = mp.mpc(0)
-        tmax = mp.mpf(0)
-        small = 0
-        for n in range(ctx.max_terms):
-            h = mp.mpf(2 * n + 1) / 2          # n + 1/2
-            term = mp.exp(lq * h * h) * mp.sinh(h * w)
-            if n % 2:
-                term = -term
-            s += term
-            # bound >= |term|; it also bounds every later term's growth factor
-            bound = aq ** (h * h) * mp.exp(h * arew)
-            if bound > tmax:
-                tmax = bound
-            at = abs(term)
-            if at > tmax:
-                tmax = at
-            scale = max(abs(s), tmax)
-            if bound < tol * scale:
-                small += 1
-                if small >= 3:
-                    return mp.mpc(0, -2) * s
-            else:
-                small = 0
-        raise PrecisionExceeded(
-            f"theta1 series did not reach tol within {ctx.max_terms} terms"
-        )
+        # the h = n + 1/2 where the term bound |q|^{h^2} e^{h a} falls to tol
+        L = -float(mp.log(abs(q)))
+        a = float(abs(mp.re(w)))
+        T = -math.log(ctx.tol)
+        if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > ctx.max_terms:
+            raise PrecisionExceeded(
+                f"theta1 series needs more than {ctx.max_terms} terms to reach tol"
+            )
+        return mp.jtheta(1, -1j * w / 2, q)

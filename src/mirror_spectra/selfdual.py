@@ -428,14 +428,6 @@ def _check_quantized(spec: SelfDualSpectrum, ctx: PrecCtx):
             )
 
 
-def _accumulate(T, tau, spec, ctx):
-    I, y = canonical_integral(T, spec, ctx)
-    if tau != 0:
-        I_leg, y = leg_integral(T, tau, spec, ctx)
-        I = I + I_leg
-    return I, y
-
-
 def phi_eval(x, spec: SelfDualSpectrum, ctx: PrecCtx):
     """phi(x) = sin(2 pi I)/sin(2 pi y) along the canonical path to x.
 
@@ -450,15 +442,18 @@ def phi_eval(x, spec: SelfDualSpectrum, ctx: PrecCtx):
         if T < 0:
             v = phi_eval(-x, spec, ctx)   # phi(-x) = (-1)^n phi(x)
             return v if spec.n % 2 == 0 else -v
-        I, y = _accumulate(T, tau, spec, ctx)
-        s2y = mp.sin(2 * mp.pi * y)
-        if abs(s2y) >= mp.mpf(_NEAR_ZERO):
-            return mp.sin(2 * mp.pi * I) / s2y
         h1, h2 = (mp.mpf(s) for s in _RICHARDSON_H)
         vals = []
-        for hh in (h1, h2):
-            Ih, yh = _accumulate(T + hh, tau, spec, ctx)
-            vals.append(mp.sin(2 * mp.pi * Ih) / mp.sin(2 * mp.pi * yh))
+        for k, t in enumerate((T, T + h1, T + h2)):
+            I, y = canonical_integral(t, spec, ctx)
+            if tau != 0:   # the leg starts where the canonical path ends
+                I_leg, y = leg_integral(t, tau, spec, ctx, y_start=y)
+                I = I + I_leg
+            s2y = mp.sin(2 * mp.pi * y)
+            if k:
+                vals.append(mp.sin(2 * mp.pi * I) / s2y)
+            elif abs(s2y) >= mp.mpf(_NEAR_ZERO):
+                return mp.sin(2 * mp.pi * I) / s2y
         return (h1 * vals[1] - h2 * vals[0]) / (h1 - h2)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from mirror_spectra import ModularParam, make_context
 from mirror_spectra.invariants import SEED as RNG_SEED
+from mirror_spectra.spectral import trace_orbit
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +25,18 @@ def ctx64():
 def mpar_pi4(ctx192):
     """Coupling theta = pi/4 (q = e^{-pi}), the main worked case."""
     return ModularParam.from_theta("pi/4", ctx192)
+
+
+@pytest.fixture(scope="session")
+def orbit1_192(ctx192, mpar_pi4):
+    """The 48-point sheet-1 orbit at pi/4, 192 bits, traced once per run."""
+    return trace_orbit(1, 48, mpar_pi4, ctx192)
+
+
+@pytest.fixture(scope="session")
+def orbit2_192(ctx192, mpar_pi4):
+    """The 48-point sheet-2 orbit at pi/4, 192 bits, traced once per run."""
+    return trace_orbit(2, 48, mpar_pi4, ctx192)
 
 
 @pytest.fixture()

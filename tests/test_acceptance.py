@@ -73,13 +73,13 @@ def mpar(ctx):
 
 
 @pytest.fixture(scope="module")
-def orbit1(ctx, mpar):
-    return trace_orbit(1, 48, mpar, ctx)
+def orbit1(orbit1_192):
+    return orbit1_192
 
 
 @pytest.fixture(scope="module")
-def orbit2(ctx, mpar):
-    return trace_orbit(2, 48, mpar, ctx)
+def orbit2(orbit2_192):
+    return orbit2_192
 
 
 # ── 1–2: sheet-1 states ───────────────────────────────────────────────────

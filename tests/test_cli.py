@@ -99,6 +99,7 @@ def test_bad_config_exit_codes(tmp_path):
     assert main(["orbit", "--sheet", "1,x"]) == EXIT_CONFIG
     assert main(["orbit", "--sheet", "0"]) == EXIT_CONFIG
     assert main(["spectrum", "--sheet", "0"]) == EXIT_CONFIG
+    assert main(["spectrum", "--theta", "pi/0"]) == EXIT_CONFIG
     assert main(["selfdual", "--precision-bits", "32"]) == EXIT_CONFIG
 
 

@@ -12,7 +12,7 @@ from mirror_spectra.eigenfunction import (
     psi_residual,
 )
 from mirror_spectra.precision import ModularParam, PoleSignal, make_context
-from mirror_spectra.spectral import SpectralPoint, quantize, trace_orbit
+from mirror_spectra.spectral import SpectralPoint, quantize
 
 BITS = 192
 TOL = mp.mpf("1e-40")
@@ -30,17 +30,16 @@ def mpar(ctx):
 
 
 @pytest.fixture(scope="module")
-def sheet1(ctx, mpar):
-    orbit = trace_orbit(1, 48, mpar, ctx)
-    even = quantize(orbit, +1, mpar, ctx)[0]
-    odd = quantize(orbit, -1, mpar, ctx)[0]
+def sheet1(ctx, mpar, orbit1_192):
+    even = quantize(orbit1_192, +1, mpar, ctx)[0]
+    odd = quantize(orbit1_192, -1, mpar, ctx)[0]
     return make_params(even, mpar, ctx), make_params(odd, mpar, ctx)
 
 
 @pytest.fixture(scope="module")
-def all_states(ctx, mpar, sheet1):
-    orbit = trace_orbit(2, 48, mpar, ctx)
-    pts = quantize(orbit, +1, mpar, ctx) + quantize(orbit, -1, mpar, ctx)
+def all_states(ctx, mpar, sheet1, orbit2_192):
+    pts = (quantize(orbit2_192, +1, mpar, ctx)
+           + quantize(orbit2_192, -1, mpar, ctx))
     return list(sheet1) + [make_params(p, mpar, ctx) for p in pts]
 
 

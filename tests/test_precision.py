@@ -134,6 +134,19 @@ def test_pochhammer_infinite_rejects_divergent(ctx192):
         pochhammer_q(0.5, 1.2, mp.inf, ctx192)
 
 
+def test_pochhammer_infinite_term_cap_raises():
+    # |q| this close to 1 needs about 2e6 factors to bring |x q^k| below tol
+    ctx = make_context(64, 1e-10, max_terms=16)
+    with pytest.raises(PrecisionExceeded):
+        pochhammer_q(0.5, 0.99999, mp.inf, ctx)
+
+
+def test_pochhammer_rejects_fractional_n(ctx192):
+    with pytest.raises(ValueError):
+        pochhammer_q(0.5, 0.5, 2.5, ctx192)
+    assert pochhammer_q(0.5, 0.5, 2.0, ctx192) == pochhammer_q(0.5, 0.5, 2, ctx192)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=12),
@@ -213,6 +226,23 @@ def test_theta1_against_mpmath_jtheta(ctx192):
                 mine = theta1(w, mpar.q, ctx192)
                 ref = mp.jtheta(1, -mp.mpc(0, 1) * w / 2, mpar.q)
                 assert abs(mine - ref) < mp.mpf(10) ** -38 * max(1, abs(ref))
+
+
+def test_theta1_matches_triple_product(ctx192, rng):
+    # Jacobi triple product (DLMF 20.5.3) at z = -i w / 2:
+    # theta1 = -2i q^{1/4} sinh(w/2) prod_{n>=1} (1 - q^{2n})(1 - 2 q^{2n} cosh w + q^{4n})
+    tol = mp.mpf(ctx192.tol)
+    for th in ("pi/4", "3*pi/8", "pi/5"):
+        mpar = ModularParam.from_theta(th, ctx192)
+        for q in (mpar.q, mpar.qbar):
+            for _ in range(8):
+                w = mp.mpc(rng.uniform(-4, 4), rng.uniform(-3, 3))
+                with mp.workprec(256):
+                    ref = mp.mpc(0, -2) * mp.exp(mp.log(q) / 4) * mp.sinh(w / 2)
+                    for n in range(1, 200):
+                        q2n = q ** (2 * n)
+                        ref *= (1 - q2n) * (1 - 2 * q2n * mp.cosh(w) + q2n * q2n)
+                    assert abs(theta1(w, q, ctx192) - ref) < 10 * tol * max(1, abs(ref))
 
 
 def test_theta1_precision_self_consistency(mpar_pi4):

@@ -43,8 +43,8 @@ def mpar(ctx):
 
 
 @pytest.fixture(scope="module")
-def orbit1(ctx, mpar):
-    return trace_orbit(1, 48, mpar, ctx)
+def orbit1(orbit1_192):
+    return orbit1_192
 
 
 # ── Wronskian function ────────────────────────────────────────────────────
