@@ -15,18 +15,21 @@ period integrals
 over the path functions cosh(2 pi r(t)) = 1 - cos(pi t) + cosh(2 pi alpha)
 and sinh(pi s(t)) = sinh(pi alpha) sin(pi t).  Single-valuedness of the
 Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and quantizes
-A lambda - At = n + 1.  The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y)
-accumulated along canonical paths from the base point P0 = (i alpha, 0):
-both coordinates imaginary up to i alpha (xi-type), y real in [0, 1/2] up
-to i beta (zeta-type), then y = 1/2 + i c beyond; off-axis arguments are
-reached by a horizontal leg with y continued branch-by-branch.
+A lambda - At = n + 1.  For eps >= 8 the four periods are also hypergeometric
+series in 1/eps^2 (``period_series``); Newton on the level function runs on
+those, and the quadrature (``period_integrals``) checks the root it finds.
+The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
+canonical paths from the base point P0 = (i alpha, 0): both coordinates
+imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
+(zeta-type), then y = 1/2 + i c beyond; off-axis arguments are reached by a
+horizontal leg with y continued branch-by-branch.
 """
 
 from dataclasses import dataclass
 
 from mpmath import mp
 
-from .precision import ConvergenceError, PrecCtx, SolverError, make_context
+from .precision import ConvergenceError, PrecCtx, SolverError
 
 _GL_ORDER = 32
 _GL_CACHE = {}
@@ -35,6 +38,7 @@ _NEAR_ZERO = 1e-6          # |sin(2 pi y)| below this: removable endpoint
 _RICHARDSON_H = ("1e-8", "1e-9")
 _BRACKET_LO = "4.01"
 _BRACKET_HI = "1e6"
+_SERIES_MIN_EPS = 8        # period_series' term ratio 16/eps^2 is at most 1/4
 _NEWTON_STEPS = 64
 
 
@@ -195,18 +199,60 @@ def period_integrals(eps, ctx: PrecCtx):
         return A, Atilde, B, Btilde
 
 
+def period_series(eps, ctx: PrecCtx):
+    """(A, Atilde, B, Btilde) for eps >= 8, summed as series in x = 1/eps^2.
+
+    With L = log eps, c_m = C(2m, m)^2 x^m and d_m = 2 (H_m - H_2m):
+
+        B  = (2/eps) sum c_m                 = 4 K(k)/(pi eps),   k = 4/eps
+        A  = (8/(pi eps)) sum c_m (L + d_m)  = 8 K(k')/(pi eps)   (DLMF 19.12.1)
+        Bt = (L - sum_{m>=1} c_m/(2m))/(2 pi)
+        At = (2/pi^2) [L^2/2 - sum_{m>=1} c_m ((L + d_m)/(2m) + 1/(4m^2))] - 1/6
+
+    The tilde periods integrate dBt/deps = B/(4 pi) and dAt/deps = A/(4 pi);
+    the constant 1/6 is zeta(2)/pi^2.  Successive terms shrink by at least
+    16/eps^2 <= 1/4, and summation stops once they fall below 2^-prec.
+    """
+    with ctx.workprec():
+        eps = mp.mpmathify(eps)
+        if not eps >= _SERIES_MIN_EPS:
+            raise ValueError(f"period series needs eps >= {_SERIES_MIN_EPS}, "
+                             f"got {mp.nstr(eps, 12)}")
+        x = 1 / (eps * eps)
+        L = mp.log(eps)
+        floor = mp.mpf(2) ** -mp.prec
+        c, d = mp.mpf(1), mp.mpf(0)
+        sb, sa, tb, ta = mp.mpf(1), L, mp.mpf(0), mp.mpf(0)
+        m = 0
+        while c * L > floor:
+            m += 1
+            c *= x * (4 * m - 2) ** 2 / m ** 2
+            d += mp.mpf(1) / m - mp.mpf(2) / (2 * m - 1)
+            sb += c
+            sa += c * (L + d)
+            tb += c / (2 * m)
+            ta += c * ((L + d) / (2 * m) + mp.mpf(1) / (4 * m * m))
+        B = 2 * sb / eps
+        A = 8 * sa / (mp.pi * eps)
+        Btilde = (L - tb) / (2 * mp.pi)
+        Atilde = 2 * (L * L / 2 - ta) / mp.pi ** 2 - mp.mpf(1) / 6
+        return A, Atilde, B, Btilde
+
+
 # ── quantization ──────────────────────────────────────────────────────────
 
 
 def _level_newton(eps, ctx):
     """(f, eps f'(eps), periods) for the level function f = A lambda - Atilde.
 
-    The slope needs no extra quadrature: Legendre's relation (DLMF 19.7)
-    fixes the Wronskian A'B - AB' = 16/(pi eps (eps^2 - 16)), and with
-    dAtilde/deps = A/(4 pi), dBtilde/deps = B/(4 pi) this gives
-    f'(eps) = lambda (A'B - AB')/B.
+    The periods come from ``period_series`` for eps >= 8 and from the
+    quadrature below.  The slope needs no extra evaluation: Legendre's
+    relation (DLMF 19.7) fixes the Wronskian A'B - AB' =
+    16/(pi eps (eps^2 - 16)), and with dAtilde/deps = A/(4 pi),
+    dBtilde/deps = B/(4 pi) this gives f'(eps) = lambda (A'B - AB')/B.
     """
-    A, At, B, Bt = periods = period_integrals(eps, ctx)
+    evaluate = period_series if eps >= _SERIES_MIN_EPS else period_integrals
+    A, At, B, Bt = periods = evaluate(eps, ctx)
     with ctx.workprec():
         f = (A * Bt - B * At) / B
         slope = 16 * (Bt / B) / (mp.pi * (eps * eps - 16) * B)
@@ -221,28 +267,34 @@ def _level_value(eps, ctx):
 def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     """Level-n self-dual state: the root of A lambda - Atilde = n + 1.
 
-    Newton's method on the level function f, whose slope comes free with
-    the periods (see ``_level_newton``).  A coarse stage at 96 bits runs
-    Newton in log eps from the large-eps asymptote f ~ (log eps)^2/pi^2,
-    safeguarded by bisection inside eps in [4.01, 1e6]; a level whose root
-    lies outside that bracket raises SolverError as soon as an evaluation at
-    the bracket end shows it.  A polish stage runs plain Newton at ctx
-    precision until |f - (n+1)| <= tol (n+1) or the relative step is below
-    tol.  The record carries the periods of the last evaluation, at its eps.
+    Newton's method in log eps on the level function f, whose slope comes
+    free with the periods (see ``_level_newton``), at ctx precision from
+    the large-eps asymptote f ~ (log eps)^2/pi^2.  It stops once
+    |f - (n+1)| <= tol (n+1) or the relative step is below tol; otherwise
+    the iterate is safeguarded by bisection inside eps in [4.01, 1e6], and
+    a level whose root lies outside that bracket raises SolverError as soon
+    as an evaluation at the bracket end shows it.  Since f(8) < 1 and f is
+    convex in log eps, Newton from the asymptote stays in the series region
+    eps >= 8.  The record carries ``period_integrals`` at the root, the
+    independent quadrature, and its residual must be within 1000 tol (n+1).
     """
     if int(n) != n or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n}")
     n = int(n)
     target = n + 1
-    coarse_ctx = make_context(96, 1e-18)
 
-    with coarse_ctx.workprec():
+    with ctx.workprec():
         lo = mp.log(mp.mpf(_BRACKET_LO))
         hi = mp.log(mp.mpf(_BRACKET_HI))
         x = min(max(mp.pi * mp.sqrt(target), lo), hi)
         for _ in range(_NEWTON_STEPS):
-            f, slope, _ = _level_newton(mp.exp(x), coarse_ctx)
+            f, slope, _ = _level_newton(mp.exp(x), ctx)
             r = f - target
+            step = r / slope
+            # before the safeguard: at an exact root r = 0 would set hi = x
+            # and bisect away from it
+            if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol:
+                break
             if r < 0:
                 lo = x
             else:
@@ -252,26 +304,15 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
                     f"no sign change of the level function for n = {n} with "
                     f"eps in [{_BRACKET_LO}, {_BRACKET_HI}]"
                 )
-            step = r / slope
             x -= step
             if not lo < x < hi:
                 x = (lo + hi) / 2
-            if abs(step) <= coarse_ctx.tol or abs(r) <= coarse_ctx.tol * target:
-                break
         else:
-            raise ConvergenceError(f"coarse Newton for level {n} did not settle")
+            raise ConvergenceError(f"Newton for level {n} did not settle")
 
-    with ctx.workprec():
-        eps_star = mp.exp(mp.mpf(x))
-        for _ in range(_NEWTON_STEPS):
-            f, slope, (A, At, B, Bt) = _level_newton(eps_star, ctx)
-            r = f - target
-            step = eps_star * r / slope
-            if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol * eps_star:
-                break
-            eps_star -= step
-        else:
-            raise ConvergenceError(f"Newton polish for level {n} did not settle")
+        eps_star = mp.exp(x)
+        A, At, B, Bt = period_integrals(eps_star, ctx)
+        r = (A * Bt - B * At) / B - target
         if abs(r) > 1000 * ctx.tol * target:
             raise SolverError(
                 f"level-{n} root residual {mp.nstr(abs(r), 5)} above tolerance"

@@ -2,7 +2,8 @@
 
 Oracles: closed forms for the turning points, central finite differences
 for the path derivatives, mpmath.quad for the home-grown composite
-Gauss-Legendre rule, and the 45-digit ground-state level constant for the
+Gauss-Legendre rule, the quadrature and mpmath's ellipk for the large-eps
+period series, and the 45-digit ground-state level constant for the
 quantization root.  Path invariants (cycle integrality, Bloch closure,
 branch-product unity, reflection bookkeeping) are checked on explicit
 parameterizations.
@@ -23,6 +24,7 @@ from mirror_spectra.selfdual import (
     leg_integral,
     path_funcs,
     period_integrals,
+    period_series,
     phi_eval,
     psi_selfdual,
     quantize_selfdual,
@@ -177,16 +179,49 @@ def test_period_integrals_against_mpmath_quad(spec0, ctx192):
 @pytest.mark.parametrize("bits, tol", [(128, 1e-33), (256, 1e-70)])
 def test_period_integrals_match_closed_form(bits, tol):
     # B = 4K(k)/(pi eps) and A = 8K(k')/(pi eps), k = 4/eps, k'^2 = 1 - k^2;
-    # mpmath's ellipk takes the parameter m = k^2.  Quadrature must meet
-    # period_integrals' absolute budget tol against the AGM values.
+    # mpmath's ellipk takes the parameter m = k^2.  Quadrature, and the
+    # series where eps >= 8, must meet the absolute budget tol against the
+    # AGM values.
     ctx = make_context(bits, tol)
     with ctx.workprec():
-        for e in ("4.5", "10", "137.2", "1000"):
+        for e in ("4.5", "8", "10", "137.2", "1000"):
             eps = mp.mpf(e)
             m = (4 / eps) ** 2
-            A, _, B, _ = period_integrals(eps, ctx)
-            assert abs(B - 4 * mp.ellipk(m) / (mp.pi * eps)) <= ctx.tol
-            assert abs(A - 8 * mp.ellipk(1 - m) / (mp.pi * eps)) <= ctx.tol
+            periods = [period_integrals(eps, ctx)]
+            if eps >= 8:
+                periods.append(period_series(eps, ctx))
+            for A, _, B, _ in periods:
+                assert abs(B - 4 * mp.ellipk(m) / (mp.pi * eps)) <= ctx.tol
+                assert abs(A - 8 * mp.ellipk(1 - m) / (mp.pi * eps)) <= ctx.tol
+
+
+@pytest.mark.parametrize("bits, tol", [(128, 1e-33), (192, 1e-50), (256, 1e-70)])
+def test_period_series_matches_quadrature(bits, tol):
+    # the series and the quadrature are independent; both meet tol
+    ctx = make_context(bits, tol)
+    with ctx.workprec():
+        for e in ("8", "17.85", "100", "999", "1e6"):
+            eps = mp.mpf(e)
+            for s, q in zip(period_series(eps, ctx), period_integrals(eps, ctx)):
+                assert abs(s - q) <= ctx.tol, (e, s, q)
+
+
+def test_period_series_constant_is_zeta2_over_pi2():
+    # at eps = 1e40 every sum is below the working precision, so
+    # Atilde = (log eps)^2/pi^2 - zeta(2)/pi^2 and Btilde = log eps/(2 pi)
+    ctx = make_context(256, 1e-70)
+    with ctx.workprec():
+        eps = mp.mpf(10) ** 40
+        L = mp.log(eps)
+        _, At, _, Bt = period_series(eps, ctx)
+        assert abs(At - (L ** 2 - mp.zeta(2)) / mp.pi ** 2) <= ctx.tol
+        assert abs(Bt - L / (2 * mp.pi)) <= ctx.tol
+
+
+def test_period_series_rejects_small_eps(ctx192):
+    for bad in ("7.99", "4.5", "nan"):
+        with pytest.raises(ValueError, match="eps >= 8"):
+            period_series(mp.mpf(bad), ctx192)
 
 
 # ── quantization ──────────────────────────────────────────────────────────
@@ -275,23 +310,43 @@ def _count_periods(monkeypatch):
 
 
 def test_quantize_work_count(monkeypatch):
-    # Newton from the asymptotic seed: a handful of 96-bit evaluations and
-    # at most three at the working precision, per level
+    # Newton runs on the period series; the quadrature is called once per
+    # level, at the root and at the working precision
     calls = _count_periods(monkeypatch)
     ctx = make_context(256, 1e-54)
     for n in range(4):
         calls.clear()
         quantize_selfdual(n, ctx)
-        assert calls.get(256, 0) <= 3 and calls.get(96, 0) <= 10, (n, calls)
+        assert calls == {256: 1}, (n, calls)
 
 
 def test_quantize_rejects_level_beyond_bracket(monkeypatch):
     # f(1e6) ~ 19.5 < 20: level 19 has no root in the eps bracket, and the
-    # solver must say so after a few coarse evaluations, not a full scan
+    # series evaluation at the bracket end says so without any quadrature
     calls = _count_periods(monkeypatch)
     with pytest.raises(SolverError, match="n = 19"):
         quantize_selfdual(19, make_context(256, 1e-54))
-    assert calls.get(96, 0) <= 3 and 256 not in calls, calls
+    assert calls == {}, calls
+
+
+def test_quantize_keeps_exact_root(monkeypatch):
+    # a level function that reads exactly n + 1 once Newton lands on the
+    # level-0 root must stop there, not take the bracket midpoint
+    ctx = make_context(128, 1e-30)
+    with ctx.workprec():
+        root = mp.mpf(LOG_EPS0)
+
+    def fake(eps, ctx):
+        with ctx.workprec():
+            r = mp.log(eps) - root
+            if abs(r) <= mp.mpf(2) ** (8 - mp.prec):
+                r = mp.mpf(0)
+            return 1 + r, mp.mpf(1), None
+
+    monkeypatch.setattr(selfdual, "_level_newton", fake)
+    spec = quantize_selfdual(0, ctx)
+    with ctx.workprec():
+        assert abs(mp.log(spec.eps) - root) <= mp.mpf(2) ** (8 - mp.prec)
 
 
 # ── canonical paths ───────────────────────────────────────────────────────
