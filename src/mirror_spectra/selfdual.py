@@ -36,7 +36,6 @@ _GL_CACHE = {}
 _LEG_STEPS = 192           # y-continuation march resolution per unit length
 _NEAR_ZERO = 1e-6          # |sin(2 pi y)| below this: removable endpoint
 _RICHARDSON_H = ("1e-8", "1e-9")
-_BRACKET_LO = "4.01"
 _BRACKET_HI = "1e6"
 _SERIES_MIN_EPS = 8        # period_series' term ratio 16/eps^2 is at most 1/4
 _NEWTON_STEPS = 64
@@ -149,54 +148,62 @@ def alpha_beta(eps, ctx: PrecCtx):
         return mp.acosh(ch) / mp.pi, mp.asinh(ch) / mp.pi
 
 
+class _Curve:
+    """The real curve at one eps, given its turning point i alpha: the path
+    functions sinh(pi s(t)) = sinh(pi alpha) sin(pi t) and
+    cosh(2 pi r(t)) = 1 - cos(pi t) + cosh(2 pi alpha), and the four period
+    integrands A = I[0,1/2] a, At = I[0,1/2] at, B = I[0,1] b, Bt = I[0,1] bt.
+
+    ``a`` has the 0/0 of 4 s'(t)/sinh(2 pi s(t+1/2)) at t = 1/2 removed
+    exactly: the defining relations make it 2/(cosh(pi s(t)) cosh(pi s(t+1/2)))
+    identically, so no vanishing sinh is ever divided by.  Build and evaluate
+    inside ctx.workprec().
+    """
+
+    def __init__(self, alpha):
+        self.sa = mp.sinh(mp.pi * alpha)
+        self.ca2 = mp.cosh(2 * mp.pi * alpha)
+
+    def s(self, t):
+        return mp.asinh(self.sa * mp.sin(mp.pi * t)) / mp.pi
+
+    def r(self, t):
+        return mp.acosh(1 - mp.cos(mp.pi * t) + self.ca2) / (2 * mp.pi)
+
+    def sprime(self, t):
+        return self.sa * mp.cos(mp.pi * t) / mp.cosh(mp.pi * self.s(t))
+
+    def a(self, t):
+        return 2 / (mp.cosh(mp.pi * self.s(t)) * mp.cosh(mp.pi * self.s(t + 0.5)))
+
+    def at(self, t):
+        return 4 * self.s(t + 0.5) * self.sprime(t)
+
+    def b(self, t):
+        return 1 / mp.sinh(2 * mp.pi * self.r(t))
+
+    bt = r
+
+
 def path_funcs(eps, t, ctx: PrecCtx):
     """(r, s, s', r') at parameter t, by analytic differentiation of
     cosh(2 pi r) = 1 - cos(pi t) + cosh(2 pi alpha) and
     sinh(pi s) = sinh(pi alpha) sin(pi t)."""
     with ctx.workprec():
         t = mp.mpmathify(t)
-        alpha, _ = alpha_beta(eps, ctx)
-        sa = mp.sinh(mp.pi * alpha)
-        ca2 = mp.cosh(2 * mp.pi * alpha)
-        r = mp.acosh(1 - mp.cos(mp.pi * t) + ca2) / (2 * mp.pi)
-        s = mp.asinh(sa * mp.sin(mp.pi * t)) / mp.pi
-        sprime = sa * mp.cos(mp.pi * t) / mp.cosh(mp.pi * s)
+        curve = _Curve(alpha_beta(eps, ctx)[0])
+        r = curve.r(t)
         rprime = mp.sin(mp.pi * t) / (2 * mp.sinh(2 * mp.pi * r))
-        return r, s, sprime, rprime
+        return r, curve.s(t), curve.sprime(t), rprime
 
 
 def period_integrals(eps, ctx: PrecCtx):
-    """(A, Atilde, B, Btilde) to ctx.tol absolute error.
-
-    The 0/0 of the A-integrand at t = 1/2 is removed exactly: the defining
-    relations give s'(t)/sinh(2 pi s(t+1/2)) =
-    1/(2 cosh(pi s(t)) cosh(pi s(t+1/2))) identically, so no vanishing sinh
-    is ever divided by.
-    """
+    """(A, Atilde, B, Btilde) to ctx.tol absolute error, by adaptive
+    Gauss-Legendre quadrature of the integrands of ``_Curve``."""
     with ctx.workprec():
-        alpha, _ = alpha_beta(eps, ctx)
-        sa = mp.sinh(mp.pi * alpha)
-        ca2 = mp.cosh(2 * mp.pi * alpha)
-        half = mp.mpf(1) / 2
-
-        def s_of(t):
-            return mp.asinh(sa * mp.sin(mp.pi * t)) / mp.pi
-
-        def r_of(t):
-            return mp.acosh(1 - mp.cos(mp.pi * t) + ca2) / (2 * mp.pi)
-
-        def a_int(t):
-            return 2 / (mp.cosh(mp.pi * s_of(t)) * mp.cosh(mp.pi * s_of(t + half)))
-
-        def at_int(t):
-            sp = sa * mp.cos(mp.pi * t) / mp.cosh(mp.pi * s_of(t))
-            return 4 * s_of(t + half) * sp
-
-        A = composite_gl(a_int, 0, half, ctx)
-        Atilde = composite_gl(at_int, 0, half, ctx)
-        B = composite_gl(lambda t: 1 / mp.sinh(2 * mp.pi * r_of(t)), 0, 1, ctx)
-        Btilde = composite_gl(r_of, 0, 1, ctx)
-        return A, Atilde, B, Btilde
+        curve = _Curve(alpha_beta(eps, ctx)[0])
+        return (composite_gl(curve.a, 0, 0.5, ctx), composite_gl(curve.at, 0, 0.5, ctx),
+                composite_gl(curve.b, 0, 1, ctx), composite_gl(curve.bt, 0, 1, ctx))
 
 
 def period_series(eps, ctx: PrecCtx):
@@ -243,40 +250,34 @@ def period_series(eps, ctx: PrecCtx):
 
 
 def _level_newton(eps, ctx):
-    """(f, eps f'(eps), periods) for the level function f = A lambda - Atilde.
+    """(f, eps f'(eps), periods) for the level function f = A lambda - Atilde
+    = (A Btilde - B Atilde)/B, with the periods from ``period_series``.
 
-    The periods come from ``period_series`` for eps >= 8 and from the
-    quadrature below.  The slope needs no extra evaluation: Legendre's
-    relation (DLMF 19.7) fixes the Wronskian A'B - AB' =
-    16/(pi eps (eps^2 - 16)), and with dAtilde/deps = A/(4 pi),
-    dBtilde/deps = B/(4 pi) this gives f'(eps) = lambda (A'B - AB')/B.
+    The slope needs no extra evaluation: Legendre's relation (DLMF 19.7)
+    fixes the Wronskian A'B - AB' = 16/(pi eps (eps^2 - 16)), and with
+    dAtilde/deps = A/(4 pi), dBtilde/deps = B/(4 pi) this gives
+    f'(eps) = lambda (A'B - AB')/B.
     """
-    evaluate = period_series if eps >= _SERIES_MIN_EPS else period_integrals
-    A, At, B, Bt = periods = evaluate(eps, ctx)
+    A, At, B, Bt = periods = period_series(eps, ctx)
     with ctx.workprec():
         f = (A * Bt - B * At) / B
         slope = 16 * (Bt / B) / (mp.pi * (eps * eps - 16) * B)
         return f, slope, periods
 
 
-def _level_value(eps, ctx):
-    """A lambda - Atilde = (A Btilde - B Atilde)/B, the level function."""
-    return _level_newton(eps, ctx)[0]
-
-
 def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     """Level-n self-dual state: the root of A lambda - Atilde = n + 1.
 
-    Newton's method in log eps on the level function f, whose slope comes
-    free with the periods (see ``_level_newton``), at ctx precision from
-    the large-eps asymptote f ~ (log eps)^2/pi^2.  It stops once
-    |f - (n+1)| <= tol (n+1) or the relative step is below tol; otherwise
-    the iterate is safeguarded by bisection inside eps in [4.01, 1e6], and
-    a level whose root lies outside that bracket raises SolverError as soon
-    as an evaluation at the bracket end shows it.  Since f(8) < 1 and f is
-    convex in log eps, Newton from the asymptote stays in the series region
-    eps >= 8.  The record carries ``period_integrals`` at the root, the
-    independent quadrature, and its residual must be within 1000 tol (n+1).
+    Newton's method in log eps on the level function f, evaluated by
+    ``period_series`` with its slope (see ``_level_newton``), at ctx
+    precision from the large-eps asymptote f ~ (log eps)^2/pi^2.  It stops
+    once |f - (n+1)| <= tol (n+1) or the relative step is below tol;
+    otherwise the iterate is safeguarded by bisection inside eps in
+    [8, 1e6], the range of the series, and a level whose root lies above
+    1e6 raises SolverError as soon as the evaluation there shows it.  No
+    level has its root below 8, since f(8) < 1.  The record carries
+    ``period_integrals`` at the root, the independent quadrature, and its
+    residual must be within 1000 tol (n+1).
     """
     if int(n) != n or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n}")
@@ -284,11 +285,14 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     target = n + 1
 
     with ctx.workprec():
-        lo = mp.log(mp.mpf(_BRACKET_LO))
+        eps_lo = mp.mpf(_SERIES_MIN_EPS)
+        lo = mp.log(eps_lo)
         hi = mp.log(mp.mpf(_BRACKET_HI))
         x = min(max(mp.pi * mp.sqrt(target), lo), hi)
         for _ in range(_NEWTON_STEPS):
-            f, slope, _ = _level_newton(mp.exp(x), ctx)
+            # an x just above lo may round to an exp(x) just below 8
+            eps_star = max(mp.exp(x), eps_lo)
+            f, slope, _ = _level_newton(eps_star, ctx)
             r = f - target
             step = r / slope
             # before the safeguard: at an exact root r = 0 would set hi = x
@@ -302,7 +306,7 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
             if lo == hi:   # x is a bracket end and the root lies beyond it
                 raise SolverError(
                     f"no sign change of the level function for n = {n} with "
-                    f"eps in [{_BRACKET_LO}, {_BRACKET_HI}]"
+                    f"eps in [{_SERIES_MIN_EPS}, {_BRACKET_HI}]"
                 )
             x -= step
             if not lo < x < hi:
@@ -310,7 +314,6 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
         else:
             raise ConvergenceError(f"Newton for level {n} did not settle")
 
-        eps_star = mp.exp(x)
         A, At, B, Bt = period_integrals(eps_star, ctx)
         r = (A * Bt - B * At) / B - target
         if abs(r) > 1000 * ctx.tol * target:
@@ -346,30 +349,21 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
             raise ValueError("T must be real and non-negative")
         T = mp.re(T)
         eps, lam = spec.eps, spec.lam
-        alpha = spec.alpha
-        sa = mp.sinh(mp.pi * alpha)
-        half = mp.mpf(1) / 2
-
-        def s_of(t):
-            return mp.asinh(sa * mp.sin(mp.pi * t)) / mp.pi
+        curve = _Curve(spec.alpha)
 
         # xi-type: x = i s(t+1/2), y = i s(t), t in [0, t*]
         sT = mp.sinh(mp.pi * T)
-        if sT <= sa:
-            tstar = mp.acos(sT / sa) / mp.pi
+        if sT <= curve.sa:
+            tstar = mp.acos(sT / curve.sa) / mp.pi
 
             def xi_int(t):
-                st = s_of(t)
-                sp = sa * mp.cos(mp.pi * t) / mp.cosh(mp.pi * st)
-                s2 = s_of(t + half)
-                return lam / (2 * mp.cosh(mp.pi * st) * mp.cosh(mp.pi * s2)) - s2 * sp
+                return (lam * curve.a(t) - curve.at(t)) / 4
 
-            return composite_gl(xi_int, 0, tstar, ctx), 1j * s_of(tstar)
+            return composite_gl(xi_int, 0, tstar, ctx), 1j * curve.s(tstar)
 
         # zeta-type: x = i r(t), y = t/2, t in [0, t*]
         def zeta_int(t):
-            r = mp.acosh(1 - mp.cos(mp.pi * t) + eps / 2 - 1) / (2 * mp.pi)
-            return r - lam / mp.sinh(2 * mp.pi * r)
+            return curve.bt(t) - lam * curve.b(t)
 
         cosarg = eps / 2 - mp.cosh(2 * mp.pi * T)
         if cosarg >= -1:
@@ -384,7 +378,7 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
             h = mp.acosh(eps / 2 + mp.cosh(2 * mp.pi * c)) / (2 * mp.pi)
             return lam / mp.sinh(2 * mp.pi * h) - h
 
-        return I + composite_gl(third_int, 0, cT, ctx), half + 1j * cT
+        return I + composite_gl(third_int, 0, cT, ctx), 0.5 + 1j * cT
 
 
 def _nearest_y(x, guess, eps):
@@ -399,12 +393,12 @@ def _nearest_y(x, guess, eps):
     return a if abs(a - guess) <= abs(b - guess) else b
 
 
-def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_sign=1,
-                 y_start=None):
+def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start=None):
     """(I, y_end): integral of theta_lambda along the horizontal leg from
-    (iT, y_sign * y(iT)) to x = iT + tau, with y continued by nearest-branch
-    marching (never a fixed principal branch).  y_start overrides the
-    canonical starting branch (it must still lie on the curve).
+    (iT, y_start) to x = iT + tau, with y continued by nearest-branch
+    marching (never a fixed principal branch).  y_start defaults to the
+    endpoint y of the canonical path to iT; any other point of the curve
+    above iT may be given, such as -y on the other sheet or y + 1.
 
     On the leg theta_lambda pulls back to -(x sin(2 pi x) + lambda) /
     sin(2 pi y) dx using dy/dx = -sin(2 pi x)/sin(2 pi y) on the curve.
@@ -416,7 +410,6 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_sign=1,
         tau = mp.re(tau)
         if y_start is None:
             _, y0 = canonical_integral(T, spec, ctx)
-            y0 = y_sign * y0
         else:
             y0 = mp.mpmathify(y_start)
         eps, lam = spec.eps, spec.lam
@@ -499,15 +492,6 @@ def phi_eval(x, spec: SelfDualSpectrum, ctx: PrecCtx):
 
 
 def psi_selfdual(x, spec: SelfDualSpectrum, ctx: PrecCtx):
-    """psi(x) = phi(ix) for real x, cross-checked against the parity image
-    (-1)^n phi(-ix) before reporting."""
+    """psi(x) = phi(ix) for real x."""
     with ctx.workprec():
-        x = mp.mpmathify(x)
-        v = phi_eval(1j * x, spec, ctx)
-        w = phi_eval(-1j * x, spec, ctx)
-        if spec.n % 2:
-            w = -w
-        scale = max(abs(v), abs(w), mp.mpf(1))
-        if abs(v - w) > 1000 * ctx.tol * scale:
-            raise SolverError("phi(ix) and its parity image disagree")
-        return (v + w) / 2
+        return phi_eval(1j * mp.mpmathify(x), spec, ctx)

@@ -1,6 +1,8 @@
 """Eigenfunction checks: parity, reality, decay, shift-equation residuals,
 pole cancellation at the would-be theta zeros, and the eta asymptotics."""
 
+import dataclasses
+
 import pytest
 from mpmath import mp
 
@@ -61,6 +63,15 @@ def test_make_params_rejects_bad_parity(sheet1, mpar, ctx):
     bad = SpectralPoint(sheet=1, sigma=pt.sigma, eps=pt.eps, parity=3)
     with pytest.raises(ValueError):
         make_params(bad, mpar, ctx)
+
+
+def test_make_params_rejects_b_off_unit_circle(sheet1, mpar, ctx):
+    # |b| = 1 + 1e-40 leaves Im eta ~ 7e-41, far above the 2^-180 rounding
+    # guard at 192 bits
+    with ctx.workprec():
+        off = dataclasses.replace(mpar, b=mpar.b * (1 + mp.mpf("1e-40")))
+    with pytest.raises(ValueError, match="must be real"):
+        make_params(sheet1[0].point, off, ctx)
 
 
 # ── psi_eval ──────────────────────────────────────────────────────────────

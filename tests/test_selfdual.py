@@ -261,14 +261,14 @@ def test_quantize_rejects_bad_level(ctx192):
 
 def test_level_function_single_sign_change():
     # empirical root-counting on the bracketing grid, reported not assumed
-    from mirror_spectra.selfdual import _level_value
+    from mirror_spectra.selfdual import _level_newton
 
     ctx = make_context(64, 1e-10)
     with ctx.workprec():
         vals = []
-        e = mp.mpf("4.01")
+        e = mp.mpf(8)
         while e <= mp.mpf("1e6"):
-            vals.append(_level_value(e, ctx))
+            vals.append(_level_newton(e, ctx)[0])
             e *= mp.mpf("1.35")
         for n in (0, 1):
             signs = [mp.sign(v - (n + 1)) for v in vals]
@@ -280,19 +280,22 @@ def test_level_slope_matches_central_difference():
     # f is analytic in eps with its nearest singularity at eps = 4, so a
     # central difference with step h = d (eps - 4) has truncation error of
     # order d^2 |f'|; each f carries at most tol (1 + lam)(1 + A/B) from the
-    # four quadratures, which adds tol (1 + lam)(1 + A/B)/h.
-    from mirror_spectra.selfdual import _level_newton, _level_value
+    # four periods, which adds tol (1 + lam)(1 + A/B)/h.
+    from mirror_spectra.selfdual import _level_newton
 
     ctx = make_context(128, 1e-27)
     d = mp.mpf("1e-8")
+
+    def level(eps):
+        return _level_newton(eps, ctx)[0]
+
     with ctx.workprec():
-        for e in ("4.5", "10", "137.2", "1000"):
+        for e in ("10", "137.2", "1000"):
             eps = mp.mpf(e)
-            f, slope, (A, _, B, Bt) = _level_newton(eps, ctx)
-            assert f == _level_value(eps, ctx)
+            _, slope, (A, _, B, Bt) = _level_newton(eps, ctx)
             fprime = slope / eps
             h = d * (eps - 4)
-            fd = (_level_value(eps + h, ctx) - _level_value(eps - h, ctx)) / (2 * h)
+            fd = (level(eps + h) - level(eps - h)) / (2 * h)
             noise = ctx.tol * (1 + Bt / B) * (1 + A / B) / h
             assert abs(fd - fprime) <= d ** 2 * abs(fprime) + noise
 
@@ -366,6 +369,16 @@ def test_canonical_regimes(spec0, ctx192):
         assert abs(I) <= mp.mpf("1e-50") and abs(y) <= mp.mpf("1e-50")
     with pytest.raises(ValueError):
         canonical_integral(-1, spec0, ctx)
+
+
+def test_quarter_xi_cycle(spec0, spec1, ctx192):
+    # the xi path to x = 0 runs over t in [0, 1/2], where a and at integrate
+    # to A and At: a quarter xi-cycle, (A lam - At)/4 = (n + 1)/4
+    ctx = ctx192
+    for spec in (spec0, spec1, quantize_selfdual(2, ctx)):
+        I, _ = canonical_integral(0, spec, ctx)
+        with ctx.workprec():
+            assert abs(I - mp.mpf(spec.n + 1) / 4) <= 10 * ctx.tol, spec.n
 
 
 def test_turning_point_cancellation(spec0, ctx192):
@@ -474,7 +487,8 @@ def test_branch_product_unity(spec0, ctx192):
     with ctx.workprec():
         T, tau = mp.mpf("0.45"), mp.mpf("0.7")
         Ip, _ = leg_integral(T, tau, spec0, ctx)
-        Im_, _ = leg_integral(T, tau, spec0, ctx, y_sign=-1)
+        _, y0 = canonical_integral(T, spec0, ctx)
+        Im_, _ = leg_integral(T, tau, spec0, ctx, y_start=-y0)
         assert abs(mp.expj(2 * mp.pi * (Ip + Im_)) - 1) <= mp.mpf("1e-45")
 
 
@@ -521,6 +535,21 @@ def test_phi_parity(spec0, spec1, ctx192):
             w = phi_eval(-x, spec, ctx)
             assert abs(w - sign * v) <= mp.mpf("1e-40") * abs(v)
         assert abs(phi_eval(0, spec1, ctx)) <= mp.mpf("1e-50")
+
+
+def test_phi_parity_on_real_axis(spec0, spec1, ctx192):
+    # phi(tau) and phi(-tau) come from legs walked from x = 0 in opposite
+    # directions, so parity is a property of the paths here, not of
+    # phi_eval's T < 0 branch
+    ctx = ctx192
+    with ctx.workprec():
+        for spec in (spec0, spec1):
+            sign = 1 if spec.n % 2 == 0 else -1
+            for t in ("0.15", "0.3", "0.462", "0.8"):
+                tau = mp.mpf(t)
+                v = phi_eval(tau, spec, ctx)
+                w = phi_eval(-tau, spec, ctx)
+                assert abs(w - sign * v) <= 10 * ctx.tol * abs(v), (spec.n, t)
 
 
 def test_phi_rejects_detuned_record(spec0, ctx192):

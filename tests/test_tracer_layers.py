@@ -1,0 +1,50 @@
+"""The benchmark's span tracer on the real package.
+
+``perfbench/run.py --trace 1`` wraps the public names listed in
+``tracer.LAYERS``; a name deleted from the package breaks that run.  These
+tests install the tracer on the package itself, so such a deletion fails
+here too, and check that every span a workload requires is one the tracer
+wraps.
+"""
+
+import os
+import sys
+
+import mirror_spectra
+import mirror_spectra.cli  # a traced layer that the package does not import
+from mirror_spectra.precision import make_context
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+from tracer import LAYERS, Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def _bound():
+    return {(layer, name): getattr(sys.modules[f"mirror_spectra.{layer}"], name, None)
+            for layer, names in LAYERS.items() for name in names}
+
+
+def test_tracer_installs_and_uninstalls_on_the_package():
+    originals = _bound()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for key, fn in _bound().items():
+            assert fn is not originals[key] and fn.__wrapped__ is originals[key], key
+        # the package-level re-export is rebound too
+        mirror_spectra.alpha_beta(8, make_context(64, 1e-10))
+        tracer.require([("selfdual", "alpha_beta")])
+    finally:
+        tracer.uninstall()
+    assert _bound() == originals
+    assert mirror_spectra.alpha_beta is originals[("selfdual", "alpha_beta")]
+
+
+def test_required_spans_are_traced_names():
+    traced = {(layer, name) for layer, names in LAYERS.items() for name in names}
+    for workload in WORKLOADS.values():
+        assert set(workload.required) <= traced, workload.name
