@@ -13,11 +13,14 @@ period integrals
     Bt = I[0,1]   r(t) dt
 
 over the path functions cosh(2 pi r(t)) = 1 - cos(pi t) + cosh(2 pi alpha)
-and sinh(pi s(t)) = sinh(pi alpha) sin(pi t).  Single-valuedness of the
-Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and quantizes
-A lambda - At = n + 1.  For eps >= 8 the four periods are also hypergeometric
-series in 1/eps^2 (``period_series``); Newton on the level function runs on
-those, and the quadrature (``period_integrals``) checks the root it finds.
+and sinh(pi s(t)) = sinh(pi alpha) sin(pi t).  These relations make s' and
+the integrands of A and B square roots in cos(pi t) and sin(pi t); asinh
+remains in At's s(t+1/2), acosh in Bt's r (``_Curve``).  Single-valuedness
+of the Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and
+quantizes A lambda - At = n + 1.  For eps >= 8 the four periods are also
+hypergeometric series in 1/eps^2 (``period_series``); Newton on the level
+function runs on those, and the quadrature (``period_integrals``) checks the
+root it finds.
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -151,17 +154,21 @@ def alpha_beta(eps, ctx: PrecCtx):
 class _Curve:
     """The real curve at one eps, given its turning point i alpha: the path
     functions sinh(pi s(t)) = sinh(pi alpha) sin(pi t) and
-    cosh(2 pi r(t)) = 1 - cos(pi t) + cosh(2 pi alpha), and the four period
+    cosh(2 pi r(t)) = C = 1 - cos(pi t) + cosh(2 pi alpha), and the four period
     integrands A = I[0,1/2] a, At = I[0,1/2] at, B = I[0,1] b, Bt = I[0,1] bt.
 
-    ``a`` has the 0/0 of 4 s'(t)/sinh(2 pi s(t+1/2)) at t = 1/2 removed
-    exactly: the defining relations make it 2/(cosh(pi s(t)) cosh(pi s(t+1/2)))
-    identically, so no vanishing sinh is ever divided by.  Build and evaluate
-    inside ctx.workprec().
+    With c, s = cos(pi t), sin(pi t) once per call, cosh(pi s(t)) =
+    sqrt(1 + sinh^2(pi alpha) s^2), sinh(pi s(t+1/2)) = sinh(pi alpha) c and
+    sinh(2 pi r) = sqrt((C - 1)(C + 1)); C - 1 = cosh(2 pi alpha) - c stays
+    exact where C^2 - 1 cancels (eps near 4, t near 0).  ``a`` is
+    2/(cosh(pi s(t)) cosh(pi s(t+1/2))): 4 s'/sinh(2 pi s(t+1/2)) with its
+    0/0 at t = 1/2 removed.  asinh remains in s and at, acosh in r = bt.
+    Build and evaluate inside ctx.workprec().
     """
 
     def __init__(self, alpha):
         self.sa = mp.sinh(mp.pi * alpha)
+        self.sa2 = self.sa * self.sa
         self.ca2 = mp.cosh(2 * mp.pi * alpha)
 
     def s(self, t):
@@ -171,16 +178,21 @@ class _Curve:
         return mp.acosh(1 - mp.cos(mp.pi * t) + self.ca2) / (2 * mp.pi)
 
     def sprime(self, t):
-        return self.sa * mp.cos(mp.pi * t) / mp.cosh(mp.pi * self.s(t))
+        c, s = mp.cos_sin(mp.pi * t)
+        return self.sa * c / mp.sqrt(1 + self.sa2 * s * s)
 
     def a(self, t):
-        return 2 / (mp.cosh(mp.pi * self.s(t)) * mp.cosh(mp.pi * self.s(t + 0.5)))
+        c, s = mp.cos_sin(mp.pi * t)
+        return 2 / mp.sqrt((1 + self.sa2 * s * s) * (1 + self.sa2 * c * c))
 
     def at(self, t):
-        return 4 * self.s(t + 0.5) * self.sprime(t)
+        c, s = mp.cos_sin(mp.pi * t)
+        sc = self.sa * c
+        return 4 * (mp.asinh(sc) / mp.pi) * sc / mp.sqrt(1 + self.sa2 * s * s)
 
     def b(self, t):
-        return 1 / mp.sinh(2 * mp.pi * self.r(t))
+        cm1 = self.ca2 - mp.cos(mp.pi * t)   # C - 1
+        return 1 / mp.sqrt(cm1 * (cm1 + 2))
 
     bt = r
 
@@ -192,9 +204,8 @@ def path_funcs(eps, t, ctx: PrecCtx):
     with ctx.workprec():
         t = mp.mpmathify(t)
         curve = _Curve(alpha_beta(eps, ctx)[0])
-        r = curve.r(t)
-        rprime = mp.sin(mp.pi * t) / (2 * mp.sinh(2 * mp.pi * r))
-        return r, curve.s(t), curve.sprime(t), rprime
+        rprime = mp.sin(mp.pi * t) * curve.b(t) / 2
+        return curve.r(t), curve.s(t), curve.sprime(t), rprime
 
 
 def period_integrals(eps, ctx: PrecCtx):
@@ -375,8 +386,8 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
         cT = mp.acosh(-cosarg) / (2 * mp.pi)
 
         def third_int(c):
-            h = mp.acosh(eps / 2 + mp.cosh(2 * mp.pi * c)) / (2 * mp.pi)
-            return lam / mp.sinh(2 * mp.pi * h) - h
+            D = eps / 2 + mp.cosh(2 * mp.pi * c)   # cosh(2 pi h)
+            return lam / mp.sqrt((D - 1) * (D + 1)) - mp.acosh(D) / (2 * mp.pi)
 
         return I + composite_gl(third_int, 0, cT, ctx), 0.5 + 1j * cT
 

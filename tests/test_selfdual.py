@@ -1,7 +1,8 @@
 """Self-dual solver: geometry, quadrature, quantization, Bloch paths.
 
 Oracles: closed forms for the turning points, central finite differences
-for the path derivatives, mpmath.quad for the home-grown composite
+for the path derivatives, the asinh/acosh forms at twice the precision for
+the algebraic period integrands, mpmath.quad for the home-grown composite
 Gauss-Legendre rule, the quadrature and mpmath's ellipk for the large-eps
 period series, and the 45-digit ground-state level constant for the
 quantization root.  Path invariants (cycle integrality, Bloch closure,
@@ -93,6 +94,39 @@ def test_path_derivatives_match_finite_differences(spec0, ctx192):
         ]
         assert abs(sp - sp_) <= mp.mpf("1e-20")
         assert abs(rp - rp_) <= mp.mpf("1e-20")
+
+
+@pytest.mark.parametrize("bits", [64, 128, 192, 256, 384])
+def test_curve_integrands_match_defining_relations(bits):
+    # The algebraic integrands against the asinh/acosh forms, from the same
+    # sinh(pi alpha), cosh(2 pi alpha) and cos/sin(pi t).  The reference
+    # runs at twice the precision, so it holds C = 1 - cos(pi t) + cosh(2 pi
+    # alpha) exactly: at eps = 4.000001 and small t, C - 1 is nearly all
+    # cancellation, and sqrt(C^2 - 1) from a rounded C is about 2^20 ulp off.
+    ctx = make_context(bits, 2.0 ** (16 - bits))
+    bound = mp.mpf(2) ** (8 - bits)
+    half = mp.mpf(1) / 2
+    with ctx.workprec():
+        for e in ("4.000001", "4.5", "17.85", "1e6"):
+            curve = selfdual._Curve(alpha_beta(mp.mpf(e), ctx)[0])
+            sa, ca2 = curve.sa, curve.ca2
+            for t in ("1e-30", "1e-6", "0.3", "0.4999999", "0.5", "0.9999"):
+                t = mp.mpf(t)
+                c, s = mp.cos_sin(mp.pi * t)
+                with mp.workprec(2 * bits):
+                    cosh_s = mp.cosh(mp.asinh(sa * s))
+                    sp = sa * c / cosh_s
+                    want = {
+                        "a": 2 / (cosh_s * mp.cosh(mp.asinh(sa * c))),
+                        "at": 4 * (mp.asinh(sa * c) / mp.pi) * sp,
+                        "b": 1 / mp.sinh(mp.acosh(1 - c + ca2)),
+                        "sprime": sp,
+                    }
+                for name, ref in want.items():
+                    got = getattr(curve, name)(t)
+                    # at and s' vanish at t = 1/2: the bound is absolute there
+                    scale = 1 if t == half and name in ("at", "sprime") else abs(ref)
+                    assert abs(got - ref) <= bound * scale, (e, t, name)
 
 
 # ── quadrature ────────────────────────────────────────────────────────────
