@@ -300,7 +300,7 @@ _VERIFY_THETA = "pi/4"  # the coupling every verify check runs at
 def cmd_verify(args) -> int:
     from .invariants import INVARIANTS, SEED, run
 
-    ctx = make_context(64, 1e-10) if args.quick else _context(args)
+    ctx = make_context(64, _default_tol(64)) if args.quick else _context(args)
     seed = SEED if args.seed is None else args.seed
     print(f"# tool=mirror-spectra {__version__}")
     print(f"# precision_bits={ctx.precision_bits} tol={ctx.tol} seed={seed}"
@@ -368,7 +368,7 @@ def _build_parser() -> _Parser:
 
     sp = command("verify", cmd_verify, "run all invariant suites")
     sp.add_argument("--quick", action="store_true",
-                    help="64-bit, tol 1e-10: finishes in seconds")
+                    help="64-bit at that precision's default tol: finishes in seconds")
     sp.add_argument("--fault", action="store_true",
                     help="inject an eps perturbation (negative control)")
     sp.add_argument("--seed", type=int, default=None,

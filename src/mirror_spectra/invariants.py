@@ -188,9 +188,8 @@ def eigenfunction_invariants(ctx, mpar, rng, full, fault):
 
 def selfdual_cycles(ctx, mpar, rng, full, fault):
     """A lambda - Atilde = n + 1 and Btilde = lambda B for levels 0-1 (verify:
-    level 0).  The gate also bounds phi's Harper residual at four points by
-    1e-20, the reach of phi_eval's fixed Richardson offsets; it is scaled
-    into the cycle threshold's units."""
+    level 0).  The gate also bounds phi's Harper residual at four points,
+    relative to max(|eps phi|, 1), by the same 10 tol."""
     bound = 10 * mp.mpf(ctx.tol)
     worst = mp.mpf(0)
     for n in (0, 1) if full else (0,):
@@ -202,8 +201,7 @@ def selfdual_cycles(ctx, mpar, rng, full, fault):
             phi = phi_eval(x, spec, ctx)
             num = (phi_eval(x - 1, spec, ctx) + phi_eval(x + 1, spec, ctx)
                    + (2 * mp.cos(2 * mp.pi * x) - spec.eps) * phi)
-            harper = abs(num) / max(abs(spec.eps * phi), 1)
-            worst = max(worst, harper * bound / mp.mpf("1e-20"))
+            worst = max(worst, abs(num) / max(abs(spec.eps * phi), 1))
     return worst, bound
 
 

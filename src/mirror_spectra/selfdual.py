@@ -15,7 +15,7 @@ period integrals
 over the path functions cosh(2 pi r(t)) = 1 - cos(pi t) + cosh(2 pi alpha)
 and sinh(pi s(t)) = sinh(pi alpha) sin(pi t).  These relations make s' and
 the integrands of A and B square roots in cos(pi t) and sin(pi t); asinh
-remains in At's s(t+1/2), acosh in Bt's r (``_Curve``).  Single-valuedness
+remains in At's s(t+1/2) and Bt's r (``_Curve``).  Single-valuedness
 of the Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and
 quantizes A lambda - At = n + 1.  For eps >= 8 the four periods are also
 hypergeometric series in 1/eps^2 (``period_series``); Newton on the level
@@ -25,7 +25,8 @@ The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
 (zeta-type), then y = 1/2 + i c beyond; off-axis arguments are reached by a
-horizontal leg with y continued branch-by-branch.
+horizontal leg with y continued branch-by-branch.  The zeta cycle, Bt -
+lambda B = 0, is never integrated; at the turning points phi is its limit.
 """
 
 from dataclasses import dataclass
@@ -37,8 +38,6 @@ from .precision import ConvergenceError, PrecCtx, SolverError
 _GL_ORDER = 32
 _GL_CACHE = {}
 _LEG_STEPS = 192           # y-continuation march resolution per unit length
-_NEAR_ZERO = 1e-6          # |sin(2 pi y)| below this: removable endpoint
-_RICHARDSON_H = ("1e-8", "1e-9")
 _BRACKET_HI = "1e6"
 _SERIES_MIN_EPS = 8        # period_series' term ratio 16/eps^2 is at most 1/4
 _NEWTON_STEPS = 64
@@ -160,10 +159,10 @@ class _Curve:
     With c, s = cos(pi t), sin(pi t) once per call, cosh(pi s(t)) =
     sqrt(1 + sinh^2(pi alpha) s^2), sinh(pi s(t+1/2)) = sinh(pi alpha) c and
     sinh(2 pi r) = sqrt((C - 1)(C + 1)); C - 1 = cosh(2 pi alpha) - c stays
-    exact where C^2 - 1 cancels (eps near 4, t near 0).  ``a`` is
-    2/(cosh(pi s(t)) cosh(pi s(t+1/2))): 4 s'/sinh(2 pi s(t+1/2)) with its
-    0/0 at t = 1/2 removed.  asinh remains in s and at, acosh in r = bt.
-    Build and evaluate inside ctx.workprec().
+    exact where C^2 - 1 cancels and acosh(C) would round C (eps near 4, t
+    near 0).  ``a`` is 2/(cosh(pi s(t)) cosh(pi s(t+1/2))):
+    4 s'/sinh(2 pi s(t+1/2)) with its 0/0 at t = 1/2 removed.  asinh remains
+    in s, at and r = bt.  Build and evaluate inside ctx.workprec().
     """
 
     def __init__(self, alpha):
@@ -174,8 +173,12 @@ class _Curve:
     def s(self, t):
         return mp.asinh(self.sa * mp.sin(mp.pi * t)) / mp.pi
 
+    def _sinh2r(self, t):   # sinh(2 pi r) = sqrt((C - 1)(C + 1))
+        cm1 = self.ca2 - mp.cos(mp.pi * t)
+        return mp.sqrt(cm1 * (cm1 + 2))
+
     def r(self, t):
-        return mp.acosh(1 - mp.cos(mp.pi * t) + self.ca2) / (2 * mp.pi)
+        return mp.asinh(self._sinh2r(t)) / (2 * mp.pi)
 
     def sprime(self, t):
         c, s = mp.cos_sin(mp.pi * t)
@@ -191,8 +194,7 @@ class _Curve:
         return 4 * (mp.asinh(sc) / mp.pi) * sc / mp.sqrt(1 + self.sa2 * s * s)
 
     def b(self, t):
-        cm1 = self.ca2 - mp.cos(mp.pi * t)   # C - 1
-        return 1 / mp.sqrt(cm1 * (cm1 + 2))
+        return 1 / self._sinh2r(t)
 
     bt = r
 
@@ -334,8 +336,6 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
 
         lam = Bt / B
         alpha, beta = alpha_beta(eps_star, ctx)
-        if not (0 < alpha < beta):
-            raise SolverError("turning points out of order")
         if not (A > 0 and At > 0 and B > 0 and Bt > 0 and A * Bt - B * At > 0):
             raise SolverError("period integrals lost positivity")
         return SelfDualSpectrum(
@@ -352,7 +352,8 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
     P0 = (i alpha, 0) to x = iT, T >= 0, and the endpoint y-coordinate.
 
     Regimes: T <= alpha both coordinates imaginary; alpha <= T <= beta
-    y real in [0, 1/2]; T >= beta y = 1/2 + i c.
+    y real in [0, 1/2]; T >= beta y = 1/2 + i c.  The zeta cycle is Btilde -
+    lambda B = 0 (``_check_quantized``): dropped past i beta, -I[t*, 1] for t* > 1/2.
     """
     with ctx.workprec():
         T = mp.mpmathify(T)
@@ -379,17 +380,18 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
         cosarg = eps / 2 - mp.cosh(2 * mp.pi * T)
         if cosarg >= -1:
             tstar = mp.acos(cosarg) / mp.pi
-            return 0.5j * composite_gl(zeta_int, 0, tstar, ctx), tstar / 2
+            I = (composite_gl(zeta_int, 0, tstar, ctx) if tstar <= 0.5
+                 else -composite_gl(zeta_int, tstar, 1, ctx))
+            return 0.5j * I, tstar / 2
 
         # beyond i beta: x = i h(c), y = 1/2 + i c, c in [0, cT]
-        I = 0.5j * composite_gl(zeta_int, 0, 1, ctx)
         cT = mp.acosh(-cosarg) / (2 * mp.pi)
 
         def third_int(c):
             D = eps / 2 + mp.cosh(2 * mp.pi * c)   # cosh(2 pi h)
             return lam / mp.sqrt((D - 1) * (D + 1)) - mp.acosh(D) / (2 * mp.pi)
 
-        return I + composite_gl(third_int, 0, cT, ctx), 0.5 + 1j * cT
+        return composite_gl(third_int, 0, cT, ctx), 0.5 + 1j * cT
 
 
 def _nearest_y(x, guess, eps):
@@ -433,16 +435,17 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start=None):
             raise SolverError("leg start is off the spectral curve")
         if tau == 0:
             return mp.mpf(0), y0
+        if abs(1 - w0 * w0) <= on_curve:   # w0 = +-1: branch points at iT + k
+            level = "alpha" if mp.re(w0) > 0 else "beta"
+            raise SolverError(f"leg runs along the branch level T = {level}")
 
         sign = 1 if tau > 0 else -1
         L = abs(tau)
         steps = int(_LEG_STEPS * mp.ceil(L))
         h = L / steps
         anchors = [y0]
-        y_prev = y0
         for k in range(1, steps + 1):
-            y_prev = _nearest_y(x0 + sign * k * h, y_prev, eps)
-            anchors.append(y_prev)
+            anchors.append(_nearest_y(x0 + sign * k * h, anchors[-1], eps))
 
         def f(u):
             k = min(int(u / h), steps - 1)
@@ -477,8 +480,8 @@ def phi_eval(x, spec: SelfDualSpectrum, ctx: PrecCtx):
     """phi(x) = sin(2 pi I)/sin(2 pi y) along the canonical path to x.
 
     x must have the form iT + tau (tau real, reached by a horizontal leg).
-    Removable sin(2 pi y) = 0 endpoints (x at the turning points) are
-    evaluated at offset T and Richardson-extrapolated, never 0/0.
+    At i alpha and i beta it is 0/0: below |sin(2 pi y)| = 2^(-bits/2) it is
+    the l'Hopital limit on dI = (x + lambda/sin(2 pi x)) dy, off by O(sin^2(2 pi y)).
     """
     _check_quantized(spec, ctx)
     with ctx.workprec():
@@ -487,19 +490,14 @@ def phi_eval(x, spec: SelfDualSpectrum, ctx: PrecCtx):
         if T < 0:
             v = phi_eval(-x, spec, ctx)   # phi(-x) = (-1)^n phi(x)
             return v if spec.n % 2 == 0 else -v
-        h1, h2 = (mp.mpf(s) for s in _RICHARDSON_H)
-        vals = []
-        for k, t in enumerate((T, T + h1, T + h2)):
-            I, y = canonical_integral(t, spec, ctx)
-            if tau != 0:   # the leg starts where the canonical path ends
-                I_leg, y = leg_integral(t, tau, spec, ctx, y_start=y)
-                I = I + I_leg
-            s2y = mp.sin(2 * mp.pi * y)
-            if k:
-                vals.append(mp.sin(2 * mp.pi * I) / s2y)
-            elif abs(s2y) >= mp.mpf(_NEAR_ZERO):
-                return mp.sin(2 * mp.pi * I) / s2y
-        return (h1 * vals[1] - h2 * vals[0]) / (h1 - h2)
+        I, y = canonical_integral(T, spec, ctx)
+        if tau != 0:   # the leg starts where the canonical path ends
+            I_leg, y = leg_integral(T, tau, spec, ctx, y_start=y)
+            I = I + I_leg
+        s2y = mp.sinpi(2 * y)
+        if abs(s2y) >= mp.mpf(2) ** (-ctx.precision_bits / 2):
+            return mp.sinpi(2 * I) / s2y
+        return mp.cospi(2 * I) * (x + spec.lam / mp.sinpi(2 * x)) / mp.cospi(2 * y)
 
 
 def psi_selfdual(x, spec: SelfDualSpectrum, ctx: PrecCtx):

@@ -283,7 +283,7 @@ def test_verify_quick_passes(capsys):
     rc = main(["verify", "--quick"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert "# precision_bits=64" in out
+    assert f"# precision_bits=64 tol={_default_tol(64)} " in out
     assert out.count("PASS") == 9
     assert "FAIL" not in out
 

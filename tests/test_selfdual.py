@@ -4,10 +4,11 @@ Oracles: closed forms for the turning points, central finite differences
 for the path derivatives, the asinh/acosh forms at twice the precision for
 the algebraic period integrands, mpmath.quad for the home-grown composite
 Gauss-Legendre rule, the quadrature and mpmath's ellipk for the large-eps
-period series, and the 45-digit ground-state level constant for the
-quantization root.  Path invariants (cycle integrality, Bloch closure,
-branch-product unity, reflection bookkeeping) are checked on explicit
-parameterizations.
+period series, the 45-digit ground-state level constant for the
+quantization root, and the bare quotient sin(2 pi I)/sin(2 pi y) just off
+the turning points, on 384-bit records, for phi's limit there.  Path
+invariants (cycle integrality, Bloch closure, branch-product unity,
+reflection bookkeeping) are checked on explicit parameterizations.
 """
 
 import dataclasses
@@ -102,7 +103,8 @@ def test_curve_integrands_match_defining_relations(bits):
     # sinh(pi alpha), cosh(2 pi alpha) and cos/sin(pi t).  The reference
     # runs at twice the precision, so it holds C = 1 - cos(pi t) + cosh(2 pi
     # alpha) exactly: at eps = 4.000001 and small t, C - 1 is nearly all
-    # cancellation, and sqrt(C^2 - 1) from a rounded C is about 2^20 ulp off.
+    # cancellation, and sqrt(C^2 - 1) or acosh(C) from a rounded C is about
+    # 2^20 ulp off.
     ctx = make_context(bits, 2.0 ** (16 - bits))
     bound = mp.mpf(2) ** (8 - bits)
     half = mp.mpf(1) / 2
@@ -120,6 +122,7 @@ def test_curve_integrands_match_defining_relations(bits):
                         "a": 2 / (cosh_s * mp.cosh(mp.asinh(sa * c))),
                         "at": 4 * (mp.asinh(sa * c) / mp.pi) * sp,
                         "b": 1 / mp.sinh(mp.acosh(1 - c + ca2)),
+                        "bt": mp.acosh(1 - c + ca2) / (2 * mp.pi),
                         "sprime": sp,
                     }
                 for name, ref in want.items():
@@ -541,10 +544,67 @@ def test_phi_finite_at_base_and_turning_points(spec0, ctx192):
         vb = phi_eval(1j * spec0.beta, spec0, ctx)
         assert mp.isfinite(va) and abs(va) > mp.mpf("1e-4")
         assert mp.isfinite(vb) and abs(vb) > mp.mpf("1e-4")
-        # extrapolated turning-point value continues the nearby profile
+        # the limit at the turning point continues the nearby profile
         v1 = phi_eval(1j * (spec0.alpha + mp.mpf("1e-4")), spec0, ctx)
         v2 = phi_eval(1j * (spec0.alpha + mp.mpf("2e-4")), spec0, ctx)
         assert abs(va - (2 * v1 - v2)) <= mp.mpf("1e-5") * abs(va)
+
+
+@pytest.fixture(scope="module")
+def records384():
+    # twice the bits of ctx192: the references' own error is far below 1e-39
+    ctx = make_context(384, 1e-81)
+    return ctx, [quantize_selfdual(n, ctx) for n in (0, 1)]
+
+
+def _quotient(T, spec, ctx):
+    """phi(iT) as the bare quotient sin(2 pi I)/sin(2 pi y), no limit."""
+    with ctx.workprec():
+        I, y = canonical_integral(T, spec, ctx)
+        return mp.sinpi(2 * I) / mp.sinpi(2 * y)
+
+
+def test_phi_at_turning_points(spec0, spec1, ctx192, records384):
+    # phi at +-i alpha and +-i beta against the bare quotient 1e-100 off the
+    # point on a 384-bit record: the offset moves phi by about 1e-100, and
+    # sin(2 pi y) ~ 1e-50 there leaves the quotient good to about 1e-65
+    hi, refs = records384
+    with hi.workprec():
+        d = mp.mpf("1e-100")
+        for spec, ref in zip((spec0, spec1), refs):
+            parity = 1 if spec.n % 2 == 0 else -1
+            for name, side in (("alpha", 1), ("beta", -1)):
+                want = _quotient(getattr(ref, name) + side * d, ref, hi)
+                for sign in (1, -1):
+                    got = phi_eval(sign * 1j * getattr(spec, name), spec, ctx192)
+                    w = want if sign > 0 else parity * want
+                    assert abs(got - w) <= 10 * ctx192.tol * abs(w), (spec.n, name, sign)
+
+
+@pytest.mark.parametrize("delta", ["0", "1e-15", "1e-30", "1e-35", "1e-45"])
+def test_phi_offset_ladder_at_turning_points(delta, spec0, ctx192, records384):
+    # i alpha + i delta and i beta +- i delta: phi is analytic through the
+    # turning points, so every rung, on either side of the 2^(-bits/2)
+    # switch to the limit, meets 10 tol against the 384-bit quotient.  The
+    # limit's error is O(sin^2(2 pi y)): at 1e-35, sin(2 pi y) ~ 3e-17 and
+    # the limit is about 5e-35 off, so a looser switch misses tol there.
+    hi, (ref, _) = records384
+    with hi.workprec():
+        delta = mp.mpf(delta)
+        d = delta + mp.mpf("1e-100")
+        for name, side in (("alpha", 1), ("beta", -1), ("beta", 1)):
+            got = phi_eval(1j * (getattr(spec0, name) + side * delta), spec0, ctx192)
+            want = _quotient(getattr(ref, name) + side * d, ref, hi)
+            assert abs(got - want) <= 10 * ctx192.tol * abs(want), (name, side)
+
+
+def test_leg_along_a_branch_level_fails_fast(spec0, ctx192):
+    # on T = alpha and T = beta the curve branches at every iT + k
+    with ctx192.workprec():
+        for x, level in ((1j * spec0.alpha + mp.mpf("0.3"), "alpha"),
+                         (1j * spec0.beta + 1, "beta"), (1j * spec0.beta - 1, "beta")):
+            with pytest.raises(SolverError, match=f"branch level T = {level}"):
+                phi_eval(x, spec0, ctx192)
 
 
 def test_phi_eval_at_64_bits(spec0, ctx192):
@@ -596,7 +656,7 @@ def test_phi_rejects_detuned_record(spec0, ctx192):
 
 def test_harper_residual_on_imaginary_axis(spec0, ctx192):
     # phi(x-1) + phi(x+1) + (2 cos(2 pi x) - eps) phi(x) at twenty points
-    # spread over all three path regimes, relative residual below 1e-20
+    # spread over all three path regimes, relative residual below 10 tol
     ctx = ctx192
     with ctx.workprec():
         points = ["0.05", "0.10", "0.15", "0.20", "0.25", "0.30", "0.35",
@@ -611,7 +671,7 @@ def test_harper_residual_on_imaginary_axis(spec0, ctx192):
             mid = (2 * mp.cos(2 * mp.pi * x) - spec0.eps) * phi_eval(x, spec0, ctx)
             rel = abs(up + dn + mid) / max(abs(up), abs(dn), abs(mid))
             worst = max(worst, rel)
-        assert worst <= mp.mpf("1e-20")
+        assert worst <= 10 * ctx.tol
 
 
 def test_psi_selfdual_cross_checked(spec0, ctx192):
