@@ -6,29 +6,26 @@ For a quantized state (sigma, eps, xi) the wave function is
              (chk(u) barchi(ubar) + xi chi(u) barchk(ubar))
              / (theta1(s u, q) theta1(u/s, q)),
 
-with u = e^{2 pi b x}, ubar = e^{2 pi x / b}, s = e^{2 pi b sigma}, and every
-barred factor evaluated with conjugated data (ubar, conj eps, conj q) -- the
-analytic continuation of complex conjugation off the real axis.  The decay
-rate eta = (b + 1/b)/2 = cos(theta) is the unique value compatible with both
-asymptotic shift equations at once.
+with u = e^{2 pi b x}, ubar = e^{2 pi x / b}, s = e^{2 pi b sigma}.  The
+barred factors carry the dual data (conj eps, conj q); the chi series is
+real-rational in q and eps, so barchi(ubar) = conj chi(v) at v = conj ubar
+= e^{2 pi b conj x}, one nome serves all four factors, and v = u on the real
+axis.  The decay rate eta = (b + 1/b)/2 = cos(theta) is the unique value
+compatible with both asymptotic shift equations at once.
 
 On the real axis the theta denominator vanishes at x in +-sigma + 2 sin(theta) Z;
 at a quantized point the numerator cancels these zeros (that is the
-quantization condition), and evaluation there goes through small offsets and
-a Richardson limit rather than 0/0.
+quantization condition), and evaluation there goes through a symmetric
+stencil of regular points sized by the context rather than 0/0.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp
 
 from .chi import chi_check_eval, chi_eval
 from .precision import ModularParam, PoleSignal, PrecCtx, theta1
 from .spectral import SpectralPoint, factorize
-
-_NEAR_ZERO = 1e-6          # lattice distance (in log-u units) triggering care
-_RICHARDSON_H = ("1e-8", "1e-9")
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,6 @@ class EigenfunctionParams:
     eta: object            # (b + 1/b)/2, real on |b| = 1
     rho: object            # theta-factorization prefactor; None if unquantized
     mpar: ModularParam
-    mpar_conj: ModularParam
 
 
 @dataclass(frozen=True)
@@ -61,9 +57,7 @@ def make_params(point: SpectralPoint, mpar: ModularParam, ctx: PrecCtx) -> Eigen
         rho = None
         if point.parity in (+1, -1):
             rho = factorize(point.sigma, point.eps, mpar, ctx).rho
-    return EigenfunctionParams(
-        point=point, eta=eta, rho=rho, mpar=mpar, mpar_conj=mpar.conjugate()
-    )
+    return EigenfunctionParams(point=point, eta=eta, rho=rho, mpar=mpar)
 
 
 def _lattice_distance(w, lq):
@@ -79,14 +73,14 @@ def _lattice_distance(w, lq):
     return best
 
 
-def _numerator_terms(u, ubar, eps, p: EigenfunctionParams, ctx: PrecCtx):
-    """(chk(u) barchi(ubar), chi(u) barchk(ubar)), the two products of the
-    ansatz numerator; the barred factors use the conjugated data."""
-    eps_c = mp.conj(eps)
-    return (chi_check_eval(u, eps, p.mpar, ctx)
-            * chi_eval(ubar, eps_c, p.mpar_conj, ctx)[0],
-            chi_eval(u, eps, p.mpar, ctx)[0]
-            * chi_check_eval(ubar, eps_c, p.mpar_conj, ctx))
+def _numerator_terms(u, v, eps, p: EigenfunctionParams, ctx: PrecCtx):
+    """(chk(u) conj chi(v), chi(u) conj chk(v)) with v = conj ubar, the two
+    products of the ansatz numerator; when v == u one pair of series serves."""
+    def pair(w):
+        return chi_check_eval(w, eps, p.mpar, ctx), chi_eval(w, eps, p.mpar, ctx)[0]
+    chk_u, chi_u = pair(u)
+    chk_v, chi_v = (chk_u, chi_u) if v == u else pair(v)
+    return chk_u * mp.conj(chi_v), chi_u * mp.conj(chk_v)
 
 
 def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
@@ -97,8 +91,8 @@ def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
     b = mpar.b
     sigma = mp.mpmathify(pt.sigma)
     u = mp.exp(2 * mp.pi * b * x)
-    ubar = mp.exp(2 * mp.pi * x / b)
-    t1, t2 = _numerator_terms(u, ubar, pt.eps, p, ctx)
+    v = mp.exp(2 * mp.pi * b * mp.conj(x))
+    t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)
     num = t1 + xi * t2
     den = theta1(2 * mp.pi * b * (x + sigma), mpar.q, ctx) * theta1(
         2 * mp.pi * b * (x - sigma), mpar.q, ctx
@@ -112,7 +106,13 @@ def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
 
 
 def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
-    """psi(x); Richardson offsets across removable denominator zeros.
+    """psi(x); a symmetric stencil across removable denominator zeros.
+
+    Within step/2 (log-u units, step = 2^(-bits/5)) of the theta lattice,
+    psi(x) = [4 (psi(x+r) + psi(x-r)) - (psi(x+2r) + psi(x-2r))] / 6 with
+    r = step / (2 pi), all four points outside that window: the symmetric
+    pairs cancel the odd terms (the 1/h pole a tol-accurate eps leaves
+    included), leaving O(r^4) and a rounding loss of about 2^-bits / r.
 
     Unquantized parameter sets (parity None) have genuine poles there and
     raise PoleSignal instead.
@@ -126,21 +126,18 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
             _lattice_distance(2 * mp.pi * b * (x + sigma), lq),
             _lattice_distance(2 * mp.pi * b * (x - sigma), lq),
         )
-        if d >= mp.mpf(_NEAR_ZERO):
+        step = mp.mpf(2) ** (-ctx.precision_bits / 5)
+        if 2 * d >= step:
             return _psi_raw(x, p, ctx)
         if p.point.parity not in (+1, -1):
             raise PoleSignal(
                 f"theta denominator zero near x = {mp.nstr(x, 8)} and the "
                 "point is not quantized"
             )
-        # removable singularity: evaluate at u (1 + h) for two offsets and
-        # extrapolate the O(h) error away
-        h1, h2 = (mp.mpf(h) for h in _RICHARDSON_H)
-        x1 = x + mp.log(1 + h1) / (2 * mp.pi * b)
-        x2 = x + mp.log(1 + h2) / (2 * mp.pi * b)
-        v1 = _psi_raw(x1, p, ctx)
-        v2 = _psi_raw(x2, p, ctx)
-        return (h1 * v2 - h2 * v1) / (h1 - h2)
+        r = step / (2 * mp.pi)
+        near, far = (_psi_raw(x + r, p, ctx) + _psi_raw(x - r, p, ctx),
+                     _psi_raw(x + 2 * r, p, ctx) + _psi_raw(x - 2 * r, p, ctx))
+        return (4 * near - far) / 6
 
 
 def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx, *, eps_in_equation=None):
@@ -157,6 +154,7 @@ def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx, *, eps_in_equation=Non
         x = mp.mpmathify(x)
         b = p.mpar.b
         eps = p.point.eps if eps_in_equation is None else mp.mpmathify(eps_in_equation)
+        v = psi_eval(x, p, ctx)
         out = []
         for shift, coeff in (
             (1j * b, eps - 2 * mp.cosh(2 * mp.pi * b * x)),
@@ -164,7 +162,7 @@ def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx, *, eps_in_equation=Non
         ):
             up = psi_eval(x + shift, p, ctx)
             dn = psi_eval(x - shift, p, ctx)
-            rhs = coeff * psi_eval(x, p, ctx)
+            rhs = coeff * v
             scale = max(abs(up), abs(dn), abs(rhs), mp.mpf(1))
             out.append(abs(up + dn - rhs) / scale)
         return out[0], out[1]
@@ -185,10 +183,10 @@ def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancell
         sigma = mp.mpmathify(pt.sigma)
         q2 = mpar.q * mpar.q
         s = mp.exp(2 * mp.pi * b * sigma)
-        sbar = mp.exp(2 * mp.pi * sigma / b)
+        sv = mp.exp(2 * mp.pi * b * mp.conj(sigma))     # conj sbar; s for real sigma
         vals = []
-        for u, ubar in ((s, sbar), (q2 * s, sbar), (1 / s, 1 / sbar)):
-            t1, t2 = _numerator_terms(u, ubar, pt.eps, p, ctx)
+        for u, v in ((s, sv), (q2 * s, sv), (1 / s, 1 / sv)):
+            t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)
             vals.append(abs(t1 + xi * t2) / max(abs(t1), abs(t2), mp.mpf(1)))
         return PoleCancellationReport(
             at_s=vals[0],

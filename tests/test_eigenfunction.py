@@ -6,15 +6,17 @@ import dataclasses
 import pytest
 from mpmath import mp
 
+from mirror_spectra.chi import chi_check_eval, chi_eval
 from mirror_spectra.eigenfunction import (
     EigenfunctionParams,
+    _psi_raw,
     make_params,
     pole_cancellation_check,
     psi_eval,
     psi_residual,
 )
-from mirror_spectra.precision import ModularParam, PoleSignal, make_context
-from mirror_spectra.spectral import SpectralPoint, quantize
+from mirror_spectra.precision import ModularParam, PoleSignal, default_tol, make_context
+from mirror_spectra.spectral import SpectralPoint, quantize, solve_eps
 
 BITS = 192
 TOL = mp.mpf("1e-40")
@@ -118,7 +120,7 @@ def test_decay_envelope_all_states(all_states, ctx):
 
 def test_removable_point_matches_outside_limit(sheet1, ctx):
     # x = sigma is a theta-denominator zero cancelled by the numerator; the
-    # Richardson value must agree with extrapolation from regular points
+    # stencil value must agree with extrapolation from regular points
     even, _ = sheet1
     sigma = even.point.sigma
     v0 = psi_eval(sigma, even, ctx)
@@ -139,9 +141,7 @@ def test_unquantized_point_near_zero_signals(sheet1, mpar, ctx):
     even, _ = sheet1
     pt = even.point
     off = SpectralPoint(sheet=1, sigma=pt.sigma, eps=pt.eps + mp.mpf("0.5"), parity=None)
-    p = EigenfunctionParams(
-        point=off, eta=even.eta, rho=None, mpar=mpar, mpar_conj=mpar.conjugate()
-    )
+    p = EigenfunctionParams(point=off, eta=even.eta, rho=None, mpar=mpar)
     with pytest.raises(PoleSignal):
         psi_eval(pt.sigma, p, ctx)
     v = psi_eval(mp.mpf("0.3"), p, ctx)   # away from the lattice: still fine
@@ -159,6 +159,95 @@ def test_strip_analyticity(sheet1, ctx):
             v = psi_eval(x, p, ctx)
             assert mp.isfinite(v.real) and mp.isfinite(v.imag)
             assert abs(v) < mp.mpf("1e8")
+
+
+# ── theta-lattice points ──────────────────────────────────────────────────
+
+LADDER_BITS = (64, 96, 128, 192, 256)
+REF_BITS = 2 * max(LADDER_BITS) + 64
+GROUND_IM_EPS = "4.59435880983691894"   # sheet-1 even state at sigma = sin(theta)/2
+N_OFFSETS = 5
+
+
+def _lattice_and_offsets(mpar):
+    """sigma, 2 sin(theta) - sigma, -sigma and sigma + delta, at working
+    precision (a 53-bit mirror point would sit off the lattice).  The last
+    two deltas are psi_eval's stencil offset r at BITS and 2r: a stencil
+    centred there would put one of its points on the lattice."""
+    sth = mp.sin(mpar.theta)
+    sigma = sth / 2
+    r = mp.mpf(2) ** (-BITS / 5) / (2 * mp.pi)
+    deltas = [mp.mpf("1e-6"), mp.mpf("1e-9"), mp.mpf("1e-12"), r, 2 * r]
+    return [sigma, 2 * sth - sigma, -sigma] + [sigma + d for d in deltas]
+
+
+def _even_state(bits):
+    ctx = make_context(bits, default_tol(bits))
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        sigma = mp.sin(mpar.theta) / 2
+        eps = solve_eps(sigma, mp.mpc(0, GROUND_IM_EPS), mpar, ctx)
+        point = SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=+1)
+        xs = _lattice_and_offsets(mpar)
+    return ctx, mpar, point, xs
+
+
+@pytest.fixture(scope="module")
+def lattice_reference():
+    """psi of the state polished at REF_BITS, at the points of
+    _lattice_and_offsets, each the mean of _psi_raw over three points on a
+    circle of radius 2^(-REF_BITS/4): a removable point costs that scheme
+    O(radius^3), and it shares no offsets or stencil with psi_eval."""
+    ctx, mpar, point, xs = _even_state(REF_BITS)
+    with ctx.workprec():
+        p = EigenfunctionParams(point=point, eta=(mpar.b + 1 / mpar.b) / 2,
+                                rho=None, mpar=mpar)
+        rad = mp.mpf(2) ** (-REF_BITS // 4)
+        return [sum(_psi_raw(x + rad * mp.expjpi(mp.mpf(2 * k + 1) / 3), p, ctx)
+                    for k in range(3)) / 3 for x in xs]
+
+
+def _rel_err(v, ref):
+    with mp.workprec(REF_BITS):
+        return abs(v - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("bits", LADDER_BITS)
+def test_lattice_points_meet_tol(bits, lattice_reference):
+    # the three removable points of the ground state within tol of the
+    # independent reference at every rung, 64 bits (tol 1e-11) included
+    ctx, mpar, point, xs = _even_state(bits)
+    p = make_params(point, mpar, ctx)
+    for x, ref in zip(xs[:3], lattice_reference[:3]):
+        assert _rel_err(psi_eval(x, p, ctx), ref) <= ctx.tol
+
+
+@pytest.mark.parametrize("k", range(N_OFFSETS))
+def test_near_lattice_offsets_meet_tol(k, lattice_reference):
+    # sigma + delta: plain ansatz at 1e-6, 1e-9, r and 2r, the stencil at 1e-12
+    ctx, mpar, point, xs = _even_state(BITS)
+    p = make_params(point, mpar, ctx)
+    assert _rel_err(psi_eval(xs[3 + k], p, ctx), lattice_reference[3 + k]) <= ctx.tol
+
+
+@pytest.mark.parametrize("bits", (64, BITS))
+def test_barred_factors_are_conjugates(bits):
+    # chi_{conj q}(conj w; conj eps) = conj chi_q(w; eps): the series is
+    # real-rational in q and eps, so one nome serves the barred factors
+    ctx = make_context(bits, default_tol(bits))
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    dual = mpar.conjugate()
+    with ctx.workprec():
+        eps = mp.mpc("0.3", GROUND_IM_EPS)
+        bound = mp.mpf(2) ** (8 - bits)
+        for x in (mp.mpf("0.37"), mp.mpf("-1.2"), mp.mpc("0.3", "0.2"), mp.mpc("-1.1", "0.6")):
+            w = mp.exp(2 * mp.pi * mpar.b * x)
+            pairs = ((chi_eval(mp.conj(w), mp.conj(eps), dual, ctx)[0],
+                      chi_eval(w, eps, mpar, ctx)[0]),
+                     (chi_check_eval(mp.conj(w), mp.conj(eps), dual, ctx),
+                      chi_check_eval(w, eps, mpar, ctx)))
+            for barred, direct in pairs:
+                assert abs(barred - mp.conj(direct)) <= bound * abs(barred)
 
 
 # ── psi_residual ──────────────────────────────────────────────────────────
@@ -227,9 +316,7 @@ def test_pole_cancellation_detuned(sheet1, mpar, ctx):
     even, _ = sheet1
     pt = even.point
     off = SpectralPoint(sheet=1, sigma=pt.sigma, eps=pt.eps + mp.mpf("1e-6"), parity=+1)
-    p = EigenfunctionParams(
-        point=off, eta=even.eta, rho=None, mpar=mpar, mpar_conj=mpar.conjugate()
-    )
+    p = EigenfunctionParams(point=off, eta=even.eta, rho=None, mpar=mpar)
     rep = pole_cancellation_check(p, ctx)
     assert mp.mpf("1e-12") < rep.at_s < mp.mpf("1e-4")
     assert rep.max_normalized < mp.mpf("1e-2")
