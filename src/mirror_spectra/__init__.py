@@ -1,10 +1,13 @@
 """Arbitrary-precision spectral solver for a modular pair of Harper-type
-functional difference equations and the associated self-dual Harper problem."""
+functional difference equations and the associated self-dual Harper problem.
+
+The package exports the paper's objects and what the command line, the
+invariant registry and the benchmark call; helpers are reached through their
+modules (``mirror_spectra.selfdual.composite_gl``, ...)."""
 
 __version__ = "0.1.0"
 
 from .chi import (
-    ChiPolySeq,
     chi_dual_eval,
     chi_check_eval,
     chi_eval,
@@ -21,7 +24,6 @@ from .eigenfunction import (
     psi_residual,
 )
 from .precision import (
-    ConvergenceError,
     ModularParam,
     PoleSignal,
     PrecCtx,
@@ -34,11 +36,6 @@ from .precision import (
 from .selfdual import (
     SelfDualSpectrum,
     alpha_beta,
-    canonical_integral,
-    composite_gl,
-    gauss_legendre_nodes,
-    leg_integral,
-    path_funcs,
     period_integrals,
     period_series,
     phi_eval,
@@ -48,32 +45,22 @@ from .selfdual import (
 from .spectral import (
     Orbit,
     SpectralPoint,
-    WronskianFactorization,
     factorize,
     quantize,
-    rho_extract,
-    sheet_seed,
     solve_eps,
     trace_orbit,
     wronskian_eval,
     wronskian_residue,
 )
 from .transfer import (
-    TransferMatrix,
-    L_eval,
-    M_n_eval,
     R_orbit,
     chi_via_Minf,
     classify_r_orbit,
 )
 
 __all__ = [
-    "ChiPolySeq",
-    "ConvergenceError",
     "EigenfunctionParams",
     "G_eval",
-    "L_eval",
-    "M_n_eval",
     "ModularParam",
     "Orbit",
     "PoleCancellationReport",
@@ -84,10 +71,7 @@ __all__ = [
     "SelfDualSpectrum",
     "SolverError",
     "SpectralPoint",
-    "TransferMatrix",
-    "WronskianFactorization",
     "alpha_beta",
-    "canonical_integral",
     "chi_check_eval",
     "chi_dual_eval",
     "chi_eval",
@@ -95,13 +79,9 @@ __all__ = [
     "chi_poly_seq",
     "chi_via_Minf",
     "classify_r_orbit",
-    "composite_gl",
     "factorize",
-    "gauss_legendre_nodes",
-    "leg_integral",
     "make_context",
     "make_params",
-    "path_funcs",
     "period_integrals",
     "period_series",
     "phi_eval",
@@ -112,8 +92,6 @@ __all__ = [
     "psi_selfdual",
     "quantize",
     "quantize_selfdual",
-    "rho_extract",
-    "sheet_seed",
     "solve_eps",
     "theta1",
     "trace_orbit",

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from mpmath import mp
@@ -46,17 +45,6 @@ from .precision import (
 
 # denominators this close to zero (relative to the local scale) are poles
 ZERO_FLOOR = 1e3
-
-
-@dataclass(frozen=True)
-class ChiPolySeq:
-    """chi_{q,0..N}(eps) and their eps-derivatives."""
-
-    eps: object
-    q: object
-    N: int
-    values: tuple
-    dvalues: tuple
 
 
 class _QTable:
@@ -123,14 +111,15 @@ def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
         n += 1
 
 
-def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx) -> ChiPolySeq:
-    """Evaluate chi_{q,0..N}(eps) and derivatives at a numeric eps."""
+def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
+    """(values, dvalues): chi_{q,0..N}(eps) and their eps-derivatives at a
+    numeric eps."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     with ctx.workprec():
         eps = mp.mpmathify(eps)
         values, dvalues = zip(*itertools.islice(_poly_pairs(eps, mpar.q), N + 1))
-    return ChiPolySeq(eps=eps, q=mpar.q, N=N, values=values, dvalues=dvalues)
+    return values, dvalues
 
 
 def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -150,8 +139,6 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
         us = [mp.mpmathify(u) for u in us]
         eps = mp.mpmathify(eps)
         q = mpar.q
-        if not abs(q) < 1:
-            raise ValueError(f"chi series needs |q| < 1, got |q| = {abs(q)}")
         out = [(mp.mpf(1), mp.mpf(0)) if u == 0 else None for u in us]
         # per argument: [index, u, s, ds, u^n, tmax, previous two |term|]
         live = [[i, u, mp.mpc(0), mp.mpc(0), mp.mpf(1), mp.mpf(0), 0, 0]
@@ -261,8 +248,7 @@ def _mult_residual(m: int, n: int, eps, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         eps = mp.mpmathify(eps)
         q = mpar.q
-        seq = chi_poly_seq(eps, mpar, max(m + n, 2), ctx)
-        chi = seq.values
+        chi, _ = chi_poly_seq(eps, mpar, max(m + n, 2), ctx)
         lhs = chi[m] * chi[n]
         rhs = mp.mpc(0)
         q2 = q * q

@@ -169,7 +169,7 @@ def _svg_plot(path: str, curves, labels, meta: dict):
 def _spectrum_mpar(args, ctx: PrecCtx) -> ModularParam:
     mpar = ModularParam.from_theta(args.theta, ctx)
     with ctx.workprec():
-        degenerate = not (0 < mp.re(mpar.theta) < mp.pi / 2) or abs(mpar.q) >= 1
+        degenerate = not 0 < mp.re(mpar.theta) < mp.pi / 2
     if degenerate:
         raise _ConfigError(
             f"theta = {args.theta} outside (0, pi/2): |q| >= 1, series diverge")

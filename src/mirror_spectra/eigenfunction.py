@@ -56,7 +56,7 @@ def make_params(point: SpectralPoint, mpar: ModularParam, ctx: PrecCtx) -> Eigen
             raise ValueError("eta = (b + 1/b)/2 must be real on |b| = 1")
         rho = None
         if point.parity in (+1, -1):
-            rho = factorize(point.sigma, point.eps, mpar, ctx).rho
+            rho = factorize(point.sigma, point.eps, mpar, ctx)
     return EigenfunctionParams(point=point, eta=eta, rho=rho, mpar=mpar)
 
 
@@ -140,20 +140,16 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
         return (4 * near - far) / 6
 
 
-def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx, *, eps_in_equation=None):
+def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx):
     """(r1, r2): relative residuals of the pair of difference equations
 
         psi(x + i b)   + psi(x - i b)   = (eps      - 2 cosh(2 pi b x)) psi(x)
         psi(x + i/b)   + psi(x - i/b)   = (conj eps - 2 cosh(2 pi x/b)) psi(x)
-
-    The ansatz solves both identically in eps, so detuning sensitivity is
-    probed through eps_in_equation (replacing eps in the right-hand side
-    only), not by rebuilding the state.
     """
     with ctx.workprec():
         x = mp.mpmathify(x)
         b = p.mpar.b
-        eps = p.point.eps if eps_in_equation is None else mp.mpmathify(eps_in_equation)
+        eps = p.point.eps
         v = psi_eval(x, p, ctx)
         out = []
         for shift, coeff in (

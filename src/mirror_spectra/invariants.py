@@ -121,7 +121,7 @@ def multiplication_rule(ctx, mpar, rng, full, fault):
     (verify: n <= 4), relative to |chi_m chi_n|."""
     eps = mp.mpc("1.7", "0.3")
     top = 10 if full else 4
-    chi = chi_poly_seq(eps, mpar, 2 * top, ctx).values
+    chi, _ = chi_poly_seq(eps, mpar, 2 * top, ctx)
     worst = mp.mpf(0)
     for m in range(1, top + 1):
         for n in range(m, top + 1):

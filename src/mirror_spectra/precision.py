@@ -35,10 +35,6 @@ class PrecisionExceeded(SolverError):
     """A series or iteration hit its hard cap before reaching tolerance."""
 
 
-class ConvergenceError(SolverError):
-    """An iterative solve (Newton, continuation, bracketing) did not converge."""
-
-
 class PoleSignal(SolverError):
     """A denominator fell below the zero floor: the requested value sits on
     (or too close to) a pole and must be handled by the caller."""

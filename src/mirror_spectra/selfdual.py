@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .precision import ConvergenceError, PrecCtx, SolverError
+from .precision import PrecCtx, SolverError
 
 _GL_ORDER = 32
 _GL_CACHE = {}
+_GL_MAX_DEPTH = 28
 _LEG_STEPS = 192           # y-continuation march resolution per unit length
 _BRACKET_HI = "1e6"
 _SERIES_MIN_EPS = 8        # period_series' term ratio 16/eps^2 is at most 1/4
@@ -86,18 +87,18 @@ def gauss_legendre_nodes(order: int, ctx: PrecCtx):
                 if abs(step) < floor:
                     break
             else:
-                raise ConvergenceError(f"Legendre root {i} of {order} stalled")
+                raise SolverError(f"Legendre root {i} of {order} stalled")
             half.append((x, 2 / ((1 - x * x) * dp * dp)))
         nodes = tuple((-x, w) for x, w in half) + tuple(reversed(half))
     _GL_CACHE[key] = nodes
     return nodes
 
 
-def composite_gl(f, a, b, ctx: PrecCtx, tol=None, max_depth=28):
+def composite_gl(f, a, b, ctx: PrecCtx):
     """Adaptive composite Gauss-Legendre quadrature of f over [a, b].
 
     Panels are bisected until refining moves a panel by less than its share
-    of the absolute budget; a panel still moving at max_depth raises
+    of the absolute budget ctx.tol; a panel still moving at _GL_MAX_DEPTH raises
     SolverError naming the subinterval.  The rule is open: f is never
     evaluated at panel endpoints.
     """
@@ -105,7 +106,7 @@ def composite_gl(f, a, b, ctx: PrecCtx, tol=None, max_depth=28):
         a, b = mp.mpmathify(a), mp.mpmathify(b)
         if a == b:
             return mp.mpf(0)
-        budget = mp.mpf(ctx.tol if tol is None else tol)
+        budget = mp.mpf(ctx.tol)
         nodes = gauss_legendre_nodes(_GL_ORDER, ctx)
 
         def panel(x0, x1):
@@ -122,7 +123,7 @@ def composite_gl(f, a, b, ctx: PrecCtx, tol=None, max_depth=28):
             fine = left + right
             if abs(fine - coarse) <= budget * abs((x1 - x0) / (b - a)) / 2:
                 total += fine
-            elif depth >= max_depth:
+            elif depth >= _GL_MAX_DEPTH:
                 raise SolverError(
                     "quadrature did not converge on subinterval "
                     f"[{mp.nstr(x0, 10)}, {mp.nstr(x1, 10)}]"
@@ -325,7 +326,7 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
             if not lo < x < hi:
                 x = (lo + hi) / 2
         else:
-            raise ConvergenceError(f"Newton for level {n} did not settle")
+            raise SolverError(f"Newton for level {n} did not settle")
 
         A, At, B, Bt = period_integrals(eps_star, ctx)
         r = (A * Bt - B * At) / B - target
@@ -336,8 +337,6 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
 
         lam = Bt / B
         alpha, beta = alpha_beta(eps_star, ctx)
-        if not (A > 0 and At > 0 and B > 0 and Bt > 0 and A * Bt - B * At > 0):
-            raise SolverError("period integrals lost positivity")
         return SelfDualSpectrum(
             n=n, eps=eps_star, alpha=alpha, beta=beta, lam=lam,
             A=A, Atilde=At, B=B, Btilde=Bt,
@@ -406,12 +405,12 @@ def _nearest_y(x, guess, eps):
     return a if abs(a - guess) <= abs(b - guess) else b
 
 
-def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start=None):
+def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start):
     """(I, y_end): integral of theta_lambda along the horizontal leg from
     (iT, y_start) to x = iT + tau, with y continued by nearest-branch
-    marching (never a fixed principal branch).  y_start defaults to the
-    endpoint y of the canonical path to iT; any other point of the curve
-    above iT may be given, such as -y on the other sheet or y + 1.
+    marching (never a fixed principal branch).  y_start is a point of the
+    curve above iT: the endpoint y of the canonical path to iT, or another
+    such as -y on the other sheet or y + 1.
 
     On the leg theta_lambda pulls back to -(x sin(2 pi x) + lambda) /
     sin(2 pi y) dx using dy/dx = -sin(2 pi x)/sin(2 pi y) on the curve.
@@ -421,10 +420,7 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start=None):
         if mp.im(tau) != 0:
             raise ValueError("leg length must be real")
         tau = mp.re(tau)
-        if y_start is None:
-            _, y0 = canonical_integral(T, spec, ctx)
-        else:
-            y0 = mp.mpmathify(y_start)
+        y0 = mp.mpmathify(y_start)
         eps, lam = spec.eps, spec.lam
         T = mp.re(mp.mpmathify(T))
         x0 = 1j * T

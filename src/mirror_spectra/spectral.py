@@ -38,16 +38,6 @@ _MAX_FALSE_POSITION = 64  # quantize gives up on a bracket after this many trial
 
 
 @dataclass(frozen=True)
-class WronskianFactorization:
-    """A (sigma, eps) pair on the zero set of W, with the theta prefactor."""
-
-    sigma: object
-    s: object
-    rho: object  # None until extracted
-    eps: object
-
-
-@dataclass(frozen=True)
 class SpectralPoint:
     sheet: int
     sigma: object
@@ -59,7 +49,6 @@ class SpectralPoint:
 class Orbit:
     sheet: int
     samples: tuple  # ordered ((sigma, eps), ...) with sigma increasing
-    step: object
 
 
 # ── Wronskian ─────────────────────────────────────────────────────────────
@@ -280,7 +269,7 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
             target = sth if i == npoints - 1 else i * step
             eps, slope = _advance(samples[-1][0], target, eps, slope, k, mpar, ctx)
             samples.append((target, eps))
-        return Orbit(sheet=k, samples=tuple(samples), step=step)
+        return Orbit(sheet=k, samples=tuple(samples))
 
 
 # ── quantization along an orbit ───────────────────────────────────────────
@@ -372,8 +361,9 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
 _RHO_TEST_OFFSETS = ("0.1", "0.23", "0.37")
 
 
-def rho_extract(fact: WronskianFactorization, mpar: ModularParam, ctx: PrecCtx):
-    """rho = W(u0) / (theta1(s u0) theta1(u0/s)) at three test points.
+def rho_extract(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
+    """rho = W(u0) / (theta1(s u0) theta1(u0/s)) at three test points, for a
+    root (sigma, eps) of W.
 
     The three values must agree to 10^3 tol relatively (u0-independence is
     what the factorization claims); their mean is returned.
@@ -381,7 +371,7 @@ def rho_extract(fact: WronskianFactorization, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         tol = mp.mpf(ctx.tol)
         two_pi_b = 2 * mp.pi * mpar.b
-        sigma = mp.mpmathify(fact.sigma)
+        sigma = mp.mpmathify(sigma)
         rhos = []
         for x0s in _RHO_TEST_OFFSETS:
             x0 = mp.mpf(x0s)
@@ -393,7 +383,7 @@ def rho_extract(fact: WronskianFactorization, mpar: ModularParam, ctx: PrecCtx):
                 raise SolverError(
                     f"rho test point x0 = {x0s} too close to a theta zero"
                 )
-            w, _, _ = _wronskian_parts(u0, fact.eps, mpar, ctx)
+            w, _, _ = _wronskian_parts(u0, eps, mpar, ctx)
             rhos.append(w / den)
         mean = mp.fsum(rhos) / len(rhos)
         spread = max(abs(r - mean) for r in rhos)
@@ -407,8 +397,9 @@ def rho_extract(fact: WronskianFactorization, mpar: ModularParam, ctx: PrecCtx):
         return mean
 
 
-def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx) -> WronskianFactorization:
-    """Validated factorization record at a root (sigma, eps) of W."""
+def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
+    """The theta prefactor rho of W(u) = rho theta1(s u) theta1(u/s) at a
+    root (sigma, eps) of W, after checking that it is one."""
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
         w, _, scale = _wronskian_parts(s, eps, mpar, ctx)
@@ -417,6 +408,4 @@ def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx) -> WronskianFactoriz
                 f"(sigma, eps) is not on the Wronskian zero set: |W| = "
                 f"{mp.nstr(abs(w), 3)}"
             )
-        fact = WronskianFactorization(sigma=mp.mpmathify(sigma), s=s, rho=None, eps=eps)
-        rho = rho_extract(fact, mpar, ctx)
-        return WronskianFactorization(sigma=fact.sigma, s=s, rho=rho, eps=eps)
+        return rho_extract(sigma, eps, mpar, ctx)

@@ -263,12 +263,18 @@ def test_residuals_all_states(all_states, ctx):
 
 def test_residual_detuning_sensitivity(sheet1, ctx):
     # the ansatz solves the pair of equations identically in eps, so the
-    # detuning must enter through the equation coefficient
+    # detuning must enter through the equation coefficient: psi_residual's
+    # first residual with eps + 1e-5 on the right-hand side only
     even, _ = sheet1
     x = mp.mpf("0.3")
     r1, _ = psi_residual(x, even, ctx)
     assert r1 < 1000 * ctx.tol
-    r1d, _ = psi_residual(x, even, ctx, eps_in_equation=even.point.eps + mp.mpf("1e-5"))
+    with ctx.workprec():
+        b = even.mpar.b
+        up, dn = psi_eval(x + 1j * b, even, ctx), psi_eval(x - 1j * b, even, ctx)
+        eps_d = even.point.eps + mp.mpf("1e-5")
+        rhs = (eps_d - 2 * mp.cosh(2 * mp.pi * b * x)) * psi_eval(x, even, ctx)
+        r1d = abs(up + dn - rhs) / max(abs(up), abs(dn), abs(rhs), 1)
     assert r1d > mp.mpf("1e-8")
 
 

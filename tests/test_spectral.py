@@ -12,6 +12,7 @@ from mirror_spectra.precision import (
     SolverError,
     make_context,
     pochhammer_q,
+    theta1,
 )
 from mirror_spectra.spectral import (
     Orbit,
@@ -21,14 +22,12 @@ from mirror_spectra.spectral import (
     _wronskian_parts,
     factorize,
     quantize,
-    rho_extract,
     sheet_seed,
     sin_theta,
     solve_eps,
     trace_orbit,
     wronskian_eval,
     wronskian_residue,
-    WronskianFactorization,
 )
 
 
@@ -112,7 +111,7 @@ def _residue_by_pochhammer(eps, mpar, ctx):
         q = mpar.q
         qm2 = 1 / (q * q)
         tol = mp.mpf(ctx.tol)
-        values = chi_poly_seq(eps, mpar, 256, ctx).values
+        values, _ = chi_poly_seq(eps, mpar, 256, ctx)
         s, small = mp.mpc(0), 0
         for m in range(len(values)):
             term = (values[m] / pochhammer_q(qm2, qm2, m, ctx)) ** 2 * (
@@ -359,11 +358,7 @@ def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
             (sig, solve_eps(sig, eps, mpar256, ctx256))
             for sig, eps in samples[i - 1:i + 1]
         )
-        orbit = Orbit(
-            sheet=1,
-            samples=(samples[0],) + inner + (samples[-1],),
-            step=coarse_orbit1.step,
-        )
+        orbit = Orbit(sheet=1, samples=(samples[0],) + inner + (samples[-1],))
         (p,) = quantize(orbit, parity, mpar256, ctx256)
         assert abs(p.sigma - target) <= mp.mpf("1e-17")
         indicator = _parity_indicator(p.sigma, p.eps, parity, mpar256, ctx256)
@@ -438,12 +433,16 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
 def test_factorize_at_quantized_point(ctx, mpar, orbit1):
     with ctx.workprec():
         p = quantize(orbit1, +1, mpar, ctx)[0]
-        f = factorize(p.sigma, p.eps, mpar, ctx)
-        assert f.rho != 0
-        assert abs(f.s - _sigma_to_s(p.sigma, mpar)) == 0
-        # independence of the probe point is rechecked by rho_extract
-        again = rho_extract(f, mpar, ctx)
-        assert abs(again - f.rho) <= mp.mpf(1e3) * mp.mpf(ctx.tol) * abs(f.rho)
+        rho = factorize(p.sigma, p.eps, mpar, ctx)
+        assert rho != 0
+        # W(u0) = rho theta1(s u0) theta1(u0/s) at a probe point rho_extract
+        # does not use
+        two_pi_b = 2 * mp.pi * mpar.b
+        x0 = mp.mpf("0.29")
+        w, _ = wronskian_eval(mp.exp(two_pi_b * x0), p.eps, mpar, ctx)
+        den = (theta1(two_pi_b * (x0 + p.sigma), mpar.q, ctx)
+               * theta1(two_pi_b * (x0 - p.sigma), mpar.q, ctx))
+        assert abs(w / den - rho) <= mp.mpf(1e3) * mp.mpf(ctx.tol) * abs(rho)
 
 
 def test_factorize_rejects_nonroot(ctx, mpar):
@@ -456,7 +455,7 @@ def test_modular_conjugation_of_wronskian(ctx, mpar, orbit1):
     # real x; the conjugated-parameter Wronskian at ubar equals conj W(u)
     with ctx.workprec():
         p = quantize(orbit1, +1, mpar, ctx)[0]
-        f = factorize(p.sigma, p.eps, mpar, ctx)
+        rho = factorize(p.sigma, p.eps, mpar, ctx)
         b = mpar.b
         mpar_c = mpar.conjugate()
         for x0 in (mp.mpf("0.13"), mp.mpf("0.31")):
@@ -466,7 +465,7 @@ def test_modular_conjugation_of_wronskian(ctx, mpar, orbit1):
             wbar, _ = wronskian_eval(ubar, mp.conj(p.eps), mpar_c, ctx)
             assert abs(wbar - mp.conj(w)) <= mp.mpf("1e-45") * max(abs(w), 1)
             rhs = (
-                mp.mpc(0, 1) * b * b * mp.conj(f.rho) / f.rho
+                mp.mpc(0, 1) * b * b * mp.conj(rho) / rho
                 * mp.exp(-2j * mp.pi * (p.sigma ** 2 + x0 ** 2)) * w
             )
             assert abs(mp.conj(w) - rhs) <= mp.mpf("1e-45") * max(abs(w), 1)
