@@ -33,7 +33,13 @@ from mpmath import mp
 
 from . import __version__
 from .eigenfunction import make_params, pole_cancellation_check, psi_residual
-from .precision import ModularParam, PrecCtx, SolverError, make_context
+from .precision import (
+    ModularParam,
+    PrecCtx,
+    SolverError,
+    coupling_angle,
+    make_context,
+)
 from .precision import default_tol as _default_tol
 from .selfdual import quantize_selfdual
 from .spectral import quantize, trace_orbit
@@ -167,12 +173,15 @@ def _svg_plot(path: str, curves, labels, meta: dict):
 
 
 def _spectrum_mpar(args, ctx: PrecCtx) -> ModularParam:
-    mpar = ModularParam.from_theta(args.theta, ctx)
+    # the angle is checked before the nomes are built: outside (0, pi/2)
+    # |q| may still be < 1 (theta = 5 pi/4 gives q = e^-pi), or it may not
     with ctx.workprec():
-        degenerate = not 0 < mp.re(mpar.theta) < mp.pi / 2
+        theta, _ = coupling_angle(args.theta)
+        degenerate = not 0 < theta < mp.pi / 2
     if degenerate:
         raise _ConfigError(
-            f"theta = {args.theta} outside (0, pi/2): |q| >= 1, series diverge")
+            f"theta = {args.theta}: the coupling angle must lie in (0, pi/2)")
+    mpar = ModularParam.from_theta(args.theta, ctx)
     if not mpar.in_supported_range:
         # accepted but flagged: |q| -> 1 as theta -> 0 and convergence slows
         print(f"mirror-spectra: warning: theta = {args.theta} outside the "

@@ -103,6 +103,14 @@ def _parse_pi_fraction(theta) -> "object | None":
         raise ValueError(f"theta {theta!r} divides by zero")
     return mp.mpf(num) / den
 
+
+def coupling_angle(theta):
+    """(theta in radians, theta/pi as an exact ratio or None) at the current
+    precision; a string such as "3*pi/8" is read as an exact pi-fraction."""
+    frac = _parse_pi_fraction(theta)
+    return (mp.mpf(theta) if frac is None else mp.pi * frac), frac
+
+
 @dataclass(frozen=True)
 class ModularParam:
     """Coupling data b = e^{i theta} on the unit circle and both nomes.
@@ -140,12 +148,10 @@ class ModularParam:
         precision, which the reference tables require.
         """
         with ctx.workprec():
-            frac = _parse_pi_fraction(theta)
+            th, frac = coupling_angle(theta)
             if frac is not None:
-                th = mp.pi * frac
                 b = mp.expjpi(frac)            # e^{i pi frac}, exact arg
             else:
-                th = mp.mpf(theta)
                 b = mp.exp(mp.mpc(0, 1) * th)
             log_q = mp.mpc(0, 1) * mp.pi * b * b
             log_qbar = -mp.mpc(0, 1) * mp.pi / (b * b)

@@ -104,13 +104,22 @@ def _sigma_to_s(sigma, mpar: ModularParam):
     return mp.exp(2 * mp.pi * mpar.b * mp.mpmathify(sigma))
 
 
-def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
+def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
+                       fast: bool = False):
     """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, iterations).
 
     Stops when both the residual |W| <= tol * scale and the Newton
     correction |W / W_eps| <= tol * max(|eps|, 1) are met: a small residual
     alone leaves eps loose where W_eps is small.  The returned eps has that
     last correction applied, which costs no Wronskian pass.
+
+    Each step is damped by halving until |W| falls.  With fast=True the
+    solve gives up instead, returning (None, iterations), at the first step
+    whose full Newton correction does not lower |W|, or when _FAST_NEWTON
+    steps have not converged: the seed lies outside Newton's contraction
+    region, and no further pass can make it a fast solve.  Giving up is not
+    a failure; SolverError still means one (dW/deps underflow, a stalled
+    line search, or _MAX_NEWTON steps).
     """
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
@@ -121,6 +130,8 @@ def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
             if (abs(w) <= tol * max(scale, 1)
                     and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
                 return (eps - w / dw if w else eps), it
+            if fast and it >= _FAST_NEWTON:
+                return None, it
             if abs(dw) <= tol * max(abs(w), 1):
                 raise SolverError(
                     f"dW/deps underflow at sigma = {mp.nstr(mp.mpmathify(sigma), 8)}: "
@@ -134,6 +145,8 @@ def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
                 if abs(wt) < abs(w):
                     eps, w, dw, scale = trial, wt, dwt, st
                     break
+                if fast:
+                    return None, it
                 lam /= 2
             else:
                 raise SolverError(
@@ -214,12 +227,17 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
     step of an orbit, which keeps the zero-order seed eps).  The prediction
     costs no Wronskian evaluation.
 
-    Slow Newton (more than _FAST_NEWTON iterations) halves the sub-step;
-    once the halving floor (a 4096th of the span) is reached a
-    converged-but-slow step is accepted (near-degenerate sheet pairs keep
-    Newton slow at any step size).  Only an actual Newton failure at the
-    floor aborts the continuation, and so does a jump of eps by more than
-    half its size in one sub-step.
+    Above the halving floor (a 4096th of the span) each sub-step is solved
+    in _solve_eps_counted's fast mode: the solve gives up at its first
+    damped Newton step or after _FAST_NEWTON undamped ones, and the caller
+    halves h.  A rejected sub-step therefore costs a few Wronskian passes,
+    not a full damped solve that is thrown away.  At the floor the full
+    damped solve runs, and a converged-but-slow step is accepted
+    (near-degenerate sheet pairs keep Newton slow at any step size).
+    Giving up is not a failure: only a SolverError from the last solve
+    above the floor, or from the solve at the floor, aborts the
+    continuation, and so does a jump of eps by more than half its size in
+    one sub-step.
     """
     floor = (target - sigma) / 4096
     while sigma < target:
@@ -227,13 +245,15 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
         while True:
             seed = eps if slope is None else eps + h * slope
             try:
-                cand, iters = _solve_eps_counted(sigma + h, seed, mpar, ctx)
+                cand, _ = _solve_eps_counted(sigma + h, seed, mpar, ctx,
+                                             fast=h > floor)
+                failed = False
             except SolverError:
-                cand, iters = None, None
-            if cand is not None and (iters <= _FAST_NEWTON or h <= floor):
+                cand, failed = None, True
+            if cand is not None:
                 break
             h /= 2
-            if h < floor and cand is None:
+            if h < floor and failed:
                 raise SolverError(
                     f"continuation failed on sheet {sheet} at sigma = "
                     f"{mp.nstr(sigma + h, 8)}"

@@ -1,14 +1,20 @@
 """Regular solution of the chi-equation: polynomial layer, series evaluation,
 second solution, G ratio, multiplication rule, and pole signalling."""
 
+from dataclasses import dataclass
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 import pytest
 
+from mirror_spectra import chi
 from mirror_spectra.chi import (
     G_eval,
     _chi_series,
+    _log2_abs,
+    _parts,
     _poly_pairs,
     _qtable,
     _wronskian_parts,
@@ -216,6 +222,10 @@ def test_chi_series_term_cap(mpar_pi4):
         _chi_series((small, u, 0), mp.mpf(2), mpar_pi4, ctx16)
     with pytest.raises(PrecisionExceeded):
         _wronskian_parts(u, mp.mpf(2), mpar_pi4, ctx16)
+    # a non-finite argument never meets the stop test
+    for bad in (mp.inf, mp.nan, mp.mpc(1, mp.ninf)):
+        with pytest.raises(PrecisionExceeded, match="within 16 terms"):
+            chi_eval(bad, mp.mpf(2), mpar_pi4, ctx16)
 
 
 def test_chi_series_rejects_coarse_modular_param(ctx192, ctx64):
@@ -403,17 +413,40 @@ _KERNEL_CONTEXTS = ((128, 1e-27), (192, 1e-40), (256, 1e-60))
 _KERNEL_THETAS = ("pi/4", "3*pi/8", "pi/6")
 
 
-@pytest.mark.parametrize("bits,tol", _KERNEL_CONTEXTS)
-@pytest.mark.parametrize("theta", _KERNEL_THETAS)
+@dataclass(frozen=True)
+class _MpfTolCtx:
+    # PrecCtx's fields and workprec with an mpf tol: a tol below the double
+    # range, which PrecCtx's float tol cannot hold
+    precision_bits: int
+    tol: object
+    max_terms: int = 4096
+
+    def workprec(self):
+        return mp.workprec(self.precision_bits)
+
+
+# tol 1e-1250 and terms past 2^1024: the series' log2 stop filter must not
+# overflow or underflow where a double would.  The real nome keeps the
+# reference loop's q powers at 4300 bits cheap.
+_FINE_RUNG = ("pi/4", 4300, "1e-1250")
+
+
+@pytest.mark.parametrize(
+    "theta,bits,tol",
+    [(theta, bits, tol) for bits, tol in _KERNEL_CONTEXTS
+     for theta in _KERNEL_THETAS] + [_FINE_RUNG])
 def test_series_kernel_batch_is_bitwise(bits, tol, theta):
     # one batched pass == one call per argument == the in-place loop, bit
     # for bit, with u = 0 and arguments whose series stop at different n
-    ctx = make_context(bits, tol)
+    fine = (theta, bits, tol) == _FINE_RUNG
+    ctx = _MpfTolCtx(bits, mp.mpf(tol)) if fine else make_context(bits, tol)
     mpar = ModularParam.from_theta(theta, ctx)
     with ctx.workprec():
         eps = mp.mpc("3.7", "-12.5")
         us = (mp.mpf(0), mp.mpf("1e-9"), mp.mpc("0.3", "-0.2"),
               mp.mpc("-1.7", "0.4"), mp.mpc("2.6", "-1.9"), mp.mpc(0, 40))
+        if fine:
+            us += (mp.mpc("3e40", "-1e40"),)
         batch = _chi_series(us, eps, mpar, ctx)
         stops = set()
         for u, got in zip(us, batch):
@@ -421,6 +454,38 @@ def test_series_kernel_batch_is_bitwise(bits, tol, theta):
             stops.add(n)
             assert got == chi_eval(u, eps, mpar, ctx) == (v, dv)
     assert len(stops) >= 4
+
+
+def test_series_kernel_exact_stop_is_bitwise(monkeypatch):
+    # with an infinite margin every stop decision and tmax take the exact
+    # mpf path, which must reproduce the in-place loop as the filter does
+    monkeypatch.setattr(chi, "_LOG2_MARGIN", float("inf"))
+    ctx = make_context(192, 1e-40)
+    for theta in _KERNEL_THETAS:
+        mpar = ModularParam.from_theta(theta, ctx)
+        with ctx.workprec():
+            eps = mp.mpc("-4.2", "6.1")
+            us = (mp.mpf("1e-9"), mp.mpc("0.3", "-0.2"), mp.mpc("2.6", "-1.9"),
+                  mp.mpc(0, 40))
+            for u, got in zip(us, _chi_series(us, eps, mpar, ctx)):
+                v, dv, _ = _chi_incremental(u, eps, mpar, ctx)
+                assert got == (v, dv)
+
+
+def test_log2_abs_matches_mpmath():
+    # the stop filter's float log2 |z| against mpmath's, from 2^-100000 to
+    # 2^100000, with a zero or a far smaller real or imaginary part
+    with mp.workprec(192):
+        for e in (-100000, -1075, -60, 0, 1, 1025, 100000):
+            a, b = mp.ldexp(mp.mpf("0.7071"), e), mp.ldexp(mp.mpf(-3) / 7, e)
+            for z in (mp.mpc(a, b), mp.mpc(-b, a), mp.mpc(a, 0), mp.mpc(0, b),
+                      mp.mpf(b), mp.mpc(a, mp.ldexp(b, -300)),
+                      mp.mpc(mp.ldexp(a, 300), b)):
+                want = mp.log(abs(z), 2)
+                assert abs(_log2_abs(_parts(z)) - want) <= 1e-9, (e, z)
+        assert _log2_abs(_parts(mp.mpc(0))) == -math.inf
+        for z in (mp.inf, mp.nan, mp.mpc(1, mp.ninf), mp.mpc(mp.nan, 0)):
+            assert math.isnan(_log2_abs(_parts(z)))
 
 
 @pytest.mark.parametrize("bits,tol", _KERNEL_CONTEXTS)

@@ -91,8 +91,14 @@ def test_default_tol_scale():
 # ── exit codes and configuration ──────────────────────────────────────────
 
 
-def test_bad_config_exit_codes(tmp_path):
-    assert main(["spectrum", "--theta", "2.5"]) == EXIT_CONFIG
+def test_bad_config_exit_codes(tmp_path, capsys):
+    # an angle outside (0, pi/2) is named as such, whether its nome has
+    # |q| > 1 (theta = 2.5) or |q| = e^-pi (theta = 5 pi/4)
+    for theta in ("2.5", "5*pi/4"):
+        assert main(["spectrum", "--theta", theta]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"mirror-spectra: error: theta = {theta}: the "
+                       "coupling angle must lie in (0, pi/2)\n")
     assert main(["spectrum", "--theta", "garbage"]) == EXIT_CONFIG
     assert main(["selfdual", "--digits", "1"]) == EXIT_CONFIG
     assert main(["selfdual", "--digits", "99"]) == EXIT_CONFIG

@@ -250,50 +250,71 @@ def _count_solves(monkeypatch):
     calls = []
     original = spectral._solve_eps_counted
 
-    def counted(sigma, eps0, mpar, ctx):
+    def counted(sigma, *args, **kwargs):
         calls.append(sigma)
-        return original(sigma, eps0, mpar, ctx)
+        return original(sigma, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "_solve_eps_counted", counted)
     return calls
 
 
+def _count_passes(monkeypatch):
+    # one Wronskian pass is one chi series run over its four arguments
+    calls = []
+    original = spectral._wronskian_parts
+
+    def counted(u, *args):
+        calls.append(u)
+        return original(u, *args)
+
+    monkeypatch.setattr(spectral, "_wronskian_parts", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def sheet2_128():
-    # sheet 2 at the CLI's 128-bit default, with the Newton solves counted
+    # sheet 2 at the CLI's 128-bit default, with the Newton solves and the
+    # Wronskian passes counted
     ctx128 = make_context(128, 1e-27)
     mpar128 = ModularParam.from_theta("pi/4", ctx128)
     with pytest.MonkeyPatch.context() as mpatch:
         calls = _count_solves(mpatch)
+        passes = _count_passes(mpatch)
         orbit = trace_orbit(2, 48, mpar128, ctx128)
-    return ctx128, mpar128, orbit, len(calls)
+    return ctx128, mpar128, orbit, len(calls), len(passes)
 
 
 @pytest.fixture(scope="module")
 def sheet3_192(ctx, mpar):
     with pytest.MonkeyPatch.context() as mpatch:
         calls = _count_solves(mpatch)
+        passes = _count_passes(mpatch)
         orbit = trace_orbit(3, 16, mpar, ctx)
-    return orbit, len(calls)
+    return orbit, len(calls), len(passes)
 
 
 def test_trace_orbit_work_count_sheet2(sheet2_128):
     # the secant predictor seeds each sub-step; the zero-order seed took 161
-    _, _, _, solves = sheet2_128
+    # solves.  A rejected sub-step gives up at its first damped Newton step:
+    # run to convergence and then thrown away, it took 470 passes here
+    _, _, _, solves, passes = sheet2_128
     assert solves <= 80, solves
+    assert passes <= 350, passes
 
 
 def test_trace_orbit_work_count_sheet3(sheet3_192):
-    # the zero-order seed took 2,208 solves here, halving near branch points
-    _, solves = sheet3_192
+    # the zero-order seed took 2,208 solves here, halving near branch
+    # points; rejected sub-steps solved to convergence took 1,520 passes
+    _, solves, passes = sheet3_192
     assert solves <= 150, solves
+    assert passes <= 700, passes
 
 
 def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
     # every node is converged in eps, not only in |W|: the Newton correction
     # there is below tol, and the real endpoint eps_3(sin theta) comes back
     # real to tol
-    orbit, _ = sheet3_192
+    orbit, _, _ = sheet3_192
     with ctx.workprec():
         tol = mp.mpf(ctx.tol)
         for sig, eps in orbit.samples:
@@ -387,7 +408,7 @@ def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
     # false position on each grid bracket: a handful of solves per state
     # (bisection then secant took about 20), each state polished until its
     # indicator is below tol
-    ctx128, mpar128, orbit, _ = sheet2_128
+    ctx128, mpar128, orbit, _, _ = sheet2_128
     calls = _count_solves(monkeypatch)
     for parity in (-1, +1):
         calls.clear()
