@@ -220,7 +220,7 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
         if not live:
             return out
         prec, rnd = mp.prec, round_nearest
-        tol = mp.mpf(ctx.tol)._mpf_
+        tol = ctx.tol._mpf_
         ltol = _log2_abs((tol, fzero))
         tab = _qtable(q, ctx.precision_bits)
         f = tab.f
@@ -310,7 +310,7 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         if u == 0:
             raise ValueError("chi_dual is defined on u != 0")
         w, _, scale = _wronskian_parts(u, eps, mpar, ctx)
-        if abs(w) < ZERO_FLOOR * mp.mpf(ctx.tol) * max(scale, mp.mpf(1)):
+        if abs(w) < ZERO_FLOOR * ctx.tol * max(scale, mp.mpf(1)):
             raise PoleSignal(
                 f"Wronskian zero at u = {mp.nstr(u, 8)}: dual solution pole"
             )
@@ -323,7 +323,7 @@ def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         u = mp.mpmathify(u)
         num, _ = chi_eval(u, eps, mpar, ctx)
         den = chi_check_eval(u, eps, mpar, ctx)
-        if abs(den) < ZERO_FLOOR * mp.mpf(ctx.tol) * max(abs(num), abs(den), mp.mpf(1)):
+        if abs(den) < ZERO_FLOOR * ctx.tol * max(abs(num), abs(den), mp.mpf(1)):
             raise PoleSignal(
                 f"chi-check zero at u = {mp.nstr(u, 8)}: G has a pole"
             )

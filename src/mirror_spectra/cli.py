@@ -54,8 +54,22 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def _context(args) -> PrecCtx:
-    tol = args.tol if args.tol else _default_tol(args.precision_bits)
-    return make_context(args.precision_bits, tol)
+    """The context of --precision-bits and --tol.  The context reads the
+    --tol string itself, so a tol below the double range (1e-400) is kept."""
+    if args.tol is None:
+        return make_context(args.precision_bits, _default_tol(args.precision_bits))
+    try:
+        tol = mp.mpf(args.tol)
+    except ValueError:
+        tol = mp.nan
+    if not (mp.isfinite(tol) and tol > 0):
+        raise _ConfigError(f"--tol must be a positive number, got {args.tol!r}")
+    return make_context(args.precision_bits, args.tol)
+
+
+def _check_digits(args) -> None:
+    if not 2 <= args.digits <= 50:
+        raise _ConfigError(f"digits must be in [2, 50], got {args.digits}")
 
 
 # ── numeric printing ──────────────────────────────────────────────────────
@@ -86,6 +100,25 @@ def fmt_real(x, digits: int) -> str:
     return str(-d if sign else d)
 
 
+def fmt_tol(tol) -> str:
+    """A context's 53-bit tol as the headers print it: the fewest digits
+    that read back to it, laid out as Python prints a float (1e-40, 1e-05,
+    0.001, 2.5).  A tol a double holds prints as that double does, and one
+    below the double range as 1e-400."""
+    for digits in range(1, 18):
+        text = fmt_real(tol, digits)
+        with mp.workprec(53):
+            if mp.mpf(text) == tol:
+                break
+    d = Decimal(text).normalize()
+    if -4 <= d.adjusted() < 16:
+        text = format(d, "f")
+        return text if "." in text else text + ".0"
+    man = "".join(map(str, d.as_tuple().digits))
+    man = man[0] + "." + man[1:] if len(man) > 1 else man
+    return f"{man}e{d.adjusted():+03d}"
+
+
 def fmt_complex(z, digits: int) -> str:
     z = mp.mpmathify(z)
     re, im = mp.re(z), mp.im(z)
@@ -102,13 +135,10 @@ def fmt_complex(z, digits: int) -> str:
 
 
 def _meta(args, ctx: PrecCtx, **extra) -> dict:
-    meta = {
-        "tool": f"mirror-spectra {__version__}",
-        "theta": args.theta,
-        "precision_bits": ctx.precision_bits,
-        "tol": ctx.tol,
-    }
-    meta.update(extra)
+    meta = {"tool": f"mirror-spectra {__version__}"}
+    if "theta" in args:     # the self-dual problem has no coupling angle
+        meta["theta"] = args.theta
+    meta.update(precision_bits=ctx.precision_bits, tol=fmt_tol(ctx.tol), **extra)
     return meta
 
 
@@ -194,6 +224,7 @@ class _ConfigError(ValueError):
 
 
 def cmd_spectrum(args) -> int:
+    _check_digits(args)
     sheet = args.sheet
     if sheet < 1:
         raise _ConfigError(f"sheets must be positive integers: {sheet!r}")
@@ -229,6 +260,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    _check_digits(args)
     try:
         sheets = [int(s) for s in args.sheet.split(",")]
     except ValueError:
@@ -274,6 +306,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_selfdual(args) -> int:
+    _check_digits(args)
     ctx = _context(args)
     spec = quantize_selfdual(args.level, ctx)
     with ctx.workprec():
@@ -292,7 +325,6 @@ def cmd_selfdual(args) -> int:
             ("residual", fmt_real(residual, 3)),
         ]
     meta = _meta(args, ctx, level=args.level)
-    meta.pop("theta")       # the self-dual problem has no coupling angle
     if args.out or args.fmt == "json":
         _write_out(args, meta, [k for k, _ in fields], [[v for _, v in fields]])
     if not args.out:
@@ -312,7 +344,7 @@ def cmd_verify(args) -> int:
     ctx = make_context(64, _default_tol(64)) if args.quick else _context(args)
     seed = SEED if args.seed is None else args.seed
     print(f"# tool=mirror-spectra {__version__}")
-    print(f"# precision_bits={ctx.precision_bits} tol={ctx.tol} seed={seed}"
+    print(f"# precision_bits={ctx.precision_bits} tol={fmt_tol(ctx.tol)} seed={seed}"
           + (" fault=1" if args.fault else ""))
     mpar = ModularParam.from_theta(_VERIFY_THETA, ctx)
     failures = 0
@@ -342,20 +374,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
-        """A subparser bound to `run`, with the flags every command takes."""
+    def command(name, run, help, theta=True, output=True):
+        """A subparser bound to `run`, with the shared flags it reads: the
+        precision flags always, --theta and the output flags where asked."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(run=run)
-        sp.add_argument("--theta", default="pi/4",
-                        help="coupling angle (radians or 'pi/4' style)")
+        if theta:
+            sp.add_argument("--theta", default="pi/4",
+                            help="coupling angle (radians or 'pi/4' style)")
         sp.add_argument("--precision-bits", type=int, default=192)
-        sp.add_argument("--tol", type=float, default=0.0,
-                        help="tolerance (default derived from precision)")
-        sp.add_argument("--digits", type=int, default=18,
-                        help="significant digits in output (round-half-even)")
-        sp.add_argument("--out", default="", help="output path (default stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv")
+        sp.add_argument("--tol", default=None,
+                        help="tolerance, a positive decimal such as 1e-400 "
+                             "(default derived from precision)")
+        if output:
+            sp.add_argument("--digits", type=int, default=18,
+                            help="significant digits in output (round-half-even)")
+            sp.add_argument("--out", default="", help="output path (default stdout)")
+            sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                            default="csv")
         return sp
 
     sp = command("spectrum", cmd_spectrum, "quantized states on one sheet")
@@ -372,10 +408,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--log-scale", action="store_true",
                     help="plot log(1+|eps|) e^{i arg eps} instead of eps")
 
-    sp = command("selfdual", cmd_selfdual, "quantize the self-dual level n")
+    sp = command("selfdual", cmd_selfdual, "quantize the self-dual level n",
+                 theta=False)
     sp.add_argument("--n", dest="level", type=int, default=0)
 
-    sp = command("verify", cmd_verify, "run all invariant suites")
+    sp = command("verify", cmd_verify, "run all invariant suites",
+                 theta=False, output=False)
     sp.add_argument("--quick", action="store_true",
                     help="64-bit at that precision's default tol: finishes in seconds")
     sp.add_argument("--fault", action="store_true",
@@ -395,8 +433,6 @@ def main(argv=None) -> int:
             except ValueError:
                 raise _ConfigError(
                     f"MIRROR_SPECTRA_PRECISION must be an integer, got {env!r}")
-        if args.digits < 2 or args.digits > 50:
-            raise _ConfigError(f"digits must be in [2, 50], got {args.digits}")
         return args.run(args)
     except ValueError as exc:           # _ConfigError included
         print(f"mirror-spectra: error: {exc}", file=sys.stderr)

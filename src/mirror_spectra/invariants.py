@@ -46,7 +46,7 @@ def chi_functional_equation(ctx, mpar, rng, full, fault):
                   lambda v: chi_check_eval(v, eps, mpar, ctx)):
             worst = max(worst, _rel(f(u / q2) + q2 * u * u * f(q2 * u),
                                     (1 - eps * u + u * u) * f(u)))
-    return worst, 10 * mp.mpf(ctx.tol)
+    return worst, 10 * ctx.tol
 
 
 def crochet_mirror_equation(ctx, mpar, rng, full, fault):
@@ -57,7 +57,7 @@ def crochet_mirror_equation(ctx, mpar, rng, full, fault):
         f = lambda v: chi_dual_eval(v, eps, mpar, ctx)
         worst = max(worst, _rel(f(q2 * u) + (u * u / q2) * f(u / q2),
                                 (1 - eps * u + u * u) * f(u)))
-    return worst, 10 * mp.mpf(ctx.tol)
+    return worst, 10 * ctx.tol
 
 
 def transfer_oracle(ctx, mpar, rng, full, fault):
@@ -74,7 +74,7 @@ def transfer_oracle(ctx, mpar, rng, full, fault):
             worst = max(worst,
                         abs(a - chi_eval(u, eps, mpar, ctx)[0]) / max(abs(a), 1),
                         abs(b - chi_eval(u / q2, eps, mpar, ctx)[0]) / max(abs(b), 1))
-    return worst, 10 * mp.mpf(ctx.tol)
+    return worst, 10 * ctx.tol
 
 
 def theta_identities(ctx, mpar, rng, full, fault):
@@ -96,7 +96,7 @@ def theta_identities(ctx, mpar, rng, full, fault):
         direct = theta1(2 * mp.pi * mpar.b * x, q, ctx)
         lhs = -theta1(2 * mp.pi * x / mpar.b, mpar.qbar, ctx)
         worst = max(worst, abs(lhs - mp.conj(direct)) / max(1, abs(direct)))
-    return worst, 10 * mp.mpf(ctx.tol)
+    return worst, 10 * ctx.tol
 
 
 def wronskian_relations(ctx, mpar, rng, full, fault):
@@ -113,7 +113,7 @@ def wronskian_relations(ctx, mpar, rng, full, fault):
     for i in range(0, 16, 1 if full else 5):
         r = wronskian_residue(mp.mpf(-30) + 5 * i, mpar, ctx)
         worst = max(worst, 1 - q2.real - r.real)
-    return worst, 10 * mp.mpf(ctx.tol)
+    return worst, 10 * ctx.tol
 
 
 def multiplication_rule(ctx, mpar, rng, full, fault):
@@ -126,7 +126,7 @@ def multiplication_rule(ctx, mpar, rng, full, fault):
     for m in range(1, top + 1):
         for n in range(m, top + 1):
             worst = max(worst, chi_mult_check(m, n, eps, mpar, ctx) / abs(chi[m] * chi[n]))
-    return worst, 10 * mp.mpf(ctx.tol)
+    return worst, 10 * ctx.tol
 
 
 def limit_classification(ctx, mpar, rng, full, fault):
@@ -183,14 +183,14 @@ def eigenfunction_invariants(ctx, mpar, rng, full, fault):
             moved = dataclasses.replace(pt, eps=pt.eps + mp.mpf("1e-4"))
             par = dataclasses.replace(par, point=moved, rho=None)
         worst = max(worst, pole_cancellation_check(par, ctx).max_normalized)
-    return worst, 1000 * mp.mpf(ctx.tol)
+    return worst, 1000 * ctx.tol
 
 
 def selfdual_cycles(ctx, mpar, rng, full, fault):
     """A lambda - Atilde = n + 1 and Btilde = lambda B for levels 0-1 (verify:
     level 0).  The gate also bounds phi's Harper residual at four points,
     relative to max(|eps phi|, 1), by the same 10 tol."""
-    bound = 10 * mp.mpf(ctx.tol)
+    bound = 10 * ctx.tol
     worst = mp.mpf(0)
     for n in (0, 1) if full else (0,):
         spec = quantize_selfdual(n, ctx)

@@ -42,21 +42,35 @@ class PoleSignal(SolverError):
 
 # ── precision context ───────────────────────────────────────────────────────
 
+def _tol_value(tol):
+    """tol as an mpf rounded to 53 bits, under its own workprec since a
+    caller may sit in a finer one: a double's value where a double holds
+    it, and no underflow below the double range."""
+    with mp.workprec(53):
+        return mp.mpf(tol)
+
+
 @dataclass(frozen=True)
 class PrecCtx:
-    """Working precision in bits, target tolerance, and series term cap."""
+    """Working precision in bits, target tolerance, and series term cap.
+
+    ``tol`` may be given as a float, a decimal string or an mpf; the context
+    holds it as a 53-bit mpf, so 1e-40, "1e-40" and mp.mpf(1e-40) build
+    equal contexts.
+    """
 
     precision_bits: int
-    tol: float
+    tol: object     # mpf
     max_terms: int = 4096
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tol", _tol_value(self.tol))
         if self.precision_bits < 64:
             raise ValueError(f"precision_bits must be >= 64, got {self.precision_bits}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         # tolerance must be achievable at the working precision
-        if math.log2(self.tol) < -self.precision_bits + 16:
+        if self.tol < mp.ldexp(1, 16 - self.precision_bits):
             raise ValueError(
                 f"tol={self.tol} is unreachable at {self.precision_bits} bits "
                 f"(need tol >= 2^{-self.precision_bits + 16})"
@@ -69,18 +83,20 @@ class PrecCtx:
         return mp.workprec(self.precision_bits)
 
 
-def make_context(precision_bits: int = 192, tol: float = 1e-40,
+def make_context(precision_bits: int = 192, tol=1e-40,
                  max_terms: int = 4096) -> PrecCtx:
     """Build a precision context; all downstream operations carry it."""
-    return PrecCtx(precision_bits=int(precision_bits), tol=float(tol),
+    return PrecCtx(precision_bits=int(precision_bits), tol=tol,
                    max_terms=int(max_terms))
 
 
-def default_tol(bits: int) -> float:
+def default_tol(bits: int):
     """The tolerance a context of ``bits`` gets when none is given: 30 % of
-    its decimal digits (at least 8) are kept as guard digits."""
+    its decimal digits (at least 8) are kept as guard digits.  It is
+    10^-k rounded to 53 bits from the decimal string, which up to 1,458
+    bits is the double 10.0 ** -k bit for bit (mp.mpf(10) ** -k is not)."""
     digits = int(bits * 0.30103)
-    return 10.0 ** -(digits - max(8, (3 * digits) // 10))
+    return _tol_value(f"1e-{digits - max(8, (3 * digits) // 10)}")
 
 
 # ── modular parameters ──────────────────────────────────────────────────────
@@ -197,7 +213,7 @@ def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
             return prod
         if not abs(q) < 1:
             raise ValueError(f"infinite product needs |q| < 1, got |q| = {abs(q)}")
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         if abs(x) >= tol and mp.log(tol / abs(x)) / mp.log(abs(q)) > ctx.max_terms:
             raise PrecisionExceeded(
                 f"(x;q)_inf needs more than {ctx.max_terms} factors "
@@ -224,7 +240,10 @@ def theta1(x_log, q, ctx: PrecCtx):
         # the h = n + 1/2 where the term bound |q|^{h^2} e^{h a} falls to tol
         L = -float(mp.log(abs(q)))
         a = float(abs(mp.re(w)))
-        T = -math.log(ctx.tol)
+        # -ln tol from the mpf's exponent and mantissa: no mpf log, and no
+        # float underflow below the double range
+        _, man, exp, _ = ctx.tol._mpf_
+        T = -(exp + math.log2(man)) * math.log(2)
         if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > ctx.max_terms:
             raise PrecisionExceeded(
                 f"theta1 series needs more than {ctx.max_terms} terms to reach tol"

@@ -106,7 +106,7 @@ def composite_gl(f, a, b, ctx: PrecCtx):
         a, b = mp.mpmathify(a), mp.mpmathify(b)
         if a == b:
             return mp.mpf(0)
-        budget = mp.mpf(ctx.tol)
+        budget = ctx.tol
         nodes = gauss_legendre_nodes(_GL_ORDER, ctx)
 
         def panel(x0, x1):

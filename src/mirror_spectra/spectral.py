@@ -76,7 +76,7 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
         eps = mp.mpmathify(eps)
         q = mpar.q
         q2 = q * q
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         tab = _qtable(q, ctx.precision_bits)
         f = tab.f
         qlo, qhi = mp.mpf(1), q2  # q^{-2m}, q^{2m+2}
@@ -104,9 +104,9 @@ def _sigma_to_s(sigma, mpar: ModularParam):
     return mp.exp(2 * mp.pi * mpar.b * mp.mpmathify(sigma))
 
 
-def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
-                       fast: bool = False):
-    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, iterations).
+def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
+               fast: bool = False):
+    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns eps.
 
     Stops when both the residual |W| <= tol * scale and the Newton
     correction |W / W_eps| <= tol * max(|eps|, 1) are met: a small residual
@@ -114,24 +114,24 @@ def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
     last correction applied, which costs no Wronskian pass.
 
     Each step is damped by halving until |W| falls.  With fast=True the
-    solve gives up instead, returning (None, iterations), at the first step
-    whose full Newton correction does not lower |W|, or when _FAST_NEWTON
-    steps have not converged: the seed lies outside Newton's contraction
-    region, and no further pass can make it a fast solve.  Giving up is not
-    a failure; SolverError still means one (dW/deps underflow, a stalled
-    line search, or _MAX_NEWTON steps).
+    solve gives up instead, returning None, at the first step whose full
+    Newton correction does not lower |W|, or when _FAST_NEWTON steps have
+    not converged: the seed lies outside Newton's contraction region, and
+    no further pass can make it a fast solve.  Giving up is not a failure;
+    SolverError still means one (dW/deps underflow, a stalled line search,
+    or _MAX_NEWTON steps).
     """
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
         eps = mp.mpmathify(eps0)
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         w, dw, scale = _wronskian_parts(s, eps, mpar, ctx)
         for it in range(_MAX_NEWTON):
             if (abs(w) <= tol * max(scale, 1)
                     and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
-                return (eps - w / dw if w else eps), it
+                return eps - w / dw if w else eps
             if fast and it >= _FAST_NEWTON:
-                return None, it
+                return None
             if abs(dw) <= tol * max(abs(w), 1):
                 raise SolverError(
                     f"dW/deps underflow at sigma = {mp.nstr(mp.mpmathify(sigma), 8)}: "
@@ -146,7 +146,7 @@ def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
                     eps, w, dw, scale = trial, wt, dwt, st
                     break
                 if fast:
-                    return None, it
+                    return None
                 lam /= 2
             else:
                 raise SolverError(
@@ -161,8 +161,7 @@ def _solve_eps_counted(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
     """Root eps of W(e^{2 pi b sigma}, eps), seeded at eps0: Newton stops
     once |W| <= tol * scale and |W / W_eps| <= tol * max(|eps|, 1)."""
-    eps, _ = _solve_eps_counted(sigma, eps0, mpar, ctx)
-    return eps
+    return _solve_eps(sigma, eps0, mpar, ctx)
 
 
 # ── sheet seeds ───────────────────────────────────────────────────────────
@@ -228,9 +227,9 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
     costs no Wronskian evaluation.
 
     Above the halving floor (a 4096th of the span) each sub-step is solved
-    in _solve_eps_counted's fast mode: the solve gives up at its first
-    damped Newton step or after _FAST_NEWTON undamped ones, and the caller
-    halves h.  A rejected sub-step therefore costs a few Wronskian passes,
+    in _solve_eps's fast mode: the solve gives up at its first damped
+    Newton step or after _FAST_NEWTON undamped ones, and the caller halves
+    h.  A rejected sub-step therefore costs a few Wronskian passes,
     not a full damped solve that is thrown away.  At the floor the full
     damped solve runs, and a converged-but-slow step is accepted
     (near-degenerate sheet pairs keep Newton slow at any step size).
@@ -245,8 +244,7 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
         while True:
             seed = eps if slope is None else eps + h * slope
             try:
-                cand, _ = _solve_eps_counted(sigma + h, seed, mpar, ctx,
-                                             fast=h > floor)
+                cand = _solve_eps(sigma + h, seed, mpar, ctx, fast=h > floor)
                 failed = False
             except SolverError:
                 cand, failed = None, True
@@ -315,7 +313,7 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
     tol * max(sin(theta), 1) and its indicator is at most tol: the indicator
     can be steep in sigma, so a short step alone does not bound it.
     """
-    tol = mp.mpf(ctx.tol)
+    tol = ctx.tol
     stop = tol * max(sin_theta(mpar), 1)
     (a, ea, fa), (b, eb, fb) = lo, hi  # b: the latest trial
     for _ in range(_MAX_FALSE_POSITION):
@@ -389,7 +387,7 @@ def rho_extract(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     what the factorization claims); their mean is returned.
     """
     with ctx.workprec():
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         two_pi_b = 2 * mp.pi * mpar.b
         sigma = mp.mpmathify(sigma)
         rhos = []
@@ -423,7 +421,7 @@ def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
         w, _, scale = _wronskian_parts(s, eps, mpar, ctx)
-        if abs(w) > ZERO_FLOOR * mp.mpf(ctx.tol) * max(scale, 1):
+        if abs(w) > ZERO_FLOOR * ctx.tol * max(scale, 1):
             raise SolverError(
                 f"(sigma, eps) is not on the Wronskian zero set: |W| = "
                 f"{mp.nstr(abs(w), 3)}"

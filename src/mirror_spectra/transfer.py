@@ -95,7 +95,7 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
             return mp.mpf(1), mp.mpf(1)
         q2 = mpar.q * mpar.q
         aq = abs(mpar.q)
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         m = L_eval(u, eps, mpar)
         uk = u
         rate = mp.mpf(1)
@@ -131,7 +131,7 @@ def R_orbit(z, R0, steps: int, eps, mpar: ModularParam, ctx: PrecCtx):
         z = mp.mpmathify(z)
         r = mp.mpmathify(R0)
         chi_z, _ = chi_eval(z, eps, mpar, ctx)
-        if abs(chi_z) < ZERO_FLOOR * mp.mpf(ctx.tol):
+        if abs(chi_z) < ZERO_FLOOR * ctx.tol:
             raise ValueError(f"chi(z) vanishes at z = {mp.nstr(z, 8)}")
         q2 = mpar.q * mpar.q
         out = [r]
@@ -139,7 +139,7 @@ def R_orbit(z, R0, steps: int, eps, mpar: ModularParam, ctx: PrecCtx):
         for k in range(steps):
             den = (1 - eps * uk + uk * uk) - r
             scale = max(abs(1 - eps * uk + uk * uk), abs(r), mp.mpf(1))
-            if abs(den) < mp.mpf(ctx.tol) * scale:
+            if abs(den) < ctx.tol * scale:
                 raise PoleSignal(
                     f"R iteration hit a pole at step {k + 1} (u = {mp.nstr(uk, 8)})"
                 )

@@ -1,7 +1,6 @@
 """Regular solution of the chi-equation: polynomial layer, series evaluation,
 second solution, G ratio, multiplication rule, and pole signalling."""
 
-from dataclasses import dataclass
 import math
 
 from hypothesis import given, settings
@@ -44,7 +43,7 @@ def _newton_eps(F, x0, ctx, iters=60):
                 break
             step = v / dv
             x = x - step
-            if abs(step) <= mp.mpf(ctx.tol) * max(1, abs(x)):
+            if abs(step) <= ctx.tol * max(1, abs(x)):
                 break
         return x
 
@@ -160,7 +159,7 @@ def test_chi_matches_bruteforce_series(ctx192, mpar_pi4):
             for u in u_list:
                 fast, _ = chi_eval(u, eps, mpar_pi4, ctx192)
                 brute = _chi_brute(u, eps, mpar_pi4, ctx192)
-                assert abs(fast - brute) <= 10 * mp.mpf(ctx192.tol) * max(abs(brute), 1)
+                assert abs(fast - brute) <= 10 * ctx192.tol * max(abs(brute), 1)
 
 
 def test_chi_functional_equation(ctx192, mpar_pi4, rng):
@@ -175,7 +174,7 @@ def test_chi_functional_equation(ctx192, mpar_pi4, rng):
                 t2 = q2 * u * u * chi_eval(q2 * u, eps, mpar, ctx192)[0]
                 t3 = (1 - eps * u + u * u) * chi_eval(u, eps, mpar, ctx192)[0]
                 scale = max(abs(t1), abs(t2), abs(t3), mp.mpf(1))
-                assert abs(t1 + t2 - t3) <= 10 * mp.mpf(ctx192.tol) * scale
+                assert abs(t1 + t2 - t3) <= 10 * ctx192.tol * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,7 +193,7 @@ def test_chi_funceq_property(ctx192, mpar_pi4, ur, ui, er, ei):
         t2 = q2 * u * u * chi_eval(q2 * u, eps, mpar_pi4, ctx192)[0]
         t3 = (1 - eps * u + u * u) * chi_eval(u, eps, mpar_pi4, ctx192)[0]
         scale = max(abs(t1), abs(t2), abs(t3), mp.mpf(1))
-        assert abs(t1 + t2 - t3) <= 10 * mp.mpf(ctx192.tol) * scale
+        assert abs(t1 + t2 - t3) <= 10 * ctx192.tol * scale
 
 
 def test_chi_eps_derivative_vs_central_difference(ctx192, mpar_pi4):
@@ -256,7 +255,7 @@ def test_second_solution_same_equation(ctx192, mpar_pi4, rng):
             t2 = q2 * u * u * chi_check_eval(q2 * u, eps, mpar_pi4, ctx192)
             t3 = (1 - eps * u + u * u) * chi_check_eval(u, eps, mpar_pi4, ctx192)
             scale = max(abs(t1), abs(t2), abs(t3), mp.mpf(1))
-            assert abs(t1 + t2 - t3) <= 10 * mp.mpf(ctx192.tol) * scale
+            assert abs(t1 + t2 - t3) <= 10 * ctx192.tol * scale
 
 
 def test_dual_solution_mirror_equation(ctx192, mpar_pi4, rng):
@@ -272,7 +271,7 @@ def test_dual_solution_mirror_equation(ctx192, mpar_pi4, rng):
             t2 = (u * u / q2) * chi_dual_eval(u / q2, eps, mpar_pi4, ctx192)
             t3 = (1 - eps * u + u * u) * chi_dual_eval(u, eps, mpar_pi4, ctx192)
             scale = max(abs(t1), abs(t2), abs(t3), mp.mpf(1))
-            assert abs(t1 + t2 - t3) <= 10 * mp.mpf(ctx192.tol) * scale
+            assert abs(t1 + t2 - t3) <= 10 * ctx192.tol * scale
 
 
 def test_G_inverse_product(ctx192, mpar_pi4, rng):
@@ -282,14 +281,14 @@ def test_G_inverse_product(ctx192, mpar_pi4, rng):
             u = mp.mpc(rng.uniform(0.3, 2.0), rng.uniform(-0.8, 0.8))
             eps = mp.mpc(rng.uniform(-3, 3), rng.uniform(-1, 1))
             p = G_eval(u, eps, mpar_pi4, ctx192) * G_eval(1 / u, eps, mpar_pi4, ctx192)
-            assert abs(p - 1) <= 10 * mp.mpf(ctx192.tol)
+            assert abs(p - 1) <= 10 * ctx192.tol
 
 
 def test_G_at_unit_points(ctx192, mpar_pi4):
     with ctx192.workprec():
         eps = mp.mpc("0.9", "0.2")
-        assert abs(G_eval(1, eps, mpar_pi4, ctx192) - 1) <= 10 * mp.mpf(ctx192.tol)
-        assert abs(G_eval(-1, eps, mpar_pi4, ctx192) + 1) <= 10 * mp.mpf(ctx192.tol)
+        assert abs(G_eval(1, eps, mpar_pi4, ctx192) - 1) <= 10 * ctx192.tol
+        assert abs(G_eval(-1, eps, mpar_pi4, ctx192) + 1) <= 10 * ctx192.tol
 
 
 # ── degenerate points: pole signalling doubles as an eigenvalue oracle ────
@@ -357,7 +356,7 @@ def test_mult_rule_residuals(ctx192, mpar_pi4):
                 values, _ = chi_poly_seq(eps, mpar_pi4, max(m + n, 2), ctx192)
                 scale = abs(values[m] * values[n])
                 r = chi_mult_check(m, n, eps, mpar_pi4, ctx192)
-                assert r <= 10 * mp.mpf(ctx192.tol) * scale
+                assert r <= 10 * ctx192.tol * scale
 
 
 def test_mult_rule_guards(ctx192, mpar_pi4):
@@ -378,7 +377,7 @@ def _chi_incremental(u, eps, mpar, ctx):
             return mp.mpf(1), mp.mpf(0), 0
         q = mpar.q
         q2 = q * q
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
         chi_cur, dchi_cur = eps, mp.mpf(1)
         s = ds = mp.mpc(0)
@@ -413,18 +412,6 @@ _KERNEL_CONTEXTS = ((128, 1e-27), (192, 1e-40), (256, 1e-60))
 _KERNEL_THETAS = ("pi/4", "3*pi/8", "pi/6")
 
 
-@dataclass(frozen=True)
-class _MpfTolCtx:
-    # PrecCtx's fields and workprec with an mpf tol: a tol below the double
-    # range, which PrecCtx's float tol cannot hold
-    precision_bits: int
-    tol: object
-    max_terms: int = 4096
-
-    def workprec(self):
-        return mp.workprec(self.precision_bits)
-
-
 # tol 1e-1250 and terms past 2^1024: the series' log2 stop filter must not
 # overflow or underflow where a double would.  The real nome keeps the
 # reference loop's q powers at 4300 bits cheap.
@@ -439,7 +426,7 @@ def test_series_kernel_batch_is_bitwise(bits, tol, theta):
     # one batched pass == one call per argument == the in-place loop, bit
     # for bit, with u = 0 and arguments whose series stop at different n
     fine = (theta, bits, tol) == _FINE_RUNG
-    ctx = _MpfTolCtx(bits, mp.mpf(tol)) if fine else make_context(bits, tol)
+    ctx = make_context(bits, tol)
     mpar = ModularParam.from_theta(theta, ctx)
     with ctx.workprec():
         eps = mp.mpc("3.7", "-12.5")
@@ -533,7 +520,7 @@ def test_series_kernel_cache_isolated_by_precision():
 def test_wronskian_matches_transfer_oracle(ctx192, rng):
     # W from the series kernel against W assembled from the independent
     # matrix-product route: chi_via_Minf(v) = (chi(v), chi(v/q^2))
-    tol = mp.mpf(ctx192.tol)
+    tol = ctx192.tol
     for theta in _KERNEL_THETAS:
         mpar = ModularParam.from_theta(theta, ctx192)
         with ctx192.workprec():

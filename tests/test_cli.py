@@ -22,9 +22,12 @@ from mirror_spectra.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
     EXIT_OK,
+    _build_parser,
+    _context,
     _default_tol,
     fmt_complex,
     fmt_real,
+    fmt_tol,
     main,
 )
 from mirror_spectra.precision import make_context
@@ -88,6 +91,25 @@ def test_default_tol_scale():
     assert _default_tol(96) == 1e-20
 
 
+def test_fmt_tol_prints_as_a_float_would():
+    for tol in (1e-40, 1e-11, 1e-05, 2.5e-07, 0.001, 0.5, 3.0):
+        assert fmt_tol(make_context(192, tol).tol) == repr(tol)
+    assert fmt_tol(make_context(4300, "1e-1250").tol) == "1e-1250"
+    assert fmt_tol(make_context(1600, "1.25e-400").tol) == "1.25e-400"
+
+
+def test_context_above_double_range():
+    # 1,600 bits builds with the default tol (1e-337) and with a --tol below
+    # the double range; a float-parsed tol was 0.0 at both
+    for argv, want in ((["selfdual", "--precision-bits", "1600"], "1e-337"),
+                       (["selfdual", "--precision-bits", "1600",
+                         "--tol", "1e-400"], "1e-400")):
+        ctx = _context(_build_parser().parse_args(argv))
+        assert ctx.precision_bits == 1600
+        assert fmt_tol(ctx.tol) == want
+        assert ctx.tol == make_context(1600, want).tol > 0
+
+
 # ── exit codes and configuration ──────────────────────────────────────────
 
 
@@ -107,6 +129,29 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert main(["spectrum", "--sheet", "0"]) == EXIT_CONFIG
     assert main(["spectrum", "--theta", "pi/0"]) == EXIT_CONFIG
     assert main(["selfdual", "--precision-bits", "32"]) == EXIT_CONFIG
+    capsys.readouterr()
+    # --digits is checked by every command that has it
+    for argv in (["spectrum", "--digits", "1"], ["orbit", "--digits", "51"]):
+        assert main(argv) == EXIT_CONFIG
+        assert "digits must be in [2, 50]" in capsys.readouterr().err
+    # a non-positive or unreadable --tol is named, never replaced by the default
+    for cmd in ("spectrum", "orbit", "selfdual", "verify"):
+        for tol in ("0", "-1e-10", "abc", "nan", "inf"):
+            assert main([cmd, f"--tol={tol}"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"mirror-spectra: error: --tol must be a positive number, "
+                f"got {tol!r}\n")
+    # flags a command does not read are refused, not ignored
+    for argv in (["verify", "--quick", "--theta", "pi/3"],
+                 ["verify", "--quick", "--digits", "10"],
+                 ["verify", "--quick", "--out", str(tmp_path / "v.txt")],
+                 ["verify", "--quick", "--format", "json"],
+                 ["selfdual", "--theta", "pi/3"]):
+        with pytest.raises(SystemExit) as ex:
+            main(argv)
+        assert ex.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "v.txt").exists()
 
 
 def test_argparse_errors_use_config_exit():
@@ -289,7 +334,7 @@ def test_verify_quick_passes(capsys):
     rc = main(["verify", "--quick"])
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert f"# precision_bits=64 tol={_default_tol(64)} " in out
+    assert "# precision_bits=64 tol=1e-11 seed=" in out
     assert out.count("PASS") == 9
     assert "FAIL" not in out
 

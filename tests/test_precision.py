@@ -12,6 +12,7 @@ from mirror_spectra import (
     pochhammer_q,
     theta1,
 )
+from mirror_spectra.precision import default_tol
 
 
 # ── make_context ────────────────────────────────────────────────────────────
@@ -42,6 +43,38 @@ def test_make_context_rejects_bad_inputs():
         make_context(128, -1e-10)
     with pytest.raises(ValueError):
         make_context(128, 1e-20, max_terms=4)
+
+
+def _default_k(bits):
+    digits = int(bits * 0.30103)
+    return digits - max(8, (3 * digits) // 10)
+
+
+def test_default_tol_ladder():
+    # the double 10.0 ** -k bit for bit wherever a double holds it, and the
+    # true 10^-k rounded to 53 bits beyond, where the double went subnormal
+    # (1,459 bits) and then 0.0 (1,535 bits)
+    for bits in range(64, 1459):
+        k = _default_k(bits)
+        assert default_tol(bits)._mpf_ == mp.mpf(float(f"1e-{k}"))._mpf_, bits
+    for bits in range(1459, 4301):
+        tol = default_tol(bits)
+        with mp.workprec(4 * bits):
+            ten_k = mp.mpf(10) ** -_default_k(bits)
+            assert tol > 0 and abs(tol - ten_k) <= mp.ldexp(ten_k, -53), bits
+        assert make_context(bits, tol).tol == tol
+
+
+def test_tol_representations_build_equal_contexts():
+    # a float, a decimal string and an mpf are one 53-bit tol, also when the
+    # mpf or the caller is at a finer precision
+    with mp.workprec(192):
+        fine = mp.mpf("1e-40")
+        ctxs = [make_context(192, t) for t in (1e-40, "1e-40", mp.mpf(1e-40), fine)]
+    assert all(c == ctxs[0] for c in ctxs)
+    assert make_context(4300, "1e-1250") == make_context(4300, mp.mpf("1e-1250"))
+    assert make_context(1600).precision_bits == 1600
+    assert make_context(1600, default_tol(1600)).tol == default_tol(1600)
 
 
 # ── ModularParam ────────────────────────────────────────────────────────────
@@ -177,14 +210,14 @@ def test_theta1_is_odd_in_log_coordinate(ctx192, mpar_pi4, rng):
             w = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
             a = theta1(w, mpar_pi4.q, ctx192)
             b = theta1(-w, mpar_pi4.q, ctx192)
-            assert abs(a + b) < 10 * mp.mpf(ctx192.tol) * max(1, abs(a))
+            assert abs(a + b) < 10 * ctx192.tol * max(1, abs(a))
 
 
 def test_theta1_quasi_periodicity_sweep(ctx192, mpar_pi4, rng):
     # both relations: theta1(1/u) = -theta1(u), theta1(q^2 u) = -theta1(u)/(qu)
     q = mpar_pi4.q
     lq = mpar_pi4.log_q
-    tol = mp.mpf(ctx192.tol)
+    tol = ctx192.tol
     with ctx192.workprec():
         for _ in range(1000):
             w = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -201,7 +234,7 @@ def test_theta1_modular_conjugation(ctx192):
     # The continued conjugate carries a sign: theta1 has a 1/i prefactor, so
     # conj(theta1(u,q)) = -theta1(ubar, qbar) with ubar = e^{2 pi x / b}.
     mpar = ModularParam.from_theta("pi/4", ctx192)
-    tol = mp.mpf(ctx192.tol)
+    tol = ctx192.tol
     with ctx192.workprec():
         for xr in ("0.1", "-0.35", "0.7", "1.2", "-1.01"):
             x = mp.mpf(xr)
@@ -231,7 +264,7 @@ def test_theta1_against_mpmath_jtheta(ctx192):
 def test_theta1_matches_triple_product(ctx192, rng):
     # Jacobi triple product (DLMF 20.5.3) at z = -i w / 2:
     # theta1 = -2i q^{1/4} sinh(w/2) prod_{n>=1} (1 - q^{2n})(1 - 2 q^{2n} cosh w + q^{4n})
-    tol = mp.mpf(ctx192.tol)
+    tol = ctx192.tol
     for th in ("pi/4", "3*pi/8", "pi/5"):
         mpar = ModularParam.from_theta(th, ctx192)
         for q in (mpar.q, mpar.qbar):
@@ -243,6 +276,27 @@ def test_theta1_matches_triple_product(ctx192, rng):
                         q2n = q ** (2 * n)
                         ref *= (1 - q2n) * (1 - 2 * q2n * mp.cosh(w) + q2n * q2n)
                     assert abs(theta1(w, q, ctx192) - ref) < 10 * tol * max(1, abs(ref))
+
+
+def _triple_product(w, q, ctx):
+    # -2i q^{1/4} sinh(w/2) (q^2; q^2)_inf (q^2 u; q^2)_inf (q^2/u; q^2)_inf
+    with ctx.workprec():
+        q2, u = q * q, mp.exp(w)
+        return (mp.mpc(0, -2) * mp.exp(mp.log(q) / 4) * mp.sinh(w / 2)
+                * pochhammer_q(q2, q2, mp.inf, ctx)
+                * pochhammer_q(q2 * u, q2, mp.inf, ctx)
+                * pochhammer_q(q2 / u, q2, mp.inf, ctx))
+
+
+def test_theta1_matches_triple_product_above_double_range():
+    # 1,600 bits at the default tol 1e-337, which a double cannot hold: the
+    # term bound reads the tol's log from its mpf
+    ctx = make_context(1600, default_tol(1600))
+    mpar = ModularParam.from_theta("3*pi/8", ctx)
+    with ctx.workprec():
+        for w in (mp.mpc("0.3", "-0.2"), mp.mpc("-2.5", "1.7")):
+            ref = _triple_product(w, mpar.q, ctx)
+            assert abs(theta1(w, mpar.q, ctx) - ref) <= 10 * ctx.tol * max(1, abs(ref))
 
 
 def test_theta1_precision_self_consistency(mpar_pi4):

@@ -18,7 +18,7 @@ from mirror_spectra.spectral import (
     Orbit,
     _parity_indicator,
     _sigma_to_s,
-    _solve_eps_counted,
+    _solve_eps,
     _wronskian_parts,
     factorize,
     quantize,
@@ -64,7 +64,7 @@ def test_wronskian_quasi_periodicity(ctx, mpar, rng):
             w0, _ = wronskian_eval(u, eps, mpar, ctx)
             w1, _ = wronskian_eval(q2 * u, eps, mpar, ctx)
             target = w0 / (q2 * u * u)
-            assert abs(w1 - target) <= 10 * mp.mpf(ctx.tol) * max(abs(target), 1)
+            assert abs(w1 - target) <= 10 * ctx.tol * max(abs(target), 1)
 
 
 def test_wronskian_eps_derivative(ctx, mpar):
@@ -91,7 +91,7 @@ def test_residue_series_vs_contour(ctx, mpar):
                 uj = mp.expjpi(mp.mpf(2 * j) / N)
                 w, _ = wronskian_eval(uj, eps, mpar, ctx)
                 acc += w * uj
-            assert abs(series - acc / N) <= 100 * mp.mpf(ctx.tol) * max(abs(series), 1)
+            assert abs(series - acc / N) <= 100 * ctx.tol * max(abs(series), 1)
 
 
 def test_residue_positivity_bound(ctx, mpar):
@@ -110,7 +110,7 @@ def _residue_by_pochhammer(eps, mpar, ctx):
     with ctx.workprec():
         q = mpar.q
         qm2 = 1 / (q * q)
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         values, _ = chi_poly_seq(eps, mpar, 256, ctx)
         s, small = mp.mpc(0), 0
         for m in range(len(values)):
@@ -166,7 +166,7 @@ def test_solve_eps_residual_scale(ctx, mpar):
         eps = solve_eps(mp.mpf("0.3"), mp.mpf(2), mpar, ctx)
         s = _sigma_to_s(mp.mpf("0.3"), mpar)
         w, _, scale = _wronskian_parts(s, eps, mpar, ctx)
-        assert abs(w) <= mp.mpf(ctx.tol) * max(scale, 1)
+        assert abs(w) <= ctx.tol * max(scale, 1)
 
 
 def test_newton_quadratic_convergence(ctx, mpar):
@@ -242,19 +242,19 @@ def test_orbit_backward_continuation_matches(ctx, mpar, orbit1):
         sth = sin_theta(mpar)
         eps = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
         for sig, eps_fwd in reversed(orbit1.samples[30:-1]):
-            eps, _ = _solve_eps_counted(sig, eps, mpar, ctx)
+            eps = _solve_eps(sig, eps, mpar, ctx)
             assert abs(eps - eps_fwd) <= mp.mpf("1e-30") * max(abs(eps), 1)
 
 
 def _count_solves(monkeypatch):
     calls = []
-    original = spectral._solve_eps_counted
+    original = spectral._solve_eps
 
     def counted(sigma, *args, **kwargs):
         calls.append(sigma)
         return original(sigma, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_solve_eps_counted", counted)
+    monkeypatch.setattr(spectral, "_solve_eps", counted)
     return calls
 
 
@@ -316,7 +316,7 @@ def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
     # real to tol
     orbit, _, _ = sheet3_192
     with ctx.workprec():
-        tol = mp.mpf(ctx.tol)
+        tol = ctx.tol
         for sig, eps in orbit.samples:
             w, dw, _ = _wronskian_parts(_sigma_to_s(sig, mpar), eps, mpar, ctx)
             assert abs(w / dw) <= tol * max(abs(eps), 1), sig
@@ -383,7 +383,7 @@ def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
         (p,) = quantize(orbit, parity, mpar256, ctx256)
         assert abs(p.sigma - target) <= mp.mpf("1e-17")
         indicator = _parity_indicator(p.sigma, p.eps, parity, mpar256, ctx256)
-        assert abs(indicator) <= mp.mpf(ctx256.tol)
+        assert abs(indicator) <= ctx256.tol
 
 
 def test_quantize_interior_only(ctx, mpar, orbit1):
@@ -418,7 +418,7 @@ def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
         with ctx128.workprec():
             for p in pts:
                 ind = _parity_indicator(p.sigma, p.eps, parity, mpar128, ctx128)
-                assert abs(ind) <= mp.mpf(ctx128.tol), (parity, p.sigma)
+                assert abs(ind) <= ctx128.tol, (parity, p.sigma)
 
 
 def test_quantize_indicator_at_tolerance_floor():
@@ -433,7 +433,7 @@ def test_quantize_indicator_at_tolerance_floor():
             assert len(pts) == 3
             for p in pts:
                 ind = _parity_indicator(p.sigma, p.eps, parity, mpar64, ctx64)
-                assert abs(ind) <= mp.mpf(ctx64.tol), (parity, p.sigma)
+                assert abs(ind) <= ctx64.tol, (parity, p.sigma)
 
 
 def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
@@ -445,7 +445,7 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
         g0 = G_eval(s, p.eps, mpar, ctx)
         for shift in (q2, q2 * q2):
             g = G_eval(shift * s, p.eps, mpar, ctx)
-            assert abs(g - g0) <= mp.mpf(1e3) * mp.mpf(ctx.tol) * max(abs(g0), 1)
+            assert abs(g - g0) <= mp.mpf(1e3) * ctx.tol * max(abs(g0), 1)
 
 
 # ── factorization ─────────────────────────────────────────────────────────
@@ -463,7 +463,7 @@ def test_factorize_at_quantized_point(ctx, mpar, orbit1):
         w, _ = wronskian_eval(mp.exp(two_pi_b * x0), p.eps, mpar, ctx)
         den = (theta1(two_pi_b * (x0 + p.sigma), mpar.q, ctx)
                * theta1(two_pi_b * (x0 - p.sigma), mpar.q, ctx))
-        assert abs(w / den - rho) <= mp.mpf(1e3) * mp.mpf(ctx.tol) * abs(rho)
+        assert abs(w / den - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho)
 
 
 def test_factorize_rejects_nonroot(ctx, mpar):

@@ -98,7 +98,7 @@ def test_Minf_matches_series(ctx192, mpar_pi4, rng):
             c, a = chi_via_Minf(u, eps, mpar_pi4, ctx192)
             ref_u = chi_eval(u, eps, mpar_pi4, ctx192)[0]
             ref_s = chi_eval(u / q2, eps, mpar_pi4, ctx192)[0]
-            tol = 10 * mp.mpf(ctx192.tol)
+            tol = 10 * ctx192.tol
             assert abs(c - ref_u) <= tol * max(abs(ref_u), 1)
             assert abs(a - ref_s) <= tol * max(abs(ref_s), 1)
 
