@@ -279,9 +279,11 @@ def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 
 
 def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(W, dW/deps, scale) of W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u),
-    with the scale set by the two products; one series pass for all four
-    factors."""
+    """(W, dW/deps, scale, (chi(u), dchi(u), chk(u), dchk(u))) of
+    W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u), with the scale set by the two
+    products and d the eps-derivative; one series pass for all four factors,
+    whose u-factors are handed back so that G(u) = chi(u)/chk(u) costs no
+    second pass."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
@@ -296,11 +298,12 @@ def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
         t2 = c * d
         w = t1 - t2
         dw = da * b + a * db - dc * d - c * dd
-        return w, dw, max(abs(t1), abs(t2))
+        return w, dw, max(abs(t1), abs(t2)), (d, dd, b, db)
 
 
 def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """The dual solution chi_{q^-1}(u, eps) = chi-check(u) / W(u).
+    """The dual solution chi_{q^-1}(u, eps) = chi-check(u) / W(u), with
+    chi-check(u) taken from the Wronskian's own pass.
 
     Raises PoleSignal when u sits within the zero floor of a Wronskian zero
     (the dual solution has poles exactly there).
@@ -309,12 +312,12 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("chi_dual is defined on u != 0")
-        w, _, scale = _wronskian_parts(u, eps, mpar, ctx)
+        w, _, scale, (_, _, chk, _) = _wronskian_parts(u, eps, mpar, ctx)
         if abs(w) < ZERO_FLOOR * ctx.tol * max(scale, mp.mpf(1)):
             raise PoleSignal(
                 f"Wronskian zero at u = {mp.nstr(u, 8)}: dual solution pole"
             )
-        return chi_check_eval(u, eps, mpar, ctx) / w
+        return chk / w
 
 
 def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):

@@ -40,7 +40,6 @@ from .precision import (
     coupling_angle,
     make_context,
 )
-from .precision import default_tol as _default_tol
 from .selfdual import quantize_selfdual
 from .spectral import quantize, trace_orbit
 
@@ -54,17 +53,19 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
 def _context(args) -> PrecCtx:
-    """The context of --precision-bits and --tol.  The context reads the
-    --tol string itself, so a tol below the double range (1e-400) is kept."""
+    """The context of --precision-bits (192 when not given) and --tol.  The
+    context reads the --tol string itself, so a tol below the double range
+    (1e-400) is kept."""
+    bits = 192 if args.precision_bits is None else args.precision_bits
     if args.tol is None:
-        return make_context(args.precision_bits, _default_tol(args.precision_bits))
+        return make_context(bits)
     try:
         tol = mp.mpf(args.tol)
     except ValueError:
         tol = mp.nan
     if not (mp.isfinite(tol) and tol > 0):
         raise _ConfigError(f"--tol must be a positive number, got {args.tol!r}")
-    return make_context(args.precision_bits, args.tol)
+    return make_context(bits, args.tol)
 
 
 def _check_digits(args) -> None:
@@ -341,7 +342,19 @@ _VERIFY_THETA = "pi/4"  # the coupling every verify check runs at
 def cmd_verify(args) -> int:
     from .invariants import INVARIANTS, SEED, run
 
-    ctx = make_context(64, _default_tol(64)) if args.quick else _context(args)
+    if args.quick:
+        # --quick fixes the context; a precision or tol asked for besides
+        # is refused, not silently dropped
+        for flag, value in (
+                ("--precision-bits or MIRROR_SPECTRA_PRECISION", args.precision_bits),
+                ("--tol", args.tol)):
+            if value is not None:
+                raise _ConfigError(
+                    f"verify --quick runs at 64 bits with that precision's "
+                    f"default tol; it takes no {flag}")
+        ctx = make_context(64)
+    else:
+        ctx = _context(args)
     seed = SEED if args.seed is None else args.seed
     print(f"# tool=mirror-spectra {__version__}")
     print(f"# precision_bits={ctx.precision_bits} tol={fmt_tol(ctx.tol)} seed={seed}"
@@ -382,7 +395,8 @@ def _build_parser() -> _Parser:
         if theta:
             sp.add_argument("--theta", default="pi/4",
                             help="coupling angle (radians or 'pi/4' style)")
-        sp.add_argument("--precision-bits", type=int, default=192)
+        sp.add_argument("--precision-bits", type=int, default=None,
+                        help="working precision in bits (default 192)")
         sp.add_argument("--tol", default=None,
                         help="tolerance, a positive decimal such as 1e-400 "
                              "(default derived from precision)")

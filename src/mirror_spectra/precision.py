@@ -83,10 +83,14 @@ class PrecCtx:
         return mp.workprec(self.precision_bits)
 
 
-def make_context(precision_bits: int = 192, tol=1e-40,
+def make_context(precision_bits: int = 192, tol=None,
                  max_terms: int = 4096) -> PrecCtx:
-    """Build a precision context; all downstream operations carry it."""
-    return PrecCtx(precision_bits=int(precision_bits), tol=tol,
+    """Build a precision context; all downstream operations carry it.
+    Without a tol it gets default_tol(precision_bits): 1e-40 at 192 bits."""
+    precision_bits = int(precision_bits)
+    if tol is None:
+        tol = default_tol(precision_bits)
+    return PrecCtx(precision_bits=precision_bits, tol=tol,
                    max_terms=int(max_terms))
 
 

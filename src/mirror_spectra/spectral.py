@@ -10,8 +10,10 @@ rho(eps) theta1(s u) theta1(u/s) with s = e^{2 pi b sigma}.  A spectral sheet
 is the root curve eps_k(sigma) of W(e^{2 pi b sigma}, eps) = 0 continued over
 sigma in [0, sin theta]; eigenvalues are the points on a sheet where the
 ratio G = chi(s)/chk(s) is purely imaginary (even states) or purely real
-(odd states).  Endpoints sigma = 0 and sigma = sin theta carry double poles
-and are excluded from the spectrum.
+(odd states).  Each Newton solve reads G off its own last Wronskian pass,
+so quantization sums no series of its own until it confirms a state.
+Endpoints sigma = 0 and sigma = sin theta carry double poles and are
+excluded from the spectrum.
 """
 
 from dataclasses import dataclass
@@ -49,6 +51,8 @@ class SpectralPoint:
 class Orbit:
     sheet: int
     samples: tuple  # ordered ((sigma, eps), ...) with sigma increasing
+    g: tuple        # G = chi(s)/chk(s) at each sample from its Newton solve;
+                    # None at sigma = 0, which is polished by solve_eps
 
 
 # ── Wronskian ─────────────────────────────────────────────────────────────
@@ -56,7 +60,7 @@ class Orbit:
 
 def wronskian_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """(W(u, eps), dW/deps); u = 0 is rejected."""
-    w, dw, _ = _wronskian_parts(u, eps, mpar, ctx)
+    w, dw, _, _ = _wronskian_parts(u, eps, mpar, ctx)
     return w, dw
 
 
@@ -106,12 +110,16 @@ def _sigma_to_s(sigma, mpar: ModularParam):
 
 def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
                fast: bool = False):
-    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns eps.
+    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, G) with
+    G = chi(s)/chk(s) at that eps.
 
     Stops when both the residual |W| <= tol * scale and the Newton
     correction |W / W_eps| <= tol * max(|eps|, 1) are met: a small residual
     alone leaves eps loose where W_eps is small.  The returned eps has that
-    last correction applied, which costs no Wronskian pass.
+    last correction delta = -W/W_eps applied, which costs no Wronskian pass.
+    G comes from the same last pass, corrected to first order as
+    (chi + dchi delta) / (chk + dchk delta); uncorrected it would be about
+    2.5e5 tol off, since G is steep in eps.
 
     Each step is damped by halving until |W| falls.  With fast=True the
     solve gives up instead, returning None, at the first step whose full
@@ -125,11 +133,13 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
         s = _sigma_to_s(sigma, mpar)
         eps = mp.mpmathify(eps0)
         tol = ctx.tol
-        w, dw, scale = _wronskian_parts(s, eps, mpar, ctx)
+        w, dw, scale, parts = _wronskian_parts(s, eps, mpar, ctx)
         for it in range(_MAX_NEWTON):
             if (abs(w) <= tol * max(scale, 1)
                     and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
-                return eps - w / dw if w else eps
+                step = w / dw if w else 0
+                x, dx, xc, dxc = parts
+                return eps - step, (x - dx * step) / (xc - dxc * step)
             if fast and it >= _FAST_NEWTON:
                 return None
             if abs(dw) <= tol * max(abs(w), 1):
@@ -141,9 +151,9 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
             lam = mp.mpf(1)
             for _ in range(_MAX_HALVINGS):
                 trial = eps - lam * step
-                wt, dwt, st = _wronskian_parts(s, trial, mpar, ctx)
+                wt, dwt, st, pt = _wronskian_parts(s, trial, mpar, ctx)
                 if abs(wt) < abs(w):
-                    eps, w, dw, scale = trial, wt, dwt, st
+                    eps, w, dw, scale, parts = trial, wt, dwt, st, pt
                     break
                 if fast:
                     return None
@@ -161,7 +171,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
     """Root eps of W(e^{2 pi b sigma}, eps), seeded at eps0: Newton stops
     once |W| <= tol * scale and |W / W_eps| <= tol * max(|eps|, 1)."""
-    return _solve_eps(sigma, eps0, mpar, ctx)
+    return _solve_eps(sigma, eps0, mpar, ctx)[0]
 
 
 # ── sheet seeds ───────────────────────────────────────────────────────────
@@ -218,7 +228,8 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
 
 def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
              ctx: PrecCtx):
-    """Continue eps from sigma to target; returns (eps, slope) at target.
+    """Continue eps from sigma to target; returns (eps, slope, G) at target,
+    G from the last sub-step's solve.
 
     Each sub-step of length h is a predictor-corrector step: Newton at
     sigma + h is seeded with the secant extrapolation eps + h * slope, where
@@ -244,11 +255,11 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
         while True:
             seed = eps if slope is None else eps + h * slope
             try:
-                cand = _solve_eps(sigma + h, seed, mpar, ctx, fast=h > floor)
+                solved = _solve_eps(sigma + h, seed, mpar, ctx, fast=h > floor)
                 failed = False
             except SolverError:
-                cand, failed = None, True
-            if cand is not None:
+                solved, failed = None, True
+            if solved is not None:
                 break
             h /= 2
             if h < floor and failed:
@@ -256,6 +267,7 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
                     f"continuation failed on sheet {sheet} at sigma = "
                     f"{mp.nstr(sigma + h, 8)}"
                 )
+        cand, g = solved
         if abs(cand - eps) > mp.mpf("0.5") * (1 + max(abs(cand), abs(eps))):
             raise SolverError(
                 f"continuation jump on sheet {sheet} at sigma = "
@@ -264,7 +276,7 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
         slope = (cand - eps) / h
         sigma = sigma + h
         eps = cand
-    return eps, slope
+    return eps, slope, g
 
 
 def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit:
@@ -274,6 +286,7 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
     later grid node is reached by _advance, whose secant slope is carried
     from one grid interval to the next.  Sub-stepping between nodes keeps
     branch-point slowdowns from knocking the samples off the uniform grid.
+    Each node keeps the G its solve returned (Orbit.g), which quantize reads.
     """
     if npoints < 16:
         raise ValueError(f"npoints must be >= 16, got {npoints}")
@@ -282,22 +295,28 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
         step = sth / (npoints - 1)
         eps = solve_eps(0, sheet_seed(k, 0, mpar, ctx), mpar, ctx)
         slope = None
-        samples = [(mp.mpf(0), eps)]
+        samples, gs = [(mp.mpf(0), eps)], [None]
         for i in range(1, npoints):
             target = sth if i == npoints - 1 else i * step
-            eps, slope = _advance(samples[-1][0], target, eps, slope, k, mpar, ctx)
+            eps, slope, g = _advance(samples[-1][0], target, eps, slope, k,
+                                     mpar, ctx)
             samples.append((target, eps))
-        return Orbit(sheet=k, samples=tuple(samples))
+            gs.append(g)
+        return Orbit(sheet=k, samples=tuple(samples), g=tuple(gs))
 
 
 # ── quantization along an orbit ───────────────────────────────────────────
 
 
-def _parity_indicator(sigma, eps, parity: int, mpar: ModularParam, ctx: PrecCtx):
-    """Re or Im of G/|G| at s(sigma): the scale-free quantization function."""
-    g = G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx)
+def _indicator(g, parity: int):
+    """Re or Im of G/|G|: the scale-free quantization function."""
     g = g / abs(g)
     return g.real if parity == 1 else g.imag
+
+
+def _parity_indicator(sigma, eps, parity: int, mpar: ModularParam, ctx: PrecCtx):
+    """The indicator at s(sigma) with G from the independent G_eval."""
+    return _indicator(G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx), parity)
 
 
 def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
@@ -307,21 +326,28 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
     lo and hi are grid samples (sigma, eps, indicator) whose indicators have
     opposite signs.  Each trial sigma is the secant zero of the two bracket
     ends, and its eps is Newton-solved from the linear interpolation of the
-    ends' eps.  An end kept twice in a row has its indicator halved (the
-    Illinois rule), so both ends close in on the root.  Returns the trial
-    (sigma, eps) once successive trials differ by at most
-    tol * max(sin(theta), 1) and its indicator is at most tol: the indicator
-    can be steep in sigma, so a short step alone does not bound it.
+    ends' eps; its indicator comes from the G that solve returns.  An end
+    kept twice in a row has its indicator halved (the Illinois rule), so
+    both ends close in on the root.  Returns the trial (sigma, eps) once
+    successive trials differ by at most tol * max(sin(theta), 1) and its
+    indicator is at most tol: the indicator can be steep in sigma, so a
+    short step alone does not bound it.  A trial that passes is confirmed
+    once by _parity_indicator (G_eval), since near the tolerance floor the
+    solve's G can sit a tol off; if the confirmed indicator misses, the
+    iteration goes on with it.
     """
     tol = ctx.tol
     stop = tol * max(sin_theta(mpar), 1)
     (a, ea, fa), (b, eb, fb) = lo, hi  # b: the latest trial
     for _ in range(_MAX_FALSE_POSITION):
         c = b - fb * (b - a) / (fb - fa)
-        ec = solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
-        fc = _parity_indicator(c, ec, parity, mpar, ctx)
-        if fc == 0 or (abs(c - b) <= stop and abs(fc) <= tol):
-            return c, ec
+        ec, gc = _solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
+        fc = _indicator(gc, parity)
+        short = abs(c - b) <= stop
+        if fc == 0 or (short and abs(fc) <= tol):
+            fc = _parity_indicator(c, ec, parity, mpar, ctx)
+            if fc == 0 or (short and abs(fc) <= tol):
+                return c, ec
         if mp.sign(fc) == mp.sign(fb):
             fa /= 2
         else:
@@ -338,20 +364,22 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
     """All interior quantized states of the given parity along the orbit.
 
     Even states (parity +1) are the interior zeros of Re G/|G|, odd states
-    (parity -1) those of Im G/|G|.  The indicator is evaluated at the inner
-    grid nodes of the orbit; each sign change between neighbouring nodes is
+    (parity -1) those of Im G/|G|.  The indicator is read at the inner grid
+    nodes of the orbit from the G their solves returned (Orbit.g), so no
+    series is summed there; each sign change between neighbouring nodes is
     refined by _false_position on that grid bracket, with eps re-solved at
-    every trial sigma.  The endpoints are never eligible: G is exactly +-1
-    there (double-pole cases, excluded from the spectrum), which also makes
-    the odd indicator vanish identically at both ends.
+    every trial sigma and each state confirmed by G_eval.  The endpoints are
+    never eligible: G is exactly +-1 there (double-pole cases, excluded from
+    the spectrum), which also makes the odd indicator vanish identically at
+    both ends.
     """
     if parity not in (+1, -1):
         raise ValueError(f"parity must be +1 or -1, got {parity}")
     with ctx.workprec():
         sth = sin_theta(mpar)
         inner = [
-            (sig, eps, _parity_indicator(sig, eps, parity, mpar, ctx))
-            for sig, eps in orbit.samples[1:-1]
+            (sig, eps, _indicator(g, parity))
+            for (sig, eps), g in zip(orbit.samples[1:-1], orbit.g[1:-1])
         ]
         points = []
         for lo, hi in zip(inner, inner[1:]):
@@ -401,7 +429,7 @@ def rho_extract(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
                 raise SolverError(
                     f"rho test point x0 = {x0s} too close to a theta zero"
                 )
-            w, _, _ = _wronskian_parts(u0, eps, mpar, ctx)
+            w, _, _, _ = _wronskian_parts(u0, eps, mpar, ctx)
             rhos.append(w / den)
         mean = mp.fsum(rhos) / len(rhos)
         spread = max(abs(r - mean) for r in rhos)
@@ -420,7 +448,7 @@ def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     root (sigma, eps) of W, after checking that it is one."""
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
-        w, _, scale = _wronskian_parts(s, eps, mpar, ctx)
+        w, _, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
         if abs(w) > ZERO_FLOOR * ctx.tol * max(scale, 1):
             raise SolverError(
                 f"(sigma, eps) is not on the Wronskian zero set: |W| = "

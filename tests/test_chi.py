@@ -494,7 +494,7 @@ def test_wronskian_parts_bitwise_per_argument(bits, tol, rng):
                 c, dc = vc / (u / q2), dvc / (u / q2)
                 t1, t2 = a * b, c * d
                 want = (t1 - t2, da * b + a * db - dc * d - c * dd,
-                        max(abs(t1), abs(t2)))
+                        max(abs(t1), abs(t2)), (d, dd, b, db))
                 assert _wronskian_parts(u, eps, mpar, ctx) == want
                 assert chi_check_eval(u, eps, mpar, ctx) == b
 
@@ -531,5 +531,5 @@ def test_wronskian_matches_transfer_oracle(ctx192, rng):
                 chi_u, chi_uq = chi_via_Minf(u, eps, mpar, ctx192)
                 chi_q2u, chi_inv = chi_via_Minf(q2 / u, eps, mpar, ctx192)
                 oracle = chi_uq * chi_inv / u - chi_q2u * (q2 / u) * chi_u
-                w, _, scale = _wronskian_parts(u, eps, mpar, ctx192)
+                w, _, scale, _ = _wronskian_parts(u, eps, mpar, ctx192)
                 assert abs(w - oracle) <= 1000 * tol * max(scale, 1)

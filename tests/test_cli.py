@@ -24,13 +24,12 @@ from mirror_spectra.cli import (
     EXIT_OK,
     _build_parser,
     _context,
-    _default_tol,
     fmt_complex,
     fmt_real,
     fmt_tol,
     main,
 )
-from mirror_spectra.precision import make_context
+from mirror_spectra.precision import default_tol, make_context
 
 # Table 1 odd states on sheet 2: (sigma, Re eps, Im eps)
 SHEET2_ODD = (
@@ -86,9 +85,9 @@ def test_fmt_complex_forms():
 
 
 def test_default_tol_scale():
-    assert _default_tol(192) == 1e-40
-    assert _default_tol(64) == 1e-11
-    assert _default_tol(96) == 1e-20
+    assert default_tol(192) == 1e-40
+    assert default_tol(64) == 1e-11
+    assert default_tol(96) == 1e-20
 
 
 def test_fmt_tol_prints_as_a_float_would():
@@ -337,6 +336,24 @@ def test_verify_quick_passes(capsys):
     assert "# precision_bits=64 tol=1e-11 seed=" in out
     assert out.count("PASS") == 9
     assert "FAIL" not in out
+
+
+def test_verify_quick_refuses_a_precision_request(capsys, monkeypatch):
+    # --quick fixes 64 bits and their default tol: a precision or tol given
+    # besides is named and refused before any check runs, never ignored
+    for argv, flag in ((["verify", "--quick", "--precision-bits", "128"],
+                        "--precision-bits"),
+                       (["verify", "--precision-bits", "64", "--quick"],
+                        "--precision-bits"),
+                       (["verify", "--quick", "--tol", "1e-12"], "--tol")):
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("mirror-spectra: error: verify --quick")
+        assert f"it takes no {flag}" in err
+    monkeypatch.setenv("MIRROR_SPECTRA_PRECISION", "96")
+    assert main(["verify", "--quick"]) == EXIT_CONFIG
+    assert "MIRROR_SPECTRA_PRECISION" in capsys.readouterr().err
 
 
 def test_verify_quick_classifies_at_check_precision(capsys, monkeypatch):

@@ -45,6 +45,15 @@ def test_make_context_rejects_bad_inputs():
         make_context(128, 1e-20, max_terms=4)
 
 
+def test_make_context_default_tol_follows_precision():
+    # without a tol a context gets its precision's default, so make_context(64)
+    # builds (a fixed 1e-40 is unreachable there) and 192 bits keeps 1e-40
+    assert make_context(64).tol == default_tol(64) == mp.mpf(1e-11)
+    assert make_context(1600).tol == default_tol(1600)
+    assert make_context(1600).tol == make_context(1600, "1e-337").tol
+    assert make_context() == make_context(192) == make_context(192, 1e-40)
+
+
 def _default_k(bits):
     digits = int(bits * 0.30103)
     return digits - max(8, (3 * digits) // 10)

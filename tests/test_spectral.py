@@ -16,6 +16,7 @@ from mirror_spectra.precision import (
 )
 from mirror_spectra.spectral import (
     Orbit,
+    _indicator,
     _parity_indicator,
     _sigma_to_s,
     _solve_eps,
@@ -165,7 +166,7 @@ def test_solve_eps_residual_scale(ctx, mpar):
     with ctx.workprec():
         eps = solve_eps(mp.mpf("0.3"), mp.mpf(2), mpar, ctx)
         s = _sigma_to_s(mp.mpf("0.3"), mpar)
-        w, _, scale = _wronskian_parts(s, eps, mpar, ctx)
+        w, _, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
         assert abs(w) <= ctx.tol * max(scale, 1)
 
 
@@ -178,7 +179,7 @@ def test_newton_quadratic_convergence(ctx, mpar):
         eps = root + mp.mpf("1e-4")
         residuals = []
         for _ in range(8):
-            w, dw, sc = _wronskian_parts(s, eps, mpar, ctx)
+            w, dw, sc, _ = _wronskian_parts(s, eps, mpar, ctx)
             residuals.append(abs(w) / sc)
             eps = eps - w / dw
         for rk, rk1 in zip(residuals, residuals[1:]):
@@ -242,7 +243,7 @@ def test_orbit_backward_continuation_matches(ctx, mpar, orbit1):
         sth = sin_theta(mpar)
         eps = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
         for sig, eps_fwd in reversed(orbit1.samples[30:-1]):
-            eps = _solve_eps(sig, eps, mpar, ctx)
+            eps, _ = _solve_eps(sig, eps, mpar, ctx)
             assert abs(eps - eps_fwd) <= mp.mpf("1e-30") * max(abs(eps), 1)
 
 
@@ -318,7 +319,7 @@ def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
     with ctx.workprec():
         tol = ctx.tol
         for sig, eps in orbit.samples:
-            w, dw, _ = _wronskian_parts(_sigma_to_s(sig, mpar), eps, mpar, ctx)
+            w, dw, _, _ = _wronskian_parts(_sigma_to_s(sig, mpar), eps, mpar, ctx)
             assert abs(w / dw) <= tol * max(abs(eps), 1), sig
         end = orbit.samples[-1][1]
         assert abs(mp.im(end)) <= tol * abs(end)
@@ -367,19 +368,20 @@ def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
     # the secant stop follows ctx.tol, so at 256 bits (tol 1e-60) the
     # sheet-1 ground states are polished until their indicator is below tol.
     # A short orbit keeps this cheap: a 128-bit trace locates the two grid
-    # nodes around the state, and only those two are re-solved at 256 bits
-    # (quantize reads the inner samples only).
+    # nodes around the state, and only those two are re-solved at 256 bits,
+    # each with the G its solve returns (quantize reads the inner samples
+    # only).
     ctx256 = make_context(256, 1e-60)
     mpar256 = ModularParam.from_theta("pi/4", ctx256)
     with ctx256.workprec():
         target = mp.mpf(target)
         samples = coarse_orbit1.samples
         i = next(k for k, (sig, _) in enumerate(samples) if sig > target)
-        inner = tuple(
-            (sig, solve_eps(sig, eps, mpar256, ctx256))
-            for sig, eps in samples[i - 1:i + 1]
-        )
-        orbit = Orbit(sheet=1, samples=(samples[0],) + inner + (samples[-1],))
+        solved = [(sig, _solve_eps(sig, eps, mpar256, ctx256))
+                  for sig, eps in samples[i - 1:i + 1]]
+        inner = tuple((sig, eps) for sig, (eps, _) in solved)
+        orbit = Orbit(sheet=1, samples=(samples[0],) + inner + (samples[-1],),
+                      g=(None,) + tuple(g for _, (_, g) in solved) + (None,))
         (p,) = quantize(orbit, parity, mpar256, ctx256)
         assert abs(p.sigma - target) <= mp.mpf("1e-17")
         indicator = _parity_indicator(p.sigma, p.eps, parity, mpar256, ctx256)
@@ -419,6 +421,75 @@ def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
             for p in pts:
                 ind = _parity_indicator(p.sigma, p.eps, parity, mpar128, ctx128)
                 assert abs(ind) <= ctx128.tol, (parity, p.sigma)
+
+
+def test_quantize_reads_node_g(sheet2_128, monkeypatch):
+    # the grid nodes' indicators come from the G their solves returned: the
+    # only G_eval calls are the confirmations, one at each returned state
+    ctx128, mpar128, orbit, _, _ = sheet2_128
+    calls = []
+    real = spectral.G_eval
+
+    def counted(u, *args):
+        calls.append(u)
+        return real(u, *args)
+
+    monkeypatch.setattr(spectral, "G_eval", counted)
+    for parity in (-1, +1):
+        calls.clear()
+        pts = quantize(orbit, parity, mpar128, ctx128)
+        assert len(pts) == 3
+        with ctx128.workprec():
+            assert calls == [_sigma_to_s(p.sigma, mpar128) for p in pts]
+
+
+def _assert_node_g(nodes, mpar, ctx):
+    # G from a node's solve agrees with the independent G_eval to tol
+    # relatively, and gives both parities' indicators the same sign
+    with ctx.workprec():
+        for (sig, eps), g in nodes:
+            ref = G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx)
+            assert abs(g - ref) <= ctx.tol * abs(ref), sig
+            for parity in (+1, -1):
+                assert (mp.sign(_indicator(g, parity))
+                        == mp.sign(_indicator(ref, parity))), (sig, parity)
+
+
+def _inner_nodes(orbit):
+    return zip(orbit.samples[1:-1], orbit.g[1:-1])
+
+
+@pytest.fixture(scope="module")
+def coarse_orbits_128(coarse_orbit1, sheet2_128):
+    ctx128, mpar128, orbit2, _, _ = sheet2_128
+    return ctx128, mpar128, (coarse_orbit1, orbit2,
+                             trace_orbit(3, 16, mpar128, ctx128))
+
+
+def test_node_g_matches_g_eval_at_128_and_192_bits(
+        ctx, mpar, coarse_orbits_128, orbit1, orbit2_192, sheet3_192):
+    # the node G quantize reads, on sheets 1-3; at the grid nodes the
+    # first-order corrected G is within 1.3e-4 tol of G_eval here
+    ctx128, mpar128, orbits = coarse_orbits_128
+    for orbit in orbits:
+        _assert_node_g(_inner_nodes(orbit), mpar128, ctx128)
+    for orbit in (orbit1, orbit2_192, sheet3_192[0]):
+        _assert_node_g(_inner_nodes(orbit), mpar, ctx)
+
+
+def test_node_g_matches_g_eval_at_256_bits(coarse_orbits_128):
+    # the 128-bit nodes of sheets 1-3, re-solved at 256 bits (tol 1e-60) as
+    # the 256-bit quantize test builds its orbit; every third node keeps it
+    # cheap
+    _, _, orbits = coarse_orbits_128
+    ctx256 = make_context(256, 1e-60)
+    mpar256 = ModularParam.from_theta("pi/4", ctx256)
+    for orbit in orbits:
+        nodes = []
+        for sig, eps in orbit.samples[1:-1:3]:
+            eps, g = _solve_eps(sig, eps, mpar256, ctx256)
+            nodes.append(((sig, eps), g))
+        _assert_node_g(nodes, mpar256, ctx256)
 
 
 def test_quantize_indicator_at_tolerance_floor():
