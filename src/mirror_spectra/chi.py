@@ -14,9 +14,11 @@ polynomials follow the three-term recursion
 
     chi_{q,n+1} = eps chi_{q,n} + (q^n - q^-n)^2 chi_{q,n-1},
 
-with eps-derivatives propagated through the same recursion (forward mode).
-One series kernel sums the series for several arguments at once: they share
-the recursion and a cached table of the q-only factors, so the Wronskian
+with eps-derivatives propagated through the same recursion (forward mode),
+kept in a small cache of tables per (eps, q, working precision) that grow on
+demand, so every pass at one state shares one recursion.  One series kernel
+sums the series for several arguments at once: they share the recursion and
+a cached table of the q-only factors, so the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
 
@@ -106,28 +108,63 @@ def _qtable(q, bits: int) -> _QTable:
     return _QTable(q, bits)
 
 
+def _raw(x):
+    """The raw tuple of an mpf (_mpf_) or mpc (_mpc_): a cache key that keeps
+    a real number and a complex one of equal value apart."""
+    return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+
+def _from_raw(key):
+    return mp.make_mpc(key) if len(key) == 2 else mp.make_mpf(key)
+
+
+class _ChiTable:
+    """chi_n(eps) and dchi_n/deps for n = 0 .. len(chi) - 1 at one (eps, q,
+    working precision), shared by every series, Wronskian and residue pass
+    at that state.  _poly_pairs appends to the lists only when a consumer
+    asks for a term not yet formed, with the operations and order of the
+    recursion, so every value is bit-identical to running it afresh.
+    """
+
+    def __init__(self, eps_key, q_key, bits: int):
+        self.eps = _from_raw(eps_key)
+        self.qtab = _qtable(_from_raw(q_key), bits)
+        self.chi = [mp.mpf(1), self.eps]
+        self.dchi = [mp.mpf(0), mp.mpf(1)]
+
+
+@functools.lru_cache(maxsize=2)  # the states in hand; each Newton step is a new eps
+def _chitable(eps_key, q_key, bits: int) -> _ChiTable:
+    """The shared recursion table of eps and q (by their _raw keys) at
+    `bits` of working precision."""
+    return _ChiTable(eps_key, q_key, bits)
+
+
 def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
-    """Yield (chi_n, dchi_n/deps) for n = 0, 1, 2, ... by the recursion,
-    at the current working precision; PrecisionExceeded on overflow."""
-    tab = _qtable(q, mp.prec)
-    c = tab.c
-    chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
-    yield chi_prev, dchi_prev
-    chi_cur, dchi_cur = eps, mp.mpf(1)
-    yield chi_cur, dchi_cur
-    n = 1
+    """Yield (chi_n, dchi_n/deps) for n = 0, 1, 2, ... by the recursion, at
+    the current working precision; PrecisionExceeded on overflow.
+
+    The terms come from the (eps, q, mp.prec) table, extended one term at a
+    time only when a consumer asks for a term not yet formed: a state summed
+    before costs no recursion, a new one costs what running the recursion
+    does, and overflow raises at the same n.  Generators on one table may
+    interleave; iterate each within the working precision it started at.
+    """
+    tab = _chitable(_raw(eps), _raw(q), mp.prec)
+    chi, dchi, eps, c = tab.chi, tab.dchi, tab.eps, tab.qtab.c
+    n = 0
     while True:
-        if n >= len(c):
-            tab.grow_c(n)
-        cn = c[n]
-        chi_next = eps * chi_cur + cn * chi_prev
-        if not mp.isfinite(chi_next):
-            raise PrecisionExceeded(
-                "chi polynomial overflow; raise the working precision")
-        dchi_next = chi_cur + eps * dchi_cur + cn * dchi_prev
-        yield chi_next, dchi_next
-        chi_prev, chi_cur = chi_cur, chi_next
-        dchi_prev, dchi_cur = dchi_cur, dchi_next
+        if n == len(chi):  # no consumer has asked for chi_n before
+            if n > len(c):
+                tab.qtab.grow_c(n - 1)
+            cn = c[n - 1]
+            chi_n = eps * chi[n - 1] + cn * chi[n - 2]
+            if not mp.isfinite(chi_n):
+                raise PrecisionExceeded(
+                    "chi polynomial overflow; raise the working precision")
+            dchi.append(chi[n - 1] + eps * dchi[n - 1] + cn * dchi[n - 2])
+            chi.append(chi_n)
+        yield chi[n], dchi[n]
         n += 1
 
 
@@ -188,7 +225,9 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
     """[(chi_q(u, eps), d chi / d eps) for u in us], adaptively truncated.
 
     Uses the second series form: term_n = f_n chi_n(eps) u^n.  All arguments
-    share one chi_n/dchi_n recursion and the cached q-table; each keeps its
+    share the cached q-table and the chi_n/dchi_n table of (eps, q, working
+    precision), which this call extends only past the terms an earlier call
+    at that state formed; each argument keeps its
     own partial sum and stops when its last three term magnitudes sum below
     tol relative to its running scale (partial sum or largest term, whichever
     is bigger -- the sum itself can cross zero).

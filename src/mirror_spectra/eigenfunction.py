@@ -75,7 +75,9 @@ def _lattice_distance(w, lq):
 
 def _numerator_terms(u, v, eps, p: EigenfunctionParams, ctx: PrecCtx):
     """(chk(u) conj chi(v), chi(u) conj chk(v)) with v = conj ubar, the two
-    products of the ansatz numerator; when v == u one pair of series serves."""
+    products of the ansatz numerator; when v == u one pair of series serves.
+    Every series here is at the one eps, so all of them read the state's
+    cached chi_n recursion table and only the per-argument sums are new."""
     def pair(w):
         return chi_check_eval(w, eps, p.mpar, ctx), chi_eval(w, eps, p.mpar, ctx)[0]
     chk_u, chi_u = pair(u)

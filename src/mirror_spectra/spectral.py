@@ -70,8 +70,8 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
     sum_m (chi_m(eps)/(q^-2;q^-2)_m)^2 (q^{-2m} - q^{2m+2}).
 
     1/(q^-2;q^-2)_m is the series prefactor f_m = (-1)^m q^{m(m+1)}/(q^2;q^2)_m
-    of the shared q-table, and chi_m comes from the same recursion as the
-    chi series; the powers of q are carried from term to term.
+    of the shared q-table, and chi_m comes from the recursion table the chi
+    series at this eps share; the powers of q are carried from term to term.
 
     For real eps and 0 < q < 1 this is >= 1 - q^2 > 0: the two solutions
     never degenerate on the real axis.

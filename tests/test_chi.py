@@ -1,6 +1,8 @@
 """Regular solution of the chi-equation: polynomial layer, series evaluation,
-second solution, G ratio, multiplication rule, and pole signalling."""
+second solution, G ratio, multiplication rule, pole signalling, and the
+shared recursion table."""
 
+import itertools
 import math
 
 from hypothesis import given, settings
@@ -8,14 +10,16 @@ from hypothesis import strategies as st
 from mpmath import mp
 import pytest
 
-from mirror_spectra import chi
+from mirror_spectra import chi, spectral
 from mirror_spectra.chi import (
     G_eval,
     _chi_series,
+    _chitable,
     _log2_abs,
     _parts,
     _poly_pairs,
     _qtable,
+    _raw,
     _wronskian_parts,
     chi_check_eval,
     chi_dual_eval,
@@ -23,12 +27,21 @@ from mirror_spectra.chi import (
     chi_mult_check,
     chi_poly_seq,
 )
+from mirror_spectra.eigenfunction import EigenfunctionParams, psi_eval
 from mirror_spectra.precision import (
     ModularParam,
     PoleSignal,
     PrecisionExceeded,
+    default_tol,
     make_context,
     pochhammer_q,
+)
+from mirror_spectra.spectral import (
+    SpectralPoint,
+    factorize,
+    sheet_seed,
+    solve_eps,
+    wronskian_residue,
 )
 from mirror_spectra.transfer import chi_via_Minf
 
@@ -500,7 +513,8 @@ def test_wronskian_parts_bitwise_per_argument(bits, tol, rng):
 
 
 def test_series_kernel_cache_isolated_by_precision():
-    # a q-table filled at 128 bits must not leak into a 256-bit evaluation
+    # a q-table or recursion table filled at 128 bits must not leak into a
+    # 256-bit evaluation of the same eps
     ctx128 = make_context(128, 1e-27)
     ctx256 = make_context(256, 1e-60)
     mpar = ModularParam.from_theta("3*pi/8", ctx256)
@@ -508,13 +522,16 @@ def test_series_kernel_cache_isolated_by_precision():
         us = (mp.mpc("0.7", "0.2"), mp.mpc("-2.1", "1.3"))
         eps = mp.mpc("-4.2", "6.1")
     _qtable.cache_clear()
+    _chitable.cache_clear()
     cold = _chi_series(us, eps, mpar, ctx256)
     cold_w = _wronskian_parts(us[0], eps, mpar, ctx256)
     _qtable.cache_clear()
+    _chitable.cache_clear()
     low = _chi_series(us, eps, mpar, ctx128)
     assert _chi_series(us, eps, mpar, ctx256) == cold
     assert _wronskian_parts(us[0], eps, mpar, ctx256) == cold_w
     assert low != cold
+    assert _chitable.cache_info().currsize == 2
 
 
 def test_wronskian_matches_transfer_oracle(ctx192, rng):
@@ -533,3 +550,191 @@ def test_wronskian_matches_transfer_oracle(ctx192, rng):
                 oracle = chi_uq * chi_inv / u - chi_q2u * (q2 / u) * chi_u
                 w, _, scale, _ = _wronskian_parts(u, eps, mpar, ctx192)
                 assert abs(w - oracle) <= 1000 * tol * max(scale, 1)
+
+
+# ── shared recursion table ────────────────────────────────────────────────
+
+
+def _fresh_pairs(eps, q):
+    # the recursion run afresh from n = 0, with no table: the reference every
+    # consumer of the shared table must reproduce bit for bit
+    c = _qtable(q, mp.prec).c
+    chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
+    yield chi_prev, dchi_prev
+    chi_cur, dchi_cur = eps, mp.mpf(1)
+    yield chi_cur, dchi_cur
+    n = 1
+    while True:
+        if n >= len(c):
+            _qtable(q, mp.prec).grow_c(n)
+        chi_next = eps * chi_cur + c[n] * chi_prev
+        if not mp.isfinite(chi_next):
+            raise PrecisionExceeded("chi polynomial overflow")
+        dchi_next = chi_cur + eps * dchi_cur + c[n] * dchi_prev
+        yield chi_next, dchi_next
+        chi_prev, chi_cur = chi_cur, chi_next
+        dchi_prev, dchi_cur = dchi_cur, dchi_next
+        n += 1
+
+
+def _bits(v):
+    # raw tuples, nested like v: equal only when both value and type agree
+    if isinstance(v, (tuple, list)):
+        return tuple(_bits(x) for x in v)
+    return _raw(v)
+
+
+def _table(eps, mpar, bits):
+    return _chitable(_raw(eps), _raw(mpar.q), bits)
+
+
+def _state(theta, bits):
+    # a root (sigma, eps) of W on sheet 1, off the rho test points
+    ctx = make_context(bits, default_tol(bits))
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        sigma = mp.mpf("0.17")
+    return ctx, mpar, sigma, solve_eps(sigma, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+
+
+@pytest.mark.parametrize("theta", _KERNEL_THETAS)
+@pytest.mark.parametrize("bits", (128, 192, 256))
+def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
+    # every consumer of the table, cold (cleared before each) and warm
+    # (grown by the others, in two orders), against the table-free recursion
+    ctx, mpar, sigma, eps = _state(theta, bits)
+    with ctx.workprec():
+        p = EigenfunctionParams(
+            point=SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=+1),
+            eta=(mpar.b + 1 / mpar.b) / 2, rho=None, mpar=mpar)
+        us = (mp.mpc("0.7", "0.2"), mp.mpc("-2.1", "1.3"), mp.mpc(0, 9))
+        u = mp.mpc("0.9", "-0.4")
+        # off the lattice, on it (the stencil) and at a complex x
+        xs = (mp.mpf("0.61"), sigma, mp.mpc("-0.4", "0.15"))
+    consumers = (
+        lambda: _chi_series(us, eps, mpar, ctx),
+        lambda: _wronskian_parts(u, eps, mpar, ctx),
+        lambda: chi_poly_seq(eps, mpar, 30, ctx),
+        lambda: wronskian_residue(eps, mpar, ctx),
+        lambda: [psi_eval(x, p, ctx) for x in xs],
+        lambda: factorize(sigma, eps, mpar, ctx),
+    )
+    with monkeypatch.context() as m:
+        m.setattr(chi, "_poly_pairs", _fresh_pairs)
+        m.setattr(spectral, "_poly_pairs", _fresh_pairs)
+        ref = [_bits(f()) for f in consumers]
+    cold = []
+    for f in consumers:
+        _chitable.cache_clear()
+        cold.append(_bits(f()))
+    _chitable.cache_clear()
+    warm = [_bits(f()) for f in consumers]
+    warm_reversed = [_bits(f()) for f in reversed(consumers)][::-1]
+    assert cold == ref
+    assert warm == ref
+    assert warm_reversed == ref
+
+
+def test_recursion_table_keys_isolate():
+    ctx128 = make_context(128, 1e-27)
+    ctx256 = make_context(256, 1e-60)
+    mpar = ModularParam.from_theta("3*pi/8", ctx256)
+    with ctx256.workprec():
+        eps = mp.mpc("-4.2", "6.1")
+        real, cplx = mp.mpf("1.5"), mp.mpc("1.5", 0)
+
+    def seq(e, m, ctx, n):
+        return _bits(chi_poly_seq(e, m, n, ctx)[0])
+
+    def fresh(e, m, ctx, n):
+        with ctx.workprec():
+            return _bits([v for v, _ in itertools.islice(_fresh_pairs(e, m.q), n + 1)])
+    cases = (
+        ((eps, mpar, ctx128), (eps, mpar, ctx256)),                # precision
+        ((eps, mpar, ctx256), (eps, mpar.conjugate(), ctx256)),    # conj nome
+        ((real, mpar, ctx256), (cplx, mpar, ctx256)),              # mpf vs mpc
+    )
+    for a, b in cases:
+        _chitable.cache_clear()
+        cold_a = seq(*a, 25)
+        _chitable.cache_clear()
+        cold_b = seq(*b, 25)
+        assert cold_a == fresh(*a, 25) != cold_b == fresh(*b, 25)
+        # each grown while the other's table is live reads as it did cold
+        assert seq(*a, 40)[:26] == cold_a
+        assert seq(*b, 40)[:26] == cold_b
+        assert _chitable.cache_info().currsize == 2
+    # the mpf eps keeps its type where no complex factor has entered
+    _chitable.cache_clear()
+    for e in (real, cplx):
+        assert type(chi_poly_seq(e, mpar, 3, ctx256)[0][1]) is type(e)
+
+
+def test_recursion_table_interleaved_generators(ctx192, mpar_pi4):
+    # two generators on one table, advanced in turns of uneven length,
+    # yield what fresh ones yield; so does a third started late
+    with ctx192.workprec():
+        eps, q = mp.mpc("2.3", "-1.1"), mpar_pi4.q
+        want = _bits(list(itertools.islice(_fresh_pairs(eps, q), 40)))
+        _chitable.cache_clear()
+        g1, g2 = _poly_pairs(eps, q), _poly_pairs(eps, q)
+        got1, got2 = [], []
+        for k1, k2 in ((3, 5), (6, 1), (1, 9), (12, 2), (18, 23)):
+            got1 += itertools.islice(g1, k1)
+            got2 += itertools.islice(g2, k2)
+        got3 = list(itertools.islice(_poly_pairs(eps, q), 40))
+        assert _bits(got1) == _bits(got2) == _bits(got3) == want
+        assert len(_table(eps, mpar_pi4, 192).chi) == 40
+
+
+def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch):
+    # a consumer that takes terms 0..N leaves chi_0..chi_N, as the recursion
+    # run afresh would have formed; a series pass leaves the terms of its
+    # longest argument, and the residue series those it summed
+    with ctx192.workprec():
+        eps, q = mp.mpc("-1.3", "0.8"), mpar_pi4.q
+        for n_terms in (1, 2, 3, 17):
+            _chitable.cache_clear()
+            assert len(list(itertools.islice(_poly_pairs(eps, q), n_terms))) == n_terms
+            assert len(_table(eps, mpar_pi4, 192).chi) == max(n_terms, 2)
+        us = (mp.mpc("0.3", "-0.2"), mp.mpc("-1.7", "0.4"), mp.mpc(0, 40))
+        _chitable.cache_clear()
+        _chi_series(us, eps, mpar_pi4, ctx192)
+        longest = max(_chi_incremental(u, eps, mpar_pi4, ctx192)[2] for u in us)
+        assert len(_table(eps, mpar_pi4, 192).chi) == longest + 1
+        taken = []
+
+        def counting(e, q_):
+            for pair in _fresh_pairs(e, q_):
+                taken.append(pair)
+                yield pair
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_poly_pairs", counting)
+            wronskian_residue(eps, mpar_pi4, ctx192)
+        _chitable.cache_clear()
+        wronskian_residue(eps, mpar_pi4, ctx192)
+        assert len(_table(eps, mpar_pi4, 192).chi) == len(taken)
+
+
+def test_recursion_table_work_count_psi(ctx192, mpar_pi4):
+    # psi at many points of one state: one table, one miss, grown to the
+    # longest series among the points and no further
+    with ctx192.workprec():
+        sigma = mp.sin(mpar_pi4.theta) / 2
+        eps = mp.mpc(0, "4.59435880983691894")
+        p = EigenfunctionParams(
+            point=SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=+1),
+            eta=(mpar_pi4.b + 1 / mpar_pi4.b) / 2, rho=None, mpar=mpar_pi4)
+        xs = [mp.mpf(k) / 7 - 1 for k in range(15)] + [
+            mp.mpc("0.3", "0.2"), mp.mpc("-1.1", "0.6"), sigma]
+    lengths = []
+    for x in xs:
+        _chitable.cache_clear()
+        psi_eval(x, p, ctx192)
+        lengths.append(len(_table(eps, mpar_pi4, 192).chi))
+    _chitable.cache_clear()
+    for x in xs:
+        psi_eval(x, p, ctx192)
+    assert _chitable.cache_info().misses == 1
+    assert len(_table(eps, mpar_pi4, 192).chi) == max(lengths)
+    assert len(set(lengths)) > 1
