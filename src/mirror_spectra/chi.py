@@ -37,20 +37,10 @@ import math
 from typing import Iterator, Tuple
 
 from mpmath import mp
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpc_abs,
-    mpc_add,
-    mpc_mul,
-    mpf_add,
-    mpf_gt,
-    mpf_lt,
-    mpf_mul,
-    round_nearest,
-)
+from mpmath.libmp import fone, fzero, mpc_add, mpc_mul, round_nearest
 
 from .precision import (
+    _MAX_TERMS,
     ModularParam,
     PoleSignal,
     PrecCtx,
@@ -61,11 +51,12 @@ from .precision import (
 # denominators this close to zero (relative to the local scale) are poles
 ZERO_FLOOR = 1e3
 
-# The series' stop test is first decided on float log2 magnitudes and is
-# redone in mpf arithmetic only within this many bits (log2 units) of its
-# boundary.  The float error is a few ulp of the largest exponent involved,
-# below 2^-24 for exponents under 2^26, and the mpf roundings move a
-# magnitude by a few 2^-64 at the 64-bit minimum precision.
+# The series stops only when its float log2 stop test clears the boundary
+# by this many bits (log2 units).  The float error is a few ulp of the
+# largest exponent involved, below 2^-24 for exponents under 2^26, and the
+# mpf roundings move a magnitude by a few 2^-64 at the 64-bit minimum
+# precision, so no stop comes before the exact test's; inside the band the
+# series sums one more term.
 _LOG2_MARGIN = 2.0 ** -20
 
 
@@ -203,24 +194,6 @@ def _parts(x):
     return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
-def _stops_exactly(terms, s, ltmax, tol, prec) -> bool:
-    """The stop test |t_{n-2}| + |t_{n-1}| + |t_n| < tol * max(|s|, tmax) with
-    the mpf values and roundings of the mpc loop; tmax is the largest |t_k|
-    over the terms within _LOG2_MARGIN of the largest log2 |t_k|, since no
-    other term can hold it."""
-    rnd = round_nearest
-    w1, w2, w3 = (mpc_abs(t, prec, rnd) for _, t in terms[-3:])
-    w = mpf_add(mpf_add(w1, w2, prec, rnd), w3, prec, rnd)
-    tmax = fzero
-    for la, t in terms:
-        if la >= ltmax - _LOG2_MARGIN:
-            at = mpc_abs(t, prec, rnd)
-            if mpf_gt(at, tmax):
-                tmax = at
-    sabs = mpc_abs(s, prec, rnd)
-    return mpf_lt(w, mpf_mul(tol, tmax if mpf_gt(tmax, sabs) else sabs, prec, rnd))
-
-
 def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
     """[(chi_q(u, eps), d chi / d eps) for u in us], adaptively truncated.
 
@@ -237,10 +210,10 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
     of the mpc operators: the products are mpc_mul's, the sums mpc_add's,
     so every bit matches the same loop on mpc numbers.  The stop test needs
     no square root: it is decided on float log2 magnitudes (_log2_abs, the
-    three-term sum by log-sum-exp), and only within _LOG2_MARGIN of its
-    boundary is it redone exactly (_stops_exactly), on the mpf hypot values
-    the mpc loop compared.  Decisions, term counts and results are those of
-    the exact test.
+    three-term sum by log-sum-exp), and passes only when it clears its
+    boundary by _LOG2_MARGIN, so the series never stops before the exact
+    test on the mpf hypot values would; within the margin it sums one more
+    term.  A non-finite term never passes it.
     """
     if mpar.precision_bits < ctx.precision_bits:
         raise ValueError(
@@ -251,54 +224,48 @@ def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
         eps = mp.mpmathify(eps)
         q = mpar.q
         out = [(mp.mpf(1), mp.mpf(0)) if u == 0 else None for u in us]
-        # per argument: [index, u, s, ds, u^n, log2 tmax, [(log2 |t_k|, t_k),
-        # k = 0..n-1]], every value an (re, im) pair of raw mpf tuples
+        # per argument: [index, u, s, ds, u^n, log2 tmax, log2 |t_{n-2}|,
+        # log2 |t_{n-1}|], every value an (re, im) pair of raw mpf tuples
         live = [[i, _parts(u), (fzero, fzero), (fzero, fzero), (fone, fzero),
-                 -math.inf, []]
+                 -math.inf, -math.inf, -math.inf]
                 for i, u in enumerate(us) if u != 0]
         if not live:
             return out
         prec, rnd = mp.prec, round_nearest
-        tol = ctx.tol._mpf_
-        ltol = _log2_abs((tol, fzero))
+        ltol = _log2_abs((ctx.tol._mpf_, fzero))
         tab = _qtable(q, ctx.precision_bits)
         f = tab.f
-        for n, (chi_n, dchi_n) in zip(range(ctx.max_terms), _poly_pairs(eps, q)):
+        for n, (chi_n, dchi_n) in zip(range(_MAX_TERMS), _poly_pairs(eps, q)):
             if n >= len(f):
                 tab.grow_f(n)
             fn, x, dx = _parts(f[n]), _parts(chi_n), _parts(dchi_n)
             going = []
             for st in live:
-                i, u, s, ds, up, ltmax, terms = st
+                i, u, s, ds, up, ltmax, l1, l2 = st
                 coeff = mpc_mul(up, fn, prec, rnd)
                 t = mpc_mul(coeff, x, prec, rnd)
                 s = mpc_add(s, t, prec, rnd)
                 ds = mpc_add(ds, mpc_mul(coeff, dx, prec, rnd), prec, rnd)
                 la = _log2_abs(t)
-                terms.append((la, t))
                 if la > ltmax:
                     ltmax = la
                 if n >= 2:
                     # log2 of the last three |t| summed; nan if one is nan
-                    l1, l2 = terms[-3][0], terms[-2][0]
                     top = max(l1, l2, la)
                     lsum = top + math.log2(
                         2.0 ** (l1 - top) + 2.0 ** (l2 - top) + 2.0 ** (la - top)
                     ) if top > -math.inf else l1 + l2 + la
-                    bound = ltol + max(_log2_abs(s), ltmax)
-                    if lsum < bound - _LOG2_MARGIN or (
-                            not lsum > bound + _LOG2_MARGIN
-                            and _stops_exactly(terms, s, ltmax, tol, prec)):
+                    if lsum < ltol + max(_log2_abs(s), ltmax) - _LOG2_MARGIN:
                         out[i] = (mp.make_mpc(s), mp.make_mpc(ds))
                         continue
-                st[2:] = s, ds, mpc_mul(up, u, prec, rnd), ltmax, terms
+                st[2:] = s, ds, mpc_mul(up, u, prec, rnd), ltmax, l2, la
                 going.append(st)
             live = going
             if not live:
                 return out
         raise PrecisionExceeded(
-            f"chi series did not reach tol within {ctx.max_terms} terms "
-            f"(|u| = {abs(us[live[0][0]])}); raise max_terms or precision"
+            f"chi series did not reach tol within {_MAX_TERMS} terms "
+            f"(|u| = {abs(us[live[0][0]])})"
         )
 
 
@@ -416,7 +383,6 @@ def chi_mult_check(m: int, n: int, eps, mpar: ModularParam, ctx: PrecCtx):
         boosted = PrecCtx(
             precision_bits=min(ctx.precision_bits + lost_bits, 8192),
             tol=ctx.tol,
-            max_terms=ctx.max_terms,
         )
         res, _, _ = _mult_residual(m, n, eps, mpar, boosted)
     return res

@@ -2,14 +2,14 @@
 
 Foundation layer for everything else in the package:
 
-  * ``PrecCtx``        -- working precision + tolerance + series caps;
+  * ``PrecCtx``        -- working precision + tolerance;
   * ``ModularParam``   -- the coupling data (theta, b, q, qbar) with exact
                           logarithms of the nomes;
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
   * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, by
                           mpmath's ``jtheta``; both series raise
-                          PrecisionExceeded past ``max_terms``.
+                          PrecisionExceeded past ``_MAX_TERMS``.
 
 All functions are pure: they take immutable inputs, enter an mpmath
 ``workprec`` block sized by the context, and return mpmath scalars.
@@ -42,6 +42,10 @@ class PoleSignal(SolverError):
 
 # ── precision context ───────────────────────────────────────────────────────
 
+# the term cap of every series and product in the package
+_MAX_TERMS = 4096
+
+
 def _tol_value(tol):
     """tol as an mpf rounded to 53 bits, under its own workprec since a
     caller may sit in a finer one: a double's value where a double holds
@@ -52,7 +56,7 @@ def _tol_value(tol):
 
 @dataclass(frozen=True)
 class PrecCtx:
-    """Working precision in bits, target tolerance, and series term cap.
+    """Working precision in bits and target tolerance.
 
     ``tol`` may be given as a float, a decimal string or an mpf; the context
     holds it as a 53-bit mpf, so 1e-40, "1e-40" and mp.mpf(1e-40) build
@@ -61,37 +65,32 @@ class PrecCtx:
 
     precision_bits: int
     tol: object     # mpf
-    max_terms: int = 4096
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tol", _tol_value(self.tol))
         if self.precision_bits < 64:
             raise ValueError(f"precision_bits must be >= 64, got {self.precision_bits}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (mp.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         # tolerance must be achievable at the working precision
         if self.tol < mp.ldexp(1, 16 - self.precision_bits):
             raise ValueError(
                 f"tol={self.tol} is unreachable at {self.precision_bits} bits "
                 f"(need tol >= 2^{-self.precision_bits + 16})"
             )
-        if self.max_terms < 16:
-            raise ValueError(f"max_terms must be >= 16, got {self.max_terms}")
 
     def workprec(self):
         """mpmath precision guard for this context."""
         return mp.workprec(self.precision_bits)
 
 
-def make_context(precision_bits: int = 192, tol=None,
-                 max_terms: int = 4096) -> PrecCtx:
+def make_context(precision_bits: int = 192, tol=None) -> PrecCtx:
     """Build a precision context; all downstream operations carry it.
     Without a tol it gets default_tol(precision_bits): 1e-40 at 192 bits."""
     precision_bits = int(precision_bits)
     if tol is None:
         tol = default_tol(precision_bits)
-    return PrecCtx(precision_bits=precision_bits, tol=tol,
-                   max_terms=int(max_terms))
+    return PrecCtx(precision_bits=precision_bits, tol=tol)
 
 
 def default_tol(bits: int):
@@ -201,7 +200,7 @@ class ModularParam:
 
 def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
     """(x; q)_n = prod_{i=0}^{n-1} (1 - x q^i), with n a non-negative integer
-    or infinity (requires |q| < 1 and |x q^k| < tol within max_terms)."""
+    or infinity (requires |q| < 1 and |x q^k| < tol within _MAX_TERMS)."""
     infinite = n == mp.inf or (isinstance(n, float) and math.isinf(n))
     with ctx.workprec():
         x = mp.mpmathify(x)
@@ -218,9 +217,9 @@ def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
         if not abs(q) < 1:
             raise ValueError(f"infinite product needs |q| < 1, got |q| = {abs(q)}")
         tol = ctx.tol
-        if abs(x) >= tol and mp.log(tol / abs(x)) / mp.log(abs(q)) > ctx.max_terms:
+        if abs(x) >= tol and mp.log(tol / abs(x)) / mp.log(abs(q)) > _MAX_TERMS:
             raise PrecisionExceeded(
-                f"(x;q)_inf needs more than {ctx.max_terms} factors "
+                f"(x;q)_inf needs more than {_MAX_TERMS} factors "
                 f"(|q| = {abs(q)})"
             )
         return mp.qp(x, q)
@@ -248,8 +247,8 @@ def theta1(x_log, q, ctx: PrecCtx):
         # float underflow below the double range
         _, man, exp, _ = ctx.tol._mpf_
         T = -(exp + math.log2(man)) * math.log(2)
-        if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > ctx.max_terms:
+        if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > _MAX_TERMS:
             raise PrecisionExceeded(
-                f"theta1 series needs more than {ctx.max_terms} terms to reach tol"
+                f"theta1 series needs more than {_MAX_TERMS} terms to reach tol"
             )
         return mp.jtheta(1, -1j * w / 2, q)

@@ -23,6 +23,7 @@ from mpmath import mp
 
 from .chi import ZERO_FLOOR, G_eval, _poly_pairs, _qtable, _wronskian_parts
 from .precision import (
+    _MAX_TERMS,
     ModularParam,
     PrecCtx,
     PrecisionExceeded,
@@ -86,7 +87,7 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
         qlo, qhi = mp.mpf(1), q2  # q^{-2m}, q^{2m+2}
         s = mp.mpc(0)
         small = 0
-        for m, (chi_m, _) in zip(range(ctx.max_terms), _poly_pairs(eps, q)):
+        for m, (chi_m, _) in zip(range(_MAX_TERMS), _poly_pairs(eps, q)):
             if m >= len(f):
                 tab.grow_f(m)
             term = (chi_m * f[m]) ** 2 * (qlo - qhi)
@@ -98,7 +99,7 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
             qhi *= q2
         raise PrecisionExceeded(
             f"residue series at eps = {mp.nstr(eps, 8)} did not reach tol = "
-            f"{ctx.tol} within {ctx.max_terms} terms; raise max_terms or precision")
+            f"{ctx.tol} within {_MAX_TERMS} terms")
 
 
 # ── Newton in eps at fixed sigma ──────────────────────────────────────────

@@ -28,6 +28,7 @@ from mpmath import mp
 
 from .chi import ZERO_FLOOR, chi_eval
 from .precision import (
+    _MAX_TERMS,
     ModularParam,
     PoleSignal,
     PrecCtx,
@@ -100,7 +101,7 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
         uk = u
         rate = mp.mpf(1)
         prev = None
-        for n in range(1, ctx.max_terms):
+        for n in range(1, _MAX_TERMS):
             uk = uk * q2
             m = m.mul(L_eval(uk, eps, mpar))
             rate *= aq ** 4
@@ -114,7 +115,7 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
                 return m.c, m.a
             prev = m
         raise PrecisionExceeded(
-            f"matrix product did not settle within {ctx.max_terms} factors"
+            f"matrix product did not settle within {_MAX_TERMS} factors"
         )
 
 

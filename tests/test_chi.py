@@ -4,6 +4,7 @@ shared recursion table."""
 
 import itertools
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from mirror_spectra.chi import (
 )
 from mirror_spectra.eigenfunction import EigenfunctionParams, psi_eval
 from mirror_spectra.precision import (
+    _MAX_TERMS,
     ModularParam,
     PoleSignal,
     PrecisionExceeded,
@@ -221,23 +223,24 @@ def test_chi_eps_derivative_vs_central_difference(ctx192, mpar_pi4):
         assert abs(dv - fd) <= mp.mpf("1e-30") * max(abs(dv), 1)
 
 
-def test_chi_series_term_cap(mpar_pi4):
-    ctx16 = make_context(192, 1e-40, 16)
-    with ctx16.workprec():
-        u = mp.exp(10 * mp.pi)
+def test_chi_series_term_cap(mpar_pi4, ctx192):
+    # at q = e^-pi the series of |u| = e^L stops near term L/pi, so
+    # |u| = e^13000 needs more than the 4096-term cap
+    with ctx192.workprec():
+        u = mp.exp(13000)
         small = mp.mpf("0.1")
     with pytest.raises(PrecisionExceeded):
-        chi_eval(u, mp.mpf(2), mpar_pi4, ctx16)
+        chi_eval(u, mp.mpf(2), mpar_pi4, ctx192)
     # one argument past the cap fails the whole batch, and so the Wronskian
-    assert len(_chi_series((small, 0), mp.mpf(2), mpar_pi4, ctx16)) == 2
-    with pytest.raises(PrecisionExceeded, match="within 16 terms"):
-        _chi_series((small, u, 0), mp.mpf(2), mpar_pi4, ctx16)
+    assert len(_chi_series((small, 0), mp.mpf(2), mpar_pi4, ctx192)) == 2
+    with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
+        _chi_series((small, u, 0), mp.mpf(2), mpar_pi4, ctx192)
     with pytest.raises(PrecisionExceeded):
-        _wronskian_parts(u, mp.mpf(2), mpar_pi4, ctx16)
+        _wronskian_parts(u, mp.mpf(2), mpar_pi4, ctx192)
     # a non-finite argument never meets the stop test
     for bad in (mp.inf, mp.nan, mp.mpc(1, mp.ninf)):
-        with pytest.raises(PrecisionExceeded, match="within 16 terms"):
-            chi_eval(bad, mp.mpf(2), mpar_pi4, ctx16)
+        with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
+            chi_eval(bad, mp.mpf(2), mpar_pi4, ctx192)
 
 
 def test_chi_series_rejects_coarse_modular_param(ctx192, ctx64):
@@ -396,7 +399,7 @@ def _chi_incremental(u, eps, mpar, ctx):
         s = ds = mp.mpc(0)
         f = up = q2p = mp.mpf(1)
         tmax = w0 = w1 = w2 = mp.mpf(0)
-        for n in range(ctx.max_terms):
+        for n in range(_MAX_TERMS):
             if n == 0:
                 chi_n, dchi_n = chi_prev, dchi_prev
             elif n == 1:
@@ -437,39 +440,30 @@ _FINE_RUNG = ("pi/4", 4300, "1e-1250")
      for theta in _KERNEL_THETAS] + [_FINE_RUNG])
 def test_series_kernel_batch_is_bitwise(bits, tol, theta):
     # one batched pass == one call per argument == the in-place loop, bit
-    # for bit, with u = 0 and arguments whose series stop at different n
+    # for bit, with u = 0 and arguments whose series stop at different n,
+    # and a seeded sweep of |u| over 1e-6 .. 1e6 at any angle under three eps
     fine = (theta, bits, tol) == _FINE_RUNG
     ctx = make_context(bits, tol)
     mpar = ModularParam.from_theta(theta, ctx)
+    rng = random.Random(f"{theta}/{bits}")
     with ctx.workprec():
-        eps = mp.mpc("3.7", "-12.5")
         us = (mp.mpf(0), mp.mpf("1e-9"), mp.mpc("0.3", "-0.2"),
               mp.mpc("-1.7", "0.4"), mp.mpc("2.6", "-1.9"), mp.mpc(0, 40))
         if fine:
             us += (mp.mpc("3e40", "-1e40"),)
-        batch = _chi_series(us, eps, mpar, ctx)
+        epss = (mp.mpc("3.7", "-12.5"), mp.mpc("-4.2", "6.1"), mp.mpf("0.7"))
         stops = set()
-        for u, got in zip(us, batch):
-            v, dv, n = _chi_incremental(u, eps, mpar, ctx)
-            stops.add(n)
-            assert got == chi_eval(u, eps, mpar, ctx) == (v, dv)
+        # the fine rung's 4300-bit reference loop is too slow for the sweep
+        for eps in epss[:1] if fine else epss:
+            args = us + tuple(
+                mp.rect(10 ** rng.uniform(-6, 6), rng.uniform(-mp.pi, mp.pi))
+                for _ in range(0 if fine else 6))
+            batch = _chi_series(args, eps, mpar, ctx)
+            for u, got in zip(args, batch):
+                v, dv, n = _chi_incremental(u, eps, mpar, ctx)
+                stops.add(n)
+                assert got == chi_eval(u, eps, mpar, ctx) == (v, dv)
     assert len(stops) >= 4
-
-
-def test_series_kernel_exact_stop_is_bitwise(monkeypatch):
-    # with an infinite margin every stop decision and tmax take the exact
-    # mpf path, which must reproduce the in-place loop as the filter does
-    monkeypatch.setattr(chi, "_LOG2_MARGIN", float("inf"))
-    ctx = make_context(192, 1e-40)
-    for theta in _KERNEL_THETAS:
-        mpar = ModularParam.from_theta(theta, ctx)
-        with ctx.workprec():
-            eps = mp.mpc("-4.2", "6.1")
-            us = (mp.mpf("1e-9"), mp.mpc("0.3", "-0.2"), mp.mpc("2.6", "-1.9"),
-                  mp.mpc(0, 40))
-            for u, got in zip(us, _chi_series(us, eps, mpar, ctx)):
-                v, dv, _ = _chi_incremental(u, eps, mpar, ctx)
-                assert got == (v, dv)
 
 
 def test_log2_abs_matches_mpmath():

@@ -137,13 +137,12 @@ def test_residue_matches_pochhammer_series(bits, tol):
 
 
 def test_residue_term_budget_is_typed(mpar):
-    # at eps = 1e30 the series needs more than 16 terms: the cap raises the
-    # typed error naming the budget, while the default budget converges
-    eps = mp.mpf("1e30")
-    short = make_context(192, 1e-40, max_terms=16)
-    with pytest.raises(PrecisionExceeded, match="within 16 terms"):
-        wronskian_residue(eps, mpar, short)
-    assert mp.isfinite(wronskian_residue(eps, mpar, make_context(192, 1e-40)))
+    # at eps = 1e20000 the series needs more than 4096 terms: the cap raises
+    # the typed error naming the budget, while eps = 1e30 converges
+    ctx = make_context(192, 1e-40)
+    with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
+        wronskian_residue(mp.mpf("1e20000"), mpar, ctx)
+    assert mp.isfinite(wronskian_residue(mp.mpf("1e30"), mpar, ctx))
 
 
 # ── Newton in eps ─────────────────────────────────────────────────────────

@@ -8,7 +8,6 @@ from mirror_spectra.precision import (
     ModularParam,
     PoleSignal,
     PrecisionExceeded,
-    make_context,
 )
 from mirror_spectra.transfer import (
     L_eval,
@@ -108,12 +107,11 @@ def test_Minf_at_zero(ctx192, mpar_pi4):
 
 
 def test_Minf_term_cap_when_q_near_one(ctx192):
-    # |q| = e^{-pi sin 2 theta} approaches 1 near the strip edge; with a
-    # 16-factor cap the a-priori q^{4n} bound cannot reach tol
-    mpar = ModularParam.from_theta("47*pi/100", ctx192)
-    ctx16 = make_context(192, 1e-40, 16)
-    with pytest.raises(PrecisionExceeded):
-        chi_via_Minf(mp.mpf("0.5"), mp.mpf(2), mpar, ctx16)
+    # |q| = e^{-pi sin 2 theta} approaches 1 near the strip edge, where the
+    # a-priori q^{4n} bound reaches tol only past the 4096-factor cap
+    mpar = ModularParam.from_theta("4999*pi/10000", ctx192)
+    with pytest.raises(PrecisionExceeded, match="within 4096 factors"):
+        chi_via_Minf(mp.mpf("0.5"), mp.mpf(2), mpar, ctx192)
 
 
 # ── R-iteration and limit classification ──────────────────────────────────
