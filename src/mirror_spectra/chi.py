@@ -16,13 +16,12 @@ polynomials follow the three-term recursion
 
 with eps-derivatives propagated through the same recursion (forward mode),
 kept in a small cache of tables per (eps, q, working precision) that grow on
-demand, so every pass at one state shares one recursion.  One series kernel
-sums the series for several arguments at once: they share the recursion and
-a cached table of the q-only factors, so the Wronskian
+demand, so every pass at one state shares one recursion.  The series kernel
+sums one argument; the four series of the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
 
-costs one pass, not four.
+read one table, and each forms only the terms no series before it formed.
 
 Also here: the involution partner chi-check(u) = u^-1 chi(1/u), the dual
 solution chi_{q^-1} = chi-check / W, the ratio G = chi / chi-check, and the
@@ -93,7 +92,7 @@ class _QTable:
                 f.append(f[-1] * (-self._q2p / (1 - self._q2p)))
 
 
-@functools.lru_cache(maxsize=16)  # a job uses q and its dual at one or two precisions
+@functools.lru_cache(maxsize=16)  # one q per coupling, at one or two precisions
 def _qtable(q, bits: int) -> _QTable:
     """The shared q-table for nome q at `bits` of working precision."""
     return _QTable(q, bits)
@@ -131,9 +130,10 @@ def _chitable(eps_key, q_key, bits: int) -> _ChiTable:
     return _ChiTable(eps_key, q_key, bits)
 
 
-def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
-    """Yield (chi_n, dchi_n/deps) for n = 0, 1, 2, ... by the recursion, at
-    the current working precision; PrecisionExceeded on overflow.
+def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
+    """Yield (f_n, chi_n, dchi_n/deps) for n = 0, 1, 2, ..., with f_n the
+    series prefactor of the q-table and chi_n by the recursion, at the
+    current working precision; PrecisionExceeded on overflow.
 
     The terms come from the (eps, q, mp.prec) table, extended one term at a
     time only when a consumer asks for a term not yet formed: a state summed
@@ -142,12 +142,13 @@ def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
     interleave; iterate each within the working precision it started at.
     """
     tab = _chitable(_raw(eps), _raw(q), mp.prec)
-    chi, dchi, eps, c = tab.chi, tab.dchi, tab.eps, tab.qtab.c
+    chi, dchi, eps, qtab = tab.chi, tab.dchi, tab.eps, tab.qtab
+    c, f = qtab.c, qtab.f
     n = 0
     while True:
         if n == len(chi):  # no consumer has asked for chi_n before
             if n > len(c):
-                tab.qtab.grow_c(n - 1)
+                qtab.grow_c(n - 1)
             cn = c[n - 1]
             chi_n = eps * chi[n - 1] + cn * chi[n - 2]
             if not mp.isfinite(chi_n):
@@ -155,7 +156,9 @@ def _poly_pairs(eps, q) -> Iterator[Tuple[object, object]]:
                     "chi polynomial overflow; raise the working precision")
             dchi.append(chi[n - 1] + eps * dchi[n - 1] + cn * dchi[n - 2])
             chi.append(chi_n)
-        yield chi[n], dchi[n]
+        if n == len(f):
+            qtab.grow_f(n)
+        yield f[n], chi[n], dchi[n]
         n += 1
 
 
@@ -166,7 +169,7 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
         raise ValueError(f"N must be >= 2, got {N}")
     with ctx.workprec():
         eps = mp.mpmathify(eps)
-        values, dvalues = zip(*itertools.islice(_poly_pairs(eps, mpar.q), N + 1))
+        _, values, dvalues = zip(*itertools.islice(_poly_pairs(eps, mpar.q), N + 1))
     return values, dvalues
 
 
@@ -194,84 +197,69 @@ def _parts(x):
     return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
-def _chi_series(us, eps, mpar: ModularParam, ctx: PrecCtx):
-    """[(chi_q(u, eps), d chi / d eps) for u in us], adaptively truncated.
+def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
+    """(chi_q(u, eps), d chi / d eps), adaptively truncated.
 
-    Uses the second series form: term_n = f_n chi_n(eps) u^n.  All arguments
-    share the cached q-table and the chi_n/dchi_n table of (eps, q, working
-    precision), which this call extends only past the terms an earlier call
-    at that state formed; each argument keeps its
-    own partial sum and stops when its last three term magnitudes sum below
-    tol relative to its running scale (partial sum or largest term, whichever
-    is bigger -- the sum itself can cross zero).
+    Uses the second series form: term_n = f_n chi_n(eps) u^n, with f_n and
+    chi_n read from the shared tables of (eps, q, working precision), which
+    this call extends only past the terms an earlier call at that state
+    formed.  The series stops when its last three term magnitudes sum below
+    tol relative to its running scale (partial sum or largest term,
+    whichever is bigger -- the sum itself can cross zero).
 
-    The per-argument loop runs on raw libmp tuples, every value complex (a
-    real one has imaginary part fzero), with the operations and roundings
-    of the mpc operators: the products are mpc_mul's, the sums mpc_add's,
-    so every bit matches the same loop on mpc numbers.  The stop test needs
-    no square root: it is decided on float log2 magnitudes (_log2_abs, the
-    three-term sum by log-sum-exp), and passes only when it clears its
-    boundary by _LOG2_MARGIN, so the series never stops before the exact
-    test on the mpf hypot values would; within the margin it sums one more
-    term.  A non-finite term never passes it.
+    The loop runs on raw libmp tuples, every value complex (a real one has
+    imaginary part fzero), with the operations and roundings of the mpc
+    operators: the products are mpc_mul's, the sums mpc_add's, so every bit
+    matches the same loop on mpc numbers.  The stop test needs no square
+    root: it is decided on float log2 magnitudes (_log2_abs, the three-term
+    sum by log-sum-exp), and passes only when it clears its boundary by
+    _LOG2_MARGIN, so the series never stops before the exact test on the
+    mpf hypot values would; within the margin it sums one more term.  A
+    non-finite term never passes it.
     """
     if mpar.precision_bits < ctx.precision_bits:
         raise ValueError(
             f"ModularParam built at {mpar.precision_bits} bits is coarser than "
             f"the {ctx.precision_bits}-bit context; rebuild it at that precision")
     with ctx.workprec():
-        us = [mp.mpmathify(u) for u in us]
+        u = mp.mpmathify(u)
         eps = mp.mpmathify(eps)
-        q = mpar.q
-        out = [(mp.mpf(1), mp.mpf(0)) if u == 0 else None for u in us]
-        # per argument: [index, u, s, ds, u^n, log2 tmax, log2 |t_{n-2}|,
-        # log2 |t_{n-1}|], every value an (re, im) pair of raw mpf tuples
-        live = [[i, _parts(u), (fzero, fzero), (fzero, fzero), (fone, fzero),
-                 -math.inf, -math.inf, -math.inf]
-                for i, u in enumerate(us) if u != 0]
-        if not live:
-            return out
+        if u == 0:
+            return mp.mpf(1), mp.mpf(0)
         prec, rnd = mp.prec, round_nearest
         ltol = _log2_abs((ctx.tol._mpf_, fzero))
-        tab = _qtable(q, ctx.precision_bits)
-        f = tab.f
-        for n, (chi_n, dchi_n) in zip(range(_MAX_TERMS), _poly_pairs(eps, q)):
-            if n >= len(f):
-                tab.grow_f(n)
-            fn, x, dx = _parts(f[n]), _parts(chi_n), _parts(dchi_n)
-            going = []
-            for st in live:
-                i, u, s, ds, up, ltmax, l1, l2 = st
-                coeff = mpc_mul(up, fn, prec, rnd)
-                t = mpc_mul(coeff, x, prec, rnd)
-                s = mpc_add(s, t, prec, rnd)
-                ds = mpc_add(ds, mpc_mul(coeff, dx, prec, rnd), prec, rnd)
-                la = _log2_abs(t)
-                if la > ltmax:
-                    ltmax = la
-                if n >= 2:
-                    # log2 of the last three |t| summed; nan if one is nan
-                    top = max(l1, l2, la)
-                    lsum = top + math.log2(
-                        2.0 ** (l1 - top) + 2.0 ** (l2 - top) + 2.0 ** (la - top)
-                    ) if top > -math.inf else l1 + l2 + la
-                    if lsum < ltol + max(_log2_abs(s), ltmax) - _LOG2_MARGIN:
-                        out[i] = (mp.make_mpc(s), mp.make_mpc(ds))
-                        continue
-                st[2:] = s, ds, mpc_mul(up, u, prec, rnd), ltmax, l2, la
-                going.append(st)
-            live = going
-            if not live:
-                return out
+        # every value an (re, im) pair of raw mpf tuples; l1, l2 are
+        # log2 |t_{n-2}|, log2 |t_{n-1}|
+        ur, s, ds, up = _parts(u), (fzero, fzero), (fzero, fzero), (fone, fzero)
+        ltmax = l1 = l2 = -math.inf
+        for n, (fn, x, dx) in zip(range(_MAX_TERMS), _poly_pairs(eps, mpar.q)):
+            coeff = mpc_mul(up, _parts(fn), prec, rnd)
+            t = mpc_mul(coeff, _parts(x), prec, rnd)
+            s = mpc_add(s, t, prec, rnd)
+            ds = mpc_add(ds, mpc_mul(coeff, _parts(dx), prec, rnd), prec, rnd)
+            la = _log2_abs(t)
+            if la > ltmax:
+                ltmax = la
+            if n >= 2:
+                # log2 of the last three |t| summed; nan if one is nan
+                top = max(l1, l2, la)
+                lsum = top + math.log2(
+                    2.0 ** (l1 - top) + 2.0 ** (l2 - top) + 2.0 ** (la - top)
+                ) if top > -math.inf else l1 + l2 + la
+                if lsum < ltol + max(_log2_abs(s), ltmax) - _LOG2_MARGIN:
+                    return mp.make_mpc(s), mp.make_mpc(ds)
+            up, l1, l2 = mpc_mul(up, ur, prec, rnd), l2, la
         raise PrecisionExceeded(
             f"chi series did not reach tol within {_MAX_TERMS} terms "
-            f"(|u| = {abs(us[live[0][0]])})"
+            f"(|u| = {abs(u)})"
         )
 
 
 def chi_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """chi_q(u, eps) and d chi / d eps, adaptively truncated."""
-    return _chi_series((u,), eps, mpar, ctx)[0]
+    # the public name of the kernel; Wronskian passes call _chi_series
+    # itself, so their series stay outside the chi_eval span when traced
+    return _chi_series(u, eps, mpar, ctx)
 
 
 def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -287,17 +275,19 @@ def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """(W, dW/deps, scale, (chi(u), dchi(u), chk(u), dchk(u))) of
     W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u), with the scale set by the two
-    products and d the eps-derivative; one series pass for all four factors,
-    whose u-factors are handed back so that G(u) = chi(u)/chk(u) costs no
-    second pass."""
+    products and d the eps-derivative.  The four series share one recursion
+    table, and the u-factors are handed back so that G(u) = chi(u)/chk(u)
+    costs no further series."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("Wronskian is defined on u != 0")
         q2 = mpar.q * mpar.q
         uq = u / q2
-        (a, da), (vb, dvb), (vc, dvc), (d, dd) = _chi_series(
-            (uq, 1 / u, 1 / uq, u), eps, mpar, ctx)
+        a, da = _chi_series(uq, eps, mpar, ctx)
+        vb, dvb = _chi_series(1 / u, eps, mpar, ctx)
+        vc, dvc = _chi_series(1 / uq, eps, mpar, ctx)
+        d, dd = _chi_series(u, eps, mpar, ctx)
         b, db = vb / u, dvb / u
         c, dc = vc / uq, dvc / uq
         t1 = a * b

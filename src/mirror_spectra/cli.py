@@ -328,7 +328,7 @@ def cmd_selfdual(args) -> int:
     meta = _meta(args, ctx, level=args.level)
     if args.out or args.fmt == "json":
         _write_out(args, meta, [k for k, _ in fields], [[v for _, v in fields]])
-    if not args.out:
+    else:  # CSV to stdout reads as key = value lines
         for k, v in fields:
             print(f"{k} = {v}")
     return EXIT_OK

@@ -21,7 +21,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, G_eval, _poly_pairs, _qtable, _wronskian_parts
+from .chi import ZERO_FLOOR, G_eval, _poly_pairs, _wronskian_parts
 from .precision import (
     _MAX_TERMS,
     ModularParam,
@@ -70,9 +70,9 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
 
     sum_m (chi_m(eps)/(q^-2;q^-2)_m)^2 (q^{-2m} - q^{2m+2}).
 
-    1/(q^-2;q^-2)_m is the series prefactor f_m = (-1)^m q^{m(m+1)}/(q^2;q^2)_m
-    of the shared q-table, and chi_m comes from the recursion table the chi
-    series at this eps share; the powers of q are carried from term to term.
+    1/(q^-2;q^-2)_m is the series prefactor f_m = (-1)^m q^{m(m+1)}/(q^2;q^2)_m,
+    and f_m and chi_m come from the tables the chi series at this eps share;
+    the powers of q are carried from term to term.
 
     For real eps and 0 < q < 1 this is >= 1 - q^2 > 0: the two solutions
     never degenerate on the real axis.
@@ -82,15 +82,11 @@ def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
         q = mpar.q
         q2 = q * q
         tol = ctx.tol
-        tab = _qtable(q, ctx.precision_bits)
-        f = tab.f
         qlo, qhi = mp.mpf(1), q2  # q^{-2m}, q^{2m+2}
         s = mp.mpc(0)
         small = 0
-        for m, (chi_m, _) in zip(range(_MAX_TERMS), _poly_pairs(eps, q)):
-            if m >= len(f):
-                tab.grow_f(m)
-            term = (chi_m * f[m]) ** 2 * (qlo - qhi)
+        for m, (f_m, chi_m, _) in zip(range(_MAX_TERMS), _poly_pairs(eps, q)):
+            term = (chi_m * f_m) ** 2 * (qlo - qhi)
             s += term
             small = small + 1 if abs(term) <= tol * max(abs(s), 1) else 0
             if small >= 3:
@@ -211,7 +207,9 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
         q = mpar.q
         sth = sin_theta(mpar)
         at_zero = endpoint == 0
-        if not at_zero and abs(mp.mpmathify(endpoint) - sth) > mp.mpf("1e-12"):
+        # 2^(16 - bits): the finest tolerance PrecCtx accepts at this precision
+        near = mp.mpf(2) ** (16 - ctx.precision_bits) * max(sth, 1)
+        if not at_zero and abs(mp.mpmathify(endpoint) - sth) > near:
             raise ValueError("endpoint must be 0 or sin(theta)")
         if at_zero:
             if k in _SEEDS_AT_ZERO:

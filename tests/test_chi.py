@@ -108,7 +108,7 @@ def test_poly_q_inverse_invariance(ctx192, mpar_pi4):
         g1 = _poly_pairs(eps, q)
         g2 = _poly_pairs(eps, 1 / q)
         for _ in range(13):
-            (a, da), (b, db) = next(g1), next(g2)
+            (_, a, da), (_, b, db) = next(g1), next(g2)
             scale = max(abs(a), 1)
             assert abs(a - b) <= mp.mpf("1e-50") * scale
             assert abs(da - db) <= mp.mpf("1e-50") * max(abs(da), 1)
@@ -228,15 +228,14 @@ def test_chi_series_term_cap(mpar_pi4, ctx192):
     # |u| = e^13000 needs more than the 4096-term cap
     with ctx192.workprec():
         u = mp.exp(13000)
-        small = mp.mpf("0.1")
-    with pytest.raises(PrecisionExceeded):
-        chi_eval(u, mp.mpf(2), mpar_pi4, ctx192)
-    # one argument past the cap fails the whole batch, and so the Wronskian
-    assert len(_chi_series((small, 0), mp.mpf(2), mpar_pi4, ctx192)) == 2
     with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
-        _chi_series((small, u, 0), mp.mpf(2), mpar_pi4, ctx192)
-    with pytest.raises(PrecisionExceeded):
-        _wronskian_parts(u, mp.mpf(2), mpar_pi4, ctx192)
+        chi_eval(u, mp.mpf(2), mpar_pi4, ctx192)
+    # the Wronskian fails when one of its four series passes the cap: at
+    # v = e^13000 its first series (v/q^2), at v = e^-13000 its second (1/v)
+    # after the first has stopped
+    for v in (u, 1 / u):
+        with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
+            _wronskian_parts(v, mp.mpf(2), mpar_pi4, ctx192)
     # a non-finite argument never meets the stop test
     for bad in (mp.inf, mp.nan, mp.mpc(1, mp.ninf)):
         with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
@@ -380,7 +379,7 @@ def test_mult_rule_guards(ctx192, mpar_pi4):
         chi_mult_check(13, 1, mp.mpf(1), mpar_pi4, ctx192)
 
 
-# ── batched series kernel ─────────────────────────────────────────────────
+# ── series kernel ─────────────────────────────────────────────────────────
 
 
 def _chi_incremental(u, eps, mpar, ctx):
@@ -439,9 +438,9 @@ _FINE_RUNG = ("pi/4", 4300, "1e-1250")
     [(theta, bits, tol) for bits, tol in _KERNEL_CONTEXTS
      for theta in _KERNEL_THETAS] + [_FINE_RUNG])
 def test_series_kernel_batch_is_bitwise(bits, tol, theta):
-    # one batched pass == one call per argument == the in-place loop, bit
-    # for bit, with u = 0 and arguments whose series stop at different n,
-    # and a seeded sweep of |u| over 1e-6 .. 1e6 at any angle under three eps
+    # the kernel == chi_eval == the in-place loop, bit for bit, per argument:
+    # u = 0, arguments whose series stop at different n, and a seeded sweep
+    # of |u| over 1e-6 .. 1e6 at any angle under three eps
     fine = (theta, bits, tol) == _FINE_RUNG
     ctx = make_context(bits, tol)
     mpar = ModularParam.from_theta(theta, ctx)
@@ -458,10 +457,10 @@ def test_series_kernel_batch_is_bitwise(bits, tol, theta):
             args = us + tuple(
                 mp.rect(10 ** rng.uniform(-6, 6), rng.uniform(-mp.pi, mp.pi))
                 for _ in range(0 if fine else 6))
-            batch = _chi_series(args, eps, mpar, ctx)
-            for u, got in zip(args, batch):
+            for u in args:
                 v, dv, n = _chi_incremental(u, eps, mpar, ctx)
                 stops.add(n)
+                got = _chi_series(u, eps, mpar, ctx)
                 assert got == chi_eval(u, eps, mpar, ctx) == (v, dv)
     assert len(stops) >= 4
 
@@ -515,14 +514,17 @@ def test_series_kernel_cache_isolated_by_precision():
     with ctx256.workprec():
         us = (mp.mpc("0.7", "0.2"), mp.mpc("-2.1", "1.3"))
         eps = mp.mpc("-4.2", "6.1")
+
+    def series(ctx):
+        return [_chi_series(u, eps, mpar, ctx) for u in us]
     _qtable.cache_clear()
     _chitable.cache_clear()
-    cold = _chi_series(us, eps, mpar, ctx256)
+    cold = series(ctx256)
     cold_w = _wronskian_parts(us[0], eps, mpar, ctx256)
     _qtable.cache_clear()
     _chitable.cache_clear()
-    low = _chi_series(us, eps, mpar, ctx128)
-    assert _chi_series(us, eps, mpar, ctx256) == cold
+    low = series(ctx128)
+    assert series(ctx256) == cold
     assert _wronskian_parts(us[0], eps, mpar, ctx256) == cold_w
     assert low != cold
     assert _chitable.cache_info().currsize == 2
@@ -551,21 +553,24 @@ def test_wronskian_matches_transfer_oracle(ctx192, rng):
 
 def _fresh_pairs(eps, q):
     # the recursion run afresh from n = 0, with no table: the reference every
-    # consumer of the shared table must reproduce bit for bit
-    c = _qtable(q, mp.prec).c
+    # consumer of the shared table must reproduce bit for bit; the q-only
+    # factors c_n and f_n come from the q-table, as they do for the consumers
+    qtab = _qtable(q, mp.prec)
+    c, f = qtab.c, qtab.f
     chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
-    yield chi_prev, dchi_prev
+    yield f[0], chi_prev, dchi_prev
     chi_cur, dchi_cur = eps, mp.mpf(1)
-    yield chi_cur, dchi_cur
+    qtab.grow_f(1)
+    yield f[1], chi_cur, dchi_cur
     n = 1
     while True:
-        if n >= len(c):
-            _qtable(q, mp.prec).grow_c(n)
+        qtab.grow_c(n)
         chi_next = eps * chi_cur + c[n] * chi_prev
         if not mp.isfinite(chi_next):
             raise PrecisionExceeded("chi polynomial overflow")
         dchi_next = chi_cur + eps * dchi_cur + c[n] * dchi_prev
-        yield chi_next, dchi_next
+        qtab.grow_f(n + 1)
+        yield f[n + 1], chi_next, dchi_next
         chi_prev, chi_cur = chi_cur, chi_next
         dchi_prev, dchi_cur = dchi_cur, dchi_next
         n += 1
@@ -606,7 +611,7 @@ def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
         # off the lattice, on it (the stencil) and at a complex x
         xs = (mp.mpf("0.61"), sigma, mp.mpc("-0.4", "0.15"))
     consumers = (
-        lambda: _chi_series(us, eps, mpar, ctx),
+        lambda: [_chi_series(v, eps, mpar, ctx) for v in us],
         lambda: _wronskian_parts(u, eps, mpar, ctx),
         lambda: chi_poly_seq(eps, mpar, 30, ctx),
         lambda: wronskian_residue(eps, mpar, ctx),
@@ -642,7 +647,7 @@ def test_recursion_table_keys_isolate():
 
     def fresh(e, m, ctx, n):
         with ctx.workprec():
-            return _bits([v for v, _ in itertools.islice(_fresh_pairs(e, m.q), n + 1)])
+            return _bits([v for _, v, _ in itertools.islice(_fresh_pairs(e, m.q), n + 1)])
     cases = (
         ((eps, mpar, ctx128), (eps, mpar, ctx256)),                # precision
         ((eps, mpar, ctx256), (eps, mpar.conjugate(), ctx256)),    # conj nome
@@ -683,19 +688,23 @@ def test_recursion_table_interleaved_generators(ctx192, mpar_pi4):
 
 def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch):
     # a consumer that takes terms 0..N leaves chi_0..chi_N, as the recursion
-    # run afresh would have formed; a series pass leaves the terms of its
-    # longest argument, and the residue series those it summed
+    # run afresh would have formed; a Wronskian pass reads one table for its
+    # four series and leaves the terms of the longest, and the residue
+    # series leaves those it summed
     with ctx192.workprec():
         eps, q = mp.mpc("-1.3", "0.8"), mpar_pi4.q
         for n_terms in (1, 2, 3, 17):
             _chitable.cache_clear()
             assert len(list(itertools.islice(_poly_pairs(eps, q), n_terms))) == n_terms
             assert len(_table(eps, mpar_pi4, 192).chi) == max(n_terms, 2)
-        us = (mp.mpc("0.3", "-0.2"), mp.mpc("-1.7", "0.4"), mp.mpc(0, 40))
+        u, q2 = mp.mpc("-1.7", "0.4"), q * q
         _chitable.cache_clear()
-        _chi_series(us, eps, mpar_pi4, ctx192)
-        longest = max(_chi_incremental(u, eps, mpar_pi4, ctx192)[2] for u in us)
-        assert len(_table(eps, mpar_pi4, 192).chi) == longest + 1
+        _wronskian_parts(u, eps, mpar_pi4, ctx192)
+        assert _chitable.cache_info().misses == 1
+        args = (u / q2, 1 / u, 1 / (u / q2), u)
+        stops = [_chi_incremental(v, eps, mpar_pi4, ctx192)[2] for v in args]
+        assert len(set(stops)) > 1
+        assert len(_table(eps, mpar_pi4, 192).chi) == max(stops) + 1
         taken = []
 
         def counting(e, q_):

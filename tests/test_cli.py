@@ -213,6 +213,14 @@ def test_selfdual_json_has_no_theta(tmp_path):
     assert float(doc["rows"][0]["eps"]) > 4
 
 
+def test_selfdual_json_stdout_parses(capsys):
+    # without --out the JSON document is all of stdout
+    rc = main(["selfdual", "--precision-bits", "64", "--format", "json"])
+    assert rc == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"][0]["log_eps"].startswith("2.881815")
+
+
 # ── spectrum ──────────────────────────────────────────────────────────────
 
 

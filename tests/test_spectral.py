@@ -202,6 +202,14 @@ def test_seed_quality(ctx, mpar):
         sheet_seed(0, 0, mpar, ctx)
     with pytest.raises(ValueError):
         sheet_seed(1, mp.mpf("0.5"), mpar, ctx)
+    # an endpoint more than 2^(16 - bits) off sin(theta) is rejected, and
+    # sin(theta) itself passes at any precision
+    with ctx.workprec(), pytest.raises(ValueError):
+        sheet_seed(1, sin_theta(mpar) + mp.mpf("1e-13"), mpar, ctx)
+    for bits in (64, 1600):
+        ctx_b = make_context(bits)
+        mpar_b = ModularParam.from_theta("pi/4", ctx_b)
+        sheet_seed(2, sin_theta(mpar_b), mpar_b, ctx_b)
 
 
 def test_conjugation_structure(ctx, mpar, orbit1):
