@@ -16,12 +16,15 @@ polynomials follow the three-term recursion
 
 with eps-derivatives propagated through the same recursion (forward mode),
 kept in a small cache of tables per (eps, q, working precision) that grow on
-demand, so every pass at one state shares one recursion.  The series kernel
-sums one argument; the four series of the Wronskian
+demand, so every pass at one state shares one recursion.  The tables hold
+each value also as its raw libmp (re, im) pair, which the loops read.  The
+series kernel sums one argument; the four series of the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
 
-read one table, and each forms only the terms no series before it formed.
+read one table, and each forms only the terms no series before it formed;
+that form is the independent oracle for W.  Newton in eps sums only W's
+two eps-dependent Laurent coefficients (_wronskian_sums).
 
 Also here: the involution partner chi-check(u) = u^-1 chi(1/u), the dual
 solution chi_{q^-1} = chi-check / W, the ratio G = chi / chi-check, and the
@@ -62,11 +65,16 @@ _LOG2_MARGIN = 2.0 ** -20
 class _QTable:
     """The q-only factors of the chi series at one working precision.
 
-    c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused);
-    f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the series prefactor, built
-    as f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}).  Both lists grow on
-    demand with the same operations, in the same order, as the incremental
-    loops they replace, so every value is bit-identical to recomputing it.
+    c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused),
+    as a raw (re, im) pair; f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the
+    series prefactor, built as f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}),
+    with its raw pair in rf[n].  Both grow on demand with the same
+    operations, in the same order, as the incremental loops they replace, so
+    every value is bit-identical to recomputing it.
+
+    k1[m] = f_m^2 (q^{-2m} - q^{2m+2}) and k0[m] = f_m f_{m+1} (q^{-2m-2} -
+    q^{2m+2}), as raw pairs, weight chi_m^2 and chi_{m+1} chi_m in the two
+    Laurent coefficients of the Wronskian (_wronskian_sums).
     """
 
     def __init__(self, q, bits: int):
@@ -74,6 +82,8 @@ class _QTable:
         self.bits = bits
         self.c = [None]
         self.f = [mp.mpf(1)]
+        self.rf = [(fone, fzero)]
+        self.k1, self.k0 = [], []
         with mp.workprec(bits):
             self._q2 = q * q
         self._q2p = mp.mpf(1)
@@ -82,7 +92,7 @@ class _QTable:
         q = self.q
         with mp.workprec(self.bits):
             for k in range(len(self.c), n + 1):
-                self.c.append((q ** k - q ** -k) ** 2)
+                self.c.append(_parts((q ** k - q ** -k) ** 2))
 
     def grow_f(self, n: int) -> None:
         f, q2 = self.f, self._q2
@@ -90,6 +100,16 @@ class _QTable:
             while len(f) <= n:
                 self._q2p *= q2
                 f.append(f[-1] * (-self._q2p / (1 - self._q2p)))
+                self.rf.append(_parts(f[-1]))
+
+    def grow_k(self, n: int) -> None:
+        self.grow_f(n + 1)
+        q, f = self.q, self.f
+        with mp.workprec(self.bits):
+            for m in range(len(self.k1), n + 1):
+                self.k1.append(_parts(f[m] ** 2 * (q ** (-2 * m) - q ** (2 * m + 2))))
+                self.k0.append(_parts(
+                    f[m] * f[m + 1] * (q ** (-2 * m - 2) - q ** (2 * m + 2))))
 
 
 @functools.lru_cache(maxsize=16)  # one q per coupling, at one or two precisions
@@ -110,17 +130,41 @@ def _from_raw(key):
 
 class _ChiTable:
     """chi_n(eps) and dchi_n/deps for n = 0 .. len(chi) - 1 at one (eps, q,
-    working precision), shared by every series, Wronskian and residue pass
-    at that state.  _poly_pairs appends to the lists only when a consumer
-    asks for a term not yet formed, with the operations and order of the
-    recursion, so every value is bit-identical to running it afresh.
+    working precision), as raw (re, im) pairs of libmp tuples, shared by
+    every series, Wronskian and residue pass at that state.  grow appends
+    one term, and is called only when a consumer asks for a term not yet
+    formed.  It runs the recursion with the operations and roundings of the
+    mpf and mpc operators (a real value is one with im = fzero), so every
+    value is bit-identical to running the recursion afresh on mpmath
+    numbers; chi_n for n >= 2 is real exactly when eps and q are (real).
     """
 
     def __init__(self, eps_key, q_key, bits: int):
         self.eps = _from_raw(eps_key)
         self.qtab = _qtable(_from_raw(q_key), bits)
-        self.chi = [mp.mpf(1), self.eps]
-        self.dchi = [mp.mpf(0), mp.mpf(1)]
+        self.real = len(eps_key) != 2 and len(q_key) != 2
+        self.chi = [(fone, fzero), _parts(self.eps)]
+        self.dchi = [(fzero, fzero), (fone, fzero)]
+
+    def grow(self) -> None:
+        """Append chi_n and its eps-derivative, n = len(chi), at the current
+        working precision; PrecisionExceeded on overflow."""
+        chi, dchi, qtab = self.chi, self.dchi, self.qtab
+        eps = chi[1]
+        n = len(chi)
+        if n > len(qtab.c):
+            qtab.grow_c(n - 1)
+        cn = qtab.c[n - 1]
+        prec, rnd = mp.prec, round_nearest
+        chi_n = mpc_add(mpc_mul(eps, chi[n - 1], prec, rnd),
+                        mpc_mul(cn, chi[n - 2], prec, rnd), prec, rnd)
+        if math.isnan(_log2_abs(chi_n)):
+            raise PrecisionExceeded(
+                "chi polynomial overflow; raise the working precision")
+        dchi.append(mpc_add(
+            mpc_add(chi[n - 1], mpc_mul(eps, dchi[n - 1], prec, rnd), prec, rnd),
+            mpc_mul(cn, dchi[n - 2], prec, rnd), prec, rnd))
+        chi.append(chi_n)
 
 
 @functools.lru_cache(maxsize=2)  # the states in hand; each Newton step is a new eps
@@ -130,10 +174,11 @@ def _chitable(eps_key, q_key, bits: int) -> _ChiTable:
     return _ChiTable(eps_key, q_key, bits)
 
 
-def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
-    """Yield (f_n, chi_n, dchi_n/deps) for n = 0, 1, 2, ..., with f_n the
-    series prefactor of the q-table and chi_n by the recursion, at the
-    current working precision; PrecisionExceeded on overflow.
+def _raw_pairs(eps, q) -> Iterator[Tuple[tuple, tuple, tuple]]:
+    """Yield (f_n, chi_n, dchi_n/deps) for n = 0, 1, 2, ... as raw (re, im)
+    pairs, with f_n the series prefactor of the q-table and chi_n by the
+    recursion, at the current working precision; PrecisionExceeded on
+    overflow.
 
     The terms come from the (eps, q, mp.prec) table, extended one term at a
     time only when a consumer asks for a term not yet formed: a state summed
@@ -142,24 +187,31 @@ def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
     interleave; iterate each within the working precision it started at.
     """
     tab = _chitable(_raw(eps), _raw(q), mp.prec)
-    chi, dchi, eps, qtab = tab.chi, tab.dchi, tab.eps, tab.qtab
-    c, f = qtab.c, qtab.f
+    chi, dchi, qtab = tab.chi, tab.dchi, tab.qtab
+    rf = qtab.rf
     n = 0
     while True:
         if n == len(chi):  # no consumer has asked for chi_n before
-            if n > len(c):
-                qtab.grow_c(n - 1)
-            cn = c[n - 1]
-            chi_n = eps * chi[n - 1] + cn * chi[n - 2]
-            if not mp.isfinite(chi_n):
-                raise PrecisionExceeded(
-                    "chi polynomial overflow; raise the working precision")
-            dchi.append(chi[n - 1] + eps * dchi[n - 1] + cn * dchi[n - 2])
-            chi.append(chi_n)
-        if n == len(f):
+            tab.grow()
+        if n == len(rf):
             qtab.grow_f(n)
-        yield f[n], chi[n], dchi[n]
+        yield rf[n], chi[n], dchi[n]
         n += 1
+
+
+def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
+    """_raw_pairs as mpmath numbers: chi_0 = 1, chi_1 = eps itself, and
+    from n = 2 an mpf where eps and q are real, an mpc otherwise."""
+    tab = _chitable(_raw(eps), _raw(q), mp.prec)
+    make = (lambda z: mp.make_mpf(z[0])) if tab.real else mp.make_mpc
+    f = tab.qtab.f
+    for n, (_, x, dx) in enumerate(_raw_pairs(eps, q)):
+        if n == 0:
+            yield f[0], mp.mpf(1), mp.mpf(0)
+        elif n == 1:
+            yield f[1], tab.eps, mp.mpf(1)
+        else:
+            yield f[n], make(x), make(dx)
 
 
 def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
@@ -197,6 +249,24 @@ def _parts(x):
     return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
+def _tail_small(l1: float, l2: float, l3: float, lscale: float) -> bool:
+    """The series stop test on float log2 magnitudes: |t_{n-2}| + |t_{n-1}|
+    + |t_n| (by log-sum-exp) clears 2^lscale by _LOG2_MARGIN.  It needs no
+    square root, and it never passes where a magnitude is nan."""
+    top = max(l1, l2, l3)
+    lsum = top + math.log2(
+        2.0 ** (l1 - top) + 2.0 ** (l2 - top) + 2.0 ** (l3 - top)
+    ) if top > -math.inf else l1 + l2 + l3
+    return lsum < lscale - _LOG2_MARGIN
+
+
+def _check_nome_precision(mpar: ModularParam, ctx: PrecCtx) -> None:
+    if mpar.precision_bits < ctx.precision_bits:
+        raise ValueError(
+            f"ModularParam built at {mpar.precision_bits} bits is coarser than "
+            f"the {ctx.precision_bits}-bit context; rebuild it at that precision")
+
+
 def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """(chi_q(u, eps), d chi / d eps), adaptively truncated.
 
@@ -207,20 +277,16 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
     tol relative to its running scale (partial sum or largest term,
     whichever is bigger -- the sum itself can cross zero).
 
-    The loop runs on raw libmp tuples, every value complex (a real one has
-    imaginary part fzero), with the operations and roundings of the mpc
-    operators: the products are mpc_mul's, the sums mpc_add's, so every bit
-    matches the same loop on mpc numbers.  The stop test needs no square
-    root: it is decided on float log2 magnitudes (_log2_abs, the three-term
-    sum by log-sum-exp), and passes only when it clears its boundary by
-    _LOG2_MARGIN, so the series never stops before the exact test on the
-    mpf hypot values would; within the margin it sums one more term.  A
-    non-finite term never passes it.
+    The loop runs on the tables' raw libmp tuples, every value complex (a
+    real one has imaginary part fzero), with the operations and roundings
+    of the mpc operators: the products are mpc_mul's, the sums mpc_add's, so
+    every bit matches the same loop on mpc numbers.  The stop test is
+    _tail_small on float log2 magnitudes (_log2_abs): it passes only when it
+    clears its boundary by _LOG2_MARGIN, so the series never stops before
+    the exact test on the mpf hypot values would; within the margin it sums
+    one more term.  A non-finite term never passes it.
     """
-    if mpar.precision_bits < ctx.precision_bits:
-        raise ValueError(
-            f"ModularParam built at {mpar.precision_bits} bits is coarser than "
-            f"the {ctx.precision_bits}-bit context; rebuild it at that precision")
+    _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
         eps = mp.mpmathify(eps)
@@ -232,27 +298,87 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
         # log2 |t_{n-2}|, log2 |t_{n-1}|
         ur, s, ds, up = _parts(u), (fzero, fzero), (fzero, fzero), (fone, fzero)
         ltmax = l1 = l2 = -math.inf
-        for n, (fn, x, dx) in zip(range(_MAX_TERMS), _poly_pairs(eps, mpar.q)):
-            coeff = mpc_mul(up, _parts(fn), prec, rnd)
-            t = mpc_mul(coeff, _parts(x), prec, rnd)
+        for n, (fn, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
+            coeff = mpc_mul(up, fn, prec, rnd)
+            t = mpc_mul(coeff, x, prec, rnd)
             s = mpc_add(s, t, prec, rnd)
-            ds = mpc_add(ds, mpc_mul(coeff, _parts(dx), prec, rnd), prec, rnd)
+            ds = mpc_add(ds, mpc_mul(coeff, dx, prec, rnd), prec, rnd)
             la = _log2_abs(t)
             if la > ltmax:
                 ltmax = la
-            if n >= 2:
-                # log2 of the last three |t| summed; nan if one is nan
-                top = max(l1, l2, la)
-                lsum = top + math.log2(
-                    2.0 ** (l1 - top) + 2.0 ** (l2 - top) + 2.0 ** (la - top)
-                ) if top > -math.inf else l1 + l2 + la
-                if lsum < ltol + max(_log2_abs(s), ltmax) - _LOG2_MARGIN:
-                    return mp.make_mpc(s), mp.make_mpc(ds)
+            if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_abs(s), ltmax)):
+                return mp.make_mpc(s), mp.make_mpc(ds)
             up, l1, l2 = mpc_mul(up, ur, prec, rnd), l2, la
         raise PrecisionExceeded(
             f"chi series did not reach tol within {_MAX_TERMS} terms "
             f"(|u| = {abs(u)})"
         )
+
+
+def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
+    """(w_-1, w_0, dw_-1/deps, dw_0/deps): the two Laurent coefficients of
+    W(., eps) that fix all the others.
+
+    W(q^2 u) = W(u)/(q^2 u^2) ties the coefficients of W(u) = sum_k w_k u^k
+    by w_{k+2} = w_k q^{2k+2}, so
+
+        W(u, eps) = w_-1(eps) O(u) + w_0(eps) E(u),
+        E(u) = sum_j q^{2j^2} u^{2j},   O(u) = sum_j q^{2j(j-1)} u^{2j-1}
+
+    (j over all integers), and with a_m = f_m chi_m(eps)
+
+        w_-1 = sum_m a_m^2 (q^{-2m} - q^{2m+2}),
+        w_0  = sum_m a_{m+1} a_m (q^{-2m-2} - q^{2m+2}),
+
+    summed as chi_m^2 k1[m] and chi_{m+1} chi_m k0[m] over the shared
+    tables.  The loop runs on raw tuples as _chi_series does, and ends at
+    the first term where both sums pass its stop test (w_0 vanishes
+    identically at eps = 0, where only w_-1 is tested).  The terms fall like
+    |q|^{2m^2}, so 8-10 of them replace the 37-47 of the four chi series in
+    _wronskian_parts.
+    """
+    _check_nome_precision(mpar, ctx)
+    with ctx.workprec():
+        eps = mp.mpmathify(eps)
+        prec, rnd = mp.prec, round_nearest
+        qtab = _qtable(mpar.q, prec)
+        k1, k0 = qtab.k1, qtab.k0
+        ltol = _log2_abs((ctx.tol._mpf_, fzero))
+        zero = (fzero, fzero)
+        r1 = r0 = d1 = d0 = zero
+        # per sum: the largest log2 |term| and the last two
+        m1 = a1 = b1 = m0 = a0 = b0 = -math.inf
+        px = pdx = None
+        for n, (_, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
+            if n == len(k1):
+                qtab.grow_k(n)
+            t = mpc_mul(mpc_mul(x, x, prec, rnd), k1[n], prec, rnd)
+            r1 = mpc_add(r1, t, prec, rnd)
+            xd = mpc_mul(x, dx, prec, rnd)
+            d1 = mpc_add(d1, mpc_mul(mpc_add(xd, xd, prec, rnd), k1[n], prec, rnd),
+                         prec, rnd)
+            l1 = _log2_abs(t)
+            m1 = max(m1, l1)
+            if n:
+                k = k0[n - 1]
+                t = mpc_mul(mpc_mul(x, px, prec, rnd), k, prec, rnd)
+                r0 = mpc_add(r0, t, prec, rnd)
+                dt = mpc_add(mpc_mul(dx, px, prec, rnd), mpc_mul(x, pdx, prec, rnd),
+                             prec, rnd)
+                d0 = mpc_add(d0, mpc_mul(dt, k, prec, rnd), prec, rnd)
+                l0 = _log2_abs(t)
+                m0 = max(m0, l0)
+                if (n >= 3
+                        and _tail_small(a1, b1, l1, ltol + max(_log2_abs(r1), m1))
+                        and (m0 == -math.inf and r0 == zero or _tail_small(
+                            a0, b0, l0, ltol + max(_log2_abs(r0), m0)))):
+                    return tuple(mp.make_mpc(v) for v in (r1, r0, d1, d0))
+                a0, b0 = b0, l0
+            a1, b1 = b1, l1
+            px, pdx = x, dx
+        raise PrecisionExceeded(
+            f"Wronskian coefficient series at eps = {mp.nstr(eps, 8)} did not "
+            f"reach tol = {ctx.tol} within {_MAX_TERMS} terms")
 
 
 def chi_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -317,12 +443,19 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 
 
 def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """G_q(u, eps) = chi(u) / chi-check(u); PoleSignal at chi-check zeros."""
+    """G_q(u, eps) = chi(u) / chi-check(u); PoleSignal at chi-check zeros.
+
+    chi-check counts as zero when it is below 2^(16 - bits) of the larger of
+    |chi|, |chi-check| and 1, the finest tol PrecCtx accepts: a zero at this
+    precision, not at tol, since |G| itself grows to 1e8 and more on the
+    upper sheets and is no pole there.
+    """
     with ctx.workprec():
         u = mp.mpmathify(u)
         num, _ = chi_eval(u, eps, mpar, ctx)
         den = chi_check_eval(u, eps, mpar, ctx)
-        if abs(den) < ZERO_FLOOR * ctx.tol * max(abs(num), abs(den), mp.mpf(1)):
+        floor = mp.ldexp(1, 16 - ctx.precision_bits)
+        if abs(den) < floor * max(abs(num), abs(den), mp.mpf(1)):
             raise PoleSignal(
                 f"chi-check zero at u = {mp.nstr(u, 8)}: G has a pole"
             )

@@ -10,8 +10,16 @@ rho(eps) theta1(s u) theta1(u/s) with s = e^{2 pi b sigma}.  A spectral sheet
 is the root curve eps_k(sigma) of W(e^{2 pi b sigma}, eps) = 0 continued over
 sigma in [0, sin theta]; eigenvalues are the points on a sheet where the
 ratio G = chi(s)/chk(s) is purely imaginary (even states) or purely real
-(odd states).  Each Newton solve reads G off its own last Wronskian pass,
-so quantization sums no series of its own until it confirms a state.
+(odd states).
+
+The same quasi-periodicity makes W(u, eps) = w_-1(eps) O(u) + w_0(eps) E(u)
+with two theta series E, O of u alone (chi._wronskian_sums).  A Newton pass
+sums only the two coefficients, 8-10 terms against the 37-47 of the four
+chi series, which stay the independent oracle in wronskian_eval, factorize,
+rho_extract and the dual solution.  A solve whose G quantization reads sums
+chi(s) and chk(s) once at its last pass, so quantization sums no series of
+its own until it confirms a state.
+
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
 """
@@ -21,7 +29,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, G_eval, _poly_pairs, _wronskian_parts
+from .chi import ZERO_FLOOR, G_eval, _chi_series, _wronskian_parts, _wronskian_sums
 from .precision import (
     _MAX_TERMS,
     ModularParam,
@@ -33,7 +41,6 @@ from .precision import (
 
 _MAX_NEWTON = 80
 _MAX_HALVINGS = 24
-_FAST_NEWTON = 5          # continuation halves its step above this
 _MAX_FALSE_POSITION = 64  # quantize gives up on a bracket after this many trials
 
 
@@ -68,34 +75,15 @@ def wronskian_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
     """The u^-1 Laurent coefficient of W, by its explicit series
 
-    sum_m (chi_m(eps)/(q^-2;q^-2)_m)^2 (q^{-2m} - q^{2m+2}).
+    sum_m (chi_m(eps)/(q^-2;q^-2)_m)^2 (q^{-2m} - q^{2m+2}),
 
-    1/(q^-2;q^-2)_m is the series prefactor f_m = (-1)^m q^{m(m+1)}/(q^2;q^2)_m,
-    and f_m and chi_m come from the tables the chi series at this eps share;
-    the powers of q are carried from term to term.
+    the w_-1 of chi._wronskian_sums, over the tables the chi series at this
+    eps share.
 
     For real eps and 0 < q < 1 this is >= 1 - q^2 > 0: the two solutions
     never degenerate on the real axis.
     """
-    with ctx.workprec():
-        eps = mp.mpmathify(eps)
-        q = mpar.q
-        q2 = q * q
-        tol = ctx.tol
-        qlo, qhi = mp.mpf(1), q2  # q^{-2m}, q^{2m+2}
-        s = mp.mpc(0)
-        small = 0
-        for m, (f_m, chi_m, _) in zip(range(_MAX_TERMS), _poly_pairs(eps, q)):
-            term = (chi_m * f_m) ** 2 * (qlo - qhi)
-            s += term
-            small = small + 1 if abs(term) <= tol * max(abs(s), 1) else 0
-            if small >= 3:
-                return s
-            qlo /= q2
-            qhi *= q2
-        raise PrecisionExceeded(
-            f"residue series at eps = {mp.nstr(eps, 8)} did not reach tol = "
-            f"{ctx.tol} within {_MAX_TERMS} terms")
+    return _wronskian_sums(eps, mpar, ctx)[0]
 
 
 # ── Newton in eps at fixed sigma ──────────────────────────────────────────
@@ -105,39 +93,104 @@ def _sigma_to_s(sigma, mpar: ModularParam):
     return mp.exp(2 * mp.pi * mpar.b * mp.mpmathify(sigma))
 
 
-def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
-               fast: bool = False):
-    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, G) with
-    G = chi(s)/chk(s) at that eps.
+def _theta_pair(s, q):
+    """(E(s), O(s)) with E(u) = sum_j q^{2j^2} u^{2j} and O(u) = sum_j
+    q^{2j(j-1)} u^{2j-1}, j over all integers, at the working precision:
+    W(s, eps) = w_-1(eps) O(s) + w_0(eps) E(s).
 
-    Stops when both the residual |W| <= tol * scale and the Newton
-    correction |W / W_eps| <= tol * max(|eps|, 1) are met: a small residual
-    alone leaves eps loose where W_eps is small.  The returned eps has that
-    last correction delta = -W/W_eps applied, which costs no Wronskian pass.
-    G comes from the same last pass, corrected to first order as
-    (chi + dchi delta) / (chk + dchk delta); uncorrected it would be about
-    2.5e5 tol off, since G is steep in eps.
+    The terms j and -j of E, and j + 1 and -j of O, are summed as pairs;
+    the coefficients and the powers of s are carried by multiplication.
+    The sums stop at the first pair that is smaller than the one before and
+    below 2^-prec of the largest.
+    """
+    q2 = q * q
+    q4 = q2 * q2
+    si = 1 / s
+    s2, si2 = s * s, si * si
+    even, odd = mp.mpf(1), s + si
+    ce = co = up = dn = mp.mpf(1)   # q^{2j^2}, q^{2j(j+1)}, s^{2j}, s^{-2j}
+    r = q2                          # q^{4j-2}
+    uo, do = s, si                  # s^{2j+1}, s^{-2j-1}
+    big, prev = max(abs(odd), 1), mp.inf
+    floor = mp.ldexp(1, -mp.prec)
+    for _ in range(_MAX_TERMS):
+        ce *= r
+        co *= r * q2
+        r *= q4
+        up, dn, uo, do = up * s2, dn * si2, uo * s2, do * si2
+        te, to = ce * (up + dn), co * (uo + do)
+        even += te
+        odd += to
+        mag = abs(te) + abs(to)
+        big = max(big, mag)
+        if mag < prev and mag <= floor * big:
+            return even, odd
+        prev = mag
+    raise PrecisionExceeded(
+        f"theta pair at |s| = {mp.nstr(abs(s), 8)} did not converge within "
+        f"{_MAX_TERMS} terms")
+
+
+def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
+    """(W, dW/deps, scale) at eps and the s of pair = _theta_pair(s, q): one
+    Newton pass, W = w_-1 O(s) + w_0 E(s) with scale max(|w_-1 O|, |w_0 E|),
+    at the working precision."""
+    even, odd = pair
+    r1, r0, dr1, dr0 = _wronskian_sums(eps, mpar, ctx)
+    t1, t0 = r1 * odd, r0 * even
+    return t1 + t0, dr1 * odd + dr0 * even, max(abs(t1), abs(t0))
+
+
+def _fast_newton(ctx: PrecCtx) -> int:
+    """The Newton steps a fast solve may take before it gives up.  From a
+    prediction with a fixed number of correct bits, quadratic convergence
+    reaches tol in about log2 of the precision more steps, so the cap grows
+    with it: 6 at 64 bits, 7 at 128, 8 at 256 to 511 and 10 at 1,024."""
+    return max(5, ctx.precision_bits.bit_length() - 1)
+
+
+def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
+               fast: bool = False, read_g: bool = True):
+    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, G) with
+    G = chi(s)/chk(s) at that eps, or None for G unless read_g.
+
+    Each pass (_wronskian_pass) sums the two coefficients w_-1(eps),
+    w_0(eps) and their eps-derivatives, and W = w_-1 O(s) + w_0 E(s) with
+    E(s), O(s) summed once per solve (_theta_pair).  Stops when both
+    the residual |W| <= tol * max(scale, 1), scale = max(|w_-1 O|, |w_0 E|),
+    and the Newton correction |W / W_eps| <= tol * max(|eps|, 1) are met:
+    a small residual alone leaves eps loose where W_eps is small.  The
+    returned eps has that last correction delta = -W/W_eps applied, which
+    costs no pass.  With read_g, chi(s) and chk(s) and their
+    eps-derivatives are summed at the last pass's eps, and G is corrected
+    to first order as (chi + dchi delta) / (chk + dchk delta); uncorrected
+    it would be about 2.5e5 tol off, since G is steep in eps.
 
     Each step is damped by halving until |W| falls.  With fast=True the
     solve gives up instead, returning None, at the first step whose full
-    Newton correction does not lower |W|, or when _FAST_NEWTON steps have
-    not converged: the seed lies outside Newton's contraction region, and
-    no further pass can make it a fast solve.  Giving up is not a failure;
-    SolverError still means one (dW/deps underflow, a stalled line search,
-    or _MAX_NEWTON steps).
+    Newton correction does not lower |W|, or when _fast_newton(ctx) steps
+    have not converged: the seed lies outside Newton's contraction region,
+    and no further pass can make it a fast solve.  Giving up is not a
+    failure; SolverError still means one (dW/deps underflow, a stalled line
+    search, or _MAX_NEWTON steps).
     """
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
+        pair = _theta_pair(s, mpar.q)
         eps = mp.mpmathify(eps0)
         tol = ctx.tol
-        w, dw, scale, parts = _wronskian_parts(s, eps, mpar, ctx)
+        w, dw, scale = _wronskian_pass(eps, pair, mpar, ctx)
         for it in range(_MAX_NEWTON):
             if (abs(w) <= tol * max(scale, 1)
                     and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
                 step = w / dw if w else 0
-                x, dx, xc, dxc = parts
+                if not read_g:
+                    return eps - step, None
+                x, dx = _chi_series(s, eps, mpar, ctx)
+                v, dv = _chi_series(1 / s, eps, mpar, ctx)
+                xc, dxc = v / s, dv / s
                 return eps - step, (x - dx * step) / (xc - dxc * step)
-            if fast and it >= _FAST_NEWTON:
+            if fast and it >= _fast_newton(ctx):
                 return None
             if abs(dw) <= tol * max(abs(w), 1):
                 raise SolverError(
@@ -148,9 +201,9 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
             lam = mp.mpf(1)
             for _ in range(_MAX_HALVINGS):
                 trial = eps - lam * step
-                wt, dwt, st, pt = _wronskian_parts(s, trial, mpar, ctx)
+                wt, dwt, st = _wronskian_pass(trial, pair, mpar, ctx)
                 if abs(wt) < abs(w):
-                    eps, w, dw, scale, parts = trial, wt, dwt, st, pt
+                    eps, w, dw, scale = trial, wt, dwt, st
                     break
                 if fast:
                     return None
@@ -168,7 +221,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
     """Root eps of W(e^{2 pi b sigma}, eps), seeded at eps0: Newton stops
     once |W| <= tol * scale and |W / W_eps| <= tol * max(|eps|, 1)."""
-    return _solve_eps(sigma, eps0, mpar, ctx)[0]
+    return _solve_eps(sigma, eps0, mpar, ctx, read_g=False)[0]
 
 
 # ── sheet seeds ───────────────────────────────────────────────────────────
@@ -228,7 +281,7 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
 def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
              ctx: PrecCtx):
     """Continue eps from sigma to target; returns (eps, slope, G) at target,
-    G from the last sub-step's solve.
+    G from the last sub-step's solve (no other sub-step sums G).
 
     Each sub-step of length h is a predictor-corrector step: Newton at
     sigma + h is seeded with the secant extrapolation eps + h * slope, where
@@ -238,7 +291,7 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
 
     Above the halving floor (a 4096th of the span) each sub-step is solved
     in _solve_eps's fast mode: the solve gives up at its first damped
-    Newton step or after _FAST_NEWTON undamped ones, and the caller halves
+    Newton step or after _fast_newton(ctx) undamped ones, and the caller halves
     h.  A rejected sub-step therefore costs a few Wronskian passes,
     not a full damped solve that is thrown away.  At the floor the full
     damped solve runs, and a converged-but-slow step is accepted
@@ -253,8 +306,10 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
         h = target - sigma
         while True:
             seed = eps if slope is None else eps + h * slope
+            nxt = sigma + h
             try:
-                solved = _solve_eps(sigma + h, seed, mpar, ctx, fast=h > floor)
+                solved = _solve_eps(nxt, seed, mpar, ctx, fast=h > floor,
+                                    read_g=nxt >= target)
                 failed = False
             except SolverError:
                 solved, failed = None, True
@@ -273,7 +328,7 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
                 f"{mp.nstr(sigma + h, 8)}: |d eps| = {mp.nstr(abs(cand - eps), 4)}"
             )
         slope = (cand - eps) / h
-        sigma = sigma + h
+        sigma = nxt
         eps = cand
     return eps, slope, g
 
@@ -334,11 +389,24 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
     once by _parity_indicator (G_eval), since near the tolerance floor the
     solve's G can sit a tol off; if the confirmed indicator misses, the
     iteration goes on with it.
+
+    Where the indicator cannot reach tol at this precision (G is steep in
+    eps, so its rounding floor can lie above tol), the bracket collapses:
+    its ends, or their indicators, become equal.  That raises
+    PrecisionExceeded naming the smallest indicator reached.
     """
     tol = ctx.tol
     stop = tol * max(sin_theta(mpar), 1)
     (a, ea, fa), (b, eb, fb) = lo, hi  # b: the latest trial
+    reached = min(abs(fa), abs(fb))
     for _ in range(_MAX_FALSE_POSITION):
+        if b == a or fb == fa:
+            raise PrecisionExceeded(
+                f"false position on sheet {sheet}, parity {parity:+d} collapsed "
+                f"its bracket at sigma = {mp.nstr(b, 10)}: the indicator reached "
+                f"{mp.nstr(reached, 3)}, above tol = {mp.nstr(tol, 3)}; raise "
+                "the precision"
+            )
         c = b - fb * (b - a) / (fb - fa)
         ec, gc = _solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
         fc = _indicator(gc, parity)
@@ -347,6 +415,7 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
             fc = _parity_indicator(c, ec, parity, mpar, ctx)
             if fc == 0 or (short and abs(fc) <= tol):
                 return c, ec
+        reached = min(reached, abs(fc))
         if mp.sign(fc) == mp.sign(fb):
             fa /= 2
         else:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 import pytest
 
-from mirror_spectra import chi, spectral
+from mirror_spectra import chi
 from mirror_spectra.chi import (
     G_eval,
     _chi_series,
@@ -552,11 +552,12 @@ def test_wronskian_matches_transfer_oracle(ctx192, rng):
 
 
 def _fresh_pairs(eps, q):
-    # the recursion run afresh from n = 0, with no table: the reference every
-    # consumer of the shared table must reproduce bit for bit; the q-only
-    # factors c_n and f_n come from the q-table, as they do for the consumers
+    # the recursion run afresh from n = 0 on mpmath numbers, with no table:
+    # the reference every consumer of the shared table must reproduce bit
+    # for bit; the prefactors f_n come from the q-table, as they do for the
+    # consumers
     qtab = _qtable(q, mp.prec)
-    c, f = qtab.c, qtab.f
+    f = qtab.f
     chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
     yield f[0], chi_prev, dchi_prev
     chi_cur, dchi_cur = eps, mp.mpf(1)
@@ -564,16 +565,22 @@ def _fresh_pairs(eps, q):
     yield f[1], chi_cur, dchi_cur
     n = 1
     while True:
-        qtab.grow_c(n)
-        chi_next = eps * chi_cur + c[n] * chi_prev
+        cn = (q ** n - q ** -n) ** 2
+        chi_next = eps * chi_cur + cn * chi_prev
         if not mp.isfinite(chi_next):
             raise PrecisionExceeded("chi polynomial overflow")
-        dchi_next = chi_cur + eps * dchi_cur + c[n] * dchi_prev
+        dchi_next = chi_cur + eps * dchi_cur + cn * dchi_prev
         qtab.grow_f(n + 1)
         yield f[n + 1], chi_next, dchi_next
         chi_prev, chi_cur = chi_cur, chi_next
         dchi_prev, dchi_cur = dchi_cur, dchi_next
         n += 1
+
+
+def _fresh_raw_pairs(eps, q):
+    # the same terms as raw (re, im) pairs, as the raw-tuple loops read them
+    for f, x, dx in _fresh_pairs(eps, q):
+        yield _parts(f), _parts(x), _parts(dx)
 
 
 def _bits(v):
@@ -620,7 +627,7 @@ def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
     )
     with monkeypatch.context() as m:
         m.setattr(chi, "_poly_pairs", _fresh_pairs)
-        m.setattr(spectral, "_poly_pairs", _fresh_pairs)
+        m.setattr(chi, "_raw_pairs", _fresh_raw_pairs)
         ref = [_bits(f()) for f in consumers]
     cold = []
     for f in consumers:
@@ -708,11 +715,11 @@ def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch)
         taken = []
 
         def counting(e, q_):
-            for pair in _fresh_pairs(e, q_):
+            for pair in _fresh_raw_pairs(e, q_):
                 taken.append(pair)
                 yield pair
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_poly_pairs", counting)
+            m.setattr(chi, "_raw_pairs", counting)
             wronskian_residue(eps, mpar_pi4, ctx192)
         _chitable.cache_clear()
         wronskian_residue(eps, mpar_pi4, ctx192)

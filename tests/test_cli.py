@@ -21,6 +21,7 @@ from mirror_spectra import invariants
 from mirror_spectra.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     _build_parser,
     _context,
@@ -29,7 +30,8 @@ from mirror_spectra.cli import (
     fmt_tol,
     main,
 )
-from mirror_spectra.precision import default_tol, make_context
+from mirror_spectra.precision import ModularParam, default_tol, make_context
+from mirror_spectra.spectral import solve_eps
 
 # Table 1 odd states on sheet 2: (sigma, Re eps, Im eps)
 SHEET2_ODD = (
@@ -251,6 +253,45 @@ def test_spectrum_sheet2_odd_table(tmp_path):
         for key, want in (("sigma", sig), ("re_eps", re_e), ("im_eps", im_e)):
             w = float(want)
             assert abs(float(row[key]) - w) <= 1e-9 * max(1.0, abs(w))
+
+
+def test_spectrum_sheet3_at_64_bits(capsys):
+    # |G| reaches 1e8 on sheet 3, so G's pole guard must sit far below tol
+    # (1e-11 at 64 bits) relative: at 2^(16 - bits) the job runs.  Its
+    # states agree with the 128-bit ones within the 64-bit tol in sigma, and
+    # each eps is the 128-bit root at its own sigma within tol (eps moves by
+    # about 2 pi |eps| per unit sigma, so tol in sigma is 6 tol in eps)
+    states = []
+    for bits in ("64", "128"):
+        assert main(["spectrum", "--sheet", "3", "--precision-bits", bits,
+                     "--digits", "30"]) == EXIT_OK
+        states.append(_csv_rows(capsys.readouterr().out)[1])
+    low, high = states
+    tol = default_tol(64)
+    ctx = make_context(128, 1e-27)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    assert len(low) == len(high) == 10
+    with ctx.workprec():
+        for a, b in zip(low, high):
+            assert (a["parity"], a["sheet"]) == (b["parity"], b["sheet"])
+            sigma = mp.mpf(a["sigma"])
+            assert abs(sigma - mp.mpf(b["sigma"])) <= tol
+            eps = mp.mpc(a["re_eps"], a["im_eps"])
+            root = solve_eps(sigma, eps, mpar, ctx)
+            assert abs(eps - root) <= tol * abs(root)
+
+
+def test_spectrum_unreachable_indicator_is_typed(capsys):
+    # at the finest tol 64 bits allow, sheet 3's indicator bottoms out above
+    # tol (G is steep in eps): quantization reports that as a numerical
+    # failure naming where it stopped, never as a traceback
+    rc = main(["spectrum", "--sheet", "3", "--precision-bits", "64",
+               "--tol", "4e-15"])
+    err = capsys.readouterr().err
+    assert rc in (EXIT_OK, EXIT_NUMERIC)
+    if rc == EXIT_NUMERIC:
+        assert "false position on sheet 3, parity" in err
+        assert "collapsed its bracket" in err and "the indicator reached" in err
 
 
 def test_spectrum_verify_columns(capsys):

@@ -20,7 +20,9 @@ from mirror_spectra.spectral import (
     _parity_indicator,
     _sigma_to_s,
     _solve_eps,
+    _theta_pair,
     _wronskian_parts,
+    _wronskian_pass,
     factorize,
     quantize,
     sheet_seed,
@@ -78,6 +80,27 @@ def test_wronskian_eps_derivative(ctx, mpar):
         wm, _ = wronskian_eval(u, eps - h, mpar, ctx)
         fd = (wp - wm) / (2 * h)
         assert abs(dw - fd) <= mp.mpf("1e-30") * max(abs(dw), 1)
+
+
+@pytest.mark.parametrize("theta", ("pi/4", "3*pi/8", "pi/6"))
+@pytest.mark.parametrize("bits", (96, 128, 192, 256))
+def test_two_sum_pass_matches_four_series(bits, theta, rng):
+    # a Newton pass sums W = w_-1 O(u) + w_0 E(u); the four-series W and
+    # W_eps of the oracle agree within tol times their scales, over the
+    # annulus the continuation visits and a spread of complex eps, and at
+    # eps = 0, where w_0 vanishes identically
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        tol = ctx.tol
+        for k in range(6):
+            u = mp.mpc(rng.uniform(0.2, 2.5), rng.uniform(-1.5, 1.5))
+            eps = mp.mpc(rng.uniform(-60, 60), rng.uniform(-30, 30)) if k else mp.mpf(0)
+            w, dw, scale, _ = _wronskian_parts(u, eps, mpar, ctx)
+            w2, dw2, scale2 = _wronskian_pass(eps, _theta_pair(u, mpar.q), mpar, ctx)
+            assert abs(w2 - w) <= tol * max(scale, 1), (u, eps)
+            assert abs(dw2 - dw) <= tol * max(abs(dw), 1), (u, eps)
+            assert scale / 4 <= scale2 <= 4 * scale, (u, eps)
 
 
 def test_residue_series_vs_contour(ctx, mpar):
@@ -267,15 +290,15 @@ def _count_solves(monkeypatch):
 
 
 def _count_passes(monkeypatch):
-    # one Wronskian pass is one chi series run over its four arguments
+    # one Newton pass sums the two eps-only coefficients of W
     calls = []
-    original = spectral._wronskian_parts
+    original = spectral._wronskian_pass
 
-    def counted(u, *args):
-        calls.append(u)
-        return original(u, *args)
+    def counted(eps, *args):
+        calls.append(eps)
+        return original(eps, *args)
 
-    monkeypatch.setattr(spectral, "_wronskian_parts", counted)
+    monkeypatch.setattr(spectral, "_wronskian_pass", counted)
     return calls
 
 
@@ -335,6 +358,11 @@ def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
 def test_orbit_guards(ctx, mpar):
     with pytest.raises(ValueError):
         trace_orbit(1, 8, mpar, ctx)
+    # a nome rounded to fewer bits than the context is refused by the
+    # Newton pass, as by the chi series
+    coarse = ModularParam.from_theta("pi/4", make_context(128, 1e-27))
+    with pytest.raises(ValueError, match="coarser than the 192-bit context"):
+        solve_eps(mp.mpf("0.3"), mp.mpf(2), coarse, ctx)
 
 
 # ── quantization ──────────────────────────────────────────────────────────
