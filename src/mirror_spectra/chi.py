@@ -399,11 +399,9 @@ def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 
 
 def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(W, dW/deps, scale, (chi(u), dchi(u), chk(u), dchk(u))) of
-    W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u), with the scale set by the two
-    products and d the eps-derivative.  The four series share one recursion
-    table, and the u-factors are handed back so that G(u) = chi(u)/chk(u)
-    costs no further series."""
+    """(W, dW/deps, scale, chk(u)) of W = chi(u/q^2) chk(u) - chk(u/q^2)
+    chi(u), with the scale set by the two products.  The four series share
+    one recursion table, and chk(u) is handed back for the dual solution."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
@@ -420,7 +418,7 @@ def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
         t2 = c * d
         w = t1 - t2
         dw = da * b + a * db - dc * d - c * dd
-        return w, dw, max(abs(t1), abs(t2)), (d, dd, b, db)
+        return w, dw, max(abs(t1), abs(t2)), b
 
 
 def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
@@ -434,7 +432,7 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("chi_dual is defined on u != 0")
-        w, _, scale, (_, _, chk, _) = _wronskian_parts(u, eps, mpar, ctx)
+        w, _, scale, chk = _wronskian_parts(u, eps, mpar, ctx)
         if abs(w) < ZERO_FLOOR * ctx.tol * max(scale, mp.mpf(1)):
             raise PoleSignal(
                 f"Wronskian zero at u = {mp.nstr(u, 8)}: dual solution pole"
@@ -445,17 +443,16 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """G_q(u, eps) = chi(u) / chi-check(u); PoleSignal at chi-check zeros.
 
-    chi-check counts as zero when it is below 2^(16 - bits) of the larger of
-    |chi|, |chi-check| and 1, the finest tol PrecCtx accepts: a zero at this
-    precision, not at tol, since |G| itself grows to 1e8 and more on the
-    upper sheets and is no pole there.
+    chi-check counts as zero when it is below ctx.finest_tol = 2^(16 - bits)
+    of the larger of |chi|, |chi-check| and 1: a zero at this precision,
+    not at tol, since |G| itself grows to 1e8 and more on the upper sheets
+    and is no pole there.
     """
     with ctx.workprec():
         u = mp.mpmathify(u)
         num, _ = chi_eval(u, eps, mpar, ctx)
         den = chi_check_eval(u, eps, mpar, ctx)
-        floor = mp.ldexp(1, 16 - ctx.precision_bits)
-        if abs(den) < floor * max(abs(num), abs(den), mp.mpf(1)):
+        if abs(den) < ctx.finest_tol * max(abs(num), abs(den), mp.mpf(1)):
             raise PoleSignal(
                 f"chi-check zero at u = {mp.nstr(u, 8)}: G has a pole"
             )

@@ -214,9 +214,9 @@ def _spectrum_mpar(args, ctx: PrecCtx) -> ModularParam:
             f"theta = {args.theta}: the coupling angle must lie in (0, pi/2)")
     mpar = ModularParam.from_theta(args.theta, ctx)
     if not mpar.in_supported_range:
-        # accepted but flagged: |q| -> 1 as theta -> 0 and convergence slows
+        # accepted but flagged: convergence slows as |q| -> 1
         print(f"mirror-spectra: warning: theta = {args.theta} outside the "
-              f"supported window [pi/8, pi/2)", file=sys.stderr)
+              f"supported window [pi/8, 3*pi/8]", file=sys.stderr)
     return mpar
 
 

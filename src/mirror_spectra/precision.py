@@ -1,4 +1,4 @@
-"""Precision context, modular parameters, q-Pochhammer symbols and theta1.
+"""Precision context, modular parameters, q-Pochhammer symbols and theta.
 
 Foundation layer for everything else in the package:
 
@@ -8,8 +8,9 @@ Foundation layer for everything else in the package:
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
   * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, by
-                          mpmath's ``jtheta``; both series raise
-                          PrecisionExceeded past ``_MAX_TERMS``.
+                          ``_jtheta``, the one guarded ``jtheta`` call of
+                          every theta series; both raise PrecisionExceeded
+                          past ``_MAX_TERMS``.
 
 All functions are pure: they take immutable inputs, enter an mpmath
 ``workprec`` block sized by the context, and return mpmath scalars.
@@ -73,11 +74,16 @@ class PrecCtx:
         if not (mp.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         # tolerance must be achievable at the working precision
-        if self.tol < mp.ldexp(1, 16 - self.precision_bits):
+        if self.tol < self.finest_tol:
             raise ValueError(
                 f"tol={self.tol} is unreachable at {self.precision_bits} bits "
                 f"(need tol >= 2^{-self.precision_bits + 16})"
             )
+
+    @property
+    def finest_tol(self):
+        """2^(16 - bits), exact: the finest tol this precision accepts."""
+        return mp.ldexp(1, 16 - self.precision_bits)
 
     def workprec(self):
         """mpmath precision guard for this context."""
@@ -192,8 +198,10 @@ class ModularParam:
 
     @property
     def in_supported_range(self) -> bool:
-        """Desk-scale coupling window: series slow down as theta -> 0."""
-        return mp.pi / 8 <= self.theta < mp.pi / 2
+        """pi/8 <= theta <= 3 pi/8 at the parameter's precision: |q| =
+        e^{-pi sin 2 theta} is symmetric about pi/4; series slow as |q| -> 1."""
+        with mp.workprec(self.precision_bits):
+            return mp.pi / 8 <= self.theta <= 3 * mp.pi / 8
 
 
 # ── q-Pochhammer ────────────────────────────────────────────────────────────
@@ -225,22 +233,18 @@ def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
         return mp.qp(x, q)
 
 
-# ── Jacobi theta_1 in log coordinates ───────────────────────────────────────
+# ── Jacobi theta in log coordinates ─────────────────────────────────────────
 
-def theta1(x_log, q, ctx: PrecCtx):
-    """theta_1(u, q) = (1/i) sum_{n in Z} (-1)^n q^{(n+1/2)^2} u^{n+1/2},
-    with u = e^{x_log} and u^{n+1/2} := e^{x_log (n+1/2)}.
-
-    The caller supplies the exponent ``x_log``, never u itself: that pins the
-    half-integer powers to one branch.  It is jtheta(1, -i x_log / 2, q),
-    with q^{1/4} on the principal branch.
-    """
+def _jtheta(n: int, x_log, q, ctx: PrecCtx):
+    """mpmath's jtheta(n, -i x_log / 2, q): u = e^{x_log} stands for e^{2iz},
+    and theta_1, theta_2 carry the principal q^{1/4} = mp.nthroot(q, 4).
+    PrecisionExceeded when the series needs more than _MAX_TERMS terms."""
     with ctx.workprec():
         w = mp.mpmathify(x_log)
         q = mp.mpmathify(q)
         if not abs(q) < 1:
-            raise ValueError(f"theta1 needs |q| < 1, got |q| = {abs(q)}")
-        # the h = n + 1/2 where the term bound |q|^{h^2} e^{h a} falls to tol
+            raise ValueError(f"theta{n} needs |q| < 1, got |q| = {abs(q)}")
+        # the index h where the term bound |q|^{h^2} e^{h a} falls to tol
         L = -float(mp.log(abs(q)))
         a = float(abs(mp.re(w)))
         # -ln tol from the mpf's exponent and mantissa: no mpf log, and no
@@ -249,6 +253,13 @@ def theta1(x_log, q, ctx: PrecCtx):
         T = -(exp + math.log2(man)) * math.log(2)
         if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > _MAX_TERMS:
             raise PrecisionExceeded(
-                f"theta1 series needs more than {_MAX_TERMS} terms to reach tol"
+                f"theta{n} series needs more than {_MAX_TERMS} terms to reach tol"
             )
-        return mp.jtheta(1, -1j * w / 2, q)
+        return mp.jtheta(n, -1j * w / 2, q)
+
+
+def theta1(x_log, q, ctx: PrecCtx):
+    """theta_1(u, q) = (1/i) sum_{n in Z} (-1)^n q^{(n+1/2)^2} u^{n+1/2},
+    u = e^{x_log}: the caller supplies the exponent, never u itself, which
+    pins the half-integer powers to one branch."""
+    return _jtheta(1, x_log, q, ctx)

@@ -425,8 +425,7 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start):
         T = mp.re(mp.mpmathify(T))
         x0 = 1j * T
         w0 = eps / 2 - mp.cos(2 * mp.pi * x0)
-        # 2^(16 - bits): the finest tolerance PrecCtx accepts at this precision
-        on_curve = mp.mpf(2) ** (16 - ctx.precision_bits) * max(1, abs(w0))
+        on_curve = ctx.finest_tol * max(1, abs(w0))
         if abs(mp.cos(2 * mp.pi * y0) - w0) > on_curve:
             raise SolverError("leg start is off the spectral curve")
         if tau == 0:

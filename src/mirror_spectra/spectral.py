@@ -13,8 +13,9 @@ ratio G = chi(s)/chk(s) is purely imaginary (even states) or purely real
 (odd states).
 
 The same quasi-periodicity makes W(u, eps) = w_-1(eps) O(u) + w_0(eps) E(u)
-with two theta series E, O of u alone (chi._wronskian_sums).  A Newton pass
-sums only the two coefficients, 8-10 terms against the 37-47 of the four
+with E, O theta_3 and theta_2 of nome q^2 (precision._jtheta, once per
+solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
+only the two coefficients, 8-10 terms against the 37-47 of the four
 chi series, which stay the independent oracle in wronskian_eval, factorize,
 rho_extract and the dual solution.  A solve whose G quantization reads sums
 chi(s) and chk(s) once at its last pass, so quantization sums no series of
@@ -31,11 +32,11 @@ from mpmath import mp
 
 from .chi import ZERO_FLOOR, G_eval, _chi_series, _wronskian_parts, _wronskian_sums
 from .precision import (
-    _MAX_TERMS,
     ModularParam,
     PrecCtx,
     PrecisionExceeded,
     SolverError,
+    _jtheta,
     theta1,
 )
 
@@ -93,48 +94,20 @@ def _sigma_to_s(sigma, mpar: ModularParam):
     return mp.exp(2 * mp.pi * mpar.b * mp.mpmathify(sigma))
 
 
-def _theta_pair(s, q):
-    """(E(s), O(s)) with E(u) = sum_j q^{2j^2} u^{2j} and O(u) = sum_j
-    q^{2j(j-1)} u^{2j-1}, j over all integers, at the working precision:
-    W(s, eps) = w_-1(eps) O(s) + w_0(eps) E(s).
-
-    The terms j and -j of E, and j + 1 and -j of O, are summed as pairs;
-    the coefficients and the powers of s are carried by multiplication.
-    The sums stop at the first pair that is smaller than the one before and
-    below 2^-prec of the largest.
-    """
+def _theta_pair(x, q, ctx: PrecCtx):
+    """(E(s), O(s)) at s = e^x: E(u) = sum_j q^{2j^2} u^{2j} is theta_3 and
+    O(u) = sum_j q^{2j(j-1)} u^{2j-1} is theta_2 / (q^2)^{1/4}, nome q^2
+    (DLMF 20.2).  mp.nthroot is the root jtheta(2) multiplies by, so the
+    branch cancels; with integer powers of s only, any log s serves."""
     q2 = q * q
-    q4 = q2 * q2
-    si = 1 / s
-    s2, si2 = s * s, si * si
-    even, odd = mp.mpf(1), s + si
-    ce = co = up = dn = mp.mpf(1)   # q^{2j^2}, q^{2j(j+1)}, s^{2j}, s^{-2j}
-    r = q2                          # q^{4j-2}
-    uo, do = s, si                  # s^{2j+1}, s^{-2j-1}
-    big, prev = max(abs(odd), 1), mp.inf
-    floor = mp.ldexp(1, -mp.prec)
-    for _ in range(_MAX_TERMS):
-        ce *= r
-        co *= r * q2
-        r *= q4
-        up, dn, uo, do = up * s2, dn * si2, uo * s2, do * si2
-        te, to = ce * (up + dn), co * (uo + do)
-        even += te
-        odd += to
-        mag = abs(te) + abs(to)
-        big = max(big, mag)
-        if mag < prev and mag <= floor * big:
-            return even, odd
-        prev = mag
-    raise PrecisionExceeded(
-        f"theta pair at |s| = {mp.nstr(abs(s), 8)} did not converge within "
-        f"{_MAX_TERMS} terms")
+    return (_jtheta(3, 2 * x, q2, ctx),
+            _jtheta(2, 2 * x, q2, ctx) / mp.nthroot(q2, 4))
 
 
 def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
-    """(W, dW/deps, scale) at eps and the s of pair = _theta_pair(s, q): one
-    Newton pass, W = w_-1 O(s) + w_0 E(s) with scale max(|w_-1 O|, |w_0 E|),
-    at the working precision."""
+    """(W, dW/deps, scale) at eps and the s = e^x of pair =
+    _theta_pair(x, q, ctx): one Newton pass, W = w_-1 O(s) + w_0 E(s) with
+    scale max(|w_-1 O|, |w_0 E|), at the working precision."""
     even, odd = pair
     r1, r0, dr1, dr0 = _wronskian_sums(eps, mpar, ctx)
     t1, t0 = r1 * odd, r0 * even
@@ -156,7 +129,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 
     Each pass (_wronskian_pass) sums the two coefficients w_-1(eps),
     w_0(eps) and their eps-derivatives, and W = w_-1 O(s) + w_0 E(s) with
-    E(s), O(s) summed once per solve (_theta_pair).  Stops when both
+    E(s), O(s) evaluated once per solve (_theta_pair).  Stops when both
     the residual |W| <= tol * max(scale, 1), scale = max(|w_-1 O|, |w_0 E|),
     and the Newton correction |W / W_eps| <= tol * max(|eps|, 1) are met:
     a small residual alone leaves eps loose where W_eps is small.  The
@@ -175,8 +148,8 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
     search, or _MAX_NEWTON steps).
     """
     with ctx.workprec():
-        s = _sigma_to_s(sigma, mpar)
-        pair = _theta_pair(s, mpar.q)
+        x = 2 * mp.pi * mpar.b * mp.mpmathify(sigma)
+        s, pair = mp.exp(x), _theta_pair(x, mpar.q, ctx)
         eps = mp.mpmathify(eps0)
         tol = ctx.tol
         w, dw, scale = _wronskian_pass(eps, pair, mpar, ctx)
@@ -260,8 +233,7 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
         q = mpar.q
         sth = sin_theta(mpar)
         at_zero = endpoint == 0
-        # 2^(16 - bits): the finest tolerance PrecCtx accepts at this precision
-        near = mp.mpf(2) ** (16 - ctx.precision_bits) * max(sth, 1)
+        near = ctx.finest_tol * max(sth, 1)
         if not at_zero and abs(mp.mpmathify(endpoint) - sth) > near:
             raise ValueError("endpoint must be 0 or sin(theta)")
         if at_zero:

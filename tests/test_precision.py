@@ -128,8 +128,13 @@ def test_modular_param_rejects_degenerate_coupling(ctx192):
 
 
 def test_modular_param_range_flag(ctx192):
-    assert not ModularParam.from_theta("pi/16", ctx192).in_supported_range
-    assert ModularParam.from_theta("pi/4", ctx192).in_supported_range
+    # the window pi/8 <= theta <= 3 pi/8 is symmetric about pi/4, as |q| is,
+    # and its ends are compared at the parameter's own precision
+    for ctx in (make_context(64), ctx192):
+        for inside in ("pi/8", "pi/4", "3*pi/8"):
+            assert ModularParam.from_theta(inside, ctx).in_supported_range
+        for outside in ("pi/16", "7*pi/16", "15*pi/32"):
+            assert not ModularParam.from_theta(outside, ctx).in_supported_range
 
 
 # ── pochhammer_q ────────────────────────────────────────────────────────────

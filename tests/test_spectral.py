@@ -82,8 +82,8 @@ def test_wronskian_eps_derivative(ctx, mpar):
         assert abs(dw - fd) <= mp.mpf("1e-30") * max(abs(dw), 1)
 
 
-@pytest.mark.parametrize("theta", ("pi/4", "3*pi/8", "pi/6"))
-@pytest.mark.parametrize("bits", (96, 128, 192, 256))
+@pytest.mark.parametrize("theta", ("pi/4", "3*pi/8", "pi/6", "7*pi/16"))
+@pytest.mark.parametrize("bits", (64, 96, 128, 192, 256))
 def test_two_sum_pass_matches_four_series(bits, theta, rng):
     # a Newton pass sums W = w_-1 O(u) + w_0 E(u); the four-series W and
     # W_eps of the oracle agree within tol times their scales, over the
@@ -97,10 +97,24 @@ def test_two_sum_pass_matches_four_series(bits, theta, rng):
             u = mp.mpc(rng.uniform(0.2, 2.5), rng.uniform(-1.5, 1.5))
             eps = mp.mpc(rng.uniform(-60, 60), rng.uniform(-30, 30)) if k else mp.mpf(0)
             w, dw, scale, _ = _wronskian_parts(u, eps, mpar, ctx)
-            w2, dw2, scale2 = _wronskian_pass(eps, _theta_pair(u, mpar.q), mpar, ctx)
+            pair = _theta_pair(mp.log(u), mpar.q, ctx)
+            w2, dw2, scale2 = _wronskian_pass(eps, pair, mpar, ctx)
             assert abs(w2 - w) <= tol * max(scale, 1), (u, eps)
             assert abs(dw2 - dw) <= tol * max(abs(dw), 1), (u, eps)
             assert scale / 4 <= scale2 <= 4 * scale, (u, eps)
+
+
+def test_theta_pair_term_cap_is_typed():
+    # E and O go through the theta guard: near |q| = 1 (|q^2| = 1 - 1.3e-6
+    # at theta = 1e-7) they need about 4,500 terms at 64 bits, past the cap
+    ctx = make_context(64)
+    mpar = ModularParam.from_theta(mp.mpf("1e-7"), ctx)
+    with ctx.workprec():
+        sig = mp.sin(mpar.theta) / 3
+        with pytest.raises(PrecisionExceeded, match="more than 4096 terms"):
+            _theta_pair(2 * mp.pi * mpar.b * sig, mpar.q, ctx)
+        with pytest.raises(PrecisionExceeded, match="more than 4096 terms"):
+            solve_eps(sig, mp.mpf(2), mpar, ctx)
 
 
 def test_residue_series_vs_contour(ctx, mpar):
