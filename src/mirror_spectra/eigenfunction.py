@@ -45,6 +45,9 @@ class PoleCancellationReport:
 
 
 def make_params(point: SpectralPoint, mpar: ModularParam, ctx: PrecCtx) -> EigenfunctionParams:
+    """The parameters of psi at a point: eta = (b + 1/b)/2 and, for a
+    quantized point (parity +-1), rho from factorize, which first checks
+    that (sigma, eps) is a root of W.  No evaluation reads rho."""
     if point.parity not in (+1, -1, None):
         raise ValueError(f"parity must be +1, -1 or None, got {point.parity}")
     with ctx.workprec():

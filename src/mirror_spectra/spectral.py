@@ -16,10 +16,10 @@ The same quasi-periodicity makes W(u, eps) = w_-1(eps) O(u) + w_0(eps) E(u)
 with E, O theta_3 and theta_2 of nome q^2 (precision._jtheta, once per
 solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
 only the two coefficients, 8-10 terms against the 37-47 of the four
-chi series, which stay the independent oracle in wronskian_eval, factorize,
-rho_extract and the dual solution.  A solve whose G quantization reads sums
-chi(s) and chk(s) once at its last pass, so quantization sums no series of
-its own until it confirms a state.
+chi series, which stay the independent oracle in wronskian_eval, factorize
+and the dual solution; rho_extract reads rho off the two coefficients.  A
+solve whose G quantization reads sums chi(s) and chk(s) once at its last
+pass, so quantization sums no series of its own until it confirms a state.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
@@ -37,7 +37,6 @@ from .precision import (
     PrecisionExceeded,
     SolverError,
     _jtheta,
-    theta1,
 )
 
 _MAX_NEWTON = 80
@@ -444,48 +443,31 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
 
 # ── theta factorization ───────────────────────────────────────────────────
 
-_RHO_TEST_OFFSETS = ("0.1", "0.23", "0.37")
-
 
 def rho_extract(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
-    """rho = W(u0) / (theta1(s u0) theta1(u0/s)) at three test points, for a
-    root (sigma, eps) of W.
+    """rho of W(u) = rho theta1(s u) theta1(u/s) at a root (sigma, eps).
 
-    The three values must agree to 10^3 tol relatively (u0-independence is
-    what the factorization claims); their mean is returned.
+    Watson's identity (DLMF 20.7(iv)), theta1(s u) theta1(u/s) = sqrt(q)
+    (O(s) E(u) - E(s) O(u)), gives w_-1 = -rho sqrt(q) E(s) and w_0 =
+    rho sqrt(q) O(s); rho is their least-squares solution.  At a root both
+    terms share one phase, and at eps = 0 the E term carries rho alone.
+    mp.sqrt(q) is nthroot(q, 4)^2, the root theta1 carries.
     """
     with ctx.workprec():
-        tol = ctx.tol
-        two_pi_b = 2 * mp.pi * mpar.b
-        sigma = mp.mpmathify(sigma)
-        rhos = []
-        for x0s in _RHO_TEST_OFFSETS:
-            x0 = mp.mpf(x0s)
-            u0 = mp.exp(two_pi_b * x0)
-            th_plus = theta1(two_pi_b * (x0 + sigma), mpar.q, ctx)
-            th_minus = theta1(two_pi_b * (x0 - sigma), mpar.q, ctx)
-            den = th_plus * th_minus
-            if abs(den) < ZERO_FLOOR * tol:
-                raise SolverError(
-                    f"rho test point x0 = {x0s} too close to a theta zero"
-                )
-            w, _, _, _ = _wronskian_parts(u0, eps, mpar, ctx)
-            rhos.append(w / den)
-        mean = mp.fsum(rhos) / len(rhos)
-        spread = max(abs(r - mean) for r in rhos)
-        if spread > mp.mpf(1e3) * tol * max(abs(mean), 1):
-            raise SolverError(
-                f"rho is not u0-independent (spread {mp.nstr(spread, 3)}): "
-                "the factorization premise W(s) = 0 is violated"
-            )
-        if mean == 0:
+        x = 2 * mp.pi * mpar.b * mp.mpmathify(sigma)
+        even, odd = _theta_pair(x, mpar.q, ctx)
+        r1, r0, _, _ = _wronskian_sums(eps, mpar, ctx)
+        rho = ((r0 * mp.conj(odd) - r1 * mp.conj(even))
+               / (mp.sqrt(mpar.q) * (abs(even) ** 2 + abs(odd) ** 2)))
+        if rho == 0:
             raise SolverError("rho extracted as zero")
-        return mean
+        return rho
 
 
 def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     """The theta prefactor rho of W(u) = rho theta1(s u) theta1(u/s) at a
-    root (sigma, eps) of W, after checking that it is one."""
+    root (sigma, eps) of W, after checking that it is one on the four-series
+    W(s), independently of the two coefficients rho is read from."""
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
         w, _, scale, _ = _wronskian_parts(s, eps, mpar, ctx)

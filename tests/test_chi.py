@@ -595,7 +595,7 @@ def _table(eps, mpar, bits):
 
 
 def _state(theta, bits):
-    # a root (sigma, eps) of W on sheet 1, off the rho test points
+    # a root (sigma, eps) of W on sheet 1
     ctx = make_context(bits, default_tol(bits))
     mpar = ModularParam.from_theta(theta, ctx)
     with ctx.workprec():

@@ -13,6 +13,7 @@ from mirror_spectra import (
     theta1,
 )
 from mirror_spectra.precision import default_tol
+from mirror_spectra.spectral import _theta_pair
 
 
 # ── make_context ────────────────────────────────────────────────────────────
@@ -320,6 +321,27 @@ def test_theta1_precision_self_consistency(mpar_pi4):
             a = theta1(w, mpar_pi4.q, lo)
             b = theta1(w, mpar_pi4.q, hi)
             assert abs(a - b) < mp.mpf(1e-40) * max(1, abs(b))
+
+
+@pytest.mark.parametrize("theta", ("pi/4", "pi/6", "3*pi/8", "7*pi/16"))
+@pytest.mark.parametrize("bits", (64, 192))
+def test_theta1_product_by_watson_identity(bits, theta, rng):
+    # DLMF 20.7(iv) with E, O the theta_3 and theta_2 / (q^2)^{1/4} of nome
+    # q^2: theta1(s u) theta1(u/s) = sqrt(q) (O(s) E(u) - E(s) O(u)).  At
+    # 3 pi/8 and 7 pi/16 arg q^2 wraps past pi, so mp.sqrt(q) is held to
+    # the nthroot(q^2, 4) of the pair
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        for _ in range(6):
+            xu = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            xs = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            eu, ou = _theta_pair(xu, mpar.q, ctx)
+            es, os_ = _theta_pair(xs, mpar.q, ctx)
+            lhs = theta1(xu + xs, mpar.q, ctx) * theta1(xu - xs, mpar.q, ctx)
+            rhs = mp.sqrt(mpar.q) * (os_ * eu - es * ou)
+            scale = max(abs(es * ou), abs(os_ * eu), 1)
+            assert abs(lhs - rhs) <= mp.mpf(1e3) * ctx.tol * scale, (xu, xs)
 
 
 def test_theta1_rejects_bad_nome(ctx192):

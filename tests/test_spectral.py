@@ -571,19 +571,53 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
 # ── factorization ─────────────────────────────────────────────────────────
 
 
+def _probe_rho(sigma, eps, x0, mpar, ctx):
+    # W(u0) / (theta1(s u0) theta1(u0/s)) on the four-series W
+    two_pi_b = 2 * mp.pi * mpar.b
+    w, _ = wronskian_eval(mp.exp(two_pi_b * x0), eps, mpar, ctx)
+    return w / (theta1(two_pi_b * (x0 + sigma), mpar.q, ctx)
+                * theta1(two_pi_b * (x0 - sigma), mpar.q, ctx))
+
+
 def test_factorize_at_quantized_point(ctx, mpar, orbit1):
     with ctx.workprec():
         p = quantize(orbit1, +1, mpar, ctx)[0]
         rho = factorize(p.sigma, p.eps, mpar, ctx)
         assert rho != 0
-        # W(u0) = rho theta1(s u0) theta1(u0/s) at a probe point rho_extract
-        # does not use
-        two_pi_b = 2 * mp.pi * mpar.b
-        x0 = mp.mpf("0.29")
-        w, _ = wronskian_eval(mp.exp(two_pi_b * x0), p.eps, mpar, ctx)
-        den = (theta1(two_pi_b * (x0 + p.sigma), mpar.q, ctx)
-               * theta1(two_pi_b * (x0 - p.sigma), mpar.q, ctx))
-        assert abs(w / den - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho)
+        # W(u0) = rho theta1(s u0) theta1(u0/s) at a real and a complex u0
+        for x0 in (mp.mpf("0.29"), mp.mpc("0.29", "0.1")):
+            probe = _probe_rho(p.sigma, p.eps, x0, mpar, ctx)
+            assert abs(probe - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho)
+
+
+@pytest.mark.parametrize("theta", ("pi/4", "3*pi/8", "7*pi/16"))
+@pytest.mark.parametrize("bits", (64, 192))
+def test_factorize_at_any_sigma(bits, theta):
+    # sheet-1 roots at sigma = 0.1, 0.23 and 0.37: no sigma is singled out,
+    # so rho comes back and matches the four-series probe there too
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        for sig in ("0.1", "0.23", "0.37"):
+            sigma = mp.mpf(sig)
+            eps = solve_eps(sigma, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+            rho = factorize(sigma, eps, mpar, ctx)
+            probe = _probe_rho(sigma, eps, mp.mpf("0.29"), mpar, ctx)
+            assert abs(probe - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho), sig
+
+
+@pytest.mark.parametrize("theta", ("pi/4", "3*pi/8"))
+@pytest.mark.parametrize("bits", (64, 192))
+def test_factorize_at_exact_root(bits, theta):
+    # s = i makes O(s) = 0 and eps = 0 makes w_0 = 0, so (i/(4b), 0) is a
+    # root of W on which only the E(s) term carries rho
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        sigma, eps = mp.mpc(0, 1) / (4 * mpar.b), mp.mpf(0)
+        rho = factorize(sigma, eps, mpar, ctx)
+        probe = _probe_rho(sigma, eps, mp.mpf("0.29"), mpar, ctx)
+        assert abs(probe - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho)
 
 
 def test_factorize_rejects_nonroot(ctx, mpar):
