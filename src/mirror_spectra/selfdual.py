@@ -20,7 +20,8 @@ of the Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and
 quantizes A lambda - At = n + 1.  For eps >= 8 the four periods are also
 hypergeometric series in 1/eps^2 (``period_series``); Newton on the level
 function runs on those, and the quadrature (``period_integrals``) checks the
-root it finds.
+root it finds: A and At by one trapezoid pass over a stretched period, B
+and Bt by adaptive Gauss-Legendre (``composite_gl``).
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -38,6 +39,8 @@ from .precision import PrecCtx, SolverError
 _GL_ORDER = 32
 _GL_CACHE = {}
 _GL_MAX_DEPTH = 28
+_TRAP_START = 16           # first panel count of the A, Atilde trapezoid pass
+_TRAP_MAX = 2 ** 16        # its panel cap
 _LEG_STEPS = 192           # y-continuation march resolution per unit length
 _BRACKET_HI = "1e6"
 _SERIES_MIN_EPS = 8        # period_series' term ratio 16/eps^2 is at most 1/4
@@ -211,13 +214,88 @@ def path_funcs(eps, t, ctx: PrecCtx):
         return curve.r(t), curve.s(t), curve.sprime(t), rprime
 
 
+def _stretched_a_periods(curve, ctx):
+    """(A, Atilde, N): both periods from one trapezoid pass on N panels of
+    the stretched half period (see ``period_integrals``).  Call inside
+    ctx.workprec()."""
+    sa, sa2 = curve.sa, curve.sa2
+    # alpha rounds to 0 at the eps just above 4: no layer to stretch
+    betas, width = [], 1 / (mp.pi * sa) if sa else mp.inf
+    while True:   # beta of each stage, innermost first
+        beta = 1 - 2 * mp.cbrt(mp.pi * width) ** 2
+        if beta <= (mp.mpf(1) / 2 if betas else 0):
+            break
+        betas.insert(0, beta)
+        width = mp.cbrt(width / 64)
+    # near t = 0 each stage's t and t' cancel about log2(1/(1 - beta)) bits
+    stage_prec = mp.prec - sum(mp.mag(1 - beta) for beta in betas)
+    with mp.workprec(stage_prec):
+        pi4 = 4 * mp.pi
+
+    def node(u):   # (a, at) at t(u), each times t'(u)
+        w = 1
+        with mp.workprec(stage_prec):
+            for beta in betas:
+                c4, s4 = mp.cos_sin(pi4 * u)
+                u, w = u - beta * s4 / pi4, w * (1 - beta * c4)
+        c, s = mp.cos_sin(mp.pi * u)
+        sc = sa * c
+        cosh_s = mp.sqrt(1 + sa2 * s * s)      # cosh(pi s(t))
+        cosh_sh = mp.sqrt(1 + sa2 * c * c)     # cosh(pi s(t+1/2))
+        w /= cosh_s
+        # asinh(sc) = log(sc + cosh_sh), as c >= 0 for t in [0, 1/2]
+        return 2 * w / cosh_sh, 4 * w * sc * mp.log(sc + cosh_sh) / mp.pi
+
+    sums = [(x + y) / 2 for x, y in zip(node(mp.mpf(0)), node(mp.mpf(1) / 2))]
+    n, new, prev = _TRAP_START, range(1, _TRAP_START), None
+    while True:
+        cols = zip(*(node(mp.mpf(k) / (2 * n)) for k in new))
+        sums = [total + mp.fsum(col) for total, col in zip(sums, cols)]
+        A, At = (total / (2 * n) for total in sums)
+        if prev is not None:
+            late = [name for name, x, y in zip(("A", "Atilde"), (A, At), prev)
+                    if abs(x - y) > ctx.tol]
+            if not late:
+                return A, At, n
+            if 2 * n > _TRAP_MAX:
+                raise SolverError(f"period {' and '.join(late)}: trapezoid "
+                                  f"pass did not converge by N = {n} panels")
+        prev = A, At
+        n, new = 2 * n, range(1, 2 * n, 2)
+
+
 def period_integrals(eps, ctx: PrecCtx):
-    """(A, Atilde, B, Btilde) to ctx.tol absolute error, by adaptive
-    Gauss-Legendre quadrature of the integrands of ``_Curve``."""
+    """(A, Atilde, B, Btilde) to ctx.tol absolute error.
+
+    The integrands a and at of ``_Curve`` are even, 1-periodic and analytic
+    on the real line, with branch points a distance w = asinh(1/sinh(pi
+    alpha))/pi off it at t = 0 and 1/2: a boundary layer that wide.  A
+    and Atilde come from one trapezoid pass that evaluates both at each node
+    u_k = k/(2N) of the half period [0, 1/2], half weights at both ends,
+    mapped by the sine stretch
+
+        t = u - beta sin(4 pi u)/(4 pi),   t' = 1 - beta cos(4 pi u).
+
+    The map keeps the integrands even and 1-periodic, so the half-period
+    sum is the full-period trapezoid rule, which converges geometrically.
+    Near u = 0 it is (1 - beta) u + O(u^3), and beta = max(0, 1 - 2 (pi
+    w)^(2/3)) balances the two terms across the layer; with w ~ 1/(pi
+    sinh(pi alpha)) that is beta = max(0, 1 - 2 sinh(pi alpha)^(-2/3)), 0
+    up to eps = 36.  The stretched layer is still about (w/64)^(1/3) wide,
+    so further stages, composed inside the first, stretch it again while
+    the same rule gives them beta >= 1/2 (from eps about 2.5e4).  Each
+    stage forms t and t' with log2(1/(1 - beta)) guard bits, the bits they
+    cancel near t = 0.  beta sets only the cost: the pass starts at N = 16
+    panels and doubles N, evaluating only the new nodes, until both sums
+    move by at most ctx.tol; past _TRAP_MAX panels it raises SolverError
+    naming the period and N.  B and Btilde stay on ``composite_gl``: the
+    nearest singularity of their integrands is 2 alpha away, and it needs
+    3-7 panels for them.
+    """
     with ctx.workprec():
         curve = _Curve(alpha_beta(eps, ctx)[0])
-        return (composite_gl(curve.a, 0, 0.5, ctx), composite_gl(curve.at, 0, 0.5, ctx),
-                composite_gl(curve.b, 0, 1, ctx), composite_gl(curve.bt, 0, 1, ctx))
+        A, At, _ = _stretched_a_periods(curve, ctx)
+        return A, At, composite_gl(curve.b, 0, 1, ctx), composite_gl(curve.bt, 0, 1, ctx)
 
 
 def period_series(eps, ctx: PrecCtx):

@@ -231,6 +231,69 @@ def test_period_integrals_match_closed_form(bits, tol):
                 assert abs(A - 8 * mp.ellipk(1 - m) / (mp.pi * eps)) <= ctx.tol
 
 
+def test_period_integrals_match_closed_form_at_512_bits():
+    # the 512-bit rung, default tol 1e-108: A and B against the AGM values,
+    # Atilde and Btilde against the series where eps >= 8; 1e6 is the
+    # bracket end, where the boundary layer of A and Atilde is narrowest
+    ctx = make_context(512)
+    with ctx.workprec():
+        for e in ("4.5", "17.85", "1e6"):
+            eps = mp.mpf(e)
+            m = (4 / eps) ** 2
+            A, At, B, Bt = period_integrals(eps, ctx)
+            assert abs(A - 8 * mp.ellipk(1 - m) / (mp.pi * eps)) <= ctx.tol, e
+            assert abs(B - 4 * mp.ellipk(m) / (mp.pi * eps)) <= ctx.tol, e
+            if eps >= 8:
+                _, sAt, _, sBt = period_series(eps, ctx)
+                assert abs(At - sAt) <= ctx.tol and abs(Bt - sBt) <= ctx.tol, e
+
+
+@pytest.mark.parametrize("eps, most", [("17.85", 256), ("833752", 2048)])
+def test_a_periods_trapezoid_work(eps, most):
+    # levels 0 and 18 at 256 bits stop at N = 128 and 512 panels; the
+    # stretching map is what keeps level 18 there, as the unmapped rule
+    # needs about 32,768 panels to resolve the 1/sinh(pi alpha) layer
+    ctx = make_context(256)
+    with ctx.workprec():
+        curve = selfdual._Curve(alpha_beta(mp.mpf(eps), ctx)[0])
+        assert selfdual._stretched_a_periods(curve, ctx)[2] <= most
+
+
+def test_a_periods_beyond_the_bracket():
+    # past eps = 1e6 further stages stretch the layer's image: at 1e12 the
+    # pass stops at N = 512 (one stage alone takes 8,192), and at 1e40 the
+    # stages' guard bits keep A and Atilde within tol of the series
+    ctx = make_context(128)
+    with ctx.workprec():
+        for e, most in (("1e12", 1024), ("1e40", 2048)):
+            eps = mp.mpf(e)
+            A, At, n = selfdual._stretched_a_periods(
+                selfdual._Curve(alpha_beta(eps, ctx)[0]), ctx)
+            sA, sAt, _, _ = period_series(eps, ctx)
+            assert n <= most and abs(A - sA) <= ctx.tol and abs(At - sAt) <= ctx.tol, e
+
+
+def test_period_integrals_where_alpha_rounds_to_zero():
+    # at the eps just above 4, alpha rounds to 0: A = 8K(0)/(4 pi) = 1 and
+    # Atilde = 0 with no layer to stretch, and B's singularity at t = 0
+    # makes composite_gl raise its typed error
+    ctx = make_context(192)
+    with ctx.workprec():
+        eps = 4 + mp.ldexp(1, -189)
+        A, At, _ = selfdual._stretched_a_periods(
+            selfdual._Curve(alpha_beta(eps, ctx)[0]), ctx)
+        assert abs(A - 1) <= ctx.tol and abs(At) <= ctx.tol
+        with pytest.raises(SolverError, match="subinterval"):
+            period_integrals(eps, ctx)
+
+
+def test_a_periods_panel_cap_is_typed(monkeypatch):
+    # a pass still moving at the panel cap names its periods and N
+    monkeypatch.setattr(selfdual, "_TRAP_MAX", 32)
+    with pytest.raises(SolverError, match=r"period A and Atilde: .* N = 32 panels"):
+        period_integrals(mp.mpf("17.85"), make_context(256))
+
+
 @pytest.mark.parametrize("bits, tol", [(128, 1e-33), (192, 1e-50), (256, 1e-70)])
 def test_period_series_matches_quadrature(bits, tol):
     # the series and the quadrature are independent; both meet tol
