@@ -18,7 +18,7 @@ from mpmath import mp
 from .chi import chi_check_eval, chi_dual_eval, chi_eval, chi_mult_check, chi_poly_seq
 from .eigenfunction import make_params, pole_cancellation_check, psi_eval, psi_residual
 from .precision import (ModularParam, PoleSignal, SolverError, default_tol,
-                        make_context, theta1)
+                        make_context, pochhammer_q, theta1)
 from .selfdual import phi_eval, quantize_selfdual
 from .spectral import quantize, trace_orbit, wronskian_eval, wronskian_residue
 from .transfer import R_orbit, chi_via_Minf, classify_r_orbit
@@ -77,9 +77,21 @@ def transfer_oracle(ctx, mpar, rng, full, fault):
     return worst, 10 * ctx.tol
 
 
+def _theta1_product(w, q, ctx):
+    """theta1 by the Jacobi triple product (DLMF 20.5.3), with no shift of w:
+    -2i q^{1/4} sinh(w/2) (q^2; q^2)_inf (q^2 e^w; q^2)_inf (q^2 e^-w; q^2)_inf."""
+    q2, u = q * q, mp.exp(w)
+    return (mp.mpc(0, -2) * mp.nthroot(q, 4) * mp.sinh(w / 2)
+            * pochhammer_q(q2, q2, mp.inf, ctx) * pochhammer_q(q2 * u, q2, mp.inf, ctx)
+            * pochhammer_q(q2 / u, q2, mp.inf, ctx))
+
+
 def theta_identities(ctx, mpar, rng, full, fault):
-    """theta1 is odd and quasi-periodic under w -> w + 2 log q, and its two
-    nomes are related by the modular transformation on the real line."""
+    """theta1 is odd and quasi-periodic under w -> w + 2 log q, agrees with
+    the triple product, and its two nomes are related by the modular
+    transformation on the real line.  theta1 shifts w + 2 log q back to
+    about w, so the product, at w and at w + 2 log q, is the leg
+    independent of that shift."""
     q, lq = mpar.q, mpar.log_q
     ws = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
     xs = [mp.mpf(rng.uniform(-1, 1)) for _ in range(8)]
@@ -87,11 +99,13 @@ def theta_identities(ctx, mpar, rng, full, fault):
         ws, xs = ws[:5], xs[:3]
     worst = mp.mpf(0)
     for w in ws:
-        t0 = theta1(w, q, ctx)
+        t0, t1 = theta1(w, q, ctx), theta1(w + 2 * lq, q, ctx)
         scale = max(1, abs(t0))
         rhs = -mp.exp(-lq - w) * t0
         worst = max(worst, abs(theta1(-w, q, ctx) + t0) / scale,
-                    abs(theta1(w + 2 * lq, q, ctx) - rhs) / max(scale, abs(rhs)))
+                    abs(t1 - rhs) / max(scale, abs(rhs)),
+                    abs(_theta1_product(w, q, ctx) - t0) / scale,
+                    abs(_theta1_product(w + 2 * lq, q, ctx) - t1) / max(1, abs(t1)))
     for x in xs:
         direct = theta1(2 * mp.pi * mpar.b * x, q, ctx)
         lhs = -theta1(2 * mp.pi * x / mpar.b, mpar.qbar, ctx)

@@ -8,9 +8,14 @@ Foundation layer for everything else in the package:
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
   * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, by
-                          ``_jtheta``, the one guarded ``jtheta`` call of
-                          every theta series; both raise PrecisionExceeded
-                          past ``_MAX_TERMS``.
+                          ``_jtheta``, which serves every theta series: it
+                          shifts the argument into the strip |Re w| <= -ln|q|
+                          by the quasi-periodicity, sums mpmath's fixed-point
+                          kernel there with a guard sized by the largest
+                          term, and re-sums once with the bits a measured
+                          cancellation costs.  Both raise PrecisionExceeded
+                          past ``_MAX_TERMS`` terms, or when cancellation
+                          leaves no correct digit.
 
 All functions are pure: they take immutable inputs, enter an mpmath
 ``workprec`` block sized by the context, and return mpmath scalars.
@@ -235,27 +240,86 @@ def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
 
 # ── Jacobi theta in log coordinates ─────────────────────────────────────────
 
+_LN2 = math.log(2)
+
+
+def _ln(x) -> float:
+    """ln x of a positive mpf as a float, from its exponent and mantissa:
+    no mpf log, and no float underflow below the double range."""
+    _, man, exp, _ = x._mpf_
+    return (exp + math.log2(man)) * _LN2
+
+
+def _theta_sum(n: int, w, q, k: int, prec: int, extra: int):
+    """theta_n(w) = c^k e^{-k^2 log q - k w'} theta_n(w'), w' = w - 2k log q
+    (DLMF 20.2(ii); c = -1 for theta_1, +1 for theta_2 and theta_3), as the
+    pair (kernel sum at w', that factor), the sum at prec bits.  w' and the
+    factor take extra bits for their exponent's size; only integer powers
+    of q enter, so any branch of log q serves."""
+    factor = 1
+    with mp.workprec(prec):
+        if k:
+            with mp.extraprec(extra):
+                lq = mp.log(q)
+                w = w - 2 * k * lq
+                factor = mp.exp(-k * k * lq - k * w) * (-1 if n == 1 and k % 2 else 1)
+        z = mp.mpc(mp.im(w), -mp.re(w)) / 2         # e^{2iz} = e^{w'}
+        if n == 3:
+            return mp._jacobi_theta3(z, q), factor
+        return mp._jacobi_theta2(z - mp.pi / 2 if n == 1 else z, q), factor
+
+
 def _jtheta(n: int, x_log, q, ctx: PrecCtx):
     """mpmath's jtheta(n, -i x_log / 2, q): u = e^{x_log} stands for e^{2iz},
     and theta_1, theta_2 carry the principal q^{1/4} = mp.nthroot(q, 4).
-    PrecisionExceeded when the series needs more than _MAX_TERMS terms."""
+
+    With L = -ln|q|, the shift by k = nint(Re w / (2 ln|q|)) periods of
+    2 log q lands w' in the strip |Re w'| <= L, where the largest term is
+    e^{(Re w')^2 / (4L)}, at most L / (4 ln 2) bits.  There mpmath's
+    fixed-point kernel (the one jtheta itself calls in the strip) sums at
+    bits + guard, the guard 10 bits plus the largest term's.  The bits
+    lost to cancellation are the largest term's exponent less the sum's;
+    past the guard (near a zero) the sum is redone once with that many
+    more bits.  PrecisionExceeded when the series needs more than
+    _MAX_TERMS terms, or when the second sum still loses more than its
+    guard: no correct digit is left (theta_1 with |q| near 1).  theta_1
+    at w = 0 is exactly 0."""
     with ctx.workprec():
         w = mp.mpmathify(x_log)
         q = mp.mpmathify(q)
-        if not abs(q) < 1:
-            raise ValueError(f"theta{n} needs |q| < 1, got |q| = {abs(q)}")
+        abs_q = abs(q)
+        if not 0 < abs_q < 1:
+            raise ValueError(f"theta{n} needs 0 < |q| < 1, got |q| = {abs_q}")
         # the index h where the term bound |q|^{h^2} e^{h a} falls to tol
-        L = -float(mp.log(abs(q)))
-        a = float(abs(mp.re(w)))
-        # -ln tol from the mpf's exponent and mantissa: no mpf log, and no
-        # float underflow below the double range
-        _, man, exp, _ = ctx.tol._mpf_
-        T = -(exp + math.log2(man)) * math.log(2)
+        L = -_ln(abs_q)
+        re_w = float(mp.re(w))
+        a = abs(re_w)
+        T = -_ln(ctx.tol)
         if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > _MAX_TERMS:
             raise PrecisionExceeded(
                 f"theta{n} series needs more than {_MAX_TERMS} terms to reach tol"
             )
-        return mp.jtheta(n, -1j * w / 2, q)
+        if n == 1 and not w:
+            return mp.zero
+        k = round(-re_w / (2 * L))
+        a = re_w + 2 * k * L                     # Re w'
+        big = math.ceil(a * a / (4 * L * _LN2))  # log2 of the largest term
+        extra = int(abs(k) * (3 * abs(k) * math.hypot(L, math.pi)
+                              + float(abs(w)))).bit_length() if k else 0
+        guard = 10 + big
+        prec = ctx.precision_bits + guard
+        for retry in (False, True):
+            s, factor = _theta_sum(n, w, q, k, prec, extra)
+            lost = big - mp.mag(s) if s else prec
+            if lost <= guard:
+                return s * factor
+            if retry:
+                raise PrecisionExceeded(
+                    f"theta{n} loses {lost} bits to cancellation at {prec} "
+                    f"bits (|q| = {mp.nstr(abs_q, 8)}): no correct digit is left"
+                )
+            guard += lost
+            prec += lost
 
 
 def theta1(x_log, q, ctx: PrecCtx):

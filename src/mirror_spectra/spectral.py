@@ -96,7 +96,7 @@ def _sigma_to_s(sigma, mpar: ModularParam):
 def _theta_pair(x, q, ctx: PrecCtx):
     """(E(s), O(s)) at s = e^x: E(u) = sum_j q^{2j^2} u^{2j} is theta_3 and
     O(u) = sum_j q^{2j(j-1)} u^{2j-1} is theta_2 / (q^2)^{1/4}, nome q^2
-    (DLMF 20.2).  mp.nthroot is the root jtheta(2) multiplies by, so the
+    (DLMF 20.2).  mp.nthroot is the root _jtheta(2) carries, so the
     branch cancels; with integer powers of s only, any log s serves."""
     q2 = q * q
     return (_jtheta(3, 2 * x, q2, ctx),

@@ -12,6 +12,7 @@ from mirror_spectra import (
     pochhammer_q,
     theta1,
 )
+from mirror_spectra.invariants import _theta1_product
 from mirror_spectra.precision import default_tol
 from mirror_spectra.spectral import _theta_pair
 
@@ -292,16 +293,6 @@ def test_theta1_matches_triple_product(ctx192, rng):
                     assert abs(theta1(w, q, ctx192) - ref) < 10 * tol * max(1, abs(ref))
 
 
-def _triple_product(w, q, ctx):
-    # -2i q^{1/4} sinh(w/2) (q^2; q^2)_inf (q^2 u; q^2)_inf (q^2/u; q^2)_inf
-    with ctx.workprec():
-        q2, u = q * q, mp.exp(w)
-        return (mp.mpc(0, -2) * mp.exp(mp.log(q) / 4) * mp.sinh(w / 2)
-                * pochhammer_q(q2, q2, mp.inf, ctx)
-                * pochhammer_q(q2 * u, q2, mp.inf, ctx)
-                * pochhammer_q(q2 / u, q2, mp.inf, ctx))
-
-
 def test_theta1_matches_triple_product_above_double_range():
     # 1,600 bits at the default tol 1e-337, which a double cannot hold: the
     # term bound reads the tol's log from its mpf
@@ -309,7 +300,7 @@ def test_theta1_matches_triple_product_above_double_range():
     mpar = ModularParam.from_theta("3*pi/8", ctx)
     with ctx.workprec():
         for w in (mp.mpc("0.3", "-0.2"), mp.mpc("-2.5", "1.7")):
-            ref = _triple_product(w, mpar.q, ctx)
+            ref = _theta1_product(w, mpar.q, ctx)
             assert abs(theta1(w, mpar.q, ctx) - ref) <= 10 * ctx.tol * max(1, abs(ref))
 
 
@@ -354,3 +345,110 @@ def test_theta1_term_cap_raises():
     # |q| this close to 1, with |Re x_log| = 0.3, needs about 3e4 terms
     with pytest.raises(PrecisionExceeded, match="more than 4096 terms"):
         theta1(mp.mpc("0.3", "0.3"), mp.mpf("0.99999"), ctx)
+
+
+@pytest.mark.parametrize("bits", (64, 128, 256))
+def test_theta1_near_unit_nome_raises(bits):
+    # theta1(0.3i, 0.99999) is about e^{-2.0e5}: the series cancels past
+    # every bit the context carries, and a second sum at twice them
+    ctx = make_context(bits)
+    with pytest.raises(PrecisionExceeded, match="theta1 .*no correct digit is left"):
+        theta1(mp.mpc(0, "0.3"), mp.mpf("0.99999"), ctx)
+
+
+# ── theta rung: every strip, near a zero, against a sum with no shift ──────
+
+def _strip_point(k, L, rng):
+    # Re w in the strip of shift index k = nint(-Re w / (2L)), away from its edges
+    return mp.mpc(-2 * k * L + rng.uniform(-0.9, 0.9) * L, rng.uniform(-3, 3))
+
+
+def _rel_err(value, ref):
+    return abs(value - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("theta", ("pi/8", "pi/4", "3*pi/8", "7*pi/16"))
+@pytest.mark.parametrize("bits", (64, 96, 128, 256, 384))
+def test_theta_rung_against_unshifted_jtheta(bits, theta, rng):
+    # mp.jtheta at 2 bits + 64 sums far strips term by term from the largest
+    # term, with no quasi-periodic shift: an oracle for theta1 and for the
+    # theta_3, theta_2 of _theta_pair (nome q^2, argument 2x)
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    tol = ctx.tol
+    with ctx.workprec():
+        q, q2 = mpar.q, mpar.q ** 2
+        L = -float(mp.log(abs(q)))
+        for k in (-2, 0, 2):
+            w = _strip_point(k, L, rng)
+            x = _strip_point(k, 2 * L, rng) / 2
+            value, (even, odd) = theta1(w, q, ctx), _theta_pair(x, q, ctx)
+            with mp.workprec(2 * bits + 64):
+                assert _rel_err(value, mp.jtheta(1, -1j * w / 2, q)) <= tol, (k, w)
+                assert _rel_err(even, mp.jtheta(3, -1j * x, q2)) <= tol, (k, x)
+                ref = mp.jtheta(2, -1j * x, q2) / mp.nthroot(q2, 4)
+                assert _rel_err(odd, ref) <= tol, (k, x)
+        # the psi stencil's nearest point: 2^(-bits/5)/2 from a theta1 zero
+        d = mp.ldexp(1, -bits // 5 - 1) * mp.expjpi(rng.uniform(-1, 1))
+        w = 2 * 2 * mpar.log_q + 2j * mp.pi + d
+        value = theta1(w, q, ctx)
+        with mp.workprec(2 * bits + 64):
+            assert _rel_err(value, mp.jtheta(1, -1j * w / 2, q)) <= tol, w
+
+
+# ── work pin: precision and argument the fixed-point kernels see ───────────
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """(mp.prec, |Im z|) of every call to the theta kernels jtheta uses."""
+    calls = []
+    for name in ("_jacobi_theta2", "_jacobi_theta3"):
+        kernel = getattr(mp, name)
+
+        def spy(z, q, kernel=kernel):
+            calls.append((mp.prec, abs(mp.im(z))))
+            return kernel(z, q)
+        monkeypatch.setattr(mp, name, spy)
+    return calls
+
+
+def test_theta_kernels_work_at_the_context_precision(kernel_calls, rng):
+    # eigen_grid's theta1 arguments 2 pi b (x +- sigma), x in [-1.5, 1.5],
+    # and the pair's at solve_eps' sigma in (0, sin theta): one sum each,
+    # at most bits + 40 bits, inside the strip |Im z| <= L/2
+    bits = 192
+    ctx = make_context(bits, 1e-40)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        sth = mp.sin(mpar.theta)
+        L = -mp.log(abs(mpar.q))
+        cases = []
+        for _ in range(16):
+            x = mp.mpf(rng.uniform(-1.5, 1.5))
+            cases += [(theta1, 2 * mp.pi * mpar.b * (x + sign * sth / 2), L)
+                      for sign in (1, -1)]
+            sigma = mp.mpf(rng.uniform(0.01, 0.99)) * sth
+            cases.append((_theta_pair, 2 * mp.pi * mpar.b * sigma, 2 * L))
+        shifted = 0
+        for f, w, nome_L in cases:
+            del kernel_calls[:]
+            f(w, mpar.q, ctx)
+            assert len(kernel_calls) == (1 if f is theta1 else 2), w
+            for prec, im_z in kernel_calls:
+                assert prec <= bits + 40, (w, prec)
+                assert im_z <= nome_L / 2 * (1 + 1e-12), (w, im_z)
+            shifted += f is theta1 and abs(w.real) > L
+        assert shifted >= 8
+
+
+def test_theta1_near_a_zero_sums_twice(kernel_calls):
+    # the psi stencil's nearest point, 2^(-bits/5)/2 from a theta1 zero,
+    # loses about bits/5 to cancellation: exactly one second sum
+    bits = 192
+    ctx = make_context(bits, 1e-40)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        for zero in (0, 2 * mpar.log_q, -2 * mpar.log_q + 2j * mp.pi):
+            del kernel_calls[:]
+            theta1(zero + mp.ldexp(1, -bits // 5 - 1), mpar.q, ctx)
+            assert len(kernel_calls) == 2, zero
