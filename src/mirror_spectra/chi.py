@@ -39,7 +39,7 @@ import math
 from typing import Iterator, Tuple
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpc_add, mpc_mul, round_nearest
+from mpmath.libmp import fone, fzero, mpc_add, mpc_mul, mpc_mul_int, round_nearest
 
 from .precision import (
     _MAX_TERMS,
@@ -267,8 +267,9 @@ def _check_nome_precision(mpar: ModularParam, ctx: PrecCtx) -> None:
             f"the {ctx.precision_bits}-bit context; rebuild it at that precision")
 
 
-def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(chi_q(u, eps), d chi / d eps), adaptively truncated.
+def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
+    """(chi_q(u, eps), d chi / d eps), adaptively truncated; with du,
+    (chi_q(u, eps), u d chi / du) instead.
 
     Uses the second series form: term_n = f_n chi_n(eps) u^n, with f_n and
     chi_n read from the shared tables of (eps, q, working precision), which
@@ -285,6 +286,10 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
     clears its boundary by _LOG2_MARGIN, so the series never stops before
     the exact test on the mpf hypot values would; within the margin it sums
     one more term.  A non-finite term never passes it.
+
+    With du the second sum takes n chi_n in place of dchi_n/deps, from a
+    pair stream chosen before the loop, so the eps-derivative path runs the
+    loop above unchanged.
     """
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
@@ -298,7 +303,11 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx):
         # log2 |t_{n-2}|, log2 |t_{n-1}|
         ur, s, ds, up = _parts(u), (fzero, fzero), (fzero, fzero), (fone, fzero)
         ltmax = l1 = l2 = -math.inf
-        for n, (fn, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
+        pairs = _raw_pairs(eps, mpar.q)
+        if du:
+            pairs = ((fn, x, mpc_mul_int(x, n, prec, rnd))
+                     for n, (fn, x, _) in enumerate(pairs))
+        for n, (fn, x, dx) in zip(range(_MAX_TERMS), pairs):
             coeff = mpc_mul(up, fn, prec, rnd)
             t = mpc_mul(coeff, x, prec, rnd)
             s = mpc_add(s, t, prec, rnd)

@@ -15,16 +15,21 @@ compatible with both asymptotic shift equations at once.
 
 On the real axis the theta denominator vanishes at x in +-sigma + 2 sin(theta) Z;
 at a quantized point the numerator cancels these zeros (that is the
-quantization condition), and evaluation there goes through a symmetric
-stencil of regular points sized by the context rather than 0/0.
+quantization condition).  On such a zero, to working precision, psi is the
+exact limit (pref N)'/D' (L'Hopital): N' from the chi series and their
+u-derivatives, D' from theta1'(0) = -i q^{1/4} (q^2; q^2)_inf^3 in log
+coordinates (DLMF 20.4.6).  Near a zero, off the real axis, or where both
+factors vanish together, evaluation goes through a symmetric stencil of
+regular points sized by the context rather than 0/0.
 """
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
 
-from .chi import chi_check_eval, chi_eval
-from .precision import ModularParam, PoleSignal, PrecCtx, theta1
+from .chi import _chi_series, chi_check_eval, chi_eval
+from .precision import ModularParam, PoleSignal, PrecCtx, pochhammer_q, theta1
 from .spectral import SpectralPoint, factorize
 
 
@@ -63,17 +68,23 @@ def make_params(point: SpectralPoint, mpar: ModularParam, ctx: PrecCtx) -> Eigen
     return EigenfunctionParams(point=point, eta=eta, rho=rho, mpar=mpar)
 
 
-def _lattice_distance(w, lq):
-    """Distance from w to the theta1 zero lattice {2k log q + 2 pi i m}."""
-    a = w.real / (2 * lq.real)
+def _nearest_zero(w, lq):
+    """(d, k, m): the zero 2k log q + 2 pi i m of theta1 nearest to w among
+    the four corners of the lattice cell around it, and d = |w - zero| at
+    the working precision.  The corners are ranked in floats: two of them
+    tie only about half a lattice spacing from either, far outside
+    psi_eval's band, so a float rounding never changes a band decision."""
+    wr, wi, lr, li = float(w.real), float(w.imag), float(lq.real), float(lq.imag)
+    a = wr / (2 * lr)
     best = None
-    for k in (mp.floor(a), mp.ceil(a)):
-        c = (w.imag - 2 * k * lq.imag) / (2 * mp.pi)
-        for m in (mp.floor(c), mp.ceil(c)):
-            d = abs(w - 2 * k * lq - 2j * mp.pi * m)
-            if best is None or d < best:
-                best = d
-    return best
+    for k in {math.floor(a), math.ceil(a)}:
+        c = (wi - 2 * k * li) / (2 * math.pi)
+        for m in {math.floor(c), math.ceil(c)}:
+            dist = math.hypot(wr - 2 * k * lr, wi - 2 * k * li - 2 * math.pi * m)
+            if best is None or dist < best[0]:
+                best = dist, k, m
+    _, k, m = best
+    return abs(w - 2 * k * lq - 2j * mp.pi * m), k, m
 
 
 def _numerator_terms(u, v, eps, p: EigenfunctionParams, ctx: PrecCtx):
@@ -86,6 +97,16 @@ def _numerator_terms(u, v, eps, p: EigenfunctionParams, ctx: PrecCtx):
     chk_u, chi_u = pair(u)
     chk_v, chi_v = (chk_u, chi_u) if v == u else pair(v)
     return chk_u * mp.conj(chi_v), chi_u * mp.conj(chk_v)
+
+
+def _prefactor(x, xi, p: EigenfunctionParams):
+    """b^-1 e^{pi i sigma^2 - xi pi i/4} e^{2 pi eta x + i pi x^2}."""
+    sigma = mp.mpmathify(p.point.sigma)
+    return (
+        (1 / p.mpar.b)
+        * mp.exp(mp.pi * 1j * sigma ** 2 - xi * mp.pi * 1j / 4)
+        * mp.exp(2 * mp.pi * p.eta * x + 1j * mp.pi * x * x)
+    )
 
 
 def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
@@ -102,18 +123,50 @@ def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
     den = theta1(2 * mp.pi * b * (x + sigma), mpar.q, ctx) * theta1(
         2 * mp.pi * b * (x - sigma), mpar.q, ctx
     )
-    pref = (
-        (1 / b)
-        * mp.exp(mp.pi * 1j * sigma ** 2 - xi * mp.pi * 1j / 4)
-        * mp.exp(2 * mp.pi * p.eta * x + 1j * mp.pi * x * x)
-    )
-    return pref * num / den
+    return _prefactor(x, xi, p) * num / den
+
+
+def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx):
+    """psi at a real x where one theta1 factor vanishes, at its zero
+    2k log q + 2 pi i m, and the other factor, theta1(w_other), does not:
+    the limit (pref N)'/D' of the ansatz pref N / D.
+
+    With v = u on the real axis and A(w) = w chi'(w) (the du sum of
+    _chi_series), u chk'(u) = -(A(1/u) + chi(1/u))/u, and the barred
+    factors differentiate as d/dx conj f(v) = conj(2 pi b v f'(v)).  By the
+    quasi-periodicity theta1(w) = (-1)^k e^{-k^2 log q - k w'} theta1(w'),
+    w' = w - 2k log q, and theta1(w' + 2 pi i) = -theta1(w'), so
+    D' = 2 pi b theta1(w_other) (-1)^{k+m} e^{-k^2 log q} theta1'(0).
+    """
+    mpar = p.mpar
+    pt = p.point
+    xi = pt.parity
+    q = mpar.q
+    tpb = 2 * mp.pi * mpar.b
+    u = mp.exp(tpb * x)
+    chi_u, a_u = _chi_series(u, pt.eps, mpar, ctx, du=True)
+    chi_i, a_i = _chi_series(1 / u, pt.eps, mpar, ctx, du=True)
+    chk = chi_i / u
+    d_chk = -(a_i + chi_i) / u                      # u chk'(u)
+    c_chi, c_chk = mp.conj(chi_u), mp.conj(chk)
+    num = chk * c_chi + xi * chi_u * c_chk
+    d_num = (tpb * (d_chk * c_chi + xi * a_u * c_chk)
+             + mp.conj(tpb) * (chk * mp.conj(a_u) + xi * chi_u * mp.conj(d_chk)))
+    d_log_pref = 2 * mp.pi * (p.eta + 1j * x)
+    theta1_d0 = -1j * mp.nthroot(q, 4) * pochhammer_q(q * q, q * q, mp.inf, ctx) ** 3
+    d_den = (tpb * theta1(w_other, q, ctx) * (-1) ** (k + m)
+             * mp.exp(-k * k * mpar.log_q) * theta1_d0)
+    return _prefactor(x, xi, p) * (d_log_pref * num + d_num) / d_den
 
 
 def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
-    """psi(x); a symmetric stencil across removable denominator zeros.
+    """psi(x); the exact limit, or a symmetric stencil, at removable
+    denominator zeros.
 
-    Within step/2 (log-u units, step = 2^(-bits/5)) of the theta lattice,
+    On a zero of one theta factor to working precision (distance at most
+    ctx.finest_tol in log-u units) at real x, with the other factor outside
+    the band below, psi is the limit (pref N)'/D' (_psi_limit).  Elsewhere
+    within step/2 (step = 2^(-bits/5)) of the theta lattice,
     psi(x) = [4 (psi(x+r) + psi(x-r)) - (psi(x+2r) + psi(x-2r))] / 6 with
     r = step / (2 pi), all four points outside that window: the symmetric
     pairs cancel the odd terms (the 1/h pole a tol-accurate eps leaves
@@ -127,10 +180,11 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
         b = p.mpar.b
         sigma = mp.mpmathify(p.point.sigma)
         lq = p.mpar.log_q
-        d = min(
-            _lattice_distance(2 * mp.pi * b * (x + sigma), lq),
-            _lattice_distance(2 * mp.pi * b * (x - sigma), lq),
-        )
+        ws = (2 * mp.pi * b * (x + sigma), 2 * mp.pi * b * (x - sigma))
+        zeros = [_nearest_zero(w, lq) for w in ws]
+        i = 0 if zeros[0][0] <= zeros[1][0] else 1
+        d, k, m = zeros[i]
+        d_other = zeros[1 - i][0]
         step = mp.mpf(2) ** (-ctx.precision_bits / 5)
         if 2 * d >= step:
             return _psi_raw(x, p, ctx)
@@ -139,6 +193,8 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
                 f"theta denominator zero near x = {mp.nstr(x, 8)} and the "
                 "point is not quantized"
             )
+        if d <= ctx.finest_tol and 2 * d_other >= step and not mp.im(x):
+            return _psi_limit(x, ws[1 - i], k, m, p, ctx)
         r = step / (2 * mp.pi)
         near, far = (_psi_raw(x + r, p, ctx) + _psi_raw(x - r, p, ctx),
                      _psi_raw(x + 2 * r, p, ctx) + _psi_raw(x - 2 * r, p, ctx))

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 from mpmath import mp
 
+from mirror_spectra import chi, eigenfunction
 from mirror_spectra.chi import chi_check_eval, chi_eval
 from mirror_spectra.eigenfunction import (
     EigenfunctionParams,
@@ -16,7 +17,14 @@ from mirror_spectra.eigenfunction import (
     psi_residual,
 )
 from mirror_spectra.precision import ModularParam, PoleSignal, default_tol, make_context
-from mirror_spectra.spectral import SpectralPoint, quantize, solve_eps
+from mirror_spectra.spectral import (
+    SpectralPoint,
+    _false_position,
+    _indicator,
+    _solve_eps,
+    quantize,
+    solve_eps,
+)
 
 BITS = 192
 TOL = mp.mpf("1e-40")
@@ -166,45 +174,84 @@ def test_strip_analyticity(sheet1, ctx):
 LADDER_BITS = (64, 96, 128, 192, 256)
 REF_BITS = 2 * max(LADDER_BITS) + 64
 GROUND_IM_EPS = "4.59435880983691894"   # sheet-1 even state at sigma = sin(theta)/2
+SHEET2_IM_EPS = "-111.300184113096796"  # sheet-2 even state at sigma = sin(theta)/2
+# the sheet-1 odd state at 128 bits, polished at REF_BITS by false position
+ODD_SIGMA = "0.6121173716461672675437387"
+ODD_EPS = ("-13.87830477803669060701033", "6.161296243244348685028404")
 N_OFFSETS = 5
 
 
-def _lattice_and_offsets(mpar):
-    """sigma, 2 sin(theta) - sigma, -sigma and sigma + delta, at working
-    precision (a 53-bit mirror point would sit off the lattice).  The last
-    two deltas are psi_eval's stencil offset r at BITS and 2r: a stencil
-    centred there would put one of its points on the lattice."""
+def _lattice_points(mpar, sigma):
+    """The removable points sigma, 2 sin(theta) - sigma and -sigma, at
+    working precision (a 53-bit mirror point would sit off the lattice)."""
     sth = mp.sin(mpar.theta)
-    sigma = sth / 2
+    return [sigma, 2 * sth - sigma, -sigma]
+
+
+def _lattice_and_offsets(mpar):
+    """The lattice points of the state at sigma = sin(theta)/2, then sigma +
+    delta.  The last two deltas are psi_eval's stencil offset r at BITS and
+    2r: a stencil centred there would put one of its points on the
+    lattice."""
+    sigma = mp.sin(mpar.theta) / 2
     r = mp.mpf(2) ** (-BITS / 5) / (2 * mp.pi)
     deltas = [mp.mpf("1e-6"), mp.mpf("1e-9"), mp.mpf("1e-12"), r, 2 * r]
-    return [sigma, 2 * sth - sigma, -sigma] + [sigma + d for d in deltas]
+    return _lattice_points(mpar, sigma) + [sigma + d for d in deltas]
 
 
-def _even_state(bits):
+def _even_state(bits, im_eps=GROUND_IM_EPS, sheet=1):
     ctx = make_context(bits, default_tol(bits))
     mpar = ModularParam.from_theta("pi/4", ctx)
     with ctx.workprec():
         sigma = mp.sin(mpar.theta) / 2
-        eps = solve_eps(sigma, mp.mpc(0, GROUND_IM_EPS), mpar, ctx)
-        point = SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=+1)
+        eps = solve_eps(sigma, mp.mpc(0, im_eps), mpar, ctx)
+        point = SpectralPoint(sheet=sheet, sigma=sigma, eps=eps, parity=+1)
         xs = _lattice_and_offsets(mpar)
     return ctx, mpar, point, xs
 
 
-@pytest.fixture(scope="module")
-def lattice_reference():
-    """psi of the state polished at REF_BITS, at the points of
-    _lattice_and_offsets, each the mean of _psi_raw over three points on a
-    circle of radius 2^(-REF_BITS/4): a removable point costs that scheme
+def _circle_mean(point, mpar, ctx, xs):
+    """psi at each x as the mean of _psi_raw over three points on a circle
+    of radius 2^(-REF_BITS/4): a removable point costs that scheme
     O(radius^3), and it shares no offsets or stencil with psi_eval."""
-    ctx, mpar, point, xs = _even_state(REF_BITS)
     with ctx.workprec():
         p = EigenfunctionParams(point=point, eta=(mpar.b + 1 / mpar.b) / 2,
                                 rho=None, mpar=mpar)
         rad = mp.mpf(2) ** (-REF_BITS // 4)
         return [sum(_psi_raw(x + rad * mp.expjpi(mp.mpf(2 * k + 1) / 3), p, ctx)
                     for k in range(3)) / 3 for x in xs]
+
+
+@pytest.fixture(scope="module")
+def lattice_reference():
+    """psi of the state polished at REF_BITS, at the points of
+    _lattice_and_offsets, by _circle_mean."""
+    ctx, mpar, point, xs = _even_state(REF_BITS)
+    return _circle_mean(point, mpar, ctx, xs)
+
+
+def _odd_reference_point(ctx, mpar):
+    """The sheet-1 odd state at ctx: false position in sigma on a +-1e-20
+    bracket around ODD_SIGMA, eps re-solved at every trial."""
+    with ctx.workprec():
+        sigma0, h = mp.mpf(ODD_SIGMA), mp.mpf("1e-20")
+        ends = []
+        for sigma in (sigma0 - h, sigma0 + h):
+            eps, g = _solve_eps(sigma, mp.mpc(*ODD_EPS), mpar, ctx)
+            ends.append((sigma, eps, _indicator(g, -1)))
+        sigma, eps = _false_position(*ends, -1, 1, mpar, ctx)
+    return SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=-1)
+
+
+@pytest.fixture(scope="module")
+def more_states_reference():
+    """name -> (reference point, psi at its _lattice_points) for the
+    sheet-2 even state and the sheet-1 odd state, at REF_BITS."""
+    ctx, mpar, even, _ = _even_state(REF_BITS, SHEET2_IM_EPS, sheet=2)
+    odd = _odd_reference_point(ctx, mpar)
+    with ctx.workprec():
+        return {name: (pt, _circle_mean(pt, mpar, ctx, _lattice_points(mpar, pt.sigma)))
+                for name, pt in (("sheet2_even", even), ("sheet1_odd", odd))}
 
 
 def _rel_err(v, ref):
@@ -222,12 +269,107 @@ def test_lattice_points_meet_tol(bits, lattice_reference):
         assert _rel_err(psi_eval(x, p, ctx), ref) <= ctx.tol
 
 
+@pytest.mark.parametrize("bits", LADDER_BITS)
+@pytest.mark.parametrize("state", ("sheet2_even", "sheet1_odd"))
+def test_more_states_lattice_points_meet_tol(state, bits, more_states_reference):
+    # the same rungs for an even state of sheet 2 and an odd state; the
+    # rung's state is the reference sigma rounded to the rung, with its eps
+    # re-solved there
+    ref_point, refs = more_states_reference[state]
+    ctx = make_context(bits, default_tol(bits))
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        sigma = +ref_point.sigma
+        eps = solve_eps(sigma, ref_point.eps, mpar, ctx)
+        xs = _lattice_points(mpar, sigma)
+    point = SpectralPoint(sheet=ref_point.sheet, sigma=sigma, eps=eps,
+                          parity=ref_point.parity)
+    p = make_params(point, mpar, ctx)
+    for x, ref in zip(xs, refs):
+        assert _rel_err(psi_eval(x, p, ctx), ref) <= ctx.tol
+
+
 @pytest.mark.parametrize("k", range(N_OFFSETS))
 def test_near_lattice_offsets_meet_tol(k, lattice_reference):
     # sigma + delta: plain ansatz at 1e-6, 1e-9, r and 2r, the stencil at 1e-12
     ctx, mpar, point, xs = _even_state(BITS)
     p = make_params(point, mpar, ctx)
     assert _rel_err(psi_eval(xs[3 + k], p, ctx), lattice_reference[3 + k]) <= ctx.tol
+
+
+def _count_work(monkeypatch):
+    """Counters of _psi_raw calls and chi series (every _chi_series call,
+    through chi_eval or directly) made by psi_eval."""
+    counts = {"raw": 0, "series": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    series = counted("series", chi._chi_series)
+    monkeypatch.setattr(chi, "_chi_series", series)
+    monkeypatch.setattr(eigenfunction, "_chi_series", series)
+    monkeypatch.setattr(eigenfunction, "_psi_raw", counted("raw", eigenfunction._psi_raw))
+    return counts
+
+
+def test_lattice_work_is_pinned(sheet1, mpar, ctx, monkeypatch):
+    # on the lattice at working precision: the limit, no _psi_raw and two
+    # series; the 53-bit mirror -sigma is off it by a rounding and keeps
+    # the stencil's four _psi_raw; a regular point makes one
+    even, _ = sheet1
+    with ctx.workprec():
+        sigma = mp.sin(mpar.theta) / 2
+        on = (sigma, 2 * mp.sin(mpar.theta) - sigma)
+    with mp.workprec(53):
+        mirror = -sigma
+    counts = _count_work(monkeypatch)
+    for x, raw, series in ((on[0], 0, 2), (on[1], 0, 2), (mirror, 4, 8),
+                           (mp.mpf("0.77"), 1, 2)):
+        counts.update(raw=0, series=0)
+        psi_eval(x, even, ctx)
+        assert (counts["raw"], counts["series"]) == (raw, series), x
+
+
+def _exhaustive_zero(w, lq):
+    """The four-corner search of _nearest_zero, every candidate's distance
+    at the working precision: (d, k, m)."""
+    a = w.real / (2 * lq.real)
+    best = None
+    for k in (mp.floor(a), mp.ceil(a)):
+        c = (w.imag - 2 * k * lq.imag) / (2 * mp.pi)
+        for m in (mp.floor(c), mp.ceil(c)):
+            d = abs(w - 2 * k * lq - 2j * mp.pi * m)
+            if best is None or d < best[0]:
+                best = d, int(k), int(m)
+    return best
+
+
+@pytest.mark.parametrize("bits", (64, 192, 1024))
+@pytest.mark.parametrize("theta", ("pi/8", "pi/4", "3*pi/8"))
+def test_nearest_zero_matches_exhaustive_search(theta, bits, rng):
+    # seeded w over several periods, half of them within a few bands of a
+    # lattice point: the same zero and the same band decision
+    ctx = make_context(bits, default_tol(bits))
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        lq = mpar.log_q
+        step = mp.mpf(2) ** (-bits / 5)
+        inside = 0
+        for i in range(200):
+            if i % 2:
+                w = mp.mpc(rng.uniform(-6, 6) * lq.real, rng.uniform(-4, 4) * mp.pi)
+            else:
+                zero = 2 * rng.randint(-3, 3) * lq + 2j * mp.pi * rng.randint(-3, 3)
+                w = zero + step * rng.uniform(0, 2) * mp.expjpi(rng.uniform(-1, 1))
+            d, k, m = eigenfunction._nearest_zero(w, lq)
+            d_ref, k_ref, m_ref = _exhaustive_zero(w, lq)
+            assert (k, m) == (k_ref, m_ref), w
+            assert (2 * d >= step) == (2 * d_ref >= step), w
+            inside += 2 * d < step
+        assert inside > 10
 
 
 @pytest.mark.parametrize("bits", (64, BITS))

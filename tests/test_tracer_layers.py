@@ -10,9 +10,12 @@ wraps.
 import os
 import sys
 
+from mpmath import mp
+
 import mirror_spectra
 import mirror_spectra.cli  # a traced layer that the package does not import
-from mirror_spectra.precision import make_context
+from mirror_spectra.precision import ModularParam, make_context
+from mirror_spectra.spectral import SpectralPoint, solve_eps
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -48,3 +51,26 @@ def test_required_spans_are_traced_names():
     traced = {(layer, name) for layer, names in LAYERS.items() for name in names}
     for workload in WORKLOADS.values():
         assert set(workload.required) <= traced, workload.name
+
+
+def test_eigen_grid_spans_on_and_off_the_lattice():
+    # psi_eval takes the exact limit on the theta lattice and the ansatz off
+    # it; together with make_params they still make every call eigen_grid
+    # requires, so a span lost to a refactor fails here, not only in a
+    # traced benchmark run
+    ctx = make_context(64, 1e-10)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        sigma = mp.sin(mpar.theta) / 2
+        eps = solve_eps(sigma, mp.mpc(0, "4.59435880983691894"), mpar, ctx)
+    point = SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=+1)
+    ef = mirror_spectra.eigenfunction
+    tracer = Tracer()
+    tracer.install()
+    try:
+        par = ef.make_params(point, mpar, ctx)
+        ef.psi_eval(sigma, par, ctx)
+        ef.psi_eval(mp.mpf("0.77"), par, ctx)
+        tracer.require(WORKLOADS["eigen_grid"].required)
+    finally:
+        tracer.uninstall()
