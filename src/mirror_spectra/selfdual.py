@@ -18,10 +18,11 @@ the integrands of A and B square roots in cos(pi t) and sin(pi t); asinh
 remains in At's s(t+1/2) and Bt's r (``_Curve``).  Single-valuedness
 of the Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and
 quantizes A lambda - At = n + 1.  For eps >= 8 the four periods are also
-hypergeometric series in 1/eps^2 (``period_series``); Newton on the level
-function runs on those, and the quadrature (``period_integrals``) checks the
-root it finds: A and At by one trapezoid pass over a stretched period, B
-and Bt by adaptive Gauss-Legendre (``composite_gl``).
+hypergeometric series in 1/eps^2 (``period_series``).  Newton on the level
+function runs on those, needing no bracket, and the quadrature
+(``period_integrals``) checks the root it finds and so bounds the levels:
+A and At by one trapezoid pass over a stretched period, B and Bt by
+adaptive Gauss-Legendre (``composite_gl``).
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .precision import PrecCtx, SolverError
+from .precision import PrecCtx, PrecisionExceeded, SolverError
 
 _GL_ORDER = 32
 _GL_CACHE = {}
@@ -42,7 +43,6 @@ _GL_MAX_DEPTH = 28
 _TRAP_START = 16           # first panel count of the A, Atilde trapezoid pass
 _TRAP_MAX = 2 ** 16        # its panel cap
 _LEG_STEPS = 192           # y-continuation march resolution per unit length
-_BRACKET_HI = "1e6"
 _SERIES_MIN_EPS = 8        # period_series' term ratio 16/eps^2 is at most 1/4
 _NEWTON_STEPS = 64
 
@@ -225,6 +225,10 @@ def _stretched_a_periods(curve, ctx):
         beta = 1 - 2 * mp.cbrt(mp.pi * width) ** 2
         if beta <= (mp.mpf(1) / 2 if betas else 0):
             break
+        if 1 - beta <= ctx.finest_tol:   # t' near u = 0 is lost to rounding
+            raise PrecisionExceeded(
+                f"period A at eps = {mp.nstr(4 * (1 + sa2), 5)}: its boundary "
+                f"layer is too thin to stretch at {ctx.precision_bits} bits")
         betas.insert(0, beta)
         width = mp.cbrt(width / 64)
     # near t = 0 each stage's t and t' cancel about log2(1/(1 - beta)) bits
@@ -285,12 +289,17 @@ def period_integrals(eps, ctx: PrecCtx):
     so further stages, composed inside the first, stretch it again while
     the same rule gives them beta >= 1/2 (from eps about 2.5e4).  Each
     stage forms t and t' with log2(1/(1 - beta)) guard bits, the bits they
-    cancel near t = 0.  beta sets only the cost: the pass starts at N = 16
-    panels and doubles N, evaluating only the new nodes, until both sums
-    move by at most ctx.tol; past _TRAP_MAX panels it raises SolverError
-    naming the period and N.  B and Btilde stay on ``composite_gl``: the
-    nearest singularity of their integrands is 2 alpha away, and it needs
-    3-7 panels for them.
+    cancel near t = 0; where 1 - beta <= ctx.finest_tol none are left, and
+    it raises PrecisionExceeded (from eps ~ 4e160 at 192 bits).  beta sets
+    only the cost: the pass starts at N = 16 panels and doubles N,
+    evaluating only the new nodes, until both sums move by at most ctx.tol;
+    past _TRAP_MAX panels it raises SolverError naming the period and N.
+    B and Btilde stay on ``composite_gl``: the nearest singularity of their
+    integrands is 2 alpha away, and it needs 3-7 panels for them.  All four
+    meet tol in absolute terms, so A and B, which shrink like log(eps)/eps
+    and 1/eps, thin out in relative digits once far below tol (A at 192
+    bits: 4e-14 relative at eps = 1e100, 17 % at 1e120), and the root check
+    of ``quantize_selfdual`` refuses a level there.
     """
     with ctx.workprec():
         curve = _Curve(alpha_beta(eps, ctx)[0])
@@ -360,16 +369,17 @@ def _level_newton(eps, ctx):
 def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     """Level-n self-dual state: the root of A lambda - Atilde = n + 1.
 
-    Newton's method in log eps on the level function f, evaluated by
-    ``period_series`` with its slope (see ``_level_newton``), at ctx
-    precision from the large-eps asymptote f ~ (log eps)^2/pi^2.  It stops
-    once |f - (n+1)| <= tol (n+1) or the relative step is below tol;
-    otherwise the iterate is safeguarded by bisection inside eps in
-    [8, 1e6], the range of the series, and a level whose root lies above
-    1e6 raises SolverError as soon as the evaluation there shows it.  No
-    level has its root below 8, since f(8) < 1.  The record carries
-    ``period_integrals`` at the root, the independent quadrature, and its
-    residual must be within 1000 tol (n+1).
+    Newton's method in x = log eps on the level function f, evaluated by
+    ``period_series`` with its slope (``_level_newton``), at ctx precision
+    from the large-eps asymptote x0 = pi sqrt(n+1).  It stops once
+    |f - (n+1)| <= tol (n+1) or the step is below tol.  It needs no
+    bracket: on x >= log 8 f is increasing and convex (its slope grows like
+    2x/pi^2) and f(8) < 1, so the first step from any x0 >= log 8 lands at
+    or right of the root, and the iterates then fall to it monotonically
+    inside the series' range.  The record carries ``period_integrals`` at
+    the root, the independent quadrature, whose residual must be within
+    1000 tol (n+1); that check bounds the levels that come out (at 192
+    bits, level 1,000 passes and 2,000 does not: see ``period_integrals``).
     """
     if int(n) != n or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n}")
@@ -377,32 +387,15 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     target = n + 1
 
     with ctx.workprec():
-        eps_lo = mp.mpf(_SERIES_MIN_EPS)
-        lo = mp.log(eps_lo)
-        hi = mp.log(mp.mpf(_BRACKET_HI))
-        x = min(max(mp.pi * mp.sqrt(target), lo), hi)
+        x = mp.pi * mp.sqrt(target)
         for _ in range(_NEWTON_STEPS):
-            # an x just above lo may round to an exp(x) just below 8
-            eps_star = max(mp.exp(x), eps_lo)
+            eps_star = mp.exp(x)
             f, slope, _ = _level_newton(eps_star, ctx)
             r = f - target
             step = r / slope
-            # before the safeguard: at an exact root r = 0 would set hi = x
-            # and bisect away from it
             if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol:
                 break
-            if r < 0:
-                lo = x
-            else:
-                hi = x
-            if lo == hi:   # x is a bracket end and the root lies beyond it
-                raise SolverError(
-                    f"no sign change of the level function for n = {n} with "
-                    f"eps in [{_SERIES_MIN_EPS}, {_BRACKET_HI}]"
-                )
             x -= step
-            if not lo < x < hi:
-                x = (lo + hi) / 2
         else:
             raise SolverError(f"Newton for level {n} did not settle")
 

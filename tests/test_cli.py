@@ -195,6 +195,21 @@ def test_selfdual_golden_10_digits(capsys):
     assert _kv_lines(capsys.readouterr().out)["log_eps"] == "2.881815430"
 
 
+def test_selfdual_level_past_1e6(capsys):
+    # level 20's root lies past eps = 1e6
+    rc = main(["selfdual", "--n", "20", "--precision-bits", "256"])
+    assert rc == EXIT_OK
+    assert _kv_lines(capsys.readouterr().out)["log_eps"].startswith("14.339343")
+
+
+def test_selfdual_level_past_the_quadrature_is_numeric(capsys):
+    # level 100,000 (eps ~ 3e431) is past what the A quadrature can stretch
+    # at 192 bits: a numerical failure, never a configuration error
+    rc = main(["selfdual", "--n", "100000"])
+    assert rc == EXIT_NUMERIC
+    assert "too thin to stretch at 192 bits" in capsys.readouterr().err
+
+
 def _kv_lines(text):
     out = {}
     for ln in text.splitlines():

@@ -12,12 +12,13 @@ reflection bookkeeping) are checked on explicit parameterizations.
 """
 
 import dataclasses
+import time
 
 import pytest
 from mpmath import mp
 
 from mirror_spectra import selfdual
-from mirror_spectra.precision import SolverError, make_context
+from mirror_spectra.precision import PrecisionExceeded, SolverError, make_context
 from mirror_spectra.selfdual import (
     alpha_beta,
     canonical_integral,
@@ -233,8 +234,8 @@ def test_period_integrals_match_closed_form(bits, tol):
 
 def test_period_integrals_match_closed_form_at_512_bits():
     # the 512-bit rung, default tol 1e-108: A and B against the AGM values,
-    # Atilde and Btilde against the series where eps >= 8; 1e6 is the
-    # bracket end, where the boundary layer of A and Atilde is narrowest
+    # Atilde and Btilde against the series where eps >= 8; at 1e6 the
+    # boundary layer of A and Atilde is the narrowest of the three
     ctx = make_context(512)
     with ctx.workprec():
         for e in ("4.5", "17.85", "1e6"):
@@ -271,6 +272,14 @@ def test_a_periods_beyond_the_bracket():
                 selfdual._Curve(alpha_beta(eps, ctx)[0]), ctx)
             sA, sAt, _, _ = period_series(eps, ctx)
             assert n <= most and abs(A - sA) <= ctx.tol and abs(At - sAt) <= ctx.tol, e
+
+
+def test_a_periods_past_the_precision_raise_typed():
+    # where 1 - beta of the innermost stage falls to the rounding floor the
+    # layer cannot be stretched: a typed error naming eps and the precision
+    for bits, e in ((192, "1e200"), (192, "1e300"), (256, "1e250")):
+        with pytest.raises(PrecisionExceeded, match=rf"eps = 1\.0e\+{e[2:]}: .* {bits} bits"):
+            period_integrals(mp.mpf(e), make_context(bits))
 
 
 def test_period_integrals_where_alpha_rounds_to_zero():
@@ -359,20 +368,26 @@ def test_quantize_rejects_bad_level(ctx192):
 
 
 def test_level_function_single_sign_change():
-    # empirical root-counting on the bracketing grid, reported not assumed
+    # empirical root-counting from eps = 8 to 1e100, reported not assumed,
+    # and the property Newton's missing bracket rests on: the slope in
+    # log eps is positive and non-decreasing, so f is convex there
     from mirror_spectra.selfdual import _level_newton
 
     ctx = make_context(64, 1e-10)
     with ctx.workprec():
-        vals = []
+        vals, slopes = [], []
         e = mp.mpf(8)
-        while e <= mp.mpf("1e6"):
-            vals.append(_level_newton(e, ctx)[0])
+        while e <= mp.mpf("1e100"):
+            f, slope, _ = _level_newton(e, ctx)
+            vals.append(f)
+            slopes.append(slope)
             e *= mp.mpf("1.35")
-        for n in (0, 1):
+        assert slopes[0] > 0
+        assert all(b >= a for a, b in zip(slopes, slopes[1:]))
+        for n in (0, 1, 19, 1000):
             signs = [mp.sign(v - (n + 1)) for v in vals]
             changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-            assert changes == 1
+            assert changes == 1, n
 
 
 def test_level_slope_matches_central_difference():
@@ -422,18 +437,36 @@ def test_quantize_work_count(monkeypatch):
         assert calls == {256: 1}, (n, calls)
 
 
-def test_quantize_rejects_level_beyond_bracket(monkeypatch):
-    # f(1e6) ~ 19.5 < 20: level 19 has no root in the eps bracket, and the
-    # series evaluation at the bracket end says so without any quadrature
+def test_quantize_levels_past_1e6(monkeypatch):
+    # f(1e6) ~ 19.5: from level 19 on the root lies past eps = 1e6, and
+    # Newton reaches it with one quadrature at the root
     calls = _count_periods(monkeypatch)
-    with pytest.raises(SolverError, match="n = 19"):
-        quantize_selfdual(19, make_context(256, 1e-54))
-    assert calls == {}, calls
+    for bits in (192, 256):
+        ctx = make_context(bits)
+        for n in (19, 20, 200, 1000):
+            calls.clear()
+            spec = quantize_selfdual(n, ctx)   # the root check passed
+            selfdual._check_quantized(spec, ctx)
+            assert calls == {bits: 1}, (bits, n, calls)
+        assert spec.eps > mp.mpf("1e43")
+
+
+def test_quantize_refuses_levels_past_the_quadrature():
+    # A is held to tol absolutely: at level 2,000 (eps ~ 1e61) it keeps too
+    # few relative digits for the root check, and at level 100,000 (eps ~
+    # 3e431) the quadrature cannot stretch its layer at all
+    ctx = make_context(192)
+    for n, error, match in ((2000, SolverError, "root residual"),
+                            (100000, PrecisionExceeded, "too thin to stretch")):
+        t0 = time.monotonic()
+        with pytest.raises(error, match=match):
+            quantize_selfdual(n, ctx)
+        assert time.monotonic() - t0 < 2, n
 
 
 def test_quantize_keeps_exact_root(monkeypatch):
     # a level function that reads exactly n + 1 once Newton lands on the
-    # level-0 root must stop there, not take the bracket midpoint
+    # level-0 root must stop there, not step on from it
     ctx = make_context(128, 1e-30)
     with ctx.workprec():
         root = mp.mpf(LOG_EPS0)

@@ -74,3 +74,17 @@ def test_eigen_grid_spans_on_and_off_the_lattice():
         tracer.require(WORKLOADS["eigen_grid"].required)
     finally:
         tracer.uninstall()
+
+
+def test_selfdual_cli_makes_every_required_span(tmp_path):
+    # one selfdual level through the CLI makes every call selfdual_levels
+    # requires, composite_gl among them
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert mirror_spectra.cli.main(
+            ["selfdual", "--n", "0", "--precision-bits", "64",
+             "--out", str(tmp_path / "sd.txt")]) == 0
+        tracer.require(WORKLOADS["selfdual_levels"].required)
+    finally:
+        tracer.uninstall()
