@@ -17,9 +17,9 @@ with E, O theta_3 and theta_2 of nome q^2 (precision._jtheta, once per
 solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
 only the two coefficients, 8-10 terms against the 37-47 of the four
 chi series, which stay the independent oracle in wronskian_eval, factorize
-and the dual solution; rho_extract reads rho off the two coefficients.  A
-solve whose G quantization reads sums chi(s) and chk(s) once at its last
-pass, so quantization sums no series of its own until it confirms a state.
+and the dual solution; rho_extract reads rho off the two coefficients.  G
+comes from one place, G_eval at the eps a solve returns: once per inner
+grid node of an orbit and once per false-position trial.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
@@ -30,7 +30,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, G_eval, _chi_series, _wronskian_parts, _wronskian_sums
+from .chi import ZERO_FLOOR, G_eval, _wronskian_parts, _wronskian_sums
 from .precision import (
     ModularParam,
     PrecCtx,
@@ -59,8 +59,8 @@ class SpectralPoint:
 class Orbit:
     sheet: int
     samples: tuple  # ordered ((sigma, eps), ...) with sigma increasing
-    g: tuple        # G = chi(s)/chk(s) at each sample from its Newton solve;
-                    # None at sigma = 0, which is polished by solve_eps
+    g: tuple        # G_eval at each inner sample's eps; None at both
+                    # endpoints, which quantize never reads
 
 
 # ── Wronskian ─────────────────────────────────────────────────────────────
@@ -122,9 +122,9 @@ def _fast_newton(ctx: PrecCtx) -> int:
 
 
 def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
-               fast: bool = False, read_g: bool = True):
-    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns (eps, G) with
-    G = chi(s)/chk(s) at that eps, or None for G unless read_g.
+               fast: bool = False):
+    """Newton for W(e^{2 pi b sigma}, eps) = 0; returns eps, or None when a
+    fast solve gives up.
 
     Each pass (_wronskian_pass) sums the two coefficients w_-1(eps),
     w_0(eps) and their eps-derivatives, and W = w_-1 O(s) + w_0 E(s) with
@@ -132,11 +132,8 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
     the residual |W| <= tol * max(scale, 1), scale = max(|w_-1 O|, |w_0 E|),
     and the Newton correction |W / W_eps| <= tol * max(|eps|, 1) are met:
     a small residual alone leaves eps loose where W_eps is small.  The
-    returned eps has that last correction delta = -W/W_eps applied, which
-    costs no pass.  With read_g, chi(s) and chk(s) and their
-    eps-derivatives are summed at the last pass's eps, and G is corrected
-    to first order as (chi + dchi delta) / (chk + dchk delta); uncorrected
-    it would be about 2.5e5 tol off, since G is steep in eps.
+    returned eps has that last correction -W/W_eps applied, which costs no
+    pass.
 
     Each step is damped by halving until |W| falls.  With fast=True the
     solve gives up instead, returning None, at the first step whose full
@@ -147,21 +144,14 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
     search, or _MAX_NEWTON steps).
     """
     with ctx.workprec():
-        x = 2 * mp.pi * mpar.b * mp.mpmathify(sigma)
-        s, pair = mp.exp(x), _theta_pair(x, mpar.q, ctx)
+        pair = _theta_pair(2 * mp.pi * mpar.b * mp.mpmathify(sigma), mpar.q, ctx)
         eps = mp.mpmathify(eps0)
         tol = ctx.tol
         w, dw, scale = _wronskian_pass(eps, pair, mpar, ctx)
         for it in range(_MAX_NEWTON):
             if (abs(w) <= tol * max(scale, 1)
                     and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
-                step = w / dw if w else 0
-                if not read_g:
-                    return eps - step, None
-                x, dx = _chi_series(s, eps, mpar, ctx)
-                v, dv = _chi_series(1 / s, eps, mpar, ctx)
-                xc, dxc = v / s, dv / s
-                return eps - step, (x - dx * step) / (xc - dxc * step)
+                return eps - (w / dw if w else 0)
             if fast and it >= _fast_newton(ctx):
                 return None
             if abs(dw) <= tol * max(abs(w), 1):
@@ -193,7 +183,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
     """Root eps of W(e^{2 pi b sigma}, eps), seeded at eps0: Newton stops
     once |W| <= tol * scale and |W / W_eps| <= tol * max(|eps|, 1)."""
-    return _solve_eps(sigma, eps0, mpar, ctx, read_g=False)[0]
+    return _solve_eps(sigma, eps0, mpar, ctx)
 
 
 # ── sheet seeds ───────────────────────────────────────────────────────────
@@ -251,8 +241,7 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
 
 def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
              ctx: PrecCtx):
-    """Continue eps from sigma to target; returns (eps, slope, G) at target,
-    G from the last sub-step's solve (no other sub-step sums G).
+    """Continue eps from sigma to target; returns (eps, slope) at target.
 
     Each sub-step of length h is a predictor-corrector step: Newton at
     sigma + h is seeded with the secant extrapolation eps + h * slope, where
@@ -279,12 +268,11 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
             seed = eps if slope is None else eps + h * slope
             nxt = sigma + h
             try:
-                solved = _solve_eps(nxt, seed, mpar, ctx, fast=h > floor,
-                                    read_g=nxt >= target)
+                cand = _solve_eps(nxt, seed, mpar, ctx, fast=h > floor)
                 failed = False
             except SolverError:
-                solved, failed = None, True
-            if solved is not None:
+                cand, failed = None, True
+            if cand is not None:
                 break
             h /= 2
             if h < floor and failed:
@@ -292,7 +280,6 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
                     f"continuation failed on sheet {sheet} at sigma = "
                     f"{mp.nstr(sigma + h, 8)}"
                 )
-        cand, g = solved
         if abs(cand - eps) > mp.mpf("0.5") * (1 + max(abs(cand), abs(eps))):
             raise SolverError(
                 f"continuation jump on sheet {sheet} at sigma = "
@@ -301,7 +288,7 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
         slope = (cand - eps) / h
         sigma = nxt
         eps = cand
-    return eps, slope, g
+    return eps, slope
 
 
 def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit:
@@ -311,7 +298,7 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
     later grid node is reached by _advance, whose secant slope is carried
     from one grid interval to the next.  Sub-stepping between nodes keeps
     branch-point slowdowns from knocking the samples off the uniform grid.
-    Each node keeps the G its solve returned (Orbit.g), which quantize reads.
+    Each inner node keeps G_eval at its eps (Orbit.g), which quantize reads.
     """
     if npoints < 16:
         raise ValueError(f"npoints must be >= 16, got {npoints}")
@@ -320,14 +307,14 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
         step = sth / (npoints - 1)
         eps = solve_eps(0, sheet_seed(k, 0, mpar, ctx), mpar, ctx)
         slope = None
-        samples, gs = [(mp.mpf(0), eps)], [None]
+        samples = [(mp.mpf(0), eps)]
         for i in range(1, npoints):
             target = sth if i == npoints - 1 else i * step
-            eps, slope, g = _advance(samples[-1][0], target, eps, slope, k,
-                                     mpar, ctx)
+            eps, slope = _advance(samples[-1][0], target, eps, slope, k, mpar, ctx)
             samples.append((target, eps))
-            gs.append(g)
-        return Orbit(sheet=k, samples=tuple(samples), g=tuple(gs))
+        gs = [G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx)
+              for sig, eps in samples[1:-1]]
+        return Orbit(sheet=k, samples=tuple(samples), g=(None, *gs, None))
 
 
 # ── quantization along an orbit ───────────────────────────────────────────
@@ -351,15 +338,12 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
     lo and hi are grid samples (sigma, eps, indicator) whose indicators have
     opposite signs.  Each trial sigma is the secant zero of the two bracket
     ends, and its eps is Newton-solved from the linear interpolation of the
-    ends' eps; its indicator comes from the G that solve returns.  An end
+    ends' eps; its indicator is _parity_indicator's, from G_eval.  An end
     kept twice in a row has its indicator halved (the Illinois rule), so
     both ends close in on the root.  Returns the trial (sigma, eps) once
     successive trials differ by at most tol * max(sin(theta), 1) and its
     indicator is at most tol: the indicator can be steep in sigma, so a
-    short step alone does not bound it.  A trial that passes is confirmed
-    once by _parity_indicator (G_eval), since near the tolerance floor the
-    solve's G can sit a tol off; if the confirmed indicator misses, the
-    iteration goes on with it.
+    short step alone does not bound it.
 
     Where the indicator cannot reach tol at this precision (G is steep in
     eps, so its rounding floor can lie above tol), the bracket collapses:
@@ -379,13 +363,10 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
                 "the precision"
             )
         c = b - fb * (b - a) / (fb - fa)
-        ec, gc = _solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
-        fc = _indicator(gc, parity)
-        short = abs(c - b) <= stop
-        if fc == 0 or (short and abs(fc) <= tol):
-            fc = _parity_indicator(c, ec, parity, mpar, ctx)
-            if fc == 0 or (short and abs(fc) <= tol):
-                return c, ec
+        ec = _solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
+        fc = _parity_indicator(c, ec, parity, mpar, ctx)
+        if fc == 0 or (abs(c - b) <= stop and abs(fc) <= tol):
+            return c, ec
         reached = min(reached, abs(fc))
         if mp.sign(fc) == mp.sign(fb):
             fa /= 2
@@ -404,10 +385,10 @@ def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
 
     Even states (parity +1) are the interior zeros of Re G/|G|, odd states
     (parity -1) those of Im G/|G|.  The indicator is read at the inner grid
-    nodes of the orbit from the G their solves returned (Orbit.g), so no
+    nodes of the orbit from the G_eval trace_orbit stored (Orbit.g), so no
     series is summed there; each sign change between neighbouring nodes is
-    refined by _false_position on that grid bracket, with eps re-solved at
-    every trial sigma and each state confirmed by G_eval.  The endpoints are
+    refined by _false_position on that grid bracket, with eps re-solved and
+    G_eval summed at every trial sigma.  The endpoints are
     never eligible: G is exactly +-1 there (double-pole cases, excluded from
     the spectrum), which also makes the odd indicator vanish identically at
     both ends.

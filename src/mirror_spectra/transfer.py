@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, chi_eval
+from .chi import ZERO_FLOOR, _check_nome_precision, chi_eval
 from .precision import (
     _MAX_TERMS,
     ModularParam,
@@ -73,6 +73,7 @@ def M_n_eval(u, n: int, eps, mpar: ModularParam, ctx: PrecCtx) -> TransferMatrix
     """M_n(u) = L(u) L(q^2 u) ... L(q^{2(n-1)} u) (ordered product)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
         q2 = mpar.q * mpar.q
@@ -89,7 +90,10 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
 
     Stops once the a-priori q^{4n} decay of the discarded column is below
     tol relative to the first column, and the first column has stabilised.
+    A nome built at fewer bits than ctx is refused, as by the chi series:
+    L_eval works at the nome's precision.
     """
+    _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:

@@ -20,7 +20,7 @@ from mirror_spectra.precision import ModularParam, PoleSignal, default_tol, make
 from mirror_spectra.spectral import (
     SpectralPoint,
     _false_position,
-    _indicator,
+    _parity_indicator,
     _solve_eps,
     quantize,
     solve_eps,
@@ -237,8 +237,8 @@ def _odd_reference_point(ctx, mpar):
         sigma0, h = mp.mpf(ODD_SIGMA), mp.mpf("1e-20")
         ends = []
         for sigma in (sigma0 - h, sigma0 + h):
-            eps, g = _solve_eps(sigma, mp.mpc(*ODD_EPS), mpar, ctx)
-            ends.append((sigma, eps, _indicator(g, -1)))
+            eps = _solve_eps(sigma, mp.mpc(*ODD_EPS), mpar, ctx)
+            ends.append((sigma, eps, _parity_indicator(sigma, eps, -1, mpar, ctx)))
         sigma, eps = _false_position(*ends, -1, 1, mpar, ctx)
     return SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=-1)
 

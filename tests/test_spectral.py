@@ -16,7 +16,6 @@ from mirror_spectra.precision import (
 )
 from mirror_spectra.spectral import (
     Orbit,
-    _indicator,
     _parity_indicator,
     _sigma_to_s,
     _solve_eps,
@@ -287,7 +286,7 @@ def test_orbit_backward_continuation_matches(ctx, mpar, orbit1):
         sth = sin_theta(mpar)
         eps = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
         for sig, eps_fwd in reversed(orbit1.samples[30:-1]):
-            eps, _ = _solve_eps(sig, eps, mpar, ctx)
+            eps = _solve_eps(sig, eps, mpar, ctx)
             assert abs(eps - eps_fwd) <= mp.mpf("1e-30") * max(abs(eps), 1)
 
 
@@ -418,19 +417,20 @@ def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
     # sheet-1 ground states are polished until their indicator is below tol.
     # A short orbit keeps this cheap: a 128-bit trace locates the two grid
     # nodes around the state, and only those two are re-solved at 256 bits,
-    # each with the G its solve returns (quantize reads the inner samples
-    # only).
+    # each with G_eval at its eps as trace_orbit stores it (quantize reads
+    # the inner samples only).
     ctx256 = make_context(256, 1e-60)
     mpar256 = ModularParam.from_theta("pi/4", ctx256)
     with ctx256.workprec():
         target = mp.mpf(target)
         samples = coarse_orbit1.samples
         i = next(k for k, (sig, _) in enumerate(samples) if sig > target)
-        solved = [(sig, _solve_eps(sig, eps, mpar256, ctx256))
-                  for sig, eps in samples[i - 1:i + 1]]
-        inner = tuple((sig, eps) for sig, (eps, _) in solved)
+        inner = tuple((sig, _solve_eps(sig, eps, mpar256, ctx256))
+                      for sig, eps in samples[i - 1:i + 1])
+        gs = tuple(G_eval(_sigma_to_s(sig, mpar256), eps, mpar256, ctx256)
+                   for sig, eps in inner)
         orbit = Orbit(sheet=1, samples=(samples[0],) + inner + (samples[-1],),
-                      g=(None,) + tuple(g for _, (_, g) in solved) + (None,))
+                      g=(None,) + gs + (None,))
         (p,) = quantize(orbit, parity, mpar256, ctx256)
         assert abs(p.sigma - target) <= mp.mpf("1e-17")
         indicator = _parity_indicator(p.sigma, p.eps, parity, mpar256, ctx256)
@@ -473,9 +473,11 @@ def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
 
 
 def test_quantize_reads_node_g(sheet2_128, monkeypatch):
-    # the grid nodes' indicators come from the G their solves returned: the
-    # only G_eval calls are the confirmations, one at each returned state
+    # the grid nodes' indicators come from Orbit.g, so quantize sums no
+    # series there: it calls G_eval once per false-position trial, at the
+    # trial's sigma, and every state is one of its trials
     ctx128, mpar128, orbit, _, _ = sheet2_128
+    solves = _count_solves(monkeypatch)
     calls = []
     real = spectral.G_eval
 
@@ -485,27 +487,13 @@ def test_quantize_reads_node_g(sheet2_128, monkeypatch):
 
     monkeypatch.setattr(spectral, "G_eval", counted)
     for parity in (-1, +1):
+        solves.clear()
         calls.clear()
         pts = quantize(orbit, parity, mpar128, ctx128)
         assert len(pts) == 3
         with ctx128.workprec():
-            assert calls == [_sigma_to_s(p.sigma, mpar128) for p in pts]
-
-
-def _assert_node_g(nodes, mpar, ctx):
-    # G from a node's solve agrees with the independent G_eval to tol
-    # relatively, and gives both parities' indicators the same sign
-    with ctx.workprec():
-        for (sig, eps), g in nodes:
-            ref = G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx)
-            assert abs(g - ref) <= ctx.tol * abs(ref), sig
-            for parity in (+1, -1):
-                assert (mp.sign(_indicator(g, parity))
-                        == mp.sign(_indicator(ref, parity))), (sig, parity)
-
-
-def _inner_nodes(orbit):
-    return zip(orbit.samples[1:-1], orbit.g[1:-1])
+            assert calls == [_sigma_to_s(sig, mpar128) for sig in solves]
+            assert {p.sigma for p in pts} <= set(solves)
 
 
 @pytest.fixture(scope="module")
@@ -517,28 +505,17 @@ def coarse_orbits_128(coarse_orbit1, sheet2_128):
 
 def test_node_g_matches_g_eval_at_128_and_192_bits(
         ctx, mpar, coarse_orbits_128, orbit1, orbit2_192, sheet3_192):
-    # the node G quantize reads, on sheets 1-3; at the grid nodes the
-    # first-order corrected G is within 1.3e-4 tol of G_eval here
-    ctx128, mpar128, orbits = coarse_orbits_128
-    for orbit in orbits:
-        _assert_node_g(_inner_nodes(orbit), mpar128, ctx128)
-    for orbit in (orbit1, orbit2_192, sheet3_192[0]):
-        _assert_node_g(_inner_nodes(orbit), mpar, ctx)
-
-
-def test_node_g_matches_g_eval_at_256_bits(coarse_orbits_128):
-    # the 128-bit nodes of sheets 1-3, re-solved at 256 bits (tol 1e-60) as
-    # the 256-bit quantize test builds its orbit; every third node keeps it
-    # cheap
-    _, _, orbits = coarse_orbits_128
-    ctx256 = make_context(256, 1e-60)
-    mpar256 = ModularParam.from_theta("pi/4", ctx256)
-    for orbit in orbits:
-        nodes = []
-        for sig, eps in orbit.samples[1:-1:3]:
-            eps, g = _solve_eps(sig, eps, mpar256, ctx256)
-            nodes.append(((sig, eps), g))
-        _assert_node_g(nodes, mpar256, ctx256)
+    # the node G quantize reads, on sheets 1-3, is G_eval at the node's eps
+    # bit for bit; the endpoints, which quantize never reads, carry None
+    ctx128, mpar128, orbits128 = coarse_orbits_128
+    for c, m, orbits in ((ctx128, mpar128, orbits128),
+                         (ctx, mpar, (orbit1, orbit2_192, sheet3_192[0]))):
+        with c.workprec():
+            for orbit in orbits:
+                assert orbit.g[0] is None and orbit.g[-1] is None
+                for (sig, eps), g in zip(orbit.samples[1:-1], orbit.g[1:-1]):
+                    ref = G_eval(_sigma_to_s(sig, m), eps, m, c)
+                    assert g == ref, (orbit.sheet, sig)
 
 
 def test_quantize_indicator_at_tolerance_floor():

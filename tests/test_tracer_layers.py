@@ -88,3 +88,18 @@ def test_selfdual_cli_makes_every_required_span(tmp_path):
         tracer.require(WORKLOADS["selfdual_levels"].required)
     finally:
         tracer.uninstall()
+
+
+def test_spectrum_cli_makes_every_required_span(tmp_path):
+    # one short spectrum job through the CLI makes every call spectrum_s2
+    # requires: solve_eps at sigma = 0, G_eval at the grid nodes and trials,
+    # and chi_eval under G_eval
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert mirror_spectra.cli.main(
+            ["spectrum", "--sheet", "1", "--precision-bits", "64",
+             "--npoints", "16", "--out", str(tmp_path / "spectrum.csv")]) == 0
+        tracer.require(WORKLOADS["spectrum_s2"].required)
+    finally:
+        tracer.uninstall()
