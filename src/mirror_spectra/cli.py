@@ -235,19 +235,18 @@ def cmd_spectrum(args) -> int:
     rows = []
     with ctx.workprec():
         orbit = trace_orbit(sheet, args.npoints, mpar, ctx)
-        for xi in parities:
-            for pt in quantize(orbit, xi, mpar, ctx):
-                row = [sheet, "even" if xi == 1 else "odd",
-                       fmt_real(pt.sigma, args.digits),
-                       fmt_real(mp.re(pt.eps), args.digits),
-                       fmt_real(mp.im(pt.eps), args.digits)]
-                if args.verify:
-                    par = make_params(pt, mpar, ctx)
-                    r1, r2 = psi_residual(mp.mpf("0.3"), par, ctx)
-                    rep = pole_cancellation_check(par, ctx)
-                    row += [fmt_real(max(r1, r2), 3),
-                            fmt_real(rep.max_normalized, 3)]
-                rows.append(row)
+        for pt in quantize(orbit, parities, mpar, ctx):
+            row = [sheet, "even" if pt.parity == 1 else "odd",
+                   fmt_real(pt.sigma, args.digits),
+                   fmt_real(mp.re(pt.eps), args.digits),
+                   fmt_real(mp.im(pt.eps), args.digits)]
+            if args.verify:
+                par = make_params(pt, mpar, ctx)
+                r1, r2 = psi_residual(mp.mpf("0.3"), par, ctx)
+                rep = pole_cancellation_check(par, ctx)
+                row += [fmt_real(max(r1, r2), 3),
+                        fmt_real(rep.max_normalized, 3)]
+            rows.append(row)
     rows.sort(key=lambda r: (r[1], Decimal(r[2])))
     header = ["sheet", "parity", "sigma", "re_eps", "im_eps"]
     if args.verify:

@@ -177,9 +177,7 @@ def eigenfunction_invariants(ctx, mpar, rng, full, fault):
     npoints = 48 if full else 16 if ctx.precision_bits < 160 else 33
     states = []
     for sheet in (1, 2) if full else (1,):
-        orbit = trace_orbit(sheet, npoints, mpar, ctx)
-        for xi in (1, -1):
-            states += quantize(orbit, xi, mpar, ctx)
+        states += quantize(trace_orbit(sheet, npoints, mpar, ctx), (1, -1), mpar, ctx)
     expected = 8 if full else 2
     if len(states) != expected:
         raise SolverError(f"quantize found {len(states)} of the {expected} states")

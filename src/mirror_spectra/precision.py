@@ -159,7 +159,7 @@ class ModularParam:
     qbar: object    # mpc
     log_q: object   # mpc
     log_qbar: object  # mpc
-    precision_bits: int = 192  # precision the fields were computed at
+    precision_bits: int  # precision the fields were computed at
 
     def __post_init__(self) -> None:
         # strict |q| < 1, with a double-ulp margin so the degenerate angles

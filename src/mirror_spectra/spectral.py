@@ -17,9 +17,10 @@ with E, O theta_3 and theta_2 of nome q^2 (precision._jtheta, once per
 solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
 only the two coefficients, 8-10 terms against the 37-47 of the four
 chi series, which stay the independent oracle in wronskian_eval, factorize
-and the dual solution; rho_extract reads rho off the two coefficients.  G
-comes from one place, G_eval at the eps a solve returns: once per inner
-grid node of an orbit and once per false-position trial.
+and the dual solution; rho_extract reads rho off the two coefficients.  An
+orbit is the root curve alone.  G comes from one place, G_eval at the eps a
+solve returns, and only quantize reads it: once per inner grid node for all
+the parities asked, and once per false-position trial.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
@@ -59,8 +60,6 @@ class SpectralPoint:
 class Orbit:
     sheet: int
     samples: tuple  # ordered ((sigma, eps), ...) with sigma increasing
-    g: tuple        # G_eval at each inner sample's eps; None at both
-                    # endpoints, which quantize never reads
 
 
 # ── Wronskian ─────────────────────────────────────────────────────────────
@@ -298,7 +297,6 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
     later grid node is reached by _advance, whose secant slope is carried
     from one grid interval to the next.  Sub-stepping between nodes keeps
     branch-point slowdowns from knocking the samples off the uniform grid.
-    Each inner node keeps G_eval at its eps (Orbit.g), which quantize reads.
     """
     if npoints < 16:
         raise ValueError(f"npoints must be >= 16, got {npoints}")
@@ -312,9 +310,7 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
             target = sth if i == npoints - 1 else i * step
             eps, slope = _advance(samples[-1][0], target, eps, slope, k, mpar, ctx)
             samples.append((target, eps))
-        gs = [G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx)
-              for sig, eps in samples[1:-1]]
-        return Orbit(sheet=k, samples=tuple(samples), g=(None, *gs, None))
+        return Orbit(sheet=k, samples=tuple(samples))
 
 
 # ── quantization along an orbit ───────────────────────────────────────────
@@ -380,45 +376,46 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
     )
 
 
-def quantize(orbit: Orbit, parity: int, mpar: ModularParam, ctx: PrecCtx):
-    """All interior quantized states of the given parity along the orbit.
+def quantize(orbit: Orbit, parities: tuple, mpar: ModularParam, ctx: PrecCtx):
+    """All interior quantized states of the given parities along the orbit,
+    even states first.
 
-    Even states (parity +1) are the interior zeros of Re G/|G|, odd states
-    (parity -1) those of Im G/|G|.  The indicator is read at the inner grid
-    nodes of the orbit from the G_eval trace_orbit stored (Orbit.g), so no
-    series is summed there; each sign change between neighbouring nodes is
-    refined by _false_position on that grid bracket, with eps re-solved and
-    G_eval summed at every trial sigma.  The endpoints are
-    never eligible: G is exactly +-1 there (double-pole cases, excluded from
-    the spectrum), which also makes the odd indicator vanish identically at
-    both ends.
+    parities is a non-empty tuple drawn from {+1, -1}.  Even states (parity
+    +1) are the interior zeros of Re G/|G|, odd states (parity -1) those of
+    Im G/|G|.  G_eval is summed once at each inner grid node of the orbit,
+    and every parity reads its indicator from that one G; each sign change
+    between neighbouring nodes is refined by _false_position on that grid
+    bracket, with eps re-solved and G_eval summed at every trial sigma.  The
+    endpoints are never eligible: G is exactly +-1 there (double-pole cases,
+    excluded from the spectrum), which also makes the odd indicator vanish
+    identically at both ends.
     """
-    if parity not in (+1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
+    if not (isinstance(parities, tuple) and parities and set(parities) <= {1, -1}):
+        raise ValueError("parities must be a non-empty tuple of +1 and -1, "
+                         f"got {parities!r}")
     with ctx.workprec():
         sth = sin_theta(mpar)
-        inner = [
-            (sig, eps, _indicator(g, parity))
-            for (sig, eps), g in zip(orbit.samples[1:-1], orbit.g[1:-1])
-        ]
+        nodes = [(sig, eps, G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx))
+                 for sig, eps in orbit.samples[1:-1]]
         points = []
-        for lo, hi in zip(inner, inner[1:]):
-            if lo[2] == 0 or mp.sign(lo[2]) == mp.sign(hi[2]):
+        for parity in (+1, -1):
+            if parity not in parities:
                 continue
-            sigma_star, eps_star = _false_position(
-                lo, hi, parity, orbit.sheet, mpar, ctx)
-            # simplicity guard: on real sigma the lattice +-q^Z meets the
-            # ray s(sigma) only at integer multiples of sin(theta)
-            if abs(sigma_star / sth - mp.nint(sigma_star / sth)) < mp.mpf("1e-10"):
-                raise SolverError(
-                    f"quantized point at sigma = {mp.nstr(sigma_star, 10)} "
-                    "collides with the lattice +-q^Z"
-                )
-            points.append(
-                SpectralPoint(
-                    sheet=orbit.sheet, sigma=sigma_star, eps=eps_star, parity=parity
-                )
-            )
+            inner = [(sig, eps, _indicator(g, parity)) for sig, eps, g in nodes]
+            for lo, hi in zip(inner, inner[1:]):
+                if lo[2] == 0 or mp.sign(lo[2]) == mp.sign(hi[2]):
+                    continue
+                sigma_star, eps_star = _false_position(
+                    lo, hi, parity, orbit.sheet, mpar, ctx)
+                # simplicity guard: on real sigma the lattice +-q^Z meets the
+                # ray s(sigma) only at integer multiples of sin(theta)
+                if abs(sigma_star / sth - mp.nint(sigma_star / sth)) < mp.mpf("1e-10"):
+                    raise SolverError(
+                        f"quantized point at sigma = {mp.nstr(sigma_star, 10)} "
+                        "collides with the lattice +-q^Z"
+                    )
+                points.append(SpectralPoint(sheet=orbit.sheet, sigma=sigma_star,
+                                            eps=eps_star, parity=parity))
         return points
 
 

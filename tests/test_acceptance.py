@@ -88,7 +88,7 @@ def orbit2(orbit2_192):
 def test_criterion_1_ground_state(ctx, mpar):
     t0 = time.monotonic()
     orbit = trace_orbit(1, 48, mpar, ctx)
-    pts = quantize(orbit, +1, mpar, ctx)
+    pts = quantize(orbit, (+1,), mpar, ctx)
     elapsed = time.monotonic() - t0
     assert len(pts) == 1
     with ctx.workprec():
@@ -100,7 +100,7 @@ def test_criterion_1_ground_state(ctx, mpar):
 
 
 def test_criterion_2_sheet1_odd(ctx, mpar, orbit1):
-    pts = quantize(orbit1, -1, mpar, ctx)
+    pts = quantize(orbit1, (-1,), mpar, ctx)
     assert len(pts) == 1
     with ctx.workprec():
         golden = mp.mpc("-13.8783047780366906", "6.161296243244348685")
@@ -117,7 +117,7 @@ def test_criterion_3_sheet2_states(ctx, mpar, orbit2):
     worst = mp.mpf(0)
     with ctx.workprec():
         for xi, table in ((-1, SHEET2_ODD), (+1, SHEET2_EVEN)):
-            pts = quantize(orbit2, xi, mpar, ctx)
+            pts = quantize(orbit2, (xi,), mpar, ctx)
             assert len(pts) == len(table)
             for pt, (sig, re_e, im_e) in zip(pts, table):
                 want_sig = mp.sin(mp.pi / 4) / 2 if sig == "sin/2" else mp.mpf(sig)
@@ -225,9 +225,8 @@ def test_criterion_8_exclusions(ctx, mpar, orbit1, orbit2):
         sth = sin_theta(mpar)
         margin = mp.mpf("1e-6")
         for orbit in (orbit1, orbit2):
-            for xi in (+1, -1):
-                for pt in quantize(orbit, xi, mpar, ctx):
-                    assert margin < pt.sigma < sth - margin
+            for pt in quantize(orbit, (+1, -1), mpar, ctx):
+                assert margin < pt.sigma < sth - margin
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for phrase in ("trace-class", "theta -> 0", "double pole"):
         assert phrase in readme, f"exclusions note missing {phrase!r}"

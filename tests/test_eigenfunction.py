@@ -43,15 +43,13 @@ def mpar(ctx):
 
 @pytest.fixture(scope="module")
 def sheet1(ctx, mpar, orbit1_192):
-    even = quantize(orbit1_192, +1, mpar, ctx)[0]
-    odd = quantize(orbit1_192, -1, mpar, ctx)[0]
+    even, odd = quantize(orbit1_192, (+1, -1), mpar, ctx)
     return make_params(even, mpar, ctx), make_params(odd, mpar, ctx)
 
 
 @pytest.fixture(scope="module")
 def all_states(ctx, mpar, sheet1, orbit2_192):
-    pts = (quantize(orbit2_192, +1, mpar, ctx)
-           + quantize(orbit2_192, -1, mpar, ctx))
+    pts = quantize(orbit2_192, (+1, -1), mpar, ctx)
     return list(sheet1) + [make_params(p, mpar, ctx) for p in pts]
 
 

@@ -1,5 +1,7 @@
 """Context validation, q-Pochhammer oracles, theta1 identities."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,15 @@ def test_modular_param_qbar_is_conjugate_across_range(ctx192):
             assert abs(mpar.qbar - mp.conj(mpar.q)) < mp.mpf(10) ** -50
         assert abs(mpar.q) < 1
         assert abs(mpar.qbar) < 1
+
+
+def test_modular_param_needs_its_precision(ctx192):
+    # a nome says at how many bits it was built: left out, a 64-bit nome
+    # would claim any default and pass the check under a finer context
+    fields = dataclasses.asdict(ModularParam.from_theta("pi/4", make_context(64)))
+    del fields["precision_bits"]
+    with pytest.raises(TypeError):
+        ModularParam(**fields)
 
 
 def test_modular_param_rejects_degenerate_coupling(ctx192):

@@ -290,6 +290,21 @@ def test_orbit_backward_continuation_matches(ctx, mpar, orbit1):
             assert abs(eps - eps_fwd) <= mp.mpf("1e-30") * max(abs(eps), 1)
 
 
+@pytest.mark.parametrize("bits", (64, 96, 128, 256, 384, 512))
+def test_solve_eps_rung_sheet1_even(bits):
+    # the sheet-1 even state, sigma = sin(theta)/2, within tol |eps| of the
+    # same solve at twice the bits, at every rung up to 512 bits
+    ctx, ref_ctx = make_context(bits), make_context(2 * bits)
+    seed = mp.mpc(0, "4.59435880983691894")
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        sigma = sin_theta(mpar) / 2
+    eps = solve_eps(sigma, seed, mpar, ctx)
+    ref = solve_eps(sigma, seed, ModularParam.from_theta("pi/4", ref_ctx), ref_ctx)
+    with ref_ctx.workprec():
+        assert abs(eps - ref) <= ctx.tol * abs(ref)
+
+
 def _count_solves(monkeypatch):
     calls = []
     original = spectral._solve_eps
@@ -315,17 +330,31 @@ def _count_passes(monkeypatch):
     return calls
 
 
+def _count_g(monkeypatch):
+    # the u of each G_eval call
+    calls = []
+    original = spectral.G_eval
+
+    def counted(u, *args):
+        calls.append(u)
+        return original(u, *args)
+
+    monkeypatch.setattr(spectral, "G_eval", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def sheet2_128():
-    # sheet 2 at the CLI's 128-bit default, with the Newton solves and the
-    # Wronskian passes counted
+    # sheet 2 at the CLI's 128-bit default, with the Newton solves, the
+    # Wronskian passes and the G_eval calls counted
     ctx128 = make_context(128, 1e-27)
     mpar128 = ModularParam.from_theta("pi/4", ctx128)
     with pytest.MonkeyPatch.context() as mpatch:
         calls = _count_solves(mpatch)
         passes = _count_passes(mpatch)
+        gs = _count_g(mpatch)
         orbit = trace_orbit(2, 48, mpar128, ctx128)
-    return ctx128, mpar128, orbit, len(calls), len(passes)
+    return ctx128, mpar128, orbit, len(calls), len(passes), len(gs)
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +370,7 @@ def test_trace_orbit_work_count_sheet2(sheet2_128):
     # the secant predictor seeds each sub-step; the zero-order seed took 161
     # solves.  A rejected sub-step gives up at its first damped Newton step:
     # run to convergence and then thrown away, it took 470 passes here
-    _, _, _, solves, passes = sheet2_128
+    _, _, _, solves, passes, _ = sheet2_128
     assert solves <= 80, solves
     assert passes <= 350, passes
 
@@ -383,7 +412,7 @@ def test_orbit_guards(ctx, mpar):
 
 def test_quantize_sheet1_even(ctx, mpar, orbit1):
     with ctx.workprec():
-        pts = quantize(orbit1, +1, mpar, ctx)
+        pts = quantize(orbit1, (+1,), mpar, ctx)
         assert len(pts) == 1
         p = pts[0]
         sth = sin_theta(mpar)
@@ -395,7 +424,7 @@ def test_quantize_sheet1_even(ctx, mpar, orbit1):
 
 def test_quantize_sheet1_odd(ctx, mpar, orbit1):
     with ctx.workprec():
-        pts = quantize(orbit1, -1, mpar, ctx)
+        pts = quantize(orbit1, (-1,), mpar, ctx)
         assert len(pts) == 1
         p = pts[0]
         assert abs(p.sigma - mp.mpf("0.6121173716461672675")) <= mp.mpf("1e-17")
@@ -416,9 +445,8 @@ def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
     # the secant stop follows ctx.tol, so at 256 bits (tol 1e-60) the
     # sheet-1 ground states are polished until their indicator is below tol.
     # A short orbit keeps this cheap: a 128-bit trace locates the two grid
-    # nodes around the state, and only those two are re-solved at 256 bits,
-    # each with G_eval at its eps as trace_orbit stores it (quantize reads
-    # the inner samples only).
+    # nodes around the state, and only those two are re-solved at 256 bits
+    # (quantize reads the inner samples only).
     ctx256 = make_context(256, 1e-60)
     mpar256 = ModularParam.from_theta("pi/4", ctx256)
     with ctx256.workprec():
@@ -427,11 +455,8 @@ def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
         i = next(k for k, (sig, _) in enumerate(samples) if sig > target)
         inner = tuple((sig, _solve_eps(sig, eps, mpar256, ctx256))
                       for sig, eps in samples[i - 1:i + 1])
-        gs = tuple(G_eval(_sigma_to_s(sig, mpar256), eps, mpar256, ctx256)
-                   for sig, eps in inner)
-        orbit = Orbit(sheet=1, samples=(samples[0],) + inner + (samples[-1],),
-                      g=(None,) + gs + (None,))
-        (p,) = quantize(orbit, parity, mpar256, ctx256)
+        orbit = Orbit(sheet=1, samples=(samples[0],) + inner + (samples[-1],))
+        (p,) = quantize(orbit, (parity,), mpar256, ctx256)
         assert abs(p.sigma - target) <= mp.mpf("1e-17")
         indicator = _parity_indicator(p.sigma, p.eps, parity, mpar256, ctx256)
         assert abs(indicator) <= ctx256.tol
@@ -442,7 +467,7 @@ def test_quantize_interior_only(ctx, mpar, orbit1):
     with ctx.workprec():
         sth = sin_theta(mpar)
         for parity in (+1, -1):
-            for p in quantize(orbit1, parity, mpar, ctx):
+            for p in quantize(orbit1, (parity,), mpar, ctx):
                 assert 0 < p.sigma < sth
         for idx in (0, -1):
             sig, eps = orbit1.samples[idx]
@@ -451,19 +476,21 @@ def test_quantize_interior_only(ctx, mpar, orbit1):
 
 
 def test_quantize_parity_guard(ctx, mpar, orbit1):
-    with pytest.raises(ValueError):
-        quantize(orbit1, 0, mpar, ctx)
+    # parities is a non-empty tuple drawn from {+1, -1}; a bare int is not one
+    for parities in ((), (0,), (1, 2), 1):
+        with pytest.raises(ValueError):
+            quantize(orbit1, parities, mpar, ctx)
 
 
 def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
     # false position on each grid bracket: a handful of solves per state
     # (bisection then secant took about 20), each state polished until its
     # indicator is below tol
-    ctx128, mpar128, orbit, _, _ = sheet2_128
+    ctx128, mpar128, orbit, *_ = sheet2_128
     calls = _count_solves(monkeypatch)
     for parity in (-1, +1):
         calls.clear()
-        pts = quantize(orbit, parity, mpar128, ctx128)
+        pts = quantize(orbit, (parity,), mpar128, ctx128)
         assert len(pts) == 3
         assert len(calls) <= 10 * len(pts), (parity, len(calls))
         with ctx128.workprec():
@@ -473,49 +500,31 @@ def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
 
 
 def test_quantize_reads_node_g(sheet2_128, monkeypatch):
-    # the grid nodes' indicators come from Orbit.g, so quantize sums no
-    # series there: it calls G_eval once per false-position trial, at the
-    # trial's sigma, and every state is one of its trials
-    ctx128, mpar128, orbit, _, _ = sheet2_128
+    # the orbit is the root curve alone: trace_orbit sums no G.  quantize
+    # calls G_eval once at each inner node for both parities, then once per
+    # false-position trial, at the trial's sigma, and every state is one of
+    # its trials: 46 + 41 calls on sheet 2 at 128 bits
+    ctx128, mpar128, orbit, _, _, traced = sheet2_128
+    assert traced == 0
     solves = _count_solves(monkeypatch)
-    calls = []
-    real = spectral.G_eval
-
-    def counted(u, *args):
-        calls.append(u)
-        return real(u, *args)
-
-    monkeypatch.setattr(spectral, "G_eval", counted)
-    for parity in (-1, +1):
-        solves.clear()
-        calls.clear()
-        pts = quantize(orbit, parity, mpar128, ctx128)
-        assert len(pts) == 3
-        with ctx128.workprec():
-            assert calls == [_sigma_to_s(sig, mpar128) for sig in solves]
-            assert {p.sigma for p in pts} <= set(solves)
+    calls = _count_g(monkeypatch)
+    pts = quantize(orbit, (1, -1), mpar128, ctx128)
+    assert len(pts) == 6
+    with ctx128.workprec():
+        nodes = [_sigma_to_s(sig, mpar128) for sig, _ in orbit.samples[1:-1]]
+        assert calls == nodes + [_sigma_to_s(sig, mpar128) for sig in solves]
+        assert {p.sigma for p in pts} <= set(solves)
+    assert (len(nodes), len(solves)) == (46, 41)
 
 
-@pytest.fixture(scope="module")
-def coarse_orbits_128(coarse_orbit1, sheet2_128):
-    ctx128, mpar128, orbit2, _, _ = sheet2_128
-    return ctx128, mpar128, (coarse_orbit1, orbit2,
-                             trace_orbit(3, 16, mpar128, ctx128))
-
-
-def test_node_g_matches_g_eval_at_128_and_192_bits(
-        ctx, mpar, coarse_orbits_128, orbit1, orbit2_192, sheet3_192):
-    # the node G quantize reads, on sheets 1-3, is G_eval at the node's eps
-    # bit for bit; the endpoints, which quantize never reads, carry None
-    ctx128, mpar128, orbits128 = coarse_orbits_128
-    for c, m, orbits in ((ctx128, mpar128, orbits128),
-                         (ctx, mpar, (orbit1, orbit2_192, sheet3_192[0]))):
-        with c.workprec():
-            for orbit in orbits:
-                assert orbit.g[0] is None and orbit.g[-1] is None
-                for (sig, eps), g in zip(orbit.samples[1:-1], orbit.g[1:-1]):
-                    ref = G_eval(_sigma_to_s(sig, m), eps, m, c)
-                    assert g == ref, (orbit.sheet, sig)
+def test_quantize_both_parities_is_each_in_turn(sheet2_128):
+    # one call for both parities returns, bit for bit, the even states and
+    # then the odd ones that a call per parity finds
+    ctx128, mpar128, orbit, *_ = sheet2_128
+    both = quantize(orbit, (1, -1), mpar128, ctx128)
+    assert [p.parity for p in both] == [1, 1, 1, -1, -1, -1]
+    assert both == (quantize(orbit, (1,), mpar128, ctx128)
+                    + quantize(orbit, (-1,), mpar128, ctx128))
 
 
 def test_quantize_indicator_at_tolerance_floor():
@@ -526,7 +535,7 @@ def test_quantize_indicator_at_tolerance_floor():
     orbit = trace_orbit(2, 48, mpar64, ctx64)
     with ctx64.workprec():
         for parity in (-1, +1):
-            pts = quantize(orbit, parity, mpar64, ctx64)
+            pts = quantize(orbit, (parity,), mpar64, ctx64)
             assert len(pts) == 3
             for p in pts:
                 ind = _parity_indicator(p.sigma, p.eps, parity, mpar64, ctx64)
@@ -537,7 +546,7 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
     # G(q^2 s) and G(q^4 s) repeat G(s) at quantized points
     with ctx.workprec():
         q2 = mpar.q * mpar.q
-        p = quantize(orbit1, +1, mpar, ctx)[0]
+        p = quantize(orbit1, (+1,), mpar, ctx)[0]
         s = _sigma_to_s(p.sigma, mpar)
         g0 = G_eval(s, p.eps, mpar, ctx)
         for shift in (q2, q2 * q2):
@@ -558,7 +567,7 @@ def _probe_rho(sigma, eps, x0, mpar, ctx):
 
 def test_factorize_at_quantized_point(ctx, mpar, orbit1):
     with ctx.workprec():
-        p = quantize(orbit1, +1, mpar, ctx)[0]
+        p = quantize(orbit1, (+1,), mpar, ctx)[0]
         rho = factorize(p.sigma, p.eps, mpar, ctx)
         assert rho != 0
         # W(u0) = rho theta1(s u0) theta1(u0/s) at a real and a complex u0
@@ -606,7 +615,7 @@ def test_modular_conjugation_of_wronskian(ctx, mpar, orbit1):
     # conj W(u) = i b^2 conj(rho)/rho e^{-2 pi i (sigma^2 + x^2)} W(u) at
     # real x; the conjugated-parameter Wronskian at ubar equals conj W(u)
     with ctx.workprec():
-        p = quantize(orbit1, +1, mpar, ctx)[0]
+        p = quantize(orbit1, (+1,), mpar, ctx)[0]
         rho = factorize(p.sigma, p.eps, mpar, ctx)
         b = mpar.b
         mpar_c = mpar.conjugate()

@@ -103,3 +103,19 @@ def test_spectrum_cli_makes_every_required_span(tmp_path):
         tracer.require(WORKLOADS["spectrum_s2"].required)
     finally:
         tracer.uninstall()
+
+
+def test_orbit_cli_sums_no_g(tmp_path):
+    # the orbit is the root curve alone: an orbit job traces the sheet and
+    # sums neither G nor a chi series outside its Newton passes
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert mirror_spectra.cli.main(
+            ["orbit", "--sheet", "1", "--precision-bits", "64",
+             "--npoints", "16", "--out", str(tmp_path / "orbit.csv")]) == 0
+        tracer.require([("spectral", "trace_orbit")])
+    finally:
+        tracer.uninstall()
+    assert tracer.calls[("chi", "G_eval")] == 0
+    assert tracer.calls[("chi", "chi_eval")] == 0
