@@ -50,9 +50,6 @@ from .precision import (
     pochhammer_q,
 )
 
-# denominators this close to zero (relative to the local scale) are poles
-ZERO_FLOOR = 1e3
-
 # The series stops only when its float log2 stop test clears the boundary
 # by this many bits (log2 units).  The float error is a few ulp of the
 # largest exponent involved, below 2^-24 for exponents under 2^26, and the
@@ -136,13 +133,12 @@ class _ChiTable:
     formed.  It runs the recursion with the operations and roundings of the
     mpf and mpc operators (a real value is one with im = fzero), so every
     value is bit-identical to running the recursion afresh on mpmath
-    numbers; chi_n for n >= 2 is real exactly when eps and q are (real).
+    numbers.
     """
 
     def __init__(self, eps_key, q_key, bits: int):
         self.eps = _from_raw(eps_key)
         self.qtab = _qtable(_from_raw(q_key), bits)
-        self.real = len(eps_key) != 2 and len(q_key) != 2
         self.chi = [(fone, fzero), _parts(self.eps)]
         self.dchi = [(fzero, fzero), (fone, fzero)]
 
@@ -201,9 +197,8 @@ def _raw_pairs(eps, q) -> Iterator[Tuple[tuple, tuple, tuple]]:
 
 def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
     """_raw_pairs as mpmath numbers: chi_0 = 1, chi_1 = eps itself, and
-    from n = 2 an mpf where eps and q are real, an mpc otherwise."""
+    from n = 2 an mpc (q is complex)."""
     tab = _chitable(_raw(eps), _raw(q), mp.prec)
-    make = (lambda z: mp.make_mpf(z[0])) if tab.real else mp.make_mpc
     f = tab.qtab.f
     for n, (_, x, dx) in enumerate(_raw_pairs(eps, q)):
         if n == 0:
@@ -211,7 +206,7 @@ def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
         elif n == 1:
             yield f[1], tab.eps, mp.mpf(1)
         else:
-            yield f[n], make(x), make(dx)
+            yield f[n], mp.make_mpc(x), mp.make_mpc(dx)
 
 
 def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
@@ -430,19 +425,31 @@ def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
         return w, dw, max(abs(t1), abs(t2)), b
 
 
+def _vanishes_to_tol(w, scale, ctx: PrecCtx) -> bool:
+    """W is zero to tol: |W| <= tol * max(scale, 1), scale the larger of the
+    two terms summed into W (Newton's residual stop, factorize, chi_dual)."""
+    return abs(w) <= ctx.tol * max(scale, 1)
+
+
+def _vanishes_at_precision(den, num, ctx: PrecCtx) -> bool:
+    """den is zero at this precision, so num/den is a pole: |den| <
+    ctx.finest_tol = 2^(16 - bits) of the larger of |num|, |den| and 1."""
+    return abs(den) < ctx.finest_tol * max(abs(num), abs(den), 1)
+
+
 def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """The dual solution chi_{q^-1}(u, eps) = chi-check(u) / W(u), with
     chi-check(u) taken from the Wronskian's own pass.
 
-    Raises PoleSignal when u sits within the zero floor of a Wronskian zero
-    (the dual solution has poles exactly there).
+    Raises PoleSignal where W(u) is zero to tol (_vanishes_to_tol): the
+    dual solution has poles exactly on the Wronskian's zero set.
     """
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("chi_dual is defined on u != 0")
         w, _, scale, chk = _wronskian_parts(u, eps, mpar, ctx)
-        if abs(w) < ZERO_FLOOR * ctx.tol * max(scale, mp.mpf(1)):
+        if _vanishes_to_tol(w, scale, ctx):
             raise PoleSignal(
                 f"Wronskian zero at u = {mp.nstr(u, 8)}: dual solution pole"
             )
@@ -452,16 +459,15 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """G_q(u, eps) = chi(u) / chi-check(u); PoleSignal at chi-check zeros.
 
-    chi-check counts as zero when it is below ctx.finest_tol = 2^(16 - bits)
-    of the larger of |chi|, |chi-check| and 1: a zero at this precision,
-    not at tol, since |G| itself grows to 1e8 and more on the upper sheets
-    and is no pole there.
+    chi-check counts as zero when it is zero at this precision
+    (_vanishes_at_precision), not at tol, since |G| itself grows to 1e8 and
+    more on the upper sheets and is no pole there.
     """
     with ctx.workprec():
         u = mp.mpmathify(u)
         num, _ = chi_eval(u, eps, mpar, ctx)
         den = chi_check_eval(u, eps, mpar, ctx)
-        if abs(den) < ctx.finest_tol * max(abs(num), abs(den), mp.mpf(1)):
+        if _vanishes_at_precision(den, num, ctx):
             raise PoleSignal(
                 f"chi-check zero at u = {mp.nstr(u, 8)}: G has a pole"
             )

@@ -33,13 +33,7 @@ from mpmath import mp
 
 from . import __version__
 from .eigenfunction import make_params, pole_cancellation_check, psi_residual
-from .precision import (
-    ModularParam,
-    PrecCtx,
-    SolverError,
-    coupling_angle,
-    make_context,
-)
+from .precision import ModularParam, PrecCtx, SolverError, make_context
 from .selfdual import quantize_selfdual
 from .spectral import quantize, trace_orbit
 
@@ -204,14 +198,6 @@ def _svg_plot(path: str, curves, labels, meta: dict):
 
 
 def _spectrum_mpar(args, ctx: PrecCtx) -> ModularParam:
-    # the angle is checked before the nomes are built: outside (0, pi/2)
-    # |q| may still be < 1 (theta = 5 pi/4 gives q = e^-pi), or it may not
-    with ctx.workprec():
-        theta, _ = coupling_angle(args.theta)
-        degenerate = not 0 < theta < mp.pi / 2
-    if degenerate:
-        raise _ConfigError(
-            f"theta = {args.theta}: the coupling angle must lie in (0, pi/2)")
     mpar = ModularParam.from_theta(args.theta, ctx)
     if not mpar.in_supported_range:
         # accepted but flagged: convergence slows as |q| -> 1

@@ -57,10 +57,9 @@ def make_params(point: SpectralPoint, mpar: ModularParam, ctx: PrecCtx) -> Eigen
         raise ValueError(f"parity must be +1, -1 or None, got {point.parity}")
     with ctx.workprec():
         eta = (mpar.b + 1 / mpar.b) / 2
-        # rounding of b = e^{i theta} leaves Im eta ~ 2^-prec; the guard
-        # keeps 12 bits of headroom over that
-        slack = mp.mpf(2) ** (12 - ctx.precision_bits)
-        if abs(eta.imag) > slack * max(abs(eta), 1):
+        # rounding of b = e^{i theta} leaves Im eta ~ 2^-prec, far below
+        # the context's rounding floor
+        if abs(eta.imag) > ctx.finest_tol * max(abs(eta), 1):
             raise ValueError("eta = (b + 1/b)/2 must be real on |b| = 1")
         rho = None
         if point.parity in (+1, -1):

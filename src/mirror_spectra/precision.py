@@ -42,8 +42,9 @@ class PrecisionExceeded(SolverError):
 
 
 class PoleSignal(SolverError):
-    """A denominator fell below the zero floor: the requested value sits on
-    (or too close to) a pole and must be handled by the caller."""
+    """A pole the caller must handle: W zero to tol under the dual solution,
+    chi-check zero at this precision under G (chi._vanishes_to_tol and
+    _vanishes_at_precision), or an R-iteration or theta denominator zero."""
 
 
 # ── precision context ───────────────────────────────────────────────────────
@@ -162,8 +163,8 @@ class ModularParam:
     precision_bits: int  # precision the fields were computed at
 
     def __post_init__(self) -> None:
-        # strict |q| < 1, with a double-ulp margin so the degenerate angles
-        # theta = 0, pi/2 are rejected even when rounding lands just inside
+        # strict |q| < 1, with a double-ulp margin: the double below pi/2 is
+        # inside (0, pi/2) at any precision, but its |q| is 1 - 3.8e-16
         if not abs(self.q) < 1 - 1e-15:
             raise ValueError(f"|q| must be < 1, got |q| = {abs(self.q)}")
         if not abs(self.qbar) < 1 - 1e-15:
@@ -171,7 +172,8 @@ class ModularParam:
 
     @classmethod
     def from_theta(cls, theta, ctx: PrecCtx) -> "ModularParam":
-        """Construct from the coupling angle theta in (0, pi/2).
+        """Construct from the coupling angle theta in (0, pi/2), ValueError
+        outside it (exact for a pi-fraction, else at working precision).
 
         ``theta`` may be a number (radians) or a string such as ``"pi/4"`` or
         ``"3*pi/8"``; the string form keeps pi-fractions exact at working
@@ -179,6 +181,9 @@ class ModularParam:
         """
         with ctx.workprec():
             th, frac = coupling_angle(theta)
+            if not (0 < frac < 0.5 if frac is not None else 0 < th < mp.pi / 2):
+                raise ValueError(
+                    f"theta = {theta}: the coupling angle must lie in (0, pi/2)")
             if frac is not None:
                 b = mp.expjpi(frac)            # e^{i pi frac}, exact arg
             else:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, G_eval, _wronskian_parts, _wronskian_sums
+from .chi import G_eval, _vanishes_to_tol, _wronskian_parts, _wronskian_sums
 from .precision import (
     ModularParam,
     PrecCtx,
@@ -128,11 +128,11 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
     Each pass (_wronskian_pass) sums the two coefficients w_-1(eps),
     w_0(eps) and their eps-derivatives, and W = w_-1 O(s) + w_0 E(s) with
     E(s), O(s) evaluated once per solve (_theta_pair).  Stops when both
-    the residual |W| <= tol * max(scale, 1), scale = max(|w_-1 O|, |w_0 E|),
-    and the Newton correction |W / W_eps| <= tol * max(|eps|, 1) are met:
-    a small residual alone leaves eps loose where W_eps is small.  The
-    returned eps has that last correction -W/W_eps applied, which costs no
-    pass.
+    the residual |W| <= tol * max(scale, 1), scale = max(|w_-1 O|, |w_0 E|)
+    (chi._vanishes_to_tol), and the Newton correction |W / W_eps| <= tol *
+    max(|eps|, 1) are met: a small residual alone leaves eps loose where
+    W_eps is small.  The returned eps has that last correction -W/W_eps
+    applied, which costs no pass.
 
     Each step is damped by halving until |W| falls.  With fast=True the
     solve gives up instead, returning None, at the first step whose full
@@ -148,7 +148,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
         tol = ctx.tol
         w, dw, scale = _wronskian_pass(eps, pair, mpar, ctx)
         for it in range(_MAX_NEWTON):
-            if (abs(w) <= tol * max(scale, 1)
+            if (_vanishes_to_tol(w, scale, ctx)
                     and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
                 return eps - (w / dw if w else 0)
             if fast and it >= _fast_newton(ctx):
@@ -444,12 +444,13 @@ def rho_extract(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
 
 def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     """The theta prefactor rho of W(u) = rho theta1(s u) theta1(u/s) at a
-    root (sigma, eps) of W, after checking that it is one on the four-series
-    W(s), independently of the two coefficients rho is read from."""
+    root (sigma, eps) of W, after checking that the four-series W(s),
+    independent of the two coefficients rho is read from, is zero to tol by
+    the rule Newton's residual stops on (chi._vanishes_to_tol)."""
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
         w, _, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
-        if abs(w) > ZERO_FLOOR * ctx.tol * max(scale, 1):
+        if not _vanishes_to_tol(w, scale, ctx):
             raise SolverError(
                 f"(sigma, eps) is not on the Wronskian zero set: |W| = "
                 f"{mp.nstr(abs(w), 3)}"

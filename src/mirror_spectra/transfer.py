@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .chi import ZERO_FLOOR, _check_nome_precision, chi_eval
+from .chi import _check_nome_precision, _vanishes_at_precision, chi_eval
 from .precision import (
     _MAX_TERMS,
     ModularParam,
@@ -126,19 +126,20 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
 def R_orbit(z, R0, steps: int, eps, mpar: ModularParam, ctx: PrecCtx):
     """The forward R-iteration [R(z), R(q^2 z), ..., R(q^{2*steps} z)].
 
-    Requires chi(z) != 0 so the reference trajectory R_chi(z) is defined.
-    A blow-up of the iteration (denominator inside the zero floor) raises
-    PoleSignal rather than silently returning huge numbers.
+    ValueError where chi(z) is zero at this precision (_vanishes_at_precision,
+    G_eval's rule), so the reference trajectory R_chi(z) = chi(z/q^2)/chi(z)
+    is undefined.  A blow-up of the iteration (a denominator below tol of its
+    scale) raises PoleSignal rather than silently returning huge numbers.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     with ctx.workprec():
         z = mp.mpmathify(z)
         r = mp.mpmathify(R0)
-        chi_z, _ = chi_eval(z, eps, mpar, ctx)
-        if abs(chi_z) < ZERO_FLOOR * ctx.tol:
-            raise ValueError(f"chi(z) vanishes at z = {mp.nstr(z, 8)}")
         q2 = mpar.q * mpar.q
+        chi_z, _ = chi_eval(z, eps, mpar, ctx)
+        if _vanishes_at_precision(chi_z, chi_eval(z / q2, eps, mpar, ctx)[0], ctx):
+            raise ValueError(f"chi(z) vanishes at z = {mp.nstr(z, 8)}")
         out = [r]
         uk = z
         for k in range(steps):

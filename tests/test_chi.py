@@ -45,7 +45,7 @@ from mirror_spectra.spectral import (
     solve_eps,
     wronskian_residue,
 )
-from mirror_spectra.transfer import chi_via_Minf
+from mirror_spectra.transfer import R_orbit, chi_via_Minf
 
 
 def _newton_eps(F, x0, ctx, iters=60):
@@ -309,14 +309,20 @@ def test_G_at_unit_points(ctx192, mpar_pi4):
 # ── degenerate points: pole signalling doubles as an eigenvalue oracle ────
 
 
-def test_even_state_chi_zero_flags_G_pole(ctx192, mpar_pi4):
-    # chi(1; eps) = 0 picks out the first even sigma=0 state
-    F = lambda e: chi_eval(1, e, mpar_pi4, ctx192)
-    eps = _newton_eps(F, mp.mpf("535.5"), ctx192)
-    with ctx192.workprec():
-        assert abs(eps - mp.mpf("535.493519473629469")) <= mp.mpf("1e-13") * 536
-    with pytest.raises(PoleSignal):
-        G_eval(1, eps, mpar_pi4, ctx192)
+def test_even_state_chi_zero_flags_G_pole(ctx192):
+    # chi(1; eps) = 0 picks out the first even sigma=0 state; chi(1) is zero
+    # there at each precision, so G has a pole and an R-orbit from z = 1 has
+    # no reference trajectory chi(z/q^2)/chi(z)
+    for ctx in (make_context(64), ctx192, make_context(256)):
+        mpar = ModularParam.from_theta("pi/4", ctx)
+        F = lambda e: chi_eval(1, e, mpar, ctx)
+        eps = _newton_eps(F, mp.mpf("535.5"), ctx)
+        with ctx.workprec():
+            assert abs(eps - mp.mpf("535.493519473629469")) <= mp.mpf("1e-13") * 536
+        with pytest.raises(PoleSignal):
+            G_eval(1, eps, mpar, ctx)
+        with pytest.raises(ValueError, match="chi.z. vanishes"):
+            R_orbit(1, mp.mpf(1), 4, eps, mpar, ctx)
 
 
 def test_odd_state_wronskian_zero_flags_dual_pole(ctx192, mpar_pi4):

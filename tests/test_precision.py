@@ -134,10 +134,15 @@ def test_modular_param_needs_its_precision(ctx192):
 
 
 def test_modular_param_rejects_degenerate_coupling(ctx192):
-    with pytest.raises(ValueError):
-        ModularParam.from_theta(0, ctx192)
-    with pytest.raises(ValueError):
-        ModularParam.from_theta("pi/2", ctx192)
+    # the angle is checked before the nome is built: 5 pi/4 and 9 pi/4 have
+    # |q| = e^-pi, and 2.5 has |q| > 1
+    for theta in (0, "pi/2", "5*pi/4", "9*pi/4", 2.5, "2.5"):
+        with pytest.raises(ValueError, match="must lie in .0, pi/2."):
+            ModularParam.from_theta(theta, ctx192)
+    # the double below pi/2 lies inside the range at any precision, and only
+    # the nome's margin refuses its |q| = 1 - 3.8e-16
+    with pytest.raises(ValueError, match=r"\|q\| must be < 1"):
+        ModularParam.from_theta(1.5707963267948966, ctx192)
 
 
 def test_modular_param_range_flag(ctx192):

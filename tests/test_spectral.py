@@ -607,8 +607,16 @@ def test_factorize_at_exact_root(bits, theta):
 
 
 def test_factorize_rejects_nonroot(ctx, mpar):
-    with pytest.raises(SolverError):
-        factorize(mp.mpf("0.3"), mp.mpf(3), mpar, ctx)
+    # far off the zero set, and just off it: the sheet-1 even state at
+    # sin(theta)/2 with eps moved by a relative 1e-38 leaves |W| at about
+    # 460 tol of its scale, above the rule Newton's residual stops on
+    with ctx.workprec():
+        sigma = sin_theta(mpar) / 2
+        eps = solve_eps(sigma, mp.mpc(0, "4.59435880983691894"), mpar, ctx)
+        assert factorize(sigma, eps, mpar, ctx) != 0
+        for s, e in ((mp.mpf("0.3"), mp.mpf(3)), (sigma, eps * (1 + mp.mpf("1e-38")))):
+            with pytest.raises(SolverError, match="not on the Wronskian zero set"):
+                factorize(s, e, mpar, ctx)
 
 
 def test_modular_conjugation_of_wronskian(ctx, mpar, orbit1):
