@@ -47,6 +47,7 @@ from .precision import (
     PoleSignal,
     PrecCtx,
     PrecisionExceeded,
+    _check_nome_precision,
     pochhammer_q,
 )
 
@@ -253,13 +254,6 @@ def _tail_small(l1: float, l2: float, l3: float, lscale: float) -> bool:
         2.0 ** (l1 - top) + 2.0 ** (l2 - top) + 2.0 ** (l3 - top)
     ) if top > -math.inf else l1 + l2 + l3
     return lsum < lscale - _LOG2_MARGIN
-
-
-def _check_nome_precision(mpar: ModularParam, ctx: PrecCtx) -> None:
-    if mpar.precision_bits < ctx.precision_bits:
-        raise ValueError(
-            f"ModularParam built at {mpar.precision_bits} bits is coarser than "
-            f"the {ctx.precision_bits}-bit context; rebuild it at that precision")
 
 
 def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):

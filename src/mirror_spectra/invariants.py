@@ -15,10 +15,11 @@ import random
 
 from mpmath import mp
 
-from .chi import chi_check_eval, chi_dual_eval, chi_eval, chi_mult_check, chi_poly_seq
+from .chi import (_vanishes_at_precision, chi_check_eval, chi_dual_eval, chi_eval,
+                  chi_mult_check, chi_poly_seq)
 from .eigenfunction import make_params, pole_cancellation_check, psi_eval, psi_residual
-from .precision import (ModularParam, PoleSignal, SolverError, default_tol,
-                        make_context, pochhammer_q, theta1)
+from .precision import (PoleSignal, SolverError, default_tol, make_context,
+                        pochhammer_q, theta1)
 from .selfdual import phi_eval, quantize_selfdual
 from .spectral import quantize, trace_orbit, wronskian_eval, wronskian_residue
 from .transfer import R_orbit, chi_via_Minf, classify_r_orbit
@@ -148,19 +149,23 @@ def limit_classification(ctx, mpar, rng, full, fault):
     off it "zero"; worst counts the trajectories that do not.  Reaching the
     classifier margin takes ~4 steps, over which the repulsion amplifies the
     seed error by ~e^{32 pi}, so the check runs at >= 192 bits with mpar
-    rebuilt there; a draw that lands on a pole is redrawn."""
+    rebuilt there by mpar.at; a draw that lands on a pole (chi(z) zero at
+    this precision, _vanishes_at_precision, or an R-iteration pole) is redrawn."""
     if ctx.precision_bits < 192:
         ctx = make_context(192, default_tol(192))
     if mpar.precision_bits < ctx.precision_bits:
-        mpar = ModularParam.from_theta(mpar.theta, ctx)
+        mpar = mpar.at(ctx.precision_bits)
     bad = done = 0
     with ctx.workprec():
         q2 = mpar.q * mpar.q
         while done < (50 if full else 2):
             z = mp.mpc(rng.uniform(0.4, 1.1), rng.uniform(-0.3, 0.3))
             eps = mp.mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            num, den = chi_eval(z / q2, eps, mpar, ctx)[0], chi_eval(z, eps, mpar, ctx)[0]
+            if _vanishes_at_precision(den, num, ctx):
+                continue
+            r0 = num / den
             try:
-                r0 = chi_eval(z / q2, eps, mpar, ctx)[0] / chi_eval(z, eps, mpar, ctx)[0]
                 one = classify_r_orbit(R_orbit(z, r0, 4, eps, mpar, ctx), ctx)
                 zero = classify_r_orbit(R_orbit(z, r0 * mp.mpf("1.3"), 4, eps, mpar, ctx), ctx)
             except PoleSignal:

@@ -3,8 +3,8 @@
 Foundation layer for everything else in the package:
 
   * ``PrecCtx``        -- working precision + tolerance;
-  * ``ModularParam``   -- the coupling data (theta, b, q, qbar) with exact
-                          logarithms of the nomes;
+  * ``ModularParam``   -- the coupling as given and its data (theta, b, q,
+                          qbar), with exact logarithms of the nomes;
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
   * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, by
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from mpmath import mp
@@ -121,25 +121,13 @@ _PI_FRACTION = re.compile(
 )
 
 
-def _parse_pi_fraction(theta) -> "object | None":
-    """Return num/den as an exact mpf ratio for strings like 'pi/4', else None."""
-    if not isinstance(theta, str):
-        return None
-    m = _PI_FRACTION.match(theta)
-    if m is None:
-        return None
-    num = int(m.group("num") or 1)
-    den = int(m.group("den") or 1)
-    if den == 0:
-        raise ValueError(f"theta {theta!r} divides by zero")
-    return mp.mpf(num) / den
-
-
-def coupling_angle(theta):
-    """(theta in radians, theta/pi as an exact ratio or None) at the current
-    precision; a string such as "3*pi/8" is read as an exact pi-fraction."""
-    frac = _parse_pi_fraction(theta)
-    return (mp.mpf(theta) if frac is None else mp.pi * frac), frac
+def _check_nome_precision(mpar: "ModularParam", ctx: PrecCtx) -> None:
+    """ValueError for a nome coarser than ctx: its rounding would pass tol."""
+    if mpar.precision_bits < ctx.precision_bits:
+        raise ValueError(
+            f"ModularParam built at {mpar.precision_bits} bits is coarser than "
+            f"the {ctx.precision_bits}-bit context; rebuild it with "
+            f"mpar.at({ctx.precision_bits})")
 
 
 @dataclass(frozen=True)
@@ -152,6 +140,8 @@ class ModularParam:
     ``conjugate`` swaps the two nomes (and b with 1/b); it must NOT be
     rebuilt through the theta formula, because the swapped problem has
     log q = -i pi b^2 rather than +i pi b^2.
+    ``coupling`` is from_theta's argument as given, outside equality and
+    hashing; ``at`` rebuilds that coupling at any precision.
     """
 
     theta: object   # mpf
@@ -161,6 +151,7 @@ class ModularParam:
     log_q: object   # mpc
     log_qbar: object  # mpc
     precision_bits: int  # precision the fields were computed at
+    coupling: object = field(compare=False)  # from_theta's argument
 
     def __post_init__(self) -> None:
         # strict |q| < 1, with a double-ulp margin: the double below pi/2 is
@@ -173,27 +164,40 @@ class ModularParam:
     @classmethod
     def from_theta(cls, theta, ctx: PrecCtx) -> "ModularParam":
         """Construct from the coupling angle theta in (0, pi/2), ValueError
-        outside it (exact for a pi-fraction, else at working precision).
+        outside it.
 
         ``theta`` may be a number (radians) or a string such as ``"pi/4"`` or
-        ``"3*pi/8"``; the string form keeps pi-fractions exact at working
-        precision, which the reference tables require.
+        ``"3*pi/8"``: an exact pi-fraction num/den, range check and the
+        argument of b alike, which the reference tables require.
         """
+        m = _PI_FRACTION.match(theta) if isinstance(theta, str) else None
         with ctx.workprec():
-            th, frac = coupling_angle(theta)
-            if not (0 < frac < 0.5 if frac is not None else 0 < th < mp.pi / 2):
-                raise ValueError(
-                    f"theta = {theta}: the coupling angle must lie in (0, pi/2)")
-            if frac is not None:
-                b = mp.expjpi(frac)            # e^{i pi frac}, exact arg
+            if m is None:
+                th = mp.mpf(theta)
+                inside = 0 < th < mp.pi / 2
             else:
-                b = mp.exp(mp.mpc(0, 1) * th)
+                num, den = int(m.group("num") or 1), int(m.group("den") or 1)
+                if den == 0:
+                    raise ValueError(f"theta {theta!r} divides by zero")
+                inside, frac = 0 < 2 * num < den, mp.mpf(num) / den  # exact check
+                th = mp.pi * frac
+            if not inside:
+                raise ValueError(f"theta = {theta}: the coupling angle must lie in (0, pi/2)")
+            b = mp.exp(mp.mpc(0, 1) * th) if m is None else mp.expjpi(frac)
             log_q = mp.mpc(0, 1) * mp.pi * b * b
             log_qbar = -mp.mpc(0, 1) * mp.pi / (b * b)
             q = mp.exp(log_q)
             qbar = mp.exp(log_qbar)
         return cls(theta=th, b=b, q=q, qbar=qbar, log_q=log_q,
-                   log_qbar=log_qbar, precision_bits=ctx.precision_bits)
+                   log_qbar=log_qbar, precision_bits=ctx.precision_bits,
+                   coupling=theta)
+
+    def at(self, bits: int) -> "ModularParam":
+        """The same coupling rebuilt at ``bits``: bit for bit
+        ``from_theta(coupling, make_context(bits))``, conjugated when this
+        nome is (Im b < 0; from_theta's b lies in the first quadrant)."""
+        mpar = ModularParam.from_theta(self.coupling, make_context(bits))
+        return mpar.conjugate() if self.b.imag < 0 else mpar
 
     def conjugate(self) -> "ModularParam":
         """The modular-dual problem: b -> 1/b, q <-> qbar (field swap).
@@ -201,10 +205,8 @@ class ModularParam:
         On |b| = 1 the inverse is the literal conjugate, which is exact."""
         with mp.workprec(self.precision_bits):
             b_inv = mp.conj(self.b)
-        return ModularParam(theta=self.theta, b=b_inv,
-                            q=self.qbar, qbar=self.q,
-                            log_q=self.log_qbar, log_qbar=self.log_q,
-                            precision_bits=self.precision_bits)
+        return replace(self, b=b_inv, q=self.qbar, qbar=self.q,
+                       log_q=self.log_qbar, log_qbar=self.log_q)
 
     @property
     def in_supported_range(self) -> bool:

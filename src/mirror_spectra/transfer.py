@@ -17,7 +17,7 @@ chi.py -- that is the point: the two routes cross-check each other.
 The scalar Riccati form R(q^2 u) = q^2 u^2 / ((1 - eps u + u^2) - R(u))
 separates the regular solution from all others: iterating from z towards 0,
 R(q^{2n} z) -> 1 exactly on the trajectory R(z) = chi(q^{-2} z)/chi(z) and
--> 0 everywhere else.
+-> 0 everywhere else.  R_orbit iterates from a seed its caller forms.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .chi import _check_nome_precision, _vanishes_at_precision, chi_eval
 from .precision import (
     _MAX_TERMS,
     ModularParam,
     PoleSignal,
     PrecCtx,
     PrecisionExceeded,
+    _check_nome_precision,
 )
 
 
@@ -124,22 +124,19 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
 
 
 def R_orbit(z, R0, steps: int, eps, mpar: ModularParam, ctx: PrecCtx):
-    """The forward R-iteration [R(z), R(q^2 z), ..., R(q^{2*steps} z)].
-
-    ValueError where chi(z) is zero at this precision (_vanishes_at_precision,
-    G_eval's rule), so the reference trajectory R_chi(z) = chi(z/q^2)/chi(z)
-    is undefined.  A blow-up of the iteration (a denominator below tol of its
-    scale) raises PoleSignal rather than silently returning huge numbers.
+    """The forward R-iteration [R(z), R(q^2 z), ..., R(q^{2*steps} z)] from
+    the caller's seed R0 (on the reference trajectory, chi(z/q^2)/chi(z));
+    it sums no chi.  A blow-up of the iteration (a denominator below tol of
+    its scale) raises PoleSignal rather than silently returning huge
+    numbers; a nome coarser than ctx raises ValueError, as in the chi series.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         z = mp.mpmathify(z)
         r = mp.mpmathify(R0)
         q2 = mpar.q * mpar.q
-        chi_z, _ = chi_eval(z, eps, mpar, ctx)
-        if _vanishes_at_precision(chi_z, chi_eval(z / q2, eps, mpar, ctx)[0], ctx):
-            raise ValueError(f"chi(z) vanishes at z = {mp.nstr(z, 8)}")
         out = [r]
         uk = z
         for k in range(steps):

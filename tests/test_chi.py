@@ -21,6 +21,7 @@ from mirror_spectra.chi import (
     _poly_pairs,
     _qtable,
     _raw,
+    _vanishes_at_precision,
     _wronskian_parts,
     chi_check_eval,
     chi_dual_eval,
@@ -309,20 +310,33 @@ def test_G_at_unit_points(ctx192, mpar_pi4):
 # ── degenerate points: pole signalling doubles as an eigenvalue oracle ────
 
 
-def test_even_state_chi_zero_flags_G_pole(ctx192):
+def test_even_state_chi_zero_flags_G_pole(ctx192, monkeypatch):
     # chi(1; eps) = 0 picks out the first even sigma=0 state; chi(1) is zero
-    # there at each precision, so G has a pole and an R-orbit from z = 1 has
-    # no reference trajectory chi(z/q^2)/chi(z)
+    # there at each precision, so G has a pole, and an R-orbit from z = 1 has
+    # no reference trajectory chi(z/q^2)/chi(z): its caller's rule flags it
+    # (limit_classification redraws), and R_orbit itself sums no chi
+    summed = []
+    real = chi._chi_series
+
+    def counted(*args, **kwargs):
+        summed.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chi, "_chi_series", counted)
     for ctx in (make_context(64), ctx192, make_context(256)):
         mpar = ModularParam.from_theta("pi/4", ctx)
         F = lambda e: chi_eval(1, e, mpar, ctx)
         eps = _newton_eps(F, mp.mpf("535.5"), ctx)
         with ctx.workprec():
             assert abs(eps - mp.mpf("535.493519473629469")) <= mp.mpf("1e-13") * 536
+            q2 = mpar.q * mpar.q
+            assert _vanishes_at_precision(chi_eval(1, eps, mpar, ctx)[0],
+                                          chi_eval(1 / q2, eps, mpar, ctx)[0], ctx)
         with pytest.raises(PoleSignal):
             G_eval(1, eps, mpar, ctx)
-        with pytest.raises(ValueError, match="chi.z. vanishes"):
-            R_orbit(1, mp.mpf(1), 4, eps, mpar, ctx)
+        summed.clear()
+        R_orbit(1, mp.mpf(1), 4, eps, mpar, ctx)
+        assert not summed
 
 
 def test_odd_state_wronskian_zero_flags_dual_pole(ctx192, mpar_pi4):

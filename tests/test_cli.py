@@ -1,6 +1,7 @@
 """Command-line front end: formatting, provenance headers, golden rows,
 exit codes, environment override, and the verify table."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -422,12 +423,13 @@ def test_verify_quick_refuses_a_precision_request(capsys, monkeypatch):
 
 def test_verify_quick_classifies_at_check_precision(capsys, monkeypatch):
     # the limit-classification check runs at >= 192 bits even in quick mode,
-    # so the coupling data it hands to R_orbit must carry that precision too
+    # so the coupling data it hands to R_orbit must carry that precision too:
+    # the exact pi/4 nome at 192 bits, not one rebuilt from a 64-bit angle
     seen = []
     real = invariants.R_orbit
 
     def spy(z, R0, steps, eps, mpar, ctx):
-        seen.append((mpar.precision_bits, ctx.precision_bits))
+        seen.append((mpar, ctx.precision_bits))
         return real(z, R0, steps, eps, mpar, ctx)
 
     monkeypatch.setattr(invariants, "R_orbit", spy)
@@ -435,7 +437,11 @@ def test_verify_quick_classifies_at_check_precision(capsys, monkeypatch):
     assert rc == EXIT_OK
     assert capsys.readouterr().out.count("PASS") == 9
     assert seen
-    assert all(mbits >= 192 and cbits >= 192 for mbits, cbits in seen)
+    assert all(cbits >= 192 for _, cbits in seen)
+    exact = ModularParam.from_theta("pi/4", make_context(192))
+    raw = lambda m: [getattr(v, "_mpc_", getattr(v, "_mpf_", v))
+                     for v in dataclasses.astuple(m)]
+    assert all(raw(mpar) == raw(exact) for mpar, _ in seen)
 
 
 def test_verify_fault_is_caught(capsys):

@@ -133,6 +133,31 @@ def test_modular_param_needs_its_precision(ctx192):
         ModularParam(**fields)
 
 
+def _raw_fields(mpar):
+    """Every field of a nome, mpmath numbers as their raw _mpf_/_mpc_ tuples."""
+    return {f.name: getattr(v, "_mpc_", getattr(v, "_mpf_", v))
+            for f in dataclasses.fields(mpar) for v in [getattr(mpar, f.name)]}
+
+
+def test_modular_param_at_rebuilds_the_coupling():
+    # the nome keeps the angle it was given, so a rebuild at other bits is
+    # from_theta of that same argument, bit for bit; a radian number finer
+    # than the first nome's precision is not rounded to it
+    with mp.workprec(192):
+        radians = mp.mpf(1) / 3
+    for coupling in ("pi/4", "pi/3", "3*pi/8", radians):
+        for src, dst in ((64, 192), (192, 64), (192, 256)):
+            mpar = ModularParam.from_theta(coupling, make_context(src))
+            ref = ModularParam.from_theta(coupling, make_context(dst))
+            assert _raw_fields(mpar.at(dst)) == _raw_fields(ref)
+            # a conjugated nome is rebuilt conjugated
+            assert _raw_fields(mpar.conjugate().at(dst)) == _raw_fields(ref.conjugate())
+    # the coupling takes no part in equality or hashing
+    mpar = ModularParam.from_theta("pi/4", make_context(64))
+    other = dataclasses.replace(mpar, coupling=mp.pi / 4)
+    assert other == mpar and hash(other) == hash(mpar)
+
+
 def test_modular_param_rejects_degenerate_coupling(ctx192):
     # the angle is checked before the nome is built: 5 pi/4 and 9 pi/4 have
     # |q| = e^-pi, and 2.5 has |q| > 1

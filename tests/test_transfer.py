@@ -89,7 +89,8 @@ def test_Mn_guard(ctx192, mpar_pi4):
 def test_transfer_refuses_a_coarse_nome():
     # L_eval works at the nome's precision, so a 128-bit nome under a
     # 256-bit context would leave chi_via_Minf 3e-39 off chi_eval, far
-    # above tol; both products refuse it as the chi series does
+    # above tol; both products and the R-iteration refuse it as the chi
+    # series does
     coarse = ModularParam.from_theta("pi/4", make_context(128, 1e-27))
     ctx256 = make_context(256, 1e-54)
     u, eps = mp.mpf("0.7"), mp.mpc("1.1", "0.3")
@@ -97,6 +98,8 @@ def test_transfer_refuses_a_coarse_nome():
         chi_via_Minf(u, eps, coarse, ctx256)
     with pytest.raises(ValueError, match="coarser than the 256-bit context"):
         M_n_eval(u, 3, eps, coarse, ctx256)
+    with pytest.raises(ValueError, match=r"rebuild it with mpar.at\(256\)"):
+        R_orbit(u, mp.mpf(1), 4, eps, coarse, ctx256)
 
 
 # ── infinite product ──────────────────────────────────────────────────────
