@@ -460,12 +460,15 @@ def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         u = mp.mpmathify(u)
         num, _ = chi_eval(u, eps, mpar, ctx)
-        den = chi_check_eval(u, eps, mpar, ctx)
-        if _vanishes_at_precision(den, num, ctx):
-            raise PoleSignal(
-                f"chi-check zero at u = {mp.nstr(u, 8)}: G has a pole"
-            )
-        return num / den
+        return _g_ratio(num, chi_check_eval(u, eps, mpar, ctx), u, ctx)
+
+
+def _g_ratio(num, den, u, ctx: PrecCtx):
+    """G = num / den from chi(u) and chi-check(u); PoleSignal where den is
+    zero at this precision (_vanishes_at_precision)."""
+    if _vanishes_at_precision(den, num, ctx):
+        raise PoleSignal(f"chi-check zero at u = {mp.nstr(u, 8)}: G has a pole")
+    return num / den
 
 
 def _mult_residual(m: int, n: int, eps, mpar: ModularParam, ctx: PrecCtx):

@@ -35,7 +35,7 @@ from . import __version__
 from .eigenfunction import make_params, pole_cancellation_check, psi_residual
 from .precision import ModularParam, PrecCtx, SolverError, make_context
 from .selfdual import quantize_selfdual
-from .spectral import quantize, trace_orbit
+from .spectral import spectrum, trace_orbit
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -220,8 +220,7 @@ def cmd_spectrum(args) -> int:
     parities = {"even": (1,), "odd": (-1,), "both": (1, -1)}[args.parity]
     rows = []
     with ctx.workprec():
-        orbit = trace_orbit(sheet, args.npoints, mpar, ctx)
-        for pt in quantize(orbit, parities, mpar, ctx):
+        for pt in spectrum(sheet, args.npoints, parities, mpar, ctx):
             row = [sheet, "even" if pt.parity == 1 else "odd",
                    fmt_real(pt.sigma, args.digits),
                    fmt_real(mp.re(pt.eps), args.digits),

@@ -21,7 +21,7 @@ from .eigenfunction import make_params, pole_cancellation_check, psi_eval, psi_r
 from .precision import (PoleSignal, SolverError, default_tol, make_context,
                         pochhammer_q, theta1)
 from .selfdual import phi_eval, quantize_selfdual
-from .spectral import quantize, trace_orbit, wronskian_eval, wronskian_residue
+from .spectral import spectrum, wronskian_eval, wronskian_residue
 from .transfer import R_orbit, chi_via_Minf, classify_r_orbit
 
 SEED = 20260814
@@ -182,10 +182,10 @@ def eigenfunction_invariants(ctx, mpar, rng, full, fault):
     npoints = 48 if full else 16 if ctx.precision_bits < 160 else 33
     states = []
     for sheet in (1, 2) if full else (1,):
-        states += quantize(trace_orbit(sheet, npoints, mpar, ctx), (1, -1), mpar, ctx)
+        states += spectrum(sheet, npoints, (1, -1), mpar, ctx)
     expected = 8 if full else 2
     if len(states) != expected:
-        raise SolverError(f"quantize found {len(states)} of the {expected} states")
+        raise SolverError(f"spectrum found {len(states)} of the {expected} states")
     x = mp.mpf("0.7")
     worst = mp.mpf(0)
     for pt in states:

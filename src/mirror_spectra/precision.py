@@ -52,6 +52,9 @@ class PoleSignal(SolverError):
 # the term cap of every series and product in the package
 _MAX_TERMS = 4096
 
+# the smallest working precision a context accepts
+_MIN_BITS = 64
+
 
 def _tol_value(tol):
     """tol as an mpf rounded to 53 bits, under its own workprec since a
@@ -75,8 +78,9 @@ class PrecCtx:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tol", _tol_value(self.tol))
-        if self.precision_bits < 64:
-            raise ValueError(f"precision_bits must be >= 64, got {self.precision_bits}")
+        if self.precision_bits < _MIN_BITS:
+            raise ValueError(
+                f"precision_bits must be >= {_MIN_BITS}, got {self.precision_bits}")
         if not (mp.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         # tolerance must be achievable at the working precision

@@ -18,26 +18,45 @@ solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
 only the two coefficients, 8-10 terms against the 37-47 of the four
 chi series, which stay the independent oracle in wronskian_eval, factorize
 and the dual solution; rho_extract reads rho off the two coefficients.  An
-orbit is the root curve alone.  G comes from one place, G_eval at the eps a
-solve returns, and only quantize reads it: once per inner grid node for all
-the parities asked, and once per false-position trial.
+orbit is the root curve alone.  quantize reads G from G_eval at the eps a
+solve returns: once per inner grid node for all the parities asked, and
+once per false-position trial.
+
+spectrum runs trace_orbit and quantize at 64 bits and takes each state to
+the working precision by Newton's method on the bordered system W = 0,
+arg G = target in (sigma, eps) (Allgower and Georg, Introduction to
+Numerical Continuation Methods, 2003).  That polish forms G from the chi
+series at s and 1/s that also give its derivatives, by G_eval's pole test
+(chi._g_ratio), and W_sigma from the theta sums with a factor per term.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
 """
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp
 
-from .chi import G_eval, _vanishes_to_tol, _wronskian_parts, _wronskian_sums
+from .chi import (
+    G_eval,
+    _chi_series,
+    _g_ratio,
+    _vanishes_to_tol,
+    _wronskian_parts,
+    _wronskian_sums,
+)
 from .precision import (
+    _MAX_TERMS,
+    _MIN_BITS,
     ModularParam,
     PrecCtx,
     PrecisionExceeded,
     SolverError,
+    _check_nome_precision,
     _jtheta,
+    make_context,
 )
 
 _MAX_NEWTON = 80
@@ -102,6 +121,34 @@ def _theta_pair(x, q, ctx: PrecCtx):
             _jtheta(2, 2 * x, q2, ctx) / mp.nthroot(q2, 4))
 
 
+def _theta_slopes(x, q, ctx: PrecCtx):
+    """(u E'(u), u O'(u)) at u = e^x: the sums of _theta_pair with a factor
+    2j or 2j - 1 per term.  Each term comes from its neighbour by the ratio
+    q^{4j+2} u^{+-2} (E) or q^{4j} u^{+-2} (O), so the sum takes no exp per
+    term.  On the spectral interval 1 <= |u| <= 1/|q| no term exceeds 1 and
+    the terms fall from j = 1 on, so the sum stops once every new term,
+    weighted, is at most tol."""
+    with ctx.workprec():
+        u = mp.exp(x)
+        u2, q2 = u * u, q * q
+        iu2 = 1 / u2
+        e, o = mp.mpf(0), u - 1 / u        # O's j = 1 and j = 0 terms
+        a_up = a_dn = mp.mpf(1)            # q^{2j^2} u^{+-2j}
+        b_up, b_dn = u, 1 / u              # q^{2j(j+1)} u^{+-(2j+1)}
+        f = q2                             # q^{4j-2}
+        for j in range(1, _MAX_TERMS):
+            a_up, a_dn = a_up * f * u2, a_dn * f * iu2
+            f *= q2
+            b_up, b_dn = b_up * f * u2, b_dn * f * iu2
+            f *= q2
+            e += 2 * j * (a_up - a_dn)
+            o += (2 * j + 1) * (b_up - b_dn)
+            if (2 * j + 1) * max(abs(a_up), abs(a_dn), abs(b_up), abs(b_dn)) <= ctx.tol:
+                return e, o
+        raise PrecisionExceeded(
+            f"theta slope series needs more than {_MAX_TERMS} terms to reach tol")
+
+
 def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
     """(W, dW/deps, scale) at eps and the s = e^x of pair =
     _theta_pair(x, q, ctx): one Newton pass, W = w_-1 O(s) + w_0 E(s) with
@@ -113,10 +160,11 @@ def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
 
 
 def _fast_newton(ctx: PrecCtx) -> int:
-    """The Newton steps a fast solve may take before it gives up.  From a
-    prediction with a fixed number of correct bits, quadratic convergence
-    reaches tol in about log2 of the precision more steps, so the cap grows
-    with it: 6 at 64 bits, 7 at 128, 8 at 256 to 511 and 10 at 1,024."""
+    """The Newton steps a fast solve, or a polish, may take before it gives
+    up.  From a prediction with a fixed number of correct bits, quadratic
+    convergence reaches tol in about log2 of the precision more steps, so
+    the cap grows with it: 6 at 64 bits, 7 at 128, 8 at 256 to 511 and 10
+    at 1,024."""
     return max(5, ctx.precision_bits.bit_length() - 1)
 
 
@@ -417,6 +465,123 @@ def quantize(orbit: Orbit, parities: tuple, mpar: ModularParam, ctx: PrecCtx):
                 points.append(SpectralPoint(sheet=orbit.sheet, sigma=sigma_star,
                                             eps=eps_star, parity=parity))
         return points
+
+
+# ── the spectrum: a 64-bit spectrum polished at the context's precision ───
+
+
+def _polish(point: SpectralPoint, lo, hi, mpar: ModularParam, ctx: PrecCtx):
+    """(sigma, eps) of a state, by Newton's method on the bordered system
+    W(s(sigma), eps) = 0, Im L(sigma, eps) = target (mod pi), L = log G, from
+    a coarse state point whose sigma lies in the grid bracket (lo, hi).
+
+    The target is pi/2 for even states and 0 for odd ones.  Eliminating deps
+    with the first equation leaves one real step:
+
+        dsigma = [target - Im L + Im(L_eps W / W_eps)]
+                 / Im(L_sigma - L_eps W_sigma / W_eps),
+        deps   = -(W + W_sigma dsigma) / W_eps.
+
+    W and W_eps come from _wronskian_sums on the _theta_pair, W_sigma from
+    the same sums on _theta_slopes; L_eps from the eps-derivative chi
+    series at s and v = 1/s, and L_sigma = 2 pi b [s chi'(s)/chi(s) +
+    v chi'(v)/chi(v) + 1] from the du series.  A step is the last once W
+    vanishes to tol (_vanishes_to_tol), |indicator| <= tol, |dsigma| <= tol
+    * max(sin theta, 1) and |deps| <= tol * max(|eps|, 1); it is applied, as
+    _solve_eps applies its last correction.  SolverError when sigma leaves
+    the bracket, a step divides by zero, or _fast_newton(ctx) steps do not
+    converge; PoleSignal where G has a pole (_g_ratio, G_eval's test).
+    """
+    with ctx.workprec():
+        tol = ctx.tol
+        stop = tol * max(sin_theta(mpar), 1)
+        target = mp.pi / 2 if point.parity == 1 else mp.mpf(0)
+        twopib = 2 * mp.pi * mpar.b
+        sigma, eps = mp.mpf(point.sigma), mp.mpmathify(point.eps)
+        for _ in range(_fast_newton(ctx)):
+            x = twopib * sigma
+            s = mp.exp(x)
+            v = 1 / s
+            even, odd = _theta_pair(x, mpar.q, ctx)
+            de, do = _theta_slopes(x, mpar.q, ctx)
+            r1, r0, d1, d0 = _wronskian_sums(eps, mpar, ctx)
+            t1, t0 = r1 * odd, r0 * even
+            w, w_eps = t1 + t0, d1 * odd + d0 * even
+            w_sig = twopib * (r1 * do + r0 * de)
+            cs, cs_eps = _chi_series(s, eps, mpar, ctx)
+            cv, cv_eps = _chi_series(v, eps, mpar, ctx)
+            g = _g_ratio(cs, cv / s, s, ctx)
+            _, cs_u = _chi_series(s, eps, mpar, ctx, du=True)
+            _, cv_u = _chi_series(v, eps, mpar, ctx, du=True)
+            off = target - mp.arg(g)
+            off -= mp.pi * mp.nint(off / mp.pi)
+            ratio = (cs_eps / cs - cv_eps / cv) / w_eps if w_eps else 0
+            den = mp.im(twopib * (cs_u / cs + cv_u / cv + 1) - ratio * w_sig)
+            if not (w_eps and den):
+                raise SolverError(
+                    f"polish step divides by zero at sigma = {mp.nstr(sigma, 10)}")
+            dsig = (off + mp.im(ratio * w)) / den
+            deps = -(w + w_sig * dsig) / w_eps
+            done = (_vanishes_to_tol(w, max(abs(t1), abs(t0)), ctx)
+                    and abs(_indicator(g, point.parity)) <= tol
+                    and abs(dsig) <= stop and abs(deps) <= tol * max(abs(eps), 1))
+            sigma, eps = sigma + dsig, eps + deps
+            if done:
+                return sigma, eps
+            if not lo < sigma < hi:
+                raise SolverError(
+                    f"polish left the bracket [{mp.nstr(lo, 10)}, {mp.nstr(hi, 10)}]")
+        raise SolverError(
+            f"polish did not converge in {_fast_newton(ctx)} steps at sigma = "
+            f"{mp.nstr(sigma, 10)}")
+
+
+def _refine(orbit: Orbit, coarse: list, mpar: ModularParam, ctx: PrecCtx):
+    """The coarse states quantize found on orbit, taken to ctx: each by
+    _polish inside its grid bracket, or, where the polish raises, by
+    _false_position at ctx on that bracket, with eps re-solved at each end."""
+    nodes = [sig for sig, _ in orbit.samples]
+    points = []
+    with ctx.workprec():
+        for pt in coarse:
+            i = bisect.bisect_left(nodes, pt.sigma)
+            lo, hi = orbit.samples[i - 1], orbit.samples[i]
+            try:
+                sigma, eps = _polish(pt, lo[0], hi[0], mpar, ctx)
+            except SolverError:
+                ends = []
+                for sig, e in (lo, hi):
+                    e = _solve_eps(sig, e, mpar, ctx)
+                    ends.append((sig, e, _parity_indicator(sig, e, pt.parity, mpar, ctx)))
+                sigma, eps = _false_position(*ends, pt.parity, orbit.sheet, mpar, ctx)
+            points.append(SpectralPoint(sheet=orbit.sheet, sigma=sigma, eps=eps,
+                                        parity=pt.parity))
+    return points
+
+
+def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
+             ctx: PrecCtx):
+    """quantize(trace_orbit(sheet, npoints, ...), parities, ...) at ctx: the
+    states in quantize's order, from a 64-bit spectrum polished at ctx.
+
+    The coarse stage runs trace_orbit and quantize at _MIN_BITS bits, the
+    floor PrecCtx accepts, with mpar.at(_MIN_BITS); at that precision it is
+    the job itself.  Above it _refine takes each coarse state to ctx, in 2-3
+    Newton steps at 128 bits and 4-6 at 512.  A coarse stage that raises
+    hands the whole job to the full-precision path, so its errors are
+    that path's.
+    """
+    _check_nome_precision(mpar, ctx)
+    if ctx.precision_bits <= _MIN_BITS:
+        return quantize(trace_orbit(sheet, npoints, mpar, ctx), parities, mpar, ctx)
+    coarse_ctx = make_context(_MIN_BITS)
+    coarse_mpar = mpar.at(_MIN_BITS)
+    try:
+        orbit = trace_orbit(sheet, npoints, coarse_mpar, coarse_ctx)
+        coarse = quantize(orbit, parities, coarse_mpar, coarse_ctx)
+    except SolverError:
+        return quantize(trace_orbit(sheet, npoints, mpar, ctx), parities, mpar, ctx)
+    return _refine(orbit, coarse, mpar, ctx)
 
 
 # ── theta factorization ───────────────────────────────────────────────────

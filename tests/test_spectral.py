@@ -17,9 +17,11 @@ from mirror_spectra.precision import (
 from mirror_spectra.spectral import (
     Orbit,
     _parity_indicator,
+    _refine,
     _sigma_to_s,
     _solve_eps,
     _theta_pair,
+    _theta_slopes,
     _wronskian_parts,
     _wronskian_pass,
     factorize,
@@ -27,6 +29,7 @@ from mirror_spectra.spectral import (
     sheet_seed,
     sin_theta,
     solve_eps,
+    spectrum,
     trace_orbit,
     wronskian_eval,
     wronskian_residue,
@@ -405,6 +408,9 @@ def test_orbit_guards(ctx, mpar):
     coarse = ModularParam.from_theta("pi/4", make_context(128, 1e-27))
     with pytest.raises(ValueError, match="coarser than the 192-bit context"):
         solve_eps(mp.mpf("0.3"), mp.mpf(2), coarse, ctx)
+    # and by spectrum before its 64-bit stage, which would build its own nome
+    with pytest.raises(ValueError, match="coarser than the 192-bit context"):
+        spectrum(1, 16, (1,), coarse, ctx)
 
 
 # ── quantization ──────────────────────────────────────────────────────────
@@ -552,6 +558,154 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
         for shift in (q2, q2 * q2):
             g = G_eval(shift * s, p.eps, mpar, ctx)
             assert abs(g - g0) <= mp.mpf(1e3) * ctx.tol * max(abs(g0), 1)
+
+
+# ── the spectrum: a 64-bit spectrum polished at the context's precision ──
+
+
+def test_theta_slopes_match_theta_pair_differences():
+    # u E'(u) and u O'(u) by the term-ratio recurrence against central
+    # differences of the theta pair at 256 bits, across [0, sin theta]
+    ctx, fine = make_context(128), make_context(256)
+    for theta in ("pi/8", "pi/4", "3*pi/8"):
+        mpar = ModularParam.from_theta(theta, fine)
+        with fine.workprec():
+            h = mp.mpf(10) ** -30
+            for frac in ("0", "0.3", "0.7", "1"):
+                x = 2 * mp.pi * mpar.b * sin_theta(mpar) * mp.mpf(frac)
+                up, down = _theta_pair(x + h, mpar.q, fine), _theta_pair(x - h, mpar.q, fine)
+                for got, a, b in zip(_theta_slopes(x, mpar.q, ctx), up, down):
+                    want = (a - b) / (2 * h)
+                    assert abs(got - want) <= ctx.tol * max(abs(want), 1), (theta, frac)
+
+
+def _count_false_position(monkeypatch):
+    # the working precision of each false-position refinement
+    bits = []
+    original = spectral._false_position
+
+    def counted(lo, hi, parity, sheet, mpar, ctx):
+        bits.append(ctx.precision_bits)
+        return original(lo, hi, parity, sheet, mpar, ctx)
+
+    monkeypatch.setattr(spectral, "_false_position", counted)
+    return bits
+
+
+def _assert_states_within_tol(got, want, mpar, ctx):
+    # the same parities in the same order, each sigma within tol max(sin
+    # theta, 1) and each eps within tol max(|eps|, 1)
+    assert [p.parity for p in got] == [p.parity for p in want]
+    with ctx.workprec():
+        stop = ctx.tol * max(sin_theta(mpar), 1)
+        for a, b in zip(got, want):
+            assert abs(a.sigma - b.sigma) <= stop, b.sigma
+            assert abs(a.eps - b.eps) <= ctx.tol * max(abs(b.eps), 1), b.sigma
+
+
+@pytest.fixture(scope="module")
+def states2_128(sheet2_128):
+    # the sheet-2 states of the full-precision path at 128 bits
+    ctx128, mpar128, orbit, *_ = sheet2_128
+    return quantize(orbit, (1, -1), mpar128, ctx128)
+
+
+@pytest.fixture(scope="module")
+def coarse_pi4():
+    # spectrum's coarse stage for sheets 2 and 3 at pi/4: the 64-bit orbit
+    # and its states, which _refine takes to any precision
+    ctx64 = make_context(64)
+    mpar64 = ModularParam.from_theta("pi/4", ctx64)
+    out = {}
+    for sheet in (2, 3):
+        orbit = trace_orbit(sheet, 48, mpar64, ctx64)
+        out[sheet] = orbit, quantize(orbit, (1, -1), mpar64, ctx64)
+    return out
+
+
+def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypatch):
+    # the six states come from the 64-bit spectrum, each polished at 128
+    # bits in at most three Newton steps with no fallback, and they are the
+    # full-precision path's within tol
+    ctx128, mpar128, *_ = sheet2_128
+    refined = _count_false_position(monkeypatch)
+    steps = []
+    original = spectral._theta_slopes
+    monkeypatch.setattr(spectral, "_theta_slopes",
+                        lambda *args: steps.append(args) or original(*args))
+    pts = spectrum(2, 48, (1, -1), mpar128, ctx128)
+    assert refined == [64] * 6
+    assert len(steps) <= 3 * len(pts)
+    _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
+
+
+def test_refine_falls_back_when_the_polish_leaves_its_bracket(
+        sheet2_128, states2_128, coarse_pi4, monkeypatch):
+    # a polish whose bracket excludes its state (here the coarse sigma
+    # alone) leaves it on the first step; each state is then redone by
+    # false position at 128 bits on its coarse grid bracket, and still
+    # comes out the full-precision path's state within tol
+    ctx128, mpar128, *_ = sheet2_128
+    refined = _count_false_position(monkeypatch)
+    raised = []
+    original = spectral._polish
+
+    def narrowed(pt, lo, hi, *args):
+        try:
+            return original(pt, pt.sigma, pt.sigma, *args)
+        except SolverError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(spectral, "_polish", narrowed)
+    pts = _refine(*coarse_pi4[2], mpar128, ctx128)
+    assert len(raised) == 6 and all("left the bracket" in m for m in raised)
+    assert refined == [128] * 6
+    _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
+
+
+def test_spectrum_coarse_failure_runs_the_full_path(monkeypatch):
+    # a coarse stage that raises hands the whole job to trace_orbit and
+    # quantize at the context's precision: that path's states bit for bit
+    ctx128 = make_context(128)
+    mpar128 = ModularParam.from_theta("pi/4", ctx128)
+    full = quantize(trace_orbit(1, 16, mpar128, ctx128), (1, -1), mpar128, ctx128)
+    original = spectral.quantize
+
+    def failing(orbit, parities, mpar, ctx):
+        if ctx.precision_bits == 64:
+            raise PrecisionExceeded("coarse stage forced to fail")
+        return original(orbit, parities, mpar, ctx)
+
+    monkeypatch.setattr(spectral, "quantize", failing)
+    assert spectrum(1, 16, (1, -1), mpar128, ctx128) == full
+
+
+def test_spectrum_at_64_bits_is_the_job_itself(monkeypatch):
+    # at the floor the coarse stage is the job: no polish, and the context's
+    # own tol, not the 64-bit default
+    ctx64 = make_context(64, 1e-13)
+    mpar64 = ModularParam.from_theta("pi/4", ctx64)
+    polished = []
+    monkeypatch.setattr(spectral, "_polish", lambda *args: polished.append(args))
+    pts = spectrum(1, 16, (1, -1), mpar64, ctx64)
+    assert polished == []
+    assert pts == quantize(trace_orbit(1, 16, mpar64, ctx64), (1, -1), mpar64, ctx64)
+
+
+@pytest.mark.parametrize("sheet,bits", ((2, 96), (2, 128), (2, 256), (2, 384), (3, 128)))
+def test_polished_states_rung(coarse_pi4, sheet, bits):
+    # the 64-bit states polished at each rung against the same states
+    # polished at twice the bits, sigma and eps alike.  Sheet 3 is the eps
+    # bound: quantize stops on sigma, and eps moves by about 2 pi |eps| per
+    # unit sigma there, so its eps can be 1.9 tol |eps| off; the polish
+    # also stops on |deps|
+    ctx, ref_ctx = make_context(bits), make_context(2 * bits)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    pts = _refine(*coarse_pi4[sheet], mpar, ctx)
+    ref = _refine(*coarse_pi4[sheet], ModularParam.from_theta("pi/4", ref_ctx), ref_ctx)
+    assert len(pts) == (6 if sheet == 2 else 10)
+    _assert_states_within_tol(pts, ref, mpar, ctx)
 
 
 # ── factorization ─────────────────────────────────────────────────────────

@@ -93,16 +93,18 @@ def test_selfdual_cli_makes_every_required_span(tmp_path):
 def test_spectrum_cli_makes_every_required_span(tmp_path):
     # one short spectrum job through the CLI makes every call spectrum_s2
     # requires: solve_eps at sigma = 0, G_eval at the grid nodes and trials,
-    # and chi_eval under G_eval
-    tracer = Tracer()
-    tracer.install()
-    try:
-        assert mirror_spectra.cli.main(
-            ["spectrum", "--sheet", "1", "--precision-bits", "64",
-             "--npoints", "16", "--out", str(tmp_path / "spectrum.csv")]) == 0
-        tracer.require(WORKLOADS["spectrum_s2"].required)
-    finally:
-        tracer.uninstall()
+    # and chi_eval under G_eval.  Above 64 bits the 64-bit coarse stage
+    # makes them, calling trace_orbit and quantize as module attributes
+    for bits in ("64", "128"):
+        tracer = Tracer()
+        tracer.install()
+        try:
+            assert mirror_spectra.cli.main(
+                ["spectrum", "--sheet", "1", "--precision-bits", bits,
+                 "--npoints", "16", "--out", str(tmp_path / "spectrum.csv")]) == 0
+            tracer.require(WORKLOADS["spectrum_s2"].required)
+        finally:
+            tracer.uninstall()
 
 
 def test_orbit_cli_sums_no_g(tmp_path):
