@@ -22,6 +22,12 @@ orbit is the root curve alone.  quantize reads G from G_eval at the eps a
 solve returns: once per inner grid node for all the parities asked, and
 once per false-position trial.
 
+To leading order each sheet is a spiral, eps_k ~ q^{-2 floor(k/2)} s^{m_k}
+(_spiral), so log eps is nearly linear in sigma.  The continuation carries
+the log slope d log eps/d sigma, seeds each Newton solve by geometric
+extrapolation, and leaves sigma = 0 along the spiral's own slope; false
+position interpolates eps geometrically too.
+
 spectrum runs trace_orbit and quantize at 64 bits and takes each state to
 the working precision by Newton's method on the bordered system W = 0,
 arg G = target in (sigma, eps) (Allgower and Georg, Introduction to
@@ -255,13 +261,21 @@ def sin_theta(mpar: ModularParam):
         return mp.sin(mpar.theta)
 
 
+def _spiral(k: int, q):
+    """(c, m): sheet k to leading order is the spiral eps_k = c s^m, with
+    c = q^{-2 floor(k/2)} and s = e^{2 pi b sigma}; m = 0 on sheet 1, -1 on
+    even sheets and +1 on odd sheets k >= 3.  As s(sin theta) = -1/q exactly,
+    it is q^{-2 floor(k/2)} at sigma = 0 and -q^{-(2 ceil(k/2) - 1)} at sin
+    theta (k >= 2), and d log eps/d sigma = 2 pi b m along it."""
+    return q ** (-2 * (k // 2)), 0 if k == 1 else (1 if k % 2 else -1)
+
+
 def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
     """Newton seed for sheet k at sigma = 0 or sigma = sin(theta).
 
     Uses the truncated endpoint expansions in q where tabulated; other
-    sheets fall back to the leading spiral power e^{2 pi b sigma} scaled to
-    the sheet: q^{-2 floor(k/2)} at 0 and -q^{-(2 ceil(k/2) - 1)} at
-    sin(theta).
+    sheets fall back to the sheet's spiral (_spiral) at that end:
+    q^{-2 floor(k/2)} at 0 and -q^{-(2 ceil(k/2) - 1)} at sin(theta).
     """
     if k < 1:
         raise ValueError(f"sheet index must be >= 1, got {k}")
@@ -276,25 +290,35 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
             if k in _SEEDS_AT_ZERO:
                 p, table = _SEEDS_AT_ZERO[k]
                 return q ** p * mp.fsum(c * q ** j for j, c in table.items())
-            return q ** (-2 * (k // 2))
-        if k in _SEEDS_AT_SIN:
+        elif k in _SEEDS_AT_SIN:
             table = _SEEDS_AT_SIN[k]
             return -(1 / q) * mp.fsum(c * q ** j for j, c in table.items())
-        return -(q ** (-(2 * ((k + 1) // 2) - 1)))
+        c, m = _spiral(k, q)
+        return c if at_zero else c * (-1 / q) ** m
 
 
 # ── sigma-continuation ────────────────────────────────────────────────────
 
 
-def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
+def _advance(sigma, target, eps, lam, sheet: int, mpar: ModularParam,
              ctx: PrecCtx):
-    """Continue eps from sigma to target; returns (eps, slope) at target.
+    """Continue eps from sigma to target; returns (eps, lam) at target.
 
-    Each sub-step of length h is a predictor-corrector step: Newton at
-    sigma + h is seeded with the secant extrapolation eps + h * slope, where
-    slope = d eps / d sigma of the last accepted sub-step (None on the first
-    step of an orbit, which keeps the zero-order seed eps).  The prediction
-    costs no Wronskian evaluation.
+    Each sub-step of length h is a predictor-corrector step on log eps,
+    which is nearly linear in sigma along the sheet's spiral (_spiral):
+    Newton at sigma + h is seeded with the geometric extrapolation
+    eps exp(h lam), where lam = log(eps_new / eps_old) / h is the log slope
+    of the last accepted sub-step (on an orbit's first step, the spiral's
+    2 pi b m).  Where |eps| >> 1 the jump guard below keeps the ratio off
+    the log's branch cut; elsewhere the principal log still gives a seed.
+    The prediction costs no Wronskian evaluation.
+
+    The sub-steps into sigma = sin theta, where sheet k meets its partner at
+    a near-double root, take the first-order seed eps (1 + h lam) instead:
+    the geometric seed lands inside the pair's split (about 1e-12 |eps| on
+    the 3/4 pair at pi/4), where |W| is flat at its rounding floor and the
+    damped solve stalls, while the first-order seed, off by about
+    (h lam)^2 / 2 relative, starts outside it.
 
     Above the halving floor (a 4096th of the span) each sub-step is solved
     in _solve_eps's fast mode: the solve gives up at its first damped
@@ -306,14 +330,18 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
     Giving up is not a failure: only a SolverError from the last solve
     above the floor, or from the solve at the floor, aborts the
     continuation, and so does a jump of eps by more than half its size in
-    one sub-step.
+    one sub-step, or eps = 0, where its log is undefined.
     """
     floor = (target - sigma) / 4096
+    sth = sin_theta(mpar)
     while sigma < target:
-        h = target - sigma
+        if eps == 0:
+            raise SolverError(
+                f"continuation on sheet {sheet} reached eps = 0 at sigma = "
+                f"{mp.nstr(sigma, 8)}: log eps is undefined")
+        h, nxt = target - sigma, target
         while True:
-            seed = eps if slope is None else eps + h * slope
-            nxt = sigma + h
+            seed = eps * (1 + h * lam if nxt == sth else mp.exp(h * lam))
             try:
                 cand = _solve_eps(nxt, seed, mpar, ctx, fast=h > floor)
                 failed = False
@@ -322,29 +350,33 @@ def _advance(sigma, target, eps, slope, sheet: int, mpar: ModularParam,
             if cand is not None:
                 break
             h /= 2
+            nxt = sigma + h
             if h < floor and failed:
                 raise SolverError(
                     f"continuation failed on sheet {sheet} at sigma = "
-                    f"{mp.nstr(sigma + h, 8)}"
+                    f"{mp.nstr(nxt, 8)}"
                 )
         if abs(cand - eps) > mp.mpf("0.5") * (1 + max(abs(cand), abs(eps))):
             raise SolverError(
                 f"continuation jump on sheet {sheet} at sigma = "
-                f"{mp.nstr(sigma + h, 8)}: |d eps| = {mp.nstr(abs(cand - eps), 4)}"
+                f"{mp.nstr(nxt, 8)}: |d eps| = {mp.nstr(abs(cand - eps), 4)}"
             )
-        slope = (cand - eps) / h
+        lam = mp.log(cand / eps) / h
         sigma = nxt
         eps = cand
-    return eps, slope
+    return eps, lam
 
 
 def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit:
     """Continue eps_k(sigma) from sigma = 0 to sin(theta) on a uniform grid.
 
     The root at sigma = 0 is Newton-polished from the sheet seed; each
-    later grid node is reached by _advance, whose secant slope is carried
-    from one grid interval to the next.  Sub-stepping between nodes keeps
-    branch-point slowdowns from knocking the samples off the uniform grid.
+    later grid node is reached by _advance, whose log slope d log eps/d
+    sigma is carried from one grid interval to the next.  The first step
+    starts from the spiral's slope 2 pi b m (_spiral), which leaves the
+    near-double roots at sigma = 0 (sheets 2/3, 4/5, ...) on the sheet's
+    own branch.  Sub-stepping between nodes keeps branch-point slowdowns
+    from knocking the samples off the uniform grid.
     """
     if npoints < 16:
         raise ValueError(f"npoints must be >= 16, got {npoints}")
@@ -352,11 +384,11 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
         sth = sin_theta(mpar)
         step = sth / (npoints - 1)
         eps = solve_eps(0, sheet_seed(k, 0, mpar, ctx), mpar, ctx)
-        slope = None
+        lam = 2 * mp.pi * mpar.b * _spiral(k, mpar.q)[1]
         samples = [(mp.mpf(0), eps)]
         for i in range(1, npoints):
             target = sth if i == npoints - 1 else i * step
-            eps, slope = _advance(samples[-1][0], target, eps, slope, k, mpar, ctx)
+            eps, lam = _advance(samples[-1][0], target, eps, lam, k, mpar, ctx)
             samples.append((target, eps))
         return Orbit(sheet=k, samples=tuple(samples))
 
@@ -381,18 +413,21 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
 
     lo and hi are grid samples (sigma, eps, indicator) whose indicators have
     opposite signs.  Each trial sigma is the secant zero of the two bracket
-    ends, and its eps is Newton-solved from the linear interpolation of the
-    ends' eps; its indicator is _parity_indicator's, from G_eval.  An end
-    kept twice in a row has its indicator halved (the Illinois rule), so
-    both ends close in on the root.  Returns the trial (sigma, eps) once
-    successive trials differ by at most tol * max(sin(theta), 1) and its
-    indicator is at most tol: the indicator can be steep in sigma, so a
-    short step alone does not bound it.
+    ends, and its eps is Newton-solved from the geometric interpolation
+    eps_a (eps_b / eps_a)^t, t = (c - a) / (b - a), of the ends' eps, exact
+    on the sheet's spiral (_spiral) as _advance's seed is; its indicator is
+    _parity_indicator's, from G_eval.  An end kept twice in a row has its
+    indicator halved (the Illinois rule), so both ends close in on the root.
+    Returns the trial (sigma, eps) once successive trials differ by at most
+    tol * max(sin(theta), 1) and its indicator is at most tol: the
+    indicator can be steep in sigma, so a short step alone does not bound
+    it.
 
     Where the indicator cannot reach tol at this precision (G is steep in
     eps, so its rounding floor can lie above tol), the bracket collapses:
     its ends, or their indicators, become equal.  That raises
-    PrecisionExceeded naming the smallest indicator reached.
+    PrecisionExceeded naming the smallest indicator reached.  An end with
+    eps = 0, where the interpolation is undefined, raises SolverError.
     """
     tol = ctx.tol
     stop = tol * max(sin_theta(mpar), 1)
@@ -406,8 +441,12 @@ def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
                 f"{mp.nstr(reached, 3)}, above tol = {mp.nstr(tol, 3)}; raise "
                 "the precision"
             )
+        if not (ea and eb):
+            raise SolverError(
+                f"false position on sheet {sheet} reached eps = 0 at sigma = "
+                f"{mp.nstr(b if ea else a, 10)}: log eps is undefined")
         c = b - fb * (b - a) / (fb - fa)
-        ec = _solve_eps(c, ea + (c - a) / (b - a) * (eb - ea), mpar, ctx)
+        ec = _solve_eps(c, ea * (eb / ea) ** ((c - a) / (b - a)), mpar, ctx)
         fc = _parity_indicator(c, ec, parity, mpar, ctx)
         if fc == 0 or (abs(c - b) <= stop and abs(fc) <= tol):
             return c, ec

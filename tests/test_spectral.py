@@ -239,6 +239,17 @@ def test_seed_quality(ctx, mpar):
         assert abs(seed - root) <= mp.mpf("1e-4") * abs(root)
     with pytest.raises(ValueError):
         sheet_seed(0, 0, mpar, ctx)
+    # where no series is printed the seed is the sheet's spiral q^{-2 floor(k/2)}
+    # s^{m_k} at that end, and s(sin theta) = -1/q makes it the label
+    # -q^{-(2 ceil(k/2) - 1)} there
+    with ctx.workprec():
+        q = mpar.q
+        assert abs(_sigma_to_s(sth, mpar) + 1 / q) <= ctx.tol * abs(1 / q)
+        for k in (5, 7, 8):
+            assert sheet_seed(k, 0, mpar, ctx) == q ** (-2 * (k // 2))
+        for k in range(3, 9):
+            label = -(q ** (-(2 * ((k + 1) // 2) - 1)))
+            assert abs(sheet_seed(k, sth, mpar, ctx) - label) <= ctx.tol * abs(label)
     with pytest.raises(ValueError):
         sheet_seed(1, mp.mpf("0.5"), mpar, ctx)
     # an endpoint more than 2^(16 - bits) off sin(theta) is rejected, and
@@ -384,6 +395,48 @@ def test_trace_orbit_work_count_sheet3(sheet3_192):
     _, solves, passes = sheet3_192
     assert solves <= 150, solves
     assert passes <= 700, passes
+
+
+def _count_outcomes(monkeypatch):
+    # (sigma, result) of each Newton solve; a fast solve that gives up
+    # returns None
+    calls = []
+    original = spectral._solve_eps
+
+    def counted(sigma, *args, **kwargs):
+        calls.append((sigma, original(sigma, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectral, "_solve_eps", counted)
+    return calls
+
+
+def test_trace_orbit_work_count_sheet2_64_bits(monkeypatch):
+    # the log-secant seed eps exp(h lam) is exact on the sheet's spiral, and
+    # the first step leaves the 2/3 pair at sigma = 0 along the spiral's own
+    # slope.  The additive secant took 233 passes and 13 give-ups here, 12
+    # of them in the first interval, where the zero-order seed sits between
+    # the two branches
+    ctx64 = make_context(64)
+    mpar64 = ModularParam.from_theta("pi/4", ctx64)
+    passes = _count_passes(monkeypatch)
+    solves = _count_outcomes(monkeypatch)
+    orbit = trace_orbit(2, 48, mpar64, ctx64)
+    first = orbit.samples[1][0]
+    assert len(passes) <= 150, len(passes)
+    assert [sig for sig, eps in solves if sig <= first and eps is None] == []
+
+
+def test_zero_eps_is_a_typed_error(ctx, mpar):
+    # log eps is undefined at eps = 0: the continuation and false position
+    # raise SolverError naming the sigma, not ZeroDivisionError
+    with ctx.workprec():
+        sig = mp.mpf("0.25")
+        with pytest.raises(SolverError, match="eps = 0 at sigma = 0.25"):
+            spectral._advance(sig, mp.mpf("0.3"), mp.mpf(0), mp.mpf(1), 1, mpar, ctx)
+        lo, hi = (sig, mp.mpf(0), mp.mpf(-1)), (mp.mpf("0.3"), mp.mpf(2), mp.mpf(1))
+        with pytest.raises(SolverError, match="eps = 0 at sigma = 0.25"):
+            spectral._false_position(lo, hi, 1, 1, mpar, ctx)
 
 
 def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
