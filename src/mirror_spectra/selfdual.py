@@ -14,15 +14,17 @@ period integrals
 
 over the path functions cosh(2 pi r(t)) = 1 - cos(pi t) + cosh(2 pi alpha)
 and sinh(pi s(t)) = sinh(pi alpha) sin(pi t).  These relations make s' and
-the integrands of A and B square roots in cos(pi t) and sin(pi t); asinh
-remains in At's s(t+1/2) and Bt's r (``_Curve``).  Single-valuedness
-of the Bloch function e^{2 pi i I theta_lambda} forces lambda = Bt/B and
-quantizes A lambda - At = n + 1.  For eps >= 8 the four periods are also
+the integrands of A and B square roots in cos(pi t) and sin(pi t), and Bt's
+r a logarithm of the same square root; asinh remains in At's s(t+1/2)
+(``_Curve``).  Single-valuedness of the Bloch function
+e^{2 pi i I theta_lambda} forces lambda = Bt/B and quantizes
+A lambda - At = n + 1.  For eps >= 8 the four periods are also
 hypergeometric series in 1/eps^2 (``period_series``).  Newton on the level
-function runs on those, needing no bracket, and the quadrature
-(``period_integrals``) checks the root it finds and so bounds the levels:
-A and At by one trapezoid pass over a stretched period, B and Bt by
-adaptive Gauss-Legendre (``composite_gl``).
+function runs on those, needing no bracket, up a precision ladder from 64
+bits, and the quadrature (``period_integrals``) checks the root it finds
+and so bounds the levels: A and At by one trapezoid pass over a stretched
+period, B and Bt by one adaptive Gauss-Legendre pass (``composite_gl``) on
+b + i bt.
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -31,11 +33,12 @@ horizontal leg with y continued branch-by-branch.  The zeta cycle, Bt -
 lambda B = 0, is never integrated; at the turning points phi is its limit.
 """
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
 
-from .precision import PrecCtx, PrecisionExceeded, SolverError
+from .precision import _MIN_BITS, PrecCtx, PrecisionExceeded, SolverError, make_context
 
 _GL_ORDER = 32
 _GL_CACHE = {}
@@ -63,11 +66,29 @@ class SelfDualSpectrum:
 # ── quadrature ────────────────────────────────────────────────────────────
 
 
+def _legendre_root(order, x, floor):
+    """(root, P_order' at the last iterate): Newton on the Legendre
+    polynomial, by its three-term recurrence, from x until |step| < floor;
+    in floats for a float x and at the working precision for an mpf."""
+    for _ in range(64):
+        p0, p1 = 1, x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = order * (x * p1 - p0) / (x * x - 1)
+        step = p1 / dp
+        x -= step
+        if abs(step) < floor:
+            return x, dp
+    raise SolverError(f"Legendre root near {float(x):.6f} of {order} stalled")
+
+
 def gauss_legendre_nodes(order: int, ctx: PrecCtx):
     """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1].
 
-    Nodes are Newton-refined Legendre roots from Chebyshev initial guesses,
-    cached per (order, precision).
+    Each Legendre root is found by Newton in double precision from its
+    Chebyshev guess, then refined at the context's precision until the step
+    is below 2^(8 - bits); the float start leaves about four quadratic steps
+    at 256 bits.  Cached per (order, precision).
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and >= 2, got {order}")
@@ -79,18 +100,9 @@ def gauss_legendre_nodes(order: int, ctx: PrecCtx):
         floor = mp.mpf(2) ** (8 - mp.prec)
         half = []
         for i in range(order // 2):
-            x = mp.cos(mp.pi * (i + mp.mpf(3) / 4) / (order + mp.mpf(1) / 2))
-            for _ in range(64):
-                p0, p1 = mp.mpf(1), x
-                for k in range(2, order + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                step = p1 / dp
-                x -= step
-                if abs(step) < floor:
-                    break
-            else:
-                raise SolverError(f"Legendre root {i} of {order} stalled")
+            x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
+            x, _ = _legendre_root(order, x, 2.0 ** (8 - 53))   # a double
+            x, dp = _legendre_root(order, mp.mpf(x), floor)
             half.append((x, 2 / ((1 - x * x) * dp * dp)))
         nodes = tuple((-x, w) for x, w in half) + tuple(reversed(half))
     _GL_CACHE[key] = nodes
@@ -162,11 +174,12 @@ class _Curve:
 
     With c, s = cos(pi t), sin(pi t) once per call, cosh(pi s(t)) =
     sqrt(1 + sinh^2(pi alpha) s^2), sinh(pi s(t+1/2)) = sinh(pi alpha) c and
-    sinh(2 pi r) = sqrt((C - 1)(C + 1)); C - 1 = cosh(2 pi alpha) - c stays
-    exact where C^2 - 1 cancels and acosh(C) would round C (eps near 4, t
-    near 0).  ``a`` is 2/(cosh(pi s(t)) cosh(pi s(t+1/2))):
+    S = sinh(2 pi r) = sqrt((C - 1)(C + 1)); C - 1 = cosh(2 pi alpha) - c
+    stays exact where C^2 - 1 cancels and acosh(C) would round C (eps near 4,
+    t near 0), and r = log(C + S)/(2 pi) adds the 1 of C = (C - 1) + 1
+    exactly.  ``a`` is 2/(cosh(pi s(t)) cosh(pi s(t+1/2))):
     4 s'/sinh(2 pi s(t+1/2)) with its 0/0 at t = 1/2 removed.  asinh remains
-    in s, at and r = bt.  Build and evaluate inside ctx.workprec().
+    in s and at.  Build and evaluate inside ctx.workprec().
     """
 
     def __init__(self, alpha):
@@ -176,13 +189,6 @@ class _Curve:
 
     def s(self, t):
         return mp.asinh(self.sa * mp.sin(mp.pi * t)) / mp.pi
-
-    def _sinh2r(self, t):   # sinh(2 pi r) = sqrt((C - 1)(C + 1))
-        cm1 = self.ca2 - mp.cos(mp.pi * t)
-        return mp.sqrt(cm1 * (cm1 + 2))
-
-    def r(self, t):
-        return mp.asinh(self._sinh2r(t)) / (2 * mp.pi)
 
     def sprime(self, t):
         c, s = mp.cos_sin(mp.pi * t)
@@ -197,10 +203,11 @@ class _Curve:
         sc = self.sa * c
         return 4 * (mp.asinh(sc) / mp.pi) * sc / mp.sqrt(1 + self.sa2 * s * s)
 
-    def b(self, t):
-        return 1 / self._sinh2r(t)
-
-    bt = r
+    def b_bt(self, t):
+        """(b, bt) = (1/S, r) from one cos(pi t) and one square root."""
+        cm1 = self.ca2 - mp.cos(mp.pi * t)
+        S = mp.sqrt(cm1 * (cm1 + 2))
+        return 1 / S, mp.log(mp.fadd(cm1 + S, 1, exact=True)) / (2 * mp.pi)
 
 
 def path_funcs(eps, t, ctx: PrecCtx):
@@ -210,8 +217,8 @@ def path_funcs(eps, t, ctx: PrecCtx):
     with ctx.workprec():
         t = mp.mpmathify(t)
         curve = _Curve(alpha_beta(eps, ctx)[0])
-        rprime = mp.sin(mp.pi * t) * curve.b(t) / 2
-        return curve.r(t), curve.s(t), curve.sprime(t), rprime
+        b, r = curve.b_bt(t)
+        return r, curve.s(t), curve.sprime(t), mp.sin(mp.pi * t) * b / 2
 
 
 def _stretched_a_periods(curve, ctx):
@@ -295,7 +302,10 @@ def period_integrals(eps, ctx: PrecCtx):
     evaluating only the new nodes, until both sums move by at most ctx.tol;
     past _TRAP_MAX panels it raises SolverError naming the period and N.
     B and Btilde stay on ``composite_gl``: the nearest singularity of their
-    integrands is 2 alpha away, and it needs 3-7 panels for them.  All four
+    integrands is 2 alpha away, and it needs 3-7 panels for them.  One pass
+    integrates b + i bt, which share cos(pi t) and sqrt((C - 1)(C + 1)) at
+    each node; a panel is accepted once its complex move is within budget,
+    which bounds the moves of both parts, so each meets tol.  All four
     meet tol in absolute terms, so A and B, which shrink like log(eps)/eps
     and 1/eps, thin out in relative digits once far below tol (A at 192
     bits: 4e-14 relative at eps = 1e100, 17 % at 1e120), and the root check
@@ -304,7 +314,8 @@ def period_integrals(eps, ctx: PrecCtx):
     with ctx.workprec():
         curve = _Curve(alpha_beta(eps, ctx)[0])
         A, At, _ = _stretched_a_periods(curve, ctx)
-        return A, At, composite_gl(curve.b, 0, 1, ctx), composite_gl(curve.bt, 0, 1, ctx)
+        B = composite_gl(lambda t: mp.mpc(*curve.b_bt(t)), 0, 1, ctx)
+        return A, At, B.real, B.imag
 
 
 def period_series(eps, ctx: PrecCtx):
@@ -366,39 +377,63 @@ def _level_newton(eps, ctx):
         return f, slope, periods
 
 
+def _level_root(x, n, ctx):
+    """(x, e^x): Newton in x = log eps on the level function at ctx, from x,
+    until |f - (n+1)| <= tol (n+1) or the step is below tol."""
+    target = n + 1
+    with ctx.workprec():
+        for _ in range(_NEWTON_STEPS):
+            eps = mp.exp(x)
+            f, slope, _ = _level_newton(eps, ctx)
+            r = f - target
+            step = r / slope
+            if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol:
+                return x, eps
+            x -= step
+    raise SolverError(f"Newton for level {n} did not settle")
+
+
 def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     """Level-n self-dual state: the root of A lambda - Atilde = n + 1.
 
     Newton's method in x = log eps on the level function f, evaluated by
-    ``period_series`` with its slope (``_level_newton``), at ctx precision
-    from the large-eps asymptote x0 = pi sqrt(n+1).  It stops once
-    |f - (n+1)| <= tol (n+1) or the step is below tol.  It needs no
+    ``period_series`` with its slope (``_level_newton``), from x0 = pi
+    sqrt(n + 5/6), where the leading terms f = x^2/pi^2 + 1/6 + O(x/eps^2)
+    reach n + 1.  It climbs a precision ladder (Brent-Zimmermann, Modern
+    Computer Arithmetic, 4.2): Newton to the stop of a _MIN_BITS context at
+    its finest tol, then one step at each doubled precision, the last at
+    ctx's own, each about doubling the correct bits, then Newton at ctx,
+    which stops once |f - (n+1)| <= tol (n+1) or the step is below tol.
+    Its first evaluation confirms the root, so a level takes two
+    evaluations at ctx (levels 0-1,000 at 96-1,024 bits).  It needs no
     bracket: on x >= log 8 f is increasing and convex (its slope grows like
-    2x/pi^2) and f(8) < 1, so the first step from any x0 >= log 8 lands at
-    or right of the root, and the iterates then fall to it monotonically
-    inside the series' range.  The record carries ``period_integrals`` at
-    the root, the independent quadrature, whose residual must be within
-    1000 tol (n+1); that check bounds the levels that come out (at 192
-    bits, level 1,000 passes and 2,000 does not: see ``period_integrals``).
+    2x/pi^2) and f(8) < 1, so a step from any x >= log 8, x0 on the left of
+    the root included, lands at or right of the root, and the iterates then
+    fall to it monotonically inside the series' range.  The record carries
+    ``period_integrals`` at the root, the independent quadrature, whose
+    residual must be within 1000 tol (n+1); that check bounds the levels
+    that come out (at 192 bits, level 1,000 passes and 2,000 does not: see
+    ``period_integrals``).
     """
     if int(n) != n or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n}")
     n = int(n)
     target = n + 1
 
-    with ctx.workprec():
-        x = mp.pi * mp.sqrt(target)
-        for _ in range(_NEWTON_STEPS):
-            eps_star = mp.exp(x)
-            f, slope, _ = _level_newton(eps_star, ctx)
-            r = f - target
-            step = r / slope
-            if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol:
-                break
-            x -= step
-        else:
-            raise SolverError(f"Newton for level {n} did not settle")
+    rung = make_context(_MIN_BITS, 2.0 ** (16 - _MIN_BITS))
+    with rung.workprec():
+        x = mp.pi * mp.sqrt(n + mp.mpf(5) / 6)
+    x, _ = _level_root(x, n, rung)
+    bits = _MIN_BITS
+    while bits < ctx.precision_bits:
+        bits = min(2 * bits, ctx.precision_bits)
+        rung = make_context(bits)
+        with rung.workprec():
+            f, slope, _ = _level_newton(mp.exp(x), rung)
+            x -= (f - target) / slope
+    x, eps_star = _level_root(x, n, ctx)
 
+    with ctx.workprec():
         A, At, B, Bt = period_integrals(eps_star, ctx)
         r = (A * Bt - B * At) / B - target
         if abs(r) > 1000 * ctx.tol * target:
@@ -445,7 +480,8 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
 
         # zeta-type: x = i r(t), y = t/2, t in [0, t*]
         def zeta_int(t):
-            return curve.bt(t) - lam * curve.b(t)
+            b, bt = curve.b_bt(t)
+            return bt - lam * b
 
         cosarg = eps / 2 - mp.cosh(2 * mp.pi * T)
         if cosarg >= -1:

@@ -5,7 +5,8 @@ for the path derivatives, the asinh/acosh forms at twice the precision for
 the algebraic period integrands, mpmath.quad for the home-grown composite
 Gauss-Legendre rule, the quadrature and mpmath's ellipk for the large-eps
 period series, the 45-digit ground-state level constant for the
-quantization root, and the bare quotient sin(2 pi I)/sin(2 pi y) just off
+quantization root, the same level at twice the bits for the precision
+ladder, and the bare quotient sin(2 pi I)/sin(2 pi y) just off
 the turning points, on 384-bit records, for phi's limit there.  Path
 invariants (cycle integrality, Bloch closure, branch-product unity,
 reflection bookkeeping) are checked on explicit parameterizations.
@@ -126,8 +127,11 @@ def test_curve_integrands_match_defining_relations(bits):
                         "bt": mp.acosh(1 - c + ca2) / (2 * mp.pi),
                         "sprime": sp,
                     }
+                b, bt = curve.b_bt(t)
+                have = {"a": curve.a(t), "at": curve.at(t), "b": b, "bt": bt,
+                        "sprime": curve.sprime(t)}
                 for name, ref in want.items():
-                    got = getattr(curve, name)(t)
+                    got = have[name]
                     # at and s' vanish at t = 1/2: the bound is absolute there
                     scale = 1 if t == half and name in ("at", "sprime") else abs(ref)
                     assert abs(got - ref) <= bound * scale, (e, t, name)
@@ -137,17 +141,22 @@ def test_curve_integrands_match_defining_relations(bits):
 
 
 def test_gauss_nodes_weights(ctx192):
-    ctx = ctx192
-    with ctx.workprec():
-        nodes = gauss_legendre_nodes(32, ctx)
-        assert len(nodes) == 32
-        assert abs(mp.fsum(w for _, w in nodes) - 2) <= mp.mpf("1e-55")
-        # order-32 rule is exact through degree 63
-        v = mp.fsum(w * x ** 62 for x, w in nodes)
-        assert abs(v - mp.mpf(2) / 63) <= mp.mpf("1e-55")
-    assert gauss_legendre_nodes(32, ctx) is nodes  # cached
+    # the roots start from double precision; at every rung the rule must
+    # still be the full-precision one: weights summing to 2, and x^62
+    # integrated exactly, both to 2^(16 - bits) (1e-55 at 192 bits)
+    for ctx, bound in ((make_context(64), None), (ctx192, mp.mpf("1e-55")),
+                       (make_context(256), None), (make_context(1024), None)):
+        bound = bound or ctx.finest_tol
+        with ctx.workprec():
+            nodes = gauss_legendre_nodes(32, ctx)
+            assert len(nodes) == 32
+            assert abs(mp.fsum(w for _, w in nodes) - 2) <= bound
+            # order-32 rule is exact through degree 63
+            v = mp.fsum(w * x ** 62 for x, w in nodes)
+            assert abs(v - mp.mpf(2) / 63) <= bound, ctx.precision_bits
+        assert gauss_legendre_nodes(32, ctx) is nodes  # cached
     with pytest.raises(ValueError):
-        gauss_legendre_nodes(31, ctx)
+        gauss_legendre_nodes(31, ctx192)
 
 
 def test_composite_gl_matches_mpmath_quad(spec0, ctx192):
@@ -303,6 +312,23 @@ def test_a_periods_panel_cap_is_typed(monkeypatch):
         period_integrals(mp.mpf("17.85"), make_context(256))
 
 
+def test_period_integrals_one_gl_pass(monkeypatch):
+    # B and Btilde are the real and imaginary parts of one composite_gl pass
+    calls = []
+    original = selfdual.composite_gl
+
+    def counted(f, a, b, ctx):
+        calls.append((a, b))
+        return original(f, a, b, ctx)
+
+    monkeypatch.setattr(selfdual, "composite_gl", counted)
+    ctx = make_context(192)
+    for e in ("4.5", "17.85", "1e6"):
+        calls.clear()
+        period_integrals(mp.mpf(e), ctx)
+        assert calls == [(0, 1)], e
+
+
 @pytest.mark.parametrize("bits, tol", [(128, 1e-33), (192, 1e-50), (256, 1e-70)])
 def test_period_series_matches_quadrature(bits, tol):
     # the series and the quadrature are independent; both meet tol
@@ -435,6 +461,44 @@ def test_quantize_work_count(monkeypatch):
         calls.clear()
         quantize_selfdual(n, ctx)
         assert calls == {256: 1}, (n, calls)
+
+
+def test_quantize_newton_ladder_work(monkeypatch):
+    # Newton climbs from 64 bits with one step per doubled rung, the last at
+    # the context's precision, so a level takes at most two series
+    # evaluations there: that step and the one the stop test reads
+    calls = {}
+    original = selfdual._level_newton
+
+    def counted(eps, ctx):
+        calls[ctx.precision_bits] = calls.get(ctx.precision_bits, 0) + 1
+        return original(eps, ctx)
+
+    monkeypatch.setattr(selfdual, "_level_newton", counted)
+    for bits, rungs in ((256, (128,)), (1024, (128, 256, 512))):
+        if bits == 1024:
+            # B and Btilde take about 35 s a level by quadrature at 1,024
+            # bits (ROADMAP item 19); the series stands in for the root check
+            monkeypatch.setattr(selfdual, "period_integrals", period_series)
+        for n in range(4):
+            calls.clear()
+            quantize_selfdual(n, make_context(bits))
+            assert 1 <= calls.pop(64) and 1 <= calls.pop(bits) <= 2, (bits, n)
+            assert calls == dict.fromkeys(rungs, 1), (bits, n, calls)
+
+
+@pytest.mark.parametrize("bits, levels", [
+    (64, (0, 2)), (96, (0, 2)), (128, (0, 2)), (256, (0, 2)), (384, (2,))],
+    ids=["64", "96", "128", "256", "384"])
+def test_quantize_precision_ladder(bits, levels):
+    # levels by the series Newton plus the root check, against the same at
+    # twice the bits: eps within tol eps; level 0's 768-bit reference would
+    # add 2 s, and its digits are pinned at 256 bits by LOG_EPS0
+    ctx, ref = make_context(bits), make_context(2 * bits)
+    for n in levels:
+        got, want = quantize_selfdual(n, ctx).eps, quantize_selfdual(n, ref).eps
+        with ref.workprec():
+            assert abs(got - want) <= ctx.tol * want, (bits, n)
 
 
 def test_quantize_levels_past_1e6(monkeypatch):
