@@ -33,13 +33,15 @@ the working precision by Newton's method on the bordered system W = 0,
 arg G = target in (sigma, eps) (Allgower and Georg, Introduction to
 Numerical Continuation Methods, 2003).  That polish forms G from the chi
 series at s and 1/s that also give its derivatives, by G_eval's pole test
-(chi._g_ratio), and W_sigma from the theta sums with a factor per term.
+(chi._g_ratio), and W_sigma from mpmath's theta derivative kernels.  A
+polish that fails reruns the whole job at the working precision.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,7 +56,7 @@ from .chi import (
     _wronskian_sums,
 )
 from .precision import (
-    _MAX_TERMS,
+    _LN2,
     _MIN_BITS,
     ModularParam,
     PrecCtx,
@@ -62,6 +64,7 @@ from .precision import (
     SolverError,
     _check_nome_precision,
     _jtheta,
+    _ln,
     make_context,
 )
 
@@ -128,31 +131,21 @@ def _theta_pair(x, q, ctx: PrecCtx):
 
 
 def _theta_slopes(x, q, ctx: PrecCtx):
-    """(u E'(u), u O'(u)) at u = e^x: the sums of _theta_pair with a factor
-    2j or 2j - 1 per term.  Each term comes from its neighbour by the ratio
-    q^{4j+2} u^{+-2} (E) or q^{4j} u^{+-2} (O), so the sum takes no exp per
-    term.  On the spectral interval 1 <= |u| <= 1/|q| no term exceeds 1 and
-    the terms fall from j = 1 on, so the sum stops once every new term,
-    weighted, is at most tol."""
+    """(u E'(u), u O'(u)) at u = e^x: with z = -i x, E = theta_3(z; q^2) and
+    O = theta_2(z; q^2) / (q^2)^{1/4} give u E' = -i theta_3'(z; q^2) and
+    u O' = -i theta_2'(z; q^2) / (q^2)^{1/4}, from mpmath's derivative
+    kernels, the twins of the ones _jtheta sums, at the context's precision
+    plus _jtheta's guard: 10 bits plus the log2 of the largest term.  On the
+    polish's sigma in (0, sin theta), 1 <= |u| <= 1/|q| keeps z inside the
+    kernels' strip, so no shift is needed."""
     with ctx.workprec():
-        u = mp.exp(x)
-        u2, q2 = u * u, q * q
-        iu2 = 1 / u2
-        e, o = mp.mpf(0), u - 1 / u        # O's j = 1 and j = 0 terms
-        a_up = a_dn = mp.mpf(1)            # q^{2j^2} u^{+-2j}
-        b_up, b_dn = u, 1 / u              # q^{2j(j+1)} u^{+-(2j+1)}
-        f = q2                             # q^{4j-2}
-        for j in range(1, _MAX_TERMS):
-            a_up, a_dn = a_up * f * u2, a_dn * f * iu2
-            f *= q2
-            b_up, b_dn = b_up * f * u2, b_dn * f * iu2
-            f *= q2
-            e += 2 * j * (a_up - a_dn)
-            o += (2 * j + 1) * (b_up - b_dn)
-            if (2 * j + 1) * max(abs(a_up), abs(a_dn), abs(b_up), abs(b_dn)) <= ctx.tol:
-                return e, o
-        raise PrecisionExceeded(
-            f"theta slope series needs more than {_MAX_TERMS} terms to reach tol")
+        q2 = q * q
+        a = 2 * float(mp.re(x))
+        big = math.ceil(a * a / (-4 * _ln(abs(q2)) * _LN2))
+        with mp.workprec(ctx.precision_bits + 10 + big):
+            z = mp.mpc(mp.im(x), -mp.re(x))       # e^{2iz} = u^2
+            de, do = mp._djacobi_theta3(z, q2, 1), mp._djacobi_theta2(z, q2, 1)
+        return -1j * de, -1j * do / mp.nthroot(q2, 4)
 
 
 def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
@@ -530,6 +523,7 @@ def _polish(point: SpectralPoint, lo, hi, mpar: ModularParam, ctx: PrecCtx):
     _solve_eps applies its last correction.  SolverError when sigma leaves
     the bracket, a step divides by zero, or _fast_newton(ctx) steps do not
     converge; PoleSignal where G has a pole (_g_ratio, G_eval's test).
+    spectrum answers any of them by running the job at ctx.
     """
     with ctx.workprec():
         tol = ctx.tol
@@ -576,23 +570,14 @@ def _polish(point: SpectralPoint, lo, hi, mpar: ModularParam, ctx: PrecCtx):
 
 
 def _refine(orbit: Orbit, coarse: list, mpar: ModularParam, ctx: PrecCtx):
-    """The coarse states quantize found on orbit, taken to ctx: each by
-    _polish inside its grid bracket, or, where the polish raises, by
-    _false_position at ctx on that bracket, with eps re-solved at each end."""
+    """The coarse states quantize found on orbit, each taken to ctx by
+    _polish inside its grid bracket; a polish's SolverError propagates."""
     nodes = [sig for sig, _ in orbit.samples]
     points = []
     with ctx.workprec():
         for pt in coarse:
             i = bisect.bisect_left(nodes, pt.sigma)
-            lo, hi = orbit.samples[i - 1], orbit.samples[i]
-            try:
-                sigma, eps = _polish(pt, lo[0], hi[0], mpar, ctx)
-            except SolverError:
-                ends = []
-                for sig, e in (lo, hi):
-                    e = _solve_eps(sig, e, mpar, ctx)
-                    ends.append((sig, e, _parity_indicator(sig, e, pt.parity, mpar, ctx)))
-                sigma, eps = _false_position(*ends, pt.parity, orbit.sheet, mpar, ctx)
+            sigma, eps = _polish(pt, nodes[i - 1], nodes[i], mpar, ctx)
             points.append(SpectralPoint(sheet=orbit.sheet, sigma=sigma, eps=eps,
                                         parity=pt.parity))
     return points
@@ -603,24 +588,24 @@ def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
     """quantize(trace_orbit(sheet, npoints, ...), parities, ...) at ctx: the
     states in quantize's order, from a 64-bit spectrum polished at ctx.
 
-    The coarse stage runs trace_orbit and quantize at _MIN_BITS bits, the
-    floor PrecCtx accepts, with mpar.at(_MIN_BITS); at that precision it is
-    the job itself.  Above it _refine takes each coarse state to ctx, in 2-3
-    Newton steps at 128 bits and 4-6 at 512.  A coarse stage that raises
-    hands the whole job to the full-precision path, so its errors are
-    that path's.
+    Above _MIN_BITS bits, the floor PrecCtx accepts, the coarse stage runs
+    trace_orbit and quantize at _MIN_BITS with mpar.at(_MIN_BITS), and
+    _refine takes each coarse state to ctx, in 2-3 Newton steps at 128 bits
+    and 4-6 at 512.  At _MIN_BITS, or where the coarse stage or a polish
+    raises SolverError, the job runs at ctx as written above, so its
+    states and errors are that path's.
     """
     _check_nome_precision(mpar, ctx)
-    if ctx.precision_bits <= _MIN_BITS:
-        return quantize(trace_orbit(sheet, npoints, mpar, ctx), parities, mpar, ctx)
-    coarse_ctx = make_context(_MIN_BITS)
-    coarse_mpar = mpar.at(_MIN_BITS)
-    try:
-        orbit = trace_orbit(sheet, npoints, coarse_mpar, coarse_ctx)
-        coarse = quantize(orbit, parities, coarse_mpar, coarse_ctx)
-    except SolverError:
-        return quantize(trace_orbit(sheet, npoints, mpar, ctx), parities, mpar, ctx)
-    return _refine(orbit, coarse, mpar, ctx)
+    if ctx.precision_bits > _MIN_BITS:
+        coarse_ctx = make_context(_MIN_BITS)
+        coarse_mpar = mpar.at(_MIN_BITS)
+        try:
+            orbit = trace_orbit(sheet, npoints, coarse_mpar, coarse_ctx)
+            coarse = quantize(orbit, parities, coarse_mpar, coarse_ctx)
+            return _refine(orbit, coarse, mpar, ctx)
+        except SolverError:
+            pass
+    return quantize(trace_orbit(sheet, npoints, mpar, ctx), parities, mpar, ctx)
 
 
 # ── theta factorization ───────────────────────────────────────────────────

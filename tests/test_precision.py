@@ -437,6 +437,36 @@ def test_theta_rung_against_unshifted_jtheta(bits, theta, rng):
             assert _rel_err(value, mp.jtheta(1, -1j * w / 2, q)) <= tol, w
 
 
+# ── q-Pochhammer rung: against Euler's series at about twice the bits ──────
+
+def _euler_qp(x, q2):
+    # (x; q^2)_inf = sum_k (-1)^k q^{k(k-1)} x^k / (q^2; q^2)_k (Euler), term
+    # k + 1 from term k by the ratio -q^{2k} x / (1 - q^{2k+2})
+    total, term, q2k = mp.mpf(0), mp.mpf(1), mp.mpf(1)
+    while abs(term) > mp.eps * abs(total):
+        total += term
+        term *= -q2k * x / (1 - q2k * q2)
+        q2k *= q2
+    return total
+
+
+@pytest.mark.parametrize("theta", ("pi/8", "pi/4", "3*pi/8", "7*pi/16"))
+@pytest.mark.parametrize("bits", (64, 96, 128, 256, 384))
+def test_pochhammer_rung_against_euler_series(bits, theta, rng):
+    # (x; q^2)_inf at x = q^2 (eigenfunction's theta1'(0) factor) and at
+    # q^2 s^{+-1}, s = e^{2 pi b sigma} on the spectral ray, within tol
+    # relative of Euler's series summed at 2 bits + 32
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        q2 = mpar.q ** 2
+        s = mp.exp(2 * mp.pi * mpar.b * mp.sin(mpar.theta) * rng.uniform(0.05, 0.95))
+        for x in (q2, q2 * s, q2 / s):
+            value = pochhammer_q(x, q2, mp.inf, ctx)
+            with mp.workprec(2 * bits + 32):
+                assert _rel_err(value, _euler_qp(x, q2)) <= ctx.tol, x
+
+
 # ── work pin: precision and argument the fixed-point kernels see ───────────
 
 @pytest.fixture()

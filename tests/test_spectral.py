@@ -617,19 +617,30 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
 
 
 def test_theta_slopes_match_theta_pair_differences():
-    # u E'(u) and u O'(u) by the term-ratio recurrence against central
-    # differences of the theta pair at 256 bits, across [0, sin theta]
-    ctx, fine = make_context(128), make_context(256)
-    for theta in ("pi/8", "pi/4", "3*pi/8"):
-        mpar = ModularParam.from_theta(theta, fine)
-        with fine.workprec():
-            h = mp.mpf(10) ** -30
-            for frac in ("0", "0.3", "0.7", "1"):
-                x = 2 * mp.pi * mpar.b * sin_theta(mpar) * mp.mpf(frac)
-                up, down = _theta_pair(x + h, mpar.q, fine), _theta_pair(x - h, mpar.q, fine)
-                for got, a, b in zip(_theta_slopes(x, mpar.q, ctx), up, down):
-                    want = (a - b) / (2 * h)
-                    assert abs(got - want) <= ctx.tol * max(abs(want), 1), (theta, frac)
+    # u E'(u) and u O'(u) from the derivative kernels against central
+    # differences of the theta pair at twice the bits, across [0, sin
+    # theta].  With h = sqrt(tol) / 100 the difference's truncation error,
+    # a third of |D(h) - D(2h)|, is checked to stay below 0.01 tol
+    for bits in (64, 128, 512):
+        ctx, fine = make_context(bits), make_context(2 * bits)
+        tol = ctx.tol
+        for theta in ("pi/8", "pi/4", "3*pi/8", "7*pi/16"):
+            mpar = ModularParam.from_theta(theta, fine)
+            with fine.workprec():
+                h = mp.sqrt(tol) / 100
+
+                def diff(x, h):
+                    up = _theta_pair(x + h, mpar.q, fine)
+                    down = _theta_pair(x - h, mpar.q, fine)
+                    return [(a - b) / (2 * h) for a, b in zip(up, down)]
+
+                for frac in ("0", "0.3", "0.7", "1"):
+                    x = 2 * mp.pi * mpar.b * sin_theta(mpar) * mp.mpf(frac)
+                    got = _theta_slopes(x, mpar.q, ctx)
+                    for g, want, coarse in zip(got, diff(x, h), diff(x, 2 * h)):
+                        scale = tol * max(abs(want), 1)
+                        assert abs(want - coarse) <= 0.03 * scale, (bits, theta, frac)
+                        assert abs(g - want) <= scale, (bits, theta, frac)
 
 
 def _count_false_position(monkeypatch):
@@ -692,14 +703,11 @@ def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypat
     _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
 
 
-def test_refine_falls_back_when_the_polish_leaves_its_bracket(
-        sheet2_128, states2_128, coarse_pi4, monkeypatch):
+def test_spectrum_polish_failure_runs_the_full_path(sheet2_128, states2_128, monkeypatch):
     # a polish whose bracket excludes its state (here the coarse sigma
-    # alone) leaves it on the first step; each state is then redone by
-    # false position at 128 bits on its coarse grid bracket, and still
-    # comes out the full-precision path's state within tol
+    # alone) leaves it on the first step, and spectrum reruns the job at
+    # 128 bits: the full-precision path's states bit for bit
     ctx128, mpar128, *_ = sheet2_128
-    refined = _count_false_position(monkeypatch)
     raised = []
     original = spectral._polish
 
@@ -711,10 +719,8 @@ def test_refine_falls_back_when_the_polish_leaves_its_bracket(
             raise
 
     monkeypatch.setattr(spectral, "_polish", narrowed)
-    pts = _refine(*coarse_pi4[2], mpar128, ctx128)
-    assert len(raised) == 6 and all("left the bracket" in m for m in raised)
-    assert refined == [128] * 6
-    _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
+    assert spectrum(2, 48, (1, -1), mpar128, ctx128) == states2_128
+    assert len(raised) == 1 and "left the bracket" in raised[0]
 
 
 def test_spectrum_coarse_failure_runs_the_full_path(monkeypatch):
