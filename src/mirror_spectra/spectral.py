@@ -18,23 +18,25 @@ solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
 only the two coefficients, 8-10 terms against the 37-47 of the four
 chi series, which stay the independent oracle in wronskian_eval, factorize
 and the dual solution; rho_extract reads rho off the two coefficients.  An
-orbit is the root curve alone.  quantize reads G from G_eval at the eps a
-solve returns: once per inner grid node for all the parities asked, and
-once per false-position trial.
+orbit is the root curve alone.  quantize reads G from G_eval once per inner
+grid node, for all the parities asked.
 
 To leading order each sheet is a spiral, eps_k ~ q^{-2 floor(k/2)} s^{m_k}
 (_spiral), so log eps is nearly linear in sigma.  The continuation carries
 the log slope d log eps/d sigma, seeds each Newton solve by geometric
-extrapolation, and leaves sigma = 0 along the spiral's own slope; false
-position interpolates eps geometrically too.
+extrapolation, and leaves sigma = 0 along the spiral's own slope; the state
+solver steps and interpolates eps geometrically too.
 
-spectrum runs trace_orbit and quantize at 64 bits and takes each state to
-the working precision by Newton's method on the bordered system W = 0,
-arg G = target in (sigma, eps) (Allgower and Georg, Introduction to
-Numerical Continuation Methods, 2003).  That polish forms G from the chi
-series at s and 1/s that also give its derivatives, by G_eval's pole test
-(chi._g_ratio), and W_sigma from mpmath's theta derivative kernels.  A
-polish that fails reruns the whole job at the working precision.
+One routine, _state, finds every state: Newton's method on the bordered
+system W = 0, arg G = target in (sigma, eps) (Allgower and Georg,
+Introduction to Numerical Continuation Methods, 2003), kept inside a grid
+bracket whose indicator signs are known (Numerical Recipes, 3rd ed., 9.4).
+It forms G from the chi series at s and 1/s that also give its derivatives,
+by G_eval's pole test (chi._g_ratio), and W_sigma from mpmath's theta
+derivative kernels.  quantize starts it from each bracket's secant point;
+spectrum runs trace_orbit and quantize at 64 bits and starts it at the
+working precision from each 64-bit state.  A state at the working
+precision that fails reruns the whole job there.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
@@ -70,7 +72,6 @@ from .precision import (
 
 _MAX_NEWTON = 80
 _MAX_HALVINGS = 24
-_MAX_FALSE_POSITION = 64  # quantize gives up on a bracket after this many trials
 
 
 # ── containers ────────────────────────────────────────────────────────────
@@ -136,8 +137,8 @@ def _theta_slopes(x, q, ctx: PrecCtx):
     u O' = -i theta_2'(z; q^2) / (q^2)^{1/4}, from mpmath's derivative
     kernels, the twins of the ones _jtheta sums, at the context's precision
     plus _jtheta's guard: 10 bits plus the log2 of the largest term.  On the
-    polish's sigma in (0, sin theta), 1 <= |u| <= 1/|q| keeps z inside the
-    kernels' strip, so no shift is needed."""
+    state solver's sigma in (0, sin theta), 1 <= |u| <= 1/|q| keeps z inside
+    the kernels' strip, so no shift is needed."""
     with ctx.workprec():
         q2 = q * q
         a = 2 * float(mp.re(x))
@@ -159,11 +160,10 @@ def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
 
 
 def _fast_newton(ctx: PrecCtx) -> int:
-    """The Newton steps a fast solve, or a polish, may take before it gives
-    up.  From a prediction with a fixed number of correct bits, quadratic
-    convergence reaches tol in about log2 of the precision more steps, so
-    the cap grows with it: 6 at 64 bits, 7 at 128, 8 at 256 to 511 and 10
-    at 1,024."""
+    """The Newton steps a fast solve may take before it gives up.  From a
+    prediction with a fixed number of correct bits, quadratic convergence
+    reaches tol in about log2 of the precision more steps, so the cap grows
+    with it: 6 at 64 bits, 7 at 128, 8 at 256 to 511 and 10 at 1,024."""
     return max(5, ctx.precision_bits.bit_length() - 1)
 
 
@@ -400,138 +400,87 @@ def _parity_indicator(sigma, eps, parity: int, mpar: ModularParam, ctx: PrecCtx)
     return _indicator(G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx), parity)
 
 
-def _false_position(lo, hi, parity: int, sheet: int, mpar: ModularParam,
-                    ctx: PrecCtx):
-    """Illinois false position in sigma for an indicator zero in [lo, hi].
+def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
+           ctx: PrecCtx):
+    """The state of the given parity in the grid bracket (lo, hi), by
+    Newton's method on the bordered system W(s(sigma), eps) = 0,
+    Im L(sigma, eps) = target (mod pi), L = log G, kept inside the bracket.
 
-    lo and hi are grid samples (sigma, eps, indicator) whose indicators have
-    opposite signs.  Each trial sigma is the secant zero of the two bracket
-    ends, and its eps is Newton-solved from the geometric interpolation
-    eps_a (eps_b / eps_a)^t, t = (c - a) / (b - a), of the ends' eps, exact
-    on the sheet's spiral (_spiral) as _advance's seed is; its indicator is
-    _parity_indicator's, from G_eval.  An end kept twice in a row has its
-    indicator halved (the Illinois rule), so both ends close in on the root.
-    Returns the trial (sigma, eps) once successive trials differ by at most
-    tol * max(sin(theta), 1) and its indicator is at most tol: the
-    indicator can be steep in sigma, so a short step alone does not bound
-    it.
-
-    Where the indicator cannot reach tol at this precision (G is steep in
-    eps, so its rounding floor can lie above tol), the bracket collapses:
-    its ends, or their indicators, become equal.  That raises
-    PrecisionExceeded naming the smallest indicator reached.  An end with
-    eps = 0, where the interpolation is undefined, raises SolverError.
-    """
-    tol = ctx.tol
-    stop = tol * max(sin_theta(mpar), 1)
-    (a, ea, fa), (b, eb, fb) = lo, hi  # b: the latest trial
-    reached = min(abs(fa), abs(fb))
-    for _ in range(_MAX_FALSE_POSITION):
-        if b == a or fb == fa:
-            raise PrecisionExceeded(
-                f"false position on sheet {sheet}, parity {parity:+d} collapsed "
-                f"its bracket at sigma = {mp.nstr(b, 10)}: the indicator reached "
-                f"{mp.nstr(reached, 3)}, above tol = {mp.nstr(tol, 3)}; raise "
-                "the precision"
-            )
-        if not (ea and eb):
-            raise SolverError(
-                f"false position on sheet {sheet} reached eps = 0 at sigma = "
-                f"{mp.nstr(b if ea else a, 10)}: log eps is undefined")
-        c = b - fb * (b - a) / (fb - fa)
-        ec = _solve_eps(c, ea * (eb / ea) ** ((c - a) / (b - a)), mpar, ctx)
-        fc = _parity_indicator(c, ec, parity, mpar, ctx)
-        if fc == 0 or (abs(c - b) <= stop and abs(fc) <= tol):
-            return c, ec
-        reached = min(reached, abs(fc))
-        if mp.sign(fc) == mp.sign(fb):
-            fa /= 2
-        else:
-            a, ea, fa = b, eb, fb
-        b, eb, fb = c, ec, fc
-    raise SolverError(
-        f"false position did not converge in {_MAX_FALSE_POSITION} steps on "
-        f"sheet {sheet}, parity {parity:+d}, sigma in "
-        f"[{mp.nstr(lo[0], 10)}, {mp.nstr(hi[0], 10)}]"
-    )
-
-
-def quantize(orbit: Orbit, parities: tuple, mpar: ModularParam, ctx: PrecCtx):
-    """All interior quantized states of the given parities along the orbit,
-    even states first.
-
-    parities is a non-empty tuple drawn from {+1, -1}.  Even states (parity
-    +1) are the interior zeros of Re G/|G|, odd states (parity -1) those of
-    Im G/|G|.  G_eval is summed once at each inner grid node of the orbit,
-    and every parity reads its indicator from that one G; each sign change
-    between neighbouring nodes is refined by _false_position on that grid
-    bracket, with eps re-solved and G_eval summed at every trial sigma.  The
-    endpoints are never eligible: G is exactly +-1 there (double-pole cases,
-    excluded from the spectrum), which also makes the odd indicator vanish
-    identically at both ends.
-    """
-    if not (isinstance(parities, tuple) and parities and set(parities) <= {1, -1}):
-        raise ValueError("parities must be a non-empty tuple of +1 and -1, "
-                         f"got {parities!r}")
-    with ctx.workprec():
-        sth = sin_theta(mpar)
-        nodes = [(sig, eps, G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx))
-                 for sig, eps in orbit.samples[1:-1]]
-        points = []
-        for parity in (+1, -1):
-            if parity not in parities:
-                continue
-            inner = [(sig, eps, _indicator(g, parity)) for sig, eps, g in nodes]
-            for lo, hi in zip(inner, inner[1:]):
-                if lo[2] == 0 or mp.sign(lo[2]) == mp.sign(hi[2]):
-                    continue
-                sigma_star, eps_star = _false_position(
-                    lo, hi, parity, orbit.sheet, mpar, ctx)
-                # simplicity guard: on real sigma the lattice +-q^Z meets the
-                # ray s(sigma) only at integer multiples of sin(theta)
-                if abs(sigma_star / sth - mp.nint(sigma_star / sth)) < mp.mpf("1e-10"):
-                    raise SolverError(
-                        f"quantized point at sigma = {mp.nstr(sigma_star, 10)} "
-                        "collides with the lattice +-q^Z"
-                    )
-                points.append(SpectralPoint(sheet=orbit.sheet, sigma=sigma_star,
-                                            eps=eps_star, parity=parity))
-        return points
-
-
-# ── the spectrum: a 64-bit spectrum polished at the context's precision ───
-
-
-def _polish(point: SpectralPoint, lo, hi, mpar: ModularParam, ctx: PrecCtx):
-    """(sigma, eps) of a state, by Newton's method on the bordered system
-    W(s(sigma), eps) = 0, Im L(sigma, eps) = target (mod pi), L = log G, from
-    a coarse state point whose sigma lies in the grid bracket (lo, hi).
-
-    The target is pi/2 for even states and 0 for odd ones.  Eliminating deps
-    with the first equation leaves one real step:
+    lo and hi are (sigma, eps, indicator) with indicators of opposite signs;
+    spectrum's coarse brackets give None for both, and G_eval reads them
+    once a step first leaves the bracket.  Newton starts from start =
+    (sigma, eps), or from the bracket's secant point when start is None.
+    The target is pi/2 for even states and 0 for odd ones.  Eliminating
+    deps with the first equation leaves one real step:
 
         dsigma = [target - Im L + Im(L_eps W / W_eps)]
                  / Im(L_sigma - L_eps W_sigma / W_eps),
         deps   = -(W + W_sigma dsigma) / W_eps.
 
     W and W_eps come from _wronskian_sums on the _theta_pair, W_sigma from
-    the same sums on _theta_slopes; L_eps from the eps-derivative chi
-    series at s and v = 1/s, and L_sigma = 2 pi b [s chi'(s)/chi(s) +
-    v chi'(v)/chi(v) + 1] from the du series.  A step is the last once W
-    vanishes to tol (_vanishes_to_tol), |indicator| <= tol, |dsigma| <= tol
-    * max(sin theta, 1) and |deps| <= tol * max(|eps|, 1); it is applied, as
-    _solve_eps applies its last correction.  SolverError when sigma leaves
-    the bracket, a step divides by zero, or _fast_newton(ctx) steps do not
-    converge; PoleSignal where G has a pole (_g_ratio, G_eval's test).
-    spectrum answers any of them by running the job at ctx.
+    the same sums on _theta_slopes; G from the chi series at s and v = 1/s
+    by G_eval's pole test (chi._g_ratio), L_eps from their eps-derivative
+    series, and L_sigma = 2 pi b [s chi'(s)/chi(s) + v chi'(v)/chi(v) + 1]
+    from the du series.  eps takes its step geometrically, eps exp(deps /
+    eps): Newton in (sigma, log eps), where the sheet is nearly a line
+    (_spiral).  An additive step leaves the curve by about |eps''| dsigma^2
+    / 2, and G, steep in eps, then sends the next step astray (sheet 3 at
+    3 pi/8 on 16 points wandered for _MAX_NEWTON steps).
+
+    A step that leaves the bracket goes to the bracket's secant point
+    instead, with eps solved on the curve from the geometric interpolation
+    eps_a (eps_b / eps_a)^t, t = (c - a) / (b - a), of the ends' eps, exact
+    on the sheet's spiral (_spiral) as _advance's seed is.  Only such
+    on-curve points move the bracket's ends: G is steep in eps, so the
+    indicator's sign at an iterate off the curve is not to be trusted.
+
+    Returns the last evaluated point once W vanishes to tol
+    (_vanishes_to_tol), |indicator| <= tol, and either |dsigma| <= tol *
+    max(sin theta, 1) and |deps| <= tol * max(|eps|, 1), or the step has
+    stopped shrinking: the iterates then sit at the indicator's rounding
+    floor, where a further step only moves them within it.
+
+    Where the indicator cannot reach tol at this precision (its rounding
+    floor lies above tol), the bracket collapses, or _MAX_NEWTON steps pass
+    with the indicator above tol; either raises PrecisionExceeded naming
+    the smallest indicator reached.  An end with eps = 0, where the
+    interpolation is undefined, raises SolverError, as does a step that
+    divides by zero or a state on the lattice +-q^Z; PoleSignal where G has
+    a pole.
     """
     with ctx.workprec():
         tol = ctx.tol
-        stop = tol * max(sin_theta(mpar), 1)
-        target = mp.pi / 2 if point.parity == 1 else mp.mpf(0)
+        sth = sin_theta(mpar)
+        stop = tol * max(sth, 1)
+        target = mp.pi / 2 if parity == 1 else mp.mpf(0)
         twopib = 2 * mp.pi * mpar.b
-        sigma, eps = mp.mpf(point.sigma), mp.mpmathify(point.eps)
-        for _ in range(_fast_newton(ctx)):
+        (a, ea, fa), (b, eb, fb) = lo, hi
+        reached = min((abs(f) for f in (fa, fb) if f is not None), default=mp.inf)
+        sigma, eps = start or (None, None)
+        last, floor = mp.inf, False
+
+        def exceeded(why):
+            return PrecisionExceeded(
+                f"state solver on sheet {sheet}, parity {parity:+d} {why}: the "
+                f"indicator reached {mp.nstr(reached, 3)}, above tol = "
+                f"{mp.nstr(tol, 3)}; raise the precision")
+
+        for _ in range(_MAX_NEWTON):
+            on_curve = sigma is None or not a < sigma < b
+            if on_curve:
+                if fa is None:
+                    fa, fb = (_parity_indicator(c, e, parity, mpar, ctx)
+                              for c, e in ((a, ea), (b, eb)))
+                if b <= a or fb == fa:
+                    raise exceeded(f"collapsed its bracket at sigma = "
+                                   f"{mp.nstr(a, 10)}")
+                if not (ea and eb):
+                    raise SolverError(
+                        f"state solver on sheet {sheet} reached eps = 0 at sigma = "
+                        f"{mp.nstr(b if ea else a, 10)}: log eps is undefined")
+                sigma = b - fb * (b - a) / (fb - fa)
+                eps = _solve_eps(sigma, ea * (eb / ea) ** ((sigma - a) / (b - a)),
+                                 mpar, ctx)
             x = twopib * sigma
             s = mp.exp(x)
             v = 1 / s
@@ -546,54 +495,85 @@ def _polish(point: SpectralPoint, lo, hi, mpar: ModularParam, ctx: PrecCtx):
             g = _g_ratio(cs, cv / s, s, ctx)
             _, cs_u = _chi_series(s, eps, mpar, ctx, du=True)
             _, cv_u = _chi_series(v, eps, mpar, ctx, du=True)
+            f = _indicator(g, parity)
+            reached = min(reached, abs(f))
+            if on_curve:
+                if mp.sign(f) == mp.sign(fa):
+                    a, ea, fa = sigma, eps, f
+                else:
+                    b, eb, fb = sigma, eps, f
             off = target - mp.arg(g)
             off -= mp.pi * mp.nint(off / mp.pi)
             ratio = (cs_eps / cs - cv_eps / cv) / w_eps if w_eps else 0
             den = mp.im(twopib * (cs_u / cs + cv_u / cv + 1) - ratio * w_sig)
             if not (w_eps and den):
-                raise SolverError(
-                    f"polish step divides by zero at sigma = {mp.nstr(sigma, 10)}")
+                raise SolverError("state solver step divides by zero at "
+                                  f"sigma = {mp.nstr(sigma, 10)}")
             dsig = (off + mp.im(ratio * w)) / den
             deps = -(w + w_sig * dsig) / w_eps
-            done = (_vanishes_to_tol(w, max(abs(t1), abs(t0)), ctx)
-                    and abs(_indicator(g, point.parity)) <= tol
-                    and abs(dsig) <= stop and abs(deps) <= tol * max(abs(eps), 1))
-            sigma, eps = sigma + dsig, eps + deps
-            if done:
-                return sigma, eps
-            if not lo < sigma < hi:
-                raise SolverError(
-                    f"polish left the bracket [{mp.nstr(lo, 10)}, {mp.nstr(hi, 10)}]")
-        raise SolverError(
-            f"polish did not converge in {_fast_newton(ctx)} steps at sigma = "
-            f"{mp.nstr(sigma, 10)}")
+            size = max(abs(dsig) / stop, abs(deps) / (tol * max(abs(eps), 1)))
+            floor = floor or (not on_curve and size >= last)
+            if (_vanishes_to_tol(w, max(abs(t1), abs(t0)), ctx) and abs(f) <= tol
+                    and (size <= 1 or floor)):
+                # simplicity guard: on real sigma the lattice +-q^Z meets the
+                # ray s(sigma) only at integer multiples of sin(theta)
+                if abs(sigma / sth - mp.nint(sigma / sth)) < mp.mpf("1e-10"):
+                    raise SolverError(
+                        f"quantized point at sigma = {mp.nstr(sigma, 10)} "
+                        "collides with the lattice +-q^Z")
+                return SpectralPoint(sheet=sheet, sigma=sigma, eps=eps,
+                                     parity=parity)
+            last = size
+            sigma, eps = sigma + dsig, eps * mp.exp(deps / eps)
+        raise exceeded(f"did not converge in {_MAX_NEWTON} steps in sigma in "
+                       f"[{mp.nstr(a, 10)}, {mp.nstr(b, 10)}]")
 
 
-def _refine(orbit: Orbit, coarse: list, mpar: ModularParam, ctx: PrecCtx):
-    """The coarse states quantize found on orbit, each taken to ctx by
-    _polish inside its grid bracket; a polish's SolverError propagates."""
-    nodes = [sig for sig, _ in orbit.samples]
-    points = []
+def quantize(orbit: Orbit, parities: tuple, mpar: ModularParam, ctx: PrecCtx):
+    """All interior quantized states of the given parities along the orbit,
+    even states first.
+
+    parities is a non-empty tuple drawn from {+1, -1}.  Even states (parity
+    +1) are the interior zeros of Re G/|G|, odd states (parity -1) those of
+    Im G/|G|.  G_eval is summed once at each inner grid node of the orbit,
+    and every parity reads its indicator from that one G; each sign change
+    between neighbouring nodes is solved by _state on that grid bracket,
+    from the bracket's secant point.  The endpoints are never eligible: G is
+    exactly +-1 there (double-pole cases, excluded from the spectrum), which
+    also makes the odd indicator vanish identically at both ends.
+    """
+    if not (isinstance(parities, tuple) and parities and set(parities) <= {1, -1}):
+        raise ValueError("parities must be a non-empty tuple of +1 and -1, "
+                         f"got {parities!r}")
     with ctx.workprec():
-        for pt in coarse:
-            i = bisect.bisect_left(nodes, pt.sigma)
-            sigma, eps = _polish(pt, nodes[i - 1], nodes[i], mpar, ctx)
-            points.append(SpectralPoint(sheet=orbit.sheet, sigma=sigma, eps=eps,
-                                        parity=pt.parity))
-    return points
+        nodes = [(sig, eps, G_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx))
+                 for sig, eps in orbit.samples[1:-1]]
+        points = []
+        for parity in (+1, -1):
+            if parity not in parities:
+                continue
+            inner = [(sig, eps, _indicator(g, parity)) for sig, eps, g in nodes]
+            for lo, hi in zip(inner, inner[1:]):
+                if lo[2] == 0 or mp.sign(lo[2]) == mp.sign(hi[2]):
+                    continue
+                points.append(_state(lo, hi, None, parity, orbit.sheet, mpar, ctx))
+        return points
+
+
+# ── the spectrum: 64-bit states taken to the context's precision ──────────
 
 
 def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
              ctx: PrecCtx):
     """quantize(trace_orbit(sheet, npoints, ...), parities, ...) at ctx: the
-    states in quantize's order, from a 64-bit spectrum polished at ctx.
+    states in quantize's order, from a 64-bit spectrum taken to ctx.
 
     Above _MIN_BITS bits, the floor PrecCtx accepts, the coarse stage runs
     trace_orbit and quantize at _MIN_BITS with mpar.at(_MIN_BITS), and
-    _refine takes each coarse state to ctx, in 2-3 Newton steps at 128 bits
-    and 4-6 at 512.  At _MIN_BITS, or where the coarse stage or a polish
-    raises SolverError, the job runs at ctx as written above, so its
-    states and errors are that path's.
+    _state takes each coarse state to ctx, starting from it, inside its
+    64-bit grid bracket: 2-3 steps per state at 128 bits.  At _MIN_BITS, or
+    where the coarse stage or a state at ctx raises SolverError, the job
+    runs at ctx as written above, so its states and errors are that path's.
     """
     _check_nome_precision(mpar, ctx)
     if ctx.precision_bits > _MIN_BITS:
@@ -601,8 +581,14 @@ def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
         coarse_mpar = mpar.at(_MIN_BITS)
         try:
             orbit = trace_orbit(sheet, npoints, coarse_mpar, coarse_ctx)
-            coarse = quantize(orbit, parities, coarse_mpar, coarse_ctx)
-            return _refine(orbit, coarse, mpar, ctx)
+            nodes = [sig for sig, _ in orbit.samples]
+            points = []
+            for pt in quantize(orbit, parities, coarse_mpar, coarse_ctx):
+                i = bisect.bisect_left(nodes, pt.sigma)
+                lo, hi = (node + (None,) for node in orbit.samples[i - 1:i + 1])
+                points.append(_state(lo, hi, (pt.sigma, pt.eps), pt.parity, sheet,
+                                     mpar, ctx))
+            return points
         except SolverError:
             pass
     return quantize(trace_orbit(sheet, npoints, mpar, ctx), parities, mpar, ctx)

@@ -306,8 +306,8 @@ def test_spectrum_unreachable_indicator_is_typed(capsys):
     err = capsys.readouterr().err
     assert rc in (EXIT_OK, EXIT_NUMERIC)
     if rc == EXIT_NUMERIC:
-        assert "false position on sheet 3, parity" in err
-        assert "collapsed its bracket" in err and "the indicator reached" in err
+        assert "state solver on sheet 3, parity" in err
+        assert "did not converge in 80 steps" in err and "the indicator reached" in err
 
 
 def test_spectrum_verify_columns(capsys):

@@ -19,9 +19,9 @@ from mirror_spectra.eigenfunction import (
 from mirror_spectra.precision import ModularParam, PoleSignal, default_tol, make_context
 from mirror_spectra.spectral import (
     SpectralPoint,
-    _false_position,
     _parity_indicator,
     _solve_eps,
+    _state,
     quantize,
     solve_eps,
 )
@@ -173,7 +173,7 @@ LADDER_BITS = (64, 96, 128, 192, 256)
 REF_BITS = 2 * max(LADDER_BITS) + 64
 GROUND_IM_EPS = "4.59435880983691894"   # sheet-1 even state at sigma = sin(theta)/2
 SHEET2_IM_EPS = "-111.300184113096796"  # sheet-2 even state at sigma = sin(theta)/2
-# the sheet-1 odd state at 128 bits, polished at REF_BITS by false position
+# the sheet-1 odd state at 128 bits, taken to REF_BITS by the state solver
 ODD_SIGMA = "0.6121173716461672675437387"
 ODD_EPS = ("-13.87830477803669060701033", "6.161296243244348685028404")
 N_OFFSETS = 5
@@ -229,16 +229,15 @@ def lattice_reference():
 
 
 def _odd_reference_point(ctx, mpar):
-    """The sheet-1 odd state at ctx: false position in sigma on a +-1e-20
-    bracket around ODD_SIGMA, eps re-solved at every trial."""
+    """The sheet-1 odd state at ctx: the state solver on a +-1e-20 bracket
+    around ODD_SIGMA, from its secant point."""
     with ctx.workprec():
         sigma0, h = mp.mpf(ODD_SIGMA), mp.mpf("1e-20")
         ends = []
         for sigma in (sigma0 - h, sigma0 + h):
             eps = _solve_eps(sigma, mp.mpc(*ODD_EPS), mpar, ctx)
             ends.append((sigma, eps, _parity_indicator(sigma, eps, -1, mpar, ctx)))
-        sigma, eps = _false_position(*ends, -1, 1, mpar, ctx)
-    return SpectralPoint(sheet=1, sigma=sigma, eps=eps, parity=-1)
+        return _state(*ends, None, -1, 1, mpar, ctx)
 
 
 @pytest.fixture(scope="module")

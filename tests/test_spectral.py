@@ -1,6 +1,8 @@
 """Wronskian solver: functional relations, Newton root-finding, sheet
 continuation, quantization, and the theta-function factorization."""
 
+import bisect
+
 import pytest
 from mpmath import mp
 
@@ -17,7 +19,6 @@ from mirror_spectra.precision import (
 from mirror_spectra.spectral import (
     Orbit,
     _parity_indicator,
-    _refine,
     _sigma_to_s,
     _solve_eps,
     _theta_pair,
@@ -357,6 +358,27 @@ def _count_g(monkeypatch):
     return calls
 
 
+def _count_states(monkeypatch):
+    # (working bits, start, Newton steps, on-curve eps solves) of each state
+    # the state solver returns; a step is one _theta_slopes call
+    calls, steps, solves = [], [], []
+    state, slopes, solve = spectral._state, spectral._theta_slopes, spectral._solve_eps
+
+    def counted(lo, hi, start, parity, sheet, mpar, ctx):
+        steps.clear()
+        solves.clear()
+        point = state(lo, hi, start, parity, sheet, mpar, ctx)
+        calls.append((ctx.precision_bits, start, len(steps), len(solves)))
+        return point
+
+    monkeypatch.setattr(spectral, "_state", counted)
+    monkeypatch.setattr(spectral, "_theta_slopes",
+                        lambda *args: steps.append(args) or slopes(*args))
+    monkeypatch.setattr(spectral, "_solve_eps",
+                        lambda *args, **kw: solves.append(args) or solve(*args, **kw))
+    return calls
+
+
 @pytest.fixture(scope="module")
 def sheet2_128():
     # sheet 2 at the CLI's 128-bit default, with the Newton solves, the
@@ -428,15 +450,16 @@ def test_trace_orbit_work_count_sheet2_64_bits(monkeypatch):
 
 
 def test_zero_eps_is_a_typed_error(ctx, mpar):
-    # log eps is undefined at eps = 0: the continuation and false position
-    # raise SolverError naming the sigma, not ZeroDivisionError
+    # log eps is undefined at eps = 0: the continuation and the state
+    # solver's secant point raise SolverError naming the sigma, not
+    # ZeroDivisionError
     with ctx.workprec():
         sig = mp.mpf("0.25")
         with pytest.raises(SolverError, match="eps = 0 at sigma = 0.25"):
             spectral._advance(sig, mp.mpf("0.3"), mp.mpf(0), mp.mpf(1), 1, mpar, ctx)
         lo, hi = (sig, mp.mpf(0), mp.mpf(-1)), (mp.mpf("0.3"), mp.mpf(2), mp.mpf(1))
         with pytest.raises(SolverError, match="eps = 0 at sigma = 0.25"):
-            spectral._false_position(lo, hi, 1, 1, mpar, ctx)
+            spectral._state(lo, hi, None, 1, 1, mpar, ctx)
 
 
 def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
@@ -501,8 +524,8 @@ def coarse_orbit1():
 @pytest.mark.parametrize("parity,target", ((-1, "0.6121173716461672675"),
                                            (+1, "0.3535533905932737622")))
 def test_quantize_meets_tol_at_256_bits(coarse_orbit1, parity, target):
-    # the secant stop follows ctx.tol, so at 256 bits (tol 1e-60) the
-    # sheet-1 ground states are polished until their indicator is below tol.
+    # the state solver's stop follows ctx.tol, so at 256 bits (tol 1e-60)
+    # the sheet-1 ground states are solved until their indicator is below tol.
     # A short orbit keeps this cheap: a 128-bit trace locates the two grid
     # nodes around the state, and only those two are re-solved at 256 bits
     # (quantize reads the inner samples only).
@@ -542,9 +565,9 @@ def test_quantize_parity_guard(ctx, mpar, orbit1):
 
 
 def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
-    # false position on each grid bracket: a handful of solves per state
-    # (bisection then secant took about 20), each state polished until its
-    # indicator is below tol
+    # the state solver on each grid bracket: a handful of solves per state
+    # (bisection then secant took about 20; the state solver takes one, at
+    # the secant point), each state solved until its indicator is below tol
     ctx128, mpar128, orbit, *_ = sheet2_128
     calls = _count_solves(monkeypatch)
     for parity in (-1, +1):
@@ -560,20 +583,23 @@ def test_quantize_work_count_and_indicator(sheet2_128, monkeypatch):
 
 def test_quantize_reads_node_g(sheet2_128, monkeypatch):
     # the orbit is the root curve alone: trace_orbit sums no G.  quantize
-    # calls G_eval once at each inner node for both parities, then once per
-    # false-position trial, at the trial's sigma, and every state is one of
-    # its trials: 46 + 41 calls on sheet 2 at 128 bits
+    # calls G_eval once at each inner node for both parities and at no step:
+    # the state solver forms G from the chi series it also differentiates.
+    # Each state solves eps on the curve once, at its bracket's secant
+    # point, and takes 4-5 Newton steps on sheet 2 at 128 bits (false
+    # position took 41 trials, each with a solve and a G_eval)
     ctx128, mpar128, orbit, _, _, traced = sheet2_128
     assert traced == 0
-    solves = _count_solves(monkeypatch)
     calls = _count_g(monkeypatch)
+    states = _count_states(monkeypatch)
     pts = quantize(orbit, (1, -1), mpar128, ctx128)
     assert len(pts) == 6
     with ctx128.workprec():
         nodes = [_sigma_to_s(sig, mpar128) for sig, _ in orbit.samples[1:-1]]
-        assert calls == nodes + [_sigma_to_s(sig, mpar128) for sig in solves]
-        assert {p.sigma for p in pts} <= set(solves)
-    assert (len(nodes), len(solves)) == (46, 41)
+        assert calls == nodes
+    assert len(nodes) == 46
+    assert [(start, steps, solves) for _, start, steps, solves in states] == [
+        (None, 4, 1), (None, 4, 1), (None, 5, 1), (None, 4, 1), (None, 4, 1), (None, 4, 1)]
 
 
 def test_quantize_both_parities_is_each_in_turn(sheet2_128):
@@ -584,6 +610,46 @@ def test_quantize_both_parities_is_each_in_turn(sheet2_128):
     assert [p.parity for p in both] == [1, 1, 1, -1, -1, -1]
     assert both == (quantize(orbit, (1,), mpar128, ctx128)
                     + quantize(orbit, (-1,), mpar128, ctx128))
+
+
+def _lattice_bracket(bits):
+    # an odd-parity bracket of sheet 1 at pi/4 around sigma = sin theta,
+    # where G is real: its state lies on the lattice +-q^Z
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    with ctx.workprec():
+        sth = sin_theta(mpar)
+        end = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
+        ends = []
+        for sig in (sth - mp.mpf("0.01"), sth + mp.mpf("0.01")):
+            eps = solve_eps(sig, end, mpar, ctx)
+            ends.append((sig, eps, _parity_indicator(sig, eps, -1, mpar, ctx)))
+    return ctx, mpar, ends, (sth, end)
+
+
+@pytest.mark.parametrize("bits", (64, 128))
+def test_state_on_the_lattice_is_a_typed_error(bits):
+    # the simplicity guard runs on every state the solver returns: from the
+    # bracket's secant point, as quantize starts it, and from a coarse state,
+    # as spectrum starts it at ctx
+    ctx, mpar, (lo, hi), end = _lattice_bracket(bits)
+    for start in (None, end):
+        with pytest.raises(SolverError, match="collides with the lattice"):
+            spectral._state(lo, hi, start, -1, 1, mpar, ctx)
+
+
+def test_state_solver_precision_errors(monkeypatch):
+    # a bracket with no room left, and a state that has not converged in
+    # the step cap, raise PrecisionExceeded naming the sheet, the parity and
+    # the smallest indicator reached
+    ctx, mpar, (lo, hi), _ = _lattice_bracket(64)
+    with pytest.raises(PrecisionExceeded, match=r"sheet 1, parity -1 collapsed its "
+                       r"bracket at sigma = .*: the indicator reached 0\.551"):
+        spectral._state(lo, lo, None, -1, 1, mpar, ctx)
+    monkeypatch.setattr(spectral, "_MAX_NEWTON", 1)
+    with pytest.raises(PrecisionExceeded, match=r"sheet 1, parity -1 did not converge "
+                       r"in 1 steps .*: the indicator reached [0-9.e-]+, above tol"):
+        spectral._state(lo, hi, (lo[0] + mp.mpf("0.001"), lo[1]), -1, 1, mpar, ctx)
 
 
 def test_quantize_indicator_at_tolerance_floor():
@@ -643,19 +709,6 @@ def test_theta_slopes_match_theta_pair_differences():
                         assert abs(g - want) <= scale, (bits, theta, frac)
 
 
-def _count_false_position(monkeypatch):
-    # the working precision of each false-position refinement
-    bits = []
-    original = spectral._false_position
-
-    def counted(lo, hi, parity, sheet, mpar, ctx):
-        bits.append(ctx.precision_bits)
-        return original(lo, hi, parity, sheet, mpar, ctx)
-
-    monkeypatch.setattr(spectral, "_false_position", counted)
-    return bits
-
-
 def _assert_states_within_tol(got, want, mpar, ctx):
     # the same parities in the same order, each sigma within tol max(sin
     # theta, 1) and each eps within tol max(|eps|, 1)
@@ -676,51 +729,81 @@ def states2_128(sheet2_128):
 
 @pytest.fixture(scope="module")
 def coarse_pi4():
-    # spectrum's coarse stage for sheets 2 and 3 at pi/4: the 64-bit orbit
-    # and its states, which _refine takes to any precision
+    # spectrum's coarse stage for sheets 2 and 3 at pi/4: each 64-bit state
+    # with the 64-bit grid bracket spectrum takes it to any precision in
     ctx64 = make_context(64)
     mpar64 = ModularParam.from_theta("pi/4", ctx64)
     out = {}
     for sheet in (2, 3):
         orbit = trace_orbit(sheet, 48, mpar64, ctx64)
-        out[sheet] = orbit, quantize(orbit, (1, -1), mpar64, ctx64)
+        nodes = [sig for sig, _ in orbit.samples]
+        out[sheet] = []
+        for pt in quantize(orbit, (1, -1), mpar64, ctx64):
+            i = bisect.bisect_left(nodes, pt.sigma)
+            lo, hi = ((sig, eps, None) for sig, eps in orbit.samples[i - 1:i + 1])
+            out[sheet].append((lo, hi, pt))
     return out
 
 
+def _at_ctx(coarse, mpar, ctx):
+    # spectrum's second stage: each coarse state taken to ctx by the state
+    # solver, starting from it, inside its grid bracket
+    return [spectral._state(lo, hi, (pt.sigma, pt.eps), pt.parity, pt.sheet, mpar, ctx)
+            for lo, hi, pt in coarse]
+
+
+def test_coarse_bracket_signs_are_read_when_left(coarse_pi4, monkeypatch):
+    # spectrum's brackets carry no indicators: a start on the bracket's edge
+    # leaves it at once, the ends' signs are read from G_eval then, and the
+    # state is the one found from the coarse state
+    ctx = make_context(128)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    lo, hi, pt = coarse_pi4[2][0]
+    want = _at_ctx([(lo, hi, pt)], mpar, ctx)
+    calls = _count_g(monkeypatch)
+    got = spectral._state(lo, hi, lo[:2], pt.parity, 2, mpar, ctx)
+    with ctx.workprec():
+        assert calls == [_sigma_to_s(lo[0], mpar), _sigma_to_s(hi[0], mpar)]
+    _assert_states_within_tol([got], want, mpar, ctx)
+
+
 def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypatch):
-    # the six states come from the 64-bit spectrum, each polished at 128
-    # bits in at most three Newton steps with no fallback, and they are the
-    # full-precision path's within tol
+    # the six states come from the 64-bit spectrum, each taken to 128 bits
+    # from its coarse state in at most three Newton steps, with no eps solve
+    # on the curve and no fallback, and they are the full-precision path's
+    # within tol
     ctx128, mpar128, *_ = sheet2_128
-    refined = _count_false_position(monkeypatch)
-    steps = []
-    original = spectral._theta_slopes
-    monkeypatch.setattr(spectral, "_theta_slopes",
-                        lambda *args: steps.append(args) or original(*args))
+    states = _count_states(monkeypatch)
     pts = spectrum(2, 48, (1, -1), mpar128, ctx128)
-    assert refined == [64] * 6
-    assert len(steps) <= 3 * len(pts)
+    assert [(bits, start is None) for bits, start, _, _ in states] == (
+        [(64, True)] * 6 + [(128, False)] * 6)
+    fine = [(steps, solves) for bits, _, steps, solves in states if bits == 128]
+    assert sum(steps for steps, _ in fine) <= 3 * len(pts)
+    assert sum(solves for _, solves in fine) == 0
     _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
 
 
 def test_spectrum_polish_failure_runs_the_full_path(sheet2_128, states2_128, monkeypatch):
-    # a polish whose bracket excludes its state (here the coarse sigma
-    # alone) leaves it on the first step, and spectrum reruns the job at
-    # 128 bits: the full-precision path's states bit for bit
+    # a state at ctx whose bracket is narrowed to the coarse state alone
+    # collapses it on the first step, and spectrum reruns the job at 128
+    # bits: the full-precision path's states bit for bit
     ctx128, mpar128, *_ = sheet2_128
     raised = []
-    original = spectral._polish
+    original = spectral._state
 
-    def narrowed(pt, lo, hi, *args):
+    def narrowed(lo, hi, start, *args):
+        if start is None:
+            return original(lo, hi, start, *args)
+        end = (*start, lo[2])
         try:
-            return original(pt, pt.sigma, pt.sigma, *args)
+            return original(end, end, start, *args)
         except SolverError as exc:
             raised.append(str(exc))
             raise
 
-    monkeypatch.setattr(spectral, "_polish", narrowed)
+    monkeypatch.setattr(spectral, "_state", narrowed)
     assert spectrum(2, 48, (1, -1), mpar128, ctx128) == states2_128
-    assert len(raised) == 1 and "left the bracket" in raised[0]
+    assert len(raised) == 1 and "collapsed its bracket" in raised[0]
 
 
 def test_spectrum_coarse_failure_runs_the_full_path(monkeypatch):
@@ -741,28 +824,30 @@ def test_spectrum_coarse_failure_runs_the_full_path(monkeypatch):
 
 
 def test_spectrum_at_64_bits_is_the_job_itself(monkeypatch):
-    # at the floor the coarse stage is the job: no polish, and the context's
+    # at the floor the coarse stage is the job: each state solved once, from
+    # its grid bracket, none taken on from a coarse state, and the context's
     # own tol, not the 64-bit default
     ctx64 = make_context(64, 1e-13)
     mpar64 = ModularParam.from_theta("pi/4", ctx64)
-    polished = []
-    monkeypatch.setattr(spectral, "_polish", lambda *args: polished.append(args))
+    states = _count_states(monkeypatch)
     pts = spectrum(1, 16, (1, -1), mpar64, ctx64)
-    assert polished == []
+    assert [(bits, start) for bits, start, _, _ in states] == [(64, None)] * len(pts)
     assert pts == quantize(trace_orbit(1, 16, mpar64, ctx64), (1, -1), mpar64, ctx64)
 
 
-@pytest.mark.parametrize("sheet,bits", ((2, 96), (2, 128), (2, 256), (2, 384), (3, 128)))
+@pytest.mark.parametrize("sheet,bits", ((2, 64), (3, 64), (2, 96), (2, 128), (2, 256),
+                                        (2, 384), (3, 128)))
 def test_polished_states_rung(coarse_pi4, sheet, bits):
-    # the 64-bit states polished at each rung against the same states
-    # polished at twice the bits, sigma and eps alike.  Sheet 3 is the eps
-    # bound: quantize stops on sigma, and eps moves by about 2 pi |eps| per
-    # unit sigma there, so its eps can be 1.9 tol |eps| off; the polish
-    # also stops on |deps|
+    # the states at each rung against the same states at twice the bits,
+    # sigma and eps alike: at 64 bits quantize's own, above it the 64-bit
+    # states taken to the rung.  Sheet 3 is the eps bound: eps moves by
+    # about 2 pi |eps| per unit sigma there, so a stop on sigma alone left
+    # its eps 1.9 tol |eps| off; the state solver also stops on |deps|
     ctx, ref_ctx = make_context(bits), make_context(2 * bits)
     mpar = ModularParam.from_theta("pi/4", ctx)
-    pts = _refine(*coarse_pi4[sheet], mpar, ctx)
-    ref = _refine(*coarse_pi4[sheet], ModularParam.from_theta("pi/4", ref_ctx), ref_ctx)
+    coarse = coarse_pi4[sheet]
+    pts = [pt for _, _, pt in coarse] if bits == 64 else _at_ctx(coarse, mpar, ctx)
+    ref = _at_ctx(coarse, ModularParam.from_theta("pi/4", ref_ctx), ref_ctx)
     assert len(pts) == (6 if sheet == 2 else 10)
     _assert_states_within_tol(pts, ref, mpar, ctx)
 

@@ -92,7 +92,7 @@ def test_selfdual_cli_makes_every_required_span(tmp_path):
 
 def test_spectrum_cli_makes_every_required_span(tmp_path):
     # one short spectrum job through the CLI makes every call spectrum_s2
-    # requires: solve_eps at sigma = 0, G_eval at the grid nodes and trials,
+    # requires: solve_eps at sigma = 0, G_eval at the grid nodes,
     # and chi_eval under G_eval.  Above 64 bits the 64-bit coarse stage
     # makes them, calling trace_orbit and quantize as module attributes
     for bits in ("64", "128"):
