@@ -258,7 +258,7 @@ def _tail_small(l1: float, l2: float, l3: float, lscale: float) -> bool:
 
 def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     """(chi_q(u, eps), d chi / d eps), adaptively truncated; with du,
-    (chi_q(u, eps), u d chi / du) instead.
+    (chi_q(u, eps), d chi / d eps, u d chi / du) from the same loop.
 
     Uses the second series form: term_n = f_n chi_n(eps) u^n, with f_n and
     chi_n read from the shared tables of (eps, q, working precision), which
@@ -276,35 +276,37 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     the exact test on the mpf hypot values would; within the margin it sums
     one more term.  A non-finite term never passes it.
 
-    With du the second sum takes n chi_n in place of dchi_n/deps, from a
-    pair stream chosen before the loop, so the eps-derivative path runs the
-    loop above unchanged.
+    With du a third sum takes n chi_n in place of dchi_n/deps.  All the
+    sums stop on the one test of the value terms, so each is bit for bit
+    the sum a call for it alone makes.
     """
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
         eps = mp.mpmathify(eps)
         if u == 0:
-            return mp.mpf(1), mp.mpf(0)
+            return (mp.mpf(1), mp.mpf(0)) + ((mp.mpf(0),) if du else ())
         prec, rnd = mp.prec, round_nearest
         ltol = _log2_abs((ctx.tol._mpf_, fzero))
         # every value an (re, im) pair of raw mpf tuples; l1, l2 are
         # log2 |t_{n-2}|, log2 |t_{n-1}|
-        ur, s, ds, up = _parts(u), (fzero, fzero), (fzero, fzero), (fone, fzero)
+        ur, up = _parts(u), (fone, fzero)
+        s = ds = us = (fzero, fzero)
         ltmax = l1 = l2 = -math.inf
-        pairs = _raw_pairs(eps, mpar.q)
-        if du:
-            pairs = ((fn, x, mpc_mul_int(x, n, prec, rnd))
-                     for n, (fn, x, _) in enumerate(pairs))
-        for n, (fn, x, dx) in zip(range(_MAX_TERMS), pairs):
+        for n, (fn, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
             coeff = mpc_mul(up, fn, prec, rnd)
             t = mpc_mul(coeff, x, prec, rnd)
             s = mpc_add(s, t, prec, rnd)
             ds = mpc_add(ds, mpc_mul(coeff, dx, prec, rnd), prec, rnd)
+            if du:
+                us = mpc_add(us, mpc_mul(coeff, mpc_mul_int(x, n, prec, rnd), prec,
+                                         rnd), prec, rnd)
             la = _log2_abs(t)
             if la > ltmax:
                 ltmax = la
             if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_abs(s), ltmax)):
+                if du:
+                    return mp.make_mpc(s), mp.make_mpc(ds), mp.make_mpc(us)
                 return mp.make_mpc(s), mp.make_mpc(ds)
             up, l1, l2 = mpc_mul(up, ur, prec, rnd), l2, la
         raise PrecisionExceeded(

@@ -143,8 +143,8 @@ def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx)
     q = mpar.q
     tpb = 2 * mp.pi * mpar.b
     u = mp.exp(tpb * x)
-    chi_u, a_u = _chi_series(u, pt.eps, mpar, ctx, du=True)
-    chi_i, a_i = _chi_series(1 / u, pt.eps, mpar, ctx, du=True)
+    chi_u, _, a_u = _chi_series(u, pt.eps, mpar, ctx, du=True)
+    chi_i, _, a_i = _chi_series(1 / u, pt.eps, mpar, ctx, du=True)
     chk = chi_i / u
     d_chk = -(a_i + chi_i) / u                      # u chk'(u)
     c_chi, c_chk = mp.conj(chi_u), mp.conj(chk)

@@ -3,6 +3,8 @@
 Foundation layer for everything else in the package:
 
   * ``PrecCtx``        -- working precision + tolerance;
+  * ``_predicted_stop`` -- the stop every Newton loop in the package shares:
+                          accept a step on its predicted error;
   * ``ModularParam``   -- the coupling as given and its data (theta, b, q,
                           qbar), with exact logarithms of the nomes;
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
@@ -107,6 +109,21 @@ def make_context(precision_bits: int = 192, tol=None) -> PrecCtx:
     if tol is None:
         tol = default_tol(precision_bits)
     return PrecCtx(precision_bits=precision_bits, tol=tol)
+
+
+def _predicted_stop(size, prev, budget) -> bool:
+    """Newton's stop on its predicted error (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004, ch. 2): size and prev are the magnitudes of
+    the last two full Newton corrections, and x_k + dx_k is accepted, with
+    no evaluation to confirm it, once their contraction Theta = size / prev
+    is below 1/2 and the error it predicts for that point, Theta size /
+    (1 - Theta), is within budget.  Where Theta >= 1/2 (slow convergence,
+    as at a near-double root), or with no previous correction, it never
+    accepts, and the caller's own test decides."""
+    if not prev:
+        return False
+    theta = size / prev
+    return theta < 0.5 and theta * size <= budget * (1 - theta)
 
 
 def default_tol(bits: int):

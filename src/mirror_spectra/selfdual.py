@@ -38,7 +38,14 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .precision import _MIN_BITS, PrecCtx, PrecisionExceeded, SolverError, make_context
+from .precision import (
+    _MIN_BITS,
+    PrecCtx,
+    PrecisionExceeded,
+    SolverError,
+    _predicted_stop,
+    make_context,
+)
 
 _GL_ORDER = 32
 _GL_CACHE = {}
@@ -67,18 +74,28 @@ class SelfDualSpectrum:
 
 
 def _legendre_root(order, x, floor):
-    """(root, P_order' at the last iterate): Newton on the Legendre
-    polynomial, by its three-term recurrence, from x until |step| < floor;
-    in floats for a float x and at the working precision for an mpf."""
+    """(root, P_order' there): Newton on the Legendre polynomial, by its
+    three-term recurrence, from x until the predicted error of a step
+    (precision._predicted_stop) is within floor, or else a step is below
+    it; in floats for a float x and at the working precision for an mpf.
+    A root taken on a predicted error is the last iterate plus its step,
+    with P' carried there by P'' from Legendre's equation, (1 - x^2) P'' =
+    2 x P' - n (n + 1) P, so that the point the stop accepts is never
+    evaluated."""
+    prev = None
     for _ in range(64):
         p0, p1 = 1, x
         for k in range(2, order + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         dp = order * (x * p1 - p0) / (x * x - 1)
         step = p1 / dp
+        if _predicted_stop(abs(step), prev, floor):
+            ddp = (2 * x * dp - order * (order + 1) * p1) / (1 - x * x)
+            return x - step, dp - step * ddp
         x -= step
         if abs(step) < floor:
             return x, dp
+        prev = abs(step)
     raise SolverError(f"Legendre root near {float(x):.6f} of {order} stalled")
 
 
@@ -86,9 +103,10 @@ def gauss_legendre_nodes(order: int, ctx: PrecCtx):
     """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1].
 
     Each Legendre root is found by Newton in double precision from its
-    Chebyshev guess, then refined at the context's precision until the step
-    is below 2^(8 - bits); the float start leaves about four quadratic steps
-    at 256 bits.  Cached per (order, precision).
+    Chebyshev guess, then refined at the context's precision until the
+    predicted error of a step is below 2^(8 - bits) (_legendre_root); the
+    float start leaves 2 evaluations per root at 128 bits, 3 at 256 and 5
+    at 1,024.  Cached per (order, precision).
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and >= 2, got {order}")
@@ -377,9 +395,13 @@ def _level_newton(eps, ctx):
         return f, slope, periods
 
 
-def _level_root(x, n, ctx):
+def _level_root(x, n, ctx, prev=0):
     """(x, e^x): Newton in x = log eps on the level function at ctx, from x,
-    until |f - (n+1)| <= tol (n+1) or the step is below tol."""
+    which a full Newton correction of size prev reached (0 if none did).
+    It returns x less its step once the error predicted for that point is
+    within tol (precision._predicted_stop), so that log eps is bounded by
+    tol; where the steps contract by less than half, it returns x once
+    |f - (n+1)| <= tol (n+1) or the step is below tol."""
     target = n + 1
     with ctx.workprec():
         for _ in range(_NEWTON_STEPS):
@@ -387,9 +409,11 @@ def _level_root(x, n, ctx):
             f, slope, _ = _level_newton(eps, ctx)
             r = f - target
             step = r / slope
+            if _predicted_stop(abs(step), prev, ctx.tol):
+                return x - step, mp.exp(x - step)
             if abs(r) <= ctx.tol * target or abs(step) <= ctx.tol:
                 return x, eps
-            x -= step
+            x, prev = x - step, abs(step)
     raise SolverError(f"Newton for level {n} did not settle")
 
 
@@ -402,10 +426,11 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     reach n + 1.  It climbs a precision ladder (Brent-Zimmermann, Modern
     Computer Arithmetic, 4.2): Newton to the stop of a _MIN_BITS context at
     its finest tol, then one step at each doubled precision, the last at
-    ctx's own, each about doubling the correct bits, then Newton at ctx,
-    which stops once |f - (n+1)| <= tol (n+1) or the step is below tol.
-    Its first evaluation confirms the root, so a level takes two
-    evaluations at ctx (levels 0-1,000 at 96-1,024 bits).  It needs no
+    ctx's own, each about doubling the correct bits, then Newton at ctx
+    (_level_root), which takes the ladder's last step as its previous
+    correction.  Its first evaluation predicts the error of its own step
+    within tol, which bounds log eps, so a level takes two evaluations at
+    ctx (levels 0-1,000 at 96-1,024 bits).  It needs no
     bracket: on x >= log 8 f is increasing and convex (its slope grows like
     2x/pi^2) and f(8) < 1, so a step from any x >= log 8, x0 on the left of
     the root included, lands at or right of the root, and the iterates then
@@ -424,14 +449,15 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     with rung.workprec():
         x = mp.pi * mp.sqrt(n + mp.mpf(5) / 6)
     x, _ = _level_root(x, n, rung)
-    bits = _MIN_BITS
+    bits, step = _MIN_BITS, 0
     while bits < ctx.precision_bits:
         bits = min(2 * bits, ctx.precision_bits)
         rung = make_context(bits)
         with rung.workprec():
             f, slope, _ = _level_newton(mp.exp(x), rung)
-            x -= (f - target) / slope
-    x, eps_star = _level_root(x, n, ctx)
+            step = (f - target) / slope
+            x -= step
+    x, eps_star = _level_root(x, n, ctx, abs(step))
 
     with ctx.workprec():
         A, At, B, Bt = period_integrals(eps_star, ctx)

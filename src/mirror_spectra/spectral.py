@@ -67,6 +67,7 @@ from .precision import (
     _check_nome_precision,
     _jtheta,
     _ln,
+    _predicted_stop,
     make_context,
 )
 
@@ -174,12 +175,17 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 
     Each pass (_wronskian_pass) sums the two coefficients w_-1(eps),
     w_0(eps) and their eps-derivatives, and W = w_-1 O(s) + w_0 E(s) with
-    E(s), O(s) evaluated once per solve (_theta_pair).  Stops when both
+    E(s), O(s) evaluated once per solve (_theta_pair).  Stops on the
+    predicted error of the Newton correction -W/W_eps
+    (precision._predicted_stop, budget tol * max(|eps|, 1)) once the last
+    two full undamped corrections contract by more than half, so no pass
+    is spent to confirm a converged step.  Where they contract more
+    slowly (near-double roots), or after a damped step, it stops when both
     the residual |W| <= tol * max(scale, 1), scale = max(|w_-1 O|, |w_0 E|)
-    (chi._vanishes_to_tol), and the Newton correction |W / W_eps| <= tol *
+    (chi._vanishes_to_tol), and the correction |W / W_eps| <= tol *
     max(|eps|, 1) are met: a small residual alone leaves eps loose where
-    W_eps is small.  The returned eps has that last correction -W/W_eps
-    applied, which costs no pass.
+    W_eps is small.  The returned eps has that last correction applied,
+    which costs no pass.
 
     Each step is damped by halving until |W| falls.  With fast=True the
     solve gives up instead, returning None, at the first step whose full
@@ -194,9 +200,11 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
         eps = mp.mpmathify(eps0)
         tol = ctx.tol
         w, dw, scale = _wronskian_pass(eps, pair, mpar, ctx)
+        prev = None     # the last full Newton correction |W / W_eps| taken
         for it in range(_MAX_NEWTON):
-            if (_vanishes_to_tol(w, scale, ctx)
-                    and abs(w) <= tol * max(abs(eps), 1) * abs(dw)):
+            budget = tol * max(abs(eps), 1)
+            if ((_vanishes_to_tol(w, scale, ctx) and abs(w) <= budget * abs(dw))
+                    or (dw and _predicted_stop(abs(w / dw), prev, budget))):
                 return eps - (w / dw if w else 0)
             if fast and it >= _fast_newton(ctx):
                 return None
@@ -212,6 +220,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
                 wt, dwt, st = _wronskian_pass(trial, pair, mpar, ctx)
                 if abs(wt) < abs(w):
                     eps, w, dw, scale = trial, wt, dwt, st
+                    prev = abs(step) if lam == 1 else None
                     break
                 if fast:
                     return None
@@ -228,6 +237,8 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 
 def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
     """Root eps of W(e^{2 pi b sigma}, eps), seeded at eps0: Newton stops
+    once the error predicted for its last correction is within tol *
+    max(|eps|, 1), or, where the corrections contract by less than half,
     once |W| <= tol * scale and |W / W_eps| <= tol * max(|eps|, 1)."""
     return _solve_eps(sigma, eps0, mpar, ctx)
 
@@ -419,13 +430,14 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
 
     W and W_eps come from _wronskian_sums on the _theta_pair, W_sigma from
     the same sums on _theta_slopes; G from the chi series at s and v = 1/s
-    by G_eval's pole test (chi._g_ratio), L_eps from their eps-derivative
-    series, and L_sigma = 2 pi b [s chi'(s)/chi(s) + v chi'(v)/chi(v) + 1]
-    from the du series.  eps takes its step geometrically, eps exp(deps /
-    eps): Newton in (sigma, log eps), where the sheet is nearly a line
-    (_spiral).  An additive step leaves the curve by about |eps''| dsigma^2
-    / 2, and G, steep in eps, then sends the next step astray (sheet 3 at
-    3 pi/8 on 16 points wandered for _MAX_NEWTON steps).
+    by G_eval's pole test (chi._g_ratio), and L_eps and L_sigma = 2 pi b
+    [s chi'(s)/chi(s) + v chi'(v)/chi(v) + 1] from the eps and u
+    derivatives each of those two series sums in its one loop.  eps takes
+    its step geometrically, eps exp(deps / eps): Newton in (sigma, log
+    eps), where the sheet is nearly a line (_spiral).  An additive step
+    leaves the curve by about |eps''| dsigma^2 / 2, and G, steep in eps,
+    then sends the next step astray (sheet 3 at 3 pi/8 on 16 points
+    wandered for _MAX_NEWTON steps).
 
     A step that leaves the bracket goes to the bracket's secant point
     instead, with eps solved on the curve from the geometric interpolation
@@ -434,19 +446,28 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
     on-curve points move the bracket's ends: G is steep in eps, so the
     indicator's sign at an iterate off the curve is not to be trusted.
 
-    Returns the last evaluated point once W vanishes to tol
-    (_vanishes_to_tol), |indicator| <= tol, and either |dsigma| <= tol *
-    max(sin theta, 1) and |deps| <= tol * max(|eps|, 1), or the step has
-    stopped shrinking: the iterates then sit at the indicator's rounding
-    floor, where a further step only moves them within it.
+    A step's size, in units of tol, is the largest of |dsigma| / max(sin
+    theta, 1), |deps| / max(|eps|, 1) and |indicator|.  Where tol is at
+    least precision_bits * finest_tol, clear of the indicator's rounding
+    floor (about 2 finest_tol at 64 and 128 bits), it returns the last
+    point plus its step, without evaluating it, once the error predicted
+    for that point is within tol (precision._predicted_stop on the sizes
+    of the last two Newton steps; a secant point starts the count again).
+    Otherwise, or where the steps contract by less than half, it returns
+    the last evaluated point once W vanishes to tol (_vanishes_to_tol),
+    |indicator| <= tol, and either |dsigma| and |deps| are within tol in
+    those units or the step has stopped shrinking: the iterates then sit
+    at the indicator's rounding floor, where a further step only moves
+    them within it.
 
     Where the indicator cannot reach tol at this precision (its rounding
-    floor lies above tol), the bracket collapses, or _MAX_NEWTON steps pass
-    with the indicator above tol; either raises PrecisionExceeded naming
-    the smallest indicator reached.  An end with eps = 0, where the
-    interpolation is undefined, raises SolverError, as does a step that
-    divides by zero or a state on the lattice +-q^Z; PoleSignal where G has
-    a pole.
+    floor lies above tol), the steps stop shrinking and the indicator
+    makes no new low for _fast_newton(ctx) steps, the bracket collapses,
+    or _MAX_NEWTON steps pass with the indicator above tol; each raises
+    PrecisionExceeded naming the smallest indicator reached.  An end with
+    eps = 0, where the interpolation is undefined, raises SolverError, as
+    does a step that divides by zero or a state on the lattice +-q^Z;
+    PoleSignal where G has a pole.
     """
     with ctx.workprec():
         tol = ctx.tol
@@ -457,13 +478,24 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
         (a, ea, fa), (b, eb, fb) = lo, hi
         reached = min((abs(f) for f in (fa, fb) if f is not None), default=mp.inf)
         sigma, eps = start or (None, None)
-        last, floor = mp.inf, False
+        last, floor, prev, idle = mp.inf, False, None, 0
+        # tol this far above finest_tol clears the indicator's rounding floor
+        predict = tol >= ctx.precision_bits * ctx.finest_tol
 
         def exceeded(why):
             return PrecisionExceeded(
                 f"state solver on sheet {sheet}, parity {parity:+d} {why}: the "
                 f"indicator reached {mp.nstr(reached, 3)}, above tol = "
                 f"{mp.nstr(tol, 3)}; raise the precision")
+
+        def found(sigma, eps):
+            # simplicity guard: on real sigma the lattice +-q^Z meets the
+            # ray s(sigma) only at integer multiples of sin(theta)
+            if abs(sigma / sth - mp.nint(sigma / sth)) < mp.mpf("1e-10"):
+                raise SolverError(
+                    f"quantized point at sigma = {mp.nstr(sigma, 10)} "
+                    "collides with the lattice +-q^Z")
+            return SpectralPoint(sheet=sheet, sigma=sigma, eps=eps, parity=parity)
 
         for _ in range(_MAX_NEWTON):
             on_curve = sigma is None or not a < sigma < b
@@ -481,6 +513,7 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
                 sigma = b - fb * (b - a) / (fb - fa)
                 eps = _solve_eps(sigma, ea * (eb / ea) ** ((sigma - a) / (b - a)),
                                  mpar, ctx)
+                prev = None
             x = twopib * sigma
             s = mp.exp(x)
             v = 1 / s
@@ -490,13 +523,11 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
             t1, t0 = r1 * odd, r0 * even
             w, w_eps = t1 + t0, d1 * odd + d0 * even
             w_sig = twopib * (r1 * do + r0 * de)
-            cs, cs_eps = _chi_series(s, eps, mpar, ctx)
-            cv, cv_eps = _chi_series(v, eps, mpar, ctx)
+            cs, cs_eps, cs_u = _chi_series(s, eps, mpar, ctx, du=True)
+            cv, cv_eps, cv_u = _chi_series(v, eps, mpar, ctx, du=True)
             g = _g_ratio(cs, cv / s, s, ctx)
-            _, cs_u = _chi_series(s, eps, mpar, ctx, du=True)
-            _, cv_u = _chi_series(v, eps, mpar, ctx, du=True)
             f = _indicator(g, parity)
-            reached = min(reached, abs(f))
+            low, reached = abs(f) < reached, min(reached, abs(f))
             if on_curve:
                 if mp.sign(f) == mp.sign(fa):
                     a, ea, fa = sigma, eps, f
@@ -512,19 +543,20 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
             dsig = (off + mp.im(ratio * w)) / den
             deps = -(w + w_sig * dsig) / w_eps
             size = max(abs(dsig) / stop, abs(deps) / (tol * max(abs(eps), 1)))
+            step = max(size, abs(f) / tol)
+            nxt = sigma + dsig, eps * mp.exp(deps / eps)
+            if predict and _predicted_stop(step, prev, 1):
+                return found(*nxt)
             floor = floor or (not on_curve and size >= last)
+            idle = idle + 1 if floor and not low else 0
             if (_vanishes_to_tol(w, max(abs(t1), abs(t0)), ctx) and abs(f) <= tol
                     and (size <= 1 or floor)):
-                # simplicity guard: on real sigma the lattice +-q^Z meets the
-                # ray s(sigma) only at integer multiples of sin(theta)
-                if abs(sigma / sth - mp.nint(sigma / sth)) < mp.mpf("1e-10"):
-                    raise SolverError(
-                        f"quantized point at sigma = {mp.nstr(sigma, 10)} "
-                        "collides with the lattice +-q^Z")
-                return SpectralPoint(sheet=sheet, sigma=sigma, eps=eps,
-                                     parity=parity)
-            last = size
-            sigma, eps = sigma + dsig, eps * mp.exp(deps / eps)
+                return found(sigma, eps)
+            if floor and idle >= _fast_newton(ctx):
+                raise exceeded(f"stalled at its rounding floor in sigma in "
+                               f"[{mp.nstr(a, 10)}, {mp.nstr(b, 10)}]")
+            last, prev = size, step
+            sigma, eps = nxt
         raise exceeded(f"did not converge in {_MAX_NEWTON} steps in sigma in "
                        f"[{mp.nstr(a, 10)}, {mp.nstr(b, 10)}]")
 
@@ -571,7 +603,7 @@ def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
     Above _MIN_BITS bits, the floor PrecCtx accepts, the coarse stage runs
     trace_orbit and quantize at _MIN_BITS with mpar.at(_MIN_BITS), and
     _state takes each coarse state to ctx, starting from it, inside its
-    64-bit grid bracket: 2-3 steps per state at 128 bits.  At _MIN_BITS, or
+    64-bit grid bracket: 2 steps per state at 128 bits and 2-3 at 256.  At _MIN_BITS, or
     where the coarse stage or a state at ctx raises SolverError, the job
     runs at ctx as written above, so its states and errors are that path's.
     """

@@ -300,14 +300,15 @@ def test_spectrum_sheet3_at_64_bits(capsys):
 def test_spectrum_unreachable_indicator_is_typed(capsys):
     # at the finest tol 64 bits allow, sheet 3's indicator bottoms out above
     # tol (G is steep in eps): quantization reports that as a numerical
-    # failure naming where it stopped, never as a traceback
+    # failure naming where it stopped, never as a traceback; the state
+    # solver stops at the indicator's floor, not at its step cap
     rc = main(["spectrum", "--sheet", "3", "--precision-bits", "64",
                "--tol", "4e-15"])
     err = capsys.readouterr().err
     assert rc in (EXIT_OK, EXIT_NUMERIC)
     if rc == EXIT_NUMERIC:
         assert "state solver on sheet 3, parity" in err
-        assert "did not converge in 80 steps" in err and "the indicator reached" in err
+        assert "stalled at its rounding floor" in err and "the indicator reached" in err
 
 
 def test_spectrum_verify_columns(capsys):

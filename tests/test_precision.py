@@ -15,7 +15,7 @@ from mirror_spectra import (
     theta1,
 )
 from mirror_spectra.invariants import _theta1_product
-from mirror_spectra.precision import default_tol
+from mirror_spectra.precision import _predicted_stop, default_tol
 from mirror_spectra.spectral import _theta_pair
 
 
@@ -87,6 +87,57 @@ def test_tol_representations_build_equal_contexts():
     assert make_context(4300, "1e-1250") == make_context(4300, mp.mpf("1e-1250"))
     assert make_context(1600).precision_bits == 1600
     assert make_context(1600, default_tol(1600)).tol == default_tol(1600)
+
+
+# ── Newton's stop on its predicted error ───────────────────────────────────
+
+def _first_stop(sizes, budget):
+    # the index of the correction _predicted_stop first accepts, or None
+    prev = None
+    for k, size in enumerate(sizes):
+        if _predicted_stop(size, prev, budget):
+            return k
+        prev = size
+    return None
+
+
+def test_predicted_stop_on_synthetic_sequences():
+    budget = mp.mpf(2) ** -100
+    with mp.workprec(400):
+        # quadratic: Newton on x^2 = 2 from 1.  The stop accepts x_k + dx_k
+        # one evaluation before a correction falls below budget, and that
+        # point is within budget of the root
+        xs, dxs, x = [], [], mp.mpf(1)
+        for _ in range(10):
+            dx = -(x * x - 2) / (2 * x)
+            xs.append(x)
+            dxs.append(dx)
+            x += dx
+        sizes = [abs(dx) for dx in dxs]
+        k = _first_stop(sizes, budget)
+        assert sizes[k] > budget >= sizes[k + 1]
+        assert abs(xs[k] + dxs[k] - mp.sqrt(2)) <= budget
+        # linear with Theta just above 1/2, as at a double root: never,
+        # however small the corrections get
+        assert _first_stop([mp.mpf("0.5001") ** k for k in range(400)], budget) is None
+        # linear with Theta just below 1/2: where the geometric tail Theta
+        # size / (1 - Theta), the error left, first falls within budget
+        theta = mp.mpf("0.4999")
+        sizes = [theta ** k for k in range(400)]
+        k = _first_stop(sizes, budget)
+        assert sizes[k + 1] / (1 - theta) <= budget < sizes[k] / (1 - theta)
+        # a linear approach (Theta 0.6) to a floor above budget, where the
+        # corrections hover: they never pass, and the caller's own test
+        # decides
+        floor = budget * 1000
+        sizes = [floor * (1 + mp.mpf("0.3") * (-1) ** k) + mp.mpf("0.6") ** k
+                 for k in range(300)]
+        assert _first_stop(sizes, budget) is None
+    # no previous correction, or a zero one, never accepts; a zero
+    # correction after a nonzero one does
+    assert not _predicted_stop(mp.mpf(0), None, budget)
+    assert not _predicted_stop(mp.mpf(0), mp.mpf(0), budget)
+    assert _predicted_stop(mp.mpf(0), mp.mpf(1), budget)
 
 
 # ── ModularParam ────────────────────────────────────────────────────────────

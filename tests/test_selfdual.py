@@ -501,6 +501,30 @@ def test_quantize_precision_ladder(bits, levels):
             assert abs(got - want) <= ctx.tol * want, (bits, n)
 
 
+@pytest.fixture(scope="module")
+def levels_256():
+    ctx = make_context(256)
+    return ctx, {n: quantize_selfdual(n, ctx).eps for n in (0, 14, 100, 1000)}
+
+
+@pytest.mark.parametrize("bits", (96, 192))
+def test_level_root_bounds_log_eps(bits, levels_256, monkeypatch):
+    # the level's Newton stop bounds log eps by tol, not only f - (n+1) by
+    # tol (n+1), which allows tol (n+1)/f' in log eps (about 50 tol at
+    # level 1,000); against the 256-bit levels.  At 96 bits level 1,000
+    # lies past the quadrature's reach (its root check misses by 5e-7), so
+    # the series stands in for that check there
+    ref_ctx, refs = levels_256
+    ctx = make_context(bits)
+    for n, ref in refs.items():
+        with monkeypatch.context() as patch:
+            if bits == 96 and n == 1000:
+                patch.setattr(selfdual, "period_integrals", period_series)
+            eps = quantize_selfdual(n, ctx).eps
+        with ref_ctx.workprec():
+            assert abs(mp.log(eps) - mp.log(ref)) <= ctx.tol, (bits, n)
+
+
 def test_quantize_levels_past_1e6(monkeypatch):
     # f(1e6) ~ 19.5: from level 19 on the root lies past eps = 1e6, and
     # Newton reaches it with one quadrature at the root

@@ -586,8 +586,9 @@ def test_quantize_reads_node_g(sheet2_128, monkeypatch):
     # calls G_eval once at each inner node for both parities and at no step:
     # the state solver forms G from the chi series it also differentiates.
     # Each state solves eps on the curve once, at its bracket's secant
-    # point, and takes 4-5 Newton steps on sheet 2 at 128 bits (false
-    # position took 41 trials, each with a solve and a G_eval)
+    # point, and takes 3-4 Newton steps on sheet 2 at 128 bits: the stop on
+    # the predicted error spends no step to confirm the last one (4-5 with
+    # one; false position took 41 trials, each with a solve and a G_eval)
     ctx128, mpar128, orbit, _, _, traced = sheet2_128
     assert traced == 0
     calls = _count_g(monkeypatch)
@@ -599,7 +600,7 @@ def test_quantize_reads_node_g(sheet2_128, monkeypatch):
         assert calls == nodes
     assert len(nodes) == 46
     assert [(start, steps, solves) for _, start, steps, solves in states] == [
-        (None, 4, 1), (None, 4, 1), (None, 5, 1), (None, 4, 1), (None, 4, 1), (None, 4, 1)]
+        (None, 4, 1), (None, 4, 1), (None, 4, 1), (None, 3, 1), (None, 4, 1), (None, 4, 1)]
 
 
 def test_quantize_both_parities_is_each_in_turn(sheet2_128):
@@ -665,6 +666,24 @@ def test_quantize_indicator_at_tolerance_floor():
             for p in pts:
                 ind = _parity_indicator(p.sigma, p.eps, parity, mpar64, ctx64)
                 assert abs(ind) <= ctx64.tol, (parity, p.sigma)
+
+
+def test_state_solver_stops_at_its_floor(monkeypatch):
+    # sheet 3 at the finest tol 64 bits allow: the indicator's rounding
+    # floor lies above tol, and a state whose steps have stopped shrinking
+    # and whose indicator makes no new low for _fast_newton(ctx) steps
+    # raises there.  Running out the step cap instead took 120 steps, 80
+    # of them in one state
+    ctx64 = make_context(64, 4e-15)
+    mpar64 = ModularParam.from_theta("pi/4", ctx64)
+    steps = []
+    slopes = spectral._theta_slopes
+    monkeypatch.setattr(spectral, "_theta_slopes",
+                        lambda *args: steps.append(args) or slopes(*args))
+    with pytest.raises(PrecisionExceeded, match=r"sheet 3, parity \+1 stalled at its "
+                       r"rounding floor .*: the indicator reached [0-9.e-]+, above tol"):
+        spectrum(3, 48, (1, -1), mpar64, ctx64)
+    assert len(steps) == 21
 
 
 def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
@@ -771,15 +790,27 @@ def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypat
     # the six states come from the 64-bit spectrum, each taken to 128 bits
     # from its coarse state in at most three Newton steps, with no eps solve
     # on the curve and no fallback, and they are the full-precision path's
-    # within tol
+    # within tol.  This is perfbench's spectrum_s2 job, and its counts
+    # repeat: Newton stops on its predicted error, so neither the orbit's
+    # solves nor the state solver spend an evaluation to confirm their
+    # last step, and a state step sums each chi series once, with its eps
+    # and u derivatives.  Stopping on the step itself, with four series
+    # per step, took 150 W passes, 32 state steps and 128 series
     ctx128, mpar128, *_ = sheet2_128
+    passes = _count_passes(monkeypatch)
     states = _count_states(monkeypatch)
+    series = []
+    original = spectral._chi_series
+    monkeypatch.setattr(spectral, "_chi_series",
+                        lambda *args, **kw: series.append(args) or original(*args, **kw))
     pts = spectrum(2, 48, (1, -1), mpar128, ctx128)
     assert [(bits, start is None) for bits, start, _, _ in states] == (
         [(64, True)] * 6 + [(128, False)] * 6)
     fine = [(steps, solves) for bits, _, steps, solves in states if bits == 128]
     assert sum(steps for steps, _ in fine) <= 3 * len(pts)
     assert sum(solves for _, solves in fine) == 0
+    steps = sum(steps for _, _, steps, _ in states)
+    assert (len(passes), steps, len(series)) == (120, 27, 54)
     _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
 
 
