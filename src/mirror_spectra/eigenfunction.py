@@ -116,7 +116,7 @@ def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
     b = mpar.b
     sigma = mp.mpmathify(pt.sigma)
     u = mp.exp(2 * mp.pi * b * x)
-    v = mp.exp(2 * mp.pi * b * mp.conj(x))
+    v = mp.exp(2 * mp.pi * b * mp.conj(x)) if mp.im(x) else u
     t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)
     num = t1 + xi * t2
     den = theta1(2 * mp.pi * b * (x + sigma), mpar.q, ctx) * theta1(
@@ -239,7 +239,7 @@ def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancell
         sigma = mp.mpmathify(pt.sigma)
         q2 = mpar.q * mpar.q
         s = mp.exp(2 * mp.pi * b * sigma)
-        sv = mp.exp(2 * mp.pi * b * mp.conj(sigma))     # conj sbar; s for real sigma
+        sv = mp.exp(2 * mp.pi * b * mp.conj(sigma)) if mp.im(sigma) else s   # conj sbar
         vals = []
         for u, v in ((s, sv), (q2 * s, sv), (1 / s, 1 / sv)):
             t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)

@@ -3,8 +3,9 @@
 Foundation layer for everything else in the package:
 
   * ``PrecCtx``        -- working precision + tolerance;
-  * ``_predicted_stop`` -- the stop every Newton loop in the package shares:
-                          accept a step on its predicted error;
+  * ``_predicted_stop`` -- the stop every Newton loop in the package shares,
+                          and the period trapezoid's doubling of N: accept
+                          a step on its predicted error;
   * ``ModularParam``   -- the coupling as given and its data (theta, b, q,
                           qbar), with exact logarithms of the nomes;
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
@@ -119,7 +120,9 @@ def _predicted_stop(size, prev, budget) -> bool:
     is below 1/2 and the error it predicts for that point, Theta size /
     (1 - Theta), is within budget.  Where Theta >= 1/2 (slow convergence,
     as at a near-double root), or with no previous correction, it never
-    accepts, and the caller's own test decides."""
+    accepts, and the caller's own test decides.  Any geometrically
+    converging sequence may use it with its successive moves as size and
+    prev: the period trapezoid (selfdual._stretched_a_periods) does."""
     if not prev:
         return False
     theta = size / prev

@@ -241,8 +241,14 @@ def path_funcs(eps, t, ctx: PrecCtx):
 
 def _stretched_a_periods(curve, ctx):
     """(A, Atilde, N): both periods from one trapezoid pass on N panels of
-    the stretched half period (see ``period_integrals``).  Call inside
-    ctx.workprec()."""
+    the stretched half period (see ``period_integrals``).  Each doubling of
+    N moves the sums by size = max(|A_N - A_N/2|, |At_N - At_N/2|); as the
+    sums converge geometrically, the moves contract like Newton
+    corrections, and A_N is taken on the error their contraction predicts
+    (precision._predicted_stop), or else once size <= ctx.tol.  A doubling
+    squares the trapezoid error, so A_N's true error is about size Theta^2,
+    which the prediction Theta size/(1 - Theta) overstates by about
+    1/Theta.  Call inside ctx.workprec()."""
     sa, sa2 = curve.sa, curve.sa2
     # alpha rounds to 0 at the eps just above 4: no layer to stretch
     betas, width = [], 1 / (mp.pi * sa) if sa else mp.inf
@@ -267,7 +273,9 @@ def _stretched_a_periods(curve, ctx):
             for beta in betas:
                 c4, s4 = mp.cos_sin(pi4 * u)
                 u, w = u - beta * s4 / pi4, w * (1 - beta * c4)
-        c, s = mp.cos_sin(mp.pi * u)
+            # cos(pi t) near t = 1/2 is as small as the layer: pi t keeps
+            # the guard bits too
+            c, s = mp.cos_sin(mp.pi * u)
         sc = sa * c
         cosh_s = mp.sqrt(1 + sa2 * s * s)      # cosh(pi s(t))
         cosh_sh = mp.sqrt(1 + sa2 * c * c)     # cosh(pi s(t+1/2))
@@ -276,19 +284,22 @@ def _stretched_a_periods(curve, ctx):
         return 2 * w / cosh_sh, 4 * w * sc * mp.log(sc + cosh_sh) / mp.pi
 
     sums = [(x + y) / 2 for x, y in zip(node(mp.mpf(0)), node(mp.mpf(1) / 2))]
-    n, new, prev = _TRAP_START, range(1, _TRAP_START), None
+    n, new, prev, last = _TRAP_START, range(1, _TRAP_START), None, None
     while True:
         cols = zip(*(node(mp.mpf(k) / (2 * n)) for k in new))
         sums = [total + mp.fsum(col) for total, col in zip(sums, cols)]
         A, At = (total / (2 * n) for total in sums)
         if prev is not None:
-            late = [name for name, x, y in zip(("A", "Atilde"), (A, At), prev)
-                    if abs(x - y) > ctx.tol]
-            if not late:
+            moves = [abs(x - y) for x, y in zip((A, At), prev)]
+            size = max(moves)
+            if _predicted_stop(size, last, ctx.tol) or size <= ctx.tol:
                 return A, At, n
             if 2 * n > _TRAP_MAX:
+                late = [name for name, move in zip(("A", "Atilde"), moves)
+                        if move > ctx.tol]
                 raise SolverError(f"period {' and '.join(late)}: trapezoid "
                                   f"pass did not converge by N = {n} panels")
+            last = size
         prev = A, At
         n, new = 2 * n, range(1, 2 * n, 2)
 
@@ -314,20 +325,25 @@ def period_integrals(eps, ctx: PrecCtx):
     so further stages, composed inside the first, stretch it again while
     the same rule gives them beta >= 1/2 (from eps about 2.5e4).  Each
     stage forms t and t' with log2(1/(1 - beta)) guard bits, the bits they
-    cancel near t = 0; where 1 - beta <= ctx.finest_tol none are left, and
-    it raises PrecisionExceeded (from eps ~ 4e160 at 192 bits).  beta sets
-    only the cost: the pass starts at N = 16 panels and doubles N,
-    evaluating only the new nodes, until both sums move by at most ctx.tol;
-    past _TRAP_MAX panels it raises SolverError naming the period and N.
+    cancel near t = 0, and cos(pi t) and sin(pi t) with them, as cos(pi t)
+    near t = 1/2 is as small as the layer; where 1 - beta <= ctx.finest_tol
+    none are left, and it raises PrecisionExceeded before it evaluates a
+    node (from eps ~ 4e160 at 192 bits, level 14,000).  beta sets only the
+    cost: the pass starts at N = 16 panels and doubles N, evaluating only
+    the new nodes, until the error the contraction of the sums' moves
+    predicts is within ctx.tol, or both move by at most ctx.tol
+    (``_stretched_a_periods``); past _TRAP_MAX panels it raises SolverError
+    naming the period and N.
     B and Btilde stay on ``composite_gl``: the nearest singularity of their
     integrands is 2 alpha away, and it needs 3-7 panels for them.  One pass
     integrates b + i bt, which share cos(pi t) and sqrt((C - 1)(C + 1)) at
     each node; a panel is accepted once its complex move is within budget,
     which bounds the moves of both parts, so each meets tol.  All four
-    meet tol in absolute terms, so A and B, which shrink like log(eps)/eps
-    and 1/eps, thin out in relative digits once far below tol (A at 192
-    bits: 4e-14 relative at eps = 1e100, 17 % at 1e120), and the root check
-    of ``quantize_selfdual`` refuses a level there.
+    meet tol in absolute terms.  A, which shrinks like log(eps)/eps, is
+    also within tol relative where it lies far below tol (measured at 192
+    and 256 bits up to eps = 1e150), since Atilde ~ log(eps)^2/pi^2 moves
+    in the same doublings; B, which shrinks like 1/eps, is held to tol
+    absolutely.
     """
     with ctx.workprec():
         curve = _Curve(alpha_beta(eps, ctx)[0])
@@ -436,9 +452,10 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     the root included, lands at or right of the root, and the iterates then
     fall to it monotonically inside the series' range.  The record carries
     ``period_integrals`` at the root, the independent quadrature, whose
-    residual must be within 1000 tol (n+1); that check bounds the levels
-    that come out (at 192 bits, level 1,000 passes and 2,000 does not: see
-    ``period_integrals``).
+    residual must be within 1000 tol (n+1).  The quadrature's reach bounds
+    the levels that come out: at 192 bits level 13,500 (eps ~ 3.4e158)
+    passes, and level 14,000 raises PrecisionExceeded before any node is
+    evaluated (see ``period_integrals``).
     """
     if int(n) != n or n < 0:
         raise ValueError(f"level must be a non-negative integer, got {n}")

@@ -258,21 +258,25 @@ def test_period_integrals_match_closed_form_at_512_bits():
                 assert abs(At - sAt) <= ctx.tol and abs(Bt - sBt) <= ctx.tol, e
 
 
-@pytest.mark.parametrize("eps, most", [("17.85", 256), ("833752", 2048)])
+@pytest.mark.parametrize("eps, most", [
+    ("17.85", 128), ("833752", 256), ("70.428", 128), ("197.99", 128)])
 def test_a_periods_trapezoid_work(eps, most):
-    # levels 0 and 18 at 256 bits stop at N = 128 and 512 panels; the
-    # stretching map is what keeps level 18 there, as the unmapped rule
-    # needs about 32,768 panels to resolve the 1/sinh(pi alpha) layer
+    # levels 0, 18, 1 and 2 at 256 bits stop at N = 128, 256, 128 and 128
+    # panels, on the error the contraction of the sums' moves predicts,
+    # with no confirming doubling; the stretching map is what keeps level
+    # 18 there, as the unmapped rule needs about 32,768 panels to resolve
+    # the 1/sinh(pi alpha) layer
     ctx = make_context(256)
     with ctx.workprec():
         curve = selfdual._Curve(alpha_beta(mp.mpf(eps), ctx)[0])
-        assert selfdual._stretched_a_periods(curve, ctx)[2] <= most
+        assert selfdual._stretched_a_periods(curve, ctx)[2] == most
 
 
 def test_a_periods_beyond_the_bracket():
-    # past eps = 1e6 further stages stretch the layer's image: at 1e12 the
-    # pass stops at N = 512 (one stage alone takes 8,192), and at 1e40 the
-    # stages' guard bits keep A and Atilde within tol of the series
+    # past eps = 1e6 further stages stretch the layer's image: the pass
+    # stops at N = 256 at 1e12 and 512 at 1e40 (bounded here at twice
+    # that), and the stages' guard bits keep A and Atilde within tol of
+    # the series
     ctx = make_context(128)
     with ctx.workprec():
         for e, most in (("1e12", 1024), ("1e40", 2048)):
@@ -281,6 +285,39 @@ def test_a_periods_beyond_the_bracket():
                 selfdual._Curve(alpha_beta(eps, ctx)[0]), ctx)
             sA, sAt, _, _ = period_series(eps, ctx)
             assert n <= most and abs(A - sA) <= ctx.tol and abs(At - sAt) <= ctx.tol, e
+
+
+def test_selfdual_levels_job_a_nodes(monkeypatch):
+    # levels 0-2 at 256 bits, the CLI's default tol: three passes of N =
+    # 128 panels, N + 1 nodes each
+    passes = []
+    original = selfdual._stretched_a_periods
+
+    def counted(curve, ctx):
+        got = original(curve, ctx)
+        passes.append(got[2])
+        return got
+
+    monkeypatch.setattr(selfdual, "_stretched_a_periods", counted)
+    ctx = make_context(256)
+    for n in range(3):
+        quantize_selfdual(n, ctx)
+    assert sum(N + 1 for N in passes) == 387, passes
+
+
+@pytest.mark.parametrize("bits", (192, 256))
+def test_a_periods_relative_at_large_eps(bits):
+    # A ~ 8 log(eps)/(pi eps) lies far below tol here, yet it keeps tol
+    # relative: Atilde ~ log(eps)^2/pi^2 moves in the same doublings, and
+    # each stage's guard bits reach cos(pi t), as small as the layer near
+    # t = 1/2
+    ctx = make_context(bits)
+    with ctx.workprec():
+        for e in ("1e48", "1e100", "1e120", "1e150"):
+            eps = mp.mpf(e)
+            A, At, _, _ = period_integrals(eps, ctx)
+            sA, sAt, _, _ = period_series(eps, ctx)
+            assert abs(A - sA) <= ctx.tol * sA and abs(At - sAt) <= ctx.tol, e
 
 
 def test_a_periods_past_the_precision_raise_typed():
@@ -527,29 +564,40 @@ def test_level_root_bounds_log_eps(bits, levels_256, monkeypatch):
 
 def test_quantize_levels_past_1e6(monkeypatch):
     # f(1e6) ~ 19.5: from level 19 on the root lies past eps = 1e6, and
-    # Newton reaches it with one quadrature at the root
+    # Newton reaches it with one quadrature at the root.  At levels 2,000
+    # (eps ~ 1e61) and 5,000 (eps ~ 3e96) A lies far below tol, and the
+    # quadrature still keeps the relative digits both checks need
     calls = _count_periods(monkeypatch)
     for bits in (192, 256):
         ctx = make_context(bits)
-        for n in (19, 20, 200, 1000):
+        for n in (19, 20, 200, 1000, 2000, 5000):
             calls.clear()
             spec = quantize_selfdual(n, ctx)   # the root check passed
             selfdual._check_quantized(spec, ctx)
             assert calls == {bits: 1}, (bits, n, calls)
-        assert spec.eps > mp.mpf("1e43")
+        assert spec.eps > mp.mpf("1e96")
 
 
-def test_quantize_refuses_levels_past_the_quadrature():
-    # A is held to tol absolutely: at level 2,000 (eps ~ 1e61) it keeps too
-    # few relative digits for the root check, and at level 100,000 (eps ~
-    # 3e431) the quadrature cannot stretch its layer at all
+def test_quantize_refuses_levels_past_the_quadrature(monkeypatch):
+    # at level 14,000 (eps ~ 3e161) and 100,000 (eps ~ 3e431) at 192 bits
+    # the quadrature cannot stretch its layer at all, and says so before it
+    # evaluates a node; a quadrature that disagrees with the series' root
+    # fails the root check
     ctx = make_context(192)
-    for n, error, match in ((2000, SolverError, "root residual"),
-                            (100000, PrecisionExceeded, "too thin to stretch")):
+    for n in (14000, 100000):
         t0 = time.monotonic()
-        with pytest.raises(error, match=match):
+        with pytest.raises(PrecisionExceeded, match="too thin to stretch"):
             quantize_selfdual(n, ctx)
         assert time.monotonic() - t0 < 2, n
+    original = selfdual.period_integrals
+
+    def detuned(eps, ctx):
+        A, At, B, Bt = original(eps, ctx)
+        return A * (1 + mp.mpf("1e-30")), At, B, Bt
+
+    monkeypatch.setattr(selfdual, "period_integrals", detuned)
+    with pytest.raises(SolverError, match="root residual"):
+        quantize_selfdual(0, ctx)
 
 
 def test_quantize_keeps_exact_root(monkeypatch):
