@@ -17,8 +17,17 @@ polynomials follow the three-term recursion
 with eps-derivatives propagated through the same recursion (forward mode),
 kept in a small cache of tables per (eps, q, working precision) that grow on
 demand, so every pass at one state shares one recursion.  The tables hold
-each value also as its raw libmp (re, im) pair, which the loops read.  The
-series kernel sums one argument; the four series of the Wronskian
+each value as its raw libmp (re, im) pair, which the loops read.
+
+The loops (the recursion, the series kernel and the Wronskian sums) run on
+a small integer core in place of libmp's operators: a real part is a pair
+(m, e), the value m 2^e with a signed odd mantissa, products are exact,
+sums are exact after aligning (but for mpf_add's one shortcut, which _add
+keeps), and each real or imaginary part is rounded half-to-even to the
+working precision once, where mpc_mul, mpc_add or mpc_mul_int rounds it.
+So every value is bit for bit what the mpc operators give, at a fraction
+of their per-operation Python overhead.
+The series kernel sums one argument; the four series of the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
 
@@ -39,7 +48,7 @@ import math
 from typing import Iterator, Tuple
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero, mpc_add, mpc_mul, mpc_mul_int, round_nearest
+from mpmath.libmp import fone, fzero
 
 from .precision import (
     _MAX_TERMS,
@@ -59,20 +68,109 @@ from .precision import (
 # series sums one more term.
 _LOG2_MARGIN = 2.0 ** -20
 
+# ── the integer core ──────────────────────────────────────────────────────
+# A complex value is (rm, re, im, ie), the parts rm 2^re and im 2^ie: the
+# mantissa and exponent of libmp's raw tuple, with the sign folded into an
+# odd mantissa (0 for zero).  Only *, +, shifts, & and bit_length touch the
+# mantissas, so a gmpy2 mpz serves as well as an int.
+
+_ZERO, _ONE = (0, 0, 0, 0), (1, 0, 0, 0)
+
+
+def _ints(z):
+    """The integer form of a raw (re, im) pair of finite mpf tuples."""
+    (rs, rm, re, _), (js, im, ie, _) = z
+    return -rm if rs else rm, re, -im if js else im, ie
+
+
+def _mpf(m, e):
+    """The raw mpf tuple of the part m 2^e."""
+    if not m:
+        return fzero
+    return (0, m, e, m.bit_length()) if m > 0 else (1, -m, e, m.bit_length())
+
+
+def _raw_pair(z):
+    """The raw (re, im) pair of an integer form."""
+    return _mpf(z[0], z[1]), _mpf(z[2], z[3])
+
+
+def _add(m, e, n, f, prec):
+    """m 2^e + n 2^f (n = 0 rounds m 2^e alone) rounded half-to-even to
+    prec bits once, as mpf_add and libmp's normalize round it, to an odd
+    mantissa (zero as (0, 0)).
+
+    The sum is exact after aligning, except where the lower-order operand's
+    last bit lies more than 100 bits below the other's and its top more than
+    prec + 4 bits below: then it counts as one unit prec + 4 bits below the
+    other's last, its sign kept.  That is mpf_add's perturbation, and it is
+    kept because an unrounded product of more than prec bits can round
+    differently from the exact sum there.
+    """
+    if n:
+        if not m:
+            m, e = n, f
+        else:
+            if e < f:
+                m, e, n, f = n, f, m, e
+            d = e - f
+            if d > 100 and d + m.bit_length() - n.bit_length() > prec + 4:
+                m, e = (m << prec + 4) + (1 if n > 0 else -1), e - prec - 4
+            else:
+                m, e = (m << d) + n, f
+    k = m.bit_length() - prec
+    if k > 0:
+        # t ends in the half bit; the bits below it decide only a tie
+        t = m >> k - 1
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m & (1 << k - 1) - 1) else t >> 1
+        e += k
+    if m & 1:
+        return m, e
+    if not m:
+        return 0, 0
+    k = (m & -m).bit_length() - 1
+    return m >> k, e + k
+
+
+def _cmul(z, w, prec):
+    """mpc_mul: the four products exact, each part rounded once."""
+    am, ae, bm, be = z
+    cm, ce, dm, de = w
+    return (_add(am * cm, ae + ce, -bm * dm, be + de, prec)
+            + _add(am * dm, ae + de, bm * cm, be + ce, prec))
+
+
+def _cadd(z, w, prec):
+    """mpc_add."""
+    return _add(z[0], z[1], w[0], w[1], prec) + _add(z[2], z[3], w[2], w[3], prec)
+
+
+def _cmul_int(z, k, prec):
+    """mpc_mul_int."""
+    return _add(z[0] * k, z[1], 0, 0, prec) + _add(z[2] * k, z[3], 0, 0, prec)
+
+
+def _log2_ints(z) -> float:
+    """_log2_abs of an integer form, the same float: each part is exp +
+    log2 of its odd mantissa."""
+    rm, re, im, ie = z
+    return _log2_hypot(re + math.log2(abs(rm)) if rm else -math.inf,
+                       ie + math.log2(abs(im)) if im else -math.inf)
+
 
 class _QTable:
     """The q-only factors of the chi series at one working precision.
 
     c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused),
-    as a raw (re, im) pair; f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the
-    series prefactor, built as f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}),
-    with its raw pair in rf[n].  Both grow on demand with the same
-    operations, in the same order, as the incremental loops they replace, so
-    every value is bit-identical to recomputing it.
+    in integer form; f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the series
+    prefactor, built as f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}), with
+    its raw pair in rf[n].  Both grow on demand with the same operations, in
+    the same order, as the incremental loops they replace, so every value is
+    bit-identical to recomputing it.
 
     k1[m] = f_m^2 (q^{-2m} - q^{2m+2}) and k0[m] = f_m f_{m+1} (q^{-2m-2} -
-    q^{2m+2}), as raw pairs, weight chi_m^2 and chi_{m+1} chi_m in the two
-    Laurent coefficients of the Wronskian (_wronskian_sums).
+    q^{2m+2}), in integer form, weight chi_m^2 and chi_{m+1} chi_m in the
+    two Laurent coefficients of the Wronskian (_wronskian_sums).
     """
 
     def __init__(self, q, bits: int):
@@ -90,7 +188,7 @@ class _QTable:
         q = self.q
         with mp.workprec(self.bits):
             for k in range(len(self.c), n + 1):
-                self.c.append(_parts((q ** k - q ** -k) ** 2))
+                self.c.append(_ints(_parts((q ** k - q ** -k) ** 2)))
 
     def grow_f(self, n: int) -> None:
         f, q2 = self.f, self._q2
@@ -105,9 +203,10 @@ class _QTable:
         q, f = self.q, self.f
         with mp.workprec(self.bits):
             for m in range(len(self.k1), n + 1):
-                self.k1.append(_parts(f[m] ** 2 * (q ** (-2 * m) - q ** (2 * m + 2))))
-                self.k0.append(_parts(
-                    f[m] * f[m + 1] * (q ** (-2 * m - 2) - q ** (2 * m + 2))))
+                self.k1.append(_ints(_parts(
+                    f[m] ** 2 * (q ** (-2 * m) - q ** (2 * m + 2)))))
+                self.k0.append(_ints(_parts(
+                    f[m] * f[m + 1] * (q ** (-2 * m - 2) - q ** (2 * m + 2)))))
 
 
 @functools.lru_cache(maxsize=16)  # one q per coupling, at one or two precisions
@@ -131,9 +230,9 @@ class _ChiTable:
     working precision), as raw (re, im) pairs of libmp tuples, shared by
     every series, Wronskian and residue pass at that state.  grow appends
     one term, and is called only when a consumer asks for a term not yet
-    formed.  It runs the recursion with the operations and roundings of the
-    mpf and mpc operators (a real value is one with im = fzero), so every
-    value is bit-identical to running the recursion afresh on mpmath
+    formed.  It runs the recursion on the integer forms it keeps beside the
+    raw pairs (ichi, idchi), rounding where the mpc operators round, so
+    every value is bit-identical to running the recursion afresh on mpmath
     numbers.
     """
 
@@ -142,26 +241,28 @@ class _ChiTable:
         self.qtab = _qtable(_from_raw(q_key), bits)
         self.chi = [(fone, fzero), _parts(self.eps)]
         self.dchi = [(fzero, fzero), (fone, fzero)]
+        self.ichi = [_ONE, _ints(self.chi[1])]
+        self.idchi = [_ZERO, _ONE]
 
     def grow(self) -> None:
         """Append chi_n and its eps-derivative, n = len(chi), at the current
-        working precision; PrecisionExceeded on overflow."""
-        chi, dchi, qtab = self.chi, self.dchi, self.qtab
-        eps = chi[1]
-        n = len(chi)
+        working precision; PrecisionExceeded where eps is not finite (its
+        chi_2 is inf or nan, which integers do not carry)."""
+        ichi, idchi, qtab = self.ichi, self.idchi, self.qtab
+        if not mp.isfinite(self.eps):
+            raise PrecisionExceeded(
+                "chi polynomial overflow; raise the working precision")
+        eps = ichi[1]
+        n = len(ichi)
         if n > len(qtab.c):
             qtab.grow_c(n - 1)
         cn = qtab.c[n - 1]
-        prec, rnd = mp.prec, round_nearest
-        chi_n = mpc_add(mpc_mul(eps, chi[n - 1], prec, rnd),
-                        mpc_mul(cn, chi[n - 2], prec, rnd), prec, rnd)
-        if math.isnan(_log2_abs(chi_n)):
-            raise PrecisionExceeded(
-                "chi polynomial overflow; raise the working precision")
-        dchi.append(mpc_add(
-            mpc_add(chi[n - 1], mpc_mul(eps, dchi[n - 1], prec, rnd), prec, rnd),
-            mpc_mul(cn, dchi[n - 2], prec, rnd), prec, rnd))
-        chi.append(chi_n)
+        prec = mp.prec
+        ichi.append(_cadd(_cmul(eps, ichi[n - 1], prec), _cmul(cn, ichi[n - 2], prec), prec))
+        idchi.append(_cadd(_cadd(ichi[n - 1], _cmul(eps, idchi[n - 1], prec), prec),
+                           _cmul(cn, idchi[n - 2], prec), prec))
+        self.chi.append(_raw_pair(ichi[n]))
+        self.dchi.append(_raw_pair(idchi[n]))
 
 
 @functools.lru_cache(maxsize=2)  # the states in hand; each Newton step is a new eps
@@ -231,8 +332,12 @@ def _log2_abs(z) -> float:
     re, im = z
     if not (re[1] or re == fzero) or not (im[1] or im == fzero):
         return math.nan
-    a = re[2] + math.log2(re[1]) if re[1] else -math.inf
-    b = im[2] + math.log2(im[1]) if im[1] else -math.inf
+    return _log2_hypot(re[2] + math.log2(re[1]) if re[1] else -math.inf,
+                       im[2] + math.log2(im[1]) if im[1] else -math.inf)
+
+
+def _log2_hypot(a: float, b: float) -> float:
+    """log2 (2^2a + 2^2b)^(1/2), from the parts' log2 magnitudes."""
     if a < b:
         a, b = b, a
     if b == -math.inf:
@@ -267,14 +372,15 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     tol relative to its running scale (partial sum or largest term,
     whichever is bigger -- the sum itself can cross zero).
 
-    The loop runs on the tables' raw libmp tuples, every value complex (a
-    real one has imaginary part fzero), with the operations and roundings
-    of the mpc operators: the products are mpc_mul's, the sums mpc_add's, so
-    every bit matches the same loop on mpc numbers.  The stop test is
-    _tail_small on float log2 magnitudes (_log2_abs): it passes only when it
-    clears its boundary by _LOG2_MARGIN, so the series never stops before
-    the exact test on the mpf hypot values would; within the margin it sums
-    one more term.  A non-finite term never passes it.
+    The loop runs on the integer core, every value complex (a real one has
+    imaginary mantissa 0), and rounds where the same loop on mpc numbers
+    does: every product where mpc_mul rounds, every sum where mpc_add does,
+    so every bit matches that loop.  The stop test is _tail_small on float
+    log2 magnitudes (_log2_ints, the floats _log2_abs gives): it passes only
+    when it clears its boundary by _LOG2_MARGIN, so the series never stops
+    before the exact test on the mpf hypot values would; within the margin
+    it sums one more term.  A u with an infinite or nan part never passes
+    it, and integers carry neither, so such a u raises at once.
 
     With du a third sum takes n chi_n in place of dchi_n/deps.  All the
     sums stop on the one test of the value terms, so each is bit for bit
@@ -286,29 +392,28 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
         eps = mp.mpmathify(eps)
         if u == 0:
             return (mp.mpf(1), mp.mpf(0)) + ((mp.mpf(0),) if du else ())
-        prec, rnd = mp.prec, round_nearest
+        prec = mp.prec
         ltol = _log2_abs((ctx.tol._mpf_, fzero))
-        # every value an (re, im) pair of raw mpf tuples; l1, l2 are
-        # log2 |t_{n-2}|, log2 |t_{n-1}|
-        ur, up = _parts(u), (fone, fzero)
-        s = ds = us = (fzero, fzero)
+        # l1, l2 are log2 |t_{n-2}|, log2 |t_{n-1}|
+        ur, up = _ints(_parts(u)), _ONE
+        s = ds = us = _ZERO
         ltmax = l1 = l2 = -math.inf
-        for n, (fn, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
-            coeff = mpc_mul(up, fn, prec, rnd)
-            t = mpc_mul(coeff, x, prec, rnd)
-            s = mpc_add(s, t, prec, rnd)
-            ds = mpc_add(ds, mpc_mul(coeff, dx, prec, rnd), prec, rnd)
+        terms = _MAX_TERMS if mp.isfinite(u) else 0
+        for n, (fn, x, dx) in zip(range(terms), _raw_pairs(eps, mpar.q)):
+            x = _ints(x)
+            coeff = _cmul(up, _ints(fn), prec)
+            t = _cmul(coeff, x, prec)
+            s = _cadd(s, t, prec)
+            ds = _cadd(ds, _cmul(coeff, _ints(dx), prec), prec)
             if du:
-                us = mpc_add(us, mpc_mul(coeff, mpc_mul_int(x, n, prec, rnd), prec,
-                                         rnd), prec, rnd)
-            la = _log2_abs(t)
+                us = _cadd(us, _cmul(coeff, _cmul_int(x, n, prec), prec), prec)
+            la = _log2_ints(t)
             if la > ltmax:
                 ltmax = la
-            if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_abs(s), ltmax)):
-                if du:
-                    return mp.make_mpc(s), mp.make_mpc(ds), mp.make_mpc(us)
-                return mp.make_mpc(s), mp.make_mpc(ds)
-            up, l1, l2 = mpc_mul(up, ur, prec, rnd), l2, la
+            if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_ints(s), ltmax)):
+                sums = (s, ds, us) if du else (s, ds)
+                return tuple(mp.make_mpc(_raw_pair(v)) for v in sums)
+            up, l1, l2 = _cmul(up, ur, prec), l2, la
         raise PrecisionExceeded(
             f"chi series did not reach tol within {_MAX_TERMS} terms "
             f"(|u| = {abs(u)})"
@@ -331,48 +436,47 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
         w_0  = sum_m a_{m+1} a_m (q^{-2m-2} - q^{2m+2}),
 
     summed as chi_m^2 k1[m] and chi_{m+1} chi_m k0[m] over the shared
-    tables.  The loop runs on raw tuples as _chi_series does, and ends at
-    the first term where both sums pass its stop test (w_0 vanishes
-    identically at eps = 0, where only w_-1 is tested).  The terms fall like
+    tables.  The loop runs on the integer core as _chi_series does, with
+    the roundings of the mpc operators, and ends at the first term where
+    both sums pass its stop test (w_0 vanishes identically at eps = 0,
+    where only w_-1 is tested).  The terms fall like
     |q|^{2m^2}, so 8-10 of them replace the 37-47 of the four chi series in
     _wronskian_parts.
     """
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         eps = mp.mpmathify(eps)
-        prec, rnd = mp.prec, round_nearest
+        prec = mp.prec
         qtab = _qtable(mpar.q, prec)
         k1, k0 = qtab.k1, qtab.k0
         ltol = _log2_abs((ctx.tol._mpf_, fzero))
-        zero = (fzero, fzero)
-        r1 = r0 = d1 = d0 = zero
+        r1 = r0 = d1 = d0 = _ZERO
         # per sum: the largest log2 |term| and the last two
         m1 = a1 = b1 = m0 = a0 = b0 = -math.inf
         px = pdx = None
         for n, (_, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
             if n == len(k1):
                 qtab.grow_k(n)
-            t = mpc_mul(mpc_mul(x, x, prec, rnd), k1[n], prec, rnd)
-            r1 = mpc_add(r1, t, prec, rnd)
-            xd = mpc_mul(x, dx, prec, rnd)
-            d1 = mpc_add(d1, mpc_mul(mpc_add(xd, xd, prec, rnd), k1[n], prec, rnd),
-                         prec, rnd)
-            l1 = _log2_abs(t)
+            x, dx = _ints(x), _ints(dx)
+            t = _cmul(_cmul(x, x, prec), k1[n], prec)
+            r1 = _cadd(r1, t, prec)
+            xd = _cmul(x, dx, prec)
+            d1 = _cadd(d1, _cmul(_cadd(xd, xd, prec), k1[n], prec), prec)
+            l1 = _log2_ints(t)
             m1 = max(m1, l1)
             if n:
                 k = k0[n - 1]
-                t = mpc_mul(mpc_mul(x, px, prec, rnd), k, prec, rnd)
-                r0 = mpc_add(r0, t, prec, rnd)
-                dt = mpc_add(mpc_mul(dx, px, prec, rnd), mpc_mul(x, pdx, prec, rnd),
-                             prec, rnd)
-                d0 = mpc_add(d0, mpc_mul(dt, k, prec, rnd), prec, rnd)
-                l0 = _log2_abs(t)
+                t = _cmul(_cmul(x, px, prec), k, prec)
+                r0 = _cadd(r0, t, prec)
+                dt = _cadd(_cmul(dx, px, prec), _cmul(x, pdx, prec), prec)
+                d0 = _cadd(d0, _cmul(dt, k, prec), prec)
+                l0 = _log2_ints(t)
                 m0 = max(m0, l0)
                 if (n >= 3
-                        and _tail_small(a1, b1, l1, ltol + max(_log2_abs(r1), m1))
-                        and (m0 == -math.inf and r0 == zero or _tail_small(
-                            a0, b0, l0, ltol + max(_log2_abs(r0), m0)))):
-                    return tuple(mp.make_mpc(v) for v in (r1, r0, d1, d0))
+                        and _tail_small(a1, b1, l1, ltol + max(_log2_ints(r1), m1))
+                        and (m0 == -math.inf and r0 == _ZERO or _tail_small(
+                            a0, b0, l0, ltol + max(_log2_ints(r0), m0)))):
+                    return tuple(mp.make_mpc(_raw_pair(v)) for v in (r1, r0, d1, d0))
                 a0, b0 = b0, l0
             a1, b1 = b1, l1
             px, pdx = x, dx

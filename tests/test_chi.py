@@ -4,25 +4,38 @@ shared recursion table."""
 
 import itertools
 import math
+import os
 import random
+import sys
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import mpmath.libmp
 from mpmath import mp
+from mpmath.libmp import (from_man_exp, fzero, mpc_add, mpc_mul, mpc_mul_int, mpf_add,
+                          round_nearest)
 import pytest
 
 from mirror_spectra import chi
 from mirror_spectra.chi import (
     G_eval,
+    _add,
+    _cadd,
     _chi_series,
     _chitable,
+    _cmul,
+    _cmul_int,
+    _ints,
     _log2_abs,
+    _log2_ints,
     _parts,
     _poly_pairs,
     _qtable,
     _raw,
+    _raw_pair,
     _vanishes_at_precision,
     _wronskian_parts,
+    _wronskian_sums,
     chi_check_eval,
     chi_dual_eval,
     chi_eval,
@@ -768,3 +781,139 @@ def test_recursion_table_work_count_psi(ctx192, mpar_pi4):
     assert _chitable.cache_info().misses == 1
     assert len(_table(eps, mpar_pi4, 192).chi) == max(lengths)
     assert len(set(lengths)) > 1
+
+
+# ── integer core ──────────────────────────────────────────────────────────
+
+
+def _mantissas(bits):
+    # zero, uniform draws, and the patterns rounding turns on: all ones (a
+    # carry up to 2^bits) and a top bit over a last one (a half-ulp tie)
+    return st.one_of(
+        st.just(0),
+        st.integers(1, (1 << bits) - 1),
+        st.integers(1, bits).map(lambda k: (1 << k) - 1),
+        st.integers(1, bits).map(lambda k: (1 << k) + 1),
+    )
+
+
+@st.composite
+def _mpfs(draw, bits, spread):
+    # a raw mpf of up to `bits` bits, either sign, with an exponent offset
+    # near 0 or anywhere within `spread` (past the 100 bits of mpf_add's
+    # perturbation)
+    man = draw(_mantissas(bits)) * draw(st.sampled_from((1, -1)))
+    exp = draw(st.one_of(st.integers(-8, 8), st.integers(-spread, spread)))
+    return from_man_exp(man, exp)
+
+
+@st.composite
+def _sum_cases(draw):
+    # operands of up to 2 prec bits, as the unrounded products mpc_mul sums
+    prec = draw(st.integers(53, 4300))
+    return prec, draw(_mpfs(2 * prec, 3 * prec)), draw(_mpfs(2 * prec, 3 * prec))
+
+
+@st.composite
+def _complex_cases(draw):
+    prec = draw(st.integers(53, 4300))
+    z, w = ((draw(_mpfs(prec, 3 * prec)), draw(_mpfs(prec, 3 * prec))) for _ in "zw")
+    return prec, z, w, draw(st.integers(-5000, 5000))
+
+
+def _int_part(x):
+    return _ints((x, fzero))[:2]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_sum_cases())
+# ties to even, down and up, and a carry to 2^prec
+@example(case=(53, from_man_exp(2 ** 53 + 1, 0), fzero))
+@example(case=(53, from_man_exp(2 ** 53 + 3, 0), fzero))
+@example(case=(53, from_man_exp(2 ** 53 - 1, 1), from_man_exp(1, 0)))
+# mpf_add's perturbation where the exact sum carries into the half bit:
+# it rounds to 2^104, the exact sum to 2^104 + 2^52; then the exact sum
+# just inside each of its bounds, 100 bits between the last bits and
+# prec + 4 between the tops
+@example(case=(53, from_man_exp(2 ** 104 + 2 ** 51 - 1, 0), from_man_exp(2 ** 147 + 1, -101)))
+@example(case=(53, from_man_exp(-2 ** 104 - 2 ** 51 + 1, 0), from_man_exp(-2 ** 147 - 1, -101)))
+@example(case=(53, from_man_exp(2 ** 104 + 2 ** 51 - 1, 0), from_man_exp(2 ** 146 + 1, -100)))
+@example(case=(53, from_man_exp(2 ** 104 + 2 ** 51 - 1, 0), from_man_exp(2 ** 148 + 1, -101)))
+def test_integer_core_sum_is_mpf_add(case):
+    prec, a, b = case
+    want = _int_part(mpf_add(a, b, prec, round_nearest))
+    assert _add(*_int_part(a), *_int_part(b), prec) == want
+    assert _add(*_int_part(b), *_int_part(a), prec) == want
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=_complex_cases())
+def test_integer_core_complex_ops_are_libmp(case):
+    prec, z, w, k = case
+    iz, iw = _ints(z), _ints(w)
+    assert _raw_pair(iz) == z
+    assert _cmul(iz, iw, prec) == _ints(mpc_mul(z, w, prec, round_nearest))
+    assert _cadd(iz, iw, prec) == _ints(mpc_add(z, w, prec, round_nearest))
+    assert _cmul_int(iz, k, prec) == _ints(mpc_mul_int(z, k, prec, round_nearest))
+    assert _log2_ints(iz) == _log2_abs(z)
+
+
+def test_chi_loops_refuse_non_finite_inputs(ctx192, mpar_pi4):
+    # integers carry no inf or nan: a u with such a part raises at once,
+    # before any term is formed; a non-finite eps raises from the
+    # recursion in every loop that reads it
+    with ctx192.workprec():
+        eps = mp.mpc("2.3", "-1.1")
+    for bad in (mp.inf, mp.nan, mp.mpc(1, mp.ninf), mp.mpc(mp.nan, 1)):
+        _chitable.cache_clear()
+        for du in (False, True):
+            with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
+                _chi_series(bad, eps, mpar_pi4, ctx192, du=du)
+        assert _chitable.cache_info().currsize == 0
+    for bad in (mp.inf, mp.nan, mp.mpc(mp.ninf, 1), mp.mpc(0, mp.nan)):
+        for run in (lambda: _chi_series(mp.mpf("0.5"), bad, mpar_pi4, ctx192),
+                    lambda: _wronskian_sums(bad, mpar_pi4, ctx192),
+                    lambda: chi_poly_seq(bad, mpar_pi4, 4, ctx192)):
+            with pytest.raises(PrecisionExceeded, match="chi polynomial overflow"):
+                run()
+
+
+def _libmp_calls(f):
+    # calls into mpmath.libmp made while f runs
+    libmp = os.path.dirname(mpmath.libmp.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(libmp):
+            count += 1
+    sys.setprofile(profile)
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_chi_loops_call_no_libmp_per_term(ctx192, mpar_pi4):
+    # the loops run on the integer core: a pass calls libmp a fixed number
+    # of times (conversions in and out), whatever its number of terms
+    with ctx192.workprec():
+        eps = mp.mpc("-4.2", "6.1")
+        near, far = mp.mpc("1e-6", "2e-6"), mp.mpc("1e40", "3e40")
+        fresh = (mp.mpc("0.5", "0.1"), mp.mpc("1e60", 1))
+    short, long = (_chi_incremental(u, eps, mpar_pi4, ctx192)[2] for u in (near, far))
+    assert long - short >= 30
+    # warm: the recursion table of eps, and the q-tables past every count
+    _wronskian_sums(mp.mpc("1e100"), mpar_pi4, ctx192)
+    for u in (near, far):
+        _chi_series(u, eps, mpar_pi4, ctx192, du=True)
+    series = [_libmp_calls(lambda: _chi_series(u, eps, mpar_pi4, ctx192, du=True))
+              for u in (near, far)]
+    sums, terms = [], []
+    for e in fresh:
+        sums.append(_libmp_calls(lambda: _wronskian_sums(e, mpar_pi4, ctx192)))
+        terms.append(len(_table(e, mpar_pi4, 192).chi))
+    assert terms[1] - terms[0] >= 20
+    assert series[0] == series[1]
+    assert sums[0] == sums[1]
