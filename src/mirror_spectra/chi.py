@@ -17,7 +17,7 @@ polynomials follow the three-term recursion
 with eps-derivatives propagated through the same recursion (forward mode),
 kept in a small cache of tables per (eps, q, working precision) that grow on
 demand, so every pass at one state shares one recursion.  The tables hold
-each value as its raw libmp (re, im) pair, which the loops read.
+each value once, in the integer form the loops read (below).
 
 The loops (the recursion, the series kernel and the Wronskian sums) run on
 a small integer core in place of libmp's operators: a real part is a pair
@@ -43,12 +43,11 @@ multiplication-rule checker for the polynomial family.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import Iterator, Tuple
+import numbers
 
 from mpmath import mp
-from mpmath.libmp import fone, fzero
+from mpmath.libmp import fzero
 
 from .precision import (
     _MAX_TERMS,
@@ -93,6 +92,11 @@ def _mpf(m, e):
 def _raw_pair(z):
     """The raw (re, im) pair of an integer form."""
     return _mpf(z[0], z[1]), _mpf(z[2], z[3])
+
+
+def _mpc(z):
+    """The mpc of an integer form."""
+    return mp.make_mpc(_raw_pair(z))
 
 
 def _add(m, e, n, f, prec):
@@ -159,30 +163,31 @@ def _log2_ints(z) -> float:
 
 
 class _QTable:
-    """The q-only factors of the chi series at one working precision.
+    """The q-only factors of the chi series at one working precision, in
+    integer form.
 
-    c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused),
-    in integer form; f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the series
-    prefactor, built as f_{n+1} = f_n (-q^{2(n+1)}) / (1 - q^{2(n+1)}), with
-    its raw pair in rf[n].  Both grow on demand with the same operations, in
-    the same order, as the incremental loops they replace, so every value is
+    c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused);
+    f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the series prefactor, formed
+    on a running mpmath product as f_{n+1} = f_n (-q^{2(n+1)}) / (1 -
+    q^{2(n+1)}).  Both grow on demand with the same operations, in the same
+    order, as the incremental loops they replace, so every value is
     bit-identical to recomputing it.
 
     k1[m] = f_m^2 (q^{-2m} - q^{2m+2}) and k0[m] = f_m f_{m+1} (q^{-2m-2} -
-    q^{2m+2}), in integer form, weight chi_m^2 and chi_{m+1} chi_m in the
-    two Laurent coefficients of the Wronskian (_wronskian_sums).
+    q^{2m+2}) weight chi_m^2 and chi_{m+1} chi_m in the two Laurent
+    coefficients of the Wronskian (_wronskian_sums).
     """
 
     def __init__(self, q, bits: int):
         self.q = q
         self.bits = bits
         self.c = [None]
-        self.f = [mp.mpf(1)]
-        self.rf = [(fone, fzero)]
+        self.f = [_ONE]
         self.k1, self.k0 = [], []
         with mp.workprec(bits):
             self._q2 = q * q
-        self._q2p = mp.mpf(1)
+        self._q2p = self._fn = mp.mpf(1)
+        self.grow_f(1)  # a recursion table starts with chi_0 and chi_1
 
     def grow_c(self, n: int) -> None:
         q = self.q
@@ -195,18 +200,19 @@ class _QTable:
         with mp.workprec(self.bits):
             while len(f) <= n:
                 self._q2p *= q2
-                f.append(f[-1] * (-self._q2p / (1 - self._q2p)))
-                self.rf.append(_parts(f[-1]))
+                self._fn *= -self._q2p / (1 - self._q2p)
+                f.append(_ints(_parts(self._fn)))
 
     def grow_k(self, n: int) -> None:
         self.grow_f(n + 1)
-        q, f = self.q, self.f
+        q = self.q
         with mp.workprec(self.bits):
             for m in range(len(self.k1), n + 1):
+                fm, fm1 = map(_mpc, self.f[m:m + 2])
                 self.k1.append(_ints(_parts(
-                    f[m] ** 2 * (q ** (-2 * m) - q ** (2 * m + 2)))))
+                    fm ** 2 * (q ** (-2 * m) - q ** (2 * m + 2)))))
                 self.k0.append(_ints(_parts(
-                    f[m] * f[m + 1] * (q ** (-2 * m - 2) - q ** (2 * m + 2)))))
+                    fm * fm1 * (q ** (-2 * m - 2) - q ** (2 * m + 2)))))
 
 
 @functools.lru_cache(maxsize=16)  # one q per coupling, at one or two precisions
@@ -227,42 +233,41 @@ def _from_raw(key):
 
 class _ChiTable:
     """chi_n(eps) and dchi_n/deps for n = 0 .. len(chi) - 1 at one (eps, q,
-    working precision), as raw (re, im) pairs of libmp tuples, shared by
-    every series, Wronskian and residue pass at that state.  grow appends
-    one term, and is called only when a consumer asks for a term not yet
-    formed.  It runs the recursion on the integer forms it keeps beside the
-    raw pairs (ichi, idchi), rounding where the mpc operators round, so
-    every value is bit-identical to running the recursion afresh on mpmath
-    numbers.
+    working precision), in integer form, shared by every series, Wronskian
+    and residue pass at that state.  grow appends one term, and with it the
+    q-table's prefactor f_n where no table has formed it yet; a consumer
+    calls it only when it asks for a term not yet formed, so a state summed
+    before costs no recursion, a new one costs what running the recursion
+    does, and overflow raises at the same n.  It runs the recursion on the
+    integer core, rounding where the mpc operators round, so every value is
+    bit-identical to running the recursion afresh on mpmath numbers.
     """
 
     def __init__(self, eps_key, q_key, bits: int):
         self.eps = _from_raw(eps_key)
         self.qtab = _qtable(_from_raw(q_key), bits)
-        self.chi = [(fone, fzero), _parts(self.eps)]
-        self.dchi = [(fzero, fzero), (fone, fzero)]
-        self.ichi = [_ONE, _ints(self.chi[1])]
-        self.idchi = [_ZERO, _ONE]
+        self.chi = [_ONE, _ints(_parts(self.eps))]
+        self.dchi = [_ZERO, _ONE]
 
     def grow(self) -> None:
         """Append chi_n and its eps-derivative, n = len(chi), at the current
         working precision; PrecisionExceeded where eps is not finite (its
         chi_2 is inf or nan, which integers do not carry)."""
-        ichi, idchi, qtab = self.ichi, self.idchi, self.qtab
+        chi, dchi, qtab = self.chi, self.dchi, self.qtab
         if not mp.isfinite(self.eps):
             raise PrecisionExceeded(
                 "chi polynomial overflow; raise the working precision")
-        eps = ichi[1]
-        n = len(ichi)
+        eps = chi[1]
+        n = len(chi)
         if n > len(qtab.c):
             qtab.grow_c(n - 1)
+        if n >= len(qtab.f):  # grow_f's workprec is a libmp call: not per term
+            qtab.grow_f(n)
         cn = qtab.c[n - 1]
         prec = mp.prec
-        ichi.append(_cadd(_cmul(eps, ichi[n - 1], prec), _cmul(cn, ichi[n - 2], prec), prec))
-        idchi.append(_cadd(_cadd(ichi[n - 1], _cmul(eps, idchi[n - 1], prec), prec),
-                           _cmul(cn, idchi[n - 2], prec), prec))
-        self.chi.append(_raw_pair(ichi[n]))
-        self.dchi.append(_raw_pair(idchi[n]))
+        chi.append(_cadd(_cmul(eps, chi[n - 1], prec), _cmul(cn, chi[n - 2], prec), prec))
+        dchi.append(_cadd(_cadd(chi[n - 1], _cmul(eps, dchi[n - 1], prec), prec),
+                          _cmul(cn, dchi[n - 2], prec), prec))
 
 
 @functools.lru_cache(maxsize=2)  # the states in hand; each Newton step is a new eps
@@ -272,53 +277,18 @@ def _chitable(eps_key, q_key, bits: int) -> _ChiTable:
     return _ChiTable(eps_key, q_key, bits)
 
 
-def _raw_pairs(eps, q) -> Iterator[Tuple[tuple, tuple, tuple]]:
-    """Yield (f_n, chi_n, dchi_n/deps) for n = 0, 1, 2, ... as raw (re, im)
-    pairs, with f_n the series prefactor of the q-table and chi_n by the
-    recursion, at the current working precision; PrecisionExceeded on
-    overflow.
-
-    The terms come from the (eps, q, mp.prec) table, extended one term at a
-    time only when a consumer asks for a term not yet formed: a state summed
-    before costs no recursion, a new one costs what running the recursion
-    does, and overflow raises at the same n.  Generators on one table may
-    interleave; iterate each within the working precision it started at.
-    """
-    tab = _chitable(_raw(eps), _raw(q), mp.prec)
-    chi, dchi, qtab = tab.chi, tab.dchi, tab.qtab
-    rf = qtab.rf
-    n = 0
-    while True:
-        if n == len(chi):  # no consumer has asked for chi_n before
-            tab.grow()
-        if n == len(rf):
-            qtab.grow_f(n)
-        yield rf[n], chi[n], dchi[n]
-        n += 1
-
-
-def _poly_pairs(eps, q) -> Iterator[Tuple[object, object, object]]:
-    """_raw_pairs as mpmath numbers: chi_0 = 1, chi_1 = eps itself, and
-    from n = 2 an mpc (q is complex)."""
-    tab = _chitable(_raw(eps), _raw(q), mp.prec)
-    f = tab.qtab.f
-    for n, (_, x, dx) in enumerate(_raw_pairs(eps, q)):
-        if n == 0:
-            yield f[0], mp.mpf(1), mp.mpf(0)
-        elif n == 1:
-            yield f[1], tab.eps, mp.mpf(1)
-        else:
-            yield f[n], mp.make_mpc(x), mp.make_mpc(dx)
-
-
 def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
     """(values, dvalues): chi_{q,0..N}(eps) and their eps-derivatives at a
-    numeric eps."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
+    numeric eps: chi_0 = 1, chi_1 = eps itself, and from n = 2 an mpc (q
+    is complex)."""
+    if not isinstance(N, numbers.Integral) or N < 2:
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
     with ctx.workprec():
-        eps = mp.mpmathify(eps)
-        _, values, dvalues = zip(*itertools.islice(_poly_pairs(eps, mpar.q), N + 1))
+        tab = _chitable(_raw(mp.mpmathify(eps)), _raw(mpar.q), mp.prec)
+        while len(tab.chi) <= N:
+            tab.grow()
+        values = (mp.mpf(1), tab.eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
+        dvalues = (mp.mpf(0), mp.mpf(1)) + tuple(map(_mpc, tab.dchi[2:N + 1]))
     return values, dvalues
 
 
@@ -366,11 +336,12 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     (chi_q(u, eps), d chi / d eps, u d chi / du) from the same loop.
 
     Uses the second series form: term_n = f_n chi_n(eps) u^n, with f_n and
-    chi_n read from the shared tables of (eps, q, working precision), which
-    this call extends only past the terms an earlier call at that state
-    formed.  The series stops when its last three term magnitudes sum below
-    tol relative to its running scale (partial sum or largest term,
-    whichever is bigger -- the sum itself can cross zero).
+    chi_n read by index, in integer form, from the shared tables of (eps,
+    q, working precision), which this call grows only past the terms an
+    earlier call at that state formed.  The series stops when its last
+    three term magnitudes sum below tol relative to its running scale
+    (partial sum or largest term, whichever is bigger -- the sum itself can
+    cross zero).
 
     The loop runs on the integer core, every value complex (a real one has
     imaginary mantissa 0), and rounds where the same loop on mpc numbers
@@ -380,7 +351,8 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     when it clears its boundary by _LOG2_MARGIN, so the series never stops
     before the exact test on the mpf hypot values would; within the margin
     it sums one more term.  A u with an infinite or nan part never passes
-    it, and integers carry neither, so such a u raises at once.
+    it, and integers carry neither, so such a u raises at once, before the
+    table is read.
 
     With du a third sum takes n chi_n in place of dchi_n/deps.  All the
     sums stop on the one test of the value terms, so each is bit for bit
@@ -398,22 +370,25 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
         ur, up = _ints(_parts(u)), _ONE
         s = ds = us = _ZERO
         ltmax = l1 = l2 = -math.inf
-        terms = _MAX_TERMS if mp.isfinite(u) else 0
-        for n, (fn, x, dx) in zip(range(terms), _raw_pairs(eps, mpar.q)):
-            x = _ints(x)
-            coeff = _cmul(up, _ints(fn), prec)
-            t = _cmul(coeff, x, prec)
-            s = _cadd(s, t, prec)
-            ds = _cadd(ds, _cmul(coeff, _ints(dx), prec), prec)
-            if du:
-                us = _cadd(us, _cmul(coeff, _cmul_int(x, n, prec), prec), prec)
-            la = _log2_ints(t)
-            if la > ltmax:
-                ltmax = la
-            if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_ints(s), ltmax)):
-                sums = (s, ds, us) if du else (s, ds)
-                return tuple(mp.make_mpc(_raw_pair(v)) for v in sums)
-            up, l1, l2 = _cmul(up, ur, prec), l2, la
+        if mp.isfinite(u):  # integers carry no inf or nan: such a u raises below
+            tab = _chitable(_raw(eps), _raw(mpar.q), prec)
+            chi, dchi, f = tab.chi, tab.dchi, tab.qtab.f
+            for n in range(_MAX_TERMS):
+                if n == len(chi):  # no consumer has asked for chi_n before
+                    tab.grow()
+                x = chi[n]
+                coeff = _cmul(up, f[n], prec)
+                t = _cmul(coeff, x, prec)
+                s = _cadd(s, t, prec)
+                ds = _cadd(ds, _cmul(coeff, dchi[n], prec), prec)
+                if du:
+                    us = _cadd(us, _cmul(coeff, _cmul_int(x, n, prec), prec), prec)
+                la = _log2_ints(t)
+                if la > ltmax:
+                    ltmax = la
+                if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_ints(s), ltmax)):
+                    return tuple(map(_mpc, (s, ds, us) if du else (s, ds)))
+                up, l1, l2 = _cmul(up, ur, prec), l2, la
         raise PrecisionExceeded(
             f"chi series did not reach tol within {_MAX_TERMS} terms "
             f"(|u| = {abs(u)})"
@@ -447,6 +422,8 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         eps = mp.mpmathify(eps)
         prec = mp.prec
+        tab = _chitable(_raw(eps), _raw(mpar.q), prec)
+        chi, dchi = tab.chi, tab.dchi
         qtab = _qtable(mpar.q, prec)
         k1, k0 = qtab.k1, qtab.k0
         ltol = _log2_abs((ctx.tol._mpf_, fzero))
@@ -454,10 +431,12 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
         # per sum: the largest log2 |term| and the last two
         m1 = a1 = b1 = m0 = a0 = b0 = -math.inf
         px = pdx = None
-        for n, (_, x, dx) in zip(range(_MAX_TERMS), _raw_pairs(eps, mpar.q)):
+        for n in range(_MAX_TERMS):
+            if n == len(chi):
+                tab.grow()
             if n == len(k1):
                 qtab.grow_k(n)
-            x, dx = _ints(x), _ints(dx)
+            x, dx = chi[n], dchi[n]
             t = _cmul(_cmul(x, x, prec), k1[n], prec)
             r1 = _cadd(r1, t, prec)
             xd = _cmul(x, dx, prec)
@@ -476,7 +455,7 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
                         and _tail_small(a1, b1, l1, ltol + max(_log2_ints(r1), m1))
                         and (m0 == -math.inf and r0 == _ZERO or _tail_small(
                             a0, b0, l0, ltol + max(_log2_ints(r0), m0)))):
-                    return tuple(mp.make_mpc(_raw_pair(v)) for v in (r1, r0, d1, d0))
+                    return tuple(map(_mpc, (r1, r0, d1, d0)))
                 a0, b0 = b0, l0
             a1, b1 = b1, l1
             px, pdx = x, dx

@@ -67,19 +67,34 @@ def _tol_value(tol):
         return mp.mpf(tol)
 
 
+def _bits_value(bits) -> int:
+    """bits as an int where its value is integral (100, 100.0, a numpy
+    int); ValueError otherwise, since mpmath would truncate it at every
+    workprec."""
+    try:
+        n = int(bits)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != bits:
+        raise ValueError(f"precision_bits must be an integer, got {bits!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class PrecCtx:
     """Working precision in bits and target tolerance.
 
     ``tol`` may be given as a float, a decimal string or an mpf; the context
     holds it as a 53-bit mpf, so 1e-40, "1e-40" and mp.mpf(1e-40) build
-    equal contexts.
+    equal contexts.  ``precision_bits`` is held as an int, and a value that
+    is not integral (64.5) raises ValueError.
     """
 
     precision_bits: int
     tol: object     # mpf
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "precision_bits", _bits_value(self.precision_bits))
         object.__setattr__(self, "tol", _tol_value(self.tol))
         if self.precision_bits < _MIN_BITS:
             raise ValueError(
@@ -106,7 +121,7 @@ class PrecCtx:
 def make_context(precision_bits: int = 192, tol=None) -> PrecCtx:
     """Build a precision context; all downstream operations carry it.
     Without a tol it gets default_tol(precision_bits): 1e-40 at 192 bits."""
-    precision_bits = int(precision_bits)
+    precision_bits = _bits_value(precision_bits)
     if tol is None:
         tol = default_tol(precision_bits)
     return PrecCtx(precision_bits=precision_bits, tol=tol)

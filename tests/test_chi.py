@@ -7,6 +7,7 @@ import math
 import os
 import random
 import sys
+import types
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,11 +26,12 @@ from mirror_spectra.chi import (
     _chitable,
     _cmul,
     _cmul_int,
+    _from_raw,
     _ints,
     _log2_abs,
     _log2_ints,
+    _mpc,
     _parts,
-    _poly_pairs,
     _qtable,
     _raw,
     _raw_pair,
@@ -115,14 +117,14 @@ def test_poly_recursion_bitwise(ctx192, mpar_pi4):
 
 
 def test_poly_q_inverse_invariance(ctx192, mpar_pi4):
-    # the coupling (q^n - q^-n)^2 is symmetric under q <-> 1/q
+    # the coupling (q^n - q^-n)^2 is symmetric under q <-> 1/q; ModularParam
+    # refuses |q| > 1, so the tables are read directly
     with ctx192.workprec():
         q = mpar_pi4.q
         eps = mp.mpc("-1.9", "0.3")
-        g1 = _poly_pairs(eps, q)
-        g2 = _poly_pairs(eps, 1 / q)
-        for _ in range(13):
-            (_, a, da), (_, b, db) = next(g1), next(g2)
+        t1, t2 = (_grown(eps, v, 13) for v in (q, 1 / q))
+        for n in range(13):
+            a, da, b, db = (_mpc(t[n]) for t in (t1.chi, t1.dchi, t2.chi, t2.dchi))
             scale = max(abs(a), 1)
             assert abs(a - b) <= mp.mpf("1e-50") * scale
             assert abs(da - db) <= mp.mpf("1e-50") * max(abs(da), 1)
@@ -153,8 +155,10 @@ def test_poly_growth_envelope(ctx192, mpar_pi4):
 
 
 def test_poly_seq_guards(ctx192, mpar_pi4):
-    with pytest.raises(ValueError):
-        chi_poly_seq(mp.mpf(1), mpar_pi4, 1, ctx192)
+    # N below 2, and an N that is not an integer, which the error names
+    for N in (1, 2.5, 3.0, "4"):
+        with pytest.raises(ValueError, match=f"got {N!r}"):
+            chi_poly_seq(mp.mpf(1), mpar_pi4, N, ctx192)
 
 
 # ── series evaluation ─────────────────────────────────────────────────────
@@ -585,35 +589,63 @@ def test_wronskian_matches_transfer_oracle(ctx192, rng):
 
 
 def _fresh_pairs(eps, q):
-    # the recursion run afresh from n = 0 on mpmath numbers, with no table:
-    # the reference every consumer of the shared table must reproduce bit
-    # for bit; the prefactors f_n come from the q-table, as they do for the
-    # consumers
-    qtab = _qtable(q, mp.prec)
-    f = qtab.f
+    # the recursion run afresh from n = 0 on mpmath numbers, with no table,
+    # and the series prefactor f_n formed as the q-table forms it: the
+    # reference every consumer of the shared tables must reproduce bit for
+    # bit
+    q2 = q * q
+    f = q2p = mp.mpf(1)
     chi_prev, dchi_prev = mp.mpf(1), mp.mpf(0)
-    yield f[0], chi_prev, dchi_prev
+    yield f, chi_prev, dchi_prev
     chi_cur, dchi_cur = eps, mp.mpf(1)
-    qtab.grow_f(1)
-    yield f[1], chi_cur, dchi_cur
     n = 1
     while True:
+        q2p *= q2
+        f *= -q2p / (1 - q2p)
+        yield f, chi_cur, dchi_cur
         cn = (q ** n - q ** -n) ** 2
         chi_next = eps * chi_cur + cn * chi_prev
         if not mp.isfinite(chi_next):
             raise PrecisionExceeded("chi polynomial overflow")
         dchi_next = chi_cur + eps * dchi_cur + cn * dchi_prev
-        qtab.grow_f(n + 1)
-        yield f[n + 1], chi_next, dchi_next
         chi_prev, chi_cur = chi_cur, chi_next
         dchi_prev, dchi_cur = dchi_cur, dchi_next
         n += 1
 
 
-def _fresh_raw_pairs(eps, q):
-    # the same terms as raw (re, im) pairs, as the raw-tuple loops read them
-    for f, x, dx in _fresh_pairs(eps, q):
-        yield _parts(f), _parts(x), _parts(dx)
+class _Reads(list):
+    # a list that records the highest index read from it
+    top = -1
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            self.top = max(self.top, i)
+        return super().__getitem__(i)
+
+
+class _FreshTable:
+    # a stand-in for chi._ChiTable that _fresh_pairs fills: patched in as
+    # chi._chitable, it makes every consumer read mpmath's values, one
+    # fresh table per pass; chi.top + 1 is the number of terms read
+    def __init__(self, eps_key, q_key, bits):
+        self.eps = _from_raw(eps_key)
+        self.qtab = types.SimpleNamespace(f=[])
+        self.chi, self.dchi = _Reads(), []
+        self._terms = _fresh_pairs(self.eps, _from_raw(q_key))
+        self.grow()
+        self.grow()
+
+    def grow(self):
+        for v, column in zip(next(self._terms), (self.qtab.f, self.chi, self.dchi)):
+            column.append(_ints(_parts(v)))
+
+
+def _grown(eps, q, n):
+    # the shared table of eps and q at the working precision, grown to n terms
+    tab = _chitable(_raw(eps), _raw(q), mp.prec)
+    while len(tab.chi) < n:
+        tab.grow()
+    return tab
 
 
 def _bits(v):
@@ -659,8 +691,7 @@ def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
         lambda: factorize(sigma, eps, mpar, ctx),
     )
     with monkeypatch.context() as m:
-        m.setattr(chi, "_poly_pairs", _fresh_pairs)
-        m.setattr(chi, "_raw_pairs", _fresh_raw_pairs)
+        m.setattr(chi, "_chitable", _FreshTable)
         ref = [_bits(f()) for f in consumers]
     cold = []
     for f in consumers:
@@ -709,21 +740,30 @@ def test_recursion_table_keys_isolate():
         assert type(chi_poly_seq(e, mpar, 3, ctx256)[0][1]) is type(e)
 
 
-def test_recursion_table_interleaved_generators(ctx192, mpar_pi4):
-    # two generators on one table, advanced in turns of uneven length,
-    # yield what fresh ones yield; so does a third started late
+def test_recursion_table_interleaved_growth(ctx192, mpar_pi4, monkeypatch):
+    # consumers of uneven length take turns on one table, each growing it
+    # past the others or reading terms they formed: each reads what a fresh
+    # recursion gives, and the table ends at the longest
     with ctx192.workprec():
-        eps, q = mp.mpc("2.3", "-1.1"), mpar_pi4.q
-        want = _bits(list(itertools.islice(_fresh_pairs(eps, q), 40)))
-        _chitable.cache_clear()
-        g1, g2 = _poly_pairs(eps, q), _poly_pairs(eps, q)
-        got1, got2 = [], []
-        for k1, k2 in ((3, 5), (6, 1), (1, 9), (12, 2), (18, 23)):
-            got1 += itertools.islice(g1, k1)
-            got2 += itertools.islice(g2, k2)
-        got3 = list(itertools.islice(_poly_pairs(eps, q), 40))
-        assert _bits(got1) == _bits(got2) == _bits(got3) == want
-        assert len(_table(eps, mpar_pi4, 192).chi) == 40
+        eps = mp.mpc("2.3", "-1.1")
+        us = (mp.mpc("1e-6", "2e-6"), mp.mpc("1e50", "-3e49"))
+    consumers = (
+        lambda: chi_poly_seq(eps, mpar_pi4, 3, ctx192),
+        lambda: _chi_series(us[0], eps, mpar_pi4, ctx192),
+        lambda: chi_poly_seq(eps, mpar_pi4, 8, ctx192),
+        lambda: chi_poly_seq(eps, mpar_pi4, 40, ctx192),
+        lambda: _chi_series(us[1], eps, mpar_pi4, ctx192),
+        lambda: chi_poly_seq(eps, mpar_pi4, 12, ctx192),
+    )
+    with monkeypatch.context() as m:
+        m.setattr(chi, "_chitable", _FreshTable)
+        want = [_bits(f()) for f in consumers]
+    _chitable.cache_clear()
+    assert [_bits(f()) for f in consumers] == want
+    assert _chitable.cache_info().misses == 1
+    stops = [_chi_incremental(u, eps, mpar_pi4, ctx192)[2] for u in us]
+    assert 3 < stops[0] < 8 and stops[1] > 40
+    assert len(_table(eps, mpar_pi4, 192).chi) == stops[1] + 1
 
 
 def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch):
@@ -733,10 +773,10 @@ def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch)
     # series leaves those it summed
     with ctx192.workprec():
         eps, q = mp.mpc("-1.3", "0.8"), mpar_pi4.q
-        for n_terms in (1, 2, 3, 17):
+        for n in (2, 3, 17):
             _chitable.cache_clear()
-            assert len(list(itertools.islice(_poly_pairs(eps, q), n_terms))) == n_terms
-            assert len(_table(eps, mpar_pi4, 192).chi) == max(n_terms, 2)
+            assert len(chi_poly_seq(eps, mpar_pi4, n, ctx192)[0]) == n + 1
+            assert len(_table(eps, mpar_pi4, 192).chi) == n + 1
         u, q2 = mp.mpc("-1.7", "0.4"), q * q
         _chitable.cache_clear()
         _wronskian_parts(u, eps, mpar_pi4, ctx192)
@@ -745,18 +785,17 @@ def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch)
         stops = [_chi_incremental(v, eps, mpar_pi4, ctx192)[2] for v in args]
         assert len(set(stops)) > 1
         assert len(_table(eps, mpar_pi4, 192).chi) == max(stops) + 1
-        taken = []
+        made = []
 
-        def counting(e, q_):
-            for pair in _fresh_raw_pairs(e, q_):
-                taken.append(pair)
-                yield pair
+        def counting(*key):
+            made.append(_FreshTable(*key))
+            return made[-1]
         with monkeypatch.context() as m:
-            m.setattr(chi, "_raw_pairs", counting)
+            m.setattr(chi, "_chitable", counting)
             wronskian_residue(eps, mpar_pi4, ctx192)
         _chitable.cache_clear()
         wronskian_residue(eps, mpar_pi4, ctx192)
-        assert len(_table(eps, mpar_pi4, 192).chi) == len(taken)
+        assert len(_table(eps, mpar_pi4, 192).chi) == sum(t.chi.top + 1 for t in made)
 
 
 def test_recursion_table_work_count_psi(ctx192, mpar_pi4):

@@ -1,6 +1,7 @@
 """Context validation, q-Pochhammer oracles, theta1 identities."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from mirror_spectra import (
     theta1,
 )
 from mirror_spectra.invariants import _theta1_product
-from mirror_spectra.precision import _predicted_stop, default_tol
+from mirror_spectra.precision import PrecCtx, _predicted_stop, default_tol
 from mirror_spectra.spectral import _theta_pair
 
 
@@ -46,6 +47,17 @@ def test_make_context_rejects_bad_inputs():
         make_context(128, -1e-10)
     with pytest.raises(ValueError):
         make_context(192, float("inf"))
+    # a precision that is not an integer, which mpmath would truncate
+    for bits in (100.7, "128", mp.mpf("64.5"), Fraction(201, 2), float("nan"),
+                 float("inf")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_context(bits)
+        with pytest.raises(ValueError, match="must be an integer"):
+            PrecCtx(precision_bits=bits, tol=1e-10)
+    for bits in (100.0, Fraction(200, 2), mp.mpf(100)):
+        assert type(make_context(bits).precision_bits) is int
+        assert make_context(bits) == make_context(100)
+        assert type(PrecCtx(precision_bits=bits, tol=1e-10).precision_bits) is int
 
 
 def test_make_context_default_tol_follows_precision():
