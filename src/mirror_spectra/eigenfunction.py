@@ -18,7 +18,8 @@ at a quantized point the numerator cancels these zeros (that is the
 quantization condition).  On such a zero, to working precision, psi is the
 exact limit (pref N)'/D' (L'Hopital): N' from the chi series and their
 u-derivatives, D' from theta1'(0) = -i q^{1/4} (q^2; q^2)_inf^3 in log
-coordinates (DLMF 20.4.6).  Near a zero, off the real axis, or where both
+coordinates (DLMF 20.4.6), summed as Jacobi's series from theta1's own
+table (precision._theta1_d0).  Near a zero, off the real axis, or where both
 factors vanish together, evaluation goes through a symmetric stencil of
 regular points sized by the context rather than 0/0.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .chi import _chi_series, chi_check_eval, chi_eval
-from .precision import ModularParam, PoleSignal, PrecCtx, pochhammer_q, theta1
+from .precision import ModularParam, PoleSignal, PrecCtx, _theta1_d0, theta1
 from .spectral import SpectralPoint, factorize
 
 
@@ -152,9 +153,8 @@ def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx)
     d_num = (tpb * (d_chk * c_chi + xi * a_u * c_chk)
              + mp.conj(tpb) * (chk * mp.conj(a_u) + xi * chi_u * mp.conj(d_chk)))
     d_log_pref = 2 * mp.pi * (p.eta + 1j * x)
-    theta1_d0 = -1j * mp.nthroot(q, 4) * pochhammer_q(q * q, q * q, mp.inf, ctx) ** 3
     d_den = (tpb * theta1(w_other, q, ctx) * (-1) ** (k + m)
-             * mp.exp(-k * k * mpar.log_q) * theta1_d0)
+             * mp.exp(-k * k * mpar.log_q) * _theta1_d0(q, ctx))
     return _prefactor(x, xi, p) * (d_log_pref * num + d_num) / d_den
 
 

@@ -10,13 +10,17 @@ Foundation layer for everything else in the package:
                           qbar), with exact logarithms of the nomes;
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
-  * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, by
-                          ``_jtheta``, which serves every theta series: it
-                          shifts the argument into the strip |Re w| <= -ln|q|
-                          by the quasi-periodicity, sums mpmath's fixed-point
-                          kernel there with a guard sized by the largest
-                          term, and re-sums once with the bits a measured
-                          cancellation costs.  Both raise PrecisionExceeded
+  * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, and
+                          ``_jtheta``, theta_2 and theta_3 for spectral's E
+                          and O.  Both shift the argument into the strip
+                          |Re w| <= -ln|q| by the quasi-periodicity
+                          (``_strip``), sum there with a guard sized by the
+                          largest term, and re-sum once with the bits a
+                          measured cancellation costs (``_resummed``).
+                          theta1 sums its own fixed-point series from a
+                          table cached per nome (``_theta1_table``), within
+                          2 ulp up to 1,024 bits; ``_jtheta`` sums mpmath's
+                          fixed-point kernels.  Both raise PrecisionExceeded
                           past ``_MAX_TERMS`` terms, or when cancellation
                           leaves no correct digit.
 
@@ -26,12 +30,17 @@ All functions are pure: they take immutable inputs, enter an mpmath
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import NamedTuple, Union
 
 from mpmath import mp
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpc_mul,
+                          mpc_neg, mpc_pow_int, mpf_add, mpf_cos_sin, mpf_exp,
+                          mpf_lt, mpf_mul, mpf_shift, mpf_sub, round_nearest,
+                          to_fixed)
 
 
 # ── errors ──────────────────────────────────────────────────────────────────
@@ -287,6 +296,7 @@ def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
 # ── Jacobi theta in log coordinates ─────────────────────────────────────────
 
 _LN2 = math.log(2)
+_RND = round_nearest
 
 
 def _ln(x) -> float:
@@ -296,80 +306,215 @@ def _ln(x) -> float:
     return (exp + math.log2(man)) * _LN2
 
 
+def _strip(n: int, x_log, q, ctx: PrecCtx):
+    """(w, q, k, big, extra) for theta_n at w = x_log, under ctx's workprec:
+    the shift index k = nint(Re w / (2 ln|q|)), whose k periods of 2 log q
+    land w' = w - 2k log q in the strip |Re w'| <= L = -ln|q|; big, the
+    log2 of the largest term there, e^{(Re w')^2 / (4L)}, at most
+    L / (4 ln 2) bits; and extra, the bits w' and the factor of the shift
+    take for their exponent's size.  ValueError unless 0 < |q| < 1;
+    PrecisionExceeded when the series needs more than _MAX_TERMS terms."""
+    w = mp.mpmathify(x_log)
+    q = mp.mpmathify(q)
+    re_q, im_q = q._mpc_ if hasattr(q, "_mpc_") else (q._mpf_, fzero)
+    q_sq = mpf_add(mpf_mul(re_q, re_q), mpf_mul(im_q, im_q))   # |q|^2, exact
+    if q_sq == fzero or not mpf_lt(q_sq, fone):
+        raise ValueError(f"theta{n} needs 0 < |q| < 1, got |q| = {abs(q)}")
+    # the index h where the term bound |q|^{h^2} e^{h a} falls to tol
+    L = -_ln(mp.make_mpf(q_sq)) / 2
+    re_w = float(mp.re(w))
+    a = abs(re_w)
+    T = -_ln(ctx.tol)
+    if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > _MAX_TERMS:
+        raise PrecisionExceeded(
+            f"theta{n} series needs more than {_MAX_TERMS} terms to reach tol"
+        )
+    k = round(-re_w / (2 * L))
+    a = re_w + 2 * k * L                     # Re w'
+    big = math.ceil(a * a / (4 * L * _LN2))  # log2 of the largest term
+    extra = 0
+    if k:
+        size = 3 * abs(k) * math.hypot(L, math.pi) + math.hypot(re_w, float(mp.im(w)))
+        extra = int(abs(k) * size).bit_length()
+    return w, q, k, big, extra
+
+
+def _resummed(n: int, summed, q, big: int, ctx: PrecCtx):
+    """The product of summed(prec) = (sum, factor), the sum at
+    prec = bits + guard, the guard 10 bits plus the largest term's (big).
+    The bits lost to cancellation are the largest term's exponent less the
+    sum's; past the guard (near a zero) the sum is redone once with that
+    many more bits.  PrecisionExceeded when the second sum still loses more
+    than its guard: no correct digit is left (theta_1 with |q| near 1)."""
+    guard = 10 + big
+    prec = ctx.precision_bits + guard
+    for retry in (False, True):
+        s, factor = summed(prec)
+        lost = big - mp.mag(s) if s else prec
+        if lost <= guard:
+            return s * factor
+        if retry:
+            raise PrecisionExceeded(
+                f"theta{n} loses {lost} bits to cancellation at {prec} "
+                f"bits (|q| = {mp.nstr(abs(q), 8)}): no correct digit is left"
+            )
+        guard += lost
+        prec += lost
+
+
 def _theta_sum(n: int, w, q, k: int, prec: int, extra: int):
-    """theta_n(w) = c^k e^{-k^2 log q - k w'} theta_n(w'), w' = w - 2k log q
-    (DLMF 20.2(ii); c = -1 for theta_1, +1 for theta_2 and theta_3), as the
-    pair (kernel sum at w', that factor), the sum at prec bits.  w' and the
-    factor take extra bits for their exponent's size; only integer powers
-    of q enter, so any branch of log q serves."""
+    """theta_n(w) = e^{-k^2 log q - k w'} theta_n(w'), w' = w - 2k log q
+    (DLMF 20.2(ii); n = 2 or 3), as the pair (mpmath's fixed-point kernel
+    at w', that factor), the sum at prec bits.  w' and the factor take
+    extra bits for their exponent's size; only integer powers of q enter,
+    so any branch of log q serves."""
     factor = 1
     with mp.workprec(prec):
         if k:
             with mp.extraprec(extra):
                 lq = mp.log(q)
                 w = w - 2 * k * lq
-                factor = mp.exp(-k * k * lq - k * w) * (-1 if n == 1 and k % 2 else 1)
+                factor = mp.exp(-k * k * lq - k * w)
         z = mp.mpc(mp.im(w), -mp.re(w)) / 2         # e^{2iz} = e^{w'}
         if n == 3:
             return mp._jacobi_theta3(z, q), factor
-        return mp._jacobi_theta2(z - mp.pi / 2 if n == 1 else z, q), factor
+        return mp._jacobi_theta2(z, q), factor
 
 
 def _jtheta(n: int, x_log, q, ctx: PrecCtx):
-    """mpmath's jtheta(n, -i x_log / 2, q): u = e^{x_log} stands for e^{2iz},
-    and theta_1, theta_2 carry the principal q^{1/4} = mp.nthroot(q, 4).
-
-    With L = -ln|q|, the shift by k = nint(Re w / (2 ln|q|)) periods of
-    2 log q lands w' in the strip |Re w'| <= L, where the largest term is
-    e^{(Re w')^2 / (4L)}, at most L / (4 ln 2) bits.  There mpmath's
-    fixed-point kernel (the one jtheta itself calls in the strip) sums at
-    bits + guard, the guard 10 bits plus the largest term's.  The bits
-    lost to cancellation are the largest term's exponent less the sum's;
-    past the guard (near a zero) the sum is redone once with that many
-    more bits.  PrecisionExceeded when the series needs more than
-    _MAX_TERMS terms, or when the second sum still loses more than its
-    guard: no correct digit is left (theta_1 with |q| near 1).  theta_1
-    at w = 0 is exactly 0."""
+    """mpmath's jtheta(n, -i x_log / 2, q) for n = 2, 3 (spectral's E and
+    O): u = e^{x_log} stands for e^{2iz}, and theta_2 carries the principal
+    q^{1/4} = mp.nthroot(q, 4).  The argument is shifted into the strip
+    (_strip), where mpmath's fixed-point kernel (the one jtheta itself
+    calls in the strip) sums at bits + guard, and a cancelling sum is
+    redone once (_resummed)."""
     with ctx.workprec():
-        w = mp.mpmathify(x_log)
-        q = mp.mpmathify(q)
-        abs_q = abs(q)
-        if not 0 < abs_q < 1:
-            raise ValueError(f"theta{n} needs 0 < |q| < 1, got |q| = {abs_q}")
-        # the index h where the term bound |q|^{h^2} e^{h a} falls to tol
-        L = -_ln(abs_q)
-        re_w = float(mp.re(w))
-        a = abs(re_w)
-        T = -_ln(ctx.tol)
-        if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > _MAX_TERMS:
-            raise PrecisionExceeded(
-                f"theta{n} series needs more than {_MAX_TERMS} terms to reach tol"
-            )
-        if n == 1 and not w:
-            return mp.zero
-        k = round(-re_w / (2 * L))
-        a = re_w + 2 * k * L                     # Re w'
-        big = math.ceil(a * a / (4 * L * _LN2))  # log2 of the largest term
-        extra = int(abs(k) * (3 * abs(k) * math.hypot(L, math.pi)
-                              + float(abs(w)))).bit_length() if k else 0
-        guard = 10 + big
-        prec = ctx.precision_bits + guard
-        for retry in (False, True):
-            s, factor = _theta_sum(n, w, q, k, prec, extra)
-            lost = big - mp.mag(s) if s else prec
-            if lost <= guard:
-                return s * factor
-            if retry:
-                raise PrecisionExceeded(
-                    f"theta{n} loses {lost} bits to cancellation at {prec} "
-                    f"bits (|q| = {mp.nstr(abs_q, 8)}): no correct digit is left"
-                )
-            guard += lost
-            prec += lost
+        w, q, k, big, extra = _strip(n, x_log, q, ctx)
+        return _resummed(n, lambda prec: _theta_sum(n, w, q, k, prec, extra),
+                         q, big, ctx)
+
+
+class _Theta1Table(NamedTuple):
+    """theta_1's data at one nome and summing precision prec (_theta1_table):
+    the c_j as integers, the rest as libmp raw pairs."""
+    c: tuple        # (Re, Im) of c_j = (-1)^j q^{j(j+1)}, fixed point at prec + spare
+    spare: int      # the extra fractional bits of c
+    root: tuple     # -i q^{1/4}, principal root (mp.nthroot), at prec + spare bits
+    inv_q: tuple    # 1/q at prec + spare + 32 bits
+    log_q: tuple    # log q at prec + spare + 32 bits
+
+
+@functools.lru_cache(maxsize=16)  # one q per coupling, at a few summing precisions
+def _theta1_table(q, prec: int) -> _Theta1Table:
+    """theta_1's table at nome q, for sums at prec bits in the strip
+    |Re w'| <= L = -ln|q|.  It holds c_j for j < J, J the first j with
+    L(j^2 - 1) > (prec + 4) ln 2: past it every term, at most
+    |q|^{j(j+1)} e^{(j + 1/2) L} <= e^{-L(j^2 - 1)}, is below
+    2^-(prec + 4).  The c_j keep spare = ceil((J + 1) L / ln 2) + 2 extra
+    fractional bits: a tiny q^{j(j+1)} in prec-bit fixed point keeps few
+    significant bits, and the factor e^{(j + 1/2) L} it meets in the sum
+    would multiply that error (the bits mpmath's own kernel loses).  The
+    shift's 1/q and log q keep 32 bits more: the term cap holds |k| to
+    2048, so q^{-k^2} and 2k log q multiply their errors by at most 2^32."""
+    L = -_ln(abs(q))
+    J = math.isqrt(int((prec + 4) * _LN2 / L) + 1) + 1
+    spare = math.ceil((J + 1) * L / _LN2) + 2
+    fix = prec + spare
+    c = []
+    with mp.workprec(fix):
+        q = mp.mpc(q)
+        q2 = q * q
+        cj, step = mp.mpc(1), mp.mpc(1)
+        for _ in range(J):
+            c.append((to_fixed(cj.real._mpf_, fix), to_fixed(cj.imag._mpf_, fix)))
+            step *= q2                      # q^{2(j+1)}
+            cj = -cj * step                 # c_{j+1}
+        root = (-1j * mp.nthroot(q, 4))._mpc_
+    with mp.workprec(fix + 32):
+        return _Theta1Table(tuple(c), spare, root, (1 / q)._mpc_, mp.log(q)._mpc_)
+
+
+def _theta1_sum(w, q, k: int, prec: int, extra: int):
+    """theta_1(w) = (-1)^k q^{-k^2} r^{-k} theta_1(w'), w' = w - 2k log q,
+    r = e^{w'} (DLMF 20.2(ii)), as the pair (theta_1(w'), that factor), the
+    sum at prec bits:
+
+        theta_1(w') = -i q^{1/4} sum_{j >= 0} c_j (a r^j - a^{-1} r^{-j}),
+
+    a = e^{w'/2}, the terms n = j and n = -1 - j of the bilateral series
+    paired.  a comes from libmp's exp and cos_sin at prec + extra bits,
+    1/a from one integer division, and the sum runs on integers at prec
+    fractional bits (the c_j at prec + spare), rounded to prec once.  The
+    factor takes r from the same a, at prec + extra bits; any branch of
+    log q serves, since a shift by 2 pi i m moves w'/2 by 2 pi i k m."""
+    tab = _theta1_table(q, prec)
+    p = prec + extra
+    re, im = w._mpc_ if hasattr(w, '_mpc_') else (w._mpf_, fzero)
+    if k:
+        two_k = from_int(2 * k)
+        re = mpf_sub(re, mpf_mul(tab.log_q[0], two_k), p, _RND)
+        im = mpf_sub(im, mpf_mul(tab.log_q[1], two_k), p, _RND)
+    ea = mpf_exp(mpf_shift(re, -1), p, _RND)
+    cos, sin = mpf_cos_sin(mpf_shift(im, -1), p, _RND)
+    a = mpf_mul(ea, cos, p, _RND), mpf_mul(ea, sin, p, _RND)
+    ar, ai = to_fixed(a[0], prec), to_fixed(a[1], prec)
+    m = (1 << 3 * prec) // (ar * ar + ai * ai)   # 1/|a|^2
+    br, bi = (ar * m) >> prec, -((ai * m) >> prec)  # 1/a
+    rr, ri = (ar * ar - ai * ai) >> prec, (ar * ai) >> (prec - 1)
+    vr, vi = (br * br - bi * bi) >> prec, (br * bi) >> (prec - 1)
+    pr, pi, nr, ni = ar, ai, br, bi               # a r^j and a^{-1} r^{-j}
+    sr = si = 0
+    for cr, ci in tab.c:
+        dr, di = pr - nr, pi - ni
+        sr += cr * dr - ci * di
+        si += cr * di + ci * dr
+        pr, pi = (pr * rr - pi * ri) >> prec, (pr * ri + pi * rr) >> prec
+        nr, ni = (nr * vr - ni * vi) >> prec, (nr * vi + ni * vr) >> prec
+    shift = -(2 * prec + tab.spare)
+    s = mpc_mul(tab.root, (from_man_exp(sr, shift), from_man_exp(si, shift)),
+                prec, _RND)
+    if not k:
+        return mp.make_mpc(s), 1
+    factor = mpc_mul(mpc_pow_int(tab.inv_q, k * k, p, _RND),
+                     mpc_pow_int(mpc_mul(a, a, p, _RND), -k, p, _RND), p, _RND)
+    return mp.make_mpc(s), mp.make_mpc(mpc_neg(factor) if k % 2 else factor)
 
 
 def theta1(x_log, q, ctx: PrecCtx):
     """theta_1(u, q) = (1/i) sum_{n in Z} (-1)^n q^{(n+1/2)^2} u^{n+1/2},
     u = e^{x_log}: the caller supplies the exponent, never u itself, which
-    pins the half-integer powers to one branch."""
-    return _jtheta(1, x_log, q, ctx)
+    pins the half-integer powers to one branch.  It is mpmath's
+    jtheta(1, -i x_log / 2, q), with the principal q^{1/4}: the argument is
+    shifted into the strip (_strip), summed there in fixed point from a
+    table cached per nome (_theta1_sum), and a cancelling sum is redone
+    once (_resummed).  theta_1 at w = 0 is exactly 0."""
+    with ctx.workprec():
+        w, q, k, big, extra = _strip(1, x_log, q, ctx)
+        if not w:
+            return mp.zero
+        return _resummed(1, lambda prec: _theta1_sum(w, q, k, prec, extra),
+                         q, big, ctx)
+
+
+def _theta1_d0(q, ctx: PrecCtx):
+    """theta_1'(0) in the log coordinate, -i q^{1/4} sum_j (-1)^j (2j+1)
+    q^{j(j+1)} (Jacobi: -i q^{1/4} (q^2; q^2)_inf^3, DLMF 20.4.6), from
+    theta_1's table: the c_j's sum weighted by 2j + 1, on integers, with a
+    cancelling sum redone once as theta1's is (its largest term is at most
+    sqrt(2/L) e^{-1/2} with the root's |q|^{1/4}, L = -ln|q|)."""
+    with ctx.workprec():
+        q = mp.mpmathify(q)
+        L = -_ln(abs(q))
+        big = max(0, math.ceil((math.log(2 / L) - 1) / (2 * _LN2)))
+
+        def summed(prec):
+            tab = _theta1_table(q, prec)
+            shift = -(prec + tab.spare)
+            sr = si = 0
+            for j, (cr, ci) in enumerate(tab.c):
+                sr += (2 * j + 1) * cr
+                si += (2 * j + 1) * ci
+            return mp.make_mpc(mpc_mul(tab.root, (from_man_exp(sr, shift),
+                                                  from_man_exp(si, shift)),
+                                       prec, _RND)), 1
+        return _resummed(1, summed, q, big, ctx)

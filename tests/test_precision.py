@@ -15,6 +15,7 @@ from mirror_spectra import (
     pochhammer_q,
     theta1,
 )
+from mirror_spectra import precision
 from mirror_spectra.invariants import _theta1_product
 from mirror_spectra.precision import PrecCtx, _predicted_stop, default_tol
 from mirror_spectra.spectral import _theta_pair
@@ -500,6 +501,30 @@ def test_theta_rung_against_unshifted_jtheta(bits, theta, rng):
             assert _rel_err(value, mp.jtheta(1, -1j * w / 2, q)) <= tol, w
 
 
+@pytest.mark.parametrize("theta", ("pi/8", "pi/4", "3*pi/8", "7*pi/16"))
+@pytest.mark.parametrize("bits", (64, 192, 512, 1024))
+def test_theta1_is_correctly_rounded(bits, theta, rng):
+    # theta1 at three points in each strip k = -2 .. 2, at the psi
+    # stencil's nearest point to a zero, and at one shifted point with
+    # |Im w| up to 2^64 is within 2 ulp, 2^(1 - bits) |theta1|, of
+    # mp.jtheta at 2 bits + 64: the fixed-point sum's guard covers all it
+    # loses, up to the strip's edges
+    ctx = make_context(bits)
+    mpar = ModularParam.from_theta(theta, ctx)
+    with ctx.workprec():
+        q = mpar.q
+        L = -float(mp.log(abs(q)))
+        ws = [_strip_point(k, L, rng) for k in range(-2, 3) for _ in range(3)]
+        d = mp.ldexp(1, -bits // 5 - 1) * mp.expjpi(rng.uniform(-1, 1))
+        ws.append(-2 * mpar.log_q + 2j * mp.pi + d)
+        ws.append(_strip_point(2, L, rng) + 1j * mp.ldexp(rng.uniform(-1, 1), 64))
+        for w in ws:
+            value = theta1(w, q, ctx)
+            with mp.workprec(2 * bits + 64):
+                err = _rel_err(value, mp.jtheta(1, -1j * w / 2, q))
+            assert err <= mp.ldexp(1, 1 - bits), w
+
+
 # ── q-Pochhammer rung: against Euler's series at about twice the bits ──────
 
 def _euler_qp(x, q2):
@@ -534,7 +559,9 @@ def test_pochhammer_rung_against_euler_series(bits, theta, rng):
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """(mp.prec, |Im z|) of every call to the theta kernels jtheta uses."""
+    """(precision, |Im z|) of every theta sum: mpmath's kernels at z (the
+    pair's theta_3 and theta_2), and theta1's own sum at w' = w - 2k log q,
+    whose z = -i w' / 2 has |Im z| = |Re w'| / 2."""
     calls = []
     for name in ("_jacobi_theta2", "_jacobi_theta3"):
         kernel = getattr(mp, name)
@@ -543,6 +570,12 @@ def kernel_calls(monkeypatch):
             calls.append((mp.prec, abs(mp.im(z))))
             return kernel(z, q)
         monkeypatch.setattr(mp, name, spy)
+    theta1_sum = precision._theta1_sum
+
+    def theta1_spy(w, q, k, prec, extra):
+        calls.append((prec, abs(mp.re(w) - 2 * k * mp.log(abs(q))) / 2))
+        return theta1_sum(w, q, k, prec, extra)
+    monkeypatch.setattr(precision, "_theta1_sum", theta1_spy)
     return calls
 
 
