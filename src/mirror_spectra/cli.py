@@ -279,7 +279,7 @@ def cmd_orbit(args) -> int:
                        f"{fmt_complex(eps, args.digits)}"
                 labels.append((x, y, text))
                 meta[f"endpoint_sheet{k}_sigma{tag}"] = fmt_complex(eps, args.digits)
-    args.out = args.out or "orbit.csv"
+    args.out = args.out or f"orbit.{args.fmt}"
     _write_out(args, meta, ["sheet", "sigma", "re_eps", "im_eps"], rows)
     svg_path = os.path.splitext(args.out)[0] + ".svg"
     _svg_plot(svg_path, curves, labels, meta)

@@ -11,18 +11,20 @@ Foundation layer for everything else in the package:
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
   * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, and
-                          ``_jtheta``, theta_2 and theta_3 for spectral's E
-                          and O.  Both shift the argument into the strip
-                          |Re w| <= -ln|q| by the quasi-periodicity
+                          ``_theta_eo``, spectral's E and O (theta_3 and
+                          theta_2 of nome q^2) with, for the state solver,
+                          their slopes.  Both shift the argument into the
+                          strip |Re w| <= -ln|q| by the quasi-periodicity
                           (``_strip``), sum there with a guard sized by the
                           largest term, and re-sum once with the bits a
                           measured cancellation costs (``_resummed``).
                           theta1 sums its own fixed-point series from a
                           table cached per nome (``_theta1_table``), within
-                          2 ulp up to 1,024 bits; ``_jtheta`` sums mpmath's
-                          fixed-point kernels.  Both raise PrecisionExceeded
-                          past ``_MAX_TERMS`` terms, or when cancellation
-                          leaves no correct digit.
+                          2 ulp up to 1,024 bits; ``_theta_eo`` sums
+                          mpmath's fixed-point kernels (``_theta_sum``,
+                          the package's one caller of them).  Both raise
+                          PrecisionExceeded past ``_MAX_TERMS`` terms, or
+                          when cancellation leaves no correct digit.
 
 All functions are pure: they take immutable inputs, enter an mpmath
 ``workprec`` block sized by the context, and return mpmath scalars.
@@ -362,12 +364,13 @@ def _resummed(n: int, summed, q, big: int, ctx: PrecCtx):
         prec += lost
 
 
-def _theta_sum(n: int, w, q, k: int, prec: int, extra: int):
+def _theta_sum(n: int, w, q, k: int, prec: int, extra: int, d: int = 0):
     """theta_n(w) = e^{-k^2 log q - k w'} theta_n(w'), w' = w - 2k log q
     (DLMF 20.2(ii); n = 2 or 3), as the pair (mpmath's fixed-point kernel
-    at w', that factor), the sum at prec bits.  w' and the factor take
-    extra bits for their exponent's size; only integer powers of q enter,
-    so any branch of log q serves."""
+    at w', that factor), the sum at prec bits; with d > 0 the kernel is
+    its derivative twin, the d-th derivative in z' = -i w' / 2.  w' and
+    the factor take extra bits for their exponent's size; only integer
+    powers of q enter, so any branch of log q serves."""
     factor = 1
     with mp.workprec(prec):
         if k:
@@ -376,22 +379,38 @@ def _theta_sum(n: int, w, q, k: int, prec: int, extra: int):
                 w = w - 2 * k * lq
                 factor = mp.exp(-k * k * lq - k * w)
         z = mp.mpc(mp.im(w), -mp.re(w)) / 2         # e^{2iz} = e^{w'}
-        if n == 3:
-            return mp._jacobi_theta3(z, q), factor
-        return mp._jacobi_theta2(z, q), factor
+        if d:
+            return (mp._djacobi_theta3 if n == 3 else mp._djacobi_theta2)(z, q, d), factor
+        return (mp._jacobi_theta3 if n == 3 else mp._jacobi_theta2)(z, q), factor
 
 
-def _jtheta(n: int, x_log, q, ctx: PrecCtx):
-    """mpmath's jtheta(n, -i x_log / 2, q) for n = 2, 3 (spectral's E and
-    O): u = e^{x_log} stands for e^{2iz}, and theta_2 carries the principal
-    q^{1/4} = mp.nthroot(q, 4).  The argument is shifted into the strip
-    (_strip), where mpmath's fixed-point kernel (the one jtheta itself
-    calls in the strip) sums at bits + guard, and a cancelling sum is
-    redone once (_resummed)."""
+def _theta_eo(x, q, ctx: PrecCtx, slopes: bool = False):
+    """(E(s), O(s)) at s = e^x, and with slopes also (u E'(u), u O'(u)) at
+    u = s: E(u) = sum_j q^{2j^2} u^{2j} is theta_3 and O(u) = sum_j
+    q^{2j(j-1)} u^{2j-1} is theta_2 / (q^2)^{1/4}, nome q^2, at w = 2x
+    (DLMF 20.2; mpmath's jtheta at z = -i x).  mp.nthroot is the root
+    mpmath's theta_2 kernel carries, so the branch cancels; with integer
+    powers of s only, any log s serves.  The argument is shifted into the
+    strip once (_strip) for both series, each summed by mpmath's
+    fixed-point kernel at bits + guard and redone once where it cancels
+    (_resummed).  The slopes come from the derivative kernels at the
+    first sum's precision: u d/du = -i d/dz, and theta(w) = f theta(w')
+    with df/dw = -k f gives u theta' = f (-i theta'(z')) - 2k theta(w).
+    On the state solver's sigma in (0, sin theta), 1 <= |u| <= 1/|q| keeps
+    w in the strip, k = 0."""
     with ctx.workprec():
-        w, q, k, big, extra = _strip(n, x_log, q, ctx)
-        return _resummed(n, lambda prec: _theta_sum(n, w, q, k, prec, extra),
-                         q, big, ctx)
+        w, q2, k, big, extra = _strip(3, 2 * x, q * q, ctx)
+        root = mp.nthroot(q2, 4)
+        even, odd = (_resummed(n, functools.partial(_theta_sum, n, w, q2, k,
+                                                    extra=extra), q2, big, ctx)
+                     for n in (3, 2))
+        if not slopes:
+            return even, odd / root
+        prec = ctx.precision_bits + 10 + big        # _resummed's first sum
+        (d3, f), (d2, _) = (_theta_sum(n, w, q2, k, prec, extra, 1) for n in (3, 2))
+        de = f * (-1j * d3) - 2 * k * even
+        do = f * (-1j * d2) - 2 * k * odd
+        return even, odd / root, de, do / root
 
 
 class _Theta1Table(NamedTuple):

@@ -13,7 +13,7 @@ ratio G = chi(s)/chk(s) is purely imaginary (even states) or purely real
 (odd states).
 
 The same quasi-periodicity makes W(u, eps) = w_-1(eps) O(u) + w_0(eps) E(u)
-with E, O theta_3 and theta_2 of nome q^2 (precision._jtheta, once per
+with E, O theta_3 and theta_2 of nome q^2 (precision._theta_eo, once per
 solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
 only the two coefficients, 8-10 terms against the 37-47 of the four
 chi series, which stay the independent oracle in wronskian_eval, factorize
@@ -32,10 +32,11 @@ system W = 0, arg G = target in (sigma, eps) (Allgower and Georg,
 Introduction to Numerical Continuation Methods, 2003), kept inside a grid
 bracket whose indicator signs are known (Numerical Recipes, 3rd ed., 9.4).
 It forms G from the chi series at s and 1/s that also give its derivatives,
-by G_eval's pole test (chi._g_ratio), and W_sigma from mpmath's theta
-derivative kernels.  quantize starts it from each bracket's secant point;
-spectrum runs trace_orbit and quantize at 64 bits and starts it at the
-working precision from each 64-bit state.  A state at the working
+by G_eval's pole test (chi._g_ratio), and W_sigma from the slopes of E
+and O that its one precision._theta_eo call per step also returns.
+quantize starts it from each bracket's secant point; spectrum runs
+trace_orbit and quantize at 64 bits and starts it at the working
+precision from each 64-bit state.  A state at the working
 precision that fails reruns the whole job there.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
@@ -43,7 +44,7 @@ excluded from the spectrum.
 """
 
 import bisect
-import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,16 +59,14 @@ from .chi import (
     _wronskian_sums,
 )
 from .precision import (
-    _LN2,
     _MIN_BITS,
     ModularParam,
     PrecCtx,
     PrecisionExceeded,
     SolverError,
     _check_nome_precision,
-    _jtheta,
-    _ln,
     _predicted_stop,
+    _theta_eo,
     make_context,
 )
 
@@ -122,37 +121,9 @@ def _sigma_to_s(sigma, mpar: ModularParam):
     return mp.exp(2 * mp.pi * mpar.b * mp.mpmathify(sigma))
 
 
-def _theta_pair(x, q, ctx: PrecCtx):
-    """(E(s), O(s)) at s = e^x: E(u) = sum_j q^{2j^2} u^{2j} is theta_3 and
-    O(u) = sum_j q^{2j(j-1)} u^{2j-1} is theta_2 / (q^2)^{1/4}, nome q^2
-    (DLMF 20.2).  mp.nthroot is the root _jtheta(2) carries, so the
-    branch cancels; with integer powers of s only, any log s serves."""
-    q2 = q * q
-    return (_jtheta(3, 2 * x, q2, ctx),
-            _jtheta(2, 2 * x, q2, ctx) / mp.nthroot(q2, 4))
-
-
-def _theta_slopes(x, q, ctx: PrecCtx):
-    """(u E'(u), u O'(u)) at u = e^x: with z = -i x, E = theta_3(z; q^2) and
-    O = theta_2(z; q^2) / (q^2)^{1/4} give u E' = -i theta_3'(z; q^2) and
-    u O' = -i theta_2'(z; q^2) / (q^2)^{1/4}, from mpmath's derivative
-    kernels, the twins of the ones _jtheta sums, at the context's precision
-    plus _jtheta's guard: 10 bits plus the log2 of the largest term.  On the
-    state solver's sigma in (0, sin theta), 1 <= |u| <= 1/|q| keeps z inside
-    the kernels' strip, so no shift is needed."""
-    with ctx.workprec():
-        q2 = q * q
-        a = 2 * float(mp.re(x))
-        big = math.ceil(a * a / (-4 * _ln(abs(q2)) * _LN2))
-        with mp.workprec(ctx.precision_bits + 10 + big):
-            z = mp.mpc(mp.im(x), -mp.re(x))       # e^{2iz} = u^2
-            de, do = mp._djacobi_theta3(z, q2, 1), mp._djacobi_theta2(z, q2, 1)
-        return -1j * de, -1j * do / mp.nthroot(q2, 4)
-
-
 def _wronskian_pass(eps, pair, mpar: ModularParam, ctx: PrecCtx):
     """(W, dW/deps, scale) at eps and the s = e^x of pair =
-    _theta_pair(x, q, ctx): one Newton pass, W = w_-1 O(s) + w_0 E(s) with
+    _theta_eo(x, q, ctx): one Newton pass, W = w_-1 O(s) + w_0 E(s) with
     scale max(|w_-1 O|, |w_0 E|), at the working precision."""
     even, odd = pair
     r1, r0, dr1, dr0 = _wronskian_sums(eps, mpar, ctx)
@@ -175,7 +146,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
 
     Each pass (_wronskian_pass) sums the two coefficients w_-1(eps),
     w_0(eps) and their eps-derivatives, and W = w_-1 O(s) + w_0 E(s) with
-    E(s), O(s) evaluated once per solve (_theta_pair).  Stops on the
+    E(s), O(s) evaluated once per solve (_theta_eo).  Stops on the
     predicted error of the Newton correction -W/W_eps
     (precision._predicted_stop, budget tol * max(|eps|, 1)) once the last
     two full undamped corrections contract by more than half, so no pass
@@ -196,7 +167,7 @@ def _solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx,
     search, or _MAX_NEWTON steps).
     """
     with ctx.workprec():
-        pair = _theta_pair(2 * mp.pi * mpar.b * mp.mpmathify(sigma), mpar.q, ctx)
+        pair = _theta_eo(2 * mp.pi * mpar.b * mp.mpmathify(sigma), mpar.q, ctx)
         eps = mp.mpmathify(eps0)
         tol = ctx.tol
         w, dw, scale = _wronskian_pass(eps, pair, mpar, ctx)
@@ -281,8 +252,8 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
     sheets fall back to the sheet's spiral (_spiral) at that end:
     q^{-2 floor(k/2)} at 0 and -q^{-(2 ceil(k/2) - 1)} at sin(theta).
     """
-    if k < 1:
-        raise ValueError(f"sheet index must be >= 1, got {k}")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"sheet index must be an integer >= 1, got {k!r}")
     with ctx.workprec():
         q = mpar.q
         sth = sin_theta(mpar)
@@ -382,8 +353,8 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
     own branch.  Sub-stepping between nodes keeps branch-point slowdowns
     from knocking the samples off the uniform grid.
     """
-    if npoints < 16:
-        raise ValueError(f"npoints must be >= 16, got {npoints}")
+    if not isinstance(npoints, numbers.Integral) or npoints < 16:
+        raise ValueError(f"npoints must be an integer >= 16, got {npoints!r}")
     with ctx.workprec():
         sth = sin_theta(mpar)
         step = sth / (npoints - 1)
@@ -428,11 +399,12 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
                  / Im(L_sigma - L_eps W_sigma / W_eps),
         deps   = -(W + W_sigma dsigma) / W_eps.
 
-    W and W_eps come from _wronskian_sums on the _theta_pair, W_sigma from
-    the same sums on _theta_slopes; G from the chi series at s and v = 1/s
-    by G_eval's pole test (chi._g_ratio), and L_eps and L_sigma = 2 pi b
-    [s chi'(s)/chi(s) + v chi'(v)/chi(v) + 1] from the eps and u
-    derivatives each of those two series sums in its one loop.  eps takes
+    W and W_eps come from _wronskian_sums on E and O, W_sigma from the same
+    sums on their slopes, all four from one _theta_eo call; G from the chi
+    series at s and v = 1/s by G_eval's pole test (chi._g_ratio), and
+    L_eps and L_sigma = 2 pi b [s chi'(s)/chi(s) + v chi'(v)/chi(v) + 1]
+    from the eps and u derivatives each of those two series sums in its
+    one loop.  eps takes
     its step geometrically, eps exp(deps / eps): Newton in (sigma, log
     eps), where the sheet is nearly a line (_spiral).  An additive step
     leaves the curve by about |eps''| dsigma^2 / 2, and G, steep in eps,
@@ -517,8 +489,7 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
             x = twopib * sigma
             s = mp.exp(x)
             v = 1 / s
-            even, odd = _theta_pair(x, mpar.q, ctx)
-            de, do = _theta_slopes(x, mpar.q, ctx)
+            even, odd, de, do = _theta_eo(x, mpar.q, ctx, slopes=True)
             r1, r0, d1, d0 = _wronskian_sums(eps, mpar, ctx)
             t1, t0 = r1 * odd, r0 * even
             w, w_eps = t1 + t0, d1 * odd + d0 * even
@@ -640,7 +611,7 @@ def rho_extract(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     """
     with ctx.workprec():
         x = 2 * mp.pi * mpar.b * mp.mpmathify(sigma)
-        even, odd = _theta_pair(x, mpar.q, ctx)
+        even, odd = _theta_eo(x, mpar.q, ctx)
         r1, r0, _, _ = _wronskian_sums(eps, mpar, ctx)
         rho = ((r0 * mp.conj(odd) - r1 * mp.conj(even))
                / (mp.sqrt(mpar.q) * (abs(even) ** 2 + abs(odd) ** 2)))

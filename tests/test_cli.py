@@ -380,6 +380,19 @@ def test_orbit_writes_csv_and_svg(tmp_path, capsys):
     assert "eps_1(sin theta) = -22.183825707" in svg
 
 
+def test_orbit_json_without_out_writes_orbit_json(tmp_path, monkeypatch, capsys):
+    # the default name follows --format: a JSON document in orbit.csv was
+    # the old default
+    monkeypatch.chdir(tmp_path)
+    rc = main(["orbit", "--sheet", "1", "--precision-bits", "64",
+               "--npoints", "16", "--format", "json"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out == "wrote orbit.json and orbit.svg\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["orbit.json", "orbit.svg"]
+    doc = json.loads((tmp_path / "orbit.json").read_text())
+    assert len(doc["rows"]) == 16
+
+
 def test_orbit_multi_sheet_log_scale(tmp_path):
     out = tmp_path / "joint.csv"
     rc = main(["orbit", "--sheet", "1,2", "--precision-bits", "64",

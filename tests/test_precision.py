@@ -1,6 +1,7 @@
 """Context validation, q-Pochhammer oracles, theta1 identities."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,9 @@ from mirror_spectra import (
     pochhammer_q,
     theta1,
 )
-from mirror_spectra import precision
+from mirror_spectra import precision, spectral
 from mirror_spectra.invariants import _theta1_product
-from mirror_spectra.precision import PrecCtx, _predicted_stop, default_tol
-from mirror_spectra.spectral import _theta_pair
+from mirror_spectra.precision import PrecCtx, _predicted_stop, _theta_eo, default_tol
 
 
 # ── make_context ────────────────────────────────────────────────────────────
@@ -432,8 +432,8 @@ def test_theta1_product_by_watson_identity(bits, theta, rng):
         for _ in range(6):
             xu = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
             xs = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            eu, ou = _theta_pair(xu, mpar.q, ctx)
-            es, os_ = _theta_pair(xs, mpar.q, ctx)
+            eu, ou = _theta_eo(xu, mpar.q, ctx)
+            es, os_ = _theta_eo(xs, mpar.q, ctx)
             lhs = theta1(xu + xs, mpar.q, ctx) * theta1(xu - xs, mpar.q, ctx)
             rhs = mp.sqrt(mpar.q) * (os_ * eu - es * ou)
             scale = max(abs(es * ou), abs(os_ * eu), 1)
@@ -477,7 +477,7 @@ def _rel_err(value, ref):
 def test_theta_rung_against_unshifted_jtheta(bits, theta, rng):
     # mp.jtheta at 2 bits + 64 sums far strips term by term from the largest
     # term, with no quasi-periodic shift: an oracle for theta1 and for the
-    # theta_3, theta_2 of _theta_pair (nome q^2, argument 2x)
+    # theta_3, theta_2 of _theta_eo (nome q^2, argument 2x)
     ctx = make_context(bits)
     mpar = ModularParam.from_theta(theta, ctx)
     tol = ctx.tol
@@ -487,7 +487,7 @@ def test_theta_rung_against_unshifted_jtheta(bits, theta, rng):
         for k in (-2, 0, 2):
             w = _strip_point(k, L, rng)
             x = _strip_point(k, 2 * L, rng) / 2
-            value, (even, odd) = theta1(w, q, ctx), _theta_pair(x, q, ctx)
+            value, (even, odd) = theta1(w, q, ctx), _theta_eo(x, q, ctx)
             with mp.workprec(2 * bits + 64):
                 assert _rel_err(value, mp.jtheta(1, -1j * w / 2, q)) <= tol, (k, w)
                 assert _rel_err(even, mp.jtheta(3, -1j * x, q2)) <= tol, (k, x)
@@ -595,7 +595,7 @@ def test_theta_kernels_work_at_the_context_precision(kernel_calls, rng):
             cases += [(theta1, 2 * mp.pi * mpar.b * (x + sign * sth / 2), L)
                       for sign in (1, -1)]
             sigma = mp.mpf(rng.uniform(0.01, 0.99)) * sth
-            cases.append((_theta_pair, 2 * mp.pi * mpar.b * sigma, 2 * L))
+            cases.append((_theta_eo, 2 * mp.pi * mpar.b * sigma, 2 * L))
         shifted = 0
         for f, w, nome_L in cases:
             del kernel_calls[:]
@@ -619,3 +619,28 @@ def test_theta1_near_a_zero_sums_twice(kernel_calls):
             del kernel_calls[:]
             theta1(zero + mp.ldexp(1, -bits // 5 - 1), mpar.q, ctx)
             assert len(kernel_calls) == 2, zero
+
+
+def test_theta_kernels_have_one_caller(monkeypatch):
+    # mpmath's theta_2 and theta_3 kernels and their derivative twins are
+    # called from precision alone (_theta_sum): by a solve_eps, by the 64-
+    # and 96-bit state steps of a spectrum, which take the slopes, and by
+    # a factorize
+    callers = []
+    kernels = ("_jacobi_theta2", "_jacobi_theta3", "_djacobi_theta2", "_djacobi_theta3")
+    for name in kernels:
+        kernel = getattr(mp, name)
+
+        def spy(*args, kernel=kernel, name=name):
+            frame = sys._getframe(1)
+            callers.append((name, frame.f_globals["__name__"], frame.f_code.co_name))
+            return kernel(*args)
+        monkeypatch.setattr(mp, name, spy)
+    ctx = make_context(96)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    spectral.solve_eps(0, spectral.sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+    point = spectral.spectrum(2, 16, (1, -1), mpar, ctx)[0]
+    spectral.factorize(point.sigma, point.eps, mpar, ctx)
+    assert {name for name, _, _ in callers} == set(kernels)
+    outside = [c for c in callers if c[1] != "mirror_spectra.precision"]
+    assert not outside, outside

@@ -12,6 +12,7 @@ from mirror_spectra.precision import (
     ModularParam,
     PrecisionExceeded,
     SolverError,
+    _theta_eo,
     make_context,
     pochhammer_q,
     theta1,
@@ -21,8 +22,6 @@ from mirror_spectra.spectral import (
     _parity_indicator,
     _sigma_to_s,
     _solve_eps,
-    _theta_pair,
-    _theta_slopes,
     _wronskian_parts,
     _wronskian_pass,
     factorize,
@@ -100,7 +99,7 @@ def test_two_sum_pass_matches_four_series(bits, theta, rng):
             u = mp.mpc(rng.uniform(0.2, 2.5), rng.uniform(-1.5, 1.5))
             eps = mp.mpc(rng.uniform(-60, 60), rng.uniform(-30, 30)) if k else mp.mpf(0)
             w, dw, scale, _ = _wronskian_parts(u, eps, mpar, ctx)
-            pair = _theta_pair(mp.log(u), mpar.q, ctx)
+            pair = _theta_eo(mp.log(u), mpar.q, ctx)
             w2, dw2, scale2 = _wronskian_pass(eps, pair, mpar, ctx)
             assert abs(w2 - w) <= tol * max(scale, 1), (u, eps)
             assert abs(dw2 - dw) <= tol * max(abs(dw), 1), (u, eps)
@@ -115,7 +114,7 @@ def test_theta_pair_term_cap_is_typed():
     with ctx.workprec():
         sig = mp.sin(mpar.theta) / 3
         with pytest.raises(PrecisionExceeded, match="more than 4096 terms"):
-            _theta_pair(2 * mp.pi * mpar.b * sig, mpar.q, ctx)
+            _theta_eo(2 * mp.pi * mpar.b * sig, mpar.q, ctx)
         with pytest.raises(PrecisionExceeded, match="more than 4096 terms"):
             solve_eps(sig, mp.mpf(2), mpar, ctx)
 
@@ -358,11 +357,26 @@ def _count_g(monkeypatch):
     return calls
 
 
+def _count_steps(monkeypatch):
+    # the x of each state-solver step: one _theta_eo call with the slopes
+    steps = []
+    original = spectral._theta_eo
+
+    def counted(x, q, ctx, slopes=False):
+        if slopes:
+            steps.append(x)
+        return original(x, q, ctx, slopes)
+
+    monkeypatch.setattr(spectral, "_theta_eo", counted)
+    return steps
+
+
 def _count_states(monkeypatch):
     # (working bits, start, Newton steps, on-curve eps solves) of each state
-    # the state solver returns; a step is one _theta_slopes call
-    calls, steps, solves = [], [], []
-    state, slopes, solve = spectral._state, spectral._theta_slopes, spectral._solve_eps
+    # the state solver returns
+    calls, solves = [], []
+    steps = _count_steps(monkeypatch)
+    state, solve = spectral._state, spectral._solve_eps
 
     def counted(lo, hi, start, parity, sheet, mpar, ctx):
         steps.clear()
@@ -372,8 +386,6 @@ def _count_states(monkeypatch):
         return point
 
     monkeypatch.setattr(spectral, "_state", counted)
-    monkeypatch.setattr(spectral, "_theta_slopes",
-                        lambda *args: steps.append(args) or slopes(*args))
     monkeypatch.setattr(spectral, "_solve_eps",
                         lambda *args, **kw: solves.append(args) or solve(*args, **kw))
     return calls
@@ -474,6 +486,33 @@ def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
             assert abs(w / dw) <= tol * max(abs(eps), 1), sig
         end = orbit.samples[-1][1]
         assert abs(mp.im(end)) <= tol * abs(end)
+
+
+@pytest.fixture(scope="module")
+def pi4_64():
+    ctx64 = make_context(64)
+    return ModularParam.from_theta("pi/4", ctx64), ctx64
+
+
+def test_trace_orbit_refuses_a_non_integer_sheet(pi4_64):
+    # sheet 2.5 traced an orbit labelled 2.5 that ended at sheet 3's -q^-3
+    with pytest.raises(ValueError, match=r"sheet index must be an integer >= 1, got 2\.5"):
+        trace_orbit(2.5, 16, *pi4_64)
+
+
+def test_spectrum_refuses_a_non_integer_sheet(pi4_64):
+    # it returned 8 states for sheet 2.5; at 96 bits the 64-bit coarse
+    # stage, which falls back only on a SolverError, lets the ValueError out
+    mpar64, _ = pi4_64
+    ctx96 = make_context(96)
+    with pytest.raises(ValueError, match=r"sheet index must be an integer >= 1, got 2\.5"):
+        spectrum(2.5, 16, (1, -1), mpar64.at(96), ctx96)
+
+
+def test_trace_orbit_refuses_a_non_integer_npoints(pi4_64):
+    # npoints 16.0 raised an untyped TypeError from range
+    with pytest.raises(ValueError, match=r"npoints must be an integer >= 16, got 16\.0"):
+        trace_orbit(2, 16.0, *pi4_64)
 
 
 def test_orbit_guards(ctx, mpar):
@@ -676,10 +715,7 @@ def test_state_solver_stops_at_its_floor(monkeypatch):
     # of them in one state
     ctx64 = make_context(64, 4e-15)
     mpar64 = ModularParam.from_theta("pi/4", ctx64)
-    steps = []
-    slopes = spectral._theta_slopes
-    monkeypatch.setattr(spectral, "_theta_slopes",
-                        lambda *args: steps.append(args) or slopes(*args))
+    steps = _count_steps(monkeypatch)
     with pytest.raises(PrecisionExceeded, match=r"sheet 3, parity \+1 stalled at its "
                        r"rounding floor .*: the indicator reached [0-9.e-]+, above tol"):
         spectrum(3, 48, (1, -1), mpar64, ctx64)
@@ -703,9 +739,12 @@ def test_wronskian_zero_periodicity_at_states(ctx, mpar, orbit1):
 
 def test_theta_slopes_match_theta_pair_differences():
     # u E'(u) and u O'(u) from the derivative kernels against central
-    # differences of the theta pair at twice the bits, across [0, sin
-    # theta].  With h = sqrt(tol) / 100 the difference's truncation error,
-    # a third of |D(h) - D(2h)|, is checked to stay below 0.01 tol
+    # differences of E and O at twice the bits, across [0, sin theta] and
+    # m periods log q^2 away, in the strips k = -2 .. 2 where the slopes take
+    # the chain rule through the shift's factor.  At sigma = sin theta,
+    # |Re 2x| = L and rounding decides k (0 or -1 with m = 0).  With h =
+    # sqrt(tol) / 100 the difference's truncation error, a third of |D(h) -
+    # D(2h)|, is checked to stay below 0.01 tol
     for bits in (64, 128, 512):
         ctx, fine = make_context(bits), make_context(2 * bits)
         tol = ctx.tol
@@ -715,17 +754,20 @@ def test_theta_slopes_match_theta_pair_differences():
                 h = mp.sqrt(tol) / 100
 
                 def diff(x, h):
-                    up = _theta_pair(x + h, mpar.q, fine)
-                    down = _theta_pair(x - h, mpar.q, fine)
+                    up = _theta_eo(x + h, mpar.q, fine)
+                    down = _theta_eo(x - h, mpar.q, fine)
                     return [(a - b) / (2 * h) for a, b in zip(up, down)]
 
                 for frac in ("0", "0.3", "0.7", "1"):
-                    x = 2 * mp.pi * mpar.b * sin_theta(mpar) * mp.mpf(frac)
-                    got = _theta_slopes(x, mpar.q, ctx)
-                    for g, want, coarse in zip(got, diff(x, h), diff(x, 2 * h)):
-                        scale = tol * max(abs(want), 1)
-                        assert abs(want - coarse) <= 0.03 * scale, (bits, theta, frac)
-                        assert abs(g - want) <= scale, (bits, theta, frac)
+                    for m in (0, -1, 1, -2, 2):
+                        x = (2 * mp.pi * mpar.b * sin_theta(mpar) * mp.mpf(frac)
+                             + 2 * m * mpar.log_q)
+                        got = _theta_eo(x, mpar.q, ctx, slopes=True)[2:]
+                        for g, want, coarse in zip(got, diff(x, h), diff(x, 2 * h)):
+                            scale = tol * max(abs(want), 1)
+                            where = (bits, theta, frac, m)
+                            assert abs(want - coarse) <= 0.03 * scale, where
+                            assert abs(g - want) <= scale, where
 
 
 def _assert_states_within_tol(got, want, mpar, ctx):
