@@ -26,7 +26,10 @@ sums are exact after aligning (but for mpf_add's one shortcut, which _add
 keeps), and each real or imaginary part is rounded half-to-even to the
 working precision once, where mpc_mul, mpc_add or mpc_mul_int rounds it.
 So every value is bit for bit what the mpc operators give, at a fraction
-of their per-operation Python overhead.
+of their per-operation Python overhead.  The loops' stop tests read float
+log2 magnitudes: of an integer form from its exponents and odd mantissas
+(_log2_ints), and of tol from its mpf (precision._log2, the package's one
+float log).
 The series kernel sums one argument; the four series of the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
@@ -56,6 +59,7 @@ from .precision import (
     PrecCtx,
     PrecisionExceeded,
     _check_nome_precision,
+    _log2,
     pochhammer_q,
 )
 
@@ -89,14 +93,9 @@ def _mpf(m, e):
     return (0, m, e, m.bit_length()) if m > 0 else (1, -m, e, m.bit_length())
 
 
-def _raw_pair(z):
-    """The raw (re, im) pair of an integer form."""
-    return _mpf(z[0], z[1]), _mpf(z[2], z[3])
-
-
 def _mpc(z):
     """The mpc of an integer form."""
-    return mp.make_mpc(_raw_pair(z))
+    return mp.make_mpc((_mpf(z[0], z[1]), _mpf(z[2], z[3])))
 
 
 def _add(m, e, n, f, prec):
@@ -155,11 +154,17 @@ def _cmul_int(z, k, prec):
 
 
 def _log2_ints(z) -> float:
-    """_log2_abs of an integer form, the same float: each part is exp +
-    log2 of its odd mantissa."""
+    """log2 |z| of an integer form as a float, -inf at 0: each part is exp +
+    log2 of its odd mantissa (Python's integer log2, so no exponent
+    overflows or underflows it), and the two meet as log2 of their hypot."""
     rm, re, im, ie = z
-    return _log2_hypot(re + math.log2(abs(rm)) if rm else -math.inf,
-                       ie + math.log2(abs(im)) if im else -math.inf)
+    a = re + math.log2(abs(rm)) if rm else -math.inf
+    b = ie + math.log2(abs(im)) if im else -math.inf
+    if a < b:
+        a, b = b, a
+    if b == -math.inf:
+        return a
+    return a + 0.5 * math.log2(1.0 + 2.0 ** (2.0 * (b - a)))
 
 
 class _QTable:
@@ -169,9 +174,10 @@ class _QTable:
     c[n] = (q^n - q^-n)^2 couples the polynomial recursion (c[0] unused);
     f[n] = (-1)^n q^{n(n+1)} / (q^2; q^2)_n is the series prefactor, formed
     on a running mpmath product as f_{n+1} = f_n (-q^{2(n+1)}) / (1 -
-    q^{2(n+1)}).  Both grow on demand with the same operations, in the same
-    order, as the incremental loops they replace, so every value is
-    bit-identical to recomputing it.
+    q^{2(n+1)}).  grow appends both together, so the two lists always have
+    the same length; each value takes the same operations, in the same
+    order, as in the incremental loops the table replaces, so it is
+    bit-identical to recomputing it (c and f do not depend on each other).
 
     k1[m] = f_m^2 (q^{-2m} - q^{2m+2}) and k0[m] = f_m f_{m+1} (q^{-2m-2} -
     q^{2m+2}) weight chi_m^2 and chi_{m+1} chi_m in the two Laurent
@@ -187,24 +193,20 @@ class _QTable:
         with mp.workprec(bits):
             self._q2 = q * q
         self._q2p = self._fn = mp.mpf(1)
-        self.grow_f(1)  # a recursion table starts with chi_0 and chi_1
+        self.grow(1)  # a recursion table starts with chi_0 and chi_1
 
-    def grow_c(self, n: int) -> None:
-        q = self.q
+    def grow(self, n: int) -> None:
+        """Append c[k] and f[k] for k = len(f) .. n."""
+        q, q2, c, f = self.q, self._q2, self.c, self.f
         with mp.workprec(self.bits):
-            for k in range(len(self.c), n + 1):
-                self.c.append(_ints(_parts((q ** k - q ** -k) ** 2)))
-
-    def grow_f(self, n: int) -> None:
-        f, q2 = self.f, self._q2
-        with mp.workprec(self.bits):
-            while len(f) <= n:
+            for k in range(len(f), n + 1):
+                c.append(_ints(_parts((q ** k - q ** -k) ** 2)))
                 self._q2p *= q2
                 self._fn *= -self._q2p / (1 - self._q2p)
                 f.append(_ints(_parts(self._fn)))
 
     def grow_k(self, n: int) -> None:
-        self.grow_f(n + 1)
+        self.grow(n + 1)
         q = self.q
         with mp.workprec(self.bits):
             for m in range(len(self.k1), n + 1):
@@ -235,7 +237,7 @@ class _ChiTable:
     """chi_n(eps) and dchi_n/deps for n = 0 .. len(chi) - 1 at one (eps, q,
     working precision), in integer form, shared by every series, Wronskian
     and residue pass at that state.  grow appends one term, and with it the
-    q-table's prefactor f_n where no table has formed it yet; a consumer
+    q-table's c_n and f_n where no table has formed them yet; a consumer
     calls it only when it asks for a term not yet formed, so a state summed
     before costs no recursion, a new one costs what running the recursion
     does, and overflow raises at the same n.  It runs the recursion on the
@@ -259,10 +261,8 @@ class _ChiTable:
                 "chi polynomial overflow; raise the working precision")
         eps = chi[1]
         n = len(chi)
-        if n > len(qtab.c):
-            qtab.grow_c(n - 1)
-        if n >= len(qtab.f):  # grow_f's workprec is a libmp call: not per term
-            qtab.grow_f(n)
+        if n >= len(qtab.f):  # grow's workprec is a libmp call: not per term
+            qtab.grow(n)
         cn = qtab.c[n - 1]
         prec = mp.prec
         chi.append(_cadd(_cmul(eps, chi[n - 1], prec), _cmul(cn, chi[n - 2], prec), prec))
@@ -290,29 +290,6 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
         values = (mp.mpf(1), tab.eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
         dvalues = (mp.mpf(0), mp.mpf(1)) + tuple(map(_mpc, tab.dchi[2:N + 1]))
     return values, dvalues
-
-
-def _log2_abs(z) -> float:
-    """log2 |z| of a raw (re, im) pair of mpf tuples as a float; -inf at 0
-    and nan where a part is infinite or nan, which no float test decides.
-
-    Each part is exp + log2(man), with Python's integer log2 of the
-    mantissa, so no mpf exponent overflows or underflows it.
-    """
-    re, im = z
-    if not (re[1] or re == fzero) or not (im[1] or im == fzero):
-        return math.nan
-    return _log2_hypot(re[2] + math.log2(re[1]) if re[1] else -math.inf,
-                       im[2] + math.log2(im[1]) if im[1] else -math.inf)
-
-
-def _log2_hypot(a: float, b: float) -> float:
-    """log2 (2^2a + 2^2b)^(1/2), from the parts' log2 magnitudes."""
-    if a < b:
-        a, b = b, a
-    if b == -math.inf:
-        return a
-    return a + 0.5 * math.log2(1.0 + 2.0 ** (2.0 * (b - a)))
 
 
 def _parts(x):
@@ -347,12 +324,12 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     imaginary mantissa 0), and rounds where the same loop on mpc numbers
     does: every product where mpc_mul rounds, every sum where mpc_add does,
     so every bit matches that loop.  The stop test is _tail_small on float
-    log2 magnitudes (_log2_ints, the floats _log2_abs gives): it passes only
-    when it clears its boundary by _LOG2_MARGIN, so the series never stops
-    before the exact test on the mpf hypot values would; within the margin
-    it sums one more term.  A u with an infinite or nan part never passes
-    it, and integers carry neither, so such a u raises at once, before the
-    table is read.
+    log2 magnitudes (_log2_ints of the terms and sums, precision._log2 of
+    tol): it passes only when it clears its boundary by _LOG2_MARGIN, so
+    the series never stops before the exact test on the mpf hypot values
+    would; within the margin it sums one more term.  Integers carry no inf
+    or nan, so a u with such a part raises at once, before the table is
+    read.
 
     With du a third sum takes n chi_n in place of dchi_n/deps.  All the
     sums stop on the one test of the value terms, so each is bit for bit
@@ -365,7 +342,7 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
         if u == 0:
             return (mp.mpf(1), mp.mpf(0)) + ((mp.mpf(0),) if du else ())
         prec = mp.prec
-        ltol = _log2_abs((ctx.tol._mpf_, fzero))
+        ltol = _log2(ctx.tol)
         # l1, l2 are log2 |t_{n-2}|, log2 |t_{n-1}|
         ur, up = _ints(_parts(u)), _ONE
         s = ds = us = _ZERO
@@ -426,7 +403,7 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
         chi, dchi = tab.chi, tab.dchi
         qtab = _qtable(mpar.q, prec)
         k1, k0 = qtab.k1, qtab.k0
-        ltol = _log2_abs((ctx.tol._mpf_, fzero))
+        ltol = _log2(ctx.tol)
         r1 = r0 = d1 = d0 = _ZERO
         # per sum: the largest log2 |term| and the last two
         m1 = a1 = b1 = m0 = a0 = b0 = -math.inf
@@ -592,8 +569,10 @@ def chi_mult_check(m: int, n: int, eps, mpar: ModularParam, ctx: PrecCtx):
     measurement is repeated with enough guard bits to cover the observed
     amplification; the returned residual is then meaningful at ctx.tol.
     """
-    if not (0 <= m <= 12 and 0 <= n <= 12):
-        raise ValueError(f"multiplication check is desk-scale: 0 <= m,n <= 12, got {(m, n)}")
+    for name, k in (("m", m), ("n", n)):
+        if not isinstance(k, numbers.Integral) or not 0 <= k <= 12:
+            raise ValueError(f"multiplication check is desk-scale: {name} must be "
+                             f"an integer in 0..12, got {k!r}")
     res, lhs_mag, tmax = _mult_residual(m, n, eps, mpar, ctx)
     if tmax > lhs_mag > 0:
         lost_bits = int(mp.log(tmax / lhs_mag, 2)) + 32

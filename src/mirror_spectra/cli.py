@@ -371,9 +371,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, theta=True, output=True):
+    def command(name, run, help, theta=True, output=True,
+                out_help="output path (default stdout)"):
         """A subparser bound to `run`, with the shared flags it reads: the
-        precision flags always, --theta and the output flags where asked."""
+        precision flags always, --theta and the output flags where asked,
+        --out with the command's own default (out_help)."""
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(run=run)
         if theta:
@@ -387,7 +389,7 @@ def _build_parser() -> _Parser:
         if output:
             sp.add_argument("--digits", type=int, default=18,
                             help="significant digits in output (round-half-even)")
-            sp.add_argument("--out", default="", help="output path (default stdout)")
+            sp.add_argument("--out", default="", help=out_help)
             sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                             default="csv")
         return sp
@@ -399,7 +401,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--verify", action="store_true",
                     help="append eigenfunction residual columns")
 
-    sp = command("orbit", cmd_orbit, "trace eps_k(sigma), write CSV + SVG")
+    sp = command("orbit", cmd_orbit, "trace eps_k(sigma), write CSV + SVG",
+                 out_help="table path (default orbit.csv or orbit.json, by "
+                          "--format); the SVG is written beside it")
     sp.add_argument("--sheet", default="1",
                     help="sheet number, or comma list for a joint plot")
     sp.add_argument("--npoints", type=int, default=48)

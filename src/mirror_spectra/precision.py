@@ -8,6 +8,9 @@ Foundation layer for everything else in the package:
                           a step on its predicted error;
   * ``ModularParam``   -- the coupling as given and its data (theta, b, q,
                           qbar), with exact logarithms of the nomes;
+  * ``_log2``          -- the package's one float log of an mpf, from its
+                          exponent and mantissa (the theta term bounds
+                          through ``_ln``, and the chi series' stop tests);
   * ``pochhammer_q``   -- finite q-Pochhammer products, and mpmath's ``qp``
                           for the infinite one;
   * ``theta1``         -- Jacobi theta_1 in logarithmic coordinates, and
@@ -270,17 +273,23 @@ class ModularParam:
 
 def pochhammer_q(x, q, n: Union[int, float], ctx: PrecCtx):
     """(x; q)_n = prod_{i=0}^{n-1} (1 - x q^i), with n a non-negative integer
-    or infinity (requires |q| < 1 and |x q^k| < tol within _MAX_TERMS)."""
-    infinite = n == mp.inf or (isinstance(n, float) and math.isinf(n))
+    or +infinity (requires |q| < 1 and |x q^k| < tol within _MAX_TERMS);
+    ValueError for any other n (-inf, nan, 2.5, "3")."""
+    infinite = n == mp.inf      # float('inf') == mp.inf too
+    if not infinite:
+        try:
+            k = int(n)
+        except (TypeError, ValueError, OverflowError):
+            k = -1
+        if k < 0 or k != n:
+            raise ValueError(f"n must be an integer >= 0 or +inf, got {n!r}")
     with ctx.workprec():
         x = mp.mpmathify(x)
         q = mp.mpmathify(q)
         if not infinite:
-            if n < 0 or n != int(n):
-                raise ValueError(f"n must be an integer >= 0 or infinite, got {n}")
             prod = mp.mpf(1)
             qk = mp.mpf(1)
-            for _ in range(int(n)):
+            for _ in range(k):
                 prod *= 1 - x * qk
                 qk *= q
             return prod
@@ -301,11 +310,16 @@ _LN2 = math.log(2)
 _RND = round_nearest
 
 
-def _ln(x) -> float:
-    """ln x of a positive mpf as a float, from its exponent and mantissa:
+def _log2(x) -> float:
+    """log2 x of a positive mpf as a float, from its exponent and mantissa:
     no mpf log, and no float underflow below the double range."""
     _, man, exp, _ = x._mpf_
-    return (exp + math.log2(man)) * _LN2
+    return exp + math.log2(man)
+
+
+def _ln(x) -> float:
+    """ln x of a positive mpf as a float (_log2)."""
+    return _log2(x) * _LN2
 
 
 def _strip(n: int, x_log, q, ctx: PrecCtx):

@@ -22,6 +22,7 @@ R(q^{2n} z) -> 1 exactly on the trajectory R(z) = chi(q^{-2} z)/chi(z) and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -71,8 +72,8 @@ def L_eval(u, eps, mpar: ModularParam) -> TransferMatrix:
 
 def M_n_eval(u, n: int, eps, mpar: ModularParam, ctx: PrecCtx) -> TransferMatrix:
     """M_n(u) = L(u) L(q^2 u) ... L(q^{2(n-1)} u) (ordered product)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
@@ -130,8 +131,8 @@ def R_orbit(z, R0, steps: int, eps, mpar: ModularParam, ctx: PrecCtx):
     its scale) raises PoleSignal rather than silently returning huge
     numbers; a nome coarser than ctx raises ValueError, as in the chi series.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         z = mp.mpmathify(z)

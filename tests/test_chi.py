@@ -28,13 +28,11 @@ from mirror_spectra.chi import (
     _cmul_int,
     _from_raw,
     _ints,
-    _log2_abs,
     _log2_ints,
     _mpc,
     _parts,
     _qtable,
     _raw,
-    _raw_pair,
     _vanishes_at_precision,
     _wronskian_parts,
     _wronskian_sums,
@@ -50,6 +48,7 @@ from mirror_spectra.precision import (
     ModularParam,
     PoleSignal,
     PrecisionExceeded,
+    _log2,
     default_tol,
     make_context,
     pochhammer_q,
@@ -414,6 +413,11 @@ def test_mult_rule_residuals(ctx192, mpar_pi4):
 def test_mult_rule_guards(ctx192, mpar_pi4):
     with pytest.raises(ValueError):
         chi_mult_check(13, 1, mp.mpf(1), mpar_pi4, ctx192)
+    # m and n must be integers, each named in its own error
+    for m, n, name in ((2.0, 1, "m"), (2.5, 1, "m"), ("2", 1, "m"),
+                       (1, 2.0, "n"), (1, 2.5, "n"), (1, "2", "n")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            chi_mult_check(m, n, mp.mpf(1), mpar_pi4, ctx192)
 
 
 # ── series kernel ─────────────────────────────────────────────────────────
@@ -503,8 +507,9 @@ def test_series_kernel_batch_is_bitwise(bits, tol, theta):
 
 
 def test_log2_abs_matches_mpmath():
-    # the stop filter's float log2 |z| against mpmath's, from 2^-100000 to
-    # 2^100000, with a zero or a far smaller real or imaginary part
+    # the stop filter's float log2 |z| of an integer form, and log2 x of a
+    # positive mpf (tol's), against mpmath's, from 2^-100000 to 2^100000,
+    # with a zero or a far smaller real or imaginary part
     with mp.workprec(192):
         for e in (-100000, -1075, -60, 0, 1, 1025, 100000):
             a, b = mp.ldexp(mp.mpf("0.7071"), e), mp.ldexp(mp.mpf(-3) / 7, e)
@@ -512,10 +517,9 @@ def test_log2_abs_matches_mpmath():
                       mp.mpf(b), mp.mpc(a, mp.ldexp(b, -300)),
                       mp.mpc(mp.ldexp(a, 300), b)):
                 want = mp.log(abs(z), 2)
-                assert abs(_log2_abs(_parts(z)) - want) <= 1e-9, (e, z)
-        assert _log2_abs(_parts(mp.mpc(0))) == -math.inf
-        for z in (mp.inf, mp.nan, mp.mpc(1, mp.ninf), mp.mpc(mp.nan, 0)):
-            assert math.isnan(_log2_abs(_parts(z)))
+                assert abs(_log2_ints(_ints(_parts(z))) - want) <= 1e-9, (e, z)
+                assert abs(_log2(abs(z)) - want) <= 1e-9, (e, z)
+        assert _log2_ints(_ints(_parts(mp.mpc(0)))) == -math.inf
 
 
 @pytest.mark.parametrize("bits,tol", _KERNEL_CONTEXTS)
@@ -759,7 +763,13 @@ def test_recursion_table_interleaved_growth(ctx192, mpar_pi4, monkeypatch):
         m.setattr(chi, "_chitable", _FreshTable)
         want = [_bits(f()) for f in consumers]
     _chitable.cache_clear()
-    assert [_bits(f()) for f in consumers] == want
+    qtab = _qtable(mpar_pi4.q, 192)
+    got = []
+    for f in consumers:
+        got.append(_bits(f()))
+        # the q-table grows its c and f together
+        assert len(qtab.c) == len(qtab.f) >= len(_table(eps, mpar_pi4, 192).chi)
+    assert got == want
     assert _chitable.cache_info().misses == 1
     stops = [_chi_incremental(u, eps, mpar_pi4, ctx192)[2] for u in us]
     assert 3 < stops[0] < 8 and stops[1] > 40
@@ -890,11 +900,16 @@ def test_integer_core_sum_is_mpf_add(case):
 def test_integer_core_complex_ops_are_libmp(case):
     prec, z, w, k = case
     iz, iw = _ints(z), _ints(w)
-    assert _raw_pair(iz) == z
+    assert _mpc(iz)._mpc_ == z
     assert _cmul(iz, iw, prec) == _ints(mpc_mul(z, w, prec, round_nearest))
     assert _cadd(iz, iw, prec) == _ints(mpc_add(z, w, prec, round_nearest))
     assert _cmul_int(iz, k, prec) == _ints(mpc_mul_int(z, k, prec, round_nearest))
-    assert _log2_ints(iz) == _log2_abs(z)
+    if iz[0] or iz[2]:
+        with mp.workprec(prec):
+            want = mp.log(abs(mp.make_mpc(z)), 2)
+        assert abs(_log2_ints(iz) - want) <= 1e-9
+    else:
+        assert _log2_ints(iz) == -math.inf
 
 
 def test_chi_loops_refuse_non_finite_inputs(ctx192, mpar_pi4):

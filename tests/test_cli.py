@@ -393,6 +393,17 @@ def test_orbit_json_without_out_writes_orbit_json(tmp_path, monkeypatch, capsys)
     assert len(doc["rows"]) == 16
 
 
+def test_orbit_help_names_its_default_files(capsys):
+    # orbit never writes its table to stdout: --out's help says where it goes
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "default stdout" not in text
+    assert "default orbit.csv or orbit.json" in text
+    assert "SVG is written beside it" in text
+
+
 def test_orbit_multi_sheet_log_scale(tmp_path):
     out = tmp_path / "joint.csv"
     rc = main(["orbit", "--sheet", "1,2", "--precision-bits", "64",

@@ -298,6 +298,13 @@ def test_pochhammer_rejects_fractional_n(ctx192):
     with pytest.raises(ValueError):
         pochhammer_q(0.5, 0.5, 2.5, ctx192)
     assert pochhammer_q(0.5, 0.5, 2.0, ctx192) == pochhammer_q(0.5, 0.5, 2, ctx192)
+    # every length but a non-negative integer or +inf is refused, by name
+    ctx64 = make_context(64)
+    for n in (float("-inf"), mp.ninf, mp.nan, float("nan"), "3", -1, mp.mpf(-2)):
+        with pytest.raises(ValueError, match="n must be an integer >= 0 or"):
+            pochhammer_q(0.5, 0.5, n, ctx64)
+    assert (pochhammer_q(0.5, 0.5, float("inf"), ctx64)
+            == pochhammer_q(0.5, 0.5, mp.inf, ctx64))
 
 
 @settings(max_examples=60, deadline=None)

@@ -84,6 +84,9 @@ def test_offdiagonal_shift_relation(ctx192, mpar_pi4):
 def test_Mn_guard(ctx192, mpar_pi4):
     with pytest.raises(ValueError):
         M_n_eval(mp.mpf(1), 0, mp.mpf(1), mpar_pi4, ctx192)
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            M_n_eval(mp.mpf(1), n, mp.mpf(1), mpar_pi4, ctx192)
 
 
 def test_transfer_refuses_a_coarse_nome():
@@ -158,6 +161,9 @@ def test_R_orbit_tracks_exact_trajectory(ctx192, mpar_pi4, rng):
 def test_R_orbit_guards(ctx192, mpar_pi4):
     with pytest.raises(ValueError):
         R_orbit(mp.mpf("0.5"), mp.mpf(1), 0, mp.mpf(2), mpar_pi4, ctx192)
+    for steps in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            R_orbit(mp.mpf("0.5"), mp.mpf(1), steps, mp.mpf(2), mpar_pi4, ctx192)
     # a seed equal to 1 - eps u + u^2 hits the pole on the first step
     with ctx192.workprec():
         u = mp.mpf("0.5")
