@@ -30,7 +30,8 @@ of their per-operation Python overhead.  The loops' stop tests read float
 log2 magnitudes: of an integer form from its exponents and odd mantissas
 (_log2_ints), and of tol from its mpf (precision._log2, the package's one
 float log).
-The series kernel sums one argument; the four series of the Wronskian
+The series kernel sums chi at one argument, and its eps- and u-slopes
+only for the callers that read them; the four series of the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
 
@@ -240,25 +241,24 @@ class _ChiTable:
     q-table's c_n and f_n where no table has formed them yet; a consumer
     calls it only when it asks for a term not yet formed, so a state summed
     before costs no recursion, a new one costs what running the recursion
-    does, and overflow raises at the same n.  It runs the recursion on the
-    integer core, rounding where the mpc operators round, so every value is
-    bit-identical to running the recursion afresh on mpmath numbers.
+    does, and a non-finite eps raises as the table is built.  It runs the
+    recursion on the integer core, rounding where the mpc operators round,
+    so every value is bit-identical to the recursion run afresh in mpmath.
     """
 
     def __init__(self, eps_key, q_key, bits: int):
         self.eps = _from_raw(eps_key)
+        if not mp.isfinite(self.eps):  # chi_2 would be inf or nan: no integer form
+            raise PrecisionExceeded(
+                "chi polynomial overflow; raise the working precision")
         self.qtab = _qtable(_from_raw(q_key), bits)
         self.chi = [_ONE, _ints(_parts(self.eps))]
         self.dchi = [_ZERO, _ONE]
 
     def grow(self) -> None:
         """Append chi_n and its eps-derivative, n = len(chi), at the current
-        working precision; PrecisionExceeded where eps is not finite (its
-        chi_2 is inf or nan, which integers do not carry)."""
+        working precision (eps is finite: __init__ refuses any other)."""
         chi, dchi, qtab = self.chi, self.dchi, self.qtab
-        if not mp.isfinite(self.eps):
-            raise PrecisionExceeded(
-                "chi polynomial overflow; raise the working precision")
         eps = chi[1]
         n = len(chi)
         if n >= len(qtab.f):  # grow's workprec is a libmp call: not per term
@@ -308,9 +308,9 @@ def _tail_small(l1: float, l2: float, l3: float, lscale: float) -> bool:
     return lsum < lscale - _LOG2_MARGIN
 
 
-def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
-    """(chi_q(u, eps), d chi / d eps), adaptively truncated; with du,
-    (chi_q(u, eps), d chi / d eps, u d chi / du) from the same loop.
+def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, slopes: bool = False):
+    """chi_q(u, eps), adaptively truncated; with slopes, (chi_q(u, eps),
+    d chi / d eps, u d chi / du) from the same loop.
 
     Uses the second series form: term_n = f_n chi_n(eps) u^n, with f_n and
     chi_n read by index, in integer form, from the shared tables of (eps,
@@ -331,16 +331,16 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
     or nan, so a u with such a part raises at once, before the table is
     read.
 
-    With du a third sum takes n chi_n in place of dchi_n/deps.  All the
-    sums stop on the one test of the value terms, so each is bit for bit
-    the sum a call for it alone makes.
+    With slopes two more sums take dchi_n/deps and n chi_n in place of
+    chi_n.  All the sums stop on the one test of the value terms, so each
+    is bit for bit the sum a call for it alone makes.
     """
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
         eps = mp.mpmathify(eps)
         if u == 0:
-            return (mp.mpf(1), mp.mpf(0)) + ((mp.mpf(0),) if du else ())
+            return (mp.mpf(1), mp.mpf(0), mp.mpf(0)) if slopes else mp.mpf(1)
         prec = mp.prec
         ltol = _log2(ctx.tol)
         # l1, l2 are log2 |t_{n-2}|, log2 |t_{n-1}|
@@ -357,14 +357,14 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, du: bool = False):
                 coeff = _cmul(up, f[n], prec)
                 t = _cmul(coeff, x, prec)
                 s = _cadd(s, t, prec)
-                ds = _cadd(ds, _cmul(coeff, dchi[n], prec), prec)
-                if du:
+                if slopes:
+                    ds = _cadd(ds, _cmul(coeff, dchi[n], prec), prec)
                     us = _cadd(us, _cmul(coeff, _cmul_int(x, n, prec), prec), prec)
                 la = _log2_ints(t)
                 if la > ltmax:
                     ltmax = la
                 if n >= 2 and _tail_small(l1, l2, la, ltol + max(_log2_ints(s), ltmax)):
-                    return tuple(map(_mpc, (s, ds, us) if du else (s, ds)))
+                    return tuple(map(_mpc, (s, ds, us))) if slopes else _mpc(s)
                 up, l1, l2 = _cmul(up, ur, prec), l2, la
         raise PrecisionExceeded(
             f"chi series did not reach tol within {_MAX_TERMS} terms "
@@ -400,8 +400,7 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
         eps = mp.mpmathify(eps)
         prec = mp.prec
         tab = _chitable(_raw(eps), _raw(mpar.q), prec)
-        chi, dchi = tab.chi, tab.dchi
-        qtab = _qtable(mpar.q, prec)
+        chi, dchi, qtab = tab.chi, tab.dchi, tab.qtab
         k1, k0 = qtab.k1, qtab.k0
         ltol = _log2(ctx.tol)
         r1 = r0 = d1 = d0 = _ZERO
@@ -442,36 +441,36 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
 
 
 def chi_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """chi_q(u, eps) and d chi / d eps, adaptively truncated."""
+    """chi_q(u, eps), adaptively truncated."""
     # the public name of the kernel; Wronskian passes call _chi_series
     # itself, so their series stay outside the chi_eval span when traced
     return _chi_series(u, eps, mpar, ctx)
 
 
 def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """chi-check(u, eps) = u^-1 chi(1/u, eps), the second solution."""
+    """chi-check(u, eps) = u^-1 chi(1/u, eps), the second solution, a value."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("chi-check is defined on u != 0")
-        v, _ = chi_eval(1 / u, eps, mpar, ctx)
-        return v / u
+        return chi_eval(1 / u, eps, mpar, ctx) / u
 
 
 def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """(W, dW/deps, scale, chk(u)) of W = chi(u/q^2) chk(u) - chk(u/q^2)
     chi(u), with the scale set by the two products.  The four series share
-    one recursion table, and chk(u) is handed back for the dual solution."""
+    one recursion table and are summed with their slopes, of which dW/deps
+    reads the eps-slopes; chk(u) is handed back for the dual solution."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("Wronskian is defined on u != 0")
         q2 = mpar.q * mpar.q
         uq = u / q2
-        a, da = _chi_series(uq, eps, mpar, ctx)
-        vb, dvb = _chi_series(1 / u, eps, mpar, ctx)
-        vc, dvc = _chi_series(1 / uq, eps, mpar, ctx)
-        d, dd = _chi_series(u, eps, mpar, ctx)
+        a, da, _ = _chi_series(uq, eps, mpar, ctx, slopes=True)
+        vb, dvb, _ = _chi_series(1 / u, eps, mpar, ctx, slopes=True)
+        vc, dvc, _ = _chi_series(1 / uq, eps, mpar, ctx, slopes=True)
+        d, dd, _ = _chi_series(u, eps, mpar, ctx, slopes=True)
         b, db = vb / u, dvb / u
         c, dc = vc / uq, dvc / uq
         t1 = a * b
@@ -521,8 +520,8 @@ def G_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
     """
     with ctx.workprec():
         u = mp.mpmathify(u)
-        num, _ = chi_eval(u, eps, mpar, ctx)
-        return _g_ratio(num, chi_check_eval(u, eps, mpar, ctx), u, ctx)
+        return _g_ratio(chi_eval(u, eps, mpar, ctx),
+                        chi_check_eval(u, eps, mpar, ctx), u, ctx)
 
 
 def _g_ratio(num, den, u, ctx: PrecCtx):

@@ -93,7 +93,7 @@ def _numerator_terms(u, v, eps, p: EigenfunctionParams, ctx: PrecCtx):
     Every series here is at the one eps, so all of them read the state's
     cached chi_n recursion table and only the per-argument sums are new."""
     def pair(w):
-        return chi_check_eval(w, eps, p.mpar, ctx), chi_eval(w, eps, p.mpar, ctx)[0]
+        return chi_check_eval(w, eps, p.mpar, ctx), chi_eval(w, eps, p.mpar, ctx)
     chk_u, chi_u = pair(u)
     chk_v, chi_v = (chk_u, chi_u) if v == u else pair(v)
     return chk_u * mp.conj(chi_v), chi_u * mp.conj(chk_v)
@@ -131,11 +131,12 @@ def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx)
     2k log q + 2 pi i m, and the other factor, theta1(w_other), does not:
     the limit (pref N)'/D' of the ansatz pref N / D.
 
-    With v = u on the real axis and A(w) = w chi'(w) (the du sum of
-    _chi_series), u chk'(u) = -(A(1/u) + chi(1/u))/u, and the barred
-    factors differentiate as d/dx conj f(v) = conj(2 pi b v f'(v)).  By the
-    quasi-periodicity theta1(w) = (-1)^k e^{-k^2 log q - k w'} theta1(w'),
-    w' = w - 2k log q, and theta1(w' + 2 pi i) = -theta1(w'), so
+    With v = u on the real axis and A(w) = w chi'(w) (the u-slope that
+    _chi_series sums with slopes), u chk'(u) = -(A(1/u) + chi(1/u))/u, and
+    the barred factors differentiate as d/dx conj f(v) = conj(2 pi b v
+    f'(v)).  By the quasi-periodicity theta1(w) = (-1)^k e^{-k^2 log q -
+    k w'} theta1(w'), w' = w - 2k log q, and theta1(w' + 2 pi i) =
+    -theta1(w'), so
     D' = 2 pi b theta1(w_other) (-1)^{k+m} e^{-k^2 log q} theta1'(0).
     """
     mpar = p.mpar
@@ -144,8 +145,8 @@ def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx)
     q = mpar.q
     tpb = 2 * mp.pi * mpar.b
     u = mp.exp(tpb * x)
-    chi_u, _, a_u = _chi_series(u, pt.eps, mpar, ctx, du=True)
-    chi_i, _, a_i = _chi_series(1 / u, pt.eps, mpar, ctx, du=True)
+    chi_u, _, a_u = _chi_series(u, pt.eps, mpar, ctx, slopes=True)
+    chi_i, _, a_i = _chi_series(1 / u, pt.eps, mpar, ctx, slopes=True)
     chk = chi_i / u
     d_chk = -(a_i + chi_i) / u                      # u chk'(u)
     c_chi, c_chk = mp.conj(chi_u), mp.conj(chk)
@@ -172,10 +173,12 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
     included), leaving O(r^4) and a rounding loss of about 2^-bits / r.
 
     Unquantized parameter sets (parity None) have genuine poles there and
-    raise PoleSignal instead.
+    raise PoleSignal instead; a non-finite x raises ValueError.
     """
     with ctx.workprec():
         x = mp.mpmathify(x)
+        if not mp.isfinite(x):
+            raise ValueError(f"psi_eval needs a finite x, got x = {x}")
         b = p.mpar.b
         sigma = mp.mpmathify(p.point.sigma)
         lq = p.mpar.log_q

@@ -43,7 +43,7 @@ def chi_functional_equation(ctx, mpar, rng, full, fault):
     q2 = mpar.q ** 2
     worst = mp.mpf(0)
     for u, eps in _fe_draws(rng, full):
-        for f in (lambda v: chi_eval(v, eps, mpar, ctx)[0],
+        for f in (lambda v: chi_eval(v, eps, mpar, ctx),
                   lambda v: chi_check_eval(v, eps, mpar, ctx)):
             worst = max(worst, _rel(f(u / q2) + q2 * u * u * f(q2 * u),
                                     (1 - eps * u + u * u) * f(u)))
@@ -73,8 +73,8 @@ def transfer_oracle(ctx, mpar, rng, full, fault):
             eps = mp.mpc(mp.mpf(j - 10) / 3, mp.mpf(j % 5) / 4)
             a, b = chi_via_Minf(u, eps, mpar, ctx)
             worst = max(worst,
-                        abs(a - chi_eval(u, eps, mpar, ctx)[0]) / max(abs(a), 1),
-                        abs(b - chi_eval(u / q2, eps, mpar, ctx)[0]) / max(abs(b), 1))
+                        abs(a - chi_eval(u, eps, mpar, ctx)) / max(abs(a), 1),
+                        abs(b - chi_eval(u / q2, eps, mpar, ctx)) / max(abs(b), 1))
     return worst, 10 * ctx.tol
 
 
@@ -161,7 +161,7 @@ def limit_classification(ctx, mpar, rng, full, fault):
         while done < (50 if full else 2):
             z = mp.mpc(rng.uniform(0.4, 1.1), rng.uniform(-0.3, 0.3))
             eps = mp.mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            num, den = chi_eval(z / q2, eps, mpar, ctx)[0], chi_eval(z, eps, mpar, ctx)[0]
+            num, den = chi_eval(z / q2, eps, mpar, ctx), chi_eval(z, eps, mpar, ctx)
             if _vanishes_at_precision(den, num, ctx):
                 continue
             r0 = num / den

@@ -328,8 +328,9 @@ def _strip(n: int, x_log, q, ctx: PrecCtx):
     land w' = w - 2k log q in the strip |Re w'| <= L = -ln|q|; big, the
     log2 of the largest term there, e^{(Re w')^2 / (4L)}, at most
     L / (4 ln 2) bits; and extra, the bits w' and the factor of the shift
-    take for their exponent's size.  ValueError unless 0 < |q| < 1;
-    PrecisionExceeded when the series needs more than _MAX_TERMS terms."""
+    take for their exponent's size.  ValueError unless 0 < |q| < 1 and w
+    is finite; PrecisionExceeded when the series needs more than
+    _MAX_TERMS terms."""
     w = mp.mpmathify(x_log)
     q = mp.mpmathify(q)
     re_q, im_q = q._mpc_ if hasattr(q, "_mpc_") else (q._mpf_, fzero)
@@ -338,7 +339,10 @@ def _strip(n: int, x_log, q, ctx: PrecCtx):
         raise ValueError(f"theta{n} needs 0 < |q| < 1, got |q| = {abs(q)}")
     # the index h where the term bound |q|^{h^2} e^{h a} falls to tol
     L = -_ln(mp.make_mpf(q_sq)) / 2
-    re_w = float(mp.re(w))
+    re_w, im_w = float(mp.re(w)), float(mp.im(w))
+    # a finite w past the float range is left to the term cap below
+    if not math.isfinite(re_w + im_w) and not mp.isfinite(w):
+        raise ValueError(f"theta{n} needs a finite argument, got w = {w}")
     a = abs(re_w)
     T = -_ln(ctx.tol)
     if (a + math.sqrt(a * a + 4 * L * T)) / (2 * L) > _MAX_TERMS:
@@ -350,7 +354,7 @@ def _strip(n: int, x_log, q, ctx: PrecCtx):
     big = math.ceil(a * a / (4 * L * _LN2))  # log2 of the largest term
     extra = 0
     if k:
-        size = 3 * abs(k) * math.hypot(L, math.pi) + math.hypot(re_w, float(mp.im(w)))
+        size = 3 * abs(k) * math.hypot(L, math.pi) + math.hypot(re_w, im_w)
         extra = int(abs(k) * size).bit_length()
     return w, q, k, big, extra
 

@@ -34,6 +34,7 @@ lambda B = 0, is never integrated; at the turning points phi is its limit.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -178,7 +179,7 @@ def alpha_beta(eps, ctx: PrecCtx):
         if mp.im(eps) != 0:
             raise ValueError("eps must be real")
         e = mp.re(eps)
-        if e <= 4:
+        if not e > 4:   # NaN fails it too
             raise ValueError(f"eps must exceed 4, got {mp.nstr(e, 12)}")
         ch = mp.sqrt(e) / 2   # cosh(pi alpha)
         return mp.acosh(ch) / mp.pi, mp.asinh(ch) / mp.pi
@@ -457,7 +458,7 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
     passes, and level 14,000 raises PrecisionExceeded before any node is
     evaluated (see ``period_integrals``).
     """
-    if int(n) != n or n < 0:
+    if not (isinstance(n, numbers.Real) and 0 <= n < math.inf and int(n) == n):
         raise ValueError(f"level must be a non-negative integer, got {n}")
     n = int(n)
     target = n + 1
@@ -505,7 +506,7 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
     """
     with ctx.workprec():
         T = mp.mpmathify(T)
-        if mp.im(T) != 0 or mp.re(T) < 0:
+        if mp.im(T) != 0 or not mp.re(T) >= 0:
             raise ValueError("T must be real and non-negative")
         T = mp.re(T)
         eps, lam = spec.eps, spec.lam
@@ -567,8 +568,8 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start):
     """
     with ctx.workprec():
         tau = mp.mpmathify(tau)
-        if mp.im(tau) != 0:
-            raise ValueError("leg length must be real")
+        if mp.im(tau) != 0 or not mp.isfinite(tau):
+            raise ValueError("leg length must be real and finite")
         tau = mp.re(tau)
         y0 = mp.mpmathify(y_start)
         eps, lam = spec.eps, spec.lam

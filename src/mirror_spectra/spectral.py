@@ -259,7 +259,7 @@ def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
         sth = sin_theta(mpar)
         at_zero = endpoint == 0
         near = ctx.finest_tol * max(sth, 1)
-        if not at_zero and abs(mp.mpmathify(endpoint) - sth) > near:
+        if not at_zero and not abs(mp.mpmathify(endpoint) - sth) <= near:  # NaN too
             raise ValueError("endpoint must be 0 or sin(theta)")
         if at_zero:
             if k in _SEEDS_AT_ZERO:
@@ -494,8 +494,8 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
             t1, t0 = r1 * odd, r0 * even
             w, w_eps = t1 + t0, d1 * odd + d0 * even
             w_sig = twopib * (r1 * do + r0 * de)
-            cs, cs_eps, cs_u = _chi_series(s, eps, mpar, ctx, du=True)
-            cv, cv_eps, cv_u = _chi_series(v, eps, mpar, ctx, du=True)
+            cs, cs_eps, cs_u = _chi_series(s, eps, mpar, ctx, slopes=True)
+            cv, cv_eps, cv_u = _chi_series(v, eps, mpar, ctx, slopes=True)
             g = _g_ratio(cs, cv / s, s, ctx)
             f = _indicator(g, parity)
             low, reached = abs(f) < reached, min(reached, abs(f))

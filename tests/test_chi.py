@@ -179,7 +179,8 @@ def _chi_brute(u, eps, mpar, ctx, N=64):
 
 
 def test_chi_at_zero_is_one(ctx192, mpar_pi4):
-    v, dv = chi_eval(0, mp.mpf(3), mpar_pi4, ctx192)
+    v = chi_eval(0, mp.mpf(3), mpar_pi4, ctx192)
+    dv = _chi_series(0, mp.mpf(3), mpar_pi4, ctx192, slopes=True)[1]
     assert v == 1 and dv == 0
 
 
@@ -189,7 +190,7 @@ def test_chi_matches_bruteforce_series(ctx192, mpar_pi4):
         u_list = [mp.mpf("0.3"), mp.mpf("-1.7"), mp.mpc(0, 2), mp.mpc(1, 1), mp.mpc("2.6", "-0.4")]
         for eps in eps_list:
             for u in u_list:
-                fast, _ = chi_eval(u, eps, mpar_pi4, ctx192)
+                fast = chi_eval(u, eps, mpar_pi4, ctx192)
                 brute = _chi_brute(u, eps, mpar_pi4, ctx192)
                 assert abs(fast - brute) <= 10 * ctx192.tol * max(abs(brute), 1)
 
@@ -202,9 +203,9 @@ def test_chi_functional_equation(ctx192, mpar_pi4, rng):
             for _ in range(20):
                 u = mp.mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
                 eps = mp.mpc(rng.uniform(-4, 4), rng.uniform(-2, 2))
-                t1 = chi_eval(u / q2, eps, mpar, ctx192)[0]
-                t2 = q2 * u * u * chi_eval(q2 * u, eps, mpar, ctx192)[0]
-                t3 = (1 - eps * u + u * u) * chi_eval(u, eps, mpar, ctx192)[0]
+                t1 = chi_eval(u / q2, eps, mpar, ctx192)
+                t2 = q2 * u * u * chi_eval(q2 * u, eps, mpar, ctx192)
+                t3 = (1 - eps * u + u * u) * chi_eval(u, eps, mpar, ctx192)
                 scale = max(abs(t1), abs(t2), abs(t3), mp.mpf(1))
                 assert abs(t1 + t2 - t3) <= 10 * ctx192.tol * scale
 
@@ -221,9 +222,9 @@ def test_chi_funceq_property(ctx192, mpar_pi4, ur, ui, er, ei):
         u = mp.mpc(ur, ui)
         eps = mp.mpc(er, ei)
         q2 = mpar_pi4.q * mpar_pi4.q
-        t1 = chi_eval(u / q2, eps, mpar_pi4, ctx192)[0]
-        t2 = q2 * u * u * chi_eval(q2 * u, eps, mpar_pi4, ctx192)[0]
-        t3 = (1 - eps * u + u * u) * chi_eval(u, eps, mpar_pi4, ctx192)[0]
+        t1 = chi_eval(u / q2, eps, mpar_pi4, ctx192)
+        t2 = q2 * u * u * chi_eval(q2 * u, eps, mpar_pi4, ctx192)
+        t3 = (1 - eps * u + u * u) * chi_eval(u, eps, mpar_pi4, ctx192)
         scale = max(abs(t1), abs(t2), abs(t3), mp.mpf(1))
         assert abs(t1 + t2 - t3) <= 10 * ctx192.tol * scale
 
@@ -233,9 +234,9 @@ def test_chi_eps_derivative_vs_central_difference(ctx192, mpar_pi4):
         u = mp.mpc("0.8", "0.4")
         eps = mp.mpc("1.1", "-0.6")
         h = mp.mpf("1e-20")
-        _, dv = chi_eval(u, eps, mpar_pi4, ctx192)
-        fp = chi_eval(u, eps + h, mpar_pi4, ctx192)[0]
-        fm = chi_eval(u, eps - h, mpar_pi4, ctx192)[0]
+        dv = _chi_series(u, eps, mpar_pi4, ctx192, slopes=True)[1]
+        fp = chi_eval(u, eps + h, mpar_pi4, ctx192)
+        fm = chi_eval(u, eps - h, mpar_pi4, ctx192)
         fd = (fp - fm) / (2 * h)
         assert abs(dv - fd) <= mp.mpf("1e-30") * max(abs(dv), 1)
 
@@ -341,13 +342,13 @@ def test_even_state_chi_zero_flags_G_pole(ctx192, monkeypatch):
     monkeypatch.setattr(chi, "_chi_series", counted)
     for ctx in (make_context(64), ctx192, make_context(256)):
         mpar = ModularParam.from_theta("pi/4", ctx)
-        F = lambda e: chi_eval(1, e, mpar, ctx)
+        F = lambda e: _chi_series(1, e, mpar, ctx, slopes=True)[:2]
         eps = _newton_eps(F, mp.mpf("535.5"), ctx)
         with ctx.workprec():
             assert abs(eps - mp.mpf("535.493519473629469")) <= mp.mpf("1e-13") * 536
             q2 = mpar.q * mpar.q
-            assert _vanishes_at_precision(chi_eval(1, eps, mpar, ctx)[0],
-                                          chi_eval(1 / q2, eps, mpar, ctx)[0], ctx)
+            assert _vanishes_at_precision(chi_eval(1, eps, mpar, ctx),
+                                          chi_eval(1 / q2, eps, mpar, ctx), ctx)
         with pytest.raises(PoleSignal):
             G_eval(1, eps, mpar, ctx)
         summed.clear()
@@ -362,8 +363,8 @@ def test_odd_state_wronskian_zero_flags_dual_pole(ctx192, mpar_pi4):
         q2 = mpar_pi4.q * mpar_pi4.q
 
         def F(e):
-            va, da = chi_eval(1 / q2, e, mpar_pi4, ctx192)
-            vb, db = chi_eval(q2, e, mpar_pi4, ctx192)
+            va, da, _ = _chi_series(1 / q2, e, mpar_pi4, ctx192, slopes=True)
+            vb, db, _ = _chi_series(q2, e, mpar_pi4, ctx192, slopes=True)
             return va - q2 * vb, da - q2 * db
 
         eps = _newton_eps(F, mp.mpf("2.0"), ctx192)
@@ -479,9 +480,10 @@ _FINE_RUNG = ("pi/4", 4300, "1e-1250")
     [(theta, bits, tol) for bits, tol in _KERNEL_CONTEXTS
      for theta in _KERNEL_THETAS] + [_FINE_RUNG])
 def test_series_kernel_batch_is_bitwise(bits, tol, theta):
-    # the kernel == chi_eval == the in-place loop, bit for bit, per argument:
-    # u = 0, arguments whose series stop at different n, and a seeded sweep
-    # of |u| over 1e-6 .. 1e6 at any angle under three eps
+    # the kernel == chi_eval == the in-place loop, bit for bit, per argument,
+    # and the value with slopes is the value alone, as raw tuples: u = 0,
+    # arguments whose series stop at different n, and a seeded sweep of |u|
+    # over 1e-6 .. 1e6 at any angle under three eps
     fine = (theta, bits, tol) == _FINE_RUNG
     ctx = make_context(bits, tol)
     mpar = ModularParam.from_theta(theta, ctx)
@@ -502,7 +504,10 @@ def test_series_kernel_batch_is_bitwise(bits, tol, theta):
                 v, dv, n = _chi_incremental(u, eps, mpar, ctx)
                 stops.add(n)
                 got = _chi_series(u, eps, mpar, ctx)
-                assert got == chi_eval(u, eps, mpar, ctx) == (v, dv)
+                assert got == chi_eval(u, eps, mpar, ctx) == v
+                with_slopes = _chi_series(u, eps, mpar, ctx, slopes=True)
+                assert with_slopes[:2] == (v, dv)
+                assert _raw(with_slopes[0]) == _raw(got)
     assert len(stops) >= 4
 
 
@@ -533,10 +538,10 @@ def test_wronskian_parts_bitwise_per_argument(bits, tol, rng):
             for _ in range(4):
                 u = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 eps = mp.mpc(rng.uniform(-50, 50), rng.uniform(-50, 50))
-                a, da = chi_eval(u / q2, eps, mpar, ctx)
-                vb, dvb = chi_eval(1 / u, eps, mpar, ctx)
-                vc, dvc = chi_eval(1 / (u / q2), eps, mpar, ctx)
-                d, dd = chi_eval(u, eps, mpar, ctx)
+                a, da, _ = _chi_series(u / q2, eps, mpar, ctx, slopes=True)
+                vb, dvb, _ = _chi_series(1 / u, eps, mpar, ctx, slopes=True)
+                vc, dvc, _ = _chi_series(1 / (u / q2), eps, mpar, ctx, slopes=True)
+                d, dd, _ = _chi_series(u, eps, mpar, ctx, slopes=True)
                 b, db = vb / u, dvb / u
                 c, dc = vc / (u / q2), dvc / (u / q2)
                 t1, t2 = a * b, c * d
@@ -630,10 +635,13 @@ class _Reads(list):
 class _FreshTable:
     # a stand-in for chi._ChiTable that _fresh_pairs fills: patched in as
     # chi._chitable, it makes every consumer read mpmath's values, one
-    # fresh table per pass; chi.top + 1 is the number of terms read
+    # fresh table per pass; chi.top + 1 is the number of terms read.  The
+    # Wronskian sums' weights k1, k0 come from the shared q-table
     def __init__(self, eps_key, q_key, bits):
         self.eps = _from_raw(eps_key)
-        self.qtab = types.SimpleNamespace(f=[])
+        shared = _qtable(_from_raw(q_key), bits)
+        self.qtab = types.SimpleNamespace(f=[], k1=shared.k1, k0=shared.k0,
+                                          grow_k=shared.grow_k)
         self.chi, self.dchi = _Reads(), []
         self._terms = _fresh_pairs(self.eps, _from_raw(q_key))
         self.grow()
@@ -920,9 +928,9 @@ def test_chi_loops_refuse_non_finite_inputs(ctx192, mpar_pi4):
         eps = mp.mpc("2.3", "-1.1")
     for bad in (mp.inf, mp.nan, mp.mpc(1, mp.ninf), mp.mpc(mp.nan, 1)):
         _chitable.cache_clear()
-        for du in (False, True):
+        for slopes in (False, True):
             with pytest.raises(PrecisionExceeded, match="within 4096 terms"):
-                _chi_series(bad, eps, mpar_pi4, ctx192, du=du)
+                _chi_series(bad, eps, mpar_pi4, ctx192, slopes=slopes)
         assert _chitable.cache_info().currsize == 0
     for bad in (mp.inf, mp.nan, mp.mpc(mp.ninf, 1), mp.mpc(0, mp.nan)):
         for run in (lambda: _chi_series(mp.mpf("0.5"), bad, mpar_pi4, ctx192),
@@ -961,8 +969,8 @@ def test_chi_loops_call_no_libmp_per_term(ctx192, mpar_pi4):
     # warm: the recursion table of eps, and the q-tables past every count
     _wronskian_sums(mp.mpc("1e100"), mpar_pi4, ctx192)
     for u in (near, far):
-        _chi_series(u, eps, mpar_pi4, ctx192, du=True)
-    series = [_libmp_calls(lambda: _chi_series(u, eps, mpar_pi4, ctx192, du=True))
+        _chi_series(u, eps, mpar_pi4, ctx192, slopes=True)
+    series = [_libmp_calls(lambda: _chi_series(u, eps, mpar_pi4, ctx192, slopes=True))
               for u in (near, far)]
     sums, terms = [], []
     for e in fresh:
@@ -971,3 +979,33 @@ def test_chi_loops_call_no_libmp_per_term(ctx192, mpar_pi4):
     assert terms[1] - terms[0] >= 20
     assert series[0] == series[1]
     assert sums[0] == sums[1]
+
+
+def test_chi_series_sums_its_slopes_only_on_request(ctx192, mpar_pi4, monkeypatch):
+    # over a warm table, a value-only series forms 3 complex products (u^n,
+    # its prefactor and the term) and 1 complex sum per term; with slopes
+    # it forms 5 and 3, the two slope sums added.  The last term forms no
+    # next power of u, so each series has one product fewer
+    with ctx192.workprec():
+        eps = mp.mpc("-4.2", "6.1")
+        us = (mp.mpc("1e-6", "2e-6"), mp.mpc("0.3", "-0.2"), mp.mpc("1e40", "3e40"))
+    for u in us:
+        _chi_series(u, eps, mpar_pi4, ctx192, slopes=True)
+    counts = {}
+
+    def counted(name, op):
+        def wrapped(*args):
+            counts[name] += 1
+            return op(*args)
+        return wrapped
+    monkeypatch.setattr(chi, "_cmul", counted("mul", _cmul))
+    monkeypatch.setattr(chi, "_cadd", counted("add", _cadd))
+    terms = []
+    for u in us:
+        n = _chi_incremental(u, eps, mpar_pi4, ctx192)[2] + 1
+        terms.append(n)
+        for slopes, want in ((False, (3 * n - 1, n)), (True, (5 * n - 1, 3 * n))):
+            counts.update(mul=0, add=0)
+            _chi_series(u, eps, mpar_pi4, ctx192, slopes=slopes)
+            assert (counts["mul"], counts["add"]) == want, (u, slopes)
+    assert len(set(terms)) == len(us)

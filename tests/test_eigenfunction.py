@@ -152,6 +152,11 @@ def test_unquantized_point_near_zero_signals(sheet1, mpar, ctx):
         psi_eval(pt.sigma, p, ctx)
     v = psi_eval(mp.mpf("0.3"), p, ctx)   # away from the lattice: still fine
     assert mp.isfinite(v.real) and mp.isfinite(v.imag)
+    # a non-finite x is refused at the entry, quantized or not
+    for bad in (mp.nan, mp.inf, float("nan"), mp.ninf, mp.mpc("0.3", mp.nan)):
+        for params in (p, even):
+            with pytest.raises(ValueError, match="psi_eval needs a finite x"):
+                psi_eval(bad, params, ctx)
 
 
 def test_strip_analyticity(sheet1, ctx):
@@ -381,8 +386,8 @@ def test_barred_factors_are_conjugates(bits):
         bound = mp.mpf(2) ** (8 - bits)
         for x in (mp.mpf("0.37"), mp.mpf("-1.2"), mp.mpc("0.3", "0.2"), mp.mpc("-1.1", "0.6")):
             w = mp.exp(2 * mp.pi * mpar.b * x)
-            pairs = ((chi_eval(mp.conj(w), mp.conj(eps), dual, ctx)[0],
-                      chi_eval(w, eps, mpar, ctx)[0]),
+            pairs = ((chi_eval(mp.conj(w), mp.conj(eps), dual, ctx),
+                      chi_eval(w, eps, mpar, ctx)),
                      (chi_check_eval(mp.conj(w), mp.conj(eps), dual, ctx),
                       chi_check_eval(w, eps, mpar, ctx)))
             for barred, direct in pairs:

@@ -450,6 +450,19 @@ def test_theta1_product_by_watson_identity(bits, theta, rng):
 def test_theta1_rejects_bad_nome(ctx192):
     with pytest.raises(ValueError):
         theta1(mp.mpc(0.1, 0.1), mp.mpf("1.01"), ctx192)
+    # a non-finite argument is refused by name before any term is summed:
+    # by theta1, by E and O, and by the solver and rho that sum them
+    mpar = ModularParam.from_theta("pi/4", ctx192)
+    for bad in (mp.nan, mp.inf, float("nan"), mp.mpc(0, mp.nan), mp.mpc(1, mp.ninf)):
+        for name, run in (("theta1", lambda: theta1(bad, mpar.q, ctx192)),
+                          ("theta3", lambda: _theta_eo(bad, mpar.q, ctx192)),
+                          ("theta3", lambda: spectral.solve_eps(bad, 10, mpar, ctx192)),
+                          ("theta3", lambda: spectral.rho_extract(bad, 10, mpar, ctx192))):
+            with pytest.raises(ValueError, match=f"{name} needs a finite argument, got w = "):
+                run()
+    # a finite argument past the float range still meets the term cap
+    with pytest.raises(PrecisionExceeded, match="more than 4096 terms"):
+        theta1(mp.mpf("1e400"), mpar.q, ctx192)
 
 
 def test_theta1_term_cap_raises():

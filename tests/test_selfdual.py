@@ -65,8 +65,8 @@ def test_alpha_beta_examples(ctx192):
 
 
 def test_alpha_beta_rejects_bad_eps(ctx192):
-    for bad in (4, mp.mpf("3.5"), -10):
-        with pytest.raises(ValueError):
+    for bad in (4, mp.mpf("3.5"), -10, mp.nan, float("nan"), mp.ninf):
+        with pytest.raises(ValueError, match="eps must exceed 4"):
             alpha_beta(bad, ctx192)
     with pytest.raises(ValueError):
         alpha_beta(mp.mpc(8, 1), ctx192)
@@ -426,8 +426,10 @@ def test_quantized_record_invariants(spec0, spec1, ctx192):
 def test_quantize_rejects_bad_level(ctx192):
     with pytest.raises(ValueError):
         quantize_selfdual(-1, ctx192)
-    with pytest.raises(ValueError):
-        quantize_selfdual(0.5, ctx192)
+    for bad in (0.5, float("inf"), float("nan"), mp.inf, mp.nan, "1"):
+        with pytest.raises(ValueError, match="level must be a non-negative integer"):
+            quantize_selfdual(bad, ctx192)
+    assert quantize_selfdual(2.0, ctx192).n == 2
 
 
 def test_level_function_single_sign_change():
@@ -635,8 +637,9 @@ def test_canonical_regimes(spec0, ctx192):
         # base point: empty path
         I, y = canonical_integral(spec0.alpha, spec0, ctx)
         assert abs(I) <= mp.mpf("1e-50") and abs(y) <= mp.mpf("1e-50")
-    with pytest.raises(ValueError):
-        canonical_integral(-1, spec0, ctx)
+    for bad in (-1, mp.nan, float("nan")):
+        with pytest.raises(ValueError, match="T must be real and non-negative"):
+            canonical_integral(bad, spec0, ctx)
 
 
 def test_quarter_xi_cycle(spec0, spec1, ctx192):
@@ -763,6 +766,16 @@ def test_branch_product_unity(spec0, ctx192):
 def test_leg_start_must_be_on_curve(spec0, ctx192):
     with pytest.raises(SolverError, match="off the spectral curve"):
         leg_integral(mp.mpf("0.45"), 1, spec0, ctx192, mp.mpf("0.123"))
+    # and the leg's length must be real and finite
+    T = mp.mpf("0.45")
+    _, y0 = canonical_integral(T, spec0, ctx192)
+    for bad in (mp.nan, mp.inf, mp.ninf, float("nan"), mp.mpc(1, 1)):
+        with pytest.raises(ValueError, match="leg length must be real and finite"):
+            leg_integral(T, bad, spec0, ctx192, y0)
+        # phi_eval reaches the leg through the real part of x
+        if not mp.im(bad):
+            with pytest.raises(ValueError, match="leg length must be real and finite"):
+                phi_eval(bad, spec0, ctx192)
 
 
 # ── eigenfunction ─────────────────────────────────────────────────────────

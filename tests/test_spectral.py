@@ -256,6 +256,10 @@ def test_seed_quality(ctx, mpar):
     # sin(theta) itself passes at any precision
     with ctx.workprec(), pytest.raises(ValueError):
         sheet_seed(1, sin_theta(mpar) + mp.mpf("1e-13"), mpar, ctx)
+    # NaN is no endpoint, nor is infinity
+    for bad in (mp.nan, float("nan"), mp.inf):
+        with pytest.raises(ValueError, match="endpoint must be 0 or sin"):
+            sheet_seed(2, bad, mpar, ctx)
     for bits in (64, 1600):
         ctx_b = make_context(bits)
         mpar_b = ModularParam.from_theta("pi/4", ctx_b)

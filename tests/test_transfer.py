@@ -115,8 +115,8 @@ def test_Minf_matches_series(ctx192, mpar_pi4, rng):
             u = mp.mpc(rng.uniform(-1.4, 1.4), rng.uniform(-1.0, 1.0))
             eps = mp.mpc(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
             c, a = chi_via_Minf(u, eps, mpar_pi4, ctx192)
-            ref_u = chi_eval(u, eps, mpar_pi4, ctx192)[0]
-            ref_s = chi_eval(u / q2, eps, mpar_pi4, ctx192)[0]
+            ref_u = chi_eval(u, eps, mpar_pi4, ctx192)
+            ref_s = chi_eval(u / q2, eps, mpar_pi4, ctx192)
             tol = 10 * ctx192.tol
             assert abs(c - ref_u) <= tol * max(abs(ref_u), 1)
             assert abs(a - ref_s) <= tol * max(abs(ref_s), 1)
@@ -145,14 +145,14 @@ def test_R_orbit_tracks_exact_trajectory(ctx192, mpar_pi4, rng):
         q2 = mpar_pi4.q * mpar_pi4.q
         z = mp.mpc("0.8", "0.2")
         eps = mp.mpc("1.1", "-0.4")
-        r0 = chi_eval(z / q2, eps, mpar_pi4, ctx192)[0] / chi_eval(z, eps, mpar_pi4, ctx192)[0]
+        r0 = chi_eval(z / q2, eps, mpar_pi4, ctx192) / chi_eval(z, eps, mpar_pi4, ctx192)
         seq = R_orbit(z, r0, 4, eps, mpar_pi4, ctx192)
         assert len(seq) == 5
         zk = z
         for k, rk in enumerate(seq):
             exact = (
-                chi_eval(zk / q2, eps, mpar_pi4, ctx192)[0]
-                / chi_eval(zk, eps, mpar_pi4, ctx192)[0]
+                chi_eval(zk / q2, eps, mpar_pi4, ctx192)
+                / chi_eval(zk, eps, mpar_pi4, ctx192)
             )
             assert abs(rk - exact) <= mp.mpf("1e-8") * max(abs(exact), 1)
             zk = zk * q2
@@ -186,8 +186,8 @@ def test_classify_exceptional_vs_generic(ctx192, mpar_pi4, rng):
             z = mp.mpc(rng.uniform(0.2, 1.2), rng.uniform(-0.5, 0.5))
             eps = mp.mpc(rng.uniform(-3, 3), rng.uniform(-1, 1))
             r0 = (
-                chi_eval(z / q2, eps, mpar_pi4, ctx192)[0]
-                / chi_eval(z, eps, mpar_pi4, ctx192)[0]
+                chi_eval(z / q2, eps, mpar_pi4, ctx192)
+                / chi_eval(z, eps, mpar_pi4, ctx192)
             )
             exc = R_orbit(z, r0, 4, eps, mpar_pi4, ctx192)
             gen = R_orbit(z, r0 + mp.mpf("1e-3"), 4, eps, mpar_pi4, ctx192)
