@@ -61,6 +61,7 @@ from .precision import (
     PrecisionExceeded,
     _check_nome_precision,
     _log2,
+    _parts,
     pochhammer_q,
 )
 
@@ -290,11 +291,6 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
         values = (mp.mpf(1), tab.eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
         dvalues = (mp.mpf(0), mp.mpf(1)) + tuple(map(_mpc, tab.dchi[2:N + 1]))
     return values, dvalues
-
-
-def _parts(x):
-    """The raw (re, im) pair of an mpf or mpc; a real has im = fzero."""
-    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
 
 
 def _tail_small(l1: float, l2: float, l3: float, lscale: float) -> bool:

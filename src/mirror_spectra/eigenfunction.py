@@ -44,10 +44,7 @@ class EigenfunctionParams:
 
 @dataclass(frozen=True)
 class PoleCancellationReport:
-    at_s: object
-    at_q2s: object
-    at_inv_s: object
-    max_normalized: object
+    max_normalized: object  # the largest of the three normalized numerators
 
 
 def make_params(point: SpectralPoint, mpar: ModularParam, ctx: PrecCtx) -> EigenfunctionParams:
@@ -228,11 +225,13 @@ def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx):
 
 
 def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancellationReport:
-    """Normalized numerator of the ansatz at the would-be poles u = s, q^2 s, 1/s.
+    """The largest normalized numerator of the ansatz at the would-be poles
+    u = s, q^2 s, 1/s.
 
     At a quantized point all three vanish (the spectral condition at u = s,
-    propagated along the lattice by the G-periodicity); the report carries
-    the numerator magnitudes relative to the size of its two products.
+    propagated along the lattice by the G-periodicity); each numerator is
+    taken relative to the size of its two products, and the report carries
+    the largest of the three.
     """
     with ctx.workprec():
         pt = p.point
@@ -247,9 +246,4 @@ def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancell
         for u, v in ((s, sv), (q2 * s, sv), (1 / s, 1 / sv)):
             t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)
             vals.append(abs(t1 + xi * t2) / max(abs(t1), abs(t2), mp.mpf(1)))
-        return PoleCancellationReport(
-            at_s=vals[0],
-            at_q2s=vals[1],
-            at_inv_s=vals[2],
-            max_normalized=max(vals),
-        )
+        return PoleCancellationReport(max_normalized=max(vals))

@@ -15,8 +15,8 @@ import random
 
 from mpmath import mp
 
-from .chi import (_vanishes_at_precision, chi_check_eval, chi_dual_eval, chi_eval,
-                  chi_mult_check, chi_poly_seq)
+from .chi import (_g_ratio, chi_check_eval, chi_dual_eval, chi_eval, chi_mult_check,
+                  chi_poly_seq)
 from .eigenfunction import make_params, pole_cancellation_check, psi_eval, psi_residual
 from .precision import (PoleSignal, SolverError, default_tol, make_context,
                         pochhammer_q, theta1)
@@ -150,7 +150,8 @@ def limit_classification(ctx, mpar, rng, full, fault):
     classifier margin takes ~4 steps, over which the repulsion amplifies the
     seed error by ~e^{32 pi}, so the check runs at >= 192 bits with mpar
     rebuilt there by mpar.at; a draw that lands on a pole (chi(z) zero at
-    this precision, _vanishes_at_precision, or an R-iteration pole) is redrawn."""
+    this precision, as _g_ratio tests it for G, or an R-iteration pole) is
+    redrawn."""
     if ctx.precision_bits < 192:
         ctx = make_context(192, default_tol(192))
     if mpar.precision_bits < ctx.precision_bits:
@@ -161,11 +162,9 @@ def limit_classification(ctx, mpar, rng, full, fault):
         while done < (50 if full else 2):
             z = mp.mpc(rng.uniform(0.4, 1.1), rng.uniform(-0.3, 0.3))
             eps = mp.mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            num, den = chi_eval(z / q2, eps, mpar, ctx), chi_eval(z, eps, mpar, ctx)
-            if _vanishes_at_precision(den, num, ctx):
-                continue
-            r0 = num / den
             try:
+                r0 = _g_ratio(chi_eval(z / q2, eps, mpar, ctx),
+                              chi_eval(z, eps, mpar, ctx), z, ctx)
                 one = classify_r_orbit(R_orbit(z, r0, 4, eps, mpar, ctx), ctx)
                 zero = classify_r_orbit(R_orbit(z, r0 * mp.mpf("1.3"), 4, eps, mpar, ctx), ctx)
             except PoleSignal:

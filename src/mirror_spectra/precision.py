@@ -322,6 +322,11 @@ def _ln(x) -> float:
     return _log2(x) * _LN2
 
 
+def _parts(x):
+    """The raw (re, im) pair of an mpf or mpc; a real has im = fzero."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+
+
 def _strip(n: int, x_log, q, ctx: PrecCtx):
     """(w, q, k, big, extra) for theta_n at w = x_log, under ctx's workprec:
     the shift index k = nint(Re w / (2 ln|q|)), whose k periods of 2 log q
@@ -333,7 +338,7 @@ def _strip(n: int, x_log, q, ctx: PrecCtx):
     _MAX_TERMS terms."""
     w = mp.mpmathify(x_log)
     q = mp.mpmathify(q)
-    re_q, im_q = q._mpc_ if hasattr(q, "_mpc_") else (q._mpf_, fzero)
+    re_q, im_q = _parts(q)
     q_sq = mpf_add(mpf_mul(re_q, re_q), mpf_mul(im_q, im_q))   # |q|^2, exact
     if q_sq == fzero or not mpf_lt(q_sq, fone):
         raise ValueError(f"theta{n} needs 0 < |q| < 1, got |q| = {abs(q)}")
@@ -486,7 +491,7 @@ def _theta1_sum(w, q, k: int, prec: int, extra: int):
     log q serves, since a shift by 2 pi i m moves w'/2 by 2 pi i k m."""
     tab = _theta1_table(q, prec)
     p = prec + extra
-    re, im = w._mpc_ if hasattr(w, '_mpc_') else (w._mpf_, fzero)
+    re, im = _parts(w)
     if k:
         two_k = from_int(2 * k)
         re = mpf_sub(re, mpf_mul(tab.log_q[0], two_k), p, _RND)

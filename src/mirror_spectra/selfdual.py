@@ -74,9 +74,9 @@ class SelfDualSpectrum:
 # ── quadrature ────────────────────────────────────────────────────────────
 
 
-def _legendre_root(order, x, floor):
-    """(root, P_order' there): Newton on the Legendre polynomial, by its
-    three-term recurrence, from x until the predicted error of a step
+def _legendre_root(x, floor):
+    """(root, P_n' there), n = _GL_ORDER: Newton on the Legendre polynomial,
+    by its three-term recurrence, from x until the predicted error of a step
     (precision._predicted_stop) is within floor, or else a step is below
     it; in floats for a float x and at the working precision for an mpf.
     A root taken on a predicted error is the last iterate plus its step,
@@ -86,45 +86,43 @@ def _legendre_root(order, x, floor):
     prev = None
     for _ in range(64):
         p0, p1 = 1, x
-        for k in range(2, order + 1):
+        for k in range(2, _GL_ORDER + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = order * (x * p1 - p0) / (x * x - 1)
+        dp = _GL_ORDER * (x * p1 - p0) / (x * x - 1)
         step = p1 / dp
         if _predicted_stop(abs(step), prev, floor):
-            ddp = (2 * x * dp - order * (order + 1) * p1) / (1 - x * x)
+            ddp = (2 * x * dp - _GL_ORDER * (_GL_ORDER + 1) * p1) / (1 - x * x)
             return x - step, dp - step * ddp
         x -= step
         if abs(step) < floor:
             return x, dp
         prev = abs(step)
-    raise SolverError(f"Legendre root near {float(x):.6f} of {order} stalled")
+    raise SolverError(f"Legendre root near {float(x):.6f} of {_GL_ORDER} stalled")
 
 
-def gauss_legendre_nodes(order: int, ctx: PrecCtx):
-    """(node, weight) pairs of the Gauss-Legendre rule on [-1, 1].
+def gauss_legendre_nodes(ctx: PrecCtx):
+    """(node, weight) pairs of the _GL_ORDER-point Gauss-Legendre rule on
+    [-1, 1], the one order every quadrature here uses.
 
     Each Legendre root is found by Newton in double precision from its
     Chebyshev guess, then refined at the context's precision until the
     predicted error of a step is below 2^(8 - bits) (_legendre_root); the
     float start leaves 2 evaluations per root at 128 bits, 3 at 256 and 5
-    at 1,024.  Cached per (order, precision).
+    at 1,024.  Cached per precision.
     """
-    if order < 2 or order % 2:
-        raise ValueError(f"order must be even and >= 2, got {order}")
-    key = (order, ctx.precision_bits)
-    got = _GL_CACHE.get(key)
+    got = _GL_CACHE.get(ctx.precision_bits)
     if got is not None:
         return got
     with ctx.workprec():
         floor = mp.mpf(2) ** (8 - mp.prec)
         half = []
-        for i in range(order // 2):
-            x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
-            x, _ = _legendre_root(order, x, 2.0 ** (8 - 53))   # a double
-            x, dp = _legendre_root(order, mp.mpf(x), floor)
+        for i in range(_GL_ORDER // 2):
+            x = math.cos(math.pi * (i + 0.75) / (_GL_ORDER + 0.5))
+            x, _ = _legendre_root(x, 2.0 ** (8 - 53))   # a double
+            x, dp = _legendre_root(mp.mpf(x), floor)
             half.append((x, 2 / ((1 - x * x) * dp * dp)))
         nodes = tuple((-x, w) for x, w in half) + tuple(reversed(half))
-    _GL_CACHE[key] = nodes
+    _GL_CACHE[ctx.precision_bits] = nodes
     return nodes
 
 
@@ -141,7 +139,7 @@ def composite_gl(f, a, b, ctx: PrecCtx):
         if a == b:
             return mp.mpf(0)
         budget = ctx.tol
-        nodes = gauss_legendre_nodes(_GL_ORDER, ctx)
+        nodes = gauss_legendre_nodes(ctx)
 
         def panel(x0, x1):
             h = (x1 - x0) / 2
@@ -179,8 +177,8 @@ def alpha_beta(eps, ctx: PrecCtx):
         if mp.im(eps) != 0:
             raise ValueError("eps must be real")
         e = mp.re(eps)
-        if not e > 4:   # NaN fails it too
-            raise ValueError(f"eps must exceed 4, got {mp.nstr(e, 12)}")
+        if not 4 < e < mp.inf:   # NaN fails it too
+            raise ValueError(f"eps must exceed 4 and be finite, got {mp.nstr(e, 12)}")
         ch = mp.sqrt(e) / 2   # cosh(pi alpha)
         return mp.acosh(ch) / mp.pi, mp.asinh(ch) / mp.pi
 
@@ -198,7 +196,11 @@ class _Curve:
     t near 0), and r = log(C + S)/(2 pi) adds the 1 of C = (C - 1) + 1
     exactly.  ``a`` is 2/(cosh(pi s(t)) cosh(pi s(t+1/2))):
     4 s'/sinh(2 pi s(t+1/2)) with its 0/0 at t = 1/2 removed.  asinh remains
-    in s and at.  Build and evaluate inside ctx.workprec().
+    in s and at.  The A, Atilde trapezoid node (``_stretched_a_periods``)
+    keeps its own a and at, with asinh as the log of its square root: that
+    meets tol absolutely, but cancels where at is small near t = 1/2, and
+    asinh keeps at accurate relative to its size there.  Build and
+    evaluate inside ctx.workprec().
     """
 
     def __init__(self, alpha):
@@ -369,8 +371,8 @@ def period_series(eps, ctx: PrecCtx):
     """
     with ctx.workprec():
         eps = mp.mpmathify(eps)
-        if not eps >= _SERIES_MIN_EPS:
-            raise ValueError(f"period series needs eps >= {_SERIES_MIN_EPS}, "
+        if not _SERIES_MIN_EPS <= eps < mp.inf:
+            raise ValueError(f"period series needs a finite eps >= {_SERIES_MIN_EPS}, "
                              f"got {mp.nstr(eps, 12)}")
         x = 1 / (eps * eps)
         L = mp.log(eps)
@@ -397,7 +399,7 @@ def period_series(eps, ctx: PrecCtx):
 
 
 def _level_newton(eps, ctx):
-    """(f, eps f'(eps), periods) for the level function f = A lambda - Atilde
+    """(f, eps f'(eps)) for the level function f = A lambda - Atilde
     = (A Btilde - B Atilde)/B, with the periods from ``period_series``.
 
     The slope needs no extra evaluation: Legendre's relation (DLMF 19.7)
@@ -405,11 +407,11 @@ def _level_newton(eps, ctx):
     dAtilde/deps = A/(4 pi), dBtilde/deps = B/(4 pi) this gives
     f'(eps) = lambda (A'B - AB')/B.
     """
-    A, At, B, Bt = periods = period_series(eps, ctx)
+    A, At, B, Bt = period_series(eps, ctx)
     with ctx.workprec():
         f = (A * Bt - B * At) / B
         slope = 16 * (Bt / B) / (mp.pi * (eps * eps - 16) * B)
-        return f, slope, periods
+        return f, slope
 
 
 def _level_root(x, n, ctx, prev=0):
@@ -423,7 +425,7 @@ def _level_root(x, n, ctx, prev=0):
     with ctx.workprec():
         for _ in range(_NEWTON_STEPS):
             eps = mp.exp(x)
-            f, slope, _ = _level_newton(eps, ctx)
+            f, slope = _level_newton(eps, ctx)
             r = f - target
             step = r / slope
             if _predicted_stop(abs(step), prev, ctx.tol):
@@ -472,7 +474,7 @@ def quantize_selfdual(n: int, ctx: PrecCtx) -> SelfDualSpectrum:
         bits = min(2 * bits, ctx.precision_bits)
         rung = make_context(bits)
         with rung.workprec():
-            f, slope, _ = _level_newton(mp.exp(x), rung)
+            f, slope = _level_newton(mp.exp(x), rung)
             step = (f - target) / slope
             x -= step
     x, eps_star = _level_root(x, n, ctx, abs(step))
@@ -506,8 +508,8 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
     """
     with ctx.workprec():
         T = mp.mpmathify(T)
-        if mp.im(T) != 0 or not mp.re(T) >= 0:
-            raise ValueError("T must be real and non-negative")
+        if mp.im(T) != 0 or not 0 <= mp.re(T) < mp.inf:
+            raise ValueError("T must be real and non-negative, and finite")
         T = mp.re(T)
         eps, lam = spec.eps, spec.lam
         curve = _Curve(spec.alpha)

@@ -374,6 +374,9 @@ def test_odd_state_wronskian_zero_flags_dual_pole(ctx192, mpar_pi4):
     # away from the Wronskian zero the dual solution is finite
     v = chi_dual_eval(mp.mpf("0.77"), eps, mpar_pi4, ctx192)
     assert mp.isfinite(v)
+    # and at u = 0, where chi-check has its pole, it is not defined
+    with pytest.raises(ValueError, match=r"chi_dual is defined on u != 0"):
+        chi_dual_eval(0, eps, mpar_pi4, ctx192)
 
 
 # ── multiplication rule ───────────────────────────────────────────────────

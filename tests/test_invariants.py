@@ -6,7 +6,7 @@ import test_acceptance
 from mpmath import mp
 
 from mirror_spectra import invariants
-from mirror_spectra.cli import EXIT_OK, main
+from mirror_spectra.cli import EXIT_CHECK, EXIT_OK, main
 from mirror_spectra.precision import ModularParam, make_context
 
 # verify's rows, in order; the registry may not lose or reorder one
@@ -29,6 +29,19 @@ def test_verify_prints_one_row_per_entry(capsys):
     rows = [ln for ln in capsys.readouterr().out.splitlines()
             if ln.startswith(("PASS", "FAIL"))]
     assert [ln[6:38].rstrip() for ln in rows] == list(VERIFY_ROWS)
+
+
+def test_verify_reports_a_solver_failure(capsys, monkeypatch):
+    # a check that raises SolverError fails its own row, with the error's
+    # text, and verify exits nonzero; the other rows still run
+    monkeypatch.setattr(invariants, "spectrum", lambda *args: [])
+    assert main(["verify", "--quick"]) == EXIT_CHECK
+    rows = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith(("PASS", "FAIL"))]
+    assert len(rows) == len(VERIFY_ROWS)
+    assert [ln for ln in rows if ln.startswith("FAIL")] == [
+        "FAIL  eigenfunction invariants         solver failure: "
+        "spectrum found 0 of the 2 states"]
 
 
 def test_every_criterion_has_an_entry():

@@ -65,9 +65,13 @@ def test_alpha_beta_examples(ctx192):
 
 
 def test_alpha_beta_rejects_bad_eps(ctx192):
-    for bad in (4, mp.mpf("3.5"), -10, mp.nan, float("nan"), mp.ninf):
+    for bad in (4, mp.mpf("3.5"), -10, mp.nan, float("nan"), mp.ninf,
+                mp.inf, float("inf")):
         with pytest.raises(ValueError, match="eps must exceed 4"):
             alpha_beta(bad, ctx192)
+    # and the quadrature reaches the guard before any node
+    with pytest.raises(ValueError, match="eps must exceed 4"):
+        period_integrals(mp.inf, ctx192)
     with pytest.raises(ValueError):
         alpha_beta(mp.mpc(8, 1), ctx192)
 
@@ -148,15 +152,13 @@ def test_gauss_nodes_weights(ctx192):
                        (make_context(256), None), (make_context(1024), None)):
         bound = bound or ctx.finest_tol
         with ctx.workprec():
-            nodes = gauss_legendre_nodes(32, ctx)
+            nodes = gauss_legendre_nodes(ctx)
             assert len(nodes) == 32
             assert abs(mp.fsum(w for _, w in nodes) - 2) <= bound
             # order-32 rule is exact through degree 63
             v = mp.fsum(w * x ** 62 for x, w in nodes)
             assert abs(v - mp.mpf(2) / 63) <= bound, ctx.precision_bits
-        assert gauss_legendre_nodes(32, ctx) is nodes  # cached
-    with pytest.raises(ValueError):
-        gauss_legendre_nodes(31, ctx192)
+        assert gauss_legendre_nodes(ctx) is nodes  # cached
 
 
 def test_composite_gl_matches_mpmath_quad(spec0, ctx192):
@@ -390,9 +392,9 @@ def test_period_series_constant_is_zeta2_over_pi2():
 
 
 def test_period_series_rejects_small_eps(ctx192):
-    for bad in ("7.99", "4.5", "nan"):
+    for bad in (mp.mpf("7.99"), mp.mpf("4.5"), mp.nan, mp.inf, float("inf")):
         with pytest.raises(ValueError, match="eps >= 8"):
-            period_series(mp.mpf(bad), ctx192)
+            period_series(bad, ctx192)
 
 
 # ── quantization ──────────────────────────────────────────────────────────
@@ -443,7 +445,7 @@ def test_level_function_single_sign_change():
         vals, slopes = [], []
         e = mp.mpf(8)
         while e <= mp.mpf("1e100"):
-            f, slope, _ = _level_newton(e, ctx)
+            f, slope = _level_newton(e, ctx)
             vals.append(f)
             slopes.append(slope)
             e *= mp.mpf("1.35")
@@ -471,7 +473,8 @@ def test_level_slope_matches_central_difference():
     with ctx.workprec():
         for e in ("10", "137.2", "1000"):
             eps = mp.mpf(e)
-            _, slope, (A, _, B, Bt) = _level_newton(eps, ctx)
+            slope = _level_newton(eps, ctx)[1]
+            A, _, B, Bt = period_series(eps, ctx)
             fprime = slope / eps
             h = d * (eps - 4)
             fd = (level(eps + h) - level(eps - h)) / (2 * h)
@@ -602,6 +605,13 @@ def test_quantize_refuses_levels_past_the_quadrature(monkeypatch):
         quantize_selfdual(0, ctx)
 
 
+def test_quantize_newton_step_cap(monkeypatch):
+    # Newton out of steps before its stop test passes is a typed failure
+    monkeypatch.setattr(selfdual, "_NEWTON_STEPS", 1)
+    with pytest.raises(SolverError, match="Newton for level 0 did not settle"):
+        quantize_selfdual(0, make_context(128))
+
+
 def test_quantize_keeps_exact_root(monkeypatch):
     # a level function that reads exactly n + 1 once Newton lands on the
     # level-0 root must stop there, not step on from it
@@ -614,7 +624,7 @@ def test_quantize_keeps_exact_root(monkeypatch):
             r = mp.log(eps) - root
             if abs(r) <= mp.mpf(2) ** (8 - mp.prec):
                 r = mp.mpf(0)
-            return 1 + r, mp.mpf(1), None
+            return 1 + r, mp.mpf(1)
 
     monkeypatch.setattr(selfdual, "_level_newton", fake)
     spec = quantize_selfdual(0, ctx)
@@ -637,9 +647,13 @@ def test_canonical_regimes(spec0, ctx192):
         # base point: empty path
         I, y = canonical_integral(spec0.alpha, spec0, ctx)
         assert abs(I) <= mp.mpf("1e-50") and abs(y) <= mp.mpf("1e-50")
-    for bad in (-1, mp.nan, float("nan")):
+    for bad in (-1, mp.nan, float("nan"), mp.inf, float("inf")):
         with pytest.raises(ValueError, match="T must be real and non-negative"):
             canonical_integral(bad, spec0, ctx)
+    # phi_eval reaches the guard through the imaginary part of x
+    for bad in (mp.mpc(0, mp.inf), mp.mpc(0, mp.ninf)):
+        with pytest.raises(ValueError, match="T must be real and non-negative"):
+            phi_eval(bad, spec0, ctx)
 
 
 def test_quarter_xi_cycle(spec0, spec1, ctx192):
@@ -776,6 +790,10 @@ def test_leg_start_must_be_on_curve(spec0, ctx192):
         if not mp.im(bad):
             with pytest.raises(ValueError, match="leg length must be real and finite"):
                 phi_eval(bad, spec0, ctx192)
+    # a leg of length 0 is empty: no integral, and y stays at its start
+    with ctx192.workprec():
+        I, y = leg_integral(T, 0, spec0, ctx192, y0)
+        assert I == 0 and y == y0
 
 
 # ── eigenfunction ─────────────────────────────────────────────────────────

@@ -478,6 +478,53 @@ def test_zero_eps_is_a_typed_error(ctx, mpar):
             spectral._state(lo, hi, None, 1, 1, mpar, ctx)
 
 
+def test_newton_failures_are_typed(pi4_64, monkeypatch):
+    # the three SolverErrors of the Newton solve, each naming its sigma: a
+    # vanishing dW/deps at the seed of sheets 4 and 6 at sigma = 0, the
+    # step cap, and a line search out of halvings
+    mpar, ctx = pi4_64
+    for k in (4, 6):
+        with pytest.raises(SolverError, match=r"dW/deps underflow at sigma = 0\.0"):
+            trace_orbit(k, 48, mpar, ctx)
+    monkeypatch.setattr(spectral, "_MAX_NEWTON", 1)
+    with pytest.raises(SolverError,
+                       match=r"Newton did not converge in 1 steps at sigma = 0\.3"):
+        solve_eps(0.3, 5, mpar, ctx)
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "_MAX_HALVINGS", 0)
+    with pytest.raises(SolverError, match=r"Newton stalled at sigma = 0\.3"):
+        solve_eps(0.3, 5, mpar, ctx)
+
+
+def test_continuation_failures_are_typed(pi4_64, monkeypatch):
+    # a sub-step whose solve fails down to the halving floor, and one whose
+    # root jumps by more than half its size, abort the continuation
+    mpar, ctx = pi4_64
+    with ctx.workprec():
+        eps0 = solve_eps(0, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+        target = mp.mpf("0.01")
+
+        def failing(*args, **kwargs):
+            raise SolverError("no root")
+
+        monkeypatch.setattr(spectral, "_solve_eps", failing)
+        with pytest.raises(SolverError, match="continuation failed on sheet 1"):
+            spectral._advance(0, target, eps0, 0, 1, mpar, ctx)
+        monkeypatch.setattr(spectral, "_solve_eps",
+                            lambda sigma, seed, *args, **kwargs: 10 * seed + 100)
+        with pytest.raises(SolverError,
+                           match=r"continuation jump on sheet 1 at sigma = 0\.01"):
+            spectral._advance(0, target, eps0, 0, 1, mpar, ctx)
+
+
+def test_rho_extract_refuses_zero(pi4_64, monkeypatch):
+    # Laurent coefficients that both vanish leave no prefactor to extract
+    mpar, ctx = pi4_64
+    monkeypatch.setattr(spectral, "_wronskian_sums", lambda *args: (0, 0, 0, 0))
+    with pytest.raises(SolverError, match="rho extracted as zero"):
+        spectral.rho_extract(0.3, 2, mpar, ctx)
+
+
 def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
     # every node is converged in eps, not only in |W|: the Newton correction
     # there is below tol, and the real endpoint eps_3(sin theta) comes back
