@@ -225,16 +225,6 @@ def _qtable(q, bits: int) -> _QTable:
     return _QTable(q, bits)
 
 
-def _raw(x):
-    """The raw tuple of an mpf (_mpf_) or mpc (_mpc_): a cache key that keeps
-    a real number and a complex one of equal value apart."""
-    return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
-
-
-def _from_raw(key):
-    return mp.make_mpc(key) if len(key) == 2 else mp.make_mpf(key)
-
-
 class _ChiTable:
     """chi_n(eps) and dchi_n/deps for n = 0 .. len(chi) - 1 at one (eps, q,
     working precision), in integer form, shared by every series, Wronskian
@@ -247,13 +237,12 @@ class _ChiTable:
     so every value is bit-identical to the recursion run afresh in mpmath.
     """
 
-    def __init__(self, eps_key, q_key, bits: int):
-        self.eps = _from_raw(eps_key)
-        if not mp.isfinite(self.eps):  # chi_2 would be inf or nan: no integer form
+    def __init__(self, eps_pair, q_pair, bits: int):
+        if not mp.isfinite(mp.make_mpc(eps_pair)):  # chi_2 would be inf or nan
             raise PrecisionExceeded(
                 "chi polynomial overflow; raise the working precision")
-        self.qtab = _qtable(_from_raw(q_key), bits)
-        self.chi = [_ONE, _ints(_parts(self.eps))]
+        self.qtab = _qtable(mp.make_mpc(q_pair), bits)
+        self.chi = [_ONE, _ints(eps_pair)]
         self.dchi = [_ZERO, _ONE]
 
     def grow(self) -> None:
@@ -272,10 +261,11 @@ class _ChiTable:
 
 
 @functools.lru_cache(maxsize=2)  # the states in hand; each Newton step is a new eps
-def _chitable(eps_key, q_key, bits: int) -> _ChiTable:
-    """The shared recursion table of eps and q (by their _raw keys) at
-    `bits` of working precision."""
-    return _ChiTable(eps_key, q_key, bits)
+def _chitable(eps_pair, q_pair, bits: int) -> _ChiTable:
+    """The shared recursion table of eps and q, by their raw (re, im) pairs
+    (precision._parts), at `bits` of working precision.  A real eps and
+    the complex eps of its value have one pair, so they share a table."""
+    return _ChiTable(eps_pair, q_pair, bits)
 
 
 def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
@@ -285,10 +275,11 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
     if not isinstance(N, numbers.Integral) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     with ctx.workprec():
-        tab = _chitable(_raw(mp.mpmathify(eps)), _raw(mpar.q), mp.prec)
+        eps = mp.mpmathify(eps)
+        tab = _chitable(_parts(eps), _parts(mpar.q), mp.prec)
         while len(tab.chi) <= N:
             tab.grow()
-        values = (mp.mpf(1), tab.eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
+        values = (mp.mpf(1), eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
         dvalues = (mp.mpf(0), mp.mpf(1)) + tuple(map(_mpc, tab.dchi[2:N + 1]))
     return values, dvalues
 
@@ -344,7 +335,7 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, slopes: bool = False):
         s = ds = us = _ZERO
         ltmax = l1 = l2 = -math.inf
         if mp.isfinite(u):  # integers carry no inf or nan: such a u raises below
-            tab = _chitable(_raw(eps), _raw(mpar.q), prec)
+            tab = _chitable(_parts(eps), _parts(mpar.q), prec)
             chi, dchi, f = tab.chi, tab.dchi, tab.qtab.f
             for n in range(_MAX_TERMS):
                 if n == len(chi):  # no consumer has asked for chi_n before
@@ -395,7 +386,7 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         eps = mp.mpmathify(eps)
         prec = mp.prec
-        tab = _chitable(_raw(eps), _raw(mpar.q), prec)
+        tab = _chitable(_parts(eps), _parts(mpar.q), prec)
         chi, dchi, qtab = tab.chi, tab.dchi, tab.qtab
         k1, k0 = qtab.k1, qtab.k0
         ltol = _log2(ctx.tol)

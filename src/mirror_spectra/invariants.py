@@ -18,8 +18,7 @@ from mpmath import mp
 from .chi import (_g_ratio, chi_check_eval, chi_dual_eval, chi_eval, chi_mult_check,
                   chi_poly_seq)
 from .eigenfunction import make_params, pole_cancellation_check, psi_eval, psi_residual
-from .precision import (PoleSignal, SolverError, default_tol, make_context,
-                        pochhammer_q, theta1)
+from .precision import PoleSignal, SolverError, make_context, pochhammer_q, theta1
 from .selfdual import phi_eval, quantize_selfdual
 from .spectral import spectrum, wronskian_eval, wronskian_residue
 from .transfer import R_orbit, chi_via_Minf, classify_r_orbit
@@ -153,7 +152,7 @@ def limit_classification(ctx, mpar, rng, full, fault):
     this precision, as _g_ratio tests it for G, or an R-iteration pole) is
     redrawn."""
     if ctx.precision_bits < 192:
-        ctx = make_context(192, default_tol(192))
+        ctx = make_context(192)
     if mpar.precision_bits < ctx.precision_bits:
         mpar = mpar.at(ctx.precision_bits)
     bad = done = 0

@@ -194,13 +194,14 @@ class _Curve:
     S = sinh(2 pi r) = sqrt((C - 1)(C + 1)); C - 1 = cosh(2 pi alpha) - c
     stays exact where C^2 - 1 cancels and acosh(C) would round C (eps near 4,
     t near 0), and r = log(C + S)/(2 pi) adds the 1 of C = (C - 1) + 1
-    exactly.  ``a`` is 2/(cosh(pi s(t)) cosh(pi s(t+1/2))):
-    4 s'/sinh(2 pi s(t+1/2)) with its 0/0 at t = 1/2 removed.  asinh remains
-    in s and at.  The A, Atilde trapezoid node (``_stretched_a_periods``)
-    keeps its own a and at, with asinh as the log of its square root: that
-    meets tol absolutely, but cancels where at is small near t = 1/2, and
-    asinh keeps at accurate relative to its size there.  Build and
-    evaluate inside ctx.workprec().
+    exactly.  ``a_at`` gives A's pair as ``b_bt`` gives B's: a =
+    2/(cosh(pi s(t)) cosh(pi s(t+1/2))), 4 s'/sinh(2 pi s(t+1/2)) with its
+    0/0 at t = 1/2 removed, and at, which shares cosh(pi s(t)) with it.
+    asinh remains in s and at.  The A, Atilde trapezoid node
+    (``_stretched_a_periods``) keeps its own a and at, with asinh as the log
+    of its square root: that meets tol absolutely, but cancels where at is
+    small near t = 1/2, and asinh keeps at accurate relative to its size
+    there.  Build and evaluate inside ctx.workprec().
     """
 
     def __init__(self, alpha):
@@ -215,14 +216,13 @@ class _Curve:
         c, s = mp.cos_sin(mp.pi * t)
         return self.sa * c / mp.sqrt(1 + self.sa2 * s * s)
 
-    def a(self, t):
+    def a_at(self, t):
+        """(a, at) from one cos(pi t), sin(pi t) pair and one cosh^2(pi s(t))."""
         c, s = mp.cos_sin(mp.pi * t)
-        return 2 / mp.sqrt((1 + self.sa2 * s * s) * (1 + self.sa2 * c * c))
-
-    def at(self, t):
-        c, s = mp.cos_sin(mp.pi * t)
+        cosh2_s = 1 + self.sa2 * s * s
         sc = self.sa * c
-        return 4 * (mp.asinh(sc) / mp.pi) * sc / mp.sqrt(1 + self.sa2 * s * s)
+        return (2 / mp.sqrt(cosh2_s * (1 + self.sa2 * c * c)),
+                4 * (mp.asinh(sc) / mp.pi) * sc / mp.sqrt(cosh2_s))
 
     def b_bt(self, t):
         """(b, bt) = (1/S, r) from one cos(pi t) and one square root."""
@@ -520,7 +520,8 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
             tstar = mp.acos(sT / curve.sa) / mp.pi
 
             def xi_int(t):
-                return (lam * curve.a(t) - curve.at(t)) / 4
+                a, at = curve.a_at(t)
+                return (lam * a - at) / 4
 
             return composite_gl(xi_int, 0, tstar, ctx), 1j * curve.s(tstar)
 
@@ -546,13 +547,13 @@ def canonical_integral(T, spec: SelfDualSpectrum, ctx: PrecCtx):
         return composite_gl(third_int, 0, cT, ctx), 0.5 + 1j * cT
 
 
-def _nearest_y(x, guess, eps):
-    """The y-branch of cos(2 pi y) = eps/2 - cos(2 pi x) closest to guess.
+def _nearest_y(w, guess):
+    """The y-branch of cos(2 pi y) = w closest to guess, where w = eps/2 -
+    cos(2 pi x) at the leg's x.
 
     The branches are +-y0 + k; for each sign the nearest k rounds the real
     part of guess -+ y0, and the nearer of the two candidates wins.
     """
-    w = eps / 2 - mp.cos(2 * mp.pi * x)
     y0 = mp.acos(w) / (2 * mp.pi)
     a, b = (s * y0 + mp.nint(mp.re(guess - s * y0)) for s in (1, -1))
     return a if abs(a - guess) <= abs(b - guess) else b
@@ -593,15 +594,17 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start):
         h = L / steps
         anchors = [y0]
         for k in range(1, steps + 1):
-            anchors.append(_nearest_y(x0 + sign * k * h, anchors[-1], eps))
+            w = eps / 2 - mp.cos(2 * mp.pi * (x0 + sign * k * h))
+            anchors.append(_nearest_y(w, anchors[-1]))
 
         def f(u):
             k = min(int(u / h), steps - 1)
             frac = u / h - k
             guess = anchors[k] + (anchors[k + 1] - anchors[k]) * frac
             x = x0 + sign * u
-            y = _nearest_y(x, guess, eps)
-            return -sign * (x * mp.sin(2 * mp.pi * x) + lam) / mp.sin(2 * mp.pi * y)
+            c, s = mp.cos_sin(2 * mp.pi * x)
+            y = _nearest_y(eps / 2 - c, guess)
+            return -sign * (x * s + lam) / mp.sin(2 * mp.pi * y)
 
         return composite_gl(f, 0, L, ctx), anchors[-1]
 

@@ -26,13 +26,11 @@ from mirror_spectra.chi import (
     _chitable,
     _cmul,
     _cmul_int,
-    _from_raw,
     _ints,
     _log2_ints,
     _mpc,
     _parts,
     _qtable,
-    _raw,
     _vanishes_at_precision,
     _wronskian_parts,
     _wronskian_sums,
@@ -510,7 +508,7 @@ def test_series_kernel_batch_is_bitwise(bits, tol, theta):
                 assert got == chi_eval(u, eps, mpar, ctx) == v
                 with_slopes = _chi_series(u, eps, mpar, ctx, slopes=True)
                 assert with_slopes[:2] == (v, dv)
-                assert _raw(with_slopes[0]) == _raw(got)
+                assert _bits(with_slopes[0]) == _bits(got)
     assert len(stops) >= 4
 
 
@@ -640,13 +638,13 @@ class _FreshTable:
     # chi._chitable, it makes every consumer read mpmath's values, one
     # fresh table per pass; chi.top + 1 is the number of terms read.  The
     # Wronskian sums' weights k1, k0 come from the shared q-table
-    def __init__(self, eps_key, q_key, bits):
-        self.eps = _from_raw(eps_key)
-        shared = _qtable(_from_raw(q_key), bits)
+    def __init__(self, eps_pair, q_pair, bits):
+        q = mp.make_mpc(q_pair)
+        shared = _qtable(q, bits)
         self.qtab = types.SimpleNamespace(f=[], k1=shared.k1, k0=shared.k0,
                                           grow_k=shared.grow_k)
         self.chi, self.dchi = _Reads(), []
-        self._terms = _fresh_pairs(self.eps, _from_raw(q_key))
+        self._terms = _fresh_pairs(mp.make_mpc(eps_pair), q)
         self.grow()
         self.grow()
 
@@ -657,21 +655,22 @@ class _FreshTable:
 
 def _grown(eps, q, n):
     # the shared table of eps and q at the working precision, grown to n terms
-    tab = _chitable(_raw(eps), _raw(q), mp.prec)
+    tab = _chitable(_parts(eps), _parts(q), mp.prec)
     while len(tab.chi) < n:
         tab.grow()
     return tab
 
 
 def _bits(v):
-    # raw tuples, nested like v: equal only when both value and type agree
+    # raw pairs and types, nested like v: equal only when both value and
+    # type agree
     if isinstance(v, (tuple, list)):
         return tuple(_bits(x) for x in v)
-    return _raw(v)
+    return type(v), _parts(v)
 
 
 def _table(eps, mpar, bits):
-    return _chitable(_raw(eps), _raw(mpar.q), bits)
+    return _chitable(_parts(eps), _parts(mpar.q), bits)
 
 
 def _state(theta, bits):
@@ -735,20 +734,21 @@ def test_recursion_table_keys_isolate():
         with ctx.workprec():
             return _bits([v for _, v, _ in itertools.islice(_fresh_pairs(e, m.q), n + 1)])
     cases = (
-        ((eps, mpar, ctx128), (eps, mpar, ctx256)),                # precision
-        ((eps, mpar, ctx256), (eps, mpar.conjugate(), ctx256)),    # conj nome
-        ((real, mpar, ctx256), (cplx, mpar, ctx256)),              # mpf vs mpc
+        ((eps, mpar, ctx128), (eps, mpar, ctx256), 2),             # precision
+        ((eps, mpar, ctx256), (eps, mpar.conjugate(), ctx256), 2), # conj nome
+        ((real, mpar, ctx256), (cplx, mpar, ctx256), 1),           # mpf vs mpc
     )
-    for a, b in cases:
+    for a, b, tables in cases:
         _chitable.cache_clear()
         cold_a = seq(*a, 25)
         _chitable.cache_clear()
         cold_b = seq(*b, 25)
         assert cold_a == fresh(*a, 25) != cold_b == fresh(*b, 25)
-        # each grown while the other's table is live reads as it did cold
+        # each grown while the other's table is live reads as it did cold;
+        # an mpf eps and the mpc of its value have one raw pair, one table
         assert seq(*a, 40)[:26] == cold_a
         assert seq(*b, 40)[:26] == cold_b
-        assert _chitable.cache_info().currsize == 2
+        assert _chitable.cache_info().currsize == tables
     # the mpf eps keeps its type where no complex factor has entered
     _chitable.cache_clear()
     for e in (real, cplx):

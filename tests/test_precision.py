@@ -232,6 +232,9 @@ def test_modular_param_rejects_degenerate_coupling(ctx192):
     # the nome's margin refuses its |q| = 1 - 3.8e-16
     with pytest.raises(ValueError, match=r"\|q\| must be < 1"):
         ModularParam.from_theta(1.5707963267948966, ctx192)
+    # on |b| = 1 |qbar| = |q|, so only a replaced field reaches qbar's check
+    with pytest.raises(ValueError, match=r"\|qbar\| must be < 1, got \|qbar\| = 2\.0"):
+        dataclasses.replace(ModularParam.from_theta("pi/4", ctx192), qbar=mp.mpf(2))
 
 
 def test_modular_param_range_flag(ctx192):

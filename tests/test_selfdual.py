@@ -131,8 +131,9 @@ def test_curve_integrands_match_defining_relations(bits):
                         "bt": mp.acosh(1 - c + ca2) / (2 * mp.pi),
                         "sprime": sp,
                     }
+                a, at = curve.a_at(t)
                 b, bt = curve.b_bt(t)
-                have = {"a": curve.a(t), "at": curve.at(t), "b": b, "bt": bt,
+                have = {"a": a, "at": at, "b": b, "bt": bt,
                         "sprime": curve.sprime(t)}
                 for name, ref in want.items():
                     got = have[name]
@@ -159,6 +160,13 @@ def test_gauss_nodes_weights(ctx192):
             v = mp.fsum(w * x ** 62 for x, w in nodes)
             assert abs(v - mp.mpf(2) / 63) <= bound, ctx.precision_bits
         assert gauss_legendre_nodes(ctx) is nodes  # cached
+
+
+def test_legendre_root_stall_is_typed():
+    # a negative floor is one that no Newton step meets: the root search
+    # runs out of steps and names where it was
+    with pytest.raises(SolverError, match=r"Legendre root near 0\.50\d+ of 32 stalled"):
+        selfdual._legendre_root(0.5, -1.0)
 
 
 def test_composite_gl_matches_mpmath_quad(spec0, ctx192):
@@ -750,6 +758,33 @@ def test_bloch_cycle_factor(spec0, ctx192):
             assert abs(mp.expj(2 * mp.pi * (I - periods * y0)) - 1) <= tol
             k = y_end - y0 if periods == 1 else y_end - y0
             assert abs(k - mp.nint(mp.re(k))) <= tol  # same branch mod 1
+
+
+@pytest.mark.parametrize("bits", (64, 96, 128, 256))
+def test_unit_legs_match_monodromy(bits):
+    # phi's precision rung: below alpha and above beta a unit leg's
+    # integral is fixed by its ends, by the monodromy behind phi's Harper
+    # equation, so it has an exact reference at every precision.  Below
+    # alpha y returns to y0 and the leg is tau y0; above beta it ends on
+    # y1 = y0 + tau, and the leg is x1 y1 - x0 y0 - (x1^2 - x0^2)/2 - tau/2
+    ctx = make_context(bits)
+    spec = quantize_selfdual(0, ctx)
+    with ctx.workprec():
+        for Ts in ("0.1", "1.0"):
+            T = mp.mpf(Ts)
+            below = T < spec.alpha
+            assert below or T > spec.beta   # no closed form between them
+            _, y0 = canonical_integral(T, spec, ctx)
+            for tau in (1, -1):
+                I, _ = leg_integral(T, tau, spec, ctx, y0)
+                if below:
+                    want = tau * y0
+                else:
+                    x0, y1 = 1j * T, y0 + tau
+                    x1 = x0 + tau
+                    want = (x1 * y1 - x0 * y0 - (x1 * x1 - x0 * x0) / 2
+                            - mp.mpf(tau) / 2)
+                assert abs(I - want) <= ctx.tol, (Ts, tau)
 
 
 def test_branch_shift_invariance(spec0, ctx192):

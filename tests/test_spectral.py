@@ -525,6 +525,24 @@ def test_rho_extract_refuses_zero(pi4_64, monkeypatch):
         spectral.rho_extract(0.3, 2, mpar, ctx)
 
 
+def test_state_step_refuses_zero_slope(pi4_64, monkeypatch):
+    # a sheet-2 state started inside its grid bracket, as spectrum starts
+    # it, with Wronskian sums whose eps-slopes vanish: the bordered step has
+    # no dW/deps to divide by, and says so at its sigma
+    mpar, ctx = pi4_64
+    orbit = trace_orbit(2, 16, mpar, ctx)
+    nodes = [sig for sig, _ in orbit.samples]
+    pt = quantize(orbit, (1,), mpar, ctx)[0]
+    i = bisect.bisect_left(nodes, pt.sigma)
+    lo, hi = (node + (None,) for node in orbit.samples[i - 1:i + 1])
+    sums = spectral._wronskian_sums
+    monkeypatch.setattr(spectral, "_wronskian_sums",
+                        lambda *args: sums(*args)[:2] + (0, 0))
+    with pytest.raises(SolverError, match=r"state solver step divides by zero "
+                                          r"at sigma = 0\.1394601167"):
+        spectral._state(lo, hi, (pt.sigma, pt.eps), pt.parity, 2, mpar, ctx)
+
+
 def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
     # every node is converged in eps, not only in |W|: the Newton correction
     # there is below tol, and the real endpoint eps_3(sin theta) comes back
