@@ -31,13 +31,15 @@ log2 magnitudes: of an integer form from its exponents and odd mantissas
 (_log2_ints), and of tol from its mpf (precision._log2, the package's one
 float log).
 The series kernel sums chi at one argument, and its eps- and u-slopes
-only for the callers that read them; the four series of the Wronskian
+only for the callers that read them (the state solver and psi's limit);
+the four value series of the Wronskian
 
     W(u, eps) = chi(u/q^2) chk(u) - chk(u/q^2) chi(u)
 
 read one table, and each forms only the terms no series before it formed;
-that form is the independent oracle for W.  Newton in eps sums only W's
-two eps-dependent Laurent coefficients (_wronskian_sums).
+that form is the independent value oracle for W.  Newton in eps sums only
+W's two eps-dependent Laurent coefficients and their eps-derivatives
+(_wronskian_sums), the one kernel of dW/deps.
 
 Also here: the involution partner chi-check(u) = u^-1 chi(1/u), the dual
 solution chi_{q^-1} = chi-check / W, the ratio G = chi / chi-check, and the
@@ -269,9 +271,9 @@ def _chitable(eps_pair, q_pair, bits: int) -> _ChiTable:
 
 
 def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
-    """(values, dvalues): chi_{q,0..N}(eps) and their eps-derivatives at a
-    numeric eps: chi_0 = 1, chi_1 = eps itself, and from n = 2 an mpc (q
-    is complex)."""
+    """chi_{q,0..N}(eps) at a numeric eps: chi_0 = 1, chi_1 = eps itself,
+    and from n = 2 an mpc (q is complex).  Their eps-derivatives stay in
+    the recursion table, which _wronskian_sums reads."""
     if not isinstance(N, numbers.Integral) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     with ctx.workprec():
@@ -279,9 +281,7 @@ def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
         tab = _chitable(_parts(eps), _parts(mpar.q), mp.prec)
         while len(tab.chi) <= N:
             tab.grow()
-        values = (mp.mpf(1), eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
-        dvalues = (mp.mpf(0), mp.mpf(1)) + tuple(map(_mpc, tab.dchi[2:N + 1]))
-    return values, dvalues
+        return (mp.mpf(1), eps) + tuple(map(_mpc, tab.chi[2:N + 1]))
 
 
 def _tail_small(l1: float, l2: float, l3: float, lscale: float) -> bool:
@@ -444,27 +444,23 @@ def chi_check_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
 
 
 def _wronskian_parts(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(W, dW/deps, scale, chk(u)) of W = chi(u/q^2) chk(u) - chk(u/q^2)
-    chi(u), with the scale set by the two products.  The four series share
-    one recursion table and are summed with their slopes, of which dW/deps
-    reads the eps-slopes; chk(u) is handed back for the dual solution."""
+    """(W, scale, chk(u)) of W = chi(u/q^2) chk(u) - chk(u/q^2) chi(u),
+    with the scale set by the two products: four value series over one
+    recursion table, the independent oracle for W's zero set.  chk(u) is
+    handed back for the dual solution; dW/deps is the two-sum pass's
+    (_wronskian_sums)."""
     with ctx.workprec():
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("Wronskian is defined on u != 0")
         q2 = mpar.q * mpar.q
         uq = u / q2
-        a, da, _ = _chi_series(uq, eps, mpar, ctx, slopes=True)
-        vb, dvb, _ = _chi_series(1 / u, eps, mpar, ctx, slopes=True)
-        vc, dvc, _ = _chi_series(1 / uq, eps, mpar, ctx, slopes=True)
-        d, dd, _ = _chi_series(u, eps, mpar, ctx, slopes=True)
-        b, db = vb / u, dvb / u
-        c, dc = vc / uq, dvc / uq
-        t1 = a * b
-        t2 = c * d
-        w = t1 - t2
-        dw = da * b + a * db - dc * d - c * dd
-        return w, dw, max(abs(t1), abs(t2)), b
+        a = _chi_series(uq, eps, mpar, ctx)
+        b = _chi_series(1 / u, eps, mpar, ctx) / u
+        c = _chi_series(1 / uq, eps, mpar, ctx) / uq
+        d = _chi_series(u, eps, mpar, ctx)
+        t1, t2 = a * b, c * d
+        return t1 - t2, max(abs(t1), abs(t2)), b
 
 
 def _vanishes_to_tol(w, scale, ctx: PrecCtx) -> bool:
@@ -490,7 +486,7 @@ def chi_dual_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
         u = mp.mpmathify(u)
         if u == 0:
             raise ValueError("chi_dual is defined on u != 0")
-        w, _, scale, chk = _wronskian_parts(u, eps, mpar, ctx)
+        w, scale, chk = _wronskian_parts(u, eps, mpar, ctx)
         if _vanishes_to_tol(w, scale, ctx):
             raise PoleSignal(
                 f"Wronskian zero at u = {mp.nstr(u, 8)}: dual solution pole"
@@ -524,7 +520,7 @@ def _mult_residual(m: int, n: int, eps, mpar: ModularParam, ctx: PrecCtx):
     with ctx.workprec():
         eps = mp.mpmathify(eps)
         q = mpar.q
-        chi, _ = chi_poly_seq(eps, mpar, max(m + n, 2), ctx)
+        chi = chi_poly_seq(eps, mpar, max(m + n, 2), ctx)
         lhs = chi[m] * chi[n]
         rhs = mp.mpc(0)
         q2 = q * q

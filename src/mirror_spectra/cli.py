@@ -25,11 +25,13 @@ overrides --precision-bits.  Exit codes: 0 success, 1 check failure,
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 from mpmath import mp
+from mpmath.libmp import from_int
 
 from . import __version__
 from .eigenfunction import make_params, pole_cancellation_check, psi_residual
@@ -77,8 +79,10 @@ def fmt_real(x, digits: int) -> str:
     two), so equal inputs always print identically and the printed string
     re-parses to the same decimal.
     """
-    if not hasattr(x, "_mpf_"):
-        x = mp.mpf(x)          # only converts non-mpf input; never re-rounds
+    if isinstance(x, numbers.Integral):
+        x = mp.make_mpf(from_int(int(x)))   # exact: mp.mpf rounds to mp.prec
+    elif not hasattr(x, "_mpf_"):
+        x = mp.mpf(x)          # exact for a float; an mpf is never re-rounded
     if not mp.isfinite(x):
         return str(x)
     if x == 0:

@@ -121,8 +121,8 @@ def wronskian_relations(ctx, mpar, rng, full, fault):
     for _ in range(12 if full else 4):
         u = mp.mpc(rng.uniform(0.3, 1.3), rng.uniform(-0.5, 0.5))
         eps = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        w0 = wronskian_eval(u, eps, mpar, ctx)[0]
-        w1 = wronskian_eval(q2 * u, eps, mpar, ctx)[0]
+        w0 = wronskian_eval(u, eps, mpar, ctx)
+        w1 = wronskian_eval(q2 * u, eps, mpar, ctx)
         worst = max(worst, abs(w1 * q2 * u * u - w0) / max(abs(w0), 1))
     for i in range(0, 16, 1 if full else 5):
         r = wronskian_residue(mp.mpf(-30) + 5 * i, mpar, ctx)
@@ -135,7 +135,7 @@ def multiplication_rule(ctx, mpar, rng, full, fault):
     (verify: n <= 4), relative to |chi_m chi_n|."""
     eps = mp.mpc("1.7", "0.3")
     top = 10 if full else 4
-    chi, _ = chi_poly_seq(eps, mpar, 2 * top, ctx)
+    chi = chi_poly_seq(eps, mpar, 2 * top, ctx)
     worst = mp.mpf(0)
     for m in range(1, top + 1):
         for n in range(m, top + 1):

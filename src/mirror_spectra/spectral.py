@@ -15,11 +15,12 @@ ratio G = chi(s)/chk(s) is purely imaginary (even states) or purely real
 The same quasi-periodicity makes W(u, eps) = w_-1(eps) O(u) + w_0(eps) E(u)
 with E, O theta_3 and theta_2 of nome q^2 (precision._theta_eo, once per
 solve) and the coefficients from chi._wronskian_sums.  A Newton pass sums
-only the two coefficients, 8-10 terms against the 37-47 of the four
-chi series, which stay the independent oracle in wronskian_eval, factorize
-and the dual solution; rho_extract reads rho off the two coefficients.  An
-orbit is the root curve alone.  quantize reads G from G_eval once per inner
-grid node, for all the parities asked.
+only the two coefficients and their eps-derivatives, 8-10 terms against the
+37-47 of the four chi series, and is the one source of dW/deps; the four
+value series stay the independent oracle for W in wronskian_eval,
+factorize and the dual solution.  rho_extract reads rho off the two
+coefficients.  An orbit is the root curve alone.  quantize reads G from
+G_eval once per inner grid node, for all the parities asked.
 
 To leading order each sheet is a spiral, eps_k ~ q^{-2 floor(k/2)} s^{m_k}
 (_spiral), so log eps is nearly linear in sigma.  The continuation carries
@@ -95,9 +96,9 @@ class Orbit:
 
 
 def wronskian_eval(u, eps, mpar: ModularParam, ctx: PrecCtx):
-    """(W(u, eps), dW/deps); u = 0 is rejected."""
-    w, dw, _, _ = _wronskian_parts(u, eps, mpar, ctx)
-    return w, dw
+    """W(u, eps) from the four chi series; u = 0 is rejected.  Newton's
+    dW/deps comes from the two-sum pass (_wronskian_pass)."""
+    return _wronskian_parts(u, eps, mpar, ctx)[0]
 
 
 def wronskian_residue(eps, mpar: ModularParam, ctx: PrecCtx):
@@ -627,7 +628,7 @@ def factorize(sigma, eps, mpar: ModularParam, ctx: PrecCtx):
     the rule Newton's residual stops on (chi._vanishes_to_tol)."""
     with ctx.workprec():
         s = _sigma_to_s(sigma, mpar)
-        w, _, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
+        w, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
         if not _vanishes_to_tol(w, scale, ctx):
             raise SolverError(
                 f"(sigma, eps) is not on the Wronskian zero set: |W| = "

@@ -56,6 +56,7 @@ from mirror_spectra.spectral import (
     factorize,
     sheet_seed,
     solve_eps,
+    wronskian_eval,
     wronskian_residue,
 )
 from mirror_spectra.transfer import R_orbit, chi_via_Minf
@@ -83,7 +84,8 @@ def test_poly_small_cases(ctx192, mpar_pi4):
     with ctx192.workprec():
         q = mpar_pi4.q
         eps = mp.mpc("1.3", "-0.7")
-        values, dvalues = chi_poly_seq(eps, mpar_pi4, 3, ctx192)
+        values = chi_poly_seq(eps, mpar_pi4, 3, ctx192)
+        dvalues = _dchi(eps, mpar_pi4, 3)
         c1 = (q - 1 / q) ** 2
         c2 = (q ** 2 - q ** -2) ** 2
         tol = mp.mpf("1e-50")
@@ -104,7 +106,8 @@ def test_poly_recursion_bitwise(ctx192, mpar_pi4):
     with ctx192.workprec():
         q = mpar_pi4.q
         eps = mp.mpc("0.4", "2.1")
-        values, dvalues = chi_poly_seq(eps, mpar_pi4, 12, ctx192)
+        values = chi_poly_seq(eps, mpar_pi4, 12, ctx192)
+        dvalues = _dchi(eps, mpar_pi4, 12)
         for n in range(1, 12):
             cn = (q ** n - q ** -n) ** 2
             assert values[n + 1] == eps * values[n] + cn * values[n - 1]
@@ -133,8 +136,8 @@ def test_poly_derivative_complex_step(ctx192, mpar_pi4):
     with ctx192.workprec():
         h = mp.mpf("1e-35")
         eps = mp.mpf("1.7")
-        values, _ = chi_poly_seq(mp.mpc(eps, h), mpar_pi4, 10, ctx192)
-        _, dref = chi_poly_seq(eps, mpar_pi4, 10, ctx192)
+        values = chi_poly_seq(mp.mpc(eps, h), mpar_pi4, 10, ctx192)
+        dref = _dchi(eps, mpar_pi4, 10)
         for n in range(2, 11):
             d_cs = values[n].imag / h
             assert abs(d_cs - dref[n]) <= mp.mpf("1e-50") * max(abs(dref[n]), 1)
@@ -145,7 +148,7 @@ def test_poly_growth_envelope(ctx192, mpar_pi4):
     with ctx192.workprec():
         aq = abs(mpar_pi4.q)
         for eps in (mp.mpf("0.3"), mp.mpf(2), mp.mpf(40)):
-            values, _ = chi_poly_seq(eps, mpar_pi4, 30, ctx192)
+            values = chi_poly_seq(eps, mpar_pi4, 30, ctx192)
             for n in range(10, 31):
                 ratio = abs(values[n]) * aq ** (mp.mpf(n * n) / 2)
                 assert mp.mpf("1e-3") < ratio < mp.mpf("1e2")
@@ -168,7 +171,7 @@ def _chi_brute(u, eps, mpar, ctx, N=64):
         u = mp.mpmathify(u)
         q = mpar.q
         q2 = q * q
-        values, _ = chi_poly_seq(eps, mpar, N, ctx)
+        values = chi_poly_seq(eps, mpar, N, ctx)
         s = mp.mpc(0)
         for n in range(N + 1):
             fn = (-1) ** n * q ** (n * (n + 1)) / pochhammer_q(q2, q2, n, ctx)
@@ -406,7 +409,7 @@ def test_mult_rule_residuals(ctx192, mpar_pi4):
         eps_list = [mp.mpc("1.7", "0.3"), mp.mpf("-4.2"), mp.mpc(0, "0.9")]
         for eps in eps_list:
             for (m, n) in [(1, 1), (1, 2), (2, 3), (5, 5), (7, 9), (10, 10)]:
-                values, _ = chi_poly_seq(eps, mpar_pi4, max(m + n, 2), ctx192)
+                values = chi_poly_seq(eps, mpar_pi4, max(m + n, 2), ctx192)
                 scale = abs(values[m] * values[n])
                 r = chi_mult_check(m, n, eps, mpar_pi4, ctx192)
                 assert r <= 10 * ctx192.tol * scale
@@ -539,15 +542,12 @@ def test_wronskian_parts_bitwise_per_argument(bits, tol, rng):
             for _ in range(4):
                 u = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 eps = mp.mpc(rng.uniform(-50, 50), rng.uniform(-50, 50))
-                a, da, _ = _chi_series(u / q2, eps, mpar, ctx, slopes=True)
-                vb, dvb, _ = _chi_series(1 / u, eps, mpar, ctx, slopes=True)
-                vc, dvc, _ = _chi_series(1 / (u / q2), eps, mpar, ctx, slopes=True)
-                d, dd, _ = _chi_series(u, eps, mpar, ctx, slopes=True)
-                b, db = vb / u, dvb / u
-                c, dc = vc / (u / q2), dvc / (u / q2)
+                a = _chi_series(u / q2, eps, mpar, ctx)
+                b = _chi_series(1 / u, eps, mpar, ctx) / u
+                c = _chi_series(1 / (u / q2), eps, mpar, ctx) / (u / q2)
+                d = _chi_series(u, eps, mpar, ctx)
                 t1, t2 = a * b, c * d
-                want = (t1 - t2, da * b + a * db - dc * d - c * dd,
-                        max(abs(t1), abs(t2)), b)
+                want = (t1 - t2, max(abs(t1), abs(t2)), b)
                 assert _wronskian_parts(u, eps, mpar, ctx) == want
                 assert chi_check_eval(u, eps, mpar, ctx) == b
 
@@ -591,7 +591,7 @@ def test_wronskian_matches_transfer_oracle(ctx192, rng):
                 chi_u, chi_uq = chi_via_Minf(u, eps, mpar, ctx192)
                 chi_q2u, chi_inv = chi_via_Minf(q2 / u, eps, mpar, ctx192)
                 oracle = chi_uq * chi_inv / u - chi_q2u * (q2 / u) * chi_u
-                w, _, scale, _ = _wronskian_parts(u, eps, mpar, ctx192)
+                w, scale, _ = _wronskian_parts(u, eps, mpar, ctx192)
                 assert abs(w - oracle) <= 1000 * tol * max(scale, 1)
 
 
@@ -661,6 +661,13 @@ def _grown(eps, q, n):
     return tab
 
 
+def _dchi(eps, mpar, n):
+    # dchi_0..n/deps from the recursion table at the working precision, in
+    # the types chi_poly_seq gives the values
+    tab = _grown(eps, mpar.q, n + 1)
+    return (mp.mpf(0), mp.mpf(1)) + tuple(map(_mpc, tab.dchi[2:n + 1]))
+
+
 def _bits(v):
     # raw pairs and types, nested like v: equal only when both value and
     # type agree
@@ -728,7 +735,7 @@ def test_recursion_table_keys_isolate():
         real, cplx = mp.mpf("1.5"), mp.mpc("1.5", 0)
 
     def seq(e, m, ctx, n):
-        return _bits(chi_poly_seq(e, m, n, ctx)[0])
+        return _bits(chi_poly_seq(e, m, n, ctx))
 
     def fresh(e, m, ctx, n):
         with ctx.workprec():
@@ -752,7 +759,7 @@ def test_recursion_table_keys_isolate():
     # the mpf eps keeps its type where no complex factor has entered
     _chitable.cache_clear()
     for e in (real, cplx):
-        assert type(chi_poly_seq(e, mpar, 3, ctx256)[0][1]) is type(e)
+        assert type(chi_poly_seq(e, mpar, 3, ctx256)[1]) is type(e)
 
 
 def test_recursion_table_interleaved_growth(ctx192, mpar_pi4, monkeypatch):
@@ -796,7 +803,7 @@ def test_recursion_table_forms_only_what_is_asked(ctx192, mpar_pi4, monkeypatch)
         eps, q = mp.mpc("-1.3", "0.8"), mpar_pi4.q
         for n in (2, 3, 17):
             _chitable.cache_clear()
-            assert len(chi_poly_seq(eps, mpar_pi4, n, ctx192)[0]) == n + 1
+            assert len(chi_poly_seq(eps, mpar_pi4, n, ctx192)) == n + 1
             assert len(_table(eps, mpar_pi4, 192).chi) == n + 1
         u, q2 = mp.mpc("-1.7", "0.4"), q * q
         _chitable.cache_clear()
@@ -982,6 +989,29 @@ def test_chi_loops_call_no_libmp_per_term(ctx192, mpar_pi4):
     assert terms[1] - terms[0] >= 20
     assert series[0] == series[1]
     assert sums[0] == sums[1]
+
+
+def test_wronskian_oracle_sums_four_value_series(ctx192, mpar_pi4, monkeypatch):
+    # the four-series W is a value oracle: factorize, the dual solution and
+    # wronskian_eval each sum its four chi series with no slopes, since
+    # dW/deps comes from the two-sum pass alone
+    with ctx192.workprec():
+        sigma = mp.mpf("0.3")
+        eps = solve_eps(sigma, mp.mpf(2), mpar_pi4, ctx192)
+        u = mp.mpc("0.77", "0.2")
+    slopes = []
+    real = chi._chi_series
+
+    def spy(*args, **kwargs):
+        slopes.append(kwargs.get("slopes", False))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(chi, "_chi_series", spy)
+    for run in (lambda: factorize(sigma, eps, mpar_pi4, ctx192),
+                lambda: chi_dual_eval(u, eps, mpar_pi4, ctx192),
+                lambda: wronskian_eval(u, eps, mpar_pi4, ctx192)):
+        slopes.clear()
+        run()
+        assert slopes == [False] * 4
 
 
 def test_chi_series_sums_its_slopes_only_on_request(ctx192, mpar_pi4, monkeypatch):

@@ -3,7 +3,9 @@ exit codes, environment override, and the verify table."""
 
 import dataclasses
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from mirror_spectra.cli import (
     EXIT_OK,
     _build_parser,
     _context,
+    _svg_plot,
     fmt_complex,
     fmt_real,
     fmt_tol,
@@ -70,6 +73,29 @@ def test_fmt_real_round_half_even():
         assert fmt_real(mp.mpf(1) / 3, 5) == "0.33333"
         x = mp.mpf("535.493519473629469")
     assert fmt_real(x, 18) == "535.493519473629469"
+
+
+def test_fmt_real_converts_plain_numbers_exactly():
+    # an int keeps every bit (mp.mpf would round it to 53), a float is
+    # already exact, and a non-finite value prints as mpmath names it
+    assert fmt_real(2 ** 60 + 1, 20) == "1152921504606846977"
+    assert fmt_real(0.1, 20) == "0.10000000000000000555"
+    assert fmt_real(mp.inf, 3) == "+inf"
+    assert fmt_real(float("nan"), 3) == "nan"
+
+
+@pytest.mark.parametrize("pts", ([(1.0, 2.0), (1.0, 2.0)],
+                                 [(1.0, 2.0), (1.0, 3.0)],
+                                 [(1.0, 2.0), (4.0, 2.0)]))
+def test_svg_plot_flat_ranges_stay_finite(tmp_path, pts):
+    # points that share one x or one y: the flat range is widened, so the
+    # scaled coordinates divide by no zero width or height
+    path = tmp_path / "flat.svg"
+    _svg_plot(str(path), [("blue", pts)], [(1.0, 2.0, "p")], {})
+    svg = path.read_text()
+    coords = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    values = [float(c) for xy in coords.split() for c in xy.split(",")]
+    assert len(values) == 4 and all(map(math.isfinite, values))
 
 
 def test_fmt_real_reparses():

@@ -66,20 +66,22 @@ def test_wronskian_quasi_periodicity(ctx, mpar, rng):
         for _ in range(10):
             u = mp.mpc(rng.uniform(0.3, 1.6), rng.uniform(-0.8, 0.8))
             eps = mp.mpc(rng.uniform(-4, 4), rng.uniform(-2, 2))
-            w0, _ = wronskian_eval(u, eps, mpar, ctx)
-            w1, _ = wronskian_eval(q2 * u, eps, mpar, ctx)
+            w0 = wronskian_eval(u, eps, mpar, ctx)
+            w1 = wronskian_eval(q2 * u, eps, mpar, ctx)
             target = w0 / (q2 * u * u)
             assert abs(w1 - target) <= 10 * ctx.tol * max(abs(target), 1)
 
 
 def test_wronskian_eps_derivative(ctx, mpar):
+    # Newton's dW/deps, from the two-sum pass, against a central difference
+    # of the four-series W
     with ctx.workprec():
         u = mp.mpc("0.9", "0.35")
         eps = mp.mpc("1.4", "-0.8")
         h = mp.mpf("1e-20")
-        _, dw = wronskian_eval(u, eps, mpar, ctx)
-        wp, _ = wronskian_eval(u, eps + h, mpar, ctx)
-        wm, _ = wronskian_eval(u, eps - h, mpar, ctx)
+        _, dw, _ = _wronskian_pass(eps, _theta_eo(mp.log(u), mpar.q, ctx), mpar, ctx)
+        wp = wronskian_eval(u, eps + h, mpar, ctx)
+        wm = wronskian_eval(u, eps - h, mpar, ctx)
         fd = (wp - wm) / (2 * h)
         assert abs(dw - fd) <= mp.mpf("1e-30") * max(abs(dw), 1)
 
@@ -87,20 +89,26 @@ def test_wronskian_eps_derivative(ctx, mpar):
 @pytest.mark.parametrize("theta", ("pi/4", "3*pi/8", "pi/6", "7*pi/16"))
 @pytest.mark.parametrize("bits", (64, 96, 128, 192, 256))
 def test_two_sum_pass_matches_four_series(bits, theta, rng):
-    # a Newton pass sums W = w_-1 O(u) + w_0 E(u); the four-series W and
-    # W_eps of the oracle agree within tol times their scales, over the
+    # a Newton pass sums W = w_-1 O(u) + w_0 E(u); it agrees with the
+    # four-series W of the oracle within tol times its scale, and its W_eps
+    # with a central difference of that W at twice the bits, over the
     # annulus the continuation visits and a spread of complex eps, and at
     # eps = 0, where w_0 vanishes identically
-    ctx = make_context(bits)
+    ctx, ref_ctx = make_context(bits), make_context(2 * bits)
     mpar = ModularParam.from_theta(theta, ctx)
+    ref_mpar = mpar.at(2 * bits)
     with ctx.workprec():
         tol = ctx.tol
         for k in range(6):
             u = mp.mpc(rng.uniform(0.2, 2.5), rng.uniform(-1.5, 1.5))
             eps = mp.mpc(rng.uniform(-60, 60), rng.uniform(-30, 30)) if k else mp.mpf(0)
-            w, dw, scale, _ = _wronskian_parts(u, eps, mpar, ctx)
+            w, scale, _ = _wronskian_parts(u, eps, mpar, ctx)
             pair = _theta_eo(mp.log(u), mpar.q, ctx)
             w2, dw2, scale2 = _wronskian_pass(eps, pair, mpar, ctx)
+            with ref_ctx.workprec():
+                h = mp.ldexp(max(abs(eps), 1), -(2 * bits // 3))
+                dw = (wronskian_eval(u, eps + h, ref_mpar, ref_ctx)
+                      - wronskian_eval(u, eps - h, ref_mpar, ref_ctx)) / (2 * h)
             assert abs(w2 - w) <= tol * max(scale, 1), (u, eps)
             assert abs(dw2 - dw) <= tol * max(abs(dw), 1), (u, eps)
             assert scale / 4 <= scale2 <= 4 * scale, (u, eps)
@@ -129,8 +137,7 @@ def test_residue_series_vs_contour(ctx, mpar):
             acc = mp.mpc(0)
             for j in range(N):
                 uj = mp.expjpi(mp.mpf(2 * j) / N)
-                w, _ = wronskian_eval(uj, eps, mpar, ctx)
-                acc += w * uj
+                acc += wronskian_eval(uj, eps, mpar, ctx) * uj
             assert abs(series - acc / N) <= 100 * ctx.tol * max(abs(series), 1)
 
 
@@ -151,7 +158,7 @@ def _residue_by_pochhammer(eps, mpar, ctx):
         q = mpar.q
         qm2 = 1 / (q * q)
         tol = ctx.tol
-        values, _ = chi_poly_seq(eps, mpar, 256, ctx)
+        values = chi_poly_seq(eps, mpar, 256, ctx)
         s, small = mp.mpc(0), 0
         for m in range(len(values)):
             term = (values[m] / pochhammer_q(qm2, qm2, m, ctx)) ** 2 * (
@@ -204,7 +211,7 @@ def test_solve_eps_residual_scale(ctx, mpar):
     with ctx.workprec():
         eps = solve_eps(mp.mpf("0.3"), mp.mpf(2), mpar, ctx)
         s = _sigma_to_s(mp.mpf("0.3"), mpar)
-        w, _, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
+        w, scale, _ = _wronskian_parts(s, eps, mpar, ctx)
         assert abs(w) <= ctx.tol * max(scale, 1)
 
 
@@ -213,11 +220,11 @@ def test_newton_quadratic_convergence(ctx, mpar):
     with ctx.workprec():
         sig = mp.mpf("0.3")
         root = solve_eps(sig, mp.mpf(2), mpar, ctx)
-        s = _sigma_to_s(sig, mpar)
+        pair = _theta_eo(2 * mp.pi * mpar.b * sig, mpar.q, ctx)
         eps = root + mp.mpf("1e-4")
         residuals = []
         for _ in range(8):
-            w, dw, sc, _ = _wronskian_parts(s, eps, mpar, ctx)
+            w, dw, sc = _wronskian_pass(eps, pair, mpar, ctx)
             residuals.append(abs(w) / sc)
             eps = eps - w / dw
         for rk, rk1 in zip(residuals, residuals[1:]):
@@ -545,13 +552,15 @@ def test_state_step_refuses_zero_slope(pi4_64, monkeypatch):
 
 def test_orbit_nodes_meet_newton_correction(ctx, mpar, sheet3_192):
     # every node is converged in eps, not only in |W|: the Newton correction
-    # there is below tol, and the real endpoint eps_3(sin theta) comes back
-    # real to tol
+    # there, the four-series W over the pass's W_eps, is below tol, and the
+    # real endpoint eps_3(sin theta) comes back real to tol
     orbit, _, _ = sheet3_192
     with ctx.workprec():
         tol = ctx.tol
         for sig, eps in orbit.samples:
-            w, dw, _, _ = _wronskian_parts(_sigma_to_s(sig, mpar), eps, mpar, ctx)
+            w = wronskian_eval(_sigma_to_s(sig, mpar), eps, mpar, ctx)
+            pair = _theta_eo(2 * mp.pi * mpar.b * sig, mpar.q, ctx)
+            _, dw, _ = _wronskian_pass(eps, pair, mpar, ctx)
             assert abs(w / dw) <= tol * max(abs(eps), 1), sig
         end = orbit.samples[-1][1]
         assert abs(mp.im(end)) <= tol * abs(end)
@@ -1000,7 +1009,7 @@ def test_polished_states_rung(coarse_pi4, sheet, bits):
 def _probe_rho(sigma, eps, x0, mpar, ctx):
     # W(u0) / (theta1(s u0) theta1(u0/s)) on the four-series W
     two_pi_b = 2 * mp.pi * mpar.b
-    w, _ = wronskian_eval(mp.exp(two_pi_b * x0), eps, mpar, ctx)
+    w = wronskian_eval(mp.exp(two_pi_b * x0), eps, mpar, ctx)
     return w / (theta1(two_pi_b * (x0 + sigma), mpar.q, ctx)
                 * theta1(two_pi_b * (x0 - sigma), mpar.q, ctx))
 
@@ -1070,8 +1079,8 @@ def test_modular_conjugation_of_wronskian(ctx, mpar, orbit1):
         for x0 in (mp.mpf("0.13"), mp.mpf("0.31")):
             u = mp.exp(2 * mp.pi * b * x0)
             ubar = mp.exp(2 * mp.pi * mpar_c.b * x0)
-            w, _ = wronskian_eval(u, p.eps, mpar, ctx)
-            wbar, _ = wronskian_eval(ubar, mp.conj(p.eps), mpar_c, ctx)
+            w = wronskian_eval(u, p.eps, mpar, ctx)
+            wbar = wronskian_eval(ubar, mp.conj(p.eps), mpar_c, ctx)
             assert abs(wbar - mp.conj(w)) <= mp.mpf("1e-45") * max(abs(w), 1)
             rhs = (
                 mp.mpc(0, 1) * b * b * mp.conj(rho) / rho
