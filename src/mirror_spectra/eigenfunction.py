@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .chi import _chi_series, chi_check_eval, chi_eval
-from .precision import ModularParam, PoleSignal, PrecCtx, _theta1_d0, theta1
+from .precision import ModularParam, PoleSignal, PrecCtx, PrecisionExceeded, _theta1_d0, theta1
 from .spectral import SpectralPoint, factorize
 
 
@@ -84,43 +84,44 @@ def _nearest_zero(w, lq):
     return abs(w - 2 * k * lq - 2j * mp.pi * m), k, m
 
 
-def _numerator_terms(u, v, eps, p: EigenfunctionParams, ctx: PrecCtx):
-    """(chk(u) conj chi(v), chi(u) conj chk(v)) with v = conj ubar, the two
-    products of the ansatz numerator; when v == u one pair of series serves.
+def _xi(p: EigenfunctionParams):
+    """The parity weight xi: the point's parity, or 1 where it has none."""
+    return p.point.parity if p.point.parity in (+1, -1) else 1
+
+
+def _numerator_terms(x, p: EigenfunctionParams, ctx: PrecCtx):
+    """(chk(u) conj chi(v), xi chi(u) conj chk(v)) at u = e^{2 pi b x} and
+    v = conj ubar = e^{2 pi b conj x}, the two weighted products of the
+    ansatz numerator; on the real axis v = u and one pair of series serves.
     Every series here is at the one eps, so all of them read the state's
     cached chi_n recursion table and only the per-argument sums are new."""
-    def pair(w):
-        return chi_check_eval(w, eps, p.mpar, ctx), chi_eval(w, eps, p.mpar, ctx)
-    chk_u, chi_u = pair(u)
-    chk_v, chi_v = (chk_u, chi_u) if v == u else pair(v)
-    return chk_u * mp.conj(chi_v), chi_u * mp.conj(chk_v)
+    eps, mpar = p.point.eps, p.mpar
+
+    def pair(z):
+        w = mp.exp(2 * mp.pi * mpar.b * z)
+        return chi_check_eval(w, eps, mpar, ctx), chi_eval(w, eps, mpar, ctx)
+    chk_u, chi_u = pair(x)
+    chk_v, chi_v = pair(mp.conj(x)) if mp.im(x) else (chk_u, chi_u)
+    return chk_u * mp.conj(chi_v), _xi(p) * chi_u * mp.conj(chk_v)
 
 
-def _prefactor(x, xi, p: EigenfunctionParams):
-    """b^-1 e^{pi i sigma^2 - xi pi i/4} e^{2 pi eta x + i pi x^2}."""
+def _prefactor(x, p: EigenfunctionParams):
+    """b^-1 e^{pi i (sigma^2 - xi/4 + x^2) + 2 pi eta x}."""
     sigma = mp.mpmathify(p.point.sigma)
-    return (
-        (1 / p.mpar.b)
-        * mp.exp(mp.pi * 1j * sigma ** 2 - xi * mp.pi * 1j / 4)
-        * mp.exp(2 * mp.pi * p.eta * x + 1j * mp.pi * x * x)
-    )
+    return mp.exp(mp.pi * 1j * (sigma ** 2 - _xi(p) / 4 + x * x)
+                  + 2 * mp.pi * p.eta * x) / p.mpar.b
 
 
 def _psi_raw(x, p: EigenfunctionParams, ctx: PrecCtx):
     """The ansatz at a point where the denominator is comfortably nonzero."""
     mpar = p.mpar
-    pt = p.point
-    xi = pt.parity if pt.parity in (+1, -1) else 1
     b = mpar.b
-    sigma = mp.mpmathify(pt.sigma)
-    u = mp.exp(2 * mp.pi * b * x)
-    v = mp.exp(2 * mp.pi * b * mp.conj(x)) if mp.im(x) else u
-    t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)
-    num = t1 + xi * t2
+    sigma = mp.mpmathify(p.point.sigma)
+    t1, t2 = _numerator_terms(x, p, ctx)
     den = theta1(2 * mp.pi * b * (x + sigma), mpar.q, ctx) * theta1(
         2 * mp.pi * b * (x - sigma), mpar.q, ctx
     )
-    return _prefactor(x, xi, p) * num / den
+    return _prefactor(x, p) * (t1 + t2) / den
 
 
 def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx):
@@ -153,7 +154,7 @@ def _psi_limit(x, w_other, k: int, m: int, p: EigenfunctionParams, ctx: PrecCtx)
     d_log_pref = 2 * mp.pi * (p.eta + 1j * x)
     d_den = (tpb * theta1(w_other, q, ctx) * (-1) ** (k + m)
              * mp.exp(-k * k * mpar.log_q) * _theta1_d0(q, ctx))
-    return _prefactor(x, xi, p) * (d_log_pref * num + d_num) / d_den
+    return _prefactor(x, p) * (d_log_pref * num + d_num) / d_den
 
 
 def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
@@ -170,7 +171,8 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
     included), leaving O(r^4) and a rounding loss of about 2^-bits / r.
 
     Unquantized parameter sets (parity None) have genuine poles there and
-    raise PoleSignal instead; a non-finite x raises ValueError.
+    raise PoleSignal instead; a non-finite x raises ValueError, and an x
+    past the double range PrecisionExceeded.
     """
     with ctx.workprec():
         x = mp.mpmathify(x)
@@ -180,6 +182,8 @@ def psi_eval(x, p: EigenfunctionParams, ctx: PrecCtx):
         sigma = mp.mpmathify(p.point.sigma)
         lq = p.mpar.log_q
         ws = (2 * mp.pi * b * (x + sigma), 2 * mp.pi * b * (x - sigma))
+        if not all(math.isfinite(float(abs(w / lq.real))) for w in ws):  # _nearest_zero's floats
+            raise PrecisionExceeded(f"psi_eval at x = {mp.nstr(x, 8)}: past the float range")
         zeros = [_nearest_zero(w, lq) for w in ws]
         i = 0 if zeros[0][0] <= zeros[1][0] else 1
         d, k, m = zeros[i]
@@ -226,7 +230,9 @@ def psi_residual(x, p: EigenfunctionParams, ctx: PrecCtx):
 
 def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancellationReport:
     """The largest normalized numerator of the ansatz at the would-be poles
-    u = s, q^2 s, 1/s.
+    u = s, q^2 s, 1/s, read off as x = sigma, sigma + i b, -sigma
+    (q^2 = e^{2 pi i b^2}; with |b| = 1 the shift leaves v = e^{2 pi b conj x}
+    where it was).
 
     At a quantized point all three vanish (the spectral condition at u = s,
     propagated along the lattice by the G-periodicity); each numerator is
@@ -234,16 +240,9 @@ def pole_cancellation_check(p: EigenfunctionParams, ctx: PrecCtx) -> PoleCancell
     the largest of the three.
     """
     with ctx.workprec():
-        pt = p.point
-        xi = pt.parity if pt.parity in (+1, -1) else 1
-        mpar = p.mpar
-        b = mpar.b
-        sigma = mp.mpmathify(pt.sigma)
-        q2 = mpar.q * mpar.q
-        s = mp.exp(2 * mp.pi * b * sigma)
-        sv = mp.exp(2 * mp.pi * b * mp.conj(sigma)) if mp.im(sigma) else s   # conj sbar
+        sigma = mp.mpmathify(p.point.sigma)
         vals = []
-        for u, v in ((s, sv), (q2 * s, sv), (1 / s, 1 / sv)):
-            t1, t2 = _numerator_terms(u, v, pt.eps, p, ctx)
-            vals.append(abs(t1 + xi * t2) / max(abs(t1), abs(t2), mp.mpf(1)))
+        for x in (sigma, sigma + 1j * p.mpar.b, -sigma):
+            t1, t2 = _numerator_terms(x, p, ctx)
+            vals.append(abs(t1 + t2) / max(abs(t1), abs(t2), mp.mpf(1)))
         return PoleCancellationReport(max_normalized=max(vals))

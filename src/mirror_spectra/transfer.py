@@ -56,6 +56,13 @@ class TransferMatrix:
         return self.a * self.d - self.b * self.c
 
 
+def _require_finite(**args):
+    """ValueError naming the first argument that is not a finite number."""
+    for name, value in args.items():
+        if not mp.isfinite(mp.mpmathify(value)):
+            raise ValueError(f"{name} must be finite, got {name} = {value}")
+
+
 def L_eval(u, eps, mpar: ModularParam) -> TransferMatrix:
     """The one-step transfer matrix; L(0) is the projection ((1,0),(1,0))."""
     with mp.workprec(mpar.precision_bits):
@@ -71,9 +78,11 @@ def L_eval(u, eps, mpar: ModularParam) -> TransferMatrix:
 
 
 def M_n_eval(u, n: int, eps, mpar: ModularParam, ctx: PrecCtx) -> TransferMatrix:
-    """M_n(u) = L(u) L(q^2 u) ... L(q^{2(n-1)} u) (ordered product)."""
+    """M_n(u) = L(u) L(q^2 u) ... L(q^{2(n-1)} u) (ordered product); a
+    non-finite u or eps raises ValueError."""
     if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _require_finite(u=u, eps=eps)
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
@@ -92,8 +101,10 @@ def chi_via_Minf(u, eps, mpar: ModularParam, ctx: PrecCtx):
     Stops once the a-priori q^{4n} decay of the discarded column is below
     tol relative to the first column, and the first column has stabilised.
     A nome built at fewer bits than ctx is refused, as by the chi series:
-    L_eval works at the nome's precision.
+    L_eval works at the nome's precision, and a non-finite u or eps raises
+    ValueError.
     """
+    _require_finite(u=u, eps=eps)
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         u = mp.mpmathify(u)
@@ -129,10 +140,12 @@ def R_orbit(z, R0, steps: int, eps, mpar: ModularParam, ctx: PrecCtx):
     the caller's seed R0 (on the reference trajectory, chi(z/q^2)/chi(z));
     it sums no chi.  A blow-up of the iteration (a denominator below tol of
     its scale) raises PoleSignal rather than silently returning huge
-    numbers; a nome coarser than ctx raises ValueError, as in the chi series.
+    numbers; a nome coarser than ctx, or a non-finite z, R0 or eps, raises
+    ValueError.
     """
     if not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    _require_finite(z=z, R0=R0, eps=eps)
     _check_nome_precision(mpar, ctx)
     with ctx.workprec():
         z = mp.mpmathify(z)
@@ -160,8 +173,12 @@ def classify_r_orbit(seq, ctx: PrecCtx) -> str:
     (the step-k amplification is ~ |q|^{-2(2k+1)}), so finite-precision
     seeds only track it for a handful of steps; classification reads the
     last element against a coarse margin and anything in between is
-    'critical' -- undecided, not an error.
+    'critical' -- undecided, not an error.  An empty orbit, or one that
+    ends on a non-finite value, raises ValueError.
     """
+    if not len(seq):
+        raise ValueError("classify_r_orbit needs a non-empty orbit")
+    _require_finite(last=seq[-1])
     last = abs(mp.mpmathify(seq[-1]))
     margin = 1e-6
     if abs(last - 1) < margin:

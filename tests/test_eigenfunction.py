@@ -16,7 +16,13 @@ from mirror_spectra.eigenfunction import (
     psi_eval,
     psi_residual,
 )
-from mirror_spectra.precision import ModularParam, PoleSignal, default_tol, make_context
+from mirror_spectra.precision import (
+    ModularParam,
+    PoleSignal,
+    PrecisionExceeded,
+    default_tol,
+    make_context,
+)
 from mirror_spectra.spectral import (
     SpectralPoint,
     _parity_indicator,
@@ -157,6 +163,22 @@ def test_unquantized_point_near_zero_signals(sheet1, mpar, ctx):
         for params in (p, even):
             with pytest.raises(ValueError, match="psi_eval needs a finite x"):
                 psi_eval(bad, params, ctx)
+
+
+def test_psi_past_the_double_range_raises_precision_exceeded(sheet1, mpar, ctx):
+    # psi_eval ranks the theta lattice in floats: an x past their range is
+    # refused by name, as x = 1e30 already is by the chi series
+    even, _ = sheet1
+    none = EigenfunctionParams(point=dataclasses.replace(even.point, parity=None),
+                               eta=even.eta, rho=None, mpar=mpar)
+    for p in (even, none):
+        for x in (mp.mpf("1e400"), mp.mpc(0, "1e400"), mp.mpc("1e400", "0.1")):
+            with pytest.raises(PrecisionExceeded, match="psi_eval at x = "):
+                psi_eval(x, p, ctx)
+    with pytest.raises(PrecisionExceeded, match="psi_eval at x = "):
+        psi_residual(mp.mpf("1e400"), even, ctx)
+    with pytest.raises(PrecisionExceeded):
+        psi_eval(mp.mpf("1e30"), even, ctx)
 
 
 def test_strip_analyticity(sheet1, ctx):
@@ -468,8 +490,66 @@ def test_pole_cancellation_detuned(sheet1, mpar, ctx):
     rep = pole_cancellation_check(p, ctx)
     with ctx.workprec():
         # the normalized numerator at u = s alone, as the report forms it
-        s = mp.exp(2 * mp.pi * mpar.b * mp.mpmathify(off.sigma))
-        t1, t2 = eigenfunction._numerator_terms(s, s, off.eps, p, ctx)
+        t1, t2 = eigenfunction._numerator_terms(mp.mpmathify(off.sigma), p, ctx)
         at_s = abs(t1 + t2) / max(abs(t1), abs(t2), 1)
     assert mp.mpf("1e-12") < at_s < mp.mpf("1e-4")
     assert rep.max_normalized < mp.mpf("1e-2")
+
+
+# ── the ansatz's pieces ───────────────────────────────────────────────────
+
+
+def test_prefactor_is_the_ansatz_exponential(sheet1, mpar, ctx):
+    # one exponential against the ansatz's two, formed at twice the bits
+    bound = mp.mpf(2) ** (16 - BITS)
+    for p in sheet1:
+        for x in (mp.mpf("0.37"), mp.mpf("-2.6"), mp.mpc("0.8", "0.45"),
+                  mp.mpc("-1.3", "-0.7")):
+            with ctx.workprec():
+                got = eigenfunction._prefactor(x, p)
+            with mp.workprec(2 * BITS):
+                sigma, xi = mp.mpmathify(p.point.sigma), p.point.parity
+                ref = (mp.exp(mp.pi * 1j * sigma ** 2 - xi * mp.pi * 1j / 4)
+                       * mp.exp(2 * mp.pi * p.eta * x + 1j * mp.pi * x * x) / mpar.b)
+                assert abs(got - ref) <= bound * abs(ref), (p.point.parity, x)
+
+
+def test_pole_numerators_are_the_products_at_u(all_states, ctx, monkeypatch):
+    # the report's x = sigma, sigma + i b, -sigma give u = s, q^2 s, 1/s
+    # (q^2 = e^{2 pi i b^2}) and, as |b| = 1, leave v = e^{2 pi b conj x} at
+    # conj sbar or its inverse.  Each product is matched to its own size or
+    # to its change per unit relative move of u and v, the larger: on sheet
+    # 2 chi(s) lies near a zero (|chi(s)| ~ 1e-5, |s chi'(s)| ~ 1), so at
+    # u = q^2 s the few roundings between the two routes to v move chi(v)
+    # by ~1e5 of its ulps
+    seen = []
+
+    def recorded(x, p, ctx):
+        seen.append(terms(x, p, ctx))
+        return seen[-1]
+    terms = eigenfunction._numerator_terms
+    monkeypatch.setattr(eigenfunction, "_numerator_terms", recorded)
+    bound = mp.mpf(2) ** (16 - BITS)
+    for p in all_states:
+        seen.clear()
+        rep = pole_cancellation_check(p, ctx)
+        with ctx.workprec():
+            mpar, eps, xi = p.mpar, p.point.eps, p.point.parity
+
+            def products(u, v):
+                return (chi_check_eval(u, eps, mpar, ctx) * mp.conj(chi_eval(v, eps, mpar, ctx)),
+                        xi * chi_eval(u, eps, mpar, ctx) * mp.conj(chi_check_eval(v, eps, mpar, ctx)))
+            sigma = mp.mpmathify(p.point.sigma)
+            s = mp.exp(2 * mp.pi * mpar.b * sigma)
+            sv = mp.exp(2 * mp.pi * mpar.b * mp.conj(sigma)) if mp.im(sigma) else s
+            q2 = mpar.q * mpar.q
+            d = mp.mpf(2) ** (8 - BITS)
+            assert len(seen) == 3
+            for got, (u, v) in zip(seen, ((s, sv), (q2 * s, sv), (1 / s, 1 / sv))):
+                ref = products(u, v)
+                for g, r, mu, mv in zip(got, ref, products(u * (1 + d), v),
+                                        products(u, v * (1 + d))):
+                    scale = max(abs(r), (abs(mu - r) + abs(mv - r)) / d)
+                    assert abs(g - r) <= bound * scale, (xi, u)
+            assert rep.max_normalized == max(abs(t1 + t2) / max(abs(t1), abs(t2), 1)
+                                             for t1, t2 in seen)

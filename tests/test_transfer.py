@@ -105,6 +105,37 @@ def test_transfer_refuses_a_coarse_nome():
         R_orbit(u, mp.mpf(1), 4, eps, coarse, ctx256)
 
 
+
+BAD = (mp.nan, mp.inf, mp.ninf, float("nan"), mp.mpc(0, mp.inf), mp.mpc("0.5", mp.nan))
+
+
+def test_transfer_refuses_non_finite_input(ctx192, mpar_pi4):
+    # NaN or infinite input used to come back as NaN matrices and orbits
+    # (which classify_r_orbit labelled "critical", or "zero" from R0 = inf),
+    # or, in chi_via_Minf, as 4096 factors before "did not settle"
+    u, eps, r0 = mp.mpf("0.7"), mp.mpc("1.1", "0.3"), mp.mpf(1)
+    for bad in BAD:
+        with pytest.raises(ValueError, match="u must be finite"):
+            M_n_eval(bad, 3, eps, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            M_n_eval(u, 3, bad, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="u must be finite"):
+            chi_via_Minf(bad, eps, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            chi_via_Minf(u, bad, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            chi_via_Minf(0, bad, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="z must be finite"):
+            R_orbit(bad, r0, 4, eps, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="R0 must be finite"):
+            R_orbit(u, bad, 4, eps, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            R_orbit(u, r0, 4, bad, mpar_pi4, ctx192)
+        with pytest.raises(ValueError, match="last must be finite"):
+            classify_r_orbit([mp.mpf("0.5"), bad], ctx192)
+    with pytest.raises(ValueError, match="non-empty orbit"):
+        classify_r_orbit([], ctx192)
+
 # ── infinite product ──────────────────────────────────────────────────────
 
 
