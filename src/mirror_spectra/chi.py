@@ -228,15 +228,19 @@ def _qtable(q, bits: int) -> _QTable:
 
 
 class _ChiTable:
-    """chi_n(eps) and dchi_n/deps for n = 0 .. len(chi) - 1 at one (eps, q,
-    working precision), in integer form, shared by every series, Wronskian
-    and residue pass at that state.  grow appends one term, and with it the
-    q-table's c_n and f_n where no table has formed them yet; a consumer
-    calls it only when it asks for a term not yet formed, so a state summed
-    before costs no recursion, a new one costs what running the recursion
-    does, and a non-finite eps raises as the table is built.  It runs the
+    """chi_n(eps) for n = 0 .. len(chi) - 1 and dchi_n/deps for n = 0 ..
+    len(dchi) - 1 at one (eps, q, working precision), in integer form,
+    shared by every series, Wronskian and residue pass at that state.  grow
+    appends one chi_n, and with it the q-table's c_n and f_n where no table
+    has formed them yet; grow_slopes appends the derivatives up to a given
+    n, which only the slope readers (_wronskian_sums and the series with
+    slopes) ask for, so a value reader forms none.  A consumer calls each
+    only when it asks for a term not yet formed, so a state summed before
+    costs no recursion, a new one costs what running the recursion does,
+    and a non-finite eps raises as the table is built.  It runs the
     recursion on the integer core, rounding where the mpc operators round,
-    so every value is bit-identical to the recursion run afresh in mpmath.
+    so every value is bit-identical to the recursion run afresh in mpmath,
+    however late its derivative is formed.
     """
 
     def __init__(self, eps_pair, q_pair, bits: int):
@@ -248,18 +252,25 @@ class _ChiTable:
         self.dchi = [_ZERO, _ONE]
 
     def grow(self) -> None:
-        """Append chi_n and its eps-derivative, n = len(chi), at the current
-        working precision (eps is finite: __init__ refuses any other)."""
-        chi, dchi, qtab = self.chi, self.dchi, self.qtab
-        eps = chi[1]
+        """Append chi_n, n = len(chi), at the current working precision (eps
+        is finite: __init__ refuses any other)."""
+        chi, qtab = self.chi, self.qtab
         n = len(chi)
         if n >= len(qtab.f):  # grow's workprec is a libmp call: not per term
             qtab.grow(n)
-        cn = qtab.c[n - 1]
         prec = mp.prec
-        chi.append(_cadd(_cmul(eps, chi[n - 1], prec), _cmul(cn, chi[n - 2], prec), prec))
-        dchi.append(_cadd(_cadd(chi[n - 1], _cmul(eps, dchi[n - 1], prec), prec),
-                          _cmul(cn, dchi[n - 2], prec), prec))
+        chi.append(_cadd(_cmul(chi[1], chi[n - 1], prec),
+                         _cmul(qtab.c[n - 1], chi[n - 2], prec), prec))
+
+    def grow_slopes(self, n: int) -> None:
+        """Append dchi_k/deps for k = len(dchi) .. n at the current working
+        precision; chi must hold chi_{n-1}."""
+        chi, dchi, c = self.chi, self.dchi, self.qtab.c
+        eps = chi[1]
+        prec = mp.prec
+        for k in range(len(dchi), n + 1):
+            dchi.append(_cadd(_cadd(chi[k - 1], _cmul(eps, dchi[k - 1], prec), prec),
+                              _cmul(c[k - 1], dchi[k - 2], prec), prec))
 
 
 @functools.lru_cache(maxsize=2)  # the states in hand; each Newton step is a new eps
@@ -272,8 +283,8 @@ def _chitable(eps_pair, q_pair, bits: int) -> _ChiTable:
 
 def chi_poly_seq(eps, mpar: ModularParam, N: int, ctx: PrecCtx):
     """chi_{q,0..N}(eps) at a numeric eps: chi_0 = 1, chi_1 = eps itself,
-    and from n = 2 an mpc (q is complex).  Their eps-derivatives stay in
-    the recursion table, which _wronskian_sums reads."""
+    and from n = 2 an mpc (q is complex).  Their eps-derivatives are formed in
+    the recursion table only for the slope readers (_wronskian_sums)."""
     if not isinstance(N, numbers.Integral) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     with ctx.workprec():
@@ -340,6 +351,8 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, slopes: bool = False):
             for n in range(_MAX_TERMS):
                 if n == len(chi):  # no consumer has asked for chi_n before
                     tab.grow()
+                if slopes and n == len(dchi):
+                    tab.grow_slopes(n)
                 x = chi[n]
                 coeff = _cmul(up, f[n], prec)
                 t = _cmul(coeff, x, prec)
@@ -397,6 +410,8 @@ def _wronskian_sums(eps, mpar: ModularParam, ctx: PrecCtx):
         for n in range(_MAX_TERMS):
             if n == len(chi):
                 tab.grow()
+            if n == len(dchi):
+                tab.grow_slopes(n)
             if n == len(k1):
                 qtab.grow_k(n)
             x, dx = chi[n], dchi[n]

@@ -37,8 +37,10 @@ by G_eval's pole test (chi._g_ratio), and W_sigma from the slopes of E
 and O that its one precision._theta_eo call per step also returns.
 quantize starts it from each bracket's secant point; spectrum runs
 trace_orbit and quantize at 64 bits and starts it at the working
-precision from each 64-bit state.  A state at the working
-precision that fails reruns the whole job there.
+precision from each 64-bit state.  Where the state solver stops on its
+predicted error at the working precision, the 64-bit stage runs at the
+navigator tol 2^-16: it only finds the brackets and the starts.  A state
+at the working precision that fails reruns the whole job there.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
@@ -73,6 +75,14 @@ from .precision import (
 
 _MAX_NEWTON = 80
 _MAX_HALVINGS = 24
+
+# The coarse stage's tol where the states are set by the state solver's
+# predicted stop (_predicts): it only has to find the grid brackets and the
+# starting states.  Newton doubles the correct bits per step (Brent and
+# Zimmermann, Modern Computer Arithmetic, 2010, 4.2), so a start with 16
+# correct bits reaches b bits in ceil(log2(b / 16)) steps: 3 at 128 bits,
+# 4 at 256.
+_NAVIGATOR_TOL = 2.0 ** -16
 
 
 # ── containers ────────────────────────────────────────────────────────────
@@ -383,6 +393,21 @@ def _parity_indicator(sigma, eps, parity: int, mpar: ModularParam, ctx: PrecCtx)
     return _indicator(G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx), parity)
 
 
+def _predicts(ctx: PrecCtx) -> bool:
+    """Whether tol is at least precision_bits * finest_tol: clear of the
+    indicator's rounding floor (about 2 finest_tol at 64 and 128 bits), so
+    that _state stops on the error predicted for its last step, and its
+    start moves the state it returns only within tol."""
+    return ctx.tol >= ctx.precision_bits * ctx.finest_tol
+
+
+def _coarse_context(ctx: PrecCtx) -> PrecCtx:
+    """The context of spectrum's coarse stage for a job at ctx: _MIN_BITS
+    bits, at _NAVIGATOR_TOL where _state predicts its stop at ctx, and at
+    the _MIN_BITS default tol otherwise."""
+    return make_context(_MIN_BITS, _NAVIGATOR_TOL if _predicts(ctx) else None)
+
+
 def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
            ctx: PrecCtx):
     """The state of the given parity in the grid bracket (lo, hi), by
@@ -421,8 +446,7 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
 
     A step's size, in units of tol, is the largest of |dsigma| / max(sin
     theta, 1), |deps| / max(|eps|, 1) and |indicator|.  Where tol is at
-    least precision_bits * finest_tol, clear of the indicator's rounding
-    floor (about 2 finest_tol at 64 and 128 bits), it returns the last
+    least precision_bits * finest_tol (_predicts), it returns the last
     point plus its step, without evaluating it, once the error predicted
     for that point is within tol (precision._predicted_stop on the sizes
     of the last two Newton steps; a secant point starts the count again).
@@ -452,8 +476,7 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
         reached = min((abs(f) for f in (fa, fb) if f is not None), default=mp.inf)
         sigma, eps = start or (None, None)
         last, floor, prev, idle = mp.inf, False, None, 0
-        # tol this far above finest_tol clears the indicator's rounding floor
-        predict = tol >= ctx.precision_bits * ctx.finest_tol
+        predict = _predicts(ctx)
 
         def exceeded(why):
             return PrecisionExceeded(
@@ -575,13 +598,18 @@ def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
     Above _MIN_BITS bits, the floor PrecCtx accepts, the coarse stage runs
     trace_orbit and quantize at _MIN_BITS with mpar.at(_MIN_BITS), and
     _state takes each coarse state to ctx, starting from it, inside its
-    64-bit grid bracket: 2 steps per state at 128 bits and 2-3 at 256.  At _MIN_BITS, or
-    where the coarse stage or a state at ctx raises SolverError, the job
-    runs at ctx as written above, so its states and errors are that path's.
+    64-bit grid bracket.  Where _state stops on its predicted error at ctx
+    (_predicts), the coarse stage runs at _NAVIGATOR_TOL, and each state
+    takes at most ceil(log2(bits / 16)) steps (2, 3 and 4 at 128, 256 and
+    512 bits on sheets 2 and 3 at pi/4); below that tol the start can move
+    the state, and the coarse stage keeps the _MIN_BITS default tol
+    (_coarse_context).  At _MIN_BITS, or where the coarse stage or a state
+    at ctx raises SolverError, the job runs at ctx as written above, so its
+    states and errors are that path's.
     """
     _check_nome_precision(mpar, ctx)
     if ctx.precision_bits > _MIN_BITS:
-        coarse_ctx = make_context(_MIN_BITS)
+        coarse_ctx = _coarse_context(ctx)
         coarse_mpar = mpar.at(_MIN_BITS)
         try:
             orbit = trace_orbit(sheet, npoints, coarse_mpar, coarse_ctx)

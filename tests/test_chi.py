@@ -655,9 +655,11 @@ class _FreshTable:
 
 def _grown(eps, q, n):
     # the shared table of eps and q at the working precision, grown to n terms
+    # and their eps-derivatives
     tab = _chitable(_parts(eps), _parts(q), mp.prec)
     while len(tab.chi) < n:
         tab.grow()
+    tab.grow_slopes(n - 1)
     return tab
 
 
@@ -693,7 +695,10 @@ def _state(theta, bits):
 @pytest.mark.parametrize("bits", (128, 192, 256))
 def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
     # every consumer of the table, cold (cleared before each) and warm
-    # (grown by the others, in two orders), against the table-free recursion
+    # (grown by the others, in two orders), against the table-free recursion.
+    # In the first warm order the value series grow chi past every term the
+    # slope readers ask for before any dchi_n/deps is formed: the slopes are
+    # grown late, and still bit for bit
     ctx, mpar, sigma, eps = _state(theta, bits)
     with ctx.workprec():
         p = EigenfunctionParams(
@@ -710,6 +715,7 @@ def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
         lambda: wronskian_residue(eps, mpar, ctx),
         lambda: [psi_eval(x, p, ctx) for x in xs],
         lambda: factorize(sigma, eps, mpar, ctx),
+        lambda: [_chi_series(v, eps, mpar, ctx, slopes=True) for v in us],
     )
     with monkeypatch.context() as m:
         m.setattr(chi, "_chitable", _FreshTable)
@@ -719,11 +725,34 @@ def test_recursion_table_is_bitwise(bits, theta, monkeypatch):
         _chitable.cache_clear()
         cold.append(_bits(f()))
     _chitable.cache_clear()
-    warm = [_bits(f()) for f in consumers]
+    warm = [_bits(consumers[0]())]
+    tab = _table(eps, mpar, bits)
+    assert len(tab.dchi) == 2 < len(tab.chi)
+    warm += [_bits(f()) for f in consumers[1:]]
     warm_reversed = [_bits(f()) for f in reversed(consumers)][::-1]
     assert cold == ref
     assert warm == ref
     assert warm_reversed == ref
+
+
+def test_value_readers_form_no_slopes():
+    # G_eval on a fresh eps sums two value series and forms no dchi_n/deps;
+    # the Wronskian sums then form the derivatives of their own terms alone,
+    # fewer than the series read, and a series with slopes those of the
+    # terms it reads
+    ctx, mpar, sigma, eps = _state("pi/4", 128)
+    with ctx.workprec():
+        s = mp.exp(2 * mp.pi * mpar.b * sigma)
+        _chitable.cache_clear()
+        G_eval(s, eps, mpar, ctx)
+        tab = _table(eps, mpar, ctx.precision_bits)
+        terms = len(tab.chi)
+        assert len(tab.dchi) == 2 < terms
+        wronskian_residue(eps, mpar, ctx)
+        assert 2 < len(tab.dchi) < terms == len(tab.chi)
+        _chi_series(s, eps, mpar, ctx, slopes=True)
+        assert len(tab.dchi) == terms == len(tab.chi)
+    _chitable.cache_clear()
 
 
 def test_recursion_table_keys_isolate():

@@ -13,6 +13,7 @@ from mirror_spectra.precision import (
     PrecisionExceeded,
     SolverError,
     _theta_eo,
+    default_tol,
     make_context,
     pochhammer_q,
     theta1,
@@ -868,20 +869,28 @@ def states2_128(sheet2_128):
 
 @pytest.fixture(scope="module")
 def coarse_pi4():
-    # spectrum's coarse stage for sheets 2 and 3 at pi/4: each 64-bit state
-    # with the 64-bit grid bracket spectrum takes it to any precision in
-    ctx64 = make_context(64)
-    mpar64 = ModularParam.from_theta("pi/4", ctx64)
-    out = {}
-    for sheet in (2, 3):
-        orbit = trace_orbit(sheet, 48, mpar64, ctx64)
-        nodes = [sig for sig, _ in orbit.samples]
-        out[sheet] = []
-        for pt in quantize(orbit, (1, -1), mpar64, ctx64):
-            i = bisect.bisect_left(nodes, pt.sigma)
-            lo, hi = ((sig, eps, None) for sig, eps in orbit.samples[i - 1:i + 1])
-            out[sheet].append((lo, hi, pt))
-    return out
+    # coarse(sheet, ctx): spectrum's coarse stage for a 48-point job at pi/4
+    # at ctx, each 64-bit state with the 64-bit grid bracket spectrum takes
+    # it to ctx in.  Above 64 bits its context is the one spectrum builds
+    # (spectral._coarse_context); at 64 bits, where the job is quantize's
+    # own, it is make_context(64).  Each stage is run once per module
+    stages = {}
+
+    def coarse(sheet, ctx):
+        ctx64 = (make_context(64) if ctx.precision_bits == 64
+                 else spectral._coarse_context(ctx))
+        if (sheet, ctx64) not in stages:
+            mpar64 = ModularParam.from_theta("pi/4", ctx64)
+            orbit = trace_orbit(sheet, 48, mpar64, ctx64)
+            nodes = [sig for sig, _ in orbit.samples]
+            stages[sheet, ctx64] = out = []
+            for pt in quantize(orbit, (1, -1), mpar64, ctx64):
+                i = bisect.bisect_left(nodes, pt.sigma)
+                lo, hi = ((sig, eps, None) for sig, eps in orbit.samples[i - 1:i + 1])
+                out.append((lo, hi, pt))
+        return stages[sheet, ctx64]
+
+    return coarse
 
 
 def _at_ctx(coarse, mpar, ctx):
@@ -897,7 +906,7 @@ def test_coarse_bracket_signs_are_read_when_left(coarse_pi4, monkeypatch):
     # state is the one found from the coarse state
     ctx = make_context(128)
     mpar = ModularParam.from_theta("pi/4", ctx)
-    lo, hi, pt = coarse_pi4[2][0]
+    lo, hi, pt = coarse_pi4(2, ctx)[0]
     want = _at_ctx([(lo, hi, pt)], mpar, ctx)
     calls = _count_g(monkeypatch)
     got = spectral._state(lo, hi, lo[:2], pt.parity, 2, mpar, ctx)
@@ -907,15 +916,17 @@ def test_coarse_bracket_signs_are_read_when_left(coarse_pi4, monkeypatch):
 
 
 def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypatch):
-    # the six states come from the 64-bit spectrum, each taken to 128 bits
-    # from its coarse state in at most three Newton steps, with no eps solve
-    # on the curve and no fallback, and they are the full-precision path's
-    # within tol.  This is perfbench's spectrum_s2 job, and its counts
-    # repeat: Newton stops on its predicted error, so neither the orbit's
-    # solves nor the state solver spend an evaluation to confirm their
-    # last step, and a state step sums each chi series once, with its eps
-    # and u derivatives.  Stopping on the step itself, with four series
-    # per step, took 150 W passes, 32 state steps and 128 series
+    # the six states come from the 64-bit spectrum at the navigator tol
+    # 2^-16, each taken to 128 bits from its coarse state in at most three
+    # Newton steps, with no eps solve on the curve and no fallback, and they
+    # are the full-precision path's within tol.  This is perfbench's
+    # spectrum_s2 job, and its counts repeat: Newton stops on its predicted
+    # error, so neither the orbit's solves nor the state solver spend an
+    # evaluation to confirm their last step, and a state step sums each chi
+    # series once, with its eps and u derivatives.  Stopping on the step
+    # itself, with four series per step, took 150 W passes, 32 state steps
+    # and 128 series; a coarse stage at the 64-bit default tol 1e-11 took
+    # 120, 27 and 54
     ctx128, mpar128, *_ = sheet2_128
     passes = _count_passes(monkeypatch)
     states = _count_states(monkeypatch)
@@ -930,7 +941,7 @@ def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypat
     assert sum(steps for steps, _ in fine) <= 3 * len(pts)
     assert sum(solves for _, solves in fine) == 0
     steps = sum(steps for _, _, steps, _ in states)
-    assert (len(passes), steps, len(series)) == (120, 27, 54)
+    assert (len(passes), steps, len(series)) == (77, 24, 48)
     _assert_states_within_tol(pts, states2_128, mpar128, ctx128)
 
 
@@ -990,17 +1001,59 @@ def test_spectrum_at_64_bits_is_the_job_itself(monkeypatch):
                                         (2, 384), (3, 128)))
 def test_polished_states_rung(coarse_pi4, sheet, bits):
     # the states at each rung against the same states at twice the bits,
-    # sigma and eps alike: at 64 bits quantize's own, above it the 64-bit
-    # states taken to the rung.  Sheet 3 is the eps bound: eps moves by
-    # about 2 pi |eps| per unit sigma there, so a stop on sigma alone left
+    # sigma and eps alike: at 64 bits quantize's own, above it spectrum's
+    # coarse states taken to the rung.  Sheet 3 is the eps bound: eps moves
+    # by about 2 pi |eps| per unit sigma there, so a stop on sigma alone left
     # its eps 1.9 tol |eps| off; the state solver also stops on |deps|
     ctx, ref_ctx = make_context(bits), make_context(2 * bits)
     mpar = ModularParam.from_theta("pi/4", ctx)
-    coarse = coarse_pi4[sheet]
+    coarse = coarse_pi4(sheet, ctx)
     pts = [pt for _, _, pt in coarse] if bits == 64 else _at_ctx(coarse, mpar, ctx)
-    ref = _at_ctx(coarse, ModularParam.from_theta("pi/4", ref_ctx), ref_ctx)
+    ref = _at_ctx(coarse_pi4(sheet, ref_ctx), ModularParam.from_theta("pi/4", ref_ctx),
+                  ref_ctx)
     assert len(pts) == (6 if sheet == 2 else 10)
     _assert_states_within_tol(pts, ref, mpar, ctx)
+
+
+def _coarse_tols(monkeypatch):
+    # the tol of each context trace_orbit runs at
+    tols = []
+    original = spectral.trace_orbit
+
+    def recorded(k, npoints, mpar, ctx):
+        tols.append(ctx.tol)
+        return original(k, npoints, mpar, ctx)
+
+    monkeypatch.setattr(spectral, "trace_orbit", recorded)
+    return tols
+
+
+@pytest.mark.parametrize("theta", ("pi/8", "pi/4", "3*pi/8"))
+def test_spectrum_from_the_navigator_is_the_full_path(theta, monkeypatch):
+    # at the 128-bit default tol the coarse stage runs at the navigator tol
+    # 2^-16, and on sheets 2 and 3 spectrum still gives the full-precision
+    # path's states: the same count and parities, each within tol
+    ctx = make_context(128)
+    mpar = ModularParam.from_theta(theta, ctx)
+    for sheet in (2, 3):
+        full = quantize(trace_orbit(sheet, 48, mpar, ctx), (1, -1), mpar, ctx)
+        with monkeypatch.context() as m:
+            tols = _coarse_tols(m)
+            pts = spectrum(sheet, 48, (1, -1), mpar, ctx)
+        assert tols == [mp.mpf(2) ** -16]
+        assert len(pts) == len(full) > 0
+        _assert_states_within_tol(pts, full, mpar, ctx)
+
+
+def test_spectrum_below_the_predicted_stop_keeps_the_64_bit_default(monkeypatch):
+    # at 64 finest_tol the state solver stops on its own tests, not the
+    # predicted error, and its start can move the state: the coarse stage
+    # keeps make_context(64)'s tol
+    ctx = make_context(128, 64 * make_context(128).finest_tol)
+    mpar = ModularParam.from_theta("pi/4", ctx)
+    tols = _coarse_tols(monkeypatch)
+    spectrum(2, 16, (1, -1), mpar, ctx)
+    assert tols == [default_tol(64)]
 
 
 # ── factorization ─────────────────────────────────────────────────────────
