@@ -152,11 +152,6 @@ def _cadd(z, w, prec):
     return _add(z[0], z[1], w[0], w[1], prec) + _add(z[2], z[3], w[2], w[3], prec)
 
 
-def _cmul_int(z, k, prec):
-    """mpc_mul_int."""
-    return _add(z[0] * k, z[1], 0, 0, prec) + _add(z[2] * k, z[3], 0, 0, prec)
-
-
 def _log2_ints(z) -> float:
     """log2 |z| of an integer form as a float, -inf at 0: each part is exp +
     log2 of its odd mantissa (Python's integer log2, so no exponent
@@ -359,7 +354,8 @@ def _chi_series(u, eps, mpar: ModularParam, ctx: PrecCtx, slopes: bool = False):
                 s = _cadd(s, t, prec)
                 if slopes:
                     ds = _cadd(ds, _cmul(coeff, dchi[n], prec), prec)
-                    us = _cadd(us, _cmul(coeff, _cmul_int(x, n, prec), prec), prec)
+                    nx = _cmul(x, (n, 0, 0, 0), prec)
+                    us = _cadd(us, _cmul(coeff, nx, prec), prec)
                 la = _log2_ints(t)
                 if la > ltmax:
                     ltmax = la

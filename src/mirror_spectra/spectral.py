@@ -31,22 +31,23 @@ solver steps and interpolates eps geometrically too.
 One routine, _state, finds every state: Newton's method on the bordered
 system W = 0, arg G = target in (sigma, eps) (Allgower and Georg,
 Introduction to Numerical Continuation Methods, 2003), kept inside a grid
-bracket whose indicator signs are known (Numerical Recipes, 3rd ed., 9.4).
+bracket whose indicator signs are known (Numerical Recipes, 3rd ed., 9.4),
+or inside a window that a step may not leave.
 It forms G from the chi series at s and 1/s that also give its derivatives,
 by G_eval's pole test (chi._g_ratio), and W_sigma from the slopes of E
 and O that its one precision._theta_eo call per step also returns.
 quantize starts it from each bracket's secant point; spectrum runs
 trace_orbit and quantize at 64 bits and starts it at the working
-precision from each 64-bit state.  Where the state solver stops on its
-predicted error at the working precision, the 64-bit stage runs at the
-navigator tol 2^-16: it only finds the brackets and the starts.  A state
-at the working precision that fails reruns the whole job there.
+precision from each 64-bit state, in the window of one grid step either
+side of it.  Where the state solver stops on its predicted error at the
+working precision, the 64-bit stage runs at the navigator tol 2^-16: it
+only finds the states' starts.  A state at the working precision that
+fails reruns the whole job there.
 
 Endpoints sigma = 0 and sigma = sin theta carry double poles and are
 excluded from the spectrum.
 """
 
-import bisect
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -315,8 +316,9 @@ def _advance(sigma, target, eps, lam, sheet: int, mpar: ModularParam,
     (near-degenerate sheet pairs keep Newton slow at any step size).
     Giving up is not a failure: only a SolverError from the last solve
     above the floor, or from the solve at the floor, aborts the
-    continuation, and so does a jump of eps by more than half its size in
-    one sub-step, or eps = 0, where its log is undefined.
+    continuation, naming that solve's sigma and its error, and so does a
+    jump of eps by more than half its size in one sub-step, or eps = 0,
+    where its log is undefined.
     """
     floor = (target - sigma) / 4096
     sth = sin_theta(mpar)
@@ -330,18 +332,17 @@ def _advance(sigma, target, eps, lam, sheet: int, mpar: ModularParam,
             seed = eps * (1 + h * lam if nxt == sth else mp.exp(h * lam))
             try:
                 cand = _solve_eps(nxt, seed, mpar, ctx, fast=h > floor)
-                failed = False
-            except SolverError:
-                cand, failed = None, True
+            except SolverError as exc:
+                if h / 2 < floor:
+                    raise SolverError(
+                        f"continuation failed on sheet {sheet} at sigma = "
+                        f"{mp.nstr(nxt, 8)}: {exc}"
+                    ) from exc
+                cand = None
             if cand is not None:
                 break
             h /= 2
             nxt = sigma + h
-            if h < floor and failed:
-                raise SolverError(
-                    f"continuation failed on sheet {sheet} at sigma = "
-                    f"{mp.nstr(nxt, 8)}"
-                )
         if abs(cand - eps) > mp.mpf("0.5") * (1 + max(abs(cand), abs(eps))):
             raise SolverError(
                 f"continuation jump on sheet {sheet} at sigma = "
@@ -388,11 +389,6 @@ def _indicator(g, parity: int):
     return g.real if parity == 1 else g.imag
 
 
-def _parity_indicator(sigma, eps, parity: int, mpar: ModularParam, ctx: PrecCtx):
-    """The indicator at s(sigma) with G from the independent G_eval."""
-    return _indicator(G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx), parity)
-
-
 def _predicts(ctx: PrecCtx) -> bool:
     """Whether tol is at least precision_bits * finest_tol: clear of the
     indicator's rounding floor (about 2 finest_tol at 64 and 128 bits), so
@@ -410,14 +406,15 @@ def _coarse_context(ctx: PrecCtx) -> PrecCtx:
 
 def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
            ctx: PrecCtx):
-    """The state of the given parity in the grid bracket (lo, hi), by
+    """The state of the given parity in the bracket (lo, hi), by
     Newton's method on the bordered system W(s(sigma), eps) = 0,
     Im L(sigma, eps) = target (mod pi), L = log G, kept inside the bracket.
 
-    lo and hi are (sigma, eps, indicator) with indicators of opposite signs;
-    spectrum's coarse brackets give None for both, and G_eval reads them
-    once a step first leaves the bracket.  Newton starts from start =
-    (sigma, eps), or from the bracket's secant point when start is None.
+    lo and hi are (sigma, eps, indicator) with indicators of opposite signs,
+    or, for spectrum's window around a coarse state, (sigma, None, None):
+    a step, or a start, outside such a window raises SolverError naming it.
+    Newton starts from start = (sigma, eps), or from the bracket's secant
+    point when start is None.
     The target is pi/2 for even states and 0 for odd ones.  Eliminating
     deps with the first equation leaves one real step:
 
@@ -437,12 +434,13 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
     then sends the next step astray (sheet 3 at 3 pi/8 on 16 points
     wandered for _MAX_NEWTON steps).
 
-    A step that leaves the bracket goes to the bracket's secant point
-    instead, with eps solved on the curve from the geometric interpolation
-    eps_a (eps_b / eps_a)^t, t = (c - a) / (b - a), of the ends' eps, exact
-    on the sheet's spiral (_spiral) as _advance's seed is.  Only such
-    on-curve points move the bracket's ends: G is steep in eps, so the
-    indicator's sign at an iterate off the curve is not to be trusted.
+    A step that leaves a bracket with indicators goes to the bracket's
+    secant point instead, with eps solved on the curve from the geometric
+    interpolation eps_a (eps_b / eps_a)^t, t = (c - a) / (b - a), of the
+    ends' eps, exact on the sheet's spiral (_spiral) as _advance's seed
+    is.  Only such on-curve points move the bracket's ends: G is steep in
+    eps, so the indicator's sign at an iterate off the curve is not to be
+    trusted.
 
     A step's size, in units of tol, is the largest of |dsigma| / max(sin
     theta, 1), |deps| / max(|eps|, 1) and |indicator|.  Where tol is at
@@ -497,8 +495,9 @@ def _state(lo, hi, start, parity: int, sheet: int, mpar: ModularParam,
             on_curve = sigma is None or not a < sigma < b
             if on_curve:
                 if fa is None:
-                    fa, fb = (_parity_indicator(c, e, parity, mpar, ctx)
-                              for c, e in ((a, ea), (b, eb)))
+                    raise SolverError(
+                        f"state solver on sheet {sheet}, parity {parity:+d} left its "
+                        f"bracket [{mp.nstr(a, 10)}, {mp.nstr(b, 10)}]")
                 if b <= a or fb == fa:
                     raise exceeded(f"collapsed its bracket at sigma = "
                                    f"{mp.nstr(a, 10)}")
@@ -597,15 +596,16 @@ def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
 
     Above _MIN_BITS bits, the floor PrecCtx accepts, the coarse stage runs
     trace_orbit and quantize at _MIN_BITS with mpar.at(_MIN_BITS), and
-    _state takes each coarse state to ctx, starting from it, inside its
-    64-bit grid bracket.  Where _state stops on its predicted error at ctx
-    (_predicts), the coarse stage runs at _NAVIGATOR_TOL, and each state
-    takes at most ceil(log2(bits / 16)) steps (2, 3 and 4 at 128, 256 and
-    512 bits on sheets 2 and 3 at pi/4); below that tol the start can move
-    the state, and the coarse stage keeps the _MIN_BITS default tol
-    (_coarse_context).  At _MIN_BITS, or where the coarse stage or a state
-    at ctx raises SolverError, the job runs at ctx as written above, so its
-    states and errors are that path's.
+    _state takes each coarse state to ctx, starting from it, inside the
+    window of one 64-bit grid step either side of it: quantize brackets no
+    end cell, so the window lies inside [0, sin theta].  Where _state stops
+    on its predicted error at ctx (_predicts), the coarse stage runs at
+    _NAVIGATOR_TOL, and each state takes at most ceil(log2(bits / 16))
+    steps (2, 3 and 4 at 128, 256 and 512 bits on sheets 2 and 3 at pi/4);
+    below that tol the start can move the state, and the coarse stage keeps
+    the _MIN_BITS default tol (_coarse_context).  At _MIN_BITS, or where
+    the coarse stage or a state at ctx raises SolverError, the job runs at
+    ctx as written above, so its states and errors are that path's.
     """
     _check_nome_precision(mpar, ctx)
     if ctx.precision_bits > _MIN_BITS:
@@ -613,11 +613,10 @@ def spectrum(sheet: int, npoints: int, parities: tuple, mpar: ModularParam,
         coarse_mpar = mpar.at(_MIN_BITS)
         try:
             orbit = trace_orbit(sheet, npoints, coarse_mpar, coarse_ctx)
-            nodes = [sig for sig, _ in orbit.samples]
+            step = orbit.samples[1][0]
             points = []
             for pt in quantize(orbit, parities, coarse_mpar, coarse_ctx):
-                i = bisect.bisect_left(nodes, pt.sigma)
-                lo, hi = (node + (None,) for node in orbit.samples[i - 1:i + 1])
+                lo, hi = (pt.sigma - step, None, None), (pt.sigma + step, None, None)
                 points.append(_state(lo, hi, (pt.sigma, pt.eps), pt.parity, sheet,
                                      mpar, ctx))
             return points

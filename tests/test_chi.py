@@ -25,7 +25,6 @@ from mirror_spectra.chi import (
     _chi_series,
     _chitable,
     _cmul,
-    _cmul_int,
     _ints,
     _log2_ints,
     _mpc,
@@ -950,7 +949,9 @@ def test_integer_core_complex_ops_are_libmp(case):
     assert _mpc(iz)._mpc_ == z
     assert _cmul(iz, iw, prec) == _ints(mpc_mul(z, w, prec, round_nearest))
     assert _cadd(iz, iw, prec) == _ints(mpc_add(z, w, prec, round_nearest))
-    assert _cmul_int(iz, k, prec) == _ints(mpc_mul_int(z, k, prec, round_nearest))
+    # an integer multiplier as the integer form (k, 0, 0, 0): the zero
+    # products leave each part rounded once, as mpc_mul_int rounds it
+    assert _cmul(iz, (k, 0, 0, 0), prec) == _ints(mpc_mul_int(z, k, prec, round_nearest))
     if iz[0] or iz[2]:
         with mp.workprec(prec):
             want = mp.log(abs(mp.make_mpc(z)), 2)
@@ -1046,7 +1047,8 @@ def test_wronskian_oracle_sums_four_value_series(ctx192, mpar_pi4, monkeypatch):
 def test_chi_series_sums_its_slopes_only_on_request(ctx192, mpar_pi4, monkeypatch):
     # over a warm table, a value-only series forms 3 complex products (u^n,
     # its prefactor and the term) and 1 complex sum per term; with slopes
-    # it forms 5 and 3, the two slope sums added.  The last term forms no
+    # it forms 6 and 3, the two slope sums added, the u-slope's n chi_n a
+    # product by the integer form (n, 0, 0, 0).  The last term forms no
     # next power of u, so each series has one product fewer
     with ctx192.workprec():
         eps = mp.mpc("-4.2", "6.1")
@@ -1066,7 +1068,7 @@ def test_chi_series_sums_its_slopes_only_on_request(ctx192, mpar_pi4, monkeypatc
     for u in us:
         n = _chi_incremental(u, eps, mpar_pi4, ctx192)[2] + 1
         terms.append(n)
-        for slopes, want in ((False, (3 * n - 1, n)), (True, (5 * n - 1, 3 * n))):
+        for slopes, want in ((False, (3 * n - 1, n)), (True, (6 * n - 1, 3 * n))):
             counts.update(mul=0, add=0)
             _chi_series(u, eps, mpar_pi4, ctx192, slopes=slopes)
             assert (counts["mul"], counts["add"]) == want, (u, slopes)

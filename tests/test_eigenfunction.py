@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from mirror_spectra import chi, eigenfunction
-from mirror_spectra.chi import chi_check_eval, chi_eval
+from mirror_spectra.chi import G_eval, chi_check_eval, chi_eval
 from mirror_spectra.eigenfunction import (
     EigenfunctionParams,
     _psi_raw,
@@ -25,7 +25,8 @@ from mirror_spectra.precision import (
 )
 from mirror_spectra.spectral import (
     SpectralPoint,
-    _parity_indicator,
+    _indicator,
+    _sigma_to_s,
     _solve_eps,
     _state,
     quantize,
@@ -253,6 +254,11 @@ def lattice_reference():
     _lattice_and_offsets, by _circle_mean."""
     ctx, mpar, point, xs = _even_state(REF_BITS)
     return _circle_mean(point, mpar, ctx, xs)
+
+
+def _parity_indicator(sigma, eps, parity, mpar, ctx):
+    # the indicator at s(sigma) with G from the independent G_eval
+    return _indicator(G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx), parity)
 
 
 def _odd_reference_point(ctx, mpar):

@@ -1,8 +1,6 @@
 """Wronskian solver: functional relations, Newton root-finding, sheet
 continuation, quantization, and the theta-function factorization."""
 
-import bisect
-
 import pytest
 from mpmath import mp
 
@@ -20,7 +18,7 @@ from mirror_spectra.precision import (
 )
 from mirror_spectra.spectral import (
     Orbit,
-    _parity_indicator,
+    _indicator,
     _sigma_to_s,
     _solve_eps,
     _wronskian_parts,
@@ -40,6 +38,11 @@ from mirror_spectra.spectral import (
 @pytest.fixture(scope="module")
 def ctx():
     return make_context(192, 1e-40)
+
+
+def _parity_indicator(sigma, eps, parity, mpar, ctx):
+    # the indicator at s(sigma) with G from the independent G_eval
+    return _indicator(G_eval(_sigma_to_s(sigma, mpar), eps, mpar, ctx), parity)
 
 
 @pytest.fixture(scope="module")
@@ -506,18 +509,24 @@ def test_newton_failures_are_typed(pi4_64, monkeypatch):
 
 def test_continuation_failures_are_typed(pi4_64, monkeypatch):
     # a sub-step whose solve fails down to the halving floor, and one whose
-    # root jumps by more than half its size, abort the continuation
+    # root jumps by more than half its size, abort the continuation.  The
+    # first names the sigma of the solve that failed last, and its error
     mpar, ctx = pi4_64
     with ctx.workprec():
         eps0 = solve_eps(0, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
         target = mp.mpf("0.01")
+        tried = []
 
-        def failing(*args, **kwargs):
+        def failing(sigma, *args, **kwargs):
+            tried.append(sigma)
             raise SolverError("no root")
 
         monkeypatch.setattr(spectral, "_solve_eps", failing)
-        with pytest.raises(SolverError, match="continuation failed on sheet 1"):
+        with pytest.raises(SolverError) as err:
             spectral._advance(0, target, eps0, 0, 1, mpar, ctx)
+        assert str(err.value) == (f"continuation failed on sheet 1 at sigma = "
+                                  f"{mp.nstr(tried[-1], 8)}: no root")
+        assert str(err.value.__cause__) == "no root"
         monkeypatch.setattr(spectral, "_solve_eps",
                             lambda sigma, seed, *args, **kwargs: 10 * seed + 100)
         with pytest.raises(SolverError,
@@ -534,15 +543,13 @@ def test_rho_extract_refuses_zero(pi4_64, monkeypatch):
 
 
 def test_state_step_refuses_zero_slope(pi4_64, monkeypatch):
-    # a sheet-2 state started inside its grid bracket, as spectrum starts
-    # it, with Wronskian sums whose eps-slopes vanish: the bordered step has
-    # no dW/deps to divide by, and says so at its sigma
+    # a sheet-2 state started inside its window, as spectrum starts it,
+    # with Wronskian sums whose eps-slopes vanish: the bordered step has no
+    # dW/deps to divide by, and says so at its sigma
     mpar, ctx = pi4_64
     orbit = trace_orbit(2, 16, mpar, ctx)
-    nodes = [sig for sig, _ in orbit.samples]
     pt = quantize(orbit, (1,), mpar, ctx)[0]
-    i = bisect.bisect_left(nodes, pt.sigma)
-    lo, hi = (node + (None,) for node in orbit.samples[i - 1:i + 1])
+    lo, hi = _window(pt, orbit)
     sums = spectral._wronskian_sums
     monkeypatch.setattr(spectral, "_wronskian_sums",
                         lambda *args: sums(*args)[:2] + (0, 0))
@@ -867,11 +874,18 @@ def states2_128(sheet2_128):
     return quantize(orbit, (1, -1), mpar128, ctx128)
 
 
+def _window(pt, orbit):
+    # spectrum's window around a coarse state: one grid step either side,
+    # its ends carrying neither eps nor an indicator
+    step = orbit.samples[1][0]
+    return (pt.sigma - step, None, None), (pt.sigma + step, None, None)
+
+
 @pytest.fixture(scope="module")
 def coarse_pi4():
     # coarse(sheet, ctx): spectrum's coarse stage for a 48-point job at pi/4
-    # at ctx, each 64-bit state with the 64-bit grid bracket spectrum takes
-    # it to ctx in.  Above 64 bits its context is the one spectrum builds
+    # at ctx, each 64-bit state with the window spectrum takes it to ctx
+    # in.  Above 64 bits its context is the one spectrum builds
     # (spectral._coarse_context); at 64 bits, where the job is quantize's
     # own, it is make_context(64).  Each stage is run once per module
     stages = {}
@@ -882,12 +896,8 @@ def coarse_pi4():
         if (sheet, ctx64) not in stages:
             mpar64 = ModularParam.from_theta("pi/4", ctx64)
             orbit = trace_orbit(sheet, 48, mpar64, ctx64)
-            nodes = [sig for sig, _ in orbit.samples]
-            stages[sheet, ctx64] = out = []
-            for pt in quantize(orbit, (1, -1), mpar64, ctx64):
-                i = bisect.bisect_left(nodes, pt.sigma)
-                lo, hi = ((sig, eps, None) for sig, eps in orbit.samples[i - 1:i + 1])
-                out.append((lo, hi, pt))
+            stages[sheet, ctx64] = [_window(pt, orbit) + (pt,)
+                                    for pt in quantize(orbit, (1, -1), mpar64, ctx64)]
         return stages[sheet, ctx64]
 
     return coarse
@@ -895,24 +905,27 @@ def coarse_pi4():
 
 def _at_ctx(coarse, mpar, ctx):
     # spectrum's second stage: each coarse state taken to ctx by the state
-    # solver, starting from it, inside its grid bracket
+    # solver, starting from it, inside its window
     return [spectral._state(lo, hi, (pt.sigma, pt.eps), pt.parity, pt.sheet, mpar, ctx)
             for lo, hi, pt in coarse]
 
 
-def test_coarse_bracket_signs_are_read_when_left(coarse_pi4, monkeypatch):
-    # spectrum's brackets carry no indicators: a start on the bracket's edge
-    # leaves it at once, the ends' signs are read from G_eval then, and the
-    # state is the one found from the coarse state
+def test_polish_start_outside_its_window_raises(coarse_pi4, monkeypatch):
+    # spectrum's windows carry no indicators, so the state solver has no
+    # secant point to fall back on: a start on the window's edge is outside
+    # it, and raises SolverError naming the window before any step, with no
+    # G_eval call
     ctx = make_context(128)
     mpar = ModularParam.from_theta("pi/4", ctx)
     lo, hi, pt = coarse_pi4(2, ctx)[0]
-    want = _at_ctx([(lo, hi, pt)], mpar, ctx)
     calls = _count_g(monkeypatch)
-    got = spectral._state(lo, hi, lo[:2], pt.parity, 2, mpar, ctx)
-    with ctx.workprec():
-        assert calls == [_sigma_to_s(lo[0], mpar), _sigma_to_s(hi[0], mpar)]
-    _assert_states_within_tol([got], want, mpar, ctx)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(SolverError) as err:
+        spectral._state(lo, hi, (lo[0], pt.eps), pt.parity, 2, mpar, ctx)
+    assert type(err.value) is SolverError
+    assert str(err.value) == (f"state solver on sheet 2, parity {pt.parity:+d} left its "
+                              f"bracket [{mp.nstr(lo[0], 10)}, {mp.nstr(hi[0], 10)}]")
+    assert calls == [] and steps == []
 
 
 def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypatch):
@@ -946,9 +959,9 @@ def test_spectrum_polishes_every_coarse_state(sheet2_128, states2_128, monkeypat
 
 
 def test_spectrum_polish_failure_runs_the_full_path(sheet2_128, states2_128, monkeypatch):
-    # a state at ctx whose bracket is narrowed to the coarse state alone
-    # collapses it on the first step, and spectrum reruns the job at 128
-    # bits: the full-precision path's states bit for bit
+    # a state at ctx whose window is narrowed to the coarse state alone
+    # starts outside it, and spectrum reruns the job at 128 bits: the
+    # full-precision path's states bit for bit
     ctx128, mpar128, *_ = sheet2_128
     raised = []
     original = spectral._state
@@ -965,7 +978,7 @@ def test_spectrum_polish_failure_runs_the_full_path(sheet2_128, states2_128, mon
 
     monkeypatch.setattr(spectral, "_state", narrowed)
     assert spectrum(2, 48, (1, -1), mpar128, ctx128) == states2_128
-    assert len(raised) == 1 and "collapsed its bracket" in raised[0]
+    assert len(raised) == 1 and "left its bracket" in raised[0]
 
 
 def test_spectrum_coarse_failure_runs_the_full_path(monkeypatch):
@@ -1043,6 +1056,27 @@ def test_spectrum_from_the_navigator_is_the_full_path(theta, monkeypatch):
         assert tols == [mp.mpf(2) ** -16]
         assert len(pts) == len(full) > 0
         _assert_states_within_tol(pts, full, mpar, ctx)
+
+
+@pytest.mark.parametrize("theta,npoints", (("pi/4", 33), ("pi/3", 16)))
+def test_spectrum_polishes_states_on_grid_nodes(theta, npoints, monkeypatch):
+    # sheet 2 has a state on a grid node of these grids: sigma = sin theta/2
+    # on 33 points, and k sin theta/3 on 16 points at pi/3.  Its coarse
+    # state rounds to either side of the node, and the polish stays in its
+    # window: one trace_orbit call, at the navigator tol, so the job is not
+    # rerun at 128 bits, and the full path's states, each within tol and
+    # distinct within each parity
+    ctx = make_context(128)
+    mpar = ModularParam.from_theta(theta, ctx)
+    full = quantize(trace_orbit(2, npoints, mpar, ctx), (1, -1), mpar, ctx)
+    tols = _coarse_tols(monkeypatch)
+    pts = spectrum(2, npoints, (1, -1), mpar, ctx)
+    assert tols == [mp.mpf(2) ** -16]
+    assert len(pts) == len(full) > 0
+    _assert_states_within_tol(pts, full, mpar, ctx)
+    for parity in (1, -1):
+        sigmas = [p.sigma for p in pts if p.parity == parity]
+        assert len(set(sigmas)) == len(sigmas), parity
 
 
 def test_spectrum_below_the_predicted_stop_keeps_the_64_bit_default(monkeypatch):
