@@ -570,17 +570,18 @@ def leg_integral(T, tau, spec: SelfDualSpectrum, ctx: PrecCtx, y_start):
     sin(2 pi y) dx using dy/dx = -sin(2 pi x)/sin(2 pi y) on the curve.
     """
     with ctx.workprec():
-        tau = mp.mpmathify(tau)
+        T, tau = mp.mpmathify(T), mp.mpmathify(tau)
+        if mp.im(T) != 0 or not mp.isfinite(T):
+            raise ValueError("T must be real and finite")
         if mp.im(tau) != 0 or not mp.isfinite(tau):
             raise ValueError("leg length must be real and finite")
-        tau = mp.re(tau)
+        T, tau = mp.re(T), mp.re(tau)
         y0 = mp.mpmathify(y_start)
         eps, lam = spec.eps, spec.lam
-        T = mp.re(mp.mpmathify(T))
         x0 = 1j * T
         w0 = eps / 2 - mp.cos(2 * mp.pi * x0)
         on_curve = ctx.finest_tol * max(1, abs(w0))
-        if abs(mp.cos(2 * mp.pi * y0) - w0) > on_curve:
+        if not abs(mp.cos(2 * mp.pi * y0) - w0) <= on_curve:   # NaN too
             raise SolverError("leg start is off the spectral curve")
         if tau == 0:
             return mp.mpf(0), y0

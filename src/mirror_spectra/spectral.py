@@ -228,18 +228,14 @@ def solve_eps(sigma, eps0, mpar: ModularParam, ctx: PrecCtx):
 
 # ── sheet seeds ───────────────────────────────────────────────────────────
 
-# Truncated eps_k expansions in q at the two real endpoints, written as
-# (leading power p, coefficient table {power: coeff}) for q^p * sum c_j q^j.
+# Truncated eps_k expansions in q at sigma = 0, written as (leading power p,
+# coefficient table {power: coeff}) for q^p * sum c_j q^j.
 _SEEDS_AT_ZERO = {
     1: (0, {0: 2, 2: -2, 4: -4, 6: -2, 8: 14, 10: 50, 12: 40, 14: -268, 16: -1136}),
     2: (-2, {0: 1, 4: 1, 6: -1, 8: -1, 10: -1, 12: -2, 14: -1, 18: 1, 20: 6, 22: 11}),
     3: (-2, {0: 1, 4: 3, 6: 3, 8: 1, 10: -15, 12: -52, 14: -43, 16: 264, 18: 1127}),
     4: (-4, {0: 1, 8: 2, 14: 1, 18: -1, 20: -3, 22: -8, 24: -13}),
     6: (-6, {0: 1, 12: 2, 22: 1, 24: 1, 26: 1, 32: 2, 34: 2}),
-}
-_SEEDS_AT_SIN = {
-    1: {0: 1, 1: -1, 2: 1, 4: -1, 6: -1, 7: 1, 8: -2, 9: 2, 10: -2, 11: 5, 12: -4},
-    2: {0: 1, 1: 1, 2: 1, 4: -1, 6: -1, 7: -1, 8: -2, 9: -2, 10: -2, 11: -5, 12: -4},
 }
 
 
@@ -257,31 +253,17 @@ def _spiral(k: int, q):
     return q ** (-2 * (k // 2)), 0 if k == 1 else (1 if k % 2 else -1)
 
 
-def sheet_seed(k: int, endpoint, mpar: ModularParam, ctx: PrecCtx):
-    """Newton seed for sheet k at sigma = 0 or sigma = sin(theta).
-
-    Uses the truncated endpoint expansions in q where tabulated; other
-    sheets fall back to the sheet's spiral (_spiral) at that end:
-    q^{-2 floor(k/2)} at 0 and -q^{-(2 ceil(k/2) - 1)} at sin(theta).
-    """
+def sheet_seed(k: int, mpar: ModularParam, ctx: PrecCtx):
+    """Newton seed for sheet k at sigma = 0, where its orbit starts: the
+    truncated q-expansion where tabulated, else the spiral's q^{-2 floor(k/2)}."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"sheet index must be an integer >= 1, got {k!r}")
     with ctx.workprec():
         q = mpar.q
-        sth = sin_theta(mpar)
-        at_zero = endpoint == 0
-        near = ctx.finest_tol * max(sth, 1)
-        if not at_zero and not abs(mp.mpmathify(endpoint) - sth) <= near:  # NaN too
-            raise ValueError("endpoint must be 0 or sin(theta)")
-        if at_zero:
-            if k in _SEEDS_AT_ZERO:
-                p, table = _SEEDS_AT_ZERO[k]
-                return q ** p * mp.fsum(c * q ** j for j, c in table.items())
-        elif k in _SEEDS_AT_SIN:
-            table = _SEEDS_AT_SIN[k]
-            return -(1 / q) * mp.fsum(c * q ** j for j, c in table.items())
-        c, m = _spiral(k, q)
-        return c if at_zero else c * (-1 / q) ** m
+        if k in _SEEDS_AT_ZERO:
+            p, table = _SEEDS_AT_ZERO[k]
+            return q ** p * mp.fsum(c * q ** j for j, c in table.items())
+        return _spiral(k, q)[0]
 
 
 # ── sigma-continuation ────────────────────────────────────────────────────
@@ -370,7 +352,7 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
     with ctx.workprec():
         sth = sin_theta(mpar)
         step = sth / (npoints - 1)
-        eps = solve_eps(0, sheet_seed(k, 0, mpar, ctx), mpar, ctx)
+        eps = solve_eps(0, sheet_seed(k, mpar, ctx), mpar, ctx)
         lam = 2 * mp.pi * mpar.b * _spiral(k, mpar.q)[1]
         samples = [(mp.mpf(0), eps)]
         for i in range(1, npoints):

@@ -149,15 +149,18 @@ def test_criterion_5_seed_series(ctx, mpar, orbit1, orbit2):
         "eps2(0)": orbit2.samples[0][1],
         "eps2(s)": orbit2.samples[-1][1],
     }
-    worst = mp.mpf(0)
     with ctx.workprec():
         q = mp.exp(-mp.pi)
-        for name, (pre, terms, omitted, c_last) in SEED_SERIES.items():
-            series = q ** pre * mp.fsum(c * q ** p for p, c in terms)
-            # first omitted printed term, with a 10x growth allowance
-            allow = 10 * c_last * q ** (omitted + pre)
-            worst = max(worst, abs(series - solved[name]) / allow)
+        worst = max(series_miss(solved[name], name, q) for name in SEED_SERIES)
     _gate("criterion 5: seed q-expansions vs roots", worst, 1)
+
+
+def series_miss(eps, name, q):
+    """|eps - SEED_SERIES[name]| at nome q, in units of criterion 5's
+    allowance: the first omitted printed term, with a 10x growth allowance."""
+    pre, terms, omitted, c_last = SEED_SERIES[name]
+    series = q ** pre * mp.fsum(c * q ** p for p, c in terms)
+    return abs(eps - series) / (10 * c_last * abs(q) ** (omitted + pre))
 
 
 # ── 6: self-dual ground state ─────────────────────────────────────────────

@@ -687,7 +687,7 @@ def _state(theta, bits):
     mpar = ModularParam.from_theta(theta, ctx)
     with ctx.workprec():
         sigma = mp.mpf("0.17")
-    return ctx, mpar, sigma, solve_eps(sigma, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+    return ctx, mpar, sigma, solve_eps(sigma, sheet_seed(1, mpar, ctx), mpar, ctx)
 
 
 @pytest.mark.parametrize("theta", _KERNEL_THETAS)

@@ -2,6 +2,9 @@
 line, the invariant registry and the benchmark call.  Helpers stay in their
 modules."""
 
+import ast
+from pathlib import Path
+
 import mirror_spectra
 
 SURFACE = {
@@ -42,3 +45,37 @@ def test_benchmark_setup_names_are_package_level():
     assert mirror_spectra.ModularParam is ModularParam
     assert mirror_spectra.make_context is make_context
     mirror_spectra.ModularParam.from_theta("pi/4", mirror_spectra.make_context(64, 1e-10))
+
+
+def _private_definitions(tree):
+    # (name, statement) for each module-level def, class or assignment of a
+    # name with one leading underscore
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [n.id for t in stmt.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(stmt):
+    # names a statement loads, as a bare name or as an attribute
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_private_names_are_read():
+    # every module-level private name is read somewhere in the package
+    # outside its own definition: a helper nothing reaches gets deleted
+    trees = [ast.parse(p.read_text())
+             for p in sorted(Path(mirror_spectra.__file__).parent.glob("*.py"))]
+    defined = [d for tree in trees for d in _private_definitions(tree)]
+    assert len(defined) > 50
+    reads = [(stmt, _reads(stmt)) for tree in trees for stmt in tree.body]
+    unread = {name for name, own in defined
+              if not any(name in names for stmt, names in reads if stmt is not own)}
+    assert sorted(unread) == []

@@ -661,7 +661,7 @@ def test_theta_kernels_have_one_caller(monkeypatch):
         monkeypatch.setattr(mp, name, spy)
     ctx = make_context(96)
     mpar = ModularParam.from_theta("pi/4", ctx)
-    spectral.solve_eps(0, spectral.sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+    spectral.solve_eps(0, spectral.sheet_seed(1, mpar, ctx), mpar, ctx)
     point = spectral.spectrum(2, 16, (1, -1), mpar, ctx)[0]
     spectral.factorize(point.sigma, point.eps, mpar, ctx)
     assert {name for name, _, _ in callers} == set(kernels)

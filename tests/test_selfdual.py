@@ -831,6 +831,19 @@ def test_leg_start_must_be_on_curve(spec0, ctx192):
         assert I == 0 and y == y0
 
 
+def test_leg_integral_rejects_bad_inputs(spec0, ctx192):
+    # the leg runs at height T on the imaginary axis: a complex or
+    # non-finite T is refused at once, and a NaN start is off the curve
+    T = mp.mpf("0.3")
+    _, y0 = canonical_integral(T, spec0, ctx192)
+    for bad in (mp.mpc("0.3", "0.25"), mp.inf, mp.ninf, mp.nan, float("nan")):
+        with pytest.raises(ValueError, match="T must be real and finite"):
+            leg_integral(bad, mp.mpf("0.2"), spec0, ctx192, y0)
+    for bad in (mp.nan, float("nan"), mp.mpc(mp.nan, 0)):
+        with pytest.raises(SolverError, match="off the spectral curve"):
+            leg_integral(T, mp.mpf("0.2"), spec0, ctx192, bad)
+
+
 # ── eigenfunction ─────────────────────────────────────────────────────────
 
 

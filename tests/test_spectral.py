@@ -200,15 +200,10 @@ def test_residue_term_budget_is_typed(mpar):
 
 def test_solve_eps_endpoint_roots(ctx, mpar):
     with ctx.workprec():
-        sth = sin_theta(mpar)
-        e10 = solve_eps(0, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+        e10 = solve_eps(0, sheet_seed(1, mpar, ctx), mpar, ctx)
         assert abs(e10 - mp.mpf("1.9962511523")) <= mp.mpf("1e-9")
-        e20 = solve_eps(0, sheet_seed(2, 0, mpar, ctx), mpar, ctx)
+        e20 = solve_eps(0, sheet_seed(2, mpar, ctx), mpar, ctx)
         assert abs(e20 - mp.mpf("535.493519473629469")) <= mp.mpf("1e-13")
-        e1s = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
-        assert abs(e1s - mp.mpf("-22.1838257068")) <= mp.mpf("1e-9")
-        e2s = solve_eps(sth, sheet_seed(2, sth, mpar, ctx), mpar, ctx)
-        assert abs(e2s - mp.mpf("-24.183825694")) <= mp.mpf("1e-8")
 
 
 def test_solve_eps_residual_scale(ctx, mpar):
@@ -240,41 +235,20 @@ def test_seed_quality(ctx, mpar):
     # printed series sit well inside the Newton basin; the spiral fallback
     # (sheet 5 has no printed series) still converges to its root
     with ctx.workprec():
-        sth = sin_theta(mpar)
-        seed = sheet_seed(1, 0, mpar, ctx)
+        seed = sheet_seed(1, mpar, ctx)
         assert abs(seed - solve_eps(0, seed, mpar, ctx)) <= mp.mpf("1e-6")
-        seed = sheet_seed(2, sth, mpar, ctx)
-        assert abs(seed - solve_eps(sth, seed, mpar, ctx)) <= mp.mpf("1e-4")
-        seed = sheet_seed(5, 0, mpar, ctx)
+        seed = sheet_seed(5, mpar, ctx)
         root = solve_eps(0, seed, mpar, ctx)
         assert abs(seed - root) <= mp.mpf("1e-4") * abs(root)
     with pytest.raises(ValueError):
-        sheet_seed(0, 0, mpar, ctx)
+        sheet_seed(0, mpar, ctx)
     # where no series is printed the seed is the sheet's spiral q^{-2 floor(k/2)}
-    # s^{m_k} at that end, and s(sin theta) = -1/q makes it the label
-    # -q^{-(2 ceil(k/2) - 1)} there
+    # s^{m_k} at sigma = 0, where s = 1; at sin theta, s = -1/q exactly
     with ctx.workprec():
         q = mpar.q
-        assert abs(_sigma_to_s(sth, mpar) + 1 / q) <= ctx.tol * abs(1 / q)
+        assert abs(_sigma_to_s(sin_theta(mpar), mpar) + 1 / q) <= ctx.tol * abs(1 / q)
         for k in (5, 7, 8):
-            assert sheet_seed(k, 0, mpar, ctx) == q ** (-2 * (k // 2))
-        for k in range(3, 9):
-            label = -(q ** (-(2 * ((k + 1) // 2) - 1)))
-            assert abs(sheet_seed(k, sth, mpar, ctx) - label) <= ctx.tol * abs(label)
-    with pytest.raises(ValueError):
-        sheet_seed(1, mp.mpf("0.5"), mpar, ctx)
-    # an endpoint more than 2^(16 - bits) off sin(theta) is rejected, and
-    # sin(theta) itself passes at any precision
-    with ctx.workprec(), pytest.raises(ValueError):
-        sheet_seed(1, sin_theta(mpar) + mp.mpf("1e-13"), mpar, ctx)
-    # NaN is no endpoint, nor is infinity
-    for bad in (mp.nan, float("nan"), mp.inf):
-        with pytest.raises(ValueError, match="endpoint must be 0 or sin"):
-            sheet_seed(2, bad, mpar, ctx)
-    for bits in (64, 1600):
-        ctx_b = make_context(bits)
-        mpar_b = ModularParam.from_theta("pi/4", ctx_b)
-        sheet_seed(2, sin_theta(mpar_b), mpar_b, ctx_b)
+            assert sheet_seed(k, mpar, ctx) == q ** (-2 * (k // 2))
 
 
 def test_conjugation_structure(ctx, mpar, orbit1):
@@ -309,11 +283,10 @@ def test_orbit_no_jumps(ctx, mpar, orbit1):
 
 
 def test_orbit_backward_continuation_matches(ctx, mpar, orbit1):
-    # re-run the continuation from the sin(theta) end; path independence is
-    # the numerical face of eps(sigma) = eps(2 sin(theta) - sigma)
+    # re-run the continuation from the orbit's sin(theta) end; path
+    # independence is the numerical face of eps(sigma) = eps(2 sin(theta) - sigma)
     with ctx.workprec():
-        sth = sin_theta(mpar)
-        eps = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
+        eps = orbit1.samples[-1][1]
         for sig, eps_fwd in reversed(orbit1.samples[30:-1]):
             eps = _solve_eps(sig, eps, mpar, ctx)
             assert abs(eps - eps_fwd) <= mp.mpf("1e-30") * max(abs(eps), 1)
@@ -513,7 +486,7 @@ def test_continuation_failures_are_typed(pi4_64, monkeypatch):
     # first names the sigma of the solve that failed last, and its error
     mpar, ctx = pi4_64
     with ctx.workprec():
-        eps0 = solve_eps(0, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+        eps0 = solve_eps(0, sheet_seed(1, mpar, ctx), mpar, ctx)
         target = mp.mpf("0.01")
         tried = []
 
@@ -744,8 +717,7 @@ def _lattice_bracket(bits):
     ctx = make_context(bits)
     mpar = ModularParam.from_theta("pi/4", ctx)
     with ctx.workprec():
-        sth = sin_theta(mpar)
-        end = solve_eps(sth, sheet_seed(1, sth, mpar, ctx), mpar, ctx)
+        sth, end = trace_orbit(1, 16, mpar, ctx).samples[-1]
         ends = []
         for sig in (sth - mp.mpf("0.01"), sth + mp.mpf("0.01")):
             eps = solve_eps(sig, end, mpar, ctx)
@@ -1122,7 +1094,7 @@ def test_factorize_at_any_sigma(bits, theta):
     with ctx.workprec():
         for sig in ("0.1", "0.23", "0.37"):
             sigma = mp.mpf(sig)
-            eps = solve_eps(sigma, sheet_seed(1, 0, mpar, ctx), mpar, ctx)
+            eps = solve_eps(sigma, sheet_seed(1, mpar, ctx), mpar, ctx)
             rho = factorize(sigma, eps, mpar, ctx)
             probe = _probe_rho(sigma, eps, mp.mpf("0.29"), mpar, ctx)
             assert abs(probe - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho), sig
