@@ -23,8 +23,9 @@ hypergeometric series in 1/eps^2 (``period_series``).  Newton on the level
 function runs on those, needing no bracket, up a precision ladder from 64
 bits, and the quadrature (``period_integrals``) checks the root it finds
 and so bounds the levels: A and At by one trapezoid pass over a stretched
-period, B and Bt by one adaptive Gauss-Legendre pass (``composite_gl``) on
-b + i bt.
+period, whose nodes u and 1/2 - u are evaluated as one pair, B and Bt by
+one adaptive Gauss-Legendre pass (``composite_gl``) on b + i bt, its nodes
+refined on integers.
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -74,30 +75,52 @@ class SelfDualSpectrum:
 # ── quadrature ────────────────────────────────────────────────────────────
 
 
+def _stalled(x):
+    return SolverError(f"Legendre root near {float(x):.6f} of {_GL_ORDER} stalled")
+
+
 def _legendre_root(x, floor):
-    """(root, P_n' there), n = _GL_ORDER: Newton on the Legendre polynomial,
-    by its three-term recurrence, from x until the predicted error of a step
-    (precision._predicted_stop) is within floor, or else a step is below
-    it; in floats for a float x and at the working precision for an mpf.
-    A root taken on a predicted error is the last iterate plus its step,
-    with P' carried there by P'' from Legendre's equation, (1 - x^2) P'' =
-    2 x P' - n (n + 1) P, so that the point the stop accepts is never
-    evaluated."""
+    """A root of the Legendre polynomial P_n, n = _GL_ORDER, in floats:
+    Newton by its three-term recurrence from x until the predicted error of
+    a step (precision._predicted_stop) is within floor, or else the step
+    is below it; the root is then the last iterate plus that step."""
     prev = None
     for _ in range(64):
         p0, p1 = 1, x
         for k in range(2, _GL_ORDER + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = _GL_ORDER * (x * p1 - p0) / (x * x - 1)
-        step = p1 / dp
-        if _predicted_stop(abs(step), prev, floor):
-            ddp = (2 * x * dp - _GL_ORDER * (_GL_ORDER + 1) * p1) / (1 - x * x)
-            return x - step, dp - step * ddp
+        step = p1 * (x * x - 1) / (_GL_ORDER * (x * p1 - p0))
+        if _predicted_stop(abs(step), prev, floor) or abs(step) < floor:
+            return x - step
         x -= step
-        if abs(step) < floor:
-            return x, dp
         prev = abs(step)
-    raise SolverError(f"Legendre root near {float(x):.6f} of {_GL_ORDER} stalled")
+    raise _stalled(x)
+
+
+def _fixed_legendre_root(x, frac, floor):
+    """(root, P_n' there) as integers at frac fractional bits: the Newton of
+    _legendre_root on a fixed-point x, with the recurrence, the step and the
+    stop on integers (as precision._theta1_sum sums), and floor in the
+    same units.  The root is the last iterate plus its step, with P'
+    carried there by P'' from Legendre's equation, (1 - x^2) P'' =
+    2 x P' - n (n + 1) P, so that the point the stop accepts is never
+    evaluated."""
+    one, prev = 1 << frac, None
+    for _ in range(64):
+        p0, p1 = one, x
+        for k in range(2, _GL_ORDER + 1):
+            p0, p1 = p1, ((2 * k - 1) * (x * p1 >> frac) - (k - 1) * p0) // k
+        one_x2 = one - (x * x >> frac)
+        dp = (_GL_ORDER * (p0 - (x * p1 >> frac)) << frac) // one_x2
+        step = (p1 << frac) // dp
+        size = mp.mpf(abs(step))   # an mpf: past 2^1024 a float overflows
+        if _predicted_stop(size, prev, floor) or size < floor:
+            ddp = (((2 * x * dp) >> frac) - _GL_ORDER * (_GL_ORDER + 1) * p1
+                   << frac) // one_x2
+            return x - step, dp - (step * ddp >> frac)
+        x -= step
+        prev = size
+    raise _stalled(mp.ldexp(x, -frac))
 
 
 def gauss_legendre_nodes(ctx: PrecCtx):
@@ -105,22 +128,28 @@ def gauss_legendre_nodes(ctx: PrecCtx):
     [-1, 1], the one order every quadrature here uses.
 
     Each Legendre root is found by Newton in double precision from its
-    Chebyshev guess, then refined at the context's precision until the
-    predicted error of a step is below 2^(8 - bits) (_legendre_root); the
-    float start leaves 2 evaluations per root at 128 bits, 3 at 256 and 5
-    at 1,024.  Cached per precision.
+    Chebyshev guess, then refined on integers at the context's precision
+    plus 20 fractional bits until the predicted error of a step is below
+    2^(8 - bits) (_fixed_legendre_root); the float start leaves 2
+    evaluations per root at 128 bits, 3 at 256 and 5 at 1,024.  The
+    weight 2/((1 - x^2) P'(x)^2) is formed at the same fixed point, and
+    node and weight are rounded to the context once.  Cached per precision.
     """
     got = _GL_CACHE.get(ctx.precision_bits)
     if got is not None:
         return got
     with ctx.workprec():
-        floor = mp.mpf(2) ** (8 - mp.prec)
+        frac = mp.prec + 20
         half = []
         for i in range(_GL_ORDER // 2):
             x = math.cos(math.pi * (i + 0.75) / (_GL_ORDER + 0.5))
-            x, _ = _legendre_root(x, 2.0 ** (8 - 53))   # a double
-            x, dp = _legendre_root(mp.mpf(x), floor)
-            half.append((x, 2 / ((1 - x * x) * dp * dp)))
+            x = _legendre_root(x, 2.0 ** (8 - 53))   # a double
+            # the floor is 2^(8 - bits) in units of 2^-frac
+            x, dp = _fixed_legendre_root(int(mp.ldexp(x, frac)), frac,
+                                         1 << (frac + 8 - mp.prec))
+            one_x2 = (1 << frac) - (x * x >> frac)
+            w = (1 << 4 * frac + 1) // (one_x2 * dp * dp)
+            half.append((mp.ldexp(x, -frac), mp.ldexp(w, -frac)))
         nodes = tuple((-x, w) for x, w in half) + tuple(reversed(half))
     _GL_CACHE[ctx.precision_bits] = nodes
     return nodes
@@ -197,9 +226,9 @@ class _Curve:
     exactly.  ``a_at`` gives A's pair as ``b_bt`` gives B's: a =
     2/(cosh(pi s(t)) cosh(pi s(t+1/2))), 4 s'/sinh(2 pi s(t+1/2)) with its
     0/0 at t = 1/2 removed, and at, which shares cosh(pi s(t)) with it.
-    asinh remains in s and at.  The A, Atilde trapezoid node
-    (``_stretched_a_periods``) keeps its own a and at, with asinh as the log
-    of its square root: that meets tol absolutely, but cancels where at is
+    asinh remains in s and at.  The A, Atilde trapezoid pair
+    (``_mirror_pairs``) keeps its own a and at, with asinh as the log of
+    its square root: that meets tol absolutely, but cancels where at is
     small near t = 1/2, and asinh keeps at accurate relative to its size
     there.  Build and evaluate inside ctx.workprec().
     """
@@ -242,16 +271,15 @@ def path_funcs(eps, t, ctx: PrecCtx):
         return r, curve.s(t), curve.sprime(t), mp.sin(mp.pi * t) * b / 2
 
 
-def _stretched_a_periods(curve, ctx):
-    """(A, Atilde, N): both periods from one trapezoid pass on N panels of
-    the stretched half period (see ``period_integrals``).  Each doubling of
-    N moves the sums by size = max(|A_N - A_N/2|, |At_N - At_N/2|); as the
-    sums converge geometrically, the moves contract like Newton
-    corrections, and A_N is taken on the error their contraction predicts
-    (precision._predicted_stop), or else once size <= ctx.tol.  A doubling
-    squares the trapezoid error, so A_N's true error is about size Theta^2,
-    which the prediction Theta size/(1 - Theta) overstates by about
-    1/Theta.  Call inside ctx.workprec()."""
+def _mirror_pairs(curve, ctx):
+    """(betas, pair): the stretch stages' beta, innermost first (see
+    ``period_integrals``), and pair(u) = (a, at, at~), A's two integrands
+    at t(u) and Atilde's at t(1/2 - u) = 1/2 - t(u), each times
+    t'(u) = t'(1/2 - u).  As every stage maps u -> 1/2 - u to t ->
+    1/2 - t, one pass through the stages, one cos(pi t), sin(pi t) and two
+    square roots serve both nodes: c and s swap, and so do cosh(pi s(t))
+    and cosh(pi s(t + 1/2)), so a is equal at both and only at~ takes a log
+    of its own.  Call inside ctx.workprec()."""
     sa, sa2 = curve.sa, curve.sa2
     # alpha rounds to 0 at the eps just above 4: no layer to stretch
     betas, width = [], 1 / (mp.pi * sa) if sa else mp.inf
@@ -269,29 +297,54 @@ def _stretched_a_periods(curve, ctx):
     stage_prec = mp.prec - sum(mp.mag(1 - beta) for beta in betas)
     with mp.workprec(stage_prec):
         pi4 = 4 * mp.pi
+    four_pi = 4 / mp.pi
 
-    def node(u):   # (a, at) at t(u), each times t'(u)
+    def pair(u):
         w = 1
         with mp.workprec(stage_prec):
             for beta in betas:
                 c4, s4 = mp.cos_sin(pi4 * u)
                 u, w = u - beta * s4 / pi4, w * (1 - beta * c4)
-            # cos(pi t) near t = 1/2 is as small as the layer: pi t keeps
-            # the guard bits too
+            # sin(pi t) near t = 0, the mirror's cos(pi t), is as small as
+            # the layer: pi t keeps the guard bits too
             c, s = mp.cos_sin(mp.pi * u)
-        sc = sa * c
-        cosh_s = mp.sqrt(1 + sa2 * s * s)      # cosh(pi s(t))
-        cosh_sh = mp.sqrt(1 + sa2 * c * c)     # cosh(pi s(t+1/2))
-        w /= cosh_s
-        # asinh(sc) = log(sc + cosh_sh), as c >= 0 for t in [0, 1/2]
-        return 2 * w / cosh_sh, 4 * w * sc * mp.log(sc + cosh_sh) / mp.pi
+        sc, ss = sa * c, sa * s
+        cosh_s = mp.sqrt(1 + ss * ss)      # cosh(pi s(t))
+        cosh_sh = mp.sqrt(1 + sc * sc)     # cosh(pi s(t+1/2))
+        w4 = four_pi * w
+        # asinh(x) = log(x + sqrt(1 + x^2)), as c, s >= 0 for t in [0, 1/2]
+        return (2 * w / (cosh_s * cosh_sh),
+                w4 * sc * mp.log(sc + cosh_sh) / cosh_s,
+                w4 * ss * mp.log(ss + cosh_s) / cosh_sh)
 
-    sums = [(x + y) / 2 for x, y in zip(node(mp.mpf(0)), node(mp.mpf(1) / 2))]
-    n, new, prev, last = _TRAP_START, range(1, _TRAP_START), None, None
+    return betas, pair
+
+
+def _stretched_a_periods(curve, ctx):
+    """(A, Atilde, N): both periods from one trapezoid pass on N panels of
+    the stretched half period (see ``period_integrals``), its nodes u and
+    1/2 - u evaluated as one pair (``_mirror_pairs``): u = 0 with 1/2 and
+    1/4 with itself, at half weight, then each doubling's new nodes
+    k/(2N), k odd, as k with N - k.  Each doubling of N moves the sums by
+    size = max(|A_N - A_N/2|, |At_N - At_N/2|); as the sums converge
+    geometrically, the moves contract like Newton corrections, and A_N is
+    taken on the error their contraction predicts
+    (precision._predicted_stop), or else once size <= ctx.tol.  A doubling
+    squares the trapezoid error, so A_N's true error is about size Theta^2,
+    which the prediction Theta size/(1 - Theta) overstates by about
+    1/Theta.  Call inside ctx.workprec()."""
+    _, pair = _mirror_pairs(curve, ctx)
+
+    def sums(ks, n):   # of a and at over the nodes k/(2n) and their mirrors
+        a, at, at_mirror = zip(*(pair(mp.mpf(k) / (2 * n)) for k in ks))
+        return 2 * mp.fsum(a), mp.fsum(at + at_mirror)
+
+    n, prev, last = _TRAP_START, None, None
+    totals = [x / 2 for x in sums((0, n // 2), n)]
+    new = range(1, n // 2)
     while True:
-        cols = zip(*(node(mp.mpf(k) / (2 * n)) for k in new))
-        sums = [total + mp.fsum(col) for total, col in zip(sums, cols)]
-        A, At = (total / (2 * n) for total in sums)
+        totals = [total + x for total, x in zip(totals, sums(new, n))]
+        A, At = (total / (2 * n) for total in totals)
         if prev is not None:
             moves = [abs(x - y) for x, y in zip((A, At), prev)]
             size = max(moves)
@@ -304,7 +357,7 @@ def _stretched_a_periods(curve, ctx):
                                   f"pass did not converge by N = {n} panels")
             last = size
         prev = A, At
-        n, new = 2 * n, range(1, 2 * n, 2)
+        n, new = 2 * n, range(1, n, 2)
 
 
 def period_integrals(eps, ctx: PrecCtx):
@@ -328,15 +381,17 @@ def period_integrals(eps, ctx: PrecCtx):
     so further stages, composed inside the first, stretch it again while
     the same rule gives them beta >= 1/2 (from eps about 2.5e4).  Each
     stage forms t and t' with log2(1/(1 - beta)) guard bits, the bits they
-    cancel near t = 0, and cos(pi t) and sin(pi t) with them, as cos(pi t)
-    near t = 1/2 is as small as the layer; where 1 - beta <= ctx.finest_tol
-    none are left, and it raises PrecisionExceeded before it evaluates a
-    node (from eps ~ 4e160 at 192 bits, level 14,000).  beta sets only the
-    cost: the pass starts at N = 16 panels and doubles N, evaluating only
-    the new nodes, until the error the contraction of the sums' moves
-    predicts is within ctx.tol, or both move by at most ctx.tol
-    (``_stretched_a_periods``); past _TRAP_MAX panels it raises SolverError
-    naming the period and N.
+    cancel near t = 0, and cos(pi t) and sin(pi t) with them, as sin(pi t)
+    near t = 0, the cos(pi t) of the mirror node 1/2 - t, is as small as
+    the layer; where 1 - beta <= ctx.finest_tol none are left, and it
+    raises PrecisionExceeded before it evaluates a node (from eps ~ 4e160
+    at 192 bits, level 14,000).  beta sets only the cost: the pass starts
+    at N = 16 panels and doubles N, evaluating only the new nodes, each u
+    in [0, 1/4] with its mirror 1/2 - u in one pass through the stages
+    (``_mirror_pairs``), until the error the contraction of the sums'
+    moves predicts is within ctx.tol, or both move by at most ctx.tol
+    (``_stretched_a_periods``); past _TRAP_MAX panels it raises
+    SolverError naming the period and N.
     B and Btilde stay on ``composite_gl``: the nearest singularity of their
     integrands is 2 alpha away, and it needs 3-7 panels for them.  One pass
     integrates b + i bt, which share cos(pi t) and sqrt((C - 1)(C + 1)) at

@@ -269,9 +269,10 @@ def sheet_seed(k: int, mpar: ModularParam, ctx: PrecCtx):
 # ── sigma-continuation ────────────────────────────────────────────────────
 
 
-def _advance(sigma, target, eps, lam, sheet: int, mpar: ModularParam,
+def _advance(sigma, target, eps, lam, sheet: int, sth, mpar: ModularParam,
              ctx: PrecCtx):
     """Continue eps from sigma to target; returns (eps, lam) at target.
+    sth is sin theta, the orbit's end, which the caller already holds.
 
     Each sub-step of length h is a predictor-corrector step on log eps,
     which is nearly linear in sigma along the sheet's spiral (_spiral):
@@ -303,7 +304,6 @@ def _advance(sigma, target, eps, lam, sheet: int, mpar: ModularParam,
     where its log is undefined.
     """
     floor = (target - sigma) / 4096
-    sth = sin_theta(mpar)
     while sigma < target:
         if eps == 0:
             raise SolverError(
@@ -357,7 +357,8 @@ def trace_orbit(k: int, npoints: int, mpar: ModularParam, ctx: PrecCtx) -> Orbit
         samples = [(mp.mpf(0), eps)]
         for i in range(1, npoints):
             target = sth if i == npoints - 1 else i * step
-            eps, lam = _advance(samples[-1][0], target, eps, lam, k, mpar, ctx)
+            eps, lam = _advance(samples[-1][0], target, eps, lam, k, sth,
+                                mpar, ctx)
             samples.append((target, eps))
         return Orbit(sheet=k, samples=tuple(samples))
 

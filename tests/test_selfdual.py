@@ -169,6 +169,29 @@ def test_legendre_root_stall_is_typed():
         selfdual._legendre_root(0.5, -1.0)
 
 
+@pytest.mark.parametrize("bits", [64, 192, 256, 1024])
+def test_gauss_nodes_match_a_finer_rule(bits):
+    # the integer refinement against the same rule built at 2 bits + 64:
+    # nodes within 2^(4 - bits) absolute, weights within it relative (the
+    # outermost weight, about 0.007, is the one an mpf 1 - x^2 would miss)
+    nodes = gauss_legendre_nodes(make_context(bits))
+    fine = make_context(2 * bits + 64)
+    ref = gauss_legendre_nodes(fine)
+    bound = mp.mpf(2) ** (4 - bits)
+    with fine.workprec():
+        for (x, w), (rx, rw) in zip(nodes, ref):
+            assert abs(x - rx) <= bound, (bits, rx)
+            assert abs(w - rw) <= bound * rw, (bits, rx)
+
+
+def test_fixed_legendre_root_stall_is_typed():
+    # the integer stage's own loop: a negative floor is never met, and the
+    # stall names the root as the float stage does
+    frac = 84
+    with pytest.raises(SolverError, match=r"Legendre root near 0\.50\d+ of 32 stalled"):
+        selfdual._fixed_legendre_root(1 << (frac - 1), frac, -1)
+
+
 def test_composite_gl_matches_mpmath_quad(spec0, ctx192):
     ctx = ctx192
     with ctx.workprec():
@@ -313,6 +336,65 @@ def test_selfdual_levels_job_a_nodes(monkeypatch):
     for n in range(3):
         quantize_selfdual(n, ctx)
     assert sum(N + 1 for N in passes) == 387, passes
+
+
+def test_selfdual_levels_job_a_pairs(monkeypatch):
+    # the same job evaluates its 387 nodes as 195 mirror pairs, 65 a level:
+    # u = 0 with 1/2, 1/4 with itself, and the others k/(2N) with N - k,
+    # so that each node k = 0..N is reached exactly once
+    levels = []
+    original = selfdual._mirror_pairs
+
+    def counted(curve, ctx):
+        betas, pair = original(curve, ctx)
+        us = []
+        levels.append(us)
+
+        def counted_pair(u):
+            us.append(u)
+            return pair(u)
+
+        return betas, counted_pair
+
+    monkeypatch.setattr(selfdual, "_mirror_pairs", counted)
+    ctx = make_context(256)
+    for n in range(3):
+        quantize_selfdual(n, ctx)
+    assert [len(us) for us in levels] == [65, 65, 65]
+    for us in levels:
+        ks = [int(256 * u) for u in us]   # N = 128 panels, u = k/256
+        assert sorted(ks + [128 - k for k in ks if k != 64]) == list(range(129))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_mirror_pairs_match_the_integrands(bits, rng):
+    # both halves of a pair against _Curve.a_at at t(u) and at 1/2 - t(u),
+    # times t'(u), with t and t' from the same stages at twice the bits;
+    # 1e12 and 1e40 take three and four stages.  The bound is relative for
+    # a, and for each at relative to max(|at|, 1): at vanishes like
+    # cos(pi t)^2 at t = 1/2, where a node past u = 1/4 (one the pass never
+    # evaluates) keeps it only absolutely
+    ctx = make_context(bits)
+    bound = mp.mpf(2) ** (8 - bits)
+    with ctx.workprec():
+        for e in ("4.5", "17.85", "70.43", "1e6", "1e12", "1e40"):
+            curve = selfdual._Curve(alpha_beta(mp.mpf(e), ctx)[0])
+            betas, pair = selfdual._mirror_pairs(curve, ctx)
+            for _ in range(6):
+                u = mp.mpf(rng.random()) / 2
+                a, at, at_mirror = pair(u)
+                with mp.workprec(2 * bits):
+                    t, dt = u, 1
+                    for beta in betas:
+                        c4, s4 = mp.cos_sin(4 * mp.pi * t)
+                        t, dt = t - beta * s4 / (4 * mp.pi), dt * (1 - beta * c4)
+                    want = [dt * v for v in curve.a_at(t)
+                            + curve.a_at(mp.mpf(1) / 2 - t)]
+                # (a, at) at t, then (a, at) at 1/2 - t
+                for got, ref, ratio in zip((a, at, a, at_mirror), want,
+                                           (True, False, True, False)):
+                    scale = abs(ref) if ratio else max(abs(ref), 1)
+                    assert abs(got - ref) <= bound * scale, (e, u)
 
 
 @pytest.mark.parametrize("bits", (192, 256))

@@ -456,7 +456,8 @@ def test_zero_eps_is_a_typed_error(ctx, mpar):
     with ctx.workprec():
         sig = mp.mpf("0.25")
         with pytest.raises(SolverError, match="eps = 0 at sigma = 0.25"):
-            spectral._advance(sig, mp.mpf("0.3"), mp.mpf(0), mp.mpf(1), 1, mpar, ctx)
+            spectral._advance(sig, mp.mpf("0.3"), mp.mpf(0), mp.mpf(1), 1,
+                              spectral.sin_theta(mpar), mpar, ctx)
         lo, hi = (sig, mp.mpf(0), mp.mpf(-1)), (mp.mpf("0.3"), mp.mpf(2), mp.mpf(1))
         with pytest.raises(SolverError, match="eps = 0 at sigma = 0.25"):
             spectral._state(lo, hi, None, 1, 1, mpar, ctx)
@@ -496,7 +497,8 @@ def test_continuation_failures_are_typed(pi4_64, monkeypatch):
 
         monkeypatch.setattr(spectral, "_solve_eps", failing)
         with pytest.raises(SolverError) as err:
-            spectral._advance(0, target, eps0, 0, 1, mpar, ctx)
+            spectral._advance(0, target, eps0, 0, 1, spectral.sin_theta(mpar),
+                              mpar, ctx)
         assert str(err.value) == (f"continuation failed on sheet 1 at sigma = "
                                   f"{mp.nstr(tried[-1], 8)}: no root")
         assert str(err.value.__cause__) == "no root"
@@ -504,7 +506,8 @@ def test_continuation_failures_are_typed(pi4_64, monkeypatch):
                             lambda sigma, seed, *args, **kwargs: 10 * seed + 100)
         with pytest.raises(SolverError,
                            match=r"continuation jump on sheet 1 at sigma = 0\.01"):
-            spectral._advance(0, target, eps0, 0, 1, mpar, ctx)
+            spectral._advance(0, target, eps0, 0, 1, spectral.sin_theta(mpar),
+                              mpar, ctx)
 
 
 def test_rho_extract_refuses_zero(pi4_64, monkeypatch):
