@@ -24,8 +24,8 @@ function runs on those, needing no bracket, up a precision ladder from 64
 bits, and the quadrature (``period_integrals``) checks the root it finds
 and so bounds the levels: A and At by one trapezoid pass over a stretched
 period, whose nodes u and 1/2 - u are evaluated as one pair, B and Bt by
-one adaptive Gauss-Legendre pass (``composite_gl``) on b + i bt, its nodes
-refined on integers.
+one adaptive Gauss-Legendre pass (``composite_gl``) on b + i bt, its roots
+seeded in doubles and refined on integers.
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -75,36 +75,15 @@ class SelfDualSpectrum:
 # ── quadrature ────────────────────────────────────────────────────────────
 
 
-def _stalled(x):
-    return SolverError(f"Legendre root near {float(x):.6f} of {_GL_ORDER} stalled")
-
-
-def _legendre_root(x, floor):
-    """A root of the Legendre polynomial P_n, n = _GL_ORDER, in floats:
-    Newton by its three-term recurrence from x until the predicted error of
-    a step (precision._predicted_stop) is within floor, or else the step
-    is below it; the root is then the last iterate plus that step."""
-    prev = None
-    for _ in range(64):
-        p0, p1 = 1, x
-        for k in range(2, _GL_ORDER + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        step = p1 * (x * x - 1) / (_GL_ORDER * (x * p1 - p0))
-        if _predicted_stop(abs(step), prev, floor) or abs(step) < floor:
-            return x - step
-        x -= step
-        prev = abs(step)
-    raise _stalled(x)
-
-
 def _fixed_legendre_root(x, frac, floor):
-    """(root, P_n' there) as integers at frac fractional bits: the Newton of
-    _legendre_root on a fixed-point x, with the recurrence, the step and the
-    stop on integers (as precision._theta1_sum sums), and floor in the
-    same units.  The root is the last iterate plus its step, with P'
-    carried there by P'' from Legendre's equation, (1 - x^2) P'' =
-    2 x P' - n (n + 1) P, so that the point the stop accepts is never
-    evaluated."""
+    """(root, P_n' there) as integers at frac fractional bits, n =
+    _GL_ORDER: Newton by the three-term recurrence on a fixed-point x, with
+    the step and the stop on integers (as precision._theta1_sum sums) and
+    floor in the same units, until the predicted error of a step
+    (precision._predicted_stop) is within floor, or else the step is below
+    it.  The root is the last iterate plus its step, with P' carried there
+    by P'' from Legendre's equation, (1 - x^2) P'' = 2 x P' - n (n + 1) P,
+    so that the point the stop accepts is never evaluated."""
     one, prev = 1 << frac, None
     for _ in range(64):
         p0, p1 = one, x
@@ -120,20 +99,21 @@ def _fixed_legendre_root(x, frac, floor):
             return x - step, dp - (step * ddp >> frac)
         x -= step
         prev = size
-    raise _stalled(mp.ldexp(x, -frac))
+    raise SolverError(f"Legendre root near {x / one:.6f} of {_GL_ORDER} stalled")
 
 
 def gauss_legendre_nodes(ctx: PrecCtx):
     """(node, weight) pairs of the _GL_ORDER-point Gauss-Legendre rule on
     [-1, 1], the one order every quadrature here uses.
 
-    Each Legendre root is found by Newton in double precision from its
-    Chebyshev guess, then refined on integers at the context's precision
-    plus 20 fractional bits until the predicted error of a step is below
-    2^(8 - bits) (_fixed_legendre_root); the float start leaves 2
-    evaluations per root at 128 bits, 3 at 256 and 5 at 1,024.  The
-    weight 2/((1 - x^2) P'(x)^2) is formed at the same fixed point, and
-    node and weight are rounded to the context once.  Cached per precision.
+    Each Legendre root is seeded by four double-precision Newton steps from
+    its Chebyshev guess, then refined on integers at the context's
+    precision plus 20 fractional bits until the predicted error of a step
+    is below 2^(8 - bits) (_fixed_legendre_root, the one loop with a stop);
+    the seed leaves 2 evaluations per root at 128 bits, 3 at 256, 4 at 512
+    and 5 at 1,024.  The weight 2/((1 - x^2) P'(x)^2) is formed at the same
+    fixed point, and node and weight are each rounded to the context once.
+    Cached per precision.
     """
     got = _GL_CACHE.get(ctx.precision_bits)
     if got is not None:
@@ -143,13 +123,20 @@ def gauss_legendre_nodes(ctx: PrecCtx):
         half = []
         for i in range(_GL_ORDER // 2):
             x = math.cos(math.pi * (i + 0.75) / (_GL_ORDER + 0.5))
-            x = _legendre_root(x, 2.0 ** (8 - 53))   # a double
+            # a fixed count of steps, with no stop: the seed only decides
+            # how many integer steps follow
+            for _ in range(4):
+                p0, p1 = 1.0, x
+                for k in range(2, _GL_ORDER + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                x -= p1 * (x * x - 1) / (_GL_ORDER * (x * p1 - p0))
             # the floor is 2^(8 - bits) in units of 2^-frac
             x, dp = _fixed_legendre_root(int(mp.ldexp(x, frac)), frac,
                                          1 << (frac + 8 - mp.prec))
             one_x2 = (1 << frac) - (x * x >> frac)
             w = (1 << 4 * frac + 1) // (one_x2 * dp * dp)
-            half.append((mp.ldexp(x, -frac), mp.ldexp(w, -frac)))
+            # mp.mpf rounds to the context; mp.ldexp alone keeps every bit
+            half.append((mp.ldexp(mp.mpf(x), -frac), mp.ldexp(mp.mpf(w), -frac)))
         nodes = tuple((-x, w) for x, w in half) + tuple(reversed(half))
     _GL_CACHE[ctx.precision_bits] = nodes
     return nodes

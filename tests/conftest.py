@@ -1,4 +1,5 @@
-"""Shared fixtures: precision contexts, coupling parameters, seeded RNG."""
+"""Shared fixtures: precision contexts, coupling parameters, seeded RNG,
+and the angle set for angle-free properties."""
 
 import random
 
@@ -7,6 +8,11 @@ import pytest
 from mirror_spectra import ModularParam, make_context
 from mirror_spectra.invariants import SEED as RNG_SEED
 from mirror_spectra.spectral import trace_orbit
+
+# The angle set for properties that hold at every coupling, fixed by rule
+# and not by results (ROADMAP item 34): theta = j pi/16 for j = 2-6, the
+# supported window, plus pi/6 and pi/3.  Tests import it from here.
+ANGLE_SET = ("pi/8", "3*pi/16", "pi/4", "5*pi/16", "3*pi/8", "pi/6", "pi/3")
 
 
 @pytest.fixture(scope="session")

@@ -162,13 +162,6 @@ def test_gauss_nodes_weights(ctx192):
         assert gauss_legendre_nodes(ctx) is nodes  # cached
 
 
-def test_legendre_root_stall_is_typed():
-    # a negative floor is one that no Newton step meets: the root search
-    # runs out of steps and names where it was
-    with pytest.raises(SolverError, match=r"Legendre root near 0\.50\d+ of 32 stalled"):
-        selfdual._legendre_root(0.5, -1.0)
-
-
 @pytest.mark.parametrize("bits", [64, 192, 256, 1024])
 def test_gauss_nodes_match_a_finer_rule(bits):
     # the integer refinement against the same rule built at 2 bits + 64:
@@ -185,11 +178,38 @@ def test_gauss_nodes_match_a_finer_rule(bits):
 
 
 def test_fixed_legendre_root_stall_is_typed():
-    # the integer stage's own loop: a negative floor is never met, and the
-    # stall names the root as the float stage does
+    # the one loop with a stop: a negative floor is never met, the search
+    # runs out of steps and names where it was
     frac = 84
     with pytest.raises(SolverError, match=r"Legendre root near 0\.50\d+ of 32 stalled"):
         selfdual._fixed_legendre_root(1 << (frac - 1), frac, -1)
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_gauss_nodes_are_rounded_to_the_context(bits):
+    # the refinement runs at bits + 20 fractional bits; what comes back is
+    # rounded to the context, as every returned value is
+    for x, w in gauss_legendre_nodes(make_context(bits)):
+        assert x.man.bit_length() <= bits, (bits, x)
+        assert w.man.bit_length() <= bits, (bits, x)
+
+
+@pytest.mark.parametrize(("bits", "per_root"), [(128, 2), (256, 3), (512, 4), (1024, 5)])
+def test_gauss_nodes_integer_work_per_root(bits, per_root, monkeypatch):
+    # the double seed leaves a fixed number of integer evaluations per root
+    # (each ends in one predicted-stop test on an mpf size); a worse seed
+    # would show as more
+    monkeypatch.setattr(selfdual, "_GL_CACHE", {})
+    sizes = []
+    stop = selfdual._predicted_stop
+
+    def counted(size, prev, budget):
+        sizes.append(size)
+        return stop(size, prev, budget)
+
+    monkeypatch.setattr(selfdual, "_predicted_stop", counted)
+    gauss_legendre_nodes(make_context(bits))
+    assert sum(isinstance(v, mp.mpf) for v in sizes) == per_root * 16
 
 
 def test_composite_gl_matches_mpmath_quad(spec0, ctx192):
@@ -867,6 +887,24 @@ def test_unit_legs_match_monodromy(bits):
                     want = (x1 * y1 - x0 * y0 - (x1 * x1 - x0 * x0) / 2
                             - mp.mpf(tau) / 2)
                 assert abs(I - want) <= ctx.tol, (Ts, tau)
+
+
+@pytest.mark.parametrize("bits", (128, 192))
+def test_phi_middle_regime_rung(bits):
+    # phi's precision rung between the turning points, where a unit leg has
+    # no closed form: phi(iT) at T a quarter, half and three quarters of
+    # the way from alpha to beta, levels 0 and 1, against the same job at
+    # 2 bits + 64.  The zeta-type path runs composite_gl at both precisions
+    ctx, ref = make_context(bits), make_context(2 * bits + 64)
+    for n in (0, 1):
+        spec, spec_ref = quantize_selfdual(n, ctx), quantize_selfdual(n, ref)
+        for f in ("0.25", "0.5", "0.75"):
+            with ctx.workprec():
+                T = spec.alpha + (spec.beta - spec.alpha) * mp.mpf(f)
+                got = phi_eval(1j * T, spec, ctx)
+            with ref.workprec():
+                want = phi_eval(1j * T, spec_ref, ref)
+                assert abs(got - want) <= ctx.tol * max(abs(want), 1), (n, f)
 
 
 def test_branch_shift_invariance(spec0, ctx192):

@@ -33,6 +33,7 @@ from mirror_spectra.spectral import (
     wronskian_eval,
     wronskian_residue,
 )
+from conftest import ANGLE_SET
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ def test_wronskian_rejects_zero(ctx, mpar):
         wronskian_eval(0, mp.mpf(1), mpar, ctx)
 
 
-def test_wronskian_quasi_periodicity(ctx, mpar, rng):
+def _check_quasi_periodicity(ctx, mpar, rng):
     # W(q^2 u) = W(u) / (q^2 u^2)
     with ctx.workprec():
         q2 = mpar.q * mpar.q
@@ -74,6 +75,16 @@ def test_wronskian_quasi_periodicity(ctx, mpar, rng):
             w1 = wronskian_eval(q2 * u, eps, mpar, ctx)
             target = w0 / (q2 * u * u)
             assert abs(w1 - target) <= 10 * ctx.tol * max(abs(target), 1)
+
+
+def test_wronskian_quasi_periodicity(ctx, mpar, rng):
+    _check_quasi_periodicity(ctx, mpar, rng)
+
+
+@pytest.mark.parametrize("theta", ANGLE_SET)
+def test_wronskian_quasi_periodicity_on_the_angle_set(theta, rng):
+    ctx = make_context(128)
+    _check_quasi_periodicity(ctx, ModularParam.from_theta(theta, ctx), rng)
 
 
 def test_wronskian_eps_derivative(ctx, mpar):
@@ -251,14 +262,26 @@ def test_seed_quality(ctx, mpar):
             assert sheet_seed(k, mpar, ctx) == q ** (-2 * (k // 2))
 
 
-def test_conjugation_structure(ctx, mpar, orbit1):
+def _check_conjugation(sample, mpar, ctx, bound):
     # conjugated modular data (q -> conj q, b -> 1/b) sends eps(sigma) to
     # its complex conjugate for real sigma
     with ctx.workprec():
-        sig, eps = orbit1.samples[20]
-        mpar_c = mpar.conjugate()
-        eps_c = solve_eps(sig, mp.conj(eps), mpar_c, ctx)
-        assert abs(eps_c - mp.conj(eps)) <= mp.mpf("1e-35") * max(abs(eps), 1)
+        sig, eps = sample
+        eps_c = solve_eps(sig, mp.conj(eps), mpar.conjugate(), ctx)
+        assert abs(eps_c - mp.conj(eps)) <= bound * max(abs(eps), 1)
+
+
+def test_conjugation_structure(ctx, mpar, orbit1):
+    _check_conjugation(orbit1.samples[20], mpar, ctx, mp.mpf("1e-35"))
+
+
+@pytest.mark.parametrize("theta", ANGLE_SET)
+def test_conjugation_structure_on_the_angle_set(theta):
+    # an interior sample of a 16-point sheet-1 orbit at each angle
+    ctx = make_context(128)
+    mpar = ModularParam.from_theta(theta, ctx)
+    sample = trace_orbit(1, 16, mpar, ctx).samples[7]
+    _check_conjugation(sample, mpar, ctx, 10 * ctx.tol)
 
 
 # ── continuation ──────────────────────────────────────────────────────────
