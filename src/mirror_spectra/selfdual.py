@@ -19,13 +19,14 @@ r a logarithm of the same square root; asinh remains in At's s(t+1/2)
 (``_Curve``).  Single-valuedness of the Bloch function
 e^{2 pi i I theta_lambda} forces lambda = Bt/B and quantizes
 A lambda - At = n + 1.  For eps >= 8 the four periods are also
-hypergeometric series in 1/eps^2 (``period_series``).  Newton on the level
-function runs on those, needing no bracket, up a precision ladder from 64
-bits, and the quadrature (``period_integrals``) checks the root it finds
-and so bounds the levels: A and At by one trapezoid pass over a stretched
-period, whose nodes u and 1/2 - u are evaluated as one pair, B and Bt by
-one adaptive Gauss-Legendre pass (``composite_gl``) on b + i bt, its roots
-seeded in doubles and refined on integers.
+hypergeometric series in 1/eps^2 (``period_series``), summed on integers.
+Newton on the level function runs on those, needing no bracket, up a
+precision ladder from 64 bits, and the quadrature (``period_integrals``)
+checks the root it finds and so bounds the levels: A and At by one
+trapezoid pass over a stretched period, whose nodes u and 1/2 - u are
+evaluated as one pair, B and Bt by one adaptive Gauss-Legendre pass
+(``composite_gl``) on b + i bt, its roots seeded in doubles and refined on
+integers.
 The eigenfunction is phi(x) = sin(2 pi I)/sin(2 pi y) accumulated along
 canonical paths from the base point P0 = (i alpha, 0): both coordinates
 imaginary up to i alpha (xi-type), y real in [0, 1/2] up to i beta
@@ -185,14 +186,20 @@ def composite_gl(f, a, b, ctx: PrecCtx):
 # ── curve geometry ────────────────────────────────────────────────────────
 
 
+def _real_eps(eps):
+    """eps as a real number: a complex eps with a zero imaginary part counts
+    as its real part, and any other raises ValueError."""
+    eps = mp.mpmathify(eps)
+    if mp.im(eps) != 0:
+        raise ValueError("eps must be real")
+    return mp.re(eps)
+
+
 def alpha_beta(eps, ctx: PrecCtx):
     """Turning-point parameters: eps = 4 cosh^2(pi alpha), sinh(pi beta) =
     cosh(pi alpha), both positive roots."""
     with ctx.workprec():
-        eps = mp.mpmathify(eps)
-        if mp.im(eps) != 0:
-            raise ValueError("eps must be real")
-        e = mp.re(eps)
+        e = _real_eps(eps)
         if not 4 < e < mp.inf:   # NaN fails it too
             raise ValueError(f"eps must exceed 4 and be finite, got {mp.nstr(e, 12)}")
         ch = mp.sqrt(e) / 2   # cosh(pi alpha)
@@ -397,8 +404,32 @@ def period_integrals(eps, ctx: PrecCtx):
         return A, At, B.real, B.imag
 
 
+def _series_sums(x, L, frac, prec):
+    """(sb, sa, tb, ta, m): the four sums of ``period_series`` and their
+    term count m, on integers at frac fractional bits from x = 1/eps^2 and
+    L = log eps in the same units (as precision._theta1_sum sums).  c_m
+    advances by x and the exact ratio (4m - 2)^2/m^2, d_m by -1/(m (2m -
+    1)), and the sums stop once c_m L <= 2^-prec."""
+    one = 1 << frac
+    stop = 1 << (2 * frac - prec)
+    c, d = one, 0
+    sb, sa, tb, ta = one, L, 0, 0
+    m = 0
+    while c * L > stop:
+        m += 1
+        c = c * x * (4 * m - 2) ** 2 // (m * m << frac)
+        d -= one // (m * (2 * m - 1))
+        t = c * (L + d) >> frac
+        sb += c
+        sa += t
+        tb += c // (2 * m)
+        ta += (2 * m * t + c) // (4 * m * m)
+    return sb, sa, tb, ta, m
+
+
 def period_series(eps, ctx: PrecCtx):
-    """(A, Atilde, B, Btilde) for eps >= 8, summed as series in x = 1/eps^2.
+    """(A, Atilde, B, Btilde) for real eps >= 8, summed as series in
+    x = 1/eps^2.
 
     With L = log eps, c_m = C(2m, m)^2 x^m and d_m = 2 (H_m - H_2m):
 
@@ -409,27 +440,24 @@ def period_series(eps, ctx: PrecCtx):
 
     The tilde periods integrate dBt/deps = B/(4 pi) and dAt/deps = A/(4 pi);
     the constant 1/6 is zeta(2)/pi^2.  Successive terms shrink by at least
-    16/eps^2 <= 1/4, and summation stops once they fall below 2^-prec.
+    16/eps^2 <= 1/4, and summation stops once c_m L falls below 2^-prec.
+    The sums run on integers at prec + 20 fractional bits from x and L
+    converted once (``_series_sums``), and each is rounded to the context
+    once before the closing formulas.  eps is read as ``alpha_beta`` reads
+    it (``_real_eps``).
     """
     with ctx.workprec():
-        eps = mp.mpmathify(eps)
+        eps = _real_eps(eps)
         if not _SERIES_MIN_EPS <= eps < mp.inf:
             raise ValueError(f"period series needs a finite eps >= {_SERIES_MIN_EPS}, "
                              f"got {mp.nstr(eps, 12)}")
-        x = 1 / (eps * eps)
-        L = mp.log(eps)
-        floor = mp.mpf(2) ** -mp.prec
-        c, d = mp.mpf(1), mp.mpf(0)
-        sb, sa, tb, ta = mp.mpf(1), L, mp.mpf(0), mp.mpf(0)
-        m = 0
-        while c * L > floor:
-            m += 1
-            c *= x * (4 * m - 2) ** 2 / m ** 2
-            d += mp.mpf(1) / m - mp.mpf(2) / (2 * m - 1)
-            sb += c
-            sa += c * (L + d)
-            tb += c / (2 * m)
-            ta += c * ((L + d) / (2 * m) + mp.mpf(1) / (4 * m * m))
+        frac = mp.prec + 20
+        with mp.workprec(frac):
+            x = int(mp.ldexp(1 / (eps * eps), frac))
+            L = mp.log(eps)
+        *sums, _ = _series_sums(x, int(mp.ldexp(L, frac)), frac, mp.prec)
+        # mp.mpf rounds to the context; mp.ldexp alone keeps every bit
+        sb, sa, tb, ta = (mp.ldexp(mp.mpf(s), -frac) for s in sums)
         B = 2 * sb / eps
         A = 8 * sa / (mp.pi * eps)
         Btilde = (L - tb) / (2 * mp.pi)

@@ -507,6 +507,51 @@ def test_period_series_rejects_small_eps(ctx192):
             period_series(bad, ctx192)
 
 
+def test_period_series_takes_real_eps_only(ctx192):
+    # as period_integrals does (through alpha_beta): a zero imaginary part
+    # gives the real eps's periods, any other raises ValueError
+    with ctx192.workprec():
+        assert period_series(mp.mpc(10, 0), ctx192) == period_series(mp.mpf(10), ctx192)
+        with pytest.raises(ValueError, match="eps must be real"):
+            period_series(mp.mpc(10, 1), ctx192)
+        with pytest.raises(ValueError, match="eps must be real"):
+            period_integrals(mp.mpc(10, 1), ctx192)
+
+
+@pytest.mark.parametrize("bits", (64, 128, 256, 1024))
+def test_period_series_matches_a_finer_series(bits):
+    # each period within 2^(4 - bits) relative of the same series at
+    # 2 bits + 64, and rounded to the context
+    ctx, fine = make_context(bits), make_context(2 * bits + 64)
+    with fine.workprec():
+        bound = mp.mpf(2) ** (4 - bits)
+        for e in ("8", "8.5", "17.846643118044799282", "70.428", "197.98",
+                  "1e5", "1e40"):
+            eps = mp.mpf(e)
+            got, ref = period_series(eps, ctx), period_series(eps, fine)
+            for name, g, r in zip(("A", "Atilde", "B", "Btilde"), got, ref):
+                assert abs(g - r) <= bound * abs(r), (e, name)
+                assert g.man.bit_length() <= ctx.precision_bits, (e, name)
+
+
+def test_period_series_term_count(monkeypatch):
+    # the sums stop at the first c_m L <= 2^-prec: 125 terms at eps = 8 and
+    # 58 at eps = 17.85 for 256 bits
+    counts = []
+    original = selfdual._series_sums
+
+    def counted(*args):
+        sums = original(*args)
+        counts.append(sums[-1])
+        return sums
+
+    monkeypatch.setattr(selfdual, "_series_sums", counted)
+    ctx = make_context(256)
+    for e in ("8", "17.846643118044799282"):
+        period_series(mp.mpf(e), ctx)
+    assert counts == [125, 58]
+
+
 # ── quantization ──────────────────────────────────────────────────────────
 
 

@@ -1110,6 +1110,22 @@ def test_factorize_at_quantized_point(ctx, mpar, orbit1):
             assert abs(probe - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho)
 
 
+@pytest.mark.parametrize("theta", ANGLE_SET)
+@pytest.mark.parametrize("sheet", (1, 2, 3))
+def test_factorize_on_the_angle_set(sheet, theta):
+    # an inner root of a 16-point orbit of each of sheets 1-3 at each angle,
+    # with test_factorize_at_quantized_point's probes and bound
+    ctx = make_context(128)
+    mpar = ModularParam.from_theta(theta, ctx)
+    sigma, eps = trace_orbit(sheet, 16, mpar, ctx).samples[7]
+    with ctx.workprec():
+        rho = factorize(sigma, eps, mpar, ctx)
+        assert rho != 0
+        for x0 in (mp.mpf("0.29"), mp.mpc("0.29", "0.1")):
+            probe = _probe_rho(sigma, eps, x0, mpar, ctx)
+            assert abs(probe - rho) <= mp.mpf(1e3) * ctx.tol * abs(rho), x0
+
+
 @pytest.mark.parametrize("theta", ("pi/4", "3*pi/8", "7*pi/16"))
 @pytest.mark.parametrize("bits", (64, 192))
 def test_factorize_at_any_sigma(bits, theta):
